@@ -628,12 +628,19 @@ const REFERENCE_CONFIG: &str = "sequential/batch_1";
 /// Minimum columnar-over-row sequential speedup the `--relative` gate
 /// accepts, measured against [`REFERENCE_CONFIG`]. Both sides run on
 /// the same machine in the same process, so unlike absolute tuples/sec
-/// this ratio is stable across hardware. The floor sits well under the
-/// ~2.2–2.6x this workload measures because its job is to catch a
-/// silent fall-back to the row path (ratio ~1.0), not to pin the exact
-/// speedup — the gaussian-noise kernels are compute-heavy enough that
-/// Amdahl caps the transport win, and machine noise must not flake CI.
-const COLUMNAR_SPEEDUP_FLOOR: f64 = 1.5;
+/// this ratio is stable across hardware. Its job is to catch a silent
+/// fall-back to the row path (ratio ~0.96, what `sequential/batch_64`
+/// measures), not to pin the exact speedup — the gaussian-noise kernels
+/// are compute-heavy enough that Amdahl caps the transport win, and
+/// machine noise must not flake CI.
+///
+/// Re-derived when the row channel driver became linear (ring-buffer
+/// sorter + lockstep schedule): the denominator `sequential/batch_1`
+/// went from 1.54 M to 2.57–2.93 M tuples/s while the direct columnar
+/// drive did not move, so the measured ratio fell from 2.8–3.05x to
+/// 1.44–1.74x (six captures on a 2-core box). Old floor 1.5 → new 1.2:
+/// a fifth above the fall-back, a sixth under the lowest capture.
+const COLUMNAR_SPEEDUP_FLOOR: f64 = 1.2;
 
 /// Minimum binary-serve over offline-sequential throughput ratio the
 /// `--relative` gate accepts when this run measured serve (`--serve`).
@@ -642,6 +649,13 @@ const COLUMNAR_SPEEDUP_FLOOR: f64 = 1.5;
 /// path against regressing back toward the ~0.3x the thread-per-session
 /// server measured, while staying far enough under the measured ratio
 /// that scheduler noise cannot flake CI.
+///
+/// Re-derived with the linear channel driver, which both sides of the
+/// ratio run (a session is `execute_streaming` over the same topology):
+/// the reference rose 1.54 M → 2.57–2.93 M tuples/s, binary serve
+/// 0.84 M → 1.44–1.75 M, and the measured ratio moved from 0.55–0.61x
+/// to 0.60–0.78x (six captures). The floor stays at 0.5: still a sixth
+/// under the lowest capture and well above thread-per-session level.
 const SERVE_BINARY_RATIO_FLOOR: f64 = 0.5;
 
 /// Minimum geometric-mean vectorized/trampoline kernel speedup the

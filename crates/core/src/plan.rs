@@ -764,13 +764,19 @@ fn predict_stages(
         metrics: {
             let mut v = operator_metrics(&l);
             v.extend(
-                ["late", "late_lag_ms", "buffer_max", "watermark_lag_ms"]
-                    .iter()
-                    .map(|s| format!("{l}/{s}")),
+                [
+                    "late",
+                    "late_lag_ms",
+                    "buffer_max",
+                    "heaped",
+                    "watermark_lag_ms",
+                ]
+                .iter()
+                .map(|s| format!("{l}/{s}")),
             );
             v
         },
-        role: "sort by arrival time (Algorithm 1, line 11)".into(),
+        role: "sort by (arrival time, sub-stream) (Algorithm 1, line 11)".into(),
         label: l,
     });
     if let ExecutionStrategy::Pipelined { capacity } = strategy {
@@ -782,9 +788,17 @@ fn predict_stages(
         });
     }
     let l = label("split_router");
+    let handoff = match strategy {
+        ExecutionStrategy::SplitMergeParallel => "over bounded channels, one thread each",
+        ExecutionStrategy::Sequential | ExecutionStrategy::Pipelined { .. } => {
+            "pushed directly, in watermark lockstep"
+        }
+    };
     stages.push(StageInfo {
         metrics: channel_metrics(&l),
-        role: format!("fan out into {m} sub-stream(s); broadcasts watermarks (epoch barrier)"),
+        role: format!(
+            "fan out into {m} sub-stream(s), {handoff}; broadcasts watermarks (epoch barrier)"
+        ),
         label: l,
     });
     for i in 0..m {

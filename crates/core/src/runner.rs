@@ -97,9 +97,9 @@ struct ControlState {
 
 /// Wire form of one sub-stream's checkpoint contribution: the full
 /// pipeline state document (see
-/// [`PollutionPipeline::snapshot_states`]) plus the shared ground-truth
-/// log's length when the barrier passed this operator — the truncation
-/// point a restore rewinds the log to.
+/// [`PollutionPipeline::snapshot_states`]) plus the length of this
+/// sub-stream's own ground-truth log segment when the barrier passed
+/// its operator — the exact point a restore truncates that segment to.
 #[derive(Debug, Serialize, Deserialize)]
 struct SubstreamState {
     pipeline: Option<String>,
@@ -167,12 +167,61 @@ impl BuiltPipeline {
     }
 }
 
-/// A stream [`Operator`] wrapping a built row or columnar pipeline,
-/// sharing a log across sub-streams.
+/// A run's ground-truth log as one segment per sub-stream.
+///
+/// Each [`PipelineOperator`] takes its segment when it is built, owns
+/// it for the attempt (no lock on the record path), and hands it back
+/// when it is dropped — however the attempt ended. The finished log is
+/// the segments concatenated in sub-stream order, which is independent
+/// of how a schedule interleaved the sub-streams: the sequential,
+/// pipelined and threaded strategies all produce the same bytes.
+/// A checkpointed run keeps the segments across attempts and rewinds
+/// each one to the length its own operator recorded at the barrier.
+#[derive(Clone)]
+pub(crate) struct LogSegments(Arc<Mutex<Vec<PollutionLog>>>);
+
+impl LogSegments {
+    /// `m` empty segments, recording iff `logging`.
+    fn new(m: usize, logging: bool) -> Self {
+        let segment = if logging {
+            PollutionLog::new()
+        } else {
+            PollutionLog::disabled()
+        };
+        LogSegments(Arc::new(Mutex::new(vec![segment; m])))
+    }
+
+    /// Moves segment `i` out, leaving an empty placeholder.
+    fn take(&self, i: usize) -> PollutionLog {
+        std::mem::take(&mut self.0.lock()[i])
+    }
+
+    /// Truncates segment `i` to its first `len` entries.
+    fn truncate(&self, i: usize, len: usize) {
+        self.0.lock()[i].truncate(len);
+    }
+
+    /// The whole log: every segment, in sub-stream order. Call after
+    /// the run's operators are gone (they hold the segments until
+    /// then).
+    fn concat(&self) -> PollutionLog {
+        let mut segments = std::mem::take(&mut *self.0.lock()).into_iter();
+        let mut log = segments.next().unwrap_or_default();
+        for segment in segments {
+            log.merge(segment);
+        }
+        log
+    }
+}
+
+/// A stream [`Operator`] wrapping a built row or columnar pipeline and
+/// recording into its own segment of the run's log.
 pub struct PipelineOperator {
     pipeline: BuiltPipeline,
     sub_stream: u32,
-    log: Arc<Mutex<PollutionLog>>,
+    /// This sub-stream's log segment, returned to `segments` on drop.
+    log: PollutionLog,
+    segments: LogSegments,
     scratch: Vec<StampedTuple>,
     control: Option<ControlState>,
     /// Checkpoint contribution key (`substream_{i}`); `None` outside
@@ -181,26 +230,26 @@ pub struct PipelineOperator {
     ckpt_key: Option<String>,
 }
 
-impl PipelineOperator {
-    /// Wraps a row pipeline as the operator of sub-stream `sub_stream`.
-    pub fn new(
-        pipeline: PollutionPipeline,
-        sub_stream: u32,
-        log: Arc<Mutex<PollutionLog>>,
-    ) -> Self {
-        Self::from_built(BuiltPipeline::Row(pipeline), sub_stream, log)
+impl Drop for PipelineOperator {
+    fn drop(&mut self) {
+        // `get_mut`: a drop must not panic, even after `concat` emptied
+        // the table.
+        if let Some(slot) = self.segments.0.lock().get_mut(self.sub_stream as usize) {
+            *slot = std::mem::take(&mut self.log);
+        }
     }
+}
 
-    /// Wraps a pipeline in its compiled representation.
-    pub(crate) fn from_built(
-        pipeline: BuiltPipeline,
-        sub_stream: u32,
-        log: Arc<Mutex<PollutionLog>>,
-    ) -> Self {
+impl PipelineOperator {
+    /// Wraps a pipeline in its compiled representation as the operator
+    /// of sub-stream `sub_stream`, taking that sub-stream's segment of
+    /// `segments` for as long as the operator lives.
+    fn from_built(pipeline: BuiltPipeline, sub_stream: u32, segments: &LogSegments) -> Self {
         PipelineOperator {
             pipeline,
             sub_stream,
-            log,
+            log: segments.take(sub_stream as usize),
+            segments: segments.clone(),
             scratch: Vec::new(),
             control: None,
             ckpt_key: None,
@@ -256,10 +305,7 @@ impl PipelineOperator {
             _ => None,
         };
         let Some((epoch, plan)) = due else { return };
-        {
-            let mut log = self.log.lock();
-            self.pipeline.finish(&mut self.scratch, &mut log);
-        }
+        self.pipeline.finish(&mut self.scratch, &mut self.log);
         self.drain_scratch(out);
         // Rebuild in the representation the *new* plan compiles to: an
         // epoch swap can move this sub-stream between the columnar and
@@ -287,53 +333,42 @@ impl PipelineOperator {
 
 impl Operator<StampedTuple, StampedTuple> for PipelineOperator {
     fn on_element(&mut self, mut record: StampedTuple, out: &mut dyn Collector<StampedTuple>) {
-        {
-            let mut log = self.log.lock();
-            match &mut self.pipeline {
-                BuiltPipeline::Row(p) => {
-                    let mut em = Emission::new(&mut self.scratch, &mut log);
-                    p.process(record, &mut em);
-                }
-                BuiltPipeline::Columnar(p) => {
-                    p.process_row(&mut record, &mut log);
-                    self.scratch.push(record);
-                }
+        match &mut self.pipeline {
+            BuiltPipeline::Row(p) => {
+                let mut em = Emission::new(&mut self.scratch, &mut self.log);
+                p.process(record, &mut em);
+            }
+            BuiltPipeline::Columnar(p) => {
+                p.process_row(&mut record, &mut self.log);
+                self.scratch.push(record);
             }
         }
         self.drain_scratch(out);
     }
 
     fn on_batch(&mut self, batch: Vec<StampedTuple>, out: &mut dyn Collector<StampedTuple>) {
-        {
-            let mut log = self.log.lock();
-            match &mut self.pipeline {
-                // Row path: tuples are still processed one at a time
-                // (batching must not change the ground-truth log order),
-                // but the shared log lock is taken once per batch
-                // instead of once per tuple.
-                BuiltPipeline::Row(p) => {
-                    for record in batch {
-                        let mut em = Emission::new(&mut self.scratch, &mut log);
-                        p.process(record, &mut em);
-                    }
+        match &mut self.pipeline {
+            // Row path: tuples are still processed one at a time
+            // (batching must not change the ground-truth log order).
+            BuiltPipeline::Row(p) => {
+                for record in batch {
+                    let mut em = Emission::new(&mut self.scratch, &mut self.log);
+                    p.process(record, &mut em);
                 }
-                // Columnar path: the whole batch pivots to column
-                // vectors and runs through the kernels — identical
-                // bytes, one representation conversion per transport
-                // batch.
-                BuiltPipeline::Columnar(p) => {
-                    self.scratch.extend(p.process_rows(batch, &mut log));
-                }
+            }
+            // Columnar path: the whole batch pivots to column vectors
+            // and runs through the kernels — identical bytes, one
+            // representation conversion per transport batch.
+            BuiltPipeline::Columnar(p) => {
+                self.scratch.extend(p.process_rows(batch, &mut self.log));
             }
         }
         self.drain_scratch(out);
     }
 
     fn on_watermark(&mut self, wm: Timestamp, out: &mut dyn Collector<StampedTuple>) {
-        {
-            let mut log = self.log.lock();
-            self.pipeline.on_watermark(wm, &mut self.scratch, &mut log);
-        }
+        self.pipeline
+            .on_watermark(wm, &mut self.scratch, &mut self.log);
         self.drain_scratch(out);
         self.apply_due_reconfiguration(wm, out);
     }
@@ -342,7 +377,7 @@ impl Operator<StampedTuple, StampedTuple> for PipelineOperator {
         let Some(key) = &self.ckpt_key else { return };
         let state = SubstreamState {
             pipeline: self.pipeline.snapshot_states(),
-            log_len: self.log.lock().len() as u64,
+            log_len: self.log.len() as u64,
         };
         if let Ok(doc) = serde_json::to_string(&state) {
             barrier.contribute(key.clone(), doc);
@@ -350,10 +385,7 @@ impl Operator<StampedTuple, StampedTuple> for PipelineOperator {
     }
 
     fn on_end(&mut self, out: &mut dyn Collector<StampedTuple>) {
-        {
-            let mut log = self.log.lock();
-            self.pipeline.finish(&mut self.scratch, &mut log);
-        }
+        self.pipeline.finish(&mut self.scratch, &mut self.log);
         self.drain_scratch(out);
     }
 
@@ -642,26 +674,11 @@ fn stamped_codec() -> SorterStateCodec<StampedTuple> {
     )
 }
 
-/// The ground-truth-log truncation point recorded in a frame: the
-/// largest per-substream `log_len` contribution. With a single
-/// sub-stream this is exact (the operator saw every pre-barrier record
-/// before snapshotting); with several, entries from sub-streams that ran
-/// ahead of the slowest barrier may interleave, making the rewind
-/// best-effort — see DESIGN.md on epoch-aligned snapshots.
-fn frame_log_len(states: &BTreeMap<String, String>) -> u64 {
-    states
-        .iter()
-        .filter(|(k, _)| k.starts_with("substream_"))
-        .filter_map(|(_, doc)| serde_json::from_str::<SubstreamState>(doc).ok())
-        .map(|s| s.log_len)
-        .max()
-        .unwrap_or(0)
-}
-
 /// The checkpointed supervised loop: instead of re-running from tuple
 /// zero, a retry restores the latest *complete* checkpoint — the shared
-/// sink and ground-truth log are truncated to the committed prefix,
-/// fresh pipelines are rewound to their snapshotted state (RNG stream
+/// sink is truncated to the committed prefix and every log segment to
+/// the length its own sub-stream recorded at the barrier, fresh
+/// pipelines are rewound to their snapshotted state (RNG stream
 /// positions included), and the replayable source resumes from the
 /// frame's offset with the recorded watermark-generator position.
 ///
@@ -698,15 +715,13 @@ where
     // source, so a restore can slice off the already-checkpointed
     // prefix instead of replaying history.
     let mut prepare = PrepareOperator::new(&settings.schema)?;
-    let clean: Vec<StampedTuple> = tuples.into_iter().map(|t| prepare.prepare(t)).collect();
+    let clean: Arc<Vec<StampedTuple>> =
+        Arc::new(tuples.into_iter().map(|t| prepare.prepare(t)).collect());
 
-    // Sink and log are shared across attempts — the committed prefix of
-    // a failed attempt is kept, not recomputed.
-    let log = Arc::new(Mutex::new(if settings.logging {
-        PollutionLog::new()
-    } else {
-        PollutionLog::disabled()
-    }));
+    // Sink and log segments are shared across attempts — the committed
+    // prefix of a failed attempt is kept, not recomputed. The segment
+    // count is fixed by the first build below.
+    let mut segments: Option<LogSegments> = None;
     let sink = SharedVecSink::new();
 
     let mut restored_from_epoch: u64 = 0;
@@ -725,14 +740,12 @@ where
                 restored_from_epoch = f.epoch;
                 replayed_tuples += processed_abs.saturating_sub(f.source_offset);
                 sink.truncate(f.sink_committed as usize);
-                log.lock().truncate(frame_log_len(&f.states) as usize);
             }
             None => {
                 // No checkpoint yet: full restart (a no-op before the
                 // first attempt).
                 replayed_tuples += processed_abs;
                 sink.truncate(0);
-                log.lock().truncate(0);
             }
         }
         let mut built = pipelines()?;
@@ -741,17 +754,26 @@ where
                 "at least one pipeline is required",
             ));
         }
-        if let Some(f) = &frame {
-            for (i, pipeline) in built.iter_mut().enumerate() {
-                let Some(doc) = f.states.get(&format!("substream_{i}")) else {
-                    continue;
-                };
-                let state: SubstreamState = serde_json::from_str(doc)
-                    .map_err(|_| icewafl_types::Error::parse(doc.as_str(), "SubstreamState"))?;
-                if let Some(pipeline_doc) = &state.pipeline {
-                    pipeline.restore_states(pipeline_doc)?;
-                }
+        let segments =
+            segments.get_or_insert_with(|| LogSegments::new(built.len(), settings.logging));
+        for (i, pipeline) in built.iter_mut().enumerate() {
+            // Without a frame — or without this sub-stream in it — the
+            // sub-stream starts over, and so does its log segment.
+            let Some(doc) = frame
+                .as_ref()
+                .and_then(|f| f.states.get(&format!("substream_{i}")))
+            else {
+                segments.truncate(i, 0);
+                continue;
+            };
+            let state: SubstreamState = serde_json::from_str(doc)
+                .map_err(|_| icewafl_types::Error::parse(doc.as_str(), "SubstreamState"))?;
+            if let Some(pipeline_doc) = &state.pipeline {
+                pipeline.restore_states(pipeline_doc)?;
             }
+            segments.truncate(i, state.log_len as usize);
+        }
+        if frame.is_some() {
             recovery_ms += recover_start.elapsed().as_millis() as u64;
         }
 
@@ -773,7 +795,7 @@ where
             states: frame.map(|f| f.states).unwrap_or_default(),
             sink_base: sink.len() as u64,
         };
-        let source = VecSource::new(clean[base_offset as usize..].to_vec());
+        let source = replay_source(&clean, base_offset as usize);
         let attempt = drive_pipelines(
             settings,
             source,
@@ -782,13 +804,13 @@ where
             budget.clone(),
             supervisor.deadline_instant(),
             &registry,
-            &log,
+            segments,
             Some(drive),
         );
         match attempt {
             Ok(()) => {
                 let polluted = sink.take();
-                let log = log.lock().clone();
+                let log = segments.concat();
                 let log_counts = log.counts_by_polluter();
                 let polluters = stat_handles
                     .iter()
@@ -819,7 +841,7 @@ where
                     metrics: registry.snapshot(),
                 };
                 return Ok(PollutionOutput {
-                    clean,
+                    clean: unshare(clean),
                     polluted,
                     log,
                     report,
@@ -1003,13 +1025,10 @@ pub(crate) fn execute_attempt(
     // (watermarks are generated from τ, which only exists after
     // preparation).
     let mut prepare = PrepareOperator::new(&settings.schema)?;
-    let clean: Vec<StampedTuple> = tuples.into_iter().map(|t| prepare.prepare(t)).collect();
+    let clean: Arc<Vec<StampedTuple>> =
+        Arc::new(tuples.into_iter().map(|t| prepare.prepare(t)).collect());
 
-    let log = Arc::new(Mutex::new(if settings.logging {
-        PollutionLog::new()
-    } else {
-        PollutionLog::disabled()
-    }));
+    let segments = LogSegments::new(pipelines.len(), settings.logging);
 
     // Collect per-polluter stat handles before the builders consume
     // the pipelines — the cells are Arc-shared, so these handles
@@ -1037,22 +1056,20 @@ pub(crate) fn execute_attempt(
             let sink = SharedVecSink::new();
             drive_pipelines(
                 settings,
-                VecSource::new(clean.clone()),
+                replay_source(&clean, 0),
                 sink.clone(),
                 pipelines,
                 chaos_budget,
                 deadline,
                 &registry,
-                &log,
+                &segments,
                 None,
             )?;
             sink.take()
         }
     };
 
-    let log = Arc::try_unwrap(log)
-        .map(Mutex::into_inner)
-        .unwrap_or_else(|arc| arc.lock().clone());
+    let log = segments.concat();
 
     // Attribute log entries to polluters by name. Polluters sharing
     // a name (across sub-streams) each report the combined count.
@@ -1087,11 +1104,25 @@ pub(crate) fn execute_attempt(
     };
 
     Ok(PollutionOutput {
-        clean,
+        clean: unshare(clean),
         polluted,
         log,
         report,
     })
+}
+
+/// A source over `clean[from..]` that clones each prepared tuple as it
+/// is pulled, so `clean` stays the only whole-stream copy of the input
+/// (a `VecSource` would need a second one for the length of the run).
+fn replay_source(clean: &Arc<Vec<StampedTuple>>, from: usize) -> impl Source<StampedTuple> {
+    let clean = Arc::clone(clean);
+    IterSource::new((from..clean.len()).map(move |i| clean[i].clone()))
+}
+
+/// The prepared clean stream back out of the handle it shared with the
+/// run's source; the source is gone by now, so this does not copy.
+fn unshare(clean: Arc<Vec<StampedTuple>>) -> Vec<StampedTuple> {
+    Arc::try_unwrap(clean).unwrap_or_else(|shared| shared.to_vec())
 }
 
 /// A [`Source`] adapter that prepares raw tuples on the pull path:
@@ -1193,11 +1224,7 @@ pub(crate) fn execute_streaming(
         count: Arc::clone(&tuples_out),
     };
 
-    let log = Arc::new(Mutex::new(if settings.logging {
-        PollutionLog::new()
-    } else {
-        PollutionLog::disabled()
-    }));
+    let segments = LogSegments::new(pipelines.len(), settings.logging);
     let mut stat_handles: Vec<PolluterStatsHandle> = Vec::new();
     for pipeline in &pipelines {
         pipeline.collect_stats(&mut stat_handles);
@@ -1229,12 +1256,10 @@ pub(crate) fn execute_streaming(
         });
 
     drive_pipelines(
-        settings, source, sink, pipelines, budget, None, &registry, &log, drive,
+        settings, source, sink, pipelines, budget, None, &registry, &segments, drive,
     )?;
 
-    let log = Arc::try_unwrap(log)
-        .map(Mutex::into_inner)
-        .unwrap_or_else(|arc| arc.lock().clone());
+    let log = segments.concat();
     let log_counts = log.counts_by_polluter();
     let polluters = stat_handles
         .iter()
@@ -1294,7 +1319,7 @@ fn drive_pipelines(
     chaos_budget: Option<Arc<AtomicU64>>,
     deadline: Option<Instant>,
     registry: &MetricsRegistry,
-    log: &Arc<Mutex<PollutionLog>>,
+    segments: &LogSegments,
     ckpt: Option<CheckpointDrive>,
 ) -> Result<()> {
     let m = pipelines.len();
@@ -1314,7 +1339,7 @@ fn drive_pipelines(
         .into_iter()
         .enumerate()
         .map(|(i, pipeline)| -> Result<_> {
-            let op = PipelineOperator::from_built(pipeline, i as u32, Arc::clone(log));
+            let op = PipelineOperator::from_built(pipeline, i as u32, segments);
             // Reconfigurable jobs get a control subscriber per
             // sub-stream; all subscribers see the same broadcast
             // watermark sequence, which is the epoch barrier.
@@ -1401,29 +1426,25 @@ fn drive_pipelines(
         _ => merged,
     };
     // Algorithm 1, line 11: sortByTimestamp — by *arrival* time, so
-    // delayed tuples surface late (see `StampedTuple::arrival`).
-    // A `?` here carries a typed stage failure out as
-    // `Error::Pipeline` (via `From<PipelineError>`).
-    if checkpointing {
-        let mut sorter = EventTimeSorter::new(|t: &StampedTuple| t.arrival)
-            .with_state_codec("sorter", stamped_codec());
-        if let Some(doc) = ckpt_states.get("sorter") {
-            sorter.restore_state(doc)?;
-        }
-        // Re-coalesce the sorter's per-record releases into batch
-        // frames so a sink with a whole-batch fast path (e.g. columnar
-        // network frames) gets batches; order and barrier placement are
-        // untouched.
-        merged
-            .sort_with(sorter)
-            .rebatched(batch_size)
-            .execute_into_resumed(sink, registry, deadline, sink_base)?;
-    } else {
-        merged
-            .sort_by_event_time(|t| t.arrival)
-            .rebatched(batch_size)
-            .execute_into_with_options(sink, registry, deadline)?;
+    // delayed tuples surface late (see `StampedTuple::arrival`). Equal
+    // arrivals order by sub-stream, then by emission order within the
+    // sub-stream: the merged order is a function of the tuples alone,
+    // not of how the strategy interleaved the sub-streams on their way
+    // here. The snapshot codec is inert unless a barrier arrives.
+    let mut sorter = EventTimeSorter::new(|t: &StampedTuple| (t.arrival, t.sub_stream))
+        .with_state_codec("sorter", stamped_codec());
+    if let Some(doc) = ckpt_states.get("sorter") {
+        sorter.restore_state(doc)?;
     }
+    // Re-coalesce the sorter's per-record releases into batch frames so
+    // a sink with a whole-batch fast path (e.g. columnar network
+    // frames) gets batches; order and barrier placement are untouched.
+    // A `?` here carries a typed stage failure out as `Error::Pipeline`
+    // (via `From<PipelineError>`).
+    merged
+        .sort_with(sorter)
+        .rebatched(batch_size)
+        .execute_into_resumed(sink, registry, deadline, sink_base)?;
     Ok(())
 }
 

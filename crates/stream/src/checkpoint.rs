@@ -37,7 +37,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Version stamped into every WAL header and frame.
-pub const CHECKPOINT_VERSION: u32 = 1;
+///
+/// 2: the sorter's state document lists every held record in release
+/// order (keys are re-extracted on restore), and a sub-stream's
+/// `log_len` counts its own log segment rather than a log shared by all
+/// sub-streams. A version-1 log would restore to different bytes, so
+/// [`CheckpointStore::read_wal`] refuses it.
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// Magic bytes opening a checkpoint log file.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"IWCK";
@@ -579,6 +585,22 @@ mod tests {
         // Bad magic: hard error.
         std::fs::write(&path, b"nope").unwrap();
         assert!(CheckpointStore::read_wal(&path).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn wal_from_an_older_version_is_refused() {
+        let dir = std::env::temp_dir().join(format!("icewafl-ckpt-old-{}", std::process::id()));
+        let path = dir.join("old.ckpt");
+        drop(CheckpointStore::with_wal(&path).unwrap());
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[4..8].copy_from_slice(&(CHECKPOINT_VERSION - 1).to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = CheckpointStore::read_wal(&path).unwrap_err();
+        assert!(
+            matches!(&err, Error::Io(m) if m.contains("version 1")),
+            "expected a version error, got {err}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -69,7 +69,7 @@ pub use net::{
 };
 pub use operator::{Collector, Operator};
 pub use sink::{CountSink, FnSink, NullSink, SharedVecSink, Sink};
-pub use sort::{EventTimeSorter, SorterStateCodec};
+pub use sort::{EventTimeSorter, SortKey, SorterStateCodec};
 pub use source::{GenSource, IterSource, Source, VecSource};
 pub use stream::{DataStream, SubPipelineBuilder};
 pub use supervisor::{Supervisor, SupervisorPolicy};

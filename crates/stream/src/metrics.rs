@@ -119,6 +119,11 @@ pub struct SorterMetrics {
     pub late_lag_ms: Histogram,
     /// High-water mark of the sorter's reorder buffer occupancy.
     pub buffer_max: Gauge,
+    /// Records that landed too far from both ends of the sorted ring
+    /// for an in-place insert and detoured through the overflow heap.
+    /// Zero on the runner's lockstep schedule; non-zero means whole
+    /// sorted runs arrived behind the tail.
+    pub heaped: Counter,
     /// How far the current watermark trails the freshest event time
     /// seen, in milliseconds — sampled by the telemetry layer into a
     /// watermark-lag time series.
@@ -133,6 +138,7 @@ impl SorterMetrics {
             late_lag_ms: registry
                 .histogram(&format!("{label}/late_lag_ms"), icewafl_obs::LAG_BOUNDS_MS),
             buffer_max: registry.gauge(&format!("{label}/buffer_max")),
+            heaped: registry.counter(&format!("{label}/heaped")),
             watermark_lag_ms: registry.gauge(&format!("{label}/watermark_lag_ms")),
         }
     }

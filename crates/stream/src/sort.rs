@@ -15,7 +15,8 @@ use crate::operator::{Collector, Operator};
 use icewafl_obs::trace;
 use icewafl_types::{Error, Result, Timestamp};
 use serde::{Deserialize, Serialize};
-use std::collections::BinaryHeap;
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Initial reorder-buffer capacity, reserved on the first record. Sized
 /// to a few source watermark periods (default 64), since the buffer
@@ -23,42 +24,67 @@ use std::collections::BinaryHeap;
 /// one period.
 const INITIAL_BUFFER_CAPACITY: usize = 256;
 
-/// Furthest a record may land from the buffer tail and still be
-/// inserted in place. Beyond this the `Vec::insert` memmove dominates
-/// (a long sorted run arriving behind the buffer — e.g. a sequential
-/// union draining sub-streams back to back — would degrade to O(n²)),
-/// so the record goes to the overflow heap instead.
+/// Furthest a record may land from the nearer end of the ring and still
+/// be inserted in place. Beyond this the element shift dominates (a long
+/// sorted run arriving behind the buffer — e.g. a sequential
+/// [`DataStream::union`](crate::DataStream::union) draining its inputs
+/// back to back — would degrade to O(n²)), so the record goes to the
+/// overflow heap instead.
 const MAX_INSERT_SHIFT: usize = 64;
 
-/// Buffers records and emits them in event-time order as the watermark
-/// advances. Ties are broken by arrival order (the sort is stable).
+/// What an [`EventTimeSorter`] orders by: an event time, optionally
+/// refined by a secondary component that decides ties between records
+/// of equal event time. Watermarks only ever compare against
+/// [`SortKey::event_time`]; the full key decides the release order.
+pub trait SortKey: Copy + Ord {
+    /// The event time a watermark is compared against. Must be
+    /// monotone in the key order (`a <= b ⇒ a.event_time() <=
+    /// b.event_time()`), which the provided impls guarantee by putting
+    /// the time first.
+    fn event_time(&self) -> Timestamp;
+}
+
+impl SortKey for Timestamp {
+    fn event_time(&self) -> Timestamp {
+        *self
+    }
+}
+
+/// Event time first, then an explicit tie-break — e.g. the runner's
+/// `(arrival, sub_stream)`, which makes the merged order independent of
+/// the order in which a schedule happens to deliver sub-streams.
+impl<S: Copy + Ord> SortKey for (Timestamp, S) {
+    fn event_time(&self) -> Timestamp {
+        self.0
+    }
+}
+
+/// Buffers records and emits them in key order as the watermark
+/// advances. Records with equal keys leave in arrival order (the sort
+/// is stable).
 ///
-/// The primary buffer is a `Vec` kept sorted ascending by timestamp.
-/// The dominant case — records arriving in event-time order — appends
-/// in O(1), and releasing at a watermark is then a prefix drain with no
-/// per-record comparisons, where a heap pays O(log n) per push *and*
-/// per pop. A mildly out-of-order record (a delayed tuple, or fine
-/// interleaving across merged sub-streams) pays a binary search plus a
-/// short mid-vector insert. Only a record landing further than
-/// `MAX_INSERT_SHIFT` slots from the tail — the pattern a sequential union
-/// produces when it concatenates whole sub-streams — falls back to a
-/// min-heap, and a release stream-merges the heap with the buffer
-/// prefix. Nothing is ever bulk re-sorted.
-pub struct EventTimeSorter<T, F> {
+/// The primary buffer is a ring (`VecDeque`) kept sorted ascending by
+/// key. The dominant case — records arriving in key order — appends in
+/// O(1), and releasing at a watermark pops a prefix in O(released): no
+/// per-record comparisons and, unlike a `Vec`, no shifting of whatever
+/// stays behind. A mildly out-of-order record (a delayed tuple, or the
+/// fine interleaving of sub-streams that cross each watermark in
+/// lockstep) pays a binary search plus a short in-ring insert. Only a
+/// record landing further than `MAX_INSERT_SHIFT` slots from both ends
+/// — whole sorted runs arriving far behind the tail, the pattern a
+/// sequential union of independent sources produces — falls back to a
+/// min-heap, and a release stream-merges the heap with the ring prefix.
+/// Nothing is ever bulk re-sorted.
+pub struct EventTimeSorter<T, F, K = Timestamp> {
     extract: F,
-    /// Sorted ascending by `ts`; equal timestamps keep arrival order
-    /// (insertion lands *after* existing equal-ts entries), so
-    /// stability within the buffer needs no sequence number.
-    buf: Vec<Entry<T>>,
-    /// Overflow min-heap for far-out-of-order records, ordered by
-    /// `(ts, seq)` so equal timestamps pop in arrival order.
-    overflow: BinaryHeap<HeapEntry<T>>,
-    /// Arrival counter for heap tie-breaking.
+    /// Sorted ascending by `(key, seq)`: an insertion lands *after*
+    /// existing equal-key entries.
+    buf: VecDeque<Entry<T, K>>,
+    /// Overflow min-heap for far-out-of-order records.
+    overflow: BinaryHeap<Reverse<Entry<T, K>>>,
+    /// Arrival counter: the last component of the total order, so equal
+    /// keys stay in arrival order wherever the two buffers meet.
     seq: u64,
-    /// Max `ts` in `overflow`. An in-place buffer insert at or below
-    /// this would order a later arrival ahead of a heaped equal-ts
-    /// record, so such records go to the heap too (keeps ties stable).
-    overflow_max: Timestamp,
     last_wm: Timestamp,
     /// Freshest event time seen, for the watermark-lag gauge.
     max_event_ts: Timestamp,
@@ -113,68 +139,60 @@ impl<T: Serialize + Deserialize> SorterStateCodec<T> {
     }
 }
 
-/// Wire form of a sorter snapshot: buffered records in buffer order and
-/// heap entries in ascending `(ts, seq)` order, as parallel arrays (the
-/// vendored serde has no tuple impls).
+/// Wire form of a sorter snapshot: every held record (ring and heap
+/// alike) in release order with its arrival number, as parallel arrays
+/// (the vendored serde has no tuple impls). Keys are not stored — a
+/// restore re-extracts them from the records.
 #[derive(Debug, Default, Serialize, Deserialize)]
 struct SorterState {
-    buf_ts: Vec<i64>,
-    buf_records: Vec<String>,
-    heap_ts: Vec<i64>,
-    heap_seq: Vec<u64>,
-    heap_records: Vec<String>,
+    records: Vec<String>,
+    seqs: Vec<u64>,
     seq: u64,
-    overflow_max: i64,
     last_wm: i64,
     max_event_ts: i64,
     buffer_peak: u64,
 }
 
-struct Entry<T> {
-    ts: Timestamp,
-    record: T,
-}
-
-struct HeapEntry<T> {
-    ts: Timestamp,
+/// A held record; ordered by `(key, seq)`.
+struct Entry<T, K> {
+    key: K,
     seq: u64,
     record: T,
 }
 
-impl<T> PartialEq for HeapEntry<T> {
+impl<T, K: Ord> PartialEq for Entry<T, K> {
     fn eq(&self, other: &Self) -> bool {
-        self.ts == other.ts && self.seq == other.seq
+        self.cmp(other) == Ordering::Equal
     }
 }
 
-impl<T> Eq for HeapEntry<T> {}
+impl<T, K: Ord> Eq for Entry<T, K> {}
 
-impl<T> PartialOrd for HeapEntry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+impl<T, K: Ord> PartialOrd for Entry<T, K> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<T> Ord for HeapEntry<T> {
-    /// Reversed `(ts, seq)` so `BinaryHeap` (a max-heap) pops the
-    /// earliest timestamp first, earliest arrival on ties.
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (other.ts, other.seq).cmp(&(self.ts, self.seq))
+impl<T, K: Ord> Ord for Entry<T, K> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (&self.key, self.seq).cmp(&(&other.key, other.seq))
     }
 }
 
-impl<T, F> EventTimeSorter<T, F>
+impl<T, F, K> EventTimeSorter<T, F, K>
 where
-    F: FnMut(&T) -> Timestamp,
+    F: FnMut(&T) -> K,
+    K: SortKey,
 {
-    /// Creates a sorter that orders records by the extracted timestamp.
+    /// Creates a sorter that orders records by the extracted key — a
+    /// plain [`Timestamp`], or a `(Timestamp, tie_break)` pair.
     pub fn new(extract: F) -> Self {
         EventTimeSorter {
             extract,
-            buf: Vec::new(),
+            buf: VecDeque::new(),
             overflow: BinaryHeap::new(),
             seq: 0,
-            overflow_max: Timestamp::MIN,
             last_wm: Timestamp::MIN,
             max_event_ts: Timestamp::MIN,
             metrics: SorterMetrics::detached(),
@@ -191,7 +209,7 @@ where
     }
 
     /// Enables checkpoint snapshots: the sorter contributes its exact
-    /// state (both buffers, tie-break counter, watermark position)
+    /// state (every held record, tie-break counter, watermark position)
     /// under `key` whenever a barrier passes through.
     pub fn with_state_codec(mut self, key: impl Into<String>, codec: SorterStateCodec<T>) -> Self {
         self.codec = Some(codec);
@@ -204,15 +222,17 @@ where
         self.buf.len() + self.overflow.len()
     }
 
-    /// Emits every held record with `ts <= wm` in timestamp order: the
-    /// sorted buffer prefix stream-merged with the overflow heap. On a
-    /// timestamp tie the buffer entry goes first — anything in `buf`
-    /// with a `ts` tied against a heap entry arrived earlier (enforced
-    /// by the `overflow_max` guard in `on_element`).
+    /// Emits every held record with an event time `<= wm` in `(key,
+    /// seq)` order: the sorted ring prefix stream-merged with the
+    /// overflow heap.
     fn release_up_to(&mut self, wm: Timestamp, out: &mut dyn Collector<T>) {
-        let ready = self.buf.partition_point(|e| e.ts <= wm);
-        if self.overflow.peek().is_none_or(|h| h.ts > wm) {
-            // Fast path: nothing heaped is due, drain the prefix.
+        let ready = self.buf.partition_point(|e| e.key.event_time() <= wm);
+        if self
+            .overflow
+            .peek()
+            .is_none_or(|h| h.0.key.event_time() > wm)
+        {
+            // Fast path: nothing heaped is due, pop the prefix.
             for e in self.buf.drain(..ready) {
                 out.collect(e.record);
             }
@@ -220,30 +240,36 @@ where
         }
         let mut from_buf = self.buf.drain(..ready).peekable();
         loop {
-            let heap_due = self.overflow.peek().filter(|h| h.ts <= wm);
-            match (from_buf.peek(), heap_due) {
-                (Some(b), Some(h)) if h.ts < b.ts => {
-                    let h = self.overflow.pop().expect("peeked entry pops");
-                    out.collect(h.record);
-                }
-                (Some(_), _) => {
-                    let b = from_buf.next().expect("peeked entry advances");
-                    out.collect(b.record);
-                }
-                (None, Some(_)) => {
-                    let h = self.overflow.pop().expect("peeked entry pops");
-                    out.collect(h.record);
-                }
+            let heap_due = self.overflow.peek().filter(|h| h.0.key.event_time() <= wm);
+            let record = match (from_buf.peek(), heap_due) {
+                (Some(b), Some(h)) if h.0 < *b => self.overflow.pop().map(|h| h.0.record),
+                (Some(_), _) => from_buf.next().map(|b| b.record),
+                (None, Some(_)) => self.overflow.pop().map(|h| h.0.record),
                 (None, None) => break,
-            }
+            };
+            out.collect(record.expect("peeked entry is there"));
         }
-        if self.overflow.is_empty() {
-            self.overflow_max = Timestamp::MIN;
+    }
+
+    /// Releases up to `wm` inside a `sorter_release` trace span and
+    /// publishes the staged occupancy peak.
+    fn traced_release(&mut self, wm: Timestamp, out: &mut dyn Collector<T>) {
+        let held = self.buffered() as u64;
+        let mut span = trace::span("sorter_release", "stage");
+        if let Some(s) = span.as_mut() {
+            s.arg("held", held);
         }
+        self.release_up_to(wm, out);
+        drop(span);
+        self.metrics.buffer_max.set_max(self.buffer_peak);
     }
 }
 
-impl<T, F> StateSnapshot for EventTimeSorter<T, F> {
+impl<T, F, K> StateSnapshot for EventTimeSorter<T, F, K>
+where
+    F: FnMut(&T) -> K,
+    K: SortKey,
+{
     /// `None` without a codec, or when any record fails to encode (a
     /// snapshot with holes would violate the byte-identical recovery
     /// invariant, so none is taken at all).
@@ -251,61 +277,56 @@ impl<T, F> StateSnapshot for EventTimeSorter<T, F> {
         let codec = self.codec.as_ref()?;
         let mut state = SorterState {
             seq: self.seq,
-            overflow_max: self.overflow_max.millis(),
             last_wm: self.last_wm.millis(),
             max_event_ts: self.max_event_ts.millis(),
             buffer_peak: self.buffer_peak,
             ..SorterState::default()
         };
-        for e in &self.buf {
-            state.buf_ts.push(e.ts.millis());
-            state.buf_records.push((codec.encode)(&e.record)?);
-        }
-        // `BinaryHeap` iteration order is arbitrary; fix it so equal
-        // runs produce byte-identical frames.
-        let mut heaped: Vec<&HeapEntry<T>> = self.overflow.iter().collect();
-        heaped.sort_by_key(|e| (e.ts, e.seq));
-        for e in heaped {
-            state.heap_ts.push(e.ts.millis());
-            state.heap_seq.push(e.seq);
-            state.heap_records.push((codec.encode)(&e.record)?);
+        // Release order is the one canonical order of the held set:
+        // `BinaryHeap` iteration is arbitrary, and equal runs must
+        // produce byte-identical frames. The ring is already sorted, so
+        // this sort only places the (few) heaped entries.
+        let mut held: Vec<&Entry<T, K>> = self
+            .buf
+            .iter()
+            .chain(self.overflow.iter().map(|h| &h.0))
+            .collect();
+        held.sort();
+        for e in held {
+            state.records.push((codec.encode)(&e.record)?);
+            state.seqs.push(e.seq);
         }
         serde_json::to_string(&state).ok()
     }
 
+    /// Restores every held record into the ring (a sorted ring with an
+    /// empty heap releases exactly like the ring + heap it was
+    /// captured from).
     fn restore_state(&mut self, state: &str) -> Result<()> {
         let Some(codec) = self.codec.as_ref() else {
             return Err(Error::config("sorter restore requires a state codec"));
         };
         let s: SorterState =
             serde_json::from_str(state).map_err(|_| Error::parse(state, "SorterState"))?;
-        if s.buf_ts.len() != s.buf_records.len()
-            || s.heap_ts.len() != s.heap_seq.len()
-            || s.heap_ts.len() != s.heap_records.len()
-        {
+        if s.records.len() != s.seqs.len() {
             return Err(Error::parse(state, "SorterState"));
         }
         self.buf.clear();
-        for (ts, doc) in s.buf_ts.iter().zip(&s.buf_records) {
-            let record =
-                (codec.decode)(doc).ok_or_else(|| Error::parse(doc.as_str(), "sorter record"))?;
-            self.buf.push(Entry {
-                ts: Timestamp(*ts),
-                record,
-            });
-        }
         self.overflow.clear();
-        for ((ts, seq), doc) in s.heap_ts.iter().zip(&s.heap_seq).zip(&s.heap_records) {
+        for (doc, seq) in s.records.iter().zip(&s.seqs) {
             let record =
                 (codec.decode)(doc).ok_or_else(|| Error::parse(doc.as_str(), "sorter record"))?;
-            self.overflow.push(HeapEntry {
-                ts: Timestamp(*ts),
+            let entry = Entry {
+                key: (self.extract)(&record),
                 seq: *seq,
                 record,
-            });
+            };
+            if self.buf.back().is_some_and(|tail| *tail > entry) {
+                return Err(Error::parse(state, "SorterState (records out of order)"));
+            }
+            self.buf.push_back(entry);
         }
         self.seq = s.seq;
-        self.overflow_max = Timestamp(s.overflow_max);
         self.last_wm = Timestamp(s.last_wm);
         self.max_event_ts = Timestamp(s.max_event_ts);
         self.buffer_peak = s.buffer_peak;
@@ -313,13 +334,15 @@ impl<T, F> StateSnapshot for EventTimeSorter<T, F> {
     }
 }
 
-impl<T, F> Operator<T, T> for EventTimeSorter<T, F>
+impl<T, F, K> Operator<T, T> for EventTimeSorter<T, F, K>
 where
     T: Send,
-    F: FnMut(&T) -> Timestamp + Send,
+    F: FnMut(&T) -> K + Send,
+    K: SortKey + Send,
 {
     fn on_element(&mut self, record: T, _out: &mut dyn Collector<T>) {
-        let ts = (self.extract)(&record);
+        let key = (self.extract)(&record);
+        let ts = key.event_time();
         if ts > self.max_event_ts {
             self.max_event_ts = ts;
         }
@@ -336,27 +359,27 @@ where
         if self.buf.capacity() == 0 {
             self.buf.reserve(INITIAL_BUFFER_CAPACITY);
         }
-        match self.buf.last() {
-            // Out of order: either a short in-place insert after all
-            // equal-or-earlier timestamps, or — when the slot is far
-            // from the tail, or an equal-ts record is already heaped —
-            // fall back to the overflow heap.
-            Some(tail) if tail.ts > ts => {
-                let at = self.buf.partition_point(|e| e.ts <= ts);
-                if self.buf.len() - at <= MAX_INSERT_SHIFT && ts > self.overflow_max {
-                    self.buf.insert(at, Entry { ts, record });
+        self.seq += 1;
+        let entry = Entry {
+            key,
+            seq: self.seq,
+            record,
+        };
+        match self.buf.back() {
+            // Out of order: a short in-ring insert after all
+            // equal-or-earlier keys, or — when the slot is far from
+            // both ends — the overflow heap.
+            Some(tail) if tail.key > key => {
+                let at = self.buf.partition_point(|e| e.key <= key);
+                if at.min(self.buf.len() - at) <= MAX_INSERT_SHIFT {
+                    self.buf.insert(at, entry);
                 } else {
-                    self.overflow_max = self.overflow_max.max(ts);
-                    self.seq += 1;
-                    self.overflow.push(HeapEntry {
-                        ts,
-                        seq: self.seq,
-                        record,
-                    });
+                    self.metrics.heaped.inc();
+                    self.overflow.push(Reverse(entry));
                 }
             }
             // In order (the common case): append.
-            _ => self.buf.push(Entry { ts, record }),
+            _ => self.buf.push_back(entry),
         }
         self.buffer_peak = self.buffer_peak.max(self.buffered() as u64);
     }
@@ -374,14 +397,7 @@ where
                 .watermark_lag_ms
                 .set(self.max_event_ts.0.saturating_sub(wm.0).max(0) as u64);
         }
-        let held = self.buffered() as u64;
-        let mut span = trace::span("sorter_release", "stage");
-        if let Some(s) = span.as_mut() {
-            s.arg("held", held);
-        }
-        self.release_up_to(wm, out);
-        drop(span);
-        self.metrics.buffer_max.set_max(self.buffer_peak);
+        self.traced_release(wm, out);
     }
 
     fn on_barrier(&mut self, barrier: &CheckpointBarrier) {
@@ -391,14 +407,7 @@ where
     }
 
     fn on_end(&mut self, out: &mut dyn Collector<T>) {
-        let held = self.buffered() as u64;
-        let mut span = trace::span("sorter_release", "stage");
-        if let Some(s) = span.as_mut() {
-            s.arg("held", held);
-        }
-        self.release_up_to(Timestamp::MAX, out);
-        drop(span);
-        self.metrics.buffer_max.set_max(self.buffer_peak);
+        self.traced_release(Timestamp::MAX, out);
     }
 
     fn name(&self) -> &'static str {
@@ -473,36 +482,105 @@ mod tests {
         assert_eq!(out, vec![(1, "a"), (2, "b"), (3, "c")]);
     }
 
+    type I64Sorter = EventTimeSorter<i64, fn(&i64) -> Timestamp>;
+
+    fn i64_sorter() -> I64Sorter {
+        fn ts(x: &i64) -> Timestamp {
+            Timestamp(*x)
+        }
+        EventTimeSorter::new(ts as fn(&i64) -> Timestamp)
+            .with_state_codec("sorter", SorterStateCodec::serde())
+    }
+
+    /// Snapshot → restore → snapshot is the identity, and both sorters
+    /// drain identically from there on.
+    fn assert_round_trip(mut s: I64Sorter, wm: i64) {
+        let doc = s.snapshot_state().expect("codec installed");
+        let mut r = i64_sorter();
+        r.restore_state(&doc).unwrap();
+        assert_eq!(r.buffered(), s.buffered());
+        assert_eq!(r.snapshot_state().unwrap(), doc);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        s.on_watermark(Timestamp(wm), &mut a);
+        r.on_watermark(Timestamp(wm), &mut b);
+        assert_eq!(a, b);
+        assert!(!a.is_empty(), "the watermark must release something");
+        s.on_end(&mut a);
+        r.on_end(&mut b);
+        assert_eq!(a, b);
+    }
+
     #[test]
     fn snapshot_round_trips_buffer_heap_and_position() {
-        let mut s = EventTimeSorter::new(|x: &i64| Timestamp(*x))
-            .with_state_codec("sorter", SorterStateCodec::serde());
+        let mut s = i64_sorter();
         let mut out = Vec::new();
-        // Populate the sorted buffer…
-        for x in 0..80i64 {
+        // Populate the sorted ring…
+        for x in 0..200i64 {
             s.on_element(x * 10, &mut out);
         }
         s.on_watermark(Timestamp(5), &mut out);
         // …and force two entries into the overflow heap (landing more
-        // than MAX_INSERT_SHIFT slots behind the tail).
-        s.on_element(15, &mut out);
-        s.on_element(15, &mut out);
+        // than MAX_INSERT_SHIFT slots from both ends).
+        s.on_element(995, &mut out);
+        s.on_element(995, &mut out);
         assert!(s.overflow.len() == 2, "test must exercise the heap path");
-        let doc = s.snapshot_state().expect("codec installed");
+        assert_round_trip(s, 1_200);
+    }
 
-        let mut r = EventTimeSorter::new(|x: &i64| Timestamp(*x))
-            .with_state_codec("sorter", SorterStateCodec::serde());
-        r.restore_state(&doc).unwrap();
-        assert_eq!(r.buffered(), s.buffered());
-        assert_eq!(r.snapshot_state().unwrap(), doc);
-        // Both drain identically from here on.
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        s.on_watermark(Timestamp(300), &mut a);
-        r.on_watermark(Timestamp(300), &mut b);
-        assert_eq!(a, b);
-        s.on_end(&mut a);
-        r.on_end(&mut b);
-        assert_eq!(a, b);
+    #[test]
+    fn snapshot_round_trips_a_wrapped_ring() {
+        let mut s = i64_sorter();
+        let mut out = Vec::new();
+        // Fill the initial allocation, release most of it, and refill
+        // past the physical end: the live entries now straddle the
+        // wrap-around point of the ring's storage.
+        for x in 0..250i64 {
+            s.on_element(x, &mut out);
+        }
+        s.on_watermark(Timestamp(199), &mut out);
+        for x in 250..400i64 {
+            s.on_element(x, &mut out);
+        }
+        let (front, back) = s.buf.as_slices();
+        assert!(
+            !front.is_empty() && !back.is_empty(),
+            "test must snapshot a wrapped ring"
+        );
+        assert_eq!(out, (0..200).collect::<Vec<i64>>());
+        assert_round_trip(s, 300);
+    }
+
+    #[test]
+    fn restore_rejects_records_out_of_release_order() {
+        let mut s = i64_sorter();
+        let mut out = Vec::new();
+        s.on_element(1, &mut out);
+        s.on_element(2, &mut out);
+        let doc = s.snapshot_state().unwrap();
+        let swapped = doc.replacen("[\"1\",\"2\"]", "[\"2\",\"1\"]", 1);
+        assert_ne!(swapped, doc, "the fixture must contain the record list");
+        assert!(i64_sorter().restore_state(&swapped).is_err());
+    }
+
+    #[test]
+    fn secondary_key_orders_ties_independently_of_arrival() {
+        // (ts, lane, tag): lane 1 delivers before lane 0, as a parallel
+        // union might; the key puts lane 0 first anyway, and records of
+        // one lane keep their arrival order.
+        let mut s = EventTimeSorter::new(|r: &(i64, u32, &'static str)| (Timestamp(r.0), r.1));
+        let mut out = Vec::new();
+        for r in [
+            (5, 1, "b1"),
+            (5, 1, "b2"),
+            (5, 0, "a1"),
+            (4, 1, "b0"),
+            (5, 0, "a2"),
+        ] {
+            s.on_element(r, &mut out);
+        }
+        s.on_end(&mut out);
+        let tags: Vec<&str> = out.iter().map(|r| r.2).collect();
+        assert_eq!(tags, vec!["b0", "a1", "a2", "b1", "b2"]);
     }
 
     #[test]
@@ -558,38 +636,73 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
+        /// Feeds `records` (ts, lane, payload) with a *valid* watermark
+        /// every `wm_every` records; returns the emission order and the
+        /// most records the overflow heap held at once.
+        fn run_keyed(
+            records: &[(i64, u32, u32)],
+            wm_every: usize,
+        ) -> (Vec<(i64, u32, u32)>, usize) {
+            let mut s = EventTimeSorter::new(|r: &(i64, u32, u32)| (Timestamp(r.0), r.1));
+            let mut out = Vec::new();
+            let mut heaped = 0;
+            for (i, r) in records.iter().enumerate() {
+                s.on_element(*r, &mut out);
+                heaped = heaped.max(s.overflow.len());
+                if (i + 1) % wm_every == 0 {
+                    // A valid watermark promises no future record has
+                    // ts <= wm: cap the max-seen watermark by the
+                    // smallest future timestamp minus one.
+                    let seen = records[..=i].iter().map(|r| r.0).max().unwrap();
+                    let future_min = records[i + 1..]
+                        .iter()
+                        .map(|r| r.0)
+                        .min()
+                        .unwrap_or(i64::MAX - 1);
+                    s.on_watermark(Timestamp(seen.min(future_min - 1)), &mut out);
+                }
+            }
+            s.on_end(&mut out);
+            (out, heaped)
+        }
+
         proptest! {
-            /// The sorter emits a permutation of its input, sorted by
-            /// timestamp, regardless of watermark placement.
+            /// The sorter emits its input stably sorted by the full
+            /// `(ts, lane)` key — exactly `slice::sort_by_key` —
+            /// regardless of watermark placement.
             #[test]
-            fn emits_sorted_permutation(
-                records in proptest::collection::vec((0i64..100, 0u32..1000), 0..200),
+            fn emits_the_stable_sort_of_its_input(
+                records in proptest::collection::vec((0i64..100, 0u32..4, 0u32..1000), 0..200),
                 wm_every in 1usize..10,
             ) {
-                let mut s = EventTimeSorter::new(|r: &(i64, u32)| Timestamp(r.0));
-                let mut out = Vec::new();
-                for (i, r) in records.iter().enumerate() {
-                    s.on_element(*r, &mut out);
-                    if (i + 1) % wm_every == 0 {
-                        // A *valid* watermark promises no future record has
-                        // ts <= wm: cap the max-seen watermark by the
-                        // smallest future timestamp minus one.
-                        let seen = records[..=i].iter().map(|r| r.0).max().unwrap();
-                        let future_min =
-                            records[i + 1..].iter().map(|r| r.0).min().unwrap_or(i64::MAX - 1);
-                        let wm = seen.min(future_min - 1);
-                        s.on_watermark(Timestamp(wm), &mut out);
-                    }
-                }
-                s.on_end(&mut out);
-                // Sorted by ts.
-                prop_assert!(out.windows(2).all(|w| w[0].0 <= w[1].0));
-                // Permutation of the input.
-                let mut a = records.clone();
-                let mut b = out.clone();
-                a.sort_unstable();
-                b.sort_unstable();
-                prop_assert_eq!(a, b);
+                let (out, _) = run_keyed(&records, wm_every);
+                let mut expected = records.clone();
+                expected.sort_by_key(|r| (r.0, r.1));
+                prop_assert_eq!(out, expected);
+            }
+
+            /// Whole sorted runs arriving far behind the tail — what
+            /// `DataStream::union(_, false)` delivers — go through the
+            /// overflow heap and still come out as the stable sort.
+            #[test]
+            fn sorted_runs_behind_the_tail_merge_stably(
+                run_len in 140usize..300,
+                runs in 3usize..6,
+                step in 1i64..4,
+                wm_every in 1usize..50,
+            ) {
+                let records: Vec<(i64, u32, u32)> = (0..runs)
+                    .flat_map(|run| {
+                        (0..run_len).map(move |i| {
+                            (i as i64 / step, (run % 2) as u32, (run * run_len + i) as u32)
+                        })
+                    })
+                    .collect();
+                let (out, heaped) = run_keyed(&records, wm_every);
+                prop_assert!(heaped > 0, "the runs must reach the overflow heap");
+                let mut expected = records.clone();
+                expected.sort_by_key(|r| (r.0, r.1));
+                prop_assert_eq!(out, expected);
             }
         }
     }

@@ -25,15 +25,15 @@ use crate::operator::{
     Collector, FilterOperator, FlatMapOperator, InspectOperator, MapOperator, Operator,
 };
 use crate::sink::{SharedVecSink, Sink};
-use crate::sort::EventTimeSorter;
+use crate::sort::{EventTimeSorter, SortKey};
 use crate::source::{Source, VecSource};
 use crate::stage::{
-    send_metered, BatchingStage, BoxStage, ChannelStage, OperatorStage, SinkStage, Stage,
-    WatermarkMerger,
+    send_metered, BatchingStage, BoxStage, ChannelStage, DiscardStage, OperatorStage, SinkStage,
+    Stage, WatermarkMerger,
 };
 use crate::watermark::WatermarkStrategy;
 use crate::window::{MicroBatcher, TumblingWindow, WindowPane};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use icewafl_obs::{MetricsRegistry, Stopwatch};
 use icewafl_types::{Duration, Timestamp};
 use parking_lot::Mutex;
@@ -73,6 +73,12 @@ pub struct ExecutionContext {
     /// Wall-clock instant after which source drivers poison the stream
     /// with a [`FailureKind::Deadline`] failure.
     deadline: Option<Instant>,
+    /// Set while the sub-pipelines of a sequential
+    /// [`DataStream::split_merge`] are being built: they are driven by
+    /// the router's pushes on the calling thread, so a fan-out nested in
+    /// them must not wait on a consumer thread of its own (see
+    /// `split_merge_impl`).
+    push_driven: bool,
 }
 
 impl ExecutionContext {
@@ -373,6 +379,19 @@ impl<T: Send + 'static> DataStream<T> {
         }
     }
 
+    /// Internal: the head of a sub-pipeline that a sequential split
+    /// router pushes into directly. Building it parks the sub-pipeline's
+    /// first stage in `slot` for the router to pick up; nothing is left
+    /// to drive, so the driver is a no-op.
+    fn from_router_slot(slot: HeadSlot<T>) -> Self {
+        DataStream {
+            build: Box::new(move |down, _ctx| {
+                *slot.lock() = Some(down);
+                Box::new(|| {})
+            }),
+        }
+    }
+
     /// Applies an arbitrary [`Operator`].
     pub fn transform<U: Send + 'static>(self, op: impl Operator<T, U> + 'static) -> DataStream<U> {
         let upstream = self.build;
@@ -435,36 +454,20 @@ impl<T: Send + 'static> DataStream<T> {
         self,
         extract: impl FnMut(&T) -> Timestamp + Send + 'static,
     ) -> DataStream<T> {
-        let upstream = self.build;
-        DataStream {
-            build: Box::new(move |down, ctx| {
-                // One label for both the generic stage metrics and the
-                // sorter-specific late/lag/buffer metrics.
-                let label = ctx.next_stage_label("event_time_sorter");
-                let stage_metrics = StageMetrics::register(ctx.registry(), &label);
-                let sorter = EventTimeSorter::new(extract)
-                    .with_metrics(SorterMetrics::register(ctx.registry(), &label));
-                let deadline = ctx.deadline;
-                upstream(
-                    Box::new(
-                        OperatorStage::with_metrics(sorter, down, stage_metrics, label)
-                            .with_deadline(deadline),
-                    ),
-                    ctx,
-                )
-            }),
-        }
+        self.sort_with(EventTimeSorter::new(extract))
     }
 
     /// Like [`DataStream::sort_by_event_time`], but over a caller-built
-    /// sorter — the hook checkpointing runners use to install a
+    /// sorter — the hook for a composite [`SortKey`] (an explicit
+    /// tie-break next to the event time) and for installing a
     /// state-snapshot codec (see
     /// [`EventTimeSorter::with_state_codec`]) before the sorter enters
-    /// the pipeline. Metrics registration and stage labelling are
-    /// identical to the plain combinator.
-    pub fn sort_with<F>(self, sorter: EventTimeSorter<T, F>) -> DataStream<T>
+    /// the pipeline. One label carries both the generic stage metrics
+    /// and the sorter-specific late/lag/buffer metrics.
+    pub fn sort_with<F, K>(self, sorter: EventTimeSorter<T, F, K>) -> DataStream<T>
     where
-        F: FnMut(&T) -> Timestamp + Send + 'static,
+        F: FnMut(&T) -> K + Send + 'static,
+        K: SortKey + Send + 'static,
     {
         let upstream = self.build;
         DataStream {
@@ -676,9 +679,18 @@ impl<T: Send + 'static> DataStream<T> {
     /// which is how "overlapping sub-streams" (Algorithm 1, line 4)
     /// arise. A record with a single membership is *moved* into its
     /// sub-stream; overlapping memberships share one `Arc` and clone
-    /// lazily on entry (via the internal `Routed` wrapper). Runs sequentially and
-    /// deterministically; see [`DataStream::split_merge_parallel`] for
-    /// the threaded variant.
+    /// lazily on entry (via the internal `Routed` wrapper).
+    ///
+    /// Runs sequentially and deterministically, in *watermark lockstep*:
+    /// the router hands every flushed batch, watermark, barrier and end
+    /// marker straight to the first stage of the sub-pipeline it is for,
+    /// on the calling thread. All sub-streams therefore cross each
+    /// watermark in the same step, the union's combined watermark
+    /// advances once per source watermark, and at most one watermark
+    /// period of records per sub-stream is in flight between the router
+    /// and whatever follows the union — nothing is queued per
+    /// sub-stream. See [`DataStream::split_merge_parallel`] for the
+    /// threaded variant.
     pub fn split_merge<U: Send + 'static>(
         self,
         selector: impl FnMut(&T, &mut Vec<usize>) + Send + 'static,
@@ -708,7 +720,11 @@ impl<T: Send + 'static> DataStream<T> {
 
     /// Like [`DataStream::split_merge`], but each sub-pipeline runs on
     /// its own thread over bounded channels. Output interleaving is
-    /// nondeterministic; sort downstream if order matters.
+    /// nondeterministic; sort downstream if order matters. Nested inside
+    /// a sub-pipeline of the sequential variant it runs sequentially
+    /// too: that sub-pipeline is driven by the outer router's pushes,
+    /// which would fill the bounded channels before any consumer thread
+    /// of the nested fan-out had started.
     pub fn split_merge_parallel<U: Send + 'static>(
         self,
         selector: impl FnMut(&T, &mut Vec<usize>) + Send + 'static,
@@ -748,33 +764,48 @@ impl<T: Send + 'static> DataStream<T> {
         let batch_size = batch_size.max(1);
         DataStream {
             build: Box::new(move |down, ctx| {
+                // Inside a sub-pipeline of a sequential split, bounded
+                // channels would fill before their consumers start.
+                let parallel = parallel && !ctx.push_driven;
                 let m = builders.len();
-                let mut txs = Vec::with_capacity(m);
+                let mut edges = Vec::with_capacity(m);
+                let mut slots: Vec<HeadSlot<T>> = Vec::new();
                 let mut subs: Vec<DataStream<U>> = Vec::with_capacity(m);
                 for builder in builders {
-                    let (tx, rx) = if parallel {
-                        bounded::<StreamElement<Routed<T>>>(1024)
+                    if parallel {
+                        let (tx, rx) = bounded::<StreamElement<Routed<T>>>(1024);
+                        edges.push(Edge::Channel(tx));
+                        subs.push(builder(DataStream::from_routed_channel(rx)));
                     } else {
-                        unbounded::<StreamElement<Routed<T>>>()
-                    };
-                    txs.push(tx);
-                    subs.push(builder(DataStream::from_routed_channel(rx)));
+                        let slot = HeadSlot::default();
+                        subs.push(builder(DataStream::from_router_slot(Arc::clone(&slot))));
+                        slots.push(slot);
+                    }
                 }
                 let label = ctx.next_stage_label("split_router");
+                let metrics = ChannelMetrics::register(ctx.registry(), &label);
+                // Build the union (and with it the sub-pipelines) before
+                // the upstream so stage numbering stays sink-first: the
+                // source keeps the highest index.
+                let outer = std::mem::replace(&mut ctx.push_driven, !parallel);
+                let union_driver =
+                    (DataStream::union_batched(subs, parallel, batch_size).build)(down, ctx);
+                ctx.push_driven = outer;
+                // Building a sub-pipeline parked its first stage in its
+                // slot; one whose builder dropped the routed input has
+                // none, and its records go nowhere.
+                edges.extend(slots.into_iter().map(|slot| {
+                    Edge::Direct(slot.lock().take().unwrap_or_else(|| Box::new(DiscardStage)))
+                }));
                 let router = RouterStage {
-                    txs,
+                    edges,
                     bufs: (0..m).map(|_| Vec::new()).collect(),
                     batch_size,
                     selector,
                     memberships: Vec::with_capacity(m),
-                    metrics: ChannelMetrics::register(ctx.registry(), &label),
+                    metrics,
                     label,
                 };
-                // Build the union (and with it the sub-pipelines) before
-                // the upstream so stage numbering stays sink-first: the
-                // source keeps the highest index.
-                let union_driver =
-                    (DataStream::union_batched(subs, parallel, batch_size).build)(down, ctx);
                 let parent_driver = upstream(Box::new(router), ctx);
                 if parallel {
                     let failures = ctx.failure_cell();
@@ -789,9 +820,11 @@ impl<T: Send + 'static> DataStream<T> {
                     })
                 } else {
                     Box::new(move || {
-                        // Unbounded channels: the parent fills all
-                        // sub-stream buffers, then the sub-pipelines
-                        // drain them one after another.
+                        // The router feeds every sub-pipeline while the
+                        // source runs. Plain sub-streams leave nothing
+                        // to drive afterwards (their drivers are
+                        // no-ops); one that merged in a source of its
+                        // own drains it now.
                         parent_driver();
                         union_driver();
                     })
@@ -1051,14 +1084,45 @@ impl<T: Clone> Routed<T> {
     }
 }
 
-/// Routes records to selected sub-streams, broadcasting watermarks and
-/// terminal markers (end or poison) to all of them. Records are staged
-/// in per-target buffers and shipped as [`StreamElement::Batch`] frames
-/// of up to `batch_size`; every buffer is flushed before any watermark
-/// or terminal marker is sent, so no control element overtakes a
-/// record (and poison never strands a partial batch).
+/// Where a sequential split router finds the first stage of one
+/// sub-pipeline: parked by [`DataStream::from_router_slot`] when the
+/// sub-pipeline is built, taken by `split_merge_impl` right after.
+type HeadSlot<T> = Arc<Mutex<Option<BoxStage<T>>>>;
+
+/// A router → sub-stream edge: a bounded channel to the sub-stream's
+/// thread (`split_merge_parallel`), or the sub-stream's first stage
+/// itself, pushed into on the router's own thread (`split_merge`).
+enum Edge<T> {
+    Channel(Sender<StreamElement<Routed<T>>>),
+    Direct(BoxStage<T>),
+}
+
+impl<T: Clone + Send + Sync> Edge<T> {
+    /// Hands one element to the sub-stream, counted in `metrics.sends`
+    /// either way (in records for batch frames). A direct edge has no
+    /// queue to flush into or block on — the call *is* the sub-stream
+    /// processing the element — so it records no flush or backpressure
+    /// spans.
+    fn deliver(&mut self, element: StreamElement<Routed<T>>, metrics: &ChannelMetrics) {
+        match self {
+            Edge::Channel(tx) => send_metered(tx, element, metrics),
+            Edge::Direct(head) => {
+                metrics.sends.add(element.record_count().max(1) as u64);
+                head.push(element.map(Routed::into_owned));
+            }
+        }
+    }
+}
+
+/// Routes records to selected sub-streams, broadcasting watermarks,
+/// barriers and terminal markers (end or poison) to all of them.
+/// Records are staged in per-target buffers and shipped as
+/// [`StreamElement::Batch`] frames of up to `batch_size`; every buffer
+/// is flushed before any watermark or terminal marker is sent, so no
+/// control element overtakes a record (and poison never strands a
+/// partial batch).
 struct RouterStage<T, F> {
-    txs: Vec<Sender<StreamElement<Routed<T>>>>,
+    edges: Vec<Edge<T>>,
     bufs: Vec<Vec<Routed<T>>>,
     batch_size: usize,
     selector: F,
@@ -1071,7 +1135,7 @@ impl<T: Clone + Send + Sync, F> RouterStage<T, F> {
     /// Stages one routed record for target `i`, shipping a full batch.
     fn route(&mut self, i: usize, r: Routed<T>) {
         if self.batch_size == 1 {
-            send_metered(&self.txs[i], StreamElement::Record(r), &self.metrics);
+            self.edges[i].deliver(StreamElement::Record(r), &self.metrics);
             return;
         }
         let buf = &mut self.bufs[i];
@@ -1081,28 +1145,36 @@ impl<T: Clone + Send + Sync, F> RouterStage<T, F> {
         buf.push(r);
         if buf.len() >= self.batch_size {
             let batch = std::mem::replace(buf, Vec::with_capacity(self.batch_size));
-            send_metered(&self.txs[i], StreamElement::Batch(batch), &self.metrics);
+            self.edges[i].deliver(StreamElement::Batch(batch), &self.metrics);
         }
     }
 
     /// Flushes every target's staged records.
     fn flush_all(&mut self) {
-        for (buf, tx) in self.bufs.iter_mut().zip(&self.txs) {
+        for (buf, edge) in self.bufs.iter_mut().zip(&mut self.edges) {
             if !buf.is_empty() {
                 let batch = std::mem::take(buf);
-                send_metered(tx, StreamElement::Batch(batch), &self.metrics);
+                edge.deliver(StreamElement::Batch(batch), &self.metrics);
             }
         }
     }
 
-    /// Broadcasts a failure to every sub-stream and stops routing.
-    /// Staged records are flushed first — poison terminates the stream
-    /// but must not swallow records that preceded it.
-    fn fail(&mut self, error: StageError) {
+    /// Flushes, then hands every sub-stream its own copy of a control
+    /// element.
+    fn broadcast(&mut self, mut element: impl FnMut() -> StreamElement<Routed<T>>) {
         self.flush_all();
-        for tx in self.txs.drain(..) {
-            send_metered(&tx, StreamElement::Failure(error.clone()), &self.metrics);
+        for edge in &mut self.edges {
+            edge.deliver(element(), &self.metrics);
         }
+    }
+
+    /// Like [`RouterStage::broadcast`] for a terminal marker: the edges
+    /// are dropped with it, so routing stops. Staged records are
+    /// flushed first — poison terminates the stream but must not
+    /// swallow records that preceded it.
+    fn terminate(&mut self, element: impl FnMut() -> StreamElement<Routed<T>>) {
+        self.broadcast(element);
+        self.edges.clear();
     }
 }
 
@@ -1116,7 +1188,7 @@ where
             StreamElement::Record(r) => {
                 self.memberships.clear();
                 // A panicking selector poisons every sub-stream (instead
-                // of unwinding the parent driver and dropping the senders
+                // of unwinding the parent driver and dropping the edges
                 // without a terminal marker).
                 let result = {
                     let selector = &mut self.selector;
@@ -1125,10 +1197,10 @@ where
                 };
                 if let Err(payload) = result {
                     let error = StageError::from_panic(&self.label, payload);
-                    self.fail(error);
+                    self.terminate(|| StreamElement::Failure(error.clone()));
                     return;
                 }
-                self.memberships.retain(|&i| i < self.txs.len());
+                self.memberships.retain(|&i| i < self.edges.len());
                 self.memberships.dedup();
                 match self.memberships.len() {
                     0 => {}
@@ -1152,28 +1224,13 @@ where
                     self.push(StreamElement::Record(r));
                 }
             }
-            StreamElement::Watermark(wm) => {
-                self.flush_all();
-                for tx in &self.txs {
-                    send_metered(tx, StreamElement::Watermark(wm), &self.metrics);
-                }
-            }
-            StreamElement::Barrier(b) => {
-                // Broadcast like a watermark: clones share one pending
-                // snapshot, so every sub-stream contributes to the same
-                // frame and the union re-aligns them downstream.
-                self.flush_all();
-                for tx in &self.txs {
-                    send_metered(tx, StreamElement::Barrier(b.clone()), &self.metrics);
-                }
-            }
-            StreamElement::End => {
-                self.flush_all();
-                for tx in self.txs.drain(..) {
-                    send_metered(&tx, StreamElement::End, &self.metrics);
-                }
-            }
-            StreamElement::Failure(e) => self.fail(e),
+            StreamElement::Watermark(wm) => self.broadcast(|| StreamElement::Watermark(wm)),
+            // Broadcast like a watermark: clones share one pending
+            // snapshot, so every sub-stream contributes to the same
+            // frame and the union re-aligns them downstream.
+            StreamElement::Barrier(b) => self.broadcast(|| StreamElement::Barrier(b.clone())),
+            StreamElement::End => self.terminate(|| StreamElement::End),
+            StreamElement::Failure(e) => self.terminate(|| StreamElement::Failure(e.clone())),
         }
     }
 }
@@ -1367,6 +1424,83 @@ mod tests {
         seq.sort_unstable();
         par.sort_unstable();
         assert_eq!(seq, par);
+    }
+
+    #[cfg(feature = "obs")]
+    #[test]
+    fn sequential_split_merge_crosses_watermarks_in_lockstep() {
+        // One watermark per record: every sub-stream sees each
+        // watermark right after its share of the records before it, so
+        // the union's combined watermark follows the source and the
+        // sorter behind it never holds more than a few records (draining
+        // the sub-streams one after another would park n/2 in it).
+        let registry = MetricsRegistry::new();
+        let input: Vec<i64> = (0..10_000).collect();
+        let builders: Vec<SubPipelineBuilder<i64, i64>> =
+            vec![Box::new(|s| s), Box::new(|s| s.map(|x| x))];
+        let out = DataStream::from_source(
+            VecSource::new(input.clone()),
+            WatermarkStrategy::ascending(|x: &i64| Timestamp(*x)),
+        )
+        .split_merge_batched(|x, m| m.push((*x % 2) as usize), builders, 16)
+        .sort_by_event_time(|x| Timestamp(*x))
+        .collect_with_registry(&registry)
+        .unwrap();
+        assert_eq!(out, input);
+        let snap = registry.snapshot();
+        assert!(snap.gauge("stage/00_event_time_sorter/buffer_max") <= 2);
+        assert_eq!(snap.counter("stage/00_event_time_sorter/heaped"), 0);
+        // The router still counts what it hands over: every record,
+        // plus each watermark, W(MAX) and End once per sub-stream.
+        assert_eq!(
+            snap.counter("stage/01_split_router/sends"),
+            10_000 + 2 * (10_000 + 2)
+        );
+    }
+
+    #[test]
+    fn parallel_split_nested_in_a_sequential_one_does_not_deadlock() {
+        // The outer router pushes into the nested router on the calling
+        // thread. Were the nested fan-out to keep its bounded channels,
+        // they would fill (far more than 1024 elements here) before its
+        // consumer threads had started; it runs push-driven instead.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let inner = || -> Vec<SubPipelineBuilder<i64, i64>> {
+                vec![
+                    Box::new(|s| s.map(|x| x + 1)),
+                    Box::new(|s| s.map(|x| x + 2)),
+                ]
+            };
+            let outer: Vec<SubPipelineBuilder<i64, i64>> = vec![
+                Box::new(move |s: DataStream<i64>| {
+                    s.split_merge_parallel(|x, m| m.push((x % 2) as usize), inner())
+                }),
+                Box::new(|s| s),
+            ];
+            let out = DataStream::from_vec((0..20_000).collect::<Vec<i64>>())
+                .split_merge(|x, m| m.push((x % 4 == 0) as usize), outer)
+                .count();
+            let _ = tx.send(out);
+        });
+        let out = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("nested fan-out finished");
+        assert_eq!(out.unwrap(), 20_000);
+    }
+
+    #[test]
+    fn sub_pipeline_that_drops_its_routed_input_discards_it() {
+        let builders: Vec<SubPipelineBuilder<i64, i64>> = vec![
+            Box::new(|s| s.map(|x| x * 10)),
+            Box::new(|_routed| DataStream::from_vec(vec![-1])),
+        ];
+        let mut out = DataStream::from_vec(vec![1, 2, 3, 4])
+            .split_merge(|x, m| m.push((*x % 2) as usize), builders)
+            .collect()
+            .unwrap();
+        out.sort_unstable();
+        assert_eq!(out, vec![-1, 20, 40]);
     }
 
     #[test]

@@ -7,6 +7,11 @@
 //! truth log are bit-identical across batch sizes. These tests pin that
 //! contract across strategies, a mid-stream reconfiguration, and
 //! chaos-injected panics (poison must not strand a partial batch).
+//!
+//! The same holds across *schedules*: the merged order is
+//! `(arrival, sub_stream)`, stable within a sub-stream, and the log is
+//! the per-sub-stream segments in sub-stream order, so every strategy —
+//! with or without checkpoint barriers — yields the same bytes.
 
 use icewafl::prelude::*;
 use icewafl::types::{DataType, Error, Timestamp, Value};
@@ -99,49 +104,107 @@ fn disjoint_plan(strategy: StrategyHint, batch_size: usize) -> LogicalPlan {
     plan
 }
 
-#[test]
-fn batching_is_invisible_within_each_strategy() {
-    // Deterministic-merge strategies: polluted stream, clean stream,
-    // and ground-truth log are all byte-identical across batch sizes.
-    for strategy in [StrategyHint::Sequential, StrategyHint::Pipelined] {
-        let base = run(&rich_plan(strategy, 1), 500);
-        assert!(base.polluted.len() > 500, "duplicates fan the stream out");
-        for batch_size in BATCH_SIZES {
-            let out = run(&rich_plan(strategy, batch_size), 500);
-            assert_eq!(
-                out.polluted, base.polluted,
-                "polluted stream changed ({strategy:?}, batch {batch_size})"
-            );
-            assert_eq!(out.clean, base.clean);
-            assert_eq!(
-                out.log.entries(),
-                base.log.entries(),
-                "ground truth changed ({strategy:?}, batch {batch_size})"
-            );
-        }
-    }
+/// Round-robin sub-streams where every delayed tuple lands *exactly*
+/// on the arrival time of a later tuple of another sub-stream: tuples
+/// are 1 s apart, so a 10 s delay moves tuple `i` (sub-stream `i % 4`)
+/// onto tuple `i + 10` (sub-stream `(i + 2) % 4`).
+fn delay_tie_plan(strategy: StrategyHint, batch_size: usize) -> LogicalPlan {
+    let pipeline = |i: usize| {
+        vec![
+            noise(format!("noise-{i}")),
+            PolluterConfig::Delay {
+                name: format!("lag-{i}"),
+                condition: ConditionConfig::Probability { p: 0.3 },
+                delay_ms: 10_000,
+            },
+        ]
+    };
+    let mut plan = LogicalPlan::new(42, (0..4).map(pipeline).collect());
+    plan.assigner = AssignerSpec::RoundRobin;
+    plan.strategy = strategy;
+    plan.batch_size = batch_size;
+    plan
+}
+
+/// Every tuple in every sub-stream (each arrival time is a three-way
+/// tie across sub-streams), with a duplicate polluter adding ties
+/// *within* a sub-stream on top.
+fn broadcast_tie_plan(strategy: StrategyHint, batch_size: usize) -> LogicalPlan {
+    let pipeline = |i: usize| {
+        vec![
+            noise(format!("noise-{i}")),
+            PolluterConfig::Duplicate {
+                name: format!("dup-{i}"),
+                condition: ConditionConfig::Probability { p: 0.3 },
+                copies: 1,
+            },
+        ]
+    };
+    let mut plan = LogicalPlan::new(42, (0..3).map(pipeline).collect());
+    plan.assigner = AssignerSpec::Broadcast;
+    plan.strategy = strategy;
+    plan.batch_size = batch_size;
+    plan
 }
 
 #[test]
-fn batching_is_invisible_under_thread_parallel_merge() {
-    // With overlapping sub-streams the parallel merge order of arrival
-    // ties is scheduler-dependent, so compare content: sort by the
-    // stable identity (id, sub_stream) before asserting equality.
-    let canon = |mut out: Vec<StampedTuple>| {
-        out.sort_by_key(|t| (t.id, t.sub_stream, t.arrival));
-        out
-    };
-    let base = canon(run(&rich_plan(StrategyHint::SplitMergeParallel, 1), 500).polluted);
-    for batch_size in BATCH_SIZES {
-        let out = run(
-            &rich_plan(StrategyHint::SplitMergeParallel, batch_size),
-            500,
+fn arrival_ties_order_identically_under_every_schedule() {
+    // Tuples of different sub-streams with equal arrival times sort by
+    // `(arrival, sub_stream)`, then by emission order within the
+    // sub-stream — a function of the tuples, not of the schedule. So
+    // the polluted stream *and* the ground-truth log are byte-identical
+    // across strategies (sequential lockstep, pipelined tail, one
+    // thread per sub-stream), batch sizes, and with barrier alignment
+    // holding sub-streams back at the union (checkpointing on).
+    type PlanFn = fn(StrategyHint, usize) -> LogicalPlan;
+    let plans: [(&str, PlanFn); 3] = [
+        ("overlap + duplicates + delays", rich_plan),
+        ("delay = k x gap", delay_tie_plan),
+        ("broadcast + duplicates", broadcast_tie_plan),
+    ];
+    for (name, plan_of) in plans {
+        let base = run(&plan_of(StrategyHint::Sequential, 1), 500);
+        let ties = base
+            .polluted
+            .windows(2)
+            .filter(|w| w[0].arrival == w[1].arrival && w[0].sub_stream != w[1].sub_stream)
+            .count();
+        assert!(ties > 50, "{name}: only {ties} cross-sub-stream ties");
+        assert!(
+            base.polluted
+                .windows(2)
+                .all(|w| (w[0].arrival, w[0].sub_stream) <= (w[1].arrival, w[1].sub_stream)),
+            "{name}: output is not in (arrival, sub_stream) order"
         );
-        assert_eq!(
-            canon(out.polluted),
-            base,
-            "parallel pollution content changed (batch {batch_size})"
-        );
+        for strategy in STRATEGIES {
+            for batch_size in BATCH_SIZES {
+                for checkpointing in [false, true] {
+                    let mut plan = plan_of(strategy, batch_size);
+                    if checkpointing {
+                        plan.checkpoint = Some(Default::default());
+                    }
+                    let out = plan
+                        .compile(&schema())
+                        .expect("plan compiles")
+                        .execute_supervised(tuples(500))
+                        .expect("run succeeds");
+                    let case = format!(
+                        "{name}, {strategy:?}, batch {batch_size}, checkpointing {checkpointing}"
+                    );
+                    assert_eq!(
+                        out.polluted, base.polluted,
+                        "polluted stream changed ({case})"
+                    );
+                    assert_eq!(out.clean, base.clean);
+                    assert_eq!(
+                        out.log.entries(),
+                        base.log.entries(),
+                        "ground truth changed ({case})"
+                    );
+                    assert_eq!(out.report.checkpoints_taken > 0, checkpointing, "{case}");
+                }
+            }
+        }
     }
 }
 
@@ -252,14 +315,6 @@ fn columnar_output_is_byte_identical_to_row() {
     // knob. Polluted stream, clean stream, and ground-truth log are
     // byte-identical between row and columnar execution for every
     // strategy and batch size.
-    // The thread-parallel merge appends log entries from concurrent
-    // workers, so entry *order* is scheduler-dependent there (content
-    // is not) — canonicalize by the stable identity before comparing.
-    let canon_log = |out: &PollutionOutput| {
-        let mut entries = out.log.entries().to_vec();
-        entries.sort_by_key(|e| (e.tuple_id(), e.polluter().to_string(), e.tau()));
-        entries
-    };
     let base = run(&repr_plan(StrategyHint::Sequential, 1, ReprHint::Row), 500);
     for strategy in STRATEGIES {
         for batch_size in REPR_BATCH_SIZES {
@@ -277,19 +332,11 @@ fn columnar_output_is_byte_identical_to_row() {
                     "polluted stream changed ({strategy:?}, batch {batch_size}, {repr:?})"
                 );
                 assert_eq!(out.clean, base.clean);
-                if matches!(strategy, StrategyHint::SplitMergeParallel) {
-                    assert_eq!(
-                        canon_log(&out),
-                        canon_log(&base),
-                        "ground truth changed ({strategy:?}, batch {batch_size}, {repr:?})"
-                    );
-                } else {
-                    assert_eq!(
-                        out.log.entries(),
-                        base.log.entries(),
-                        "ground truth changed ({strategy:?}, batch {batch_size}, {repr:?})"
-                    );
-                }
+                assert_eq!(
+                    out.log.entries(),
+                    base.log.entries(),
+                    "ground truth changed ({strategy:?}, batch {batch_size}, {repr:?})"
+                );
             }
         }
     }

@@ -135,6 +135,88 @@ fn recovery_is_byte_identical_across_strategies_and_batch_sizes() {
     }
 }
 
+/// Four round-robin sub-streams, each with a value polluter and a
+/// delay polluter named after the sub-stream, so a log entry says which
+/// segment it belongs to.
+fn fanned_out_config(kill: bool, dir: &std::path::Path) -> JobConfig {
+    let mut cfg = config("sequential", 256, kill);
+    let template = cfg.pipelines.remove(0);
+    cfg.pipelines = (0..4)
+        .map(|i| {
+            let mut stages = template.clone();
+            for stage in &mut stages {
+                match stage {
+                    PolluterConfig::Standard { name, .. } | PolluterConfig::Delay { name, .. } => {
+                        name.push_str(&format!("-{i}"));
+                    }
+                    _ => unreachable!("the template has a standard and a delay polluter"),
+                }
+            }
+            stages
+        })
+        .collect();
+    cfg.execution.as_mut().unwrap().assigner = AssignerSpec::RoundRobin;
+    cfg.checkpoint.as_mut().unwrap().dir = Some(dir.to_string_lossy().into_owned());
+    if let Some(chaos) = cfg.chaos.as_mut() {
+        // Per injector: sub-stream 0 sees its 30th tuple at source
+        // tuple 117, between the barriers at 112 and 128.
+        chaos.kill_at_tuple = Some(30);
+    }
+    cfg
+}
+
+#[test]
+fn fan_out_log_rewind_is_exact_per_sub_stream() {
+    let calm_dir = temp_dir("fan-calm");
+    let hurt_dir = temp_dir("fan-hurt");
+    let calm = compiled(&fanned_out_config(false, &calm_dir))
+        .execute_supervised(tuples(400))
+        .expect("undisturbed run succeeds");
+    let hurt = compiled(&fanned_out_config(true, &hurt_dir))
+        .execute_supervised(tuples(400))
+        .expect("transient kill heals via checkpoint restore");
+    assert_eq!(hurt.report.restarts, 1);
+    assert!(
+        hurt.report.restored_from_epoch > 0,
+        "resumed, not restarted"
+    );
+    assert_eq!(hurt.polluted, calm.polluted, "polluted stream diverged");
+    assert_eq!(
+        hurt.log.entries(),
+        calm.log.entries(),
+        "ground-truth log diverged"
+    );
+
+    // The frame the retry restored from recorded, per sub-stream, the
+    // length of that sub-stream's own log segment at the barrier:
+    // exactly its entries for tuples the source had emitted by then.
+    let frames = CheckpointStore::read_wal(hurt_dir.join("checkpoint.wal")).unwrap();
+    let frame = frames
+        .iter()
+        .find(|f| f.epoch == hurt.report.restored_from_epoch)
+        .expect("the restored frame is in the WAL");
+    assert_eq!(frame.source_offset, 112, "last barrier before the kill");
+    for i in 0..4 {
+        let doc: serde_json::Value =
+            serde_json::from_str(&frame.states[&format!("substream_{i}")]).unwrap();
+        let expected = calm
+            .log
+            .entries()
+            .iter()
+            .filter(|e| e.polluter().ends_with(&format!("-{i}")))
+            .filter(|e| e.tuple_id() < frame.source_offset)
+            .count() as u64;
+        assert!(expected > 0, "sub-stream {i} logged before the barrier");
+        assert_eq!(
+            doc["log_len"].as_u64(),
+            Some(expected),
+            "sub-stream {i} segment length at the barrier"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&calm_dir);
+    let _ = std::fs::remove_dir_all(&hurt_dir);
+}
+
 #[test]
 fn recovery_report_renders_and_round_trips() {
     let out = compiled(&config("sequential", 1, true))

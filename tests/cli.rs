@@ -389,8 +389,14 @@ fn pollute_trace_out_emits_perfetto_loadable_chrome_trace() {
         ],
         &dir,
     );
-    let cfg = icewafl(&["example-config"], &dir);
-    std::fs::write(dir.join("scenario.json"), &cfg.stdout).unwrap();
+    // The pipelined strategy puts a channel edge behind the merge; the
+    // default sequential schedule has none to attribute waits to.
+    let cfg = stdout(&icewafl(&["example-config"], &dir)).replace(
+        "\"execution\": null",
+        "\"execution\": {\"strategy\": \"pipelined\"}",
+    );
+    assert!(cfg.contains("pipelined"), "example config changed shape");
+    std::fs::write(dir.join("scenario.json"), cfg).unwrap();
     let out = icewafl(
         &[
             "pollute",
