@@ -651,11 +651,16 @@ const COLUMNAR_SPEEDUP_FLOOR: f64 = 1.2;
 /// that scheduler noise cannot flake CI.
 ///
 /// Re-derived with the linear channel driver, which both sides of the
-/// ratio run (a session is `execute_streaming` over the same topology):
+/// ratio run (a session is a streaming session over the same topology):
 /// the reference rose 1.54 M → 2.57–2.93 M tuples/s, binary serve
 /// 0.84 M → 1.44–1.75 M, and the measured ratio moved from 0.55–0.61x
 /// to 0.60–0.78x (six captures). The floor stays at 0.5: still a sixth
 /// under the lowest capture and well above thread-per-session level.
+/// Sessions that execute while they upload did not move this figure
+/// (four sessions saturate the two cores it was taken on either way:
+/// 1.31–1.97 M against 1.62–1.88 M the same hour); what they moved is
+/// first-output latency and server memory, which the repo benchmark's
+/// `serve_binary_long` measures.
 const SERVE_BINARY_RATIO_FLOOR: f64 = 0.5;
 
 /// Minimum geometric-mean vectorized/trampoline kernel speedup the

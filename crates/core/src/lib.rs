@@ -97,7 +97,8 @@ pub use plan::{
 pub use polluter::{BoxPolluter, Emission, Polluter, StandardPolluter};
 pub use report::RunReport;
 pub use runner::{
-    pollute_stream, PipelineOperator, PollutionJob, PollutionOutput, SubStreamAssigner,
+    pollute_stream, PipelineOperator, PollutionJob, PollutionOutput, StreamingSession,
+    SubStreamAssigner,
 };
 pub use stats::{CountingRng, PolluterStats, PolluterStatsHandle, PolluterStatsSnapshot};
 

@@ -65,7 +65,7 @@ use crate::config::{
 use crate::pipeline::PollutionPipeline;
 use crate::runner::{
     execute_attempt, execute_streaming, run_supervised_with, BuiltPipeline, CheckpointSettings,
-    ExecSettings, PollutionOutput, SubStreamAssigner,
+    ExecSettings, PollutionOutput, StreamingSession, SubStreamAssigner,
 };
 use icewafl_stream::chaos::ChaosConfig;
 use icewafl_stream::control::ControlChannel;
@@ -1045,20 +1045,31 @@ impl PhysicalPlan {
         })
     }
 
-    /// Executes one attempt over an *unbounded* source/sink pair:
-    /// tuples are pulled from `source`, prepared, polluted, and pushed
-    /// into `sink` as they leave the watermark-driven sorter — nothing
-    /// is collected in memory, so a session is as long as its peer
-    /// keeps sending.
+    /// Opens one streaming attempt for the caller to feed: every tuple
+    /// [pushed](StreamingSession::push) is prepared and polluted at
+    /// once, and what the watermark-driven sorter releases reaches
+    /// `sink` before the push returns — nothing is collected in memory,
+    /// so a session is as long as its caller keeps pushing.
     ///
-    /// This is the entry point `icewafl-serve` drives with a network
-    /// [`Source`]/[`Sink`] pair. For the same plan and tuple sequence
-    /// the records written to `sink` are bit-identical to
-    /// [`PhysicalPlan::execute`]'s `polluted` output. Streaming runs
-    /// are single-attempt by construction — a network source cannot be
-    /// replayed, so the supervision policy does not apply; failures
-    /// (including typed protocol errors raised by a network source or
-    /// sink) surface as [`icewafl_types::Error::Pipeline`].
+    /// This is what `icewafl-serve` drives, one decoded frame at a
+    /// time. For the same plan and tuple sequence the records written
+    /// to `sink` are bit-identical to [`PhysicalPlan::execute`]'s
+    /// `polluted` output. Streaming runs are single-attempt by
+    /// construction — a pushed stream cannot be replayed, so the
+    /// supervision policy does not apply.
+    pub fn open_streaming(
+        &self,
+        sink: impl Sink<StampedTuple> + 'static,
+    ) -> Result<StreamingSession> {
+        let pipelines = self.logical.build_exec_pipelines(&self.settings.schema)?;
+        StreamingSession::open(&self.settings, sink, pipelines)
+    }
+
+    /// [`PhysicalPlan::open_streaming`] fed from `source` until it runs
+    /// dry: the pull-style entry point for a blocking
+    /// [`Source`]/[`Sink`] pair. Failures (including typed protocol
+    /// errors raised by a network source or sink) surface as
+    /// [`icewafl_types::Error::Pipeline`].
     pub fn execute_streaming(
         &self,
         source: impl Source<Tuple> + 'static,
@@ -1310,6 +1321,96 @@ mod tests {
                         "predicted stage {} missing in run metrics ({hint:?}, chaos={chaos})",
                         stage.label
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn supervised_runs_produce_executes_bytes() {
+        // Every attempt replays the one prepared copy of the input; a
+        // run that never restarts and a run that restarts once both end
+        // with what a plain `execute` gives, clean stream included.
+        let calm = LogicalPlan {
+            supervision: Some(SupervisionConfig {
+                max_retries: 2,
+                deterministic: true,
+                ..SupervisionConfig::default()
+            }),
+            ..LogicalPlan::new(11, vec![vec![null_spec(0.4)], vec![null_spec(0.2)]])
+        };
+        let hurt = LogicalPlan {
+            chaos: Some(ChaosSectionConfig {
+                kill_at_tuple: Some(40),
+                panic_budget: Some(1),
+                ..ChaosSectionConfig::default()
+            }),
+            ..calm.clone()
+        };
+        let reference = calm
+            .compile(&schema())
+            .unwrap()
+            .execute(tuples(300))
+            .unwrap();
+        for (plan, restarts) in [(calm, 0), (hurt, 1)] {
+            let out = plan
+                .compile(&schema())
+                .unwrap()
+                .execute_supervised(tuples(300))
+                .unwrap();
+            assert_eq!(out.report.restarts, restarts);
+            assert_eq!(out.polluted, reference.polluted);
+            assert_eq!(out.clean, reference.clean);
+            assert_eq!(out.log.entries(), reference.log.entries());
+        }
+    }
+
+    #[test]
+    fn a_streaming_session_is_the_offline_run_fed_by_hand() {
+        // Same topology, same stage labels, same bytes — and output
+        // while the input is still arriving.
+        for hint in [
+            StrategyHint::Sequential,
+            StrategyHint::Pipelined,
+            StrategyHint::SplitMergeParallel,
+        ] {
+            let plan = LogicalPlan {
+                strategy: hint,
+                checkpoint: Some(CheckpointSectionConfig {
+                    dir: None,
+                    interval_epochs: 2,
+                }),
+                ..LogicalPlan::new(5, vec![vec![null_spec(0.3)], vec![null_spec(0.3)]])
+            };
+            let physical = plan.compile(&schema()).unwrap();
+            let offline = physical.execute(tuples(1_000)).unwrap();
+
+            let sink = icewafl_stream::SharedVecSink::new();
+            let mut session = physical.open_streaming(sink.clone()).unwrap();
+            for (i, tuple) in tuples(1_000).into_iter().enumerate() {
+                session.push(tuple);
+                if hint == StrategyHint::Sequential {
+                    // Lockstep holds back the open watermark period only.
+                    assert!(sink.len() + 64 > i, "tuple {i}: {} out", sink.len());
+                }
+            }
+            assert!(!session.is_failed());
+            let report = session.finish().unwrap();
+            assert_eq!(sink.take(), offline.polluted, "{hint:?}");
+            assert_eq!((report.tuples_in, report.tuples_out), (1_000, 1_000));
+            assert_eq!(report.log_entries, offline.report.log_entries);
+            assert_eq!(report.polluters, offline.report.polluters);
+            assert!(report.checkpoints_taken > 0, "barriers took the push path");
+            if report.metrics_compiled_in {
+                for stage in physical.stages() {
+                    let counter = format!("{}/elements_in", stage.label);
+                    if stage.metrics.contains(&counter) {
+                        assert!(
+                            report.metrics.counter(&counter) > 0,
+                            "predicted stage {} missing in a streamed run ({hint:?})",
+                            stage.label
+                        );
+                    }
                 }
             }
         }

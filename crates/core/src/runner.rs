@@ -24,12 +24,13 @@ use icewafl_stream::metrics::ChaosMetrics;
 use icewafl_stream::prelude::*;
 use icewafl_stream::sort::{EventTimeSorter, SorterStateCodec};
 use icewafl_stream::supervisor::{Supervisor, SupervisorPolicy};
-use icewafl_stream::SubPipelineBuilder;
+use icewafl_stream::{PushPipeline, SubPipelineBuilder};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
@@ -415,6 +416,7 @@ pub struct PollutionOutput {
 /// builder API ([`PollutionJob`]) and compiled plans
 /// ([`crate::plan::PhysicalPlan`]) both lower to this struct and run
 /// through [`execute_attempt`] — one construction path, one executor.
+#[derive(Clone)]
 pub(crate) struct ExecSettings {
     pub(crate) schema: Schema,
     pub(crate) assigner: SubStreamAssigner,
@@ -619,16 +621,20 @@ where
     }
     let mut supervisor = Supervisor::new(settings.supervision.clone());
     let budget = settings.chaos.as_ref().map(ChaosConfig::new_budget);
+    // Prepare once: every attempt replays the same shared clean stream,
+    // so a run that never restarts holds one copy of its input.
+    let clean = prepare_clean(settings, tuples)?;
     loop {
-        let attempt = execute_attempt(
+        let attempt = execute_prepared(
             settings,
-            tuples.clone(),
+            &clean,
             pipelines()?,
             budget.clone(),
             supervisor.deadline_instant(),
         );
         match attempt {
             Ok(mut out) => {
+                out.clean = unshare(clean);
                 out.report.restarts = supervisor.restarts();
                 return Ok(out);
             }
@@ -714,9 +720,7 @@ where
     // Prepare once: the prepared clean stream doubles as the replayable
     // source, so a restore can slice off the already-checkpointed
     // prefix instead of replaying history.
-    let mut prepare = PrepareOperator::new(&settings.schema)?;
-    let clean: Arc<Vec<StampedTuple>> =
-        Arc::new(tuples.into_iter().map(|t| prepare.prepare(t)).collect());
+    let clean = prepare_clean(settings, tuples)?;
 
     // Sink and log segments are shared across attempts — the committed
     // prefix of a failed attempt is kept, not recomputed. The segment
@@ -777,10 +781,7 @@ where
             recovery_ms += recover_start.elapsed().as_millis() as u64;
         }
 
-        let mut stat_handles: Vec<PolluterStatsHandle> = Vec::new();
-        for pipeline in &built {
-            pipeline.collect_stats(&mut stat_handles);
-        }
+        let stat_handles = stat_handles_of(&built);
         let registry = MetricsRegistry::new();
         let coordinator = CheckpointCoordinator::new(
             Arc::clone(&store),
@@ -811,34 +812,20 @@ where
             Ok(()) => {
                 let polluted = sink.take();
                 let log = segments.concat();
-                let log_counts = log.counts_by_polluter();
-                let polluters = stat_handles
-                    .iter()
-                    .map(|h| {
-                        let mut snap = h.snapshot();
-                        snap.log_entries = log_counts.get(&h.name).copied().unwrap_or(0) as u64;
-                        snap
-                    })
-                    .collect();
                 let report = RunReport {
-                    tuples_in: clean.len() as u64,
-                    tuples_out: polluted.len() as u64,
-                    log_entries: log.len() as u64,
-                    logging_enabled: settings.logging,
-                    metrics_compiled_in: icewafl_obs::metrics_compiled_in(),
                     restarts: supervisor.restarts(),
-                    strategy: Some(settings.strategy.to_string()),
-                    epochs_applied: settings
-                        .control
-                        .as_ref()
-                        .map(ControlChannel::applied)
-                        .unwrap_or(0),
                     checkpoints_taken: store.checkpoints_taken(),
                     restored_from_epoch,
                     replayed_tuples,
                     recovery_ms,
-                    polluters,
-                    metrics: registry.snapshot(),
+                    ..run_report(
+                        settings,
+                        &stat_handles,
+                        &registry,
+                        &log,
+                        clean.len() as u64,
+                        polluted.len() as u64,
+                    )
                 };
                 return Ok(PollutionOutput {
                     clean: unshare(clean),
@@ -1005,38 +992,63 @@ pub(crate) fn execute_attempt(
     chaos_budget: Option<Arc<AtomicU64>>,
     deadline: Option<Instant>,
 ) -> Result<PollutionOutput> {
+    let clean = prepare_clean(settings, tuples)?;
+    let mut out = execute_prepared(settings, &clean, pipelines, chaos_budget, deadline)?;
+    out.clean = unshare(clean);
+    Ok(out)
+}
+
+/// Step 1 (Algorithm 1 lines 1–3): prepare. The prepared tuples are
+/// both the clean output and the source of the streaming job
+/// (watermarks are generated from τ, which only exists after
+/// preparation); the handle is shared so that a supervised run's
+/// attempts all replay the one copy.
+fn prepare_clean(settings: &ExecSettings, tuples: Vec<Tuple>) -> Result<Arc<Vec<StampedTuple>>> {
+    let mut prepare = PrepareOperator::new(&settings.schema)?;
+    Ok(Arc::new(
+        tuples.into_iter().map(|t| prepare.prepare(t)).collect(),
+    ))
+}
+
+/// Rejects what no attempt could run: a job without pipelines, chaos
+/// rates that are not probabilities.
+fn validate(settings: &ExecSettings, pipelines: &[BuiltPipeline]) -> Result<()> {
     if pipelines.is_empty() {
         return Err(icewafl_types::Error::config(
             "at least one pipeline is required",
         ));
     }
-    if let Some(chaos) = &settings.chaos {
-        if !chaos.is_valid() {
-            return Err(icewafl_types::Error::config(
-                "chaos rates must be probabilities in [0, 1]",
-            ));
-        }
+    if settings.chaos.as_ref().is_some_and(|c| !c.is_valid()) {
+        return Err(icewafl_types::Error::config(
+            "chaos rates must be probabilities in [0, 1]",
+        ));
+    }
+    Ok(())
+}
+
+/// [`execute_attempt`] over an already prepared stream. The output's
+/// `clean` is left empty: the caller holds the shared clean stream and
+/// moves it in once the run's source has let go of it.
+fn execute_prepared(
+    settings: &ExecSettings,
+    clean: &Arc<Vec<StampedTuple>>,
+    pipelines: Vec<BuiltPipeline>,
+    chaos_budget: Option<Arc<AtomicU64>>,
+    deadline: Option<Instant>,
+) -> Result<PollutionOutput> {
+    validate(settings, &pipelines)?;
+    if settings.chaos.is_some() {
         // Injected panics are expected and caught; keep them from
         // spraying backtraces over the output.
         install_quiet_panic_hook();
     }
-    // Step 1 (Algorithm 1 lines 1–3): prepare. The prepared tuples
-    // are both the clean output and the source of the streaming job
-    // (watermarks are generated from τ, which only exists after
-    // preparation).
-    let mut prepare = PrepareOperator::new(&settings.schema)?;
-    let clean: Arc<Vec<StampedTuple>> =
-        Arc::new(tuples.into_iter().map(|t| prepare.prepare(t)).collect());
 
     let segments = LogSegments::new(pipelines.len(), settings.logging);
 
     // Collect per-polluter stat handles before the builders consume
     // the pipelines — the cells are Arc-shared, so these handles
     // read live values during and after the run.
-    let mut stat_handles: Vec<PolluterStatsHandle> = Vec::new();
-    for pipeline in &pipelines {
-        pipeline.collect_stats(&mut stat_handles);
-    }
+    let stat_handles = stat_handles_of(&pipelines);
     let registry = MetricsRegistry::new();
 
     // Fully-columnar sequential plans with strictly monotone arrivals
@@ -1045,8 +1057,8 @@ pub(crate) fn execute_attempt(
     // at all. Falls back to the channel driver whenever the output
     // could depend on merge order (see `columnar_direct_eligible`).
     let mut pipelines = pipelines;
-    let direct = if columnar_direct_eligible(settings, &pipelines, &clean, deadline) {
-        execute_columnar_direct(settings, &clean, &mut pipelines, &registry)
+    let direct = if columnar_direct_eligible(settings, &pipelines, clean, deadline) {
+        execute_columnar_direct(settings, clean, &mut pipelines, &registry)
     } else {
         None
     };
@@ -1056,7 +1068,7 @@ pub(crate) fn execute_attempt(
             let sink = SharedVecSink::new();
             drive_pipelines(
                 settings,
-                replay_source(&clean, 0),
+                replay_source(clean, 0),
                 sink.clone(),
                 pipelines,
                 chaos_budget,
@@ -1070,7 +1082,41 @@ pub(crate) fn execute_attempt(
     };
 
     let log = segments.concat();
+    let report = run_report(
+        settings,
+        &stat_handles,
+        &registry,
+        &log,
+        clean.len() as u64,
+        polluted.len() as u64,
+    );
+    Ok(PollutionOutput {
+        clean: Vec::new(),
+        polluted,
+        log,
+        report,
+    })
+}
 
+/// The live stat cells of every polluter in `pipelines`.
+fn stat_handles_of(pipelines: &[BuiltPipeline]) -> Vec<PolluterStatsHandle> {
+    let mut handles = Vec::new();
+    for pipeline in pipelines {
+        pipeline.collect_stats(&mut handles);
+    }
+    handles
+}
+
+/// The report of a finished single attempt; supervised runs overwrite
+/// the restart and recovery fields.
+fn run_report(
+    settings: &ExecSettings,
+    stat_handles: &[PolluterStatsHandle],
+    registry: &MetricsRegistry,
+    log: &PollutionLog,
+    tuples_in: u64,
+    tuples_out: u64,
+) -> RunReport {
     // Attribute log entries to polluters by name. Polluters sharing
     // a name (across sub-streams) each report the combined count.
     let log_counts = log.counts_by_polluter();
@@ -1082,9 +1128,9 @@ pub(crate) fn execute_attempt(
             snap
         })
         .collect();
-    let report = RunReport {
-        tuples_in: clean.len() as u64,
-        tuples_out: polluted.len() as u64,
+    RunReport {
+        tuples_in,
+        tuples_out,
         log_entries: log.len() as u64,
         logging_enabled: settings.logging,
         metrics_compiled_in: icewafl_obs::metrics_compiled_in(),
@@ -1101,14 +1147,7 @@ pub(crate) fn execute_attempt(
         recovery_ms: 0,
         polluters,
         metrics: registry.snapshot(),
-    };
-
-    Ok(PollutionOutput {
-        clean: unshare(clean),
-        polluted,
-        log,
-        report,
-    })
+    }
 }
 
 /// A source over `clean[from..]` that clones each prepared tuple as it
@@ -1123,29 +1162,6 @@ fn replay_source(clean: &Arc<Vec<StampedTuple>>, from: usize) -> impl Source<Sta
 /// run's source; the source is gone by now, so this does not copy.
 fn unshare(clean: Arc<Vec<StampedTuple>>) -> Vec<StampedTuple> {
     Arc::try_unwrap(clean).unwrap_or_else(|shared| shared.to_vec())
-}
-
-/// A [`Source`] adapter that prepares raw tuples on the pull path:
-/// ids, `τ`, and arrival stamps are assigned in arrival order exactly
-/// as the offline path's eager prepare loop does, so a streamed run is
-/// bit-identical to the same plan run over the same tuples in memory.
-struct PreparingSource<S> {
-    inner: S,
-    prepare: PrepareOperator,
-    count: Arc<AtomicU64>,
-}
-
-impl<S: Source<Tuple>> Source<StampedTuple> for PreparingSource<S> {
-    fn next(&mut self) -> Option<StampedTuple> {
-        let tuple = self.inner.next()?;
-        self.count
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        Some(self.prepare.prepare(tuple))
-    }
-
-    fn size_hint(&self) -> Option<usize> {
-        self.inner.size_hint()
-    }
 }
 
 /// A [`Sink`] adapter counting records on their way into the real sink
@@ -1173,122 +1189,166 @@ impl<K: Sink<StampedTuple>> Sink<StampedTuple> for CountingSink<K> {
     }
 }
 
-/// One streaming execution attempt: tuples are pulled from `source`,
-/// prepared on the fly, polluted, and pushed into `sink` as they sort
-/// out of the watermark buffer — nothing is collected in memory.
+/// One streaming execution attempt, opened and waiting to be fed: the
+/// split → pollute → union → sort topology every offline run builds,
+/// behind a push source instead of a pulled one. Each
+/// [`push`](StreamingSession::push) prepares one raw tuple (ids, `τ`
+/// and arrival stamps are assigned in arrival order, exactly as the
+/// offline path's eager prepare loop does) and runs it through the
+/// plan; what the watermark-driven sorter releases on the way reaches
+/// the sink before `push` returns, so nothing of the stream is held
+/// but what the plan itself holds: one watermark period per sub-stream,
+/// plus the tuples a delay polluter keeps back. Output is bit-identical
+/// to the offline path for the same plan and tuple sequence.
 ///
-/// This is the entry point network sessions use
-/// ([`crate::plan::PhysicalPlan::execute_streaming`]). It is a single
-/// attempt by construction: a network source cannot be replayed, so
-/// supervised restarts do not apply. Output is bit-identical to the
-/// offline path for the same plan and tuple sequence.
-///
-/// Plans with a checkpoint section still take epoch-aligned snapshots
-/// (reported in `checkpoints_taken`; durable when a WAL dir is set),
-/// even though this path never restores them itself — recovery of a
-/// streamed session is an external concern
-/// (`CheckpointStore::recover_latest` over the WAL). Sessions sharing
-/// a WAL directory overwrite each other; give each session its own.
+/// It is a single attempt by construction: a pushed stream cannot be
+/// replayed, so supervised restarts do not apply. Plans with a
+/// checkpoint section still take epoch-aligned snapshots (reported in
+/// `checkpoints_taken`; durable when a WAL dir is set) even though this
+/// path never restores them itself — recovery of a streamed session is
+/// an external concern (`CheckpointStore::recover_latest` over the
+/// WAL). Sessions sharing a WAL directory overwrite each other; give
+/// each session its own.
+pub struct StreamingSession {
+    pipeline: PushPipeline<StampedTuple>,
+    prepare: PrepareOperator,
+    tuples_in: u64,
+    tuples_out: Arc<AtomicU64>,
+    settings: ExecSettings,
+    segments: LogSegments,
+    stat_handles: Vec<PolluterStatsHandle>,
+    registry: MetricsRegistry,
+    store: Option<Arc<CheckpointStore>>,
+}
+
+impl StreamingSession {
+    pub(crate) fn open(
+        settings: &ExecSettings,
+        sink: impl Sink<StampedTuple> + 'static,
+        pipelines: Vec<BuiltPipeline>,
+    ) -> Result<Self> {
+        validate(settings, &pipelines)?;
+        // Streaming sources poison via typed `StageError` panics on
+        // routine peer behavior (disconnects, bad frames); a server must
+        // not spray a backtrace per misbehaving client.
+        install_quiet_panic_hook();
+        let prepare = PrepareOperator::new(&settings.schema)?;
+        let tuples_out = Arc::new(AtomicU64::new(0));
+        let sink = CountingSink {
+            inner: sink,
+            count: Arc::clone(&tuples_out),
+        };
+        let segments = LogSegments::new(pipelines.len(), settings.logging);
+        let stat_handles = stat_handles_of(&pipelines);
+        let registry = MetricsRegistry::new();
+        let budget = settings.chaos.as_ref().map(ChaosConfig::new_budget);
+
+        // Streaming sessions opt into checkpointing through their plan:
+        // the run still cannot auto-retry (the peer's stream is gone
+        // with the connection), but barriers flow and frames commit —
+        // with a WAL dir the session leaves durable, externally
+        // recoverable state for post-mortem resumption.
+        let store = match settings.checkpoint.as_ref() {
+            Some(CheckpointSettings { dir: Some(dir), .. }) => Some(Arc::new(
+                CheckpointStore::with_wal(dir.join("checkpoint.wal"))?,
+            )),
+            Some(_) => Some(Arc::new(CheckpointStore::new())),
+            None => None,
+        };
+        let coordinator = store
+            .as_ref()
+            .zip(settings.checkpoint.as_ref())
+            .map(|(store, ckpt)| {
+                CheckpointCoordinator::new(Arc::clone(store), ckpt.interval_epochs, 0)
+            });
+        let nothing_restored = BTreeMap::new();
+
+        let (head, source) = DataStream::push_source(source_watermarks(settings), coordinator);
+        let pipeline = pollution_topology(
+            settings,
+            head,
+            pipelines,
+            budget,
+            &registry,
+            &segments,
+            store.as_ref().map(|_| &nothing_restored),
+        )?
+        .open_into(source, sink, &registry);
+        Ok(StreamingSession {
+            pipeline,
+            prepare,
+            tuples_in: 0,
+            tuples_out,
+            settings: settings.clone(),
+            segments,
+            stat_handles,
+            registry,
+            store,
+        })
+    }
+
+    /// Prepares `tuple` and runs it through the plan.
+    #[inline]
+    pub fn push(&mut self, tuple: Tuple) {
+        self.tuples_in += 1;
+        self.pipeline.push(self.prepare.prepare(tuple));
+    }
+
+    /// Fails the session as a source that panicked with `payload`
+    /// would — the way a network source reports its peer's errors.
+    pub fn fail(&mut self, payload: Box<dyn std::any::Any + Send>) {
+        self.pipeline.fail(payload);
+    }
+
+    /// Whether a stage of the plan has failed; what is pushed from then
+    /// on is dropped, and [`finish`](StreamingSession::finish) reports
+    /// the failure.
+    pub fn is_failed(&self) -> bool {
+        self.pipeline.is_failed()
+    }
+
+    /// Ends the stream: everything the plan still holds is flushed
+    /// into the sink, then the run is reported. A failure — of a stage,
+    /// or one the caller [raised](StreamingSession::fail) — surfaces as
+    /// [`icewafl_types::Error::Pipeline`].
+    pub fn finish(self) -> Result<RunReport> {
+        self.pipeline.finish()?;
+        let log = self.segments.concat();
+        Ok(RunReport {
+            checkpoints_taken: self.store.map(|s| s.checkpoints_taken()).unwrap_or(0),
+            ..run_report(
+                &self.settings,
+                &self.stat_handles,
+                &self.registry,
+                &log,
+                self.tuples_in,
+                self.tuples_out.load(std::sync::atomic::Ordering::Relaxed),
+            )
+        })
+    }
+}
+
+/// [`crate::plan::PhysicalPlan::execute_streaming`]: a
+/// [`StreamingSession`] fed from `source` until it runs dry.
 pub(crate) fn execute_streaming(
     settings: &ExecSettings,
-    source: impl Source<Tuple> + 'static,
+    mut source: impl Source<Tuple>,
     sink: impl Sink<StampedTuple> + 'static,
     pipelines: Vec<BuiltPipeline>,
 ) -> Result<RunReport> {
-    if pipelines.is_empty() {
-        return Err(icewafl_types::Error::config(
-            "at least one pipeline is required",
-        ));
-    }
-    if let Some(chaos) = &settings.chaos {
-        if !chaos.is_valid() {
-            return Err(icewafl_types::Error::config(
-                "chaos rates must be probabilities in [0, 1]",
-            ));
+    let mut session = StreamingSession::open(settings, sink, pipelines)?;
+    loop {
+        // A network source reports its peer's errors as typed panics.
+        match catch_unwind(AssertUnwindSafe(|| source.next())) {
+            Ok(Some(tuple)) => session.push(tuple),
+            Ok(None) => break,
+            Err(payload) => {
+                session.fail(payload);
+                break;
+            }
         }
     }
-    // Streaming sources poison via typed `StageError` panics on routine
-    // peer behavior (disconnects, bad frames); a server must not spray
-    // a backtrace per misbehaving client.
-    install_quiet_panic_hook();
-    let prepare = PrepareOperator::new(&settings.schema)?;
-    let tuples_in = Arc::new(AtomicU64::new(0));
-    let source = PreparingSource {
-        inner: source,
-        prepare,
-        count: Arc::clone(&tuples_in),
-    };
-    let tuples_out = Arc::new(AtomicU64::new(0));
-    let sink = CountingSink {
-        inner: sink,
-        count: Arc::clone(&tuples_out),
-    };
-
-    let segments = LogSegments::new(pipelines.len(), settings.logging);
-    let mut stat_handles: Vec<PolluterStatsHandle> = Vec::new();
-    for pipeline in &pipelines {
-        pipeline.collect_stats(&mut stat_handles);
-    }
-    let registry = MetricsRegistry::new();
-    let budget = settings.chaos.as_ref().map(ChaosConfig::new_budget);
-
-    // Streaming sessions opt into checkpointing through their plan: the
-    // run still cannot auto-retry (the peer's stream is gone with the
-    // connection), but barriers flow and frames commit — with a WAL dir
-    // the session leaves durable, externally recoverable state
-    // (`CheckpointStore::recover_latest`) for post-mortem resumption.
-    let store = match settings.checkpoint.as_ref() {
-        Some(ckpt) => Some(match &ckpt.dir {
-            Some(dir) => Arc::new(CheckpointStore::with_wal(dir.join("checkpoint.wal"))?),
-            None => Arc::new(CheckpointStore::new()),
-        }),
-        None => None,
-    };
-    let drive = store
-        .as_ref()
-        .zip(settings.checkpoint.as_ref())
-        .map(|(store, ckpt)| CheckpointDrive {
-            coordinator: CheckpointCoordinator::new(Arc::clone(store), ckpt.interval_epochs, 0),
-            base_offset: 0,
-            resume_wm: None,
-            states: BTreeMap::new(),
-            sink_base: 0,
-        });
-
-    drive_pipelines(
-        settings, source, sink, pipelines, budget, None, &registry, &segments, drive,
-    )?;
-
-    let log = segments.concat();
-    let log_counts = log.counts_by_polluter();
-    let polluters = stat_handles
-        .iter()
-        .map(|h| {
-            let mut snap = h.snapshot();
-            snap.log_entries = log_counts.get(&h.name).copied().unwrap_or(0) as u64;
-            snap
-        })
-        .collect();
-    Ok(RunReport {
-        tuples_in: tuples_in.load(std::sync::atomic::Ordering::Relaxed),
-        tuples_out: tuples_out.load(std::sync::atomic::Ordering::Relaxed),
-        log_entries: log.len() as u64,
-        logging_enabled: settings.logging,
-        metrics_compiled_in: icewafl_obs::metrics_compiled_in(),
-        restarts: 0,
-        strategy: Some(settings.strategy.to_string()),
-        epochs_applied: settings
-            .control
-            .as_ref()
-            .map(ControlChannel::applied)
-            .unwrap_or(0),
-        checkpoints_taken: store.map(|s| s.checkpoints_taken()).unwrap_or(0),
-        restored_from_epoch: 0,
-        replayed_tuples: 0,
-        recovery_ms: 0,
-        polluters,
-        metrics: registry.snapshot(),
-    })
+    session.finish()
 }
 
 /// Checkpoint plumbing for one [`drive_pipelines`] attempt: the barrier
@@ -1306,10 +1366,10 @@ struct CheckpointDrive {
     sink_base: u64,
 }
 
-/// Builds the fan-out → pollute → merge → sort topology over an
-/// arbitrary prepared source/sink pair and drives it to completion —
-/// the shared tail of the offline ([`execute_attempt`]), streaming
-/// ([`execute_streaming`]), and checkpointed-supervised paths.
+/// Builds the fan-out → pollute → merge → sort topology over a pulled,
+/// prepared source and drives it into `sink` to completion — the shared
+/// tail of the offline ([`execute_attempt`]) and checkpointed-supervised
+/// paths.
 #[allow(clippy::too_many_arguments)]
 fn drive_pipelines(
     settings: &ExecSettings,
@@ -1322,19 +1382,62 @@ fn drive_pipelines(
     segments: &LogSegments,
     ckpt: Option<CheckpointDrive>,
 ) -> Result<()> {
-    let m = pipelines.len();
-    let selector = settings.assigner.selector(m);
-    let checkpointing = ckpt.is_some();
-    let (coordinator, base_offset, resume_wm, ckpt_states, sink_base) = match ckpt {
+    let watermarks = source_watermarks(settings);
+    let (head, ckpt_states, sink_base) = match ckpt {
         Some(c) => (
-            Some(c.coordinator),
-            c.base_offset,
-            c.resume_wm,
-            c.states,
+            DataStream::from_source_checkpointed(
+                source,
+                watermarks,
+                c.coordinator,
+                c.base_offset,
+                c.resume_wm,
+            ),
+            Some(c.states),
             c.sink_base,
         ),
-        None => (None, 0, None, BTreeMap::new(), 0),
+        None => (DataStream::from_source(source, watermarks), None, 0),
     };
+    // A `?` on the run carries a typed stage failure out as
+    // `Error::Pipeline` (via `From<PipelineError>`).
+    pollution_topology(
+        settings,
+        head,
+        pipelines,
+        chaos_budget,
+        registry,
+        segments,
+        ckpt_states.as_ref(),
+    )?
+    .execute_into_resumed(sink, registry, deadline, sink_base)?;
+    Ok(())
+}
+
+/// The source's watermark cadence: one watermark at `τ` every
+/// `watermark_period` tuples.
+fn source_watermarks(settings: &ExecSettings) -> WatermarkStrategy<StampedTuple> {
+    WatermarkStrategy::bounded_out_of_orderness(
+        |t: &StampedTuple| t.tau,
+        icewafl_types::Duration::ZERO,
+        settings.watermark_period,
+    )
+}
+
+/// Algorithm 1 behind `head`, whichever way `head` gets its tuples:
+/// split into the `m` sub-streams, pollute each with its pipeline,
+/// union, sort by arrival, re-batch. A checkpointing run passes the
+/// per-operator states it restores from (empty when it starts fresh);
+/// chaos injectors and the sorter pick theirs up here.
+fn pollution_topology(
+    settings: &ExecSettings,
+    head: DataStream<StampedTuple>,
+    pipelines: Vec<BuiltPipeline>,
+    chaos_budget: Option<Arc<AtomicU64>>,
+    registry: &MetricsRegistry,
+    segments: &LogSegments,
+    ckpt_states: Option<&BTreeMap<String, String>>,
+) -> Result<DataStream<StampedTuple>> {
+    let m = pipelines.len();
+    let selector = settings.assigner.selector(m);
     let builders: Vec<SubPipelineBuilder<StampedTuple, StampedTuple>> = pipelines
         .into_iter()
         .enumerate()
@@ -1351,7 +1454,7 @@ fn drive_pipelines(
                 ),
                 None => op,
             };
-            let op = if checkpointing {
+            let op = if ckpt_states.is_some() {
                 op.with_checkpoint_key(format!("substream_{i}"))
             } else {
                 op
@@ -1374,12 +1477,12 @@ fn drive_pipelines(
                                 *v = icewafl_types::Value::Null;
                             }
                         });
-                    if checkpointing {
+                    if let Some(states) = ckpt_states {
                         let key = format!("chaos_{i}");
                         // Restore the injector's record counter and RNG
                         // position so a resumed attempt replays the
                         // *same* fault schedule instead of re-rolling.
-                        if let Some(doc) = ckpt_states.get(&key) {
+                        if let Some(doc) = states.get(&key) {
                             chaos_op.restore_state(doc)?;
                         }
                         chaos_op = chaos_op.with_checkpoint_key(key);
@@ -1397,28 +1500,13 @@ fn drive_pipelines(
         })
         .collect::<Result<_>>()?;
 
-    let watermarks = WatermarkStrategy::bounded_out_of_orderness(
-        |t: &StampedTuple| t.tau,
-        icewafl_types::Duration::ZERO,
-        settings.watermark_period,
-    );
-    let stream = match coordinator {
-        Some(coordinator) => DataStream::from_source_checkpointed(
-            source,
-            watermarks,
-            coordinator,
-            base_offset,
-            resume_wm,
-        ),
-        None => DataStream::from_source(source, watermarks),
-    };
     let batch_size = settings.batch_size.max(1);
     let merged = match settings.strategy {
         ExecutionStrategy::SplitMergeParallel => {
-            stream.split_merge_parallel_batched(selector, builders, batch_size)
+            head.split_merge_parallel_batched(selector, builders, batch_size)
         }
         ExecutionStrategy::Sequential | ExecutionStrategy::Pipelined { .. } => {
-            stream.split_merge_batched(selector, builders, batch_size)
+            head.split_merge_batched(selector, builders, batch_size)
         }
     };
     let merged = match settings.strategy {
@@ -1433,19 +1521,13 @@ fn drive_pipelines(
     // here. The snapshot codec is inert unless a barrier arrives.
     let mut sorter = EventTimeSorter::new(|t: &StampedTuple| (t.arrival, t.sub_stream))
         .with_state_codec("sorter", stamped_codec());
-    if let Some(doc) = ckpt_states.get("sorter") {
+    if let Some(doc) = ckpt_states.and_then(|states| states.get("sorter")) {
         sorter.restore_state(doc)?;
     }
     // Re-coalesce the sorter's per-record releases into batch frames so
     // a sink with a whole-batch fast path (e.g. columnar network
     // frames) gets batches; order and barrier placement are untouched.
-    // A `?` here carries a typed stage failure out as `Error::Pipeline`
-    // (via `From<PipelineError>`).
-    merged
-        .sort_with(sorter)
-        .rebatched(batch_size)
-        .execute_into_resumed(sink, registry, deadline, sink_base)?;
-    Ok(())
+    Ok(merged.sort_with(sorter).rebatched(batch_size))
 }
 
 /// Convenience: runs a single pipeline over a stream with default

@@ -14,14 +14,17 @@
 //!    compile against the schema, server at capacity) and closes.
 //! 3. **Data** — the client streams tuple frames and finishes with an
 //!    end frame; the server concurrently streams polluted stamped-tuple
-//!    frames back. Clients must read while they write: the server
-//!    applies backpressure, so a client that writes a large stream
+//!    frames back, each as soon as the plan's watermarks release it — a
+//!    client may wait for output before it sends more, or ends.
+//!    Clients must read while they write: a client that does not read
+//!    is throttled, not buffered, so one that writes a large stream
 //!    without draining replies deadlocks itself against TCP flow
 //!    control.
 //! 4. **Tail** — after the end frame has flushed through the plan, the
 //!    server sends one report frame (the session's [`RunReport`]) and
 //!    closes. On a session failure it sends an error frame (a
-//!    [`SessionErrorFrame`]) instead.
+//!    [`SessionErrorFrame`]) instead; the data frames before it are a
+//!    prefix of what the session would have sent.
 //!
 //! Binary frames are `[tag: u8][len: u32 LE][payload]` (see the `TAG_*`
 //! constants); NDJSON frames are single-key objects (`{"tuple": …}`,
@@ -197,6 +200,17 @@ pub struct SessionTelemetry {
     /// to its socket.
     #[serde(default)]
     pub blocked_write_ns: u64,
+    /// Most bytes the server has held of this session's input at one
+    /// time, read but not yet decoded.
+    #[serde(default)]
+    pub input_hwm_bytes: u64,
+    /// Most rows the session's plan had released at one time that the
+    /// server had not yet encoded.
+    #[serde(default)]
+    pub queued_hwm_rows: u64,
+    /// Most encoded bytes queued for this session's socket at one time.
+    #[serde(default)]
+    pub outbox_hwm_bytes: u64,
 }
 
 /// One periodic frame streamed to a `telemetry` session: the latest
@@ -370,6 +384,11 @@ impl<'a> Dec<'a> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    /// Bytes not yet taken.
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn finish(self) -> Result<(), NetError> {
         if self.pos == self.buf.len() {
             Ok(())
@@ -408,6 +427,11 @@ fn put_tuple(out: &mut Vec<u8>, t: &Tuple) {
 
 fn get_tuple(d: &mut Dec<'_>) -> Result<Tuple, NetError> {
     let arity = d.u16()? as usize;
+    // Bound the allocation by what the payload could actually hold:
+    // every value is at least its tag byte.
+    if arity > d.remaining() {
+        return Err(NetError::malformed("tuple arity exceeds payload"));
+    }
     let mut values = Vec::with_capacity(arity);
     for _ in 0..arity {
         values.push(get_value(d)?);
@@ -993,6 +1017,9 @@ mod tests {
                 bytes_out: 4096,
                 encode_ns: 900,
                 blocked_write_ns: 40,
+                input_hwm_bytes: 65536,
+                queued_hwm_rows: 512,
+                outbox_hwm_bytes: 262144,
             }],
         };
         for format in [WireFormat::Ndjson, WireFormat::Binary] {

@@ -4,31 +4,52 @@
 //! to cores drives per-connection state machines through the phases
 //!
 //! ```text
-//! accept → Handshake → Ingest → (execute) → Drain → close
+//! accept → Handshake → Stream ————————————→ Closing → (Linger) → close
+//!                    ↘ Subscribe ————————↗
 //!                    ↘ telemetry hand-off (interval thread)
-//!                    ↘ Subscribe ————————————————↗
-//!                    ↘ Closing (rejections)
+//!        ↘ rejections ———————————————————↗
 //! ```
 //!
 //! Every registration is one-shot: a readiness event parks the socket
 //! until the worker that handled it re-arms, so at most one worker ever
 //! drives a given connection and the per-connection mutex is
-//! uncontended on the hot path. A slow reader parks its state machine
-//! on `EPOLLOUT` instead of blocking a thread — backpressure costs a
-//! heap-side write queue per session, never a stalled worker.
+//! uncontended on the hot path.
 //!
-//! The engine itself is fill-then-drain (sources are consumed fully
-//! before output flows), so the session machine buffers the decoded
-//! input and, on the end frame, runs the *identical* offline execution
-//! path (`PhysicalPlan::execute_streaming` over a `VecSource`). Served
-//! output is byte-identical to offline by construction, not by a
-//! parallel re-implementation.
+//! **A session executes while it uploads.** The plan is opened at
+//! handshake as a push pipeline (`PhysicalPlan::open_streaming`: the
+//! same split → pollute → union → sort topology offline runs build,
+//! with the reactor in the place of the source), and one drive of the
+//! `Stream` phase is read → decode → push → encode → write: every
+//! decoded frame goes through the plan at once, what the sorter
+//! releases is encoded into the outbox in the same step, and the drive
+//! ends by writing the outbox out. Served output is byte-identical to
+//! offline by construction — there is one engine and one source step,
+//! fed by a loop offline and by the socket here.
+//!
+//! What a session can hold is therefore bounded, whatever its length
+//! and however its client behaves: one read chunk plus an incomplete
+//! frame of undecoded input (up to [`READ_BUDGET`] when the client
+//! pipelined data behind its handshake), one frame's decoded rows, what
+//! the plan itself holds (one watermark period per sub-stream, plus the
+//! tuples a delay polluter keeps back), and one outbox window. While
+//! the outbox is at [`OUTBOX_HIGH`] the connection is armed for
+//! writability only and nothing more is read or decoded, so a client
+//! that does not read its output is throttled by TCP flow control on
+//! its own upload — never buffered. [`READ_BUDGET`] is also the
+//! execution quantum: a session that still has input after that many
+//! bytes yields its worker and is re-driven behind its neighbours.
+//!
+//! Every reply-then-close path — rejections and error frames — is a
+//! lingering close: flush, shut the write side, then read and discard
+//! until the peer closes (or a small byte/time budget runs out). Closing
+//! a socket with unread input makes the kernel answer with a reset,
+//! which can overtake the reply the peer was meant to read.
 //!
 //! Shared streams: a `pollute` session with a `stream` name publishes
-//! its encoded output frames (`Arc<[u8]>`) into a hub; `subscribe`
-//! sessions naming the same stream get the same buffers cloned into
-//! their write queues — encode once, fan out to every session sharing
-//! the plan.
+//! its encoded output frames (`Arc<[u8]>`) into a hub as they are
+//! encoded; `subscribe` sessions naming the same stream get the same
+//! buffers cloned into their write queues — encode once, fan out to
+//! every session sharing the plan.
 
 #![cfg(target_os = "linux")]
 
@@ -37,28 +58,29 @@ use crate::protocol::{
     coerce_tuple, decode_client_frame, encode_columns_frame, encode_error_frame,
     encode_report_frame, encode_stamped_frame, Handshake, HandshakeReply, SessionErrorFrame,
 };
-use crate::server::{run_telemetry_session, HubState, Server, SessionHandles, Shared};
-use icewafl_core::plan::PhysicalPlan;
+use crate::server::{
+    run_telemetry_session, HubState, Server, SessionGauges, SessionHandles, Shared,
+};
+use icewafl_core::StreamingSession;
 use icewafl_stream::net::{
     frame_bytes, FrameDecoder, NetError, NetPoll, WireFormat, WireFrame, WriteQueue,
 };
 use icewafl_stream::sink::Sink;
-use icewafl_stream::source::VecSource;
 use icewafl_types::{Error, Result, Schema, StampedTuple, Tuple};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::io::Read;
 use std::net::TcpStream;
 use std::os::fd::{AsRawFd, RawFd};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The listener's epoll token; session ids start at 1.
 const LISTENER_TOKEN: u64 = 0;
 
-/// How long one `epoll_wait` may park before shutdown/SIGINT is
-/// re-checked.
+/// How long one `epoll_wait` may park before shutdown/SIGINT and the
+/// linger deadlines are re-checked.
 const POLL_TIMEOUT_MS: i32 = 25;
 
 /// Connection-table shards (token-hashed) so session churn never
@@ -68,14 +90,26 @@ const CONN_SHARDS: usize = 16;
 /// Read chunk per `read(2)` call.
 const READ_CHUNK: usize = 64 * 1024;
 
-/// Per-drive read budget: a firehose client yields the worker back to
-/// the pool after this many bytes (its socket re-arms immediately).
+/// Per-drive read budget, and with it the execution quantum: a firehose
+/// client yields the worker back to the pool after this many bytes have
+/// been read and run through its plan (its socket re-arms immediately).
 const READ_BUDGET: usize = 1 << 20;
 
-/// Outbox high-water mark: drains pause encoding while this many bytes
-/// are already queued, so a parked slow reader holds one window of
-/// encoded frames, not its whole output stream.
+/// Outbox high-water mark: while this many bytes are queued for a
+/// client, nothing more of its input is decoded or read, so a slow
+/// reader holds one window of encoded frames, not its output stream.
 const OUTBOX_HIGH: usize = 256 * 1024;
+
+/// Encoded output worth a `write(2)` of its own: a drive writes each
+/// time this much has been queued, so output flows while the drive is
+/// still working, at a syscall per chunk rather than per frame.
+const WRITE_CHUNK: usize = 64 * 1024;
+
+/// A lingering close discards at most this much unread input …
+const LINGER_BYTES: usize = 2 * READ_BUDGET;
+
+/// … and waits at most this long for the peer to close its side.
+const LINGER_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// Sample 1-in-N encodes for the `encode_ns` telemetry counter.
 const ENCODE_SAMPLE_MASK: u64 = 63;
@@ -90,36 +124,39 @@ enum SessionResult {
 enum Phase {
     /// Waiting for the one NDJSON handshake line.
     Handshake,
-    /// Decoding data frames into the input buffer until the end frame.
-    Ingest,
-    /// Encoding output units / the tail frame into the outbox.
-    Drain,
+    /// Reading frames, pushing them through the session's plan, and
+    /// encoding what it releases, until the end frame.
+    Stream,
     /// Pulling pre-serialized frames from a shared-stream hub.
     Subscribe,
     /// Nothing left to produce: flush the outbox, then close.
     Closing,
+    /// Reply flushed and write side shut: discarding what the peer
+    /// still sends until it closes or the budget is spent.
+    Linger,
     /// Closed (or handed off to a telemetry thread); terminal.
     Closed,
 }
 
 /// Live counter cells shared with the session-table row.
 struct ConnCounters {
-    frames_in: Arc<std::sync::atomic::AtomicU64>,
-    frames_out: Arc<std::sync::atomic::AtomicU64>,
-    bytes_out: Arc<std::sync::atomic::AtomicU64>,
-    encode_ns: Arc<std::sync::atomic::AtomicU64>,
-    blocked_write_ns: Arc<std::sync::atomic::AtomicU64>,
+    frames_in: Arc<AtomicU64>,
+    frames_out: Arc<AtomicU64>,
+    bytes_out: Arc<AtomicU64>,
+    encode_ns: Arc<AtomicU64>,
+    blocked_write_ns: Arc<AtomicU64>,
+    gauges: Arc<SessionGauges>,
 }
 
 impl ConnCounters {
     fn new() -> Self {
-        let zero = || Arc::new(std::sync::atomic::AtomicU64::new(0));
         ConnCounters {
-            frames_in: zero(),
-            frames_out: zero(),
-            bytes_out: zero(),
-            encode_ns: zero(),
-            blocked_write_ns: zero(),
+            frames_in: Arc::default(),
+            frames_out: Arc::default(),
+            bytes_out: Arc::default(),
+            encode_ns: Arc::default(),
+            blocked_write_ns: Arc::default(),
+            gauges: Arc::default(),
         }
     }
 
@@ -133,9 +170,15 @@ impl ConnCounters {
             bytes_out: Arc::clone(&self.bytes_out),
             encode_ns: Arc::clone(&self.encode_ns),
             blocked_write_ns: Arc::clone(&self.blocked_write_ns),
+            gauges: Arc::clone(&self.gauges),
         }
     }
 }
+
+/// What a session's plan has released and the reactor has not encoded
+/// yet: singletons or whole batches, in emission order (mirrors the
+/// `NetSink` framing rules).
+type Units = Arc<Mutex<VecDeque<Vec<StampedTuple>>>>;
 
 /// One connection's full state. Only ever touched under its slot mutex.
 struct Conn {
@@ -147,13 +190,20 @@ struct Conn {
     format: WireFormat,
     /// Session schema for NDJSON value coercion (`None` on binary).
     coerce_schema: Option<Schema>,
-    plan: Option<PhysicalPlan>,
-    input: Vec<Tuple>,
-    /// Output units not yet encoded: singletons or whole batches, in
-    /// emission order (mirrors the `NetSink` framing rules).
-    units: VecDeque<Vec<StampedTuple>>,
-    /// The encoded tail frame (report or error), queued after `units`.
-    tail: Option<Arc<[u8]>>,
+    /// The open plan of a `Stream`-phase session.
+    session: Option<StreamingSession>,
+    /// Where that plan's sink leaves its output (see [`CollectSink`]).
+    units: Units,
+    /// How the read side ended, once it has: nothing more will arrive.
+    read_end: Option<NetError>,
+    /// Parked because the outbox is full; the decoder may still hold
+    /// whole frames, so readability is not what this session waits for.
+    stalled: bool,
+    /// Close by [lingering](Phase::Linger): the peer was sent a reply
+    /// it may not have asked for yet (a rejection, an error frame).
+    linger: bool,
+    /// When a lingering close gives up on the peer.
+    linger_deadline: Option<Instant>,
     /// Whether this connection holds a capacity slot.
     counts_active: bool,
     /// Registered in the session table (row removed at close).
@@ -182,10 +232,12 @@ impl Conn {
             phase: Phase::Handshake,
             format: WireFormat::Ndjson,
             coerce_schema: None,
-            plan: None,
-            input: Vec::new(),
-            units: VecDeque::new(),
-            tail: None,
+            session: None,
+            units: Units::default(),
+            read_end: None,
+            stalled: false,
+            linger: false,
+            linger_deadline: None,
             counts_active,
             in_table: false,
             counters: ConnCounters::new(),
@@ -203,6 +255,16 @@ impl Conn {
         self.outbox.push(Arc::from(
             frame_bytes(&WireFrame::Line(line)).into_boxed_slice(),
         ));
+    }
+
+    /// Turns the peer away: the reason as a handshake reply, then a
+    /// lingering close (its handshake, or more, may still be unread).
+    fn reject(&mut self, shared: &Shared, reason: impl Into<String>) -> Step {
+        shared.counter("serve/sessions_rejected").inc();
+        self.queue_line(&HandshakeReply::rejected(reason));
+        self.phase = Phase::Closing;
+        self.linger = true;
+        Step::Park
     }
 }
 
@@ -263,6 +325,9 @@ struct Reactor {
     conns: Vec<Mutex<HashMap<u64, Arc<Slot>>>>,
     conn_count: AtomicUsize,
     queue: WorkQueue,
+    /// Lingering closes by deadline, oldest first (the timeout is one
+    /// constant, so arrival order is deadline order).
+    lingering: Mutex<VecDeque<(Instant, u64)>>,
     telemetry_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
@@ -297,6 +362,20 @@ impl Reactor {
             }
         }
     }
+
+    /// Hands lingering closes whose time is up to the workers: no
+    /// socket event will come for a peer that neither sends nor closes.
+    fn expire_lingering(&self) {
+        let now = Instant::now();
+        let mut lingering = self.lingering.lock();
+        while lingering
+            .front()
+            .is_some_and(|(deadline, _)| *deadline <= now)
+        {
+            let (_, token) = lingering.pop_front().expect("front checked above");
+            self.queue.push(token);
+        }
+    }
 }
 
 /// The server's event loop: accepts, polls, dispatches to workers,
@@ -322,6 +401,7 @@ pub(crate) fn run(server: &Server) -> Result<()> {
             .collect(),
         conn_count: AtomicUsize::new(0),
         queue: WorkQueue::new(),
+        lingering: Mutex::new(VecDeque::new()),
         telemetry_threads: Mutex::new(Vec::new()),
     });
     let worker_threads: Vec<_> = (0..workers)
@@ -351,6 +431,7 @@ pub(crate) fn run(server: &Server) -> Result<()> {
         if draining && rt.conn_count.load(Ordering::SeqCst) == 0 {
             break Ok(());
         }
+        rt.expire_lingering();
         events.clear();
         if let Err(e) = rt.poller.wait(&mut events, POLL_TIMEOUT_MS) {
             break Err(Error::config(format_args!("event poll failed: {e}")));
@@ -417,9 +498,7 @@ fn accept_one(rt: &Arc<Reactor>, server: &Server, sock: TcpStream) {
     let at_capacity = shared.active.load(Ordering::SeqCst) >= shared.max_sessions;
     let mut conn = Conn::new(id, sock, shared.max_frame_bytes, !at_capacity);
     let interest = if at_capacity {
-        shared.counter("serve/sessions_rejected").inc();
-        conn.queue_line(&HandshakeReply::rejected("server at capacity"));
-        conn.phase = Phase::Closing;
+        conn.reject(shared, "server at capacity");
         EPOLLOUT
     } else {
         shared.active.fetch_add(1, Ordering::SeqCst);
@@ -502,10 +581,10 @@ fn drive(rt: &Arc<Reactor>, slot: &Arc<Slot>, token: u64) {
     loop {
         let step = match conn.phase {
             Phase::Handshake => step_handshake(rt, slot, &mut conn),
-            Phase::Ingest => step_ingest(rt, &mut conn),
-            Phase::Drain => step_drain(rt, &mut conn),
+            Phase::Stream => step_stream(rt, &mut conn),
             Phase::Subscribe => step_subscribe(rt, &mut conn),
             Phase::Closing => Step::Park,
+            Phase::Linger => step_linger(rt, &mut conn),
             Phase::Closed => Step::Done,
         };
         match step {
@@ -517,7 +596,8 @@ fn drive(rt: &Arc<Reactor>, slot: &Arc<Slot>, token: u64) {
     drive_flush_and_rearm(rt, slot, &mut conn);
 }
 
-/// Common drive tail: push queued bytes, then close or re-arm.
+/// Common drive tail: push queued bytes, then close, re-queue or
+/// re-arm.
 fn drive_flush_and_rearm(rt: &Arc<Reactor>, slot: &Arc<Slot>, conn: &mut Conn) {
     if matches!(conn.phase, Phase::Closed) {
         return;
@@ -525,28 +605,34 @@ fn drive_flush_and_rearm(rt: &Arc<Reactor>, slot: &Arc<Slot>, conn: &mut Conn) {
     match conn.outbox.write_to(&mut &conn.sock) {
         Ok(true) => {
             if matches!(conn.phase, Phase::Closing) {
-                close_conn(rt, conn);
-                return;
+                if !conn.linger {
+                    close_conn(rt, conn);
+                    return;
+                }
+                begin_linger(rt, conn);
             }
         }
         Ok(false) => {
             conn.blocked_since = Some(Instant::now());
         }
         Err(_) => {
-            // The peer is gone; whatever we still owed it is moot. A
-            // session that had completed its plan now counts as failed
-            // on the wire (like the sink poison path); one that already
-            // failed keeps its original classification.
-            if matches!(conn.result, Some(SessionResult::Completed)) {
-                conn.result = Some(SessionResult::Failed { protocol: true });
-            }
-            close_conn(rt, conn);
+            peer_gone(rt, conn);
             return;
         }
     }
+    let stalled = std::mem::take(&mut conn.stalled);
+    if stalled && conn.outbox.pending() < OUTBOX_HIGH {
+        // The flush above made the room this session was waiting for,
+        // and what it would go on with is already in its decoder: no
+        // socket event need ever come.
+        rt.queue.push(conn.id);
+        return;
+    }
     let mut interest = match conn.phase {
-        Phase::Handshake | Phase::Ingest => EPOLLIN,
-        Phase::Drain | Phase::Closing => EPOLLOUT,
+        // Writability only: nothing more is read until there is room.
+        Phase::Stream if stalled => 0,
+        Phase::Handshake | Phase::Stream | Phase::Linger => EPOLLIN,
+        Phase::Closing => EPOLLOUT,
         // Subscribers watch for hangup; EPOLLOUT only while indebted —
         // otherwise a publisher kick re-arms the write side.
         Phase::Subscribe => EPOLLIN,
@@ -560,50 +646,67 @@ fn drive_flush_and_rearm(rt: &Arc<Reactor>, slot: &Arc<Slot>, conn: &mut Conn) {
     }
 }
 
-/// Reads everything available (up to the drive budget).
-struct ReadEnd {
-    eof: bool,
-    error: Option<NetError>,
+/// A write failed: the peer is gone, and whatever it was still owed is
+/// moot. A session that had completed its plan now counts as failed on
+/// the wire (like the sink poison path); one that already failed keeps
+/// its original classification.
+fn peer_gone(rt: &Arc<Reactor>, conn: &mut Conn) {
+    if matches!(conn.result, Some(SessionResult::Completed)) {
+        conn.result = Some(SessionResult::Failed { protocol: true });
+    }
+    close_conn(rt, conn);
 }
 
-fn read_available(conn: &mut Conn) -> ReadEnd {
-    let mut budget = READ_BUDGET;
-    let mut buf = [0u8; READ_CHUNK];
+/// What one `read(2)` brought.
+enum ReadChunk {
+    /// This many bytes.
+    Bytes(usize),
+    /// Nothing for now.
+    WouldBlock,
+    /// Nothing ever again: end of file ([`NetError::Disconnected`]) or
+    /// a socket error.
+    End(NetError),
+}
+
+/// One `read(2)` into `buf`.
+fn read_chunk(mut sock: &TcpStream, buf: &mut [u8]) -> ReadChunk {
     loop {
-        match (&conn.sock).read(&mut buf) {
-            Ok(0) => {
-                return ReadEnd {
-                    eof: true,
-                    error: None,
-                }
-            }
-            Ok(n) => {
-                conn.decoder.push(&buf[..n]);
-                budget = budget.saturating_sub(n);
-                if budget == 0 {
-                    // Yield the worker; the re-arm reports readiness
-                    // again immediately.
-                    return ReadEnd {
-                        eof: false,
-                        error: None,
-                    };
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                return ReadEnd {
-                    eof: false,
-                    error: None,
-                }
-            }
+        match sock.read(buf) {
+            Ok(0) => return ReadChunk::End(NetError::Disconnected),
+            Ok(n) => return ReadChunk::Bytes(n),
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return ReadChunk::WouldBlock,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => {
-                return ReadEnd {
-                    eof: false,
-                    error: Some(NetError::from_io(&e)),
-                }
-            }
+            Err(e) => return ReadChunk::End(NetError::from_io(&e)),
         }
     }
+}
+
+/// Reads one chunk into the connection's decoder.
+fn read_into_decoder(conn: &mut Conn) -> ReadChunk {
+    let mut buf = [0u8; READ_CHUNK];
+    let read = read_chunk(&conn.sock, &mut buf);
+    if let ReadChunk::Bytes(n) = read {
+        conn.decoder.push(&buf[..n]);
+        conn.counters
+            .gauges
+            .input_hwm
+            .fetch_max(conn.decoder.buffered() as u64, Ordering::Relaxed);
+    }
+    read
+}
+
+/// Reads everything available, up to the drive budget; `Some` once the
+/// read side has ended.
+fn read_available(conn: &mut Conn) -> Option<NetError> {
+    let mut budget = READ_BUDGET;
+    while budget > 0 {
+        match read_into_decoder(conn) {
+            ReadChunk::Bytes(n) => budget = budget.saturating_sub(n),
+            ReadChunk::WouldBlock => break,
+            ReadChunk::End(e) => return Some(e),
+        }
+    }
+    None
 }
 
 // ---------------------------------------------------------------------
@@ -612,11 +715,11 @@ fn read_available(conn: &mut Conn) -> ReadEnd {
 
 fn step_handshake(rt: &Arc<Reactor>, slot: &Arc<Slot>, conn: &mut Conn) -> Step {
     let shared = Arc::clone(&rt.shared);
-    let end = read_available(conn);
+    conn.read_end = read_available(conn);
     let frame = match conn.decoder.next() {
         Ok(Some(frame)) => frame,
         Ok(None) => {
-            if end.eof || end.error.is_some() {
+            if conn.read_end.is_some() {
                 // Disconnected before (or instead of) a handshake line.
                 shared.counter("serve/sessions_rejected").inc();
                 close_conn(rt, conn);
@@ -626,10 +729,7 @@ fn step_handshake(rt: &Arc<Reactor>, slot: &Arc<Slot>, conn: &mut Conn) -> Step 
         }
         Err(e) => {
             shared.counter("serve/protocol_errors").inc();
-            shared.counter("serve/sessions_rejected").inc();
-            conn.queue_line(&HandshakeReply::rejected(format!("bad handshake: {e}")));
-            conn.phase = Phase::Closing;
-            return Step::Park;
+            return conn.reject(&shared, format!("bad handshake: {e}"));
         }
     };
     let WireFrame::Line(line) = frame else {
@@ -639,10 +739,7 @@ fn step_handshake(rt: &Arc<Reactor>, slot: &Arc<Slot>, conn: &mut Conn) -> Step 
         Ok(hs) => hs,
         Err(e) => {
             shared.counter("serve/protocol_errors").inc();
-            shared.counter("serve/sessions_rejected").inc();
-            conn.queue_line(&HandshakeReply::rejected(format!("bad handshake: {e}")));
-            conn.phase = Phase::Closing;
-            return Step::Park;
+            return conn.reject(&shared, format!("bad handshake: {e}"));
         }
     };
 
@@ -650,30 +747,28 @@ fn step_handshake(rt: &Arc<Reactor>, slot: &Arc<Slot>, conn: &mut Conn) -> Step 
         None | Some("pollute") => open_pollute(&shared, conn, &hs),
         Some("telemetry") => open_telemetry(rt, &shared, slot, conn, &hs),
         Some("subscribe") => open_subscribe(&shared, conn, &hs),
-        Some(other) => {
-            shared.counter("serve/sessions_rejected").inc();
-            conn.queue_line(&HandshakeReply::rejected(format!(
-                "unknown session type `{other}` (expected pollute, subscribe, or telemetry)"
-            )));
-            conn.phase = Phase::Closing;
-            Step::Park
-        }
+        Some(other) => conn.reject(
+            &shared,
+            format!("unknown session type `{other}` (expected pollute, subscribe, or telemetry)"),
+        ),
     }
 }
 
 fn open_pollute(shared: &Arc<Shared>, conn: &mut Conn, hs: &Handshake) -> Step {
     let (mut plan, format) = match crate::server::resolve(hs, &shared.plans) {
         Ok(resolved) => resolved,
-        Err(reason) => {
-            shared.counter("serve/sessions_rejected").inc();
-            conn.queue_line(&HandshakeReply::rejected(reason));
-            conn.phase = Phase::Closing;
-            return Step::Park;
-        }
+        Err(reason) => return conn.reject(shared, reason),
     };
     // Checkpointing plans get a per-session WAL subdirectory: sessions
     // sharing a checkpoint dir must not overwrite each other's WAL.
     plan.scope_checkpoint_dir(&format!("session_{}", conn.id));
+    let sink = CollectSink {
+        units: Arc::clone(&conn.units),
+    };
+    let session = match plan.open_streaming(sink) {
+        Ok(session) => session,
+        Err(e) => return conn.reject(shared, format!("plan cannot start: {e}")),
+    };
 
     // Publisher registration (shared-stream fan-out).
     if let Some(name) = &hs.stream {
@@ -687,12 +782,7 @@ fn open_pollute(shared: &Arc<Shared>, conn: &mut Conn, hs: &Handshake) -> Step {
         {
             let mut state = hub.lock();
             if state.has_publisher {
-                shared.counter("serve/sessions_rejected").inc();
-                conn.queue_line(&HandshakeReply::rejected(format!(
-                    "stream `{name}` already has a publisher"
-                )));
-                conn.phase = Phase::Closing;
-                return Step::Park;
+                return conn.reject(shared, format!("stream `{name}` already has a publisher"));
             }
             state.has_publisher = true;
             state.format = Some(format);
@@ -716,10 +806,10 @@ fn open_pollute(shared: &Arc<Shared>, conn: &mut Conn, hs: &Handshake) -> Step {
         WireFormat::Ndjson => Some(plan.schema().clone()),
         WireFormat::Binary => None,
     };
-    conn.plan = Some(plan);
+    conn.session = Some(session);
     conn.format = format;
     conn.decoder.set_format(format);
-    conn.phase = Phase::Ingest;
+    conn.phase = Phase::Stream;
     // Re-enter the loop: frames the client pipelined behind its
     // handshake are already sitting in the decoder.
     Step::Continue
@@ -728,20 +818,10 @@ fn open_pollute(shared: &Arc<Shared>, conn: &mut Conn, hs: &Handshake) -> Step {
 fn open_subscribe(shared: &Arc<Shared>, conn: &mut Conn, hs: &Handshake) -> Step {
     let format = match hs.wire_format() {
         Ok(format) => format,
-        Err(reason) => {
-            shared.counter("serve/sessions_rejected").inc();
-            conn.queue_line(&HandshakeReply::rejected(reason));
-            conn.phase = Phase::Closing;
-            return Step::Park;
-        }
+        Err(reason) => return conn.reject(shared, reason),
     };
     let Some(name) = &hs.stream else {
-        shared.counter("serve/sessions_rejected").inc();
-        conn.queue_line(&HandshakeReply::rejected(
-            "subscribe sessions must name a `stream`",
-        ));
-        conn.phase = Phase::Closing;
-        return Step::Park;
+        return conn.reject(shared, "subscribe sessions must name a `stream`");
     };
     let hub = Arc::clone(
         shared
@@ -776,12 +856,7 @@ fn open_telemetry(
 ) -> Step {
     let format = match hs.wire_format() {
         Ok(format) => format,
-        Err(reason) => {
-            shared.counter("serve/sessions_rejected").inc();
-            conn.queue_line(&HandshakeReply::rejected(reason));
-            conn.phase = Phase::Closing;
-            return Step::Park;
-        }
+        Err(reason) => return conn.reject(shared, reason),
     };
     // Flush anything queued (nothing, normally) plus the acceptance
     // reply on a blocking socket, then hand the stream to the thread.
@@ -828,55 +903,175 @@ fn release_active(shared: &Arc<Shared>, conn: &mut Conn) {
 }
 
 // ---------------------------------------------------------------------
-// Ingest → execute
+// Stream: read → decode → push → encode, one frame at a time
 // ---------------------------------------------------------------------
 
-fn step_ingest(rt: &Arc<Reactor>, conn: &mut Conn) -> Step {
-    let end = read_available(conn);
-    loop {
-        match conn.decoder.next() {
-            Ok(Some(frame)) => {
-                let poll = decode_client_frame(frame).map(|poll| match poll {
-                    NetPoll::Record(t) => match &conn.coerce_schema {
-                        Some(schema) => NetPoll::Record(coerce_tuple(schema, t)),
-                        None => NetPoll::Record(t),
-                    },
-                    NetPoll::Batch(batch) => match &conn.coerce_schema {
-                        Some(schema) => NetPoll::Batch(
-                            batch.into_iter().map(|t| coerce_tuple(schema, t)).collect(),
-                        ),
-                        None => NetPoll::Batch(batch),
-                    },
-                    end => end,
-                });
-                match poll {
-                    Ok(NetPoll::Record(t)) => {
-                        conn.input.push(t);
-                        conn.counters.frames_in.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Ok(NetPoll::Batch(batch)) => {
-                        conn.input.extend(batch);
-                        conn.counters.frames_in.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Ok(NetPoll::End) => return execute(rt, conn),
-                    Err(e) => return fail_ingest(rt, conn, e),
-                }
-            }
-            Ok(None) => break,
-            Err(e) => return fail_ingest(rt, conn, e),
-        }
-    }
-    if let Some(e) = end.error {
-        return fail_ingest(rt, conn, e);
-    }
-    if end.eof {
-        return fail_ingest(rt, conn, NetError::Disconnected);
-    }
-    Step::Park
+/// The sink of a session's plan: leaves pipeline output in the
+/// connection's [`Units`] queue, preserving transport batch boundaries
+/// so the framing mirrors the `NetSink` rules (singletons → per-record
+/// frames, real batches → columnar frames). The reactor empties the
+/// queue after every frame it pushes; behind a lock because a threaded
+/// plan's sink runs on the plan's own thread.
+struct CollectSink {
+    units: Units,
 }
 
-/// A typed transport failure while ingesting: answer with the same
-/// error frame the poisoned `NetSource` path produced.
+impl Sink<StampedTuple> for CollectSink {
+    fn write(&mut self, record: StampedTuple) {
+        self.units.lock().push_back(vec![record]);
+    }
+
+    fn write_batch(&mut self, batch: Vec<StampedTuple>) {
+        if !batch.is_empty() {
+            self.units.lock().push_back(batch);
+        }
+    }
+}
+
+fn step_stream(rt: &Arc<Reactor>, conn: &mut Conn) -> Step {
+    let mut budget = READ_BUDGET;
+    // The outbox level at which the next write is due.
+    let mut write_at = WRITE_CHUNK;
+    loop {
+        // Run what is decoded through the plan, while its output has
+        // somewhere to go.
+        loop {
+            if conn.outbox.pending() >= write_at.min(OUTBOX_HIGH) {
+                if conn.outbox.write_to(&mut &conn.sock).is_err() {
+                    peer_gone(rt, conn);
+                    return Step::Done;
+                }
+                if conn.outbox.pending() >= OUTBOX_HIGH {
+                    conn.stalled = true;
+                    return Step::Park;
+                }
+                // Whatever the socket would not take waits for another
+                // chunk's worth of company.
+                write_at = conn.outbox.pending() + WRITE_CHUNK;
+            }
+            match conn.decoder.next() {
+                Ok(Some(frame)) => match feed(rt, conn, frame) {
+                    Ok(true) => {}
+                    Ok(false) => return Step::Continue,
+                    Err(e) => return fail_ingest(rt, conn, e),
+                },
+                Ok(None) => break,
+                Err(e) => return fail_ingest(rt, conn, e),
+            }
+        }
+        // The decoder needs more bytes.
+        if let Some(e) = conn.read_end.take() {
+            return fail_ingest(rt, conn, e);
+        }
+        if budget == 0 {
+            // Quantum spent: yield the worker; the re-arm reports
+            // readiness again immediately.
+            return Step::Park;
+        }
+        match read_into_decoder(conn) {
+            ReadChunk::Bytes(n) => budget = budget.saturating_sub(n),
+            ReadChunk::WouldBlock => return Step::Park,
+            // What is already buffered may still hold the end frame.
+            ReadChunk::End(e) => conn.read_end = Some(e),
+        }
+    }
+}
+
+/// Runs one client frame through the session's plan and encodes what
+/// that released. `Ok(false)` once the session is over (the end frame,
+/// or a failure inside the plan) and its tail frame is queued.
+fn feed(
+    rt: &Arc<Reactor>,
+    conn: &mut Conn,
+    frame: WireFrame,
+) -> std::result::Result<bool, NetError> {
+    let session = conn
+        .session
+        .as_mut()
+        .expect("a streaming session has an open plan");
+    let schema = conn.coerce_schema.as_ref();
+    let typed = |t: Tuple| match schema {
+        Some(schema) => coerce_tuple(schema, t),
+        None => t,
+    };
+    match decode_client_frame(frame)? {
+        NetPoll::Record(t) => session.push(typed(t)),
+        NetPoll::Batch(batch) => {
+            for t in batch {
+                session.push(typed(t));
+            }
+        }
+        NetPoll::End => {
+            finish_session(rt, conn);
+            return Ok(false);
+        }
+    }
+    conn.counters.frames_in.fetch_add(1, Ordering::Relaxed);
+    if session.is_failed() {
+        finish_session(rt, conn);
+        return Ok(false);
+    }
+    emit_units(rt, conn);
+    Ok(true)
+}
+
+/// Encodes everything the plan has released into the outbox (and the
+/// hub, for a publisher).
+fn emit_units(rt: &Arc<Reactor>, conn: &mut Conn) {
+    let units = std::mem::take(&mut *conn.units.lock());
+    if units.is_empty() {
+        return;
+    }
+    let rows: usize = units.iter().map(Vec::len).sum();
+    let gauges = &conn.counters.gauges;
+    gauges.units_hwm.fetch_max(rows as u64, Ordering::Relaxed);
+    for unit in units {
+        let bytes = encode_unit(conn, &unit);
+        publish_frame(rt, conn, &bytes, false);
+        conn.outbox.push(bytes);
+    }
+    let gauges = &conn.counters.gauges;
+    gauges
+        .outbox_hwm
+        .fetch_max(conn.outbox.pending() as u64, Ordering::Relaxed);
+}
+
+/// The stream is over: flush the plan, send what that released, then
+/// the report — or, when the plan failed, the error frame instead.
+fn finish_session(rt: &Arc<Reactor>, conn: &mut Conn) {
+    let session = conn
+        .session
+        .take()
+        .expect("a streaming session has an open plan");
+    let outcome = session.finish();
+    emit_units(rt, conn);
+    match outcome {
+        Ok(report) => {
+            let tail: Arc<[u8]> = Arc::from(
+                frame_bytes(&encode_report_frame(&report, conn.format)).into_boxed_slice(),
+            );
+            publish_frame(rt, conn, &tail, true);
+            conn.outbox.push(tail);
+            conn.result = Some(SessionResult::Completed);
+            conn.phase = Phase::Closing;
+        }
+        Err(error) => {
+            let (stage, kind, message) = match error {
+                Error::Pipeline {
+                    stage,
+                    kind,
+                    message,
+                } => (stage, kind, message),
+                other => ("session".into(), "fatal".into(), other.to_string()),
+            };
+            fail_session(rt, conn, &stage, &kind, message, None);
+        }
+    }
+}
+
+/// A typed transport failure mid-stream: answer with the same error
+/// frame the poisoned `NetSource` path produces. What the client has
+/// been sent so far is a prefix of the session's output.
 fn fail_ingest(rt: &Arc<Reactor>, conn: &mut Conn, e: NetError) -> Step {
     fail_session(
         rt,
@@ -889,7 +1084,9 @@ fn fail_ingest(rt: &Arc<Reactor>, conn: &mut Conn, e: NetError) -> Step {
     Step::Continue
 }
 
-/// Queues the tail error frame and records the failure.
+/// Queues the tail error frame and records the failure. A plan still
+/// open is abandoned: poisoned, its workers joined, its unsent output
+/// dropped.
 fn fail_session(
     rt: &Arc<Reactor>,
     conn: &mut Conn,
@@ -907,73 +1104,15 @@ fn fail_session(
     conn.result = Some(SessionResult::Failed {
         protocol: protocol.is_some(),
     });
-    conn.units.clear();
+    drop(conn.session.take());
+    conn.units.lock().clear();
     let bytes: Arc<[u8]> =
         Arc::from(frame_bytes(&encode_error_frame(&frame, conn.format)).into_boxed_slice());
     publish_frame(rt, conn, &bytes, true);
     conn.outbox.push(bytes);
-    conn.tail = None;
     conn.phase = Phase::Closing;
+    conn.linger = true;
 }
-
-/// Collects pipeline output while preserving transport batch
-/// boundaries, so drain-side framing mirrors the `NetSink` rules
-/// (singletons → per-record frames, real batches → columnar frames).
-#[derive(Clone)]
-struct CollectSink {
-    units: Arc<Mutex<VecDeque<Vec<StampedTuple>>>>,
-}
-
-impl Sink<StampedTuple> for CollectSink {
-    fn write(&mut self, record: StampedTuple) {
-        self.units.lock().push_back(vec![record]);
-    }
-
-    fn write_batch(&mut self, batch: Vec<StampedTuple>) {
-        if !batch.is_empty() {
-            self.units.lock().push_back(batch);
-        }
-    }
-}
-
-/// The end frame arrived: run the buffered input through the *same*
-/// execution path offline runs use, then switch to draining the
-/// collected output.
-fn execute(rt: &Arc<Reactor>, conn: &mut Conn) -> Step {
-    let plan = conn.plan.take().expect("an ingesting session has a plan");
-    let input = std::mem::take(&mut conn.input);
-    let units = Arc::new(Mutex::new(VecDeque::new()));
-    let sink = CollectSink {
-        units: Arc::clone(&units),
-    };
-    let outcome = plan.execute_streaming(VecSource::new(input), sink);
-    match outcome {
-        Ok(report) => {
-            conn.units = std::mem::take(&mut units.lock());
-            conn.tail = Some(Arc::from(
-                frame_bytes(&encode_report_frame(&report, conn.format)).into_boxed_slice(),
-            ));
-            conn.result = Some(SessionResult::Completed);
-            conn.phase = Phase::Drain;
-        }
-        Err(error) => {
-            let (stage, kind, message) = match error {
-                Error::Pipeline {
-                    stage,
-                    kind,
-                    message,
-                } => (stage, kind, message),
-                other => ("session".into(), "fatal".into(), other.to_string()),
-            };
-            fail_session(rt, conn, &stage, &kind, message, None);
-        }
-    }
-    Step::Continue
-}
-
-// ---------------------------------------------------------------------
-// Drain (and pre-serialized fan-out)
-// ---------------------------------------------------------------------
 
 /// Encodes one output unit to wire bytes, counting frames/bytes and
 /// (sampled) encode time.
@@ -1022,38 +1161,6 @@ fn publish_frame(rt: &Arc<Reactor>, conn: &mut Conn, bytes: &Arc<[u8]>, done: bo
     }
 }
 
-fn step_drain(rt: &Arc<Reactor>, conn: &mut Conn) -> Step {
-    loop {
-        // Top up the outbox to the high-water mark.
-        while conn.outbox.pending() < OUTBOX_HIGH {
-            if let Some(unit) = conn.units.pop_front() {
-                let bytes = encode_unit(conn, &unit);
-                publish_frame(rt, conn, &bytes, false);
-                conn.outbox.push(bytes);
-            } else if let Some(tail) = conn.tail.take() {
-                publish_frame(rt, conn, &tail, true);
-                conn.outbox.push(tail);
-            } else {
-                // Everything encoded: the generic flush-then-close path
-                // takes it from here.
-                conn.phase = Phase::Closing;
-                return Step::Park;
-            }
-        }
-        match conn.outbox.write_to(&mut &conn.sock) {
-            Ok(true) => continue,
-            Ok(false) => return Step::Park,
-            Err(_) => {
-                if matches!(conn.result, Some(SessionResult::Completed)) {
-                    conn.result = Some(SessionResult::Failed { protocol: true });
-                }
-                close_conn(rt, conn);
-                return Step::Done;
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Subscribe
 // ---------------------------------------------------------------------
@@ -1061,11 +1168,11 @@ fn step_drain(rt: &Arc<Reactor>, conn: &mut Conn) -> Step {
 fn step_subscribe(rt: &Arc<Reactor>, conn: &mut Conn) -> Step {
     // A subscriber never sends data frames; consume (and discard) any
     // bytes so hangup is observable through the read side.
-    let end = read_available(conn);
+    let ended = read_available(conn);
     if conn.decoder.buffered() > 0 {
         let _ = conn.decoder.take_residual();
     }
-    if end.eof || end.error.is_some() {
+    if ended.is_some() {
         conn.result = Some(SessionResult::Failed { protocol: true });
         close_conn(rt, conn);
         return Step::Done;
@@ -1119,15 +1226,46 @@ fn step_subscribe(rt: &Arc<Reactor>, conn: &mut Conn) -> Step {
 // Close
 // ---------------------------------------------------------------------
 
-/// Final bookkeeping for one connection: result counters, global frame
-/// counters, session-table row, capacity slot, hub detach, epoll
-/// deregistration. Safe to call from any phase; idempotent via the
-/// `Closed` phase.
-fn close_conn(rt: &Arc<Reactor>, conn: &mut Conn) {
-    if matches!(conn.phase, Phase::Closed) {
-        return;
+/// The reply is on the wire: account for the session now, shut the
+/// write side so the peer reads end of file behind the reply, and keep
+/// the read side open until the peer is done sending.
+fn begin_linger(rt: &Arc<Reactor>, conn: &mut Conn) {
+    settle(rt, conn);
+    let _ = conn.sock.shutdown(std::net::Shutdown::Write);
+    let deadline = Instant::now() + LINGER_TIMEOUT;
+    conn.linger_deadline = Some(deadline);
+    conn.phase = Phase::Linger;
+    rt.lingering.lock().push_back((deadline, conn.id));
+}
+
+/// Reads and discards until the peer closes, or has sent
+/// [`LINGER_BYTES`], or [`LINGER_TIMEOUT`] has passed.
+fn step_linger(rt: &Arc<Reactor>, conn: &mut Conn) -> Step {
+    let mut buf = [0u8; READ_CHUNK];
+    let mut discarded = 0;
+    let peer_done = loop {
+        match read_chunk(&conn.sock, &mut buf) {
+            ReadChunk::Bytes(n) => {
+                discarded += n;
+                if discarded >= LINGER_BYTES {
+                    break true;
+                }
+            }
+            ReadChunk::WouldBlock => break false,
+            ReadChunk::End(_) => break true,
+        }
+    };
+    if peer_done || conn.linger_deadline.is_some_and(|d| d <= Instant::now()) {
+        close_conn(rt, conn);
+        return Step::Done;
     }
-    conn.phase = Phase::Closed;
+    Step::Park
+}
+
+/// Final bookkeeping for one session: result counters, global frame
+/// counters, session-table row, capacity slot, hub detach. Runs once,
+/// when the session's last byte has been written or its peer is gone.
+fn settle(rt: &Arc<Reactor>, conn: &mut Conn) {
     let shared = Arc::clone(&rt.shared);
 
     match conn.result.take() {
@@ -1142,8 +1280,8 @@ fn close_conn(rt: &Arc<Reactor>, conn: &mut Conn) {
         }
         None => {}
     }
-    let frames_in = conn.counters.frames_in.load(Ordering::Relaxed);
-    let frames_out = conn.counters.frames_out.load(Ordering::Relaxed);
+    let frames_in = conn.counters.frames_in.swap(0, Ordering::Relaxed);
+    let frames_out = conn.counters.frames_out.swap(0, Ordering::Relaxed);
     if frames_in > 0 {
         shared.counter("serve/frames_in").add(frames_in);
     }
@@ -1155,6 +1293,9 @@ fn close_conn(rt: &Arc<Reactor>, conn: &mut Conn) {
         shared.remove_session(conn.id);
     }
     release_active(&shared, conn);
+    // A plan abandoned mid-stream (peer gone): poison it, join its
+    // workers.
+    drop(conn.session.take());
 
     // Publisher: seal the hub (synthesizing a failure frame if the
     // stream never completed) and retire the name.
@@ -1202,7 +1343,17 @@ fn close_conn(rt: &Arc<Reactor>, conn: &mut Conn) {
             }
         }
     }
+}
 
+/// Closes one connection: [`settle`]s it if that is still to do, then
+/// epoll deregistration and the socket. Safe to call from any phase;
+/// idempotent via the `Closed` phase.
+fn close_conn(rt: &Arc<Reactor>, conn: &mut Conn) {
+    if matches!(conn.phase, Phase::Closed) {
+        return;
+    }
+    conn.phase = Phase::Closed;
+    settle(rt, conn);
     let _ = rt.poller.deregister(conn.sock.as_raw_fd());
     let _ = conn.sock.shutdown(std::net::Shutdown::Both);
     rt.remove(conn.id);

@@ -10,21 +10,25 @@
 //! `reactor` module):
 //! one epoll loop watches every socket and a worker pool sized to cores
 //! drives per-connection state machines, so thousands of concurrent
-//! sessions cost file descriptors and buffered bytes, not threads. A
-//! session buffers its decoded input and, at the end frame, runs the
-//! identical offline execution path — served output is byte-identical
-//! to offline by construction. Per-session memory during ingest is
-//! O(stream), the same order the engine's sorter already holds.
+//! sessions cost file descriptors and bounded windows, not threads. A
+//! session executes while it uploads: its plan is opened at handshake
+//! and every decoded frame is pushed through it at once, through the
+//! same topology and the same source step an offline run uses — served
+//! output is byte-identical to offline by construction. Per-session
+//! memory is O(window): a read chunk, an outbox window, and what the
+//! plan itself holds (one watermark period per sub-stream, plus the
+//! tuples a delay polluter keeps back) — whatever the session's length.
 //! Elsewhere the server falls back to the original thread-per-session
 //! blocking driver in this module.
 //!
-//! Backpressure: a client that stops reading parks its session's state
-//! machine on write readiness (event-driven) or blocks its driver
-//! thread (fallback); either way only that session slows down. A
-//! protocol error (malformed frame, oversized frame, mid-stream
-//! disconnect) fails only the offending session, which replies with an
-//! error frame naming the failure kind and transport code; every other
-//! session is untouched.
+//! Backpressure: a client that stops reading is not read from either —
+//! its session parks on write readiness (event-driven) or blocks its
+//! driver thread (fallback), and TCP flow control throttles its
+//! upload; either way only that session slows down. A protocol error
+//! (malformed frame, oversized frame, mid-stream disconnect) fails
+//! only the offending session: what it has been sent so far is a
+//! prefix of its output, and an error frame naming the failure kind
+//! and transport code follows; every other session is untouched.
 //!
 //! The [`PlanCatalog`] is immutable behind the shared `Arc` — plan
 //! lookups at handshake time are lock-free reads. The per-session
@@ -116,6 +120,20 @@ pub(crate) struct SessionHandles {
     pub(crate) bytes_out: Arc<AtomicU64>,
     pub(crate) encode_ns: Arc<AtomicU64>,
     pub(crate) blocked_write_ns: Arc<AtomicU64>,
+    pub(crate) gauges: Arc<SessionGauges>,
+}
+
+/// High-water marks of what the server has held for one session at any
+/// one time — the three places a client's behaviour could make it hold
+/// more. All stay zero on sessions the event-driven core does not run.
+#[derive(Default)]
+pub(crate) struct SessionGauges {
+    /// Bytes read from the socket and not yet decoded.
+    pub(crate) input_hwm: AtomicU64,
+    /// Rows the plan had released and the server not yet encoded.
+    pub(crate) units_hwm: AtomicU64,
+    /// Encoded bytes queued for the socket.
+    pub(crate) outbox_hwm: AtomicU64,
 }
 
 impl SessionHandles {
@@ -129,6 +147,7 @@ impl SessionHandles {
             bytes_out: Arc::new(AtomicU64::new(0)),
             encode_ns: Arc::new(AtomicU64::new(0)),
             blocked_write_ns: Arc::new(AtomicU64::new(0)),
+            gauges: Arc::default(),
         }
     }
 }
@@ -217,6 +236,9 @@ impl Shared {
                         bytes_out: h.bytes_out.load(Ordering::Relaxed),
                         encode_ns: h.encode_ns.load(Ordering::Relaxed),
                         blocked_write_ns: h.blocked_write_ns.load(Ordering::Relaxed),
+                        input_hwm_bytes: h.gauges.input_hwm.load(Ordering::Relaxed),
+                        queued_hwm_rows: h.gauges.units_hwm.load(Ordering::Relaxed),
+                        outbox_hwm_bytes: h.gauges.outbox_hwm.load(Ordering::Relaxed),
                     })
                     .collect::<Vec<_>>()
             })
@@ -655,6 +677,7 @@ fn run_session(stream: TcpStream, shared: &Shared, session_id: u64) {
             bytes_out: sink.bytes_out_handle(),
             encode_ns: sink.encode_ns_handle(),
             blocked_write_ns: sink.blocked_write_ns_handle(),
+            gauges: Arc::default(),
         },
     );
 

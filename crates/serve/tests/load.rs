@@ -468,3 +468,382 @@ fn handshake_and_frames_survive_byte_by_byte_delivery() {
     assert!(saw_report, "server closed without a report frame");
     assert_eq!(served.len(), offline.polluted.len());
 }
+
+// ---------------------------------------------------------------------
+// Incremental, bounded, and not deadlock-prone
+// ---------------------------------------------------------------------
+
+/// Runs `body` on a thread of its own and fails the test if it has not
+/// returned within two minutes: these tests guard against hangs.
+fn watchdogged(body: impl FnOnce() + Send + 'static) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        body();
+        let _ = tx.send(());
+    });
+    match rx.recv_timeout(Duration::from_secs(120)) {
+        Ok(()) => worker.join().unwrap(),
+        // The body panicked: surface its message.
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(worker.join().unwrap_err())
+        }
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("hung for two minutes"),
+    }
+}
+
+mod raw {
+    //! A protocol peer in two halves, so a test decides by itself when
+    //! to write and when to read.
+
+    use icewafl_serve::protocol::{
+        decode_server_frame, encode_end_frame, encode_tuple_columns_frame, encode_tuple_frame,
+        ServerEvent,
+    };
+    use icewafl_serve::{Handshake, SessionErrorFrame};
+    use icewafl_stream::net::{frame_bytes, FrameReader, WireFormat};
+    use icewafl_types::{StampedTuple, Tuple};
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+
+    /// Rows per upload frame on binary sessions.
+    pub const FRAME_ROWS: usize = 512;
+
+    pub struct Peer {
+        pub stream: TcpStream,
+        pub reader: FrameReader<BufReader<TcpStream>>,
+        pub format: WireFormat,
+    }
+
+    /// What a session sent back, up to and including its tail frame.
+    #[derive(Default)]
+    pub struct Received {
+        pub tuples: Vec<StampedTuple>,
+        pub report: Option<Box<icewafl_core::report::RunReport>>,
+        pub error: Option<SessionErrorFrame>,
+    }
+
+    /// The wire bytes of `tuples` as upload frames (end frame excluded).
+    pub fn upload(tuples: &[Tuple], format: WireFormat) -> Vec<u8> {
+        match format {
+            WireFormat::Binary => tuples
+                .chunks(FRAME_ROWS)
+                .flat_map(|chunk| frame_bytes(&encode_tuple_columns_frame(chunk)))
+                .collect(),
+            WireFormat::Ndjson => tuples
+                .iter()
+                .flat_map(|t| frame_bytes(&encode_tuple_frame(t, format)))
+                .collect(),
+        }
+    }
+
+    pub fn end(format: WireFormat) -> Vec<u8> {
+        frame_bytes(&encode_end_frame(format))
+    }
+
+    impl Peer {
+        /// Connects and handshakes; the session is open on return.
+        pub fn open(addr: &str, hs: &Handshake) -> Peer {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.set_nodelay(true).unwrap();
+            stream
+                .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+                .unwrap();
+            let mut line = serde_json::to_string(hs).unwrap();
+            line.push('\n');
+            stream.write_all(line.as_bytes()).unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            assert!(reply.contains("\"ok\":true"), "handshake failed: {reply}");
+            let format = hs.wire_format().unwrap();
+            Peer {
+                stream,
+                reader: FrameReader::new(reader, format, 1 << 20),
+                format,
+            }
+        }
+
+        pub fn send(&mut self, bytes: &[u8]) {
+            self.stream.write_all(bytes).unwrap();
+        }
+
+        /// Reads frames into `got` until `stop` says so or the tail
+        /// frame arrives; `false` when the server closed instead.
+        pub fn read_until(
+            &mut self,
+            got: &mut Received,
+            mut stop: impl FnMut(&Received) -> bool,
+        ) -> bool {
+            while !stop(got) {
+                let Some(frame) = self.reader.read().unwrap() else {
+                    return false;
+                };
+                match decode_server_frame(frame).unwrap() {
+                    ServerEvent::Tuple(t) => got.tuples.push(t),
+                    ServerEvent::Batch(batch) => got.tuples.extend(batch),
+                    ServerEvent::Report(report) => {
+                        got.report = Some(report);
+                        return true;
+                    }
+                    ServerEvent::Error(error) => {
+                        got.error = Some(error);
+                        return true;
+                    }
+                    ServerEvent::Telemetry(_) => panic!("telemetry in a pollute session"),
+                }
+            }
+            true
+        }
+
+        /// Whether nothing but end of file follows.
+        pub fn at_eof(&mut self) -> bool {
+            matches!(self.reader.read(), Ok(None))
+        }
+    }
+
+    /// Coerces NDJSON-decoded output back to the schema's column types,
+    /// as the reference client does.
+    pub fn coerced(schema: &icewafl_types::Schema, tuples: Vec<StampedTuple>) -> Vec<StampedTuple> {
+        tuples
+            .into_iter()
+            .map(|mut t| {
+                t.tuple = icewafl_serve::protocol::coerce_tuple(schema, t.tuple);
+                t
+            })
+            .collect()
+    }
+}
+
+fn offline_of(plan: &LogicalPlan, input: &[Tuple]) -> Vec<icewafl_types::StampedTuple> {
+    plan.compile(&schema())
+        .unwrap()
+        .execute(input.to_vec())
+        .unwrap()
+        .polluted
+}
+
+/// A client may hold its end frame back until it has seen output: the
+/// session executes while it uploads. Before that, this waited forever
+/// — the server answered only after the last input byte.
+#[test]
+fn interactive_client_reads_output_before_it_ends_its_upload() {
+    watchdogged(|| {
+        let input = tuples(2_000);
+        let offline = offline_of(&plan(42), &input);
+        let server = TestServer::start(ServeConfig::default());
+        for format in ["binary", "ndjson"] {
+            let mut peer = raw::Peer::open(&server.addr(), &handshake(format));
+            peer.send(&raw::upload(&input, peer.format));
+            let mut got = raw::Received::default();
+            assert!(peer.read_until(&mut got, |got| !got.tuples.is_empty()));
+            assert!(got.report.is_none(), "{format}: no end frame sent yet");
+            peer.send(&raw::end(peer.format));
+            assert!(peer.read_until(&mut got, |_| false));
+            assert!(got.report.is_some(), "{format}: {:?}", got.error);
+            let served = match format {
+                "ndjson" => raw::coerced(&schema(), got.tuples),
+                _ => got.tuples,
+            };
+            assert_eq!(served, offline, "{format}");
+        }
+    });
+}
+
+/// A client that uploads without reading is throttled, not buffered:
+/// the server stops reading it once its outbox is full, holds no more
+/// than its fixed windows for it, and serves its neighbours meanwhile.
+#[test]
+fn firehose_that_does_not_read_is_throttled_next_to_its_neighbours() {
+    // The reactor's constants, as the module docs state them.
+    const READ_BUDGET: u64 = 1 << 20;
+    const OUTBOX_HIGH: u64 = 256 * 1024;
+    const WATERMARK_PERIOD: u64 = 64;
+
+    watchdogged(|| {
+        let input = tuples(300_000);
+        let neighbour_input = tuples(200);
+        let neighbour_offline =
+            serde_json::to_string(&offline_of(&plan(42), &neighbour_input)).unwrap();
+        let server = TestServer::start(ServeConfig {
+            max_sessions: 8,
+            telemetry_interval_ms: 20,
+            ..ServeConfig::default()
+        });
+        let addr = server.addr();
+
+        let mut firehose = raw::Peer::open(&addr, &handshake("binary"));
+        let upload = raw::upload(&input, firehose.format);
+        let frame_bytes = (upload.len() / input.len().div_ceil(raw::FRAME_ROWS)) as u64;
+        let frames = input.len().div_ceil(raw::FRAME_ROWS) as u64;
+        let writer = {
+            let mut stream = firehose.stream.try_clone().unwrap();
+            let end = raw::end(firehose.format);
+            std::thread::spawn(move || {
+                // Blocks once the server has stopped reading and the
+                // kernel's buffers are full; goes on when we read.
+                stream.write_all(&upload).unwrap();
+                stream.write_all(&end).unwrap();
+            })
+        };
+
+        for i in 0..20 {
+            let format = if i % 2 == 0 { "binary" } else { "ndjson" };
+            let outcome = client::run_session(
+                &ClientConfig::new(addr.clone(), handshake(format)),
+                neighbour_input.clone(),
+            )
+            .unwrap();
+            assert!(outcome.completed(), "neighbour {i}: {:?}", outcome.error);
+            assert_eq!(
+                serde_json::to_string(&outcome.tuples).unwrap(),
+                neighbour_offline,
+                "neighbour {i}"
+            );
+        }
+
+        // Twenty sessions later the firehose is where it stalled.
+        let table = client::subscribe_telemetry(&addr, None, 1).unwrap();
+        let row = table[0]
+            .sessions
+            .iter()
+            .find(|s| s.kind == "pollute")
+            .expect("the firehose session is still open");
+        assert!(
+            row.frames_in < frames,
+            "the server read all {frames} frames of a client that read nothing: {row:?}"
+        );
+        assert!(
+            row.input_hwm_bytes <= READ_BUDGET + frame_bytes,
+            "undecoded input: {row:?}"
+        );
+        assert!(
+            row.queued_hwm_rows <= raw::FRAME_ROWS as u64 + WATERMARK_PERIOD,
+            "unencoded rows: {row:?}"
+        );
+        // One upload frame's rows come back as stamped rows, which are
+        // wider: allow four times its bytes.
+        assert!(
+            row.outbox_hwm_bytes <= OUTBOX_HIGH + 4 * frame_bytes,
+            "outbox: {row:?}"
+        );
+
+        // Reading un-throttles it; nothing was lost or reordered.
+        let mut got = raw::Received::default();
+        assert!(firehose.read_until(&mut got, |_| false));
+        writer.join().unwrap();
+        assert!(got.report.is_some(), "firehose failed: {:?}", got.error);
+        assert_eq!(got.tuples, offline_of(&plan(42), &input));
+    });
+}
+
+/// What the sorter holds depends on the watermark period and the
+/// fan-out, not on how long the session is.
+#[test]
+fn sorter_occupancy_of_a_session_is_independent_of_its_length() {
+    watchdogged(|| {
+        let null = |name: &str| PolluterConfig::Standard {
+            name: name.into(),
+            attributes: vec!["x".into()],
+            error: ErrorConfig::MissingValue,
+            condition: ConditionConfig::Probability { p: 0.1 },
+            pattern: None,
+        };
+        let four_way = LogicalPlan::new(
+            7,
+            (0..4).map(|i| vec![null(&format!("null-{i}"))]).collect(),
+        );
+        let server = TestServer::start(ServeConfig::default());
+        let occupancy = |n: usize| {
+            let hs = Handshake {
+                plan_inline: Some(four_way.clone()),
+                ..handshake("binary")
+            };
+            let outcome =
+                client::run_session(&ClientConfig::new(server.addr(), hs), tuples(n)).unwrap();
+            assert!(outcome.completed(), "session failed: {:?}", outcome.error);
+            assert_eq!(outcome.tuples.len(), n);
+            let report = outcome.report.unwrap();
+            report.metrics_compiled_in.then(|| {
+                report
+                    .metrics
+                    .gauge("stage/00_event_time_sorter/buffer_max")
+            })
+        };
+        let (short, long) = (occupancy(20_000), occupancy(80_000));
+        assert_eq!(short, long);
+        if let Some(held) = short {
+            assert!(held > 0 && held <= 4 * 64, "held {held}");
+        }
+    });
+}
+
+/// Plans whose stages run on threads of their own are fed the same
+/// way; their consumers must be running before the first push, or the
+/// router's bounded channels fill and the session hangs.
+#[test]
+fn threaded_plans_are_served_incrementally_too() {
+    use icewafl_core::plan::StrategyHint;
+    watchdogged(|| {
+        let input = tuples(20_000);
+        let server = TestServer::start(ServeConfig::default());
+        for strategy in [StrategyHint::SplitMergeParallel, StrategyHint::Pipelined] {
+            let threaded = LogicalPlan {
+                strategy,
+                ..plan(42)
+            };
+            let hs = Handshake {
+                plan_inline: Some(threaded.clone()),
+                ..handshake("binary")
+            };
+            let outcome =
+                client::run_session(&ClientConfig::new(server.addr(), hs), input.clone()).unwrap();
+            assert!(outcome.completed(), "{strategy:?}: {:?}", outcome.error);
+            assert_eq!(
+                outcome.tuples,
+                offline_of(&threaded, &input),
+                "{strategy:?}"
+            );
+        }
+    });
+}
+
+/// A session that fails mid-stream has been sent a prefix of what it
+/// would have been sent, then exactly one typed error frame.
+#[test]
+fn mid_stream_failure_leaves_a_valid_prefix_and_one_error_frame() {
+    use icewafl_stream::net::{frame_bytes, WireFrame};
+    watchdogged(|| {
+        let input = tuples(5_000);
+        let offline = offline_of(&plan(42), &input);
+        let server = TestServer::start(ServeConfig::default());
+
+        // A frame that is not one, behind 5 000 good tuples.
+        let mut peer = raw::Peer::open(&server.addr(), &handshake("binary"));
+        peer.send(&raw::upload(&input, peer.format));
+        peer.send(&frame_bytes(&WireFrame::Binary {
+            tag: 99,
+            payload: vec![1, 2, 3],
+        }));
+        let mut got = raw::Received::default();
+        assert!(peer.read_until(&mut got, |_| false));
+        let error = got.error.expect("a typed error frame");
+        assert_eq!(error.protocol.as_deref(), Some("malformed"), "{error:?}");
+        assert!(peer.at_eof(), "nothing follows the error frame");
+        assert!(got.tuples.len() + 64 >= input.len(), "{}", got.tuples.len());
+        assert_eq!(got.tuples[..], offline[..got.tuples.len()]);
+
+        // The client stops sending without an end frame.
+        let mut peer = raw::Peer::open(&server.addr(), &handshake("ndjson"));
+        peer.send(&raw::upload(&input, peer.format));
+        peer.stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut got = raw::Received::default();
+        assert!(peer.read_until(&mut got, |_| false));
+        let error = got.error.expect("a typed error frame");
+        assert_eq!(error.kind, "disconnect", "{error:?}");
+        assert_eq!(error.protocol.as_deref(), Some("disconnected"), "{error:?}");
+        assert!(peer.at_eof(), "nothing follows the error frame");
+        let served = raw::coerced(&schema(), got.tuples);
+        assert!(served.len() + 64 >= input.len(), "{}", served.len());
+        assert_eq!(served[..], offline[..served.len()]);
+    });
+}

@@ -328,6 +328,42 @@ fn capacity_overflow_is_rejected_at_handshake() {
 }
 
 #[test]
+fn rejection_reply_survives_input_the_server_never_reads() {
+    // A rejected peer may have sent its handshake and more before it
+    // looks for the reply. Closing on that unread input would make the
+    // kernel reset the connection, and the reset can overtake the
+    // reply: the server has to flush, shut its write side, and read
+    // the peer out.
+    let server = TestServer::start(ServeConfig {
+        max_sessions: 1,
+        ..ServeConfig::default()
+    });
+    let mut holder = RawClient::connect(&server.addr());
+    holder.send_line(&serde_json::to_string(&handshake("ndjson")).unwrap());
+    assert!(holder.read_line().contains("\"ok\":true"));
+
+    let mut hello = serde_json::to_string(&handshake("ndjson")).unwrap();
+    hello.push('\n');
+    let junk = [b'x'; 1024];
+    for attempt in 0..200 {
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.write_all(hello.as_bytes()).unwrap();
+        // 64 KiB the server will not want, a write at a time: a reset
+        // in between fails the next one.
+        for _ in 0..64 {
+            stream
+                .write_all(&junk)
+                .unwrap_or_else(|e| panic!("attempt {attempt}: reset while writing, {e}"));
+        }
+        let mut reply = String::new();
+        BufReader::new(&stream)
+            .read_line(&mut reply)
+            .unwrap_or_else(|e| panic!("attempt {attempt}: no reply, {e}"));
+        assert!(reply.contains("capacity"), "attempt {attempt}: {reply:?}");
+    }
+}
+
+#[test]
 fn concurrent_sessions_with_a_slow_reader_do_not_interfere() {
     let input = tuples(400);
     let offline = plan(42)

@@ -29,7 +29,7 @@
 use icewafl_types::{Error, Result, Timestamp};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read as _, Write as _};
 use std::path::{Path, PathBuf};
@@ -400,85 +400,6 @@ pub fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
-/// Bounded in-memory replay buffer for non-seekable sources
-/// (e.g. [`crate::net::NetSource`]): retains the most recent records so
-/// a restore within the window can replay from an offset; trimmed at
-/// checkpoint commit so the window tracks the latest restore point.
-#[derive(Debug)]
-pub struct ReplayBuffer<T> {
-    base: u64,
-    pushed: u64,
-    capacity: usize,
-    buf: VecDeque<T>,
-}
-
-impl<T: Clone> ReplayBuffer<T> {
-    /// A buffer retaining at most `capacity` records (≥ 1).
-    pub fn new(capacity: usize) -> Self {
-        ReplayBuffer {
-            base: 0,
-            pushed: 0,
-            capacity: capacity.max(1),
-            buf: VecDeque::new(),
-        }
-    }
-
-    /// Absolute offset of the oldest retained record.
-    pub fn base_offset(&self) -> u64 {
-        self.base
-    }
-
-    /// Absolute offset one past the newest retained record.
-    pub fn end_offset(&self) -> u64 {
-        self.pushed
-    }
-
-    /// Number of retained records.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// `true` iff nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Appends a record, evicting the oldest when over capacity.
-    pub fn push(&mut self, item: T) {
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-            self.base += 1;
-        }
-        self.buf.push_back(item);
-        self.pushed += 1;
-    }
-
-    /// Drops records before `offset` — called when a checkpoint at
-    /// `offset` commits, since nothing before it can be replayed again.
-    pub fn trim_to(&mut self, offset: u64) {
-        while self.base < offset && !self.buf.is_empty() {
-            self.buf.pop_front();
-            self.base += 1;
-        }
-    }
-
-    /// The retained records from absolute `offset` on, oldest first —
-    /// `None` when `offset` has already been evicted (a restore that
-    /// far back must fall into full restart).
-    pub fn replay_from(&self, offset: u64) -> Option<Vec<T>> {
-        if offset < self.base || offset > self.pushed {
-            return None;
-        }
-        Some(
-            self.buf
-                .iter()
-                .skip((offset - self.base) as usize)
-                .cloned()
-                .collect(),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -608,23 +529,5 @@ mod tests {
     fn crc32_matches_known_vector() {
         // IEEE CRC-32 of "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-    }
-
-    #[test]
-    fn replay_buffer_windows_and_trims() {
-        let mut rb = ReplayBuffer::new(4);
-        for i in 0..6 {
-            rb.push(i);
-        }
-        // 0 and 1 evicted by capacity.
-        assert_eq!(rb.base_offset(), 2);
-        assert_eq!(rb.end_offset(), 6);
-        assert_eq!(rb.replay_from(1), None);
-        assert_eq!(rb.replay_from(3), Some(vec![3, 4, 5]));
-        assert_eq!(rb.replay_from(6), Some(vec![]));
-        assert_eq!(rb.replay_from(7), None);
-        rb.trim_to(4);
-        assert_eq!(rb.base_offset(), 4);
-        assert_eq!(rb.replay_from(4), Some(vec![4, 5]));
     }
 }

@@ -56,8 +56,8 @@ pub mod window;
 
 pub use chaos::{ChaosConfig, ChaosOperator, ChaosSource, CHAOS_PANIC_MARKER};
 pub use checkpoint::{
-    CheckpointBarrier, CheckpointCoordinator, CheckpointFrame, CheckpointStore, ReplayBuffer,
-    StateSnapshot, WatermarkGenState,
+    CheckpointBarrier, CheckpointCoordinator, CheckpointFrame, CheckpointStore, StateSnapshot,
+    WatermarkGenState,
 };
 pub use control::{ControlChannel, ControlSubscriber};
 pub use element::StreamElement;
@@ -71,7 +71,7 @@ pub use operator::{Collector, Operator};
 pub use sink::{CountSink, FnSink, NullSink, SharedVecSink, Sink};
 pub use sort::{EventTimeSorter, SortKey, SorterStateCodec};
 pub use source::{GenSource, IterSource, Source, VecSource};
-pub use stream::{DataStream, SubPipelineBuilder};
+pub use stream::{DataStream, PushPipeline, PushSource, SubPipelineBuilder};
 pub use supervisor::{Supervisor, SupervisorPolicy};
 pub use watermark::WatermarkStrategy;
 pub use window::{MicroBatcher, TumblingWindow, WindowPane};

@@ -31,7 +31,7 @@ use crate::stage::{
     send_metered, BatchingStage, BoxStage, ChannelStage, DiscardStage, OperatorStage, SinkStage,
     Stage, WatermarkMerger,
 };
-use crate::watermark::WatermarkStrategy;
+use crate::watermark::{WatermarkGenerator, WatermarkStrategy};
 use crate::window::{MicroBatcher, TumblingWindow, WindowPane};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use icewafl_obs::{MetricsRegistry, Stopwatch};
@@ -123,6 +123,16 @@ impl ExecutionContext {
             }
         }
     }
+
+    /// Joins every worker, then reports the first failure any stage
+    /// recorded during the run.
+    fn finish(&mut self) -> Result<(), PipelineError> {
+        self.join_all();
+        match self.failures.take() {
+            Some(error) => Err(PipelineError::from(error)),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Receives one element, tracing every 64th wait as a `recv_wait`
@@ -154,64 +164,7 @@ impl<T: Send + 'static> DataStream<T> {
     /// marker, so buffering operators flush even under
     /// [`WatermarkStrategy::none`].
     pub fn from_source(source: impl Source<T> + 'static, strategy: WatermarkStrategy<T>) -> Self {
-        DataStream {
-            build: Box::new(move |mut down, ctx| {
-                let mut source = source;
-                let mut generator = strategy.generator();
-                let label = ctx.next_stage_label("source");
-                let failures = ctx.failure_cell();
-                let deadline = ctx.deadline;
-                Box::new(move || {
-                    let mut seen: u64 = 0;
-                    loop {
-                        // `source.next()` and watermark generation run
-                        // under `catch_unwind`: a panicking source poisons
-                        // the stream instead of unwinding the driver (which
-                        // would drop channel senders without an end marker).
-                        let step = {
-                            let source = &mut source;
-                            let generator = &mut generator;
-                            catch_unwind(AssertUnwindSafe(move || {
-                                source.next().map(|r| {
-                                    let wm = generator.on_record(&r);
-                                    (r, wm)
-                                })
-                            }))
-                        };
-                        match step {
-                            Ok(Some((record, wm))) => {
-                                down.push(StreamElement::Record(record));
-                                if let Some(wm) = wm {
-                                    down.push(StreamElement::Watermark(wm));
-                                }
-                            }
-                            Ok(None) => {
-                                down.push(StreamElement::Watermark(Timestamp::MAX));
-                                down.push(StreamElement::End);
-                                return;
-                            }
-                            Err(payload) => {
-                                let error = StageError::from_panic(&label, payload);
-                                failures.record(error.clone());
-                                down.push(StreamElement::Failure(error));
-                                return;
-                            }
-                        }
-                        seen += 1;
-                        if seen & DEADLINE_CHECK_MASK == 0 {
-                            if let Some(dl) = deadline {
-                                if Instant::now() >= dl {
-                                    let error = StageError::deadline(&label);
-                                    failures.record(error.clone());
-                                    down.push(StreamElement::Failure(error));
-                                    return;
-                                }
-                            }
-                        }
-                    }
-                })
-            }),
-        }
+        Self::pulled(source, strategy, None)
     }
 
     /// A stream over an in-memory vector, without intermediate
@@ -232,75 +185,63 @@ impl<T: Send + 'static> DataStream<T> {
     pub fn from_source_checkpointed(
         source: impl Source<T> + 'static,
         strategy: WatermarkStrategy<T>,
-        mut coordinator: CheckpointCoordinator,
+        coordinator: CheckpointCoordinator,
         base_offset: u64,
         resume_wm: Option<WatermarkGenState>,
     ) -> Self {
+        let checkpoint = SourceCheckpoint {
+            coordinator,
+            base_offset,
+            resume_wm,
+        };
+        Self::pulled(source, strategy, Some(checkpoint))
+    }
+
+    /// The pull form of the source driver: a loop of [`SourceStep`]s
+    /// over `source.next()` until the source ends or the step poisons
+    /// the stream.
+    fn pulled(
+        source: impl Source<T> + 'static,
+        strategy: WatermarkStrategy<T>,
+        checkpoint: Option<SourceCheckpoint>,
+    ) -> Self {
         DataStream {
-            build: Box::new(move |mut down, ctx| {
+            build: Box::new(move |down, ctx| {
                 let mut source = source;
-                let mut generator = strategy.generator();
-                if let Some(state) = &resume_wm {
-                    generator.restore(state);
-                }
-                let label = ctx.next_stage_label("source");
-                let failures = ctx.failure_cell();
-                let deadline = ctx.deadline;
-                Box::new(move || {
-                    let mut emitted: u64 = 0;
-                    loop {
-                        let step = {
-                            let source = &mut source;
-                            let generator = &mut generator;
-                            catch_unwind(AssertUnwindSafe(move || {
-                                source.next().map(|r| {
-                                    let wm = generator.on_record(&r);
-                                    (r, wm)
-                                })
-                            }))
-                        };
-                        match step {
-                            Ok(Some((record, wm))) => {
-                                down.push(StreamElement::Record(record));
-                                emitted += 1;
-                                coordinator.on_record();
-                                if let Some(wm) = wm {
-                                    down.push(StreamElement::Watermark(wm));
-                                    if let Some(barrier) = coordinator.on_watermark(
-                                        wm,
-                                        base_offset + emitted,
-                                        generator.state(),
-                                    ) {
-                                        down.push(StreamElement::Barrier(barrier));
-                                    }
-                                }
-                            }
-                            Ok(None) => {
-                                down.push(StreamElement::Watermark(Timestamp::MAX));
-                                down.push(StreamElement::End);
-                                return;
-                            }
-                            Err(payload) => {
-                                let error = StageError::from_panic(&label, payload);
-                                failures.record(error.clone());
-                                down.push(StreamElement::Failure(error));
-                                return;
-                            }
-                        }
-                        if emitted & DEADLINE_CHECK_MASK == 0 {
-                            if let Some(dl) = deadline {
-                                if Instant::now() >= dl {
-                                    let error = StageError::deadline(&label);
-                                    failures.record(error.clone());
-                                    down.push(StreamElement::Failure(error));
-                                    return;
-                                }
-                            }
-                        }
-                    }
-                })
+                let mut step = SourceStep::new(down, strategy, checkpoint, ctx);
+                Box::new(move || while step.step(|| source.next()) {})
             }),
         }
+    }
+
+    /// The push form of the source driver: a stream with no source of
+    /// its own, fed by the caller one record at a time through the
+    /// [`PushPipeline`] that [`DataStream::open_into`] returns for the
+    /// handle given back here. Every pushed record takes the same
+    /// step through the driver a pulled one does — watermarks per
+    /// `strategy`, barriers per `coordinator` — under the same `source`
+    /// stage label, so a pushed run and a pulled run of one topology
+    /// are the same sequence of elements.
+    pub fn push_source(
+        strategy: WatermarkStrategy<T>,
+        coordinator: Option<CheckpointCoordinator>,
+    ) -> (Self, PushSource<T>) {
+        let handle = PushSource(Arc::new(Mutex::new(None)));
+        let slot = Arc::clone(&handle.0);
+        let checkpoint = coordinator.map(|coordinator| SourceCheckpoint {
+            coordinator,
+            base_offset: 0,
+            resume_wm: None,
+        });
+        let stream = DataStream {
+            // Parked the way `from_router_slot` parks a sub-stream head:
+            // nothing is left to drive.
+            build: Box::new(move |down, ctx| {
+                *slot.lock() = Some(SourceStep::new(down, strategy, checkpoint, ctx));
+                Box::new(|| {})
+            }),
+        };
+        (stream, handle)
     }
 
     /// Internal: a stream that replays raw elements (records *and*
@@ -890,10 +831,51 @@ impl<T: Send + 'static> DataStream<T> {
         if let Err(payload) = catch_unwind(AssertUnwindSafe(driver)) {
             cell.record(StageError::from_panic("driver", payload));
         }
-        ctx.join_all();
-        match ctx.failure_cell().take() {
-            Some(error) => Err(PipelineError::from(error)),
-            None => Ok(()),
+        ctx.finish()
+    }
+
+    /// Builds the pipeline behind a [`DataStream::push_source`] head and
+    /// hands it to the caller to feed: the counterpart of
+    /// [`DataStream::execute_into_with_registry`] for a source that is
+    /// not pulled.
+    ///
+    /// Whatever the topology leaves to drive runs on a helper thread
+    /// from now until [`PushPipeline::finish`] joins it. A
+    /// [`split_merge_parallel`](DataStream::split_merge_parallel)
+    /// topology starts its consumer threads from that driver; left
+    /// unstarted, the router's bounded channels would fill under the
+    /// caller's pushes and block it for good. A sequential topology's
+    /// driver returns at once.
+    ///
+    /// # Panics
+    ///
+    /// If `source` is not the handle of this stream's own head.
+    pub fn open_into<In: Send + 'static>(
+        self,
+        source: PushSource<In>,
+        sink: impl Sink<T> + 'static,
+        registry: &MetricsRegistry,
+    ) -> PushPipeline<In> {
+        let mut ctx = ExecutionContext::with_registry(registry.clone());
+        let cell = ctx.failure_cell();
+        let driver = (self.build)(
+            Box::new(SinkStage::with_failure_cell(sink, cell.clone())),
+            &mut ctx,
+        );
+        let step = source
+            .0
+            .lock()
+            .take()
+            .expect("the push source heads the stream being opened");
+        ctx.handles.push(std::thread::spawn(move || {
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(driver)) {
+                cell.record(StageError::from_panic("driver", payload));
+            }
+        }));
+        PushPipeline {
+            step,
+            open: true,
+            ctx,
         }
     }
 
@@ -919,6 +901,185 @@ impl<T: Send + 'static> DataStream<T> {
         let sink = crate::sink::CountSink::new();
         self.execute_into(sink.clone())?;
         Ok(sink.count())
+    }
+}
+
+/// Checkpoint wiring of a source driver: who decides where barriers
+/// go, the absolute record offset the source starts at, and the
+/// watermark-generator position to resume from.
+struct SourceCheckpoint {
+    coordinator: CheckpointCoordinator,
+    base_offset: u64,
+    resume_wm: Option<WatermarkGenState>,
+}
+
+/// The source driver, one record at a time: record → watermark
+/// generator → optional watermark → optional checkpoint barrier, plus
+/// the two ways a source ends (`W(MAX)` + `End`, or poison). A
+/// [`Source`] loop drives it ([`DataStream::from_source`]) or the
+/// caller does ([`PushPipeline`]).
+struct SourceStep<T> {
+    down: BoxStage<T>,
+    generator: WatermarkGenerator<T>,
+    checkpoint: Option<SourceCheckpoint>,
+    emitted: u64,
+    label: String,
+    failures: FailureCell,
+    deadline: Option<Instant>,
+}
+
+impl<T> SourceStep<T> {
+    /// The step in front of `down`, labelled as this build's `source`
+    /// stage.
+    fn new(
+        down: BoxStage<T>,
+        strategy: WatermarkStrategy<T>,
+        checkpoint: Option<SourceCheckpoint>,
+        ctx: &mut ExecutionContext,
+    ) -> Self {
+        let mut generator = strategy.generator();
+        if let Some(state) = checkpoint.as_ref().and_then(|c| c.resume_wm.as_ref()) {
+            generator.restore(state);
+        }
+        SourceStep {
+            down,
+            generator,
+            checkpoint,
+            emitted: 0,
+            label: ctx.next_stage_label("source"),
+            failures: ctx.failure_cell(),
+            deadline: ctx.deadline,
+        }
+    }
+
+    /// Takes whatever `pull` yields through the driver: a record goes
+    /// downstream with the watermark and barrier it closes, `None` ends
+    /// the stream. Returns `false` once the stream has terminated.
+    ///
+    /// `pull` and watermark generation run under `catch_unwind`: a
+    /// panicking source poisons the stream instead of unwinding the
+    /// driver (which would drop channel senders without an end marker).
+    #[inline]
+    fn step(&mut self, pull: impl FnOnce() -> Option<T>) -> bool {
+        let pulled = {
+            let generator = &mut self.generator;
+            catch_unwind(AssertUnwindSafe(move || {
+                pull().map(|r| {
+                    let wm = generator.on_record(&r);
+                    (r, wm)
+                })
+            }))
+        };
+        match pulled {
+            Ok(Some((record, wm))) => {
+                self.down.push(StreamElement::Record(record));
+                self.emitted += 1;
+                if let Some(checkpoint) = &mut self.checkpoint {
+                    checkpoint.coordinator.on_record();
+                }
+                if let Some(wm) = wm {
+                    self.down.push(StreamElement::Watermark(wm));
+                    if let Some(checkpoint) = &mut self.checkpoint {
+                        if let Some(barrier) = checkpoint.coordinator.on_watermark(
+                            wm,
+                            checkpoint.base_offset + self.emitted,
+                            self.generator.state(),
+                        ) {
+                            self.down.push(StreamElement::Barrier(barrier));
+                        }
+                    }
+                }
+                if self.emitted & DEADLINE_CHECK_MASK == 0
+                    && self.deadline.is_some_and(|dl| Instant::now() >= dl)
+                {
+                    self.poison(StageError::deadline(&self.label));
+                    return false;
+                }
+                true
+            }
+            Ok(None) => {
+                self.down.push(StreamElement::Watermark(Timestamp::MAX));
+                self.down.push(StreamElement::End);
+                false
+            }
+            Err(payload) => {
+                self.poison(StageError::from_panic(&self.label, payload));
+                false
+            }
+        }
+    }
+
+    fn poison(&mut self, error: StageError) {
+        self.failures.record(error.clone());
+        self.down.push(StreamElement::Failure(error));
+    }
+}
+
+/// The caller's end of a [`DataStream::push_source`] head: names the
+/// stream to [`DataStream::open_into`].
+pub struct PushSource<T>(Arc<Mutex<Option<SourceStep<T>>>>);
+
+/// A built pipeline whose source is the caller (see
+/// [`DataStream::push_source`]): [`push`](PushPipeline::push) runs one
+/// record through every stage up to the sink (or up to the first
+/// thread boundary) before it returns, so the caller decides when the
+/// pipeline works and holds nothing of the stream but the record in
+/// hand. [`finish`](PushPipeline::finish) ends the stream; a pipeline
+/// dropped unfinished is poisoned, and its workers are joined either
+/// way.
+pub struct PushPipeline<T> {
+    step: SourceStep<T>,
+    /// Whether the head still takes records (no end, no poison yet).
+    open: bool,
+    ctx: ExecutionContext,
+}
+
+impl<T> PushPipeline<T> {
+    /// Feeds one record. Ignored once the stream has terminated.
+    #[inline]
+    pub fn push(&mut self, record: T) {
+        if self.open {
+            self.open = self.step.step(move || Some(record));
+        }
+    }
+
+    /// Poisons the stream the way a panicking [`Source::next`] would:
+    /// `payload` becomes the `source` stage's [`StageError`] (a typed
+    /// payload keeps its kind and message).
+    pub fn fail(&mut self, payload: Box<dyn std::any::Any + Send>) {
+        if std::mem::take(&mut self.open) {
+            let error = StageError::from_panic(&self.step.label, payload);
+            self.step.poison(error);
+        }
+    }
+
+    /// Whether some stage has failed; a failed pipeline ignores what it
+    /// is fed, so the caller may as well [`finish`](PushPipeline::finish).
+    pub fn is_failed(&self) -> bool {
+        self.ctx.failures.is_failed()
+    }
+
+    /// Ends the stream (`W(MAX)`, then the end marker), joins every
+    /// worker and reports the first failure, like
+    /// [`DataStream::execute_into`] once its driver has returned.
+    pub fn finish(mut self) -> Result<(), PipelineError> {
+        if std::mem::take(&mut self.open) {
+            self.step.step(|| None);
+        }
+        self.ctx.finish()
+    }
+}
+
+impl<T> Drop for PushPipeline<T> {
+    fn drop(&mut self) {
+        if std::mem::take(&mut self.open) {
+            self.step.poison(StageError::new(
+                &self.step.label,
+                FailureKind::Disconnect,
+                "push pipeline dropped before the end of its stream",
+            ));
+        }
+        self.ctx.join_all();
     }
 }
 
@@ -1487,6 +1648,170 @@ mod tests {
             .recv_timeout(std::time::Duration::from_secs(60))
             .expect("nested fan-out finished");
         assert_eq!(out.unwrap(), 20_000);
+    }
+
+    /// The topology the push-pipeline tests share: a two-way split
+    /// under `strategy`, an optional thread boundary, a sorter.
+    fn fan_out_and_sort(head: DataStream<i64>, parallel: bool, pipelined: bool) -> DataStream<i64> {
+        let builders: Vec<SubPipelineBuilder<i64, i64>> =
+            vec![Box::new(|s| s.map(|x| x)), Box::new(|s| s.map(|x| x))];
+        let selector = |x: &i64, m: &mut Vec<usize>| m.push((*x % 2) as usize);
+        let merged = if parallel {
+            head.split_merge_parallel_batched(selector, builders, 16)
+        } else {
+            head.split_merge_batched(selector, builders, 16)
+        };
+        let merged = if pipelined {
+            merged.pipelined_batched(8, 16)
+        } else {
+            merged
+        };
+        merged.sort_by_event_time(|x| Timestamp(*x))
+    }
+
+    fn every_eighth() -> WatermarkStrategy<i64> {
+        WatermarkStrategy::bounded_out_of_orderness(|x: &i64| Timestamp(*x), Duration::ZERO, 8)
+    }
+
+    #[test]
+    fn pushed_pipeline_is_the_pulled_one_element_for_element() {
+        let input: Vec<i64> = (0..1_000).collect();
+        let pulled_registry = MetricsRegistry::new();
+        let pulled = fan_out_and_sort(
+            DataStream::from_source(VecSource::new(input.clone()), every_eighth()),
+            false,
+            false,
+        )
+        .collect_with_registry(&pulled_registry)
+        .unwrap();
+
+        let pushed_registry = MetricsRegistry::new();
+        let sink = SharedVecSink::new();
+        let (head, source) = DataStream::push_source(every_eighth(), None);
+        let mut pipeline =
+            fan_out_and_sort(head, false, false).open_into(source, sink.clone(), &pushed_registry);
+        for x in &input {
+            pipeline.push(*x);
+            // Lockstep: all but the open watermark period is out.
+            assert!(sink.len() as i64 > *x - 8, "record {x} held back");
+        }
+        assert!(!pipeline.is_failed());
+        pipeline.finish().unwrap();
+        assert_eq!(sink.take(), pulled);
+        // Same stages under the same labels doing the same work (the
+        // histograms hold wall-clock samples).
+        let (pushed, pulled) = (pushed_registry.snapshot(), pulled_registry.snapshot());
+        assert_eq!(pushed.counters, pulled.counters);
+        assert_eq!(pushed.gauges, pulled.gauges);
+    }
+
+    #[test]
+    fn pushed_pipeline_takes_its_barriers_like_a_pulled_one() {
+        let store = Arc::new(crate::checkpoint::CheckpointStore::new());
+        let coordinator = CheckpointCoordinator::new(Arc::clone(&store), 2, 0);
+        let sink = SharedVecSink::new();
+        let (head, source) = DataStream::push_source(every_eighth(), Some(coordinator));
+        let mut pipeline = fan_out_and_sort(head, false, false).open_into(
+            source,
+            sink.clone(),
+            &MetricsRegistry::new(),
+        );
+        for x in 0..64 {
+            pipeline.push(x);
+        }
+        pipeline.finish().unwrap();
+        // 8 watermarks, a barrier behind every second one.
+        assert_eq!(store.checkpoints_taken(), 4);
+        let frame = store.latest().unwrap();
+        assert_eq!((frame.epoch, frame.source_offset), (4, 64));
+        assert_eq!(sink.len(), 64);
+    }
+
+    #[test]
+    fn threaded_topologies_run_under_a_push_source() {
+        // Far more records than the router's bounded channels hold: the
+        // consumers must be running from `open_into` on, or the pushes
+        // block for good.
+        for (parallel, pipelined) in [(true, false), (false, true), (true, true)] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let sink = SharedVecSink::new();
+                let (head, source) = DataStream::push_source(every_eighth(), None);
+                let mut pipeline = fan_out_and_sort(head, parallel, pipelined).open_into(
+                    source,
+                    sink.clone(),
+                    &MetricsRegistry::new(),
+                );
+                for x in 0..20_000 {
+                    pipeline.push(x);
+                }
+                let _ = tx.send((pipeline.finish(), sink.take()));
+            });
+            let (outcome, out) = rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("parallel={parallel} pipelined={pipelined} hung"));
+            outcome.unwrap();
+            assert_eq!(out, (0..20_000).collect::<Vec<i64>>());
+        }
+    }
+
+    #[test]
+    fn pushed_pipeline_failures_are_typed_and_final() {
+        // The caller fails it, as a panicking source would have.
+        let sink = SharedVecSink::new();
+        let (head, source) = DataStream::push_source(WatermarkStrategy::none(), None);
+        let mut pipeline =
+            head.map(|x: i64| x)
+                .open_into(source, sink.clone(), &MetricsRegistry::new());
+        pipeline.push(1);
+        pipeline.fail(Box::new(StageError::new(
+            "peer",
+            FailureKind::Disconnect,
+            "went away",
+        )));
+        pipeline.push(2);
+        let err = pipeline.finish().unwrap_err();
+        assert_eq!(err.stage(), "stage/01_source");
+        assert_eq!(err.kind(), FailureKind::Disconnect);
+        assert_eq!(err.message(), "went away");
+        assert_eq!(sink.take(), vec![1], "nothing after the failure");
+
+        // A stage fails it.
+        let (head, source) = DataStream::push_source(WatermarkStrategy::none(), None);
+        let mut pipeline = head
+            .map(|x: i64| if x == 2 { panic!("boom") } else { x })
+            .open_into(source, SharedVecSink::new(), &MetricsRegistry::new());
+        for x in 0..4 {
+            pipeline.push(x);
+        }
+        assert!(pipeline.is_failed());
+        let err = pipeline.finish().unwrap_err();
+        assert_eq!((err.stage(), err.message()), ("stage/00_map", "boom"));
+    }
+
+    #[test]
+    fn dropping_an_unfinished_push_pipeline_stops_its_workers() {
+        let finished = Arc::new(Mutex::new(false));
+        let flag = Arc::clone(&finished);
+        struct FlagSink(Arc<Mutex<bool>>);
+        impl Sink<i64> for FlagSink {
+            fn write(&mut self, _record: i64) {}
+            fn finish(&mut self) {
+                *self.0.lock() = true;
+            }
+        }
+        let (head, source) = DataStream::push_source(every_eighth(), None);
+        let mut pipeline = fan_out_and_sort(head, true, true).open_into(
+            source,
+            FlagSink(flag),
+            &MetricsRegistry::new(),
+        );
+        for x in 0..100 {
+            pipeline.push(x);
+        }
+        // Returns only once every worker has seen the poison and gone.
+        drop(pipeline);
+        assert!(*finished.lock(), "the sink was closed on the way out");
     }
 
     #[test]

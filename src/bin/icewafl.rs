@@ -459,7 +459,7 @@ fn render_top_frame(f: &icewafl::serve::TelemetryFrame) -> String {
     let _ = writeln!(out, "sessions ({}):", f.sessions.len());
     let _ = writeln!(
         out,
-        "  {:>4}  {:<10} {:<7} {:<10} {:>10} {:>11} {:>12} {:>11} {:>17}",
+        "  {:>4}  {:<10} {:<7} {:<10} {:>10} {:>11} {:>12} {:>11} {:>17} {:>23}",
         "id",
         "kind",
         "format",
@@ -468,7 +468,8 @@ fn render_top_frame(f: &icewafl::serve::TelemetryFrame) -> String {
         "frames_out",
         "bytes_out",
         "encode_ms",
-        "blocked_write_ms"
+        "blocked_write_ms",
+        "held_max(in/rows/out)"
     );
     let mut ranked: Vec<_> = f.sessions.iter().collect();
     ranked.sort_by(|a, b| b.bytes_out.cmp(&a.bytes_out).then(a.id.cmp(&b.id)));
@@ -476,7 +477,7 @@ fn render_top_frame(f: &icewafl::serve::TelemetryFrame) -> String {
         let dash = |v: &str| if v.is_empty() { "-" } else { v }.to_string();
         let _ = writeln!(
             out,
-            "  {:>4}  {:<10} {:<7} {:<10} {:>10} {:>11} {:>12} {:>11.3} {:>17.3}",
+            "  {:>4}  {:<10} {:<7} {:<10} {:>10} {:>11} {:>12} {:>11.3} {:>17.3} {:>23}",
             s.id,
             s.kind,
             dash(&s.format),
@@ -485,7 +486,11 @@ fn render_top_frame(f: &icewafl::serve::TelemetryFrame) -> String {
             s.frames_out,
             s.bytes_out,
             s.encode_ns as f64 / 1e6,
-            s.blocked_write_ns as f64 / 1e6
+            s.blocked_write_ns as f64 / 1e6,
+            format!(
+                "{}/{}/{}",
+                s.input_hwm_bytes, s.queued_hwm_rows, s.outbox_hwm_bytes
+            )
         );
     }
     let rest = &ranked[ranked.len().min(TOP_SESSION_ROWS)..];
