@@ -16,7 +16,7 @@
 //!
 //! Every run also measures the per-kernel-family microbench: each
 //! vectorized kernel family runs on a single-stage pipeline in three
-//! modes — loose-row `process_row`, columnar transport with the row
+//! modes — loose-row `process_row`, column batches with the row
 //! trampoline forced, and the vectorized kernels — and the element/s
 //! land under a `kernels` key. In `--relative` mode the geometric mean
 //! of the vectorized/trampoline speedups from the same run is gated
@@ -54,7 +54,7 @@ use icewafl_core::columnar::lower_pipeline;
 use icewafl_core::condition::CmpOp;
 use icewafl_core::config::{ConditionConfig, ErrorConfig, PolluterConfig};
 use icewafl_core::log::PollutionLog;
-use icewafl_core::plan::{AssignerSpec, LogicalPlan, ReprHint, StrategyHint};
+use icewafl_core::plan::{AssignerSpec, LogicalPlan, StrategyHint};
 use icewafl_types::{DataType, Schema, StampedTuple, Timestamp, Tuple, Value};
 
 /// Pipeline length ℓ of the reference workload.
@@ -63,9 +63,6 @@ const PIPELINE_LEN: usize = 4;
 const SUB_STREAMS: usize = 4;
 /// Batch sizes swept per strategy (1 = unbatched transport).
 const BATCH_SIZES: [usize; 3] = [1, 64, 256];
-/// Batch sizes swept by the columnar group. Starts at 64 — a columnar
-/// kernel over a 1-tuple batch only measures conversion overhead.
-const COLUMNAR_BATCH_SIZES: [usize; 3] = [64, 256, 4096];
 
 fn schema() -> Schema {
     Schema::from_pairs([("Time", DataType::Timestamp), ("x", DataType::Float)]).unwrap()
@@ -99,21 +96,11 @@ fn pipeline() -> Vec<PolluterConfig> {
 }
 
 fn plan(strategy: StrategyHint, batch_size: usize) -> LogicalPlan {
-    plan_repr(strategy, batch_size, ReprHint::Row)
-}
-
-/// The reference workload with an explicit batch representation. The
-/// historical strategy groups pin `ReprHint::Row` so their numbers keep
-/// meaning across the columnar rollout; the `columnar/*` group pins
-/// `ReprHint::Columnar` so a silent fall-back to rows shows up as a
-/// compile error rather than a quietly wrong measurement.
-fn plan_repr(strategy: StrategyHint, batch_size: usize, repr: ReprHint) -> LogicalPlan {
     let mut plan = LogicalPlan::new(42, vec![pipeline(); SUB_STREAMS]);
     plan.assigner = AssignerSpec::RoundRobin;
     plan.strategy = strategy;
     plan.logging = false;
     plan.batch_size = batch_size;
-    plan.repr = repr;
     plan
 }
 
@@ -126,19 +113,8 @@ struct Measurement {
 }
 
 fn measure(strategy: StrategyHint, batch_size: usize, n: i64, reps: u32) -> Measurement {
-    measure_repr(strategy, batch_size, n, reps, ReprHint::Row, None)
-}
-
-fn measure_repr(
-    strategy: StrategyHint,
-    batch_size: usize,
-    n: i64,
-    reps: u32,
-    repr: ReprHint,
-    group: Option<&str>,
-) -> Measurement {
     let schema = schema();
-    let physical = plan_repr(strategy, batch_size, repr)
+    let physical = plan(strategy, batch_size)
         .compile(&schema)
         .expect("reference plan compiles");
     let data = tuples(n);
@@ -154,12 +130,12 @@ fn measure_repr(
         assert_eq!(out.polluted.len(), n as usize);
         best = best.min(elapsed);
     }
-    let strategy_name = group.unwrap_or(match strategy {
+    let strategy_name = match strategy {
         StrategyHint::Sequential => "sequential",
         StrategyHint::Pipelined => "pipelined",
         StrategyHint::SplitMergeParallel => "split_merge_parallel",
         _ => "other",
-    });
+    };
     Measurement {
         name: format!("{strategy_name}/batch_{batch_size}"),
         strategy: strategy_name.to_string(),
@@ -169,9 +145,8 @@ fn measure_repr(
     }
 }
 
-/// Row-batch size the kernel microbench feeds `process_rows` — matches
-/// the largest columnar transport batch so per-batch conversion cost is
-/// amortized the same way in both columnar modes.
+/// Rows per pre-pivoted [`ColumnBatch`](icewafl_types::ColumnBatch) the
+/// kernel microbench feeds `process_batch`.
 const KERNEL_CHUNK: usize = 4096;
 
 /// Per-kernel-family throughput in the three execution modes the
@@ -179,11 +154,11 @@ const KERNEL_CHUNK: usize = 4096;
 /// [`ColumnPipeline`](icewafl_core::ColumnPipeline) object, so the
 /// numbers isolate the kernel itself:
 ///
-/// * `row` — `process_row` over loose tuples: the tuple-at-a-time path
-///   every non-columnar sub-stream executes.
-/// * `trampoline` — `process_rows` with `set_vectorized(false)`:
-///   columnar transport, but each stage walks the batch row by row.
-/// * `vectorized` — `process_rows` with kernels on: bulk RNG draws,
+/// * `row` — `process_row` over loose tuples: the tuple-at-a-time loop
+///   every sub-stream executes.
+/// * `trampoline` — `process_batch` with `set_vectorized(false)`:
+///   column batches, but each stage walks the batch row by row.
+/// * `vectorized` — `process_batch` with kernels on: bulk RNG draws,
 ///   branch-free masked selects.
 struct KernelMeasurement {
     family: String,
@@ -351,8 +326,9 @@ fn measure_kernels(n: i64, reps: u32) -> Vec<KernelMeasurement> {
     let rows = kernel_rows(n);
     // Batches are converted ONCE, outside every timed region: the
     // microbench isolates the stage inner loop, so rows↔columns
-    // conversion — identical in both columnar modes and measured by the
-    // `columnar/*` scenario group above — must not dilute the ratio.
+    // conversion — identical in both columnar modes, and measured by
+    // the repo benchmark's `types.column.*` ledger rows — must not
+    // dilute the ratio.
     let batches: Vec<ColumnBatch> = rows
         .chunks(KERNEL_CHUNK)
         .map(|chunk| {
@@ -625,23 +601,6 @@ fn render(
 /// tracks raw machine speed.
 const REFERENCE_CONFIG: &str = "sequential/batch_1";
 
-/// Minimum columnar-over-row sequential speedup the `--relative` gate
-/// accepts, measured against [`REFERENCE_CONFIG`]. Both sides run on
-/// the same machine in the same process, so unlike absolute tuples/sec
-/// this ratio is stable across hardware. Its job is to catch a silent
-/// fall-back to the row path (ratio ~0.96, what `sequential/batch_64`
-/// measures), not to pin the exact speedup — the gaussian-noise kernels
-/// are compute-heavy enough that Amdahl caps the transport win, and
-/// machine noise must not flake CI.
-///
-/// Re-derived when the row channel driver became linear (ring-buffer
-/// sorter + lockstep schedule): the denominator `sequential/batch_1`
-/// went from 1.54 M to 2.57–2.93 M tuples/s while the direct columnar
-/// drive did not move, so the measured ratio fell from 2.8–3.05x to
-/// 1.44–1.74x (six captures on a 2-core box). Old floor 1.5 → new 1.2:
-/// a fifth above the fall-back, a sixth under the lowest capture.
-const COLUMNAR_SPEEDUP_FLOOR: f64 = 1.2;
-
 /// Minimum binary-serve over offline-sequential throughput ratio the
 /// `--relative` gate accepts when this run measured serve (`--serve`).
 /// Both sides run on the same machine in the same process, so the ratio
@@ -739,38 +698,9 @@ fn check(
         }
     }
     if relative {
-        // The columnar/row speedup ratio is the headline number of the
-        // columnar rollout; gate it directly so a silent fall-back to
-        // the row path (ratio ~1.0) fails CI even when every absolute
-        // configuration stays inside tolerance.
-        let best_tps = |group: &str| {
-            results
-                .iter()
-                .filter(|m| m.strategy == group)
-                .map(|m| m.tuples_per_sec)
-                .fold(f64::NAN, f64::max)
-        };
-        let columnar = best_tps("columnar");
-        let row = results
-            .iter()
-            .find(|m| m.name == REFERENCE_CONFIG)
-            .map(|m| m.tuples_per_sec)
-            .unwrap_or(f64::NAN);
-        let ratio = columnar / row;
-        if ratio.is_finite() {
-            eprintln!(
-                "columnar/row sequential speedup: {ratio:.2}x (floor {COLUMNAR_SPEEDUP_FLOOR:.1}x)"
-            );
-            if ratio < COLUMNAR_SPEEDUP_FLOOR {
-                regressions.push(format!(
-                    "columnar/row speedup: {ratio:.2}x < floor {COLUMNAR_SPEEDUP_FLOOR:.1}x"
-                ));
-            }
-        }
-        // The kernel-level win is this rollout's second gated ratio:
-        // the batch-size sweep above can stay healthy on transport
-        // savings alone even if every kernel quietly falls back to the
-        // row-by-row trampoline, so gate the inner loops directly.
+        // No macro configuration runs the kernels, so gate their inner
+        // loops directly: a kernel that quietly falls back to the
+        // row-by-row trampoline shows up nowhere else.
         let geomean = kernel_speedup_geomean(kernels);
         if geomean.is_finite() {
             eprintln!(
@@ -793,7 +723,7 @@ fn check(
             .filter(|m| m.strategy == "serve_binary")
             .map(|m| m.tuples_per_sec)
             .fold(f64::NAN, f64::max);
-        let serve_ratio = serve_binary / row;
+        let serve_ratio = serve_binary / measured_ref;
         if serve_ratio.is_finite() {
             eprintln!(
                 "binary serve / offline sequential: {serve_ratio:.2}x \
@@ -847,27 +777,6 @@ fn main() {
             results.push(m);
         }
     }
-    // Columnar scenario group: the sequential reference workload with
-    // `repr = columnar`, swept over the columnar batch sizes. Lands in
-    // `results` so the `--check --relative` gate compares its speedup
-    // over `sequential/batch_1` across machines, the same way it gates
-    // the row groups.
-    for batch_size in COLUMNAR_BATCH_SIZES {
-        let m = measure_repr(
-            StrategyHint::Sequential,
-            batch_size,
-            n,
-            reps,
-            ReprHint::Columnar,
-            Some("columnar"),
-        );
-        eprintln!(
-            "{:<32} {:>12.0} tuples/s  (best {:.2} ms)",
-            m.name, m.tuples_per_sec, m.best_ms
-        );
-        results.push(m);
-    }
-
     // Kernel microbench: every vectorized kernel family, element/s in
     // row vs trampoline vs vectorized mode on one pipeline object.
     let kernels = measure_kernels(n, reps);

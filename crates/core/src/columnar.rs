@@ -9,12 +9,21 @@
 //! a sequence of column kernels that run directly over a batch's typed
 //! attribute vectors instead of per-tuple `ValueVec`s.
 //!
+//! **A measured leaf, not an execution path.** The runner executes
+//! every sub-stream through its row pipeline: fed rows and asked for
+//! rows, a column pipeline pays two pivots
+//! ([`ColumnBatch::from_rows`] / [`ColumnBatch::into_rows`]) that cost
+//! more than the kernels save (DESIGN.md decision 12). What calls this
+//! module is the repo benchmark's ledger and the kernel microbench; a
+//! caller that already holds columns — binary wire frames decoded
+//! straight into a [`ColumnBatch`] — would start here (ROADMAP item 1).
+//!
 //! **Exactness by construction.** A kernel does not reimplement the
 //! polluter — it *wraps* the very same [`StandardPolluter`] the row path
-//! would build (same component seed paths, so identical RNG streams,
-//! stats cells, and checkpoint state documents). Output, ground-truth
-//! log, and checkpoint snapshots are therefore byte-identical to row
-//! execution — the property `tests/batch_determinism.rs` pins.
+//! would build (same component seed paths, so identical RNG streams and
+//! stats cells). Output and ground-truth log are therefore
+//! byte-identical to row execution — the property this module's unit
+//! tests pin against the row pipelines `build_pipelines` builds.
 //!
 //! **Two execution modes per stage.** When logging is off and both of a
 //! stage's components ship a column kernel
@@ -32,8 +41,7 @@
 //! both modes emit identical bytes.
 //!
 //! **Eligibility rules.** Lowering (and vectorization within a lowered
-//! pipeline) is governed by three named rules, reported verbatim by
-//! `--explain` when a sub-stream falls back to rows:
+//! pipeline) is governed by three named rules:
 //!
 //! - `stateless-1to1` — the polluter maps one tuple to one tuple with
 //!   no cross-tuple state: native temporal polluters (delay, drop,
@@ -46,16 +54,13 @@
 //!   of its target columns' own types (or NULL), so a typed column
 //!   store absorbs the output without re-deriving types per row.
 //!
-//! [`lower_pipeline`] returns `None` when any stage breaks a rule and
-//! the runner keeps `Vec<StampedTuple>` batches; [`lowering_blocker`]
-//! names the polluter *and* the rule it broke.
+//! [`lower_pipeline`] returns `None` when any stage breaks a rule;
+//! [`lowering_blocker`] names the polluter *and* the rule it broke.
 
 use crate::config::{build_standard, ConditionConfig, ErrorConfig, PolluterConfig};
 use crate::log::PollutionLog;
 use crate::polluter::{Emission, StandardPolluter};
 use crate::rng::{ComponentPath, SeedFactory};
-use crate::snapshot::SlotState;
-use crate::stats::PolluterStatsHandle;
 use icewafl_types::{ColumnBatch, DataType, Result, Schema, StampedTuple, Timestamp, Tuple, Value};
 
 /// Column indices a condition reads, appended to `out`. Probability-,
@@ -125,8 +130,7 @@ fn error_lowerable(error: &ErrorConfig, attrs: &[usize], schema: &Schema) -> boo
 
 /// Why `polluter` cannot lower to a column kernel, or `None` if it can.
 /// Each message names the polluter, the eligibility rule it broke (see
-/// the module docs), and what about the polluter breaks it — the string
-/// `--explain` renders next to a `row` stage.
+/// the module docs), and what about the polluter breaks it.
 fn polluter_blocker(polluter: &PolluterConfig, schema: &Schema) -> Option<String> {
     match polluter {
         PolluterConfig::Standard {
@@ -178,8 +182,8 @@ fn polluter_blocker(polluter: &PolluterConfig, schema: &Schema) -> Option<String
     }
 }
 
-/// Why a sub-stream pipeline stays on the row path, or `None` if every
-/// stage lowers. What `--explain` renders next to a `row` stage.
+/// Why a sub-stream pipeline does not lower, or `None` if every stage
+/// does.
 pub fn lowering_blocker(polluters: &[PolluterConfig], schema: &Schema) -> Option<String> {
     polluters.iter().find_map(|p| polluter_blocker(p, schema))
 }
@@ -187,63 +191,6 @@ pub fn lowering_blocker(polluters: &[PolluterConfig], schema: &Schema) -> Option
 /// Whether a sub-stream pipeline lowers fully to column kernels.
 pub fn pipeline_lowerable(polluters: &[PolluterConfig], schema: &Schema) -> bool {
     lowering_blocker(polluters, schema).is_none()
-}
-
-/// Config-level mirror of [`StandardPolluter::has_column_kernels`]:
-/// whether a standard polluter with this condition and error runs
-/// vectorized inside a lowered pipeline, decidable at plan time without
-/// building the polluter. The agreement between the two is pinned by a
-/// test; keep them in lockstep when adding kernels.
-pub fn kernel_vectorizable(condition: &ConditionConfig, error: &ErrorConfig) -> bool {
-    let cond_ok = match condition {
-        ConditionConfig::Always
-        | ConditionConfig::Never
-        | ConditionConfig::Probability { .. }
-        | ConditionConfig::Value { .. }
-        | ConditionConfig::TimeWindow { .. }
-        | ConditionConfig::HourRange { .. }
-        | ConditionConfig::Sinusoidal { .. }
-        | ConditionConfig::LinearRamp { .. } => true,
-        // Pattern interleaves two draws from one RNG per row; composites
-        // would need short-circuit-exact mask combination. Neither has a
-        // byte-identity proof yet.
-        ConditionConfig::Pattern { .. }
-        | ConditionConfig::And { .. }
-        | ConditionConfig::Or { .. }
-        | ConditionConfig::Not { .. } => false,
-    };
-    let error_ok = match error {
-        ErrorConfig::GaussianNoise { .. }
-        | ErrorConfig::UniformNoise { .. }
-        | ErrorConfig::Scale { .. }
-        | ErrorConfig::Outlier { .. }
-        | ErrorConfig::Round { .. }
-        | ErrorConfig::UnitConversion { .. }
-        | ErrorConfig::MissingValue
-        | ErrorConfig::Constant { .. }
-        | ErrorConfig::TimestampShift { .. } => true,
-        // Per-row string surgery and pairwise swaps stay on the
-        // trampoline.
-        ErrorConfig::Typo { .. }
-        | ErrorConfig::IncorrectCategory { .. }
-        | ErrorConfig::SwapAttributes => false,
-    };
-    cond_ok && error_ok
-}
-
-/// How many of a lowerable pipeline's stages run vectorized (the rest
-/// trampoline row by row inside the column pipeline). What `--explain`
-/// renders next to a `columnar` stage.
-pub fn vectorized_stage_count(polluters: &[PolluterConfig]) -> usize {
-    polluters
-        .iter()
-        .filter(|p| match p {
-            PolluterConfig::Standard {
-                condition, error, ..
-            } => kernel_vectorizable(condition, error),
-            _ => false,
-        })
-        .count()
 }
 
 /// One column kernel: a real [`StandardPolluter`] plus the column sets
@@ -307,8 +254,6 @@ pub struct ColumnPipeline {
     /// One reusable full-arity tuple the trampoline writes rows into;
     /// slots no kernel touches stay NULL forever.
     scratch: StampedTuple,
-    /// The schema batches are typed against.
-    schema: Schema,
     /// Condition-mask scratch for the vectorized path, one byte per
     /// row, reused across batches and stages.
     mask: Vec<u8>,
@@ -380,35 +325,11 @@ impl ColumnPipeline {
     }
 
     /// Runs one loose row through every stage in place — the exact
-    /// per-tuple sequence the row path executes, used for unbatched
-    /// records and for rows a batch conversion handed back.
+    /// per-tuple sequence the row path executes, which is what the
+    /// kernel microbench's `row` mode times.
     pub fn process_row(&mut self, tuple: &mut StampedTuple, log: &mut PollutionLog) {
         for stage in &mut self.stages {
             stage.polluter.process_in_place(tuple, log);
-        }
-    }
-
-    /// Runs a row batch through the kernels: columnarize, process,
-    /// reconstruct. Rows that do not fit the schema's column types
-    /// (foreign arity or mismatched values) make the whole batch fall
-    /// back to [`ColumnPipeline::process_row`] — same output, row by
-    /// row.
-    pub fn process_rows(
-        &mut self,
-        rows: Vec<StampedTuple>,
-        log: &mut PollutionLog,
-    ) -> Vec<StampedTuple> {
-        match ColumnBatch::from_rows(&self.schema, rows) {
-            Ok(mut batch) => {
-                self.process_batch(&mut batch, log);
-                batch.into_rows()
-            }
-            Err(mut rows) => {
-                for row in &mut rows {
-                    self.process_row(row, log);
-                }
-                rows
-            }
         }
     }
 
@@ -433,48 +354,12 @@ impl ColumnPipeline {
         }
         debug_assert!(buf.is_empty(), "standard polluters release nothing");
     }
-
-    /// Live stat handles, in stage order (same cells the row path would
-    /// expose).
-    pub fn collect_stats(&self, out: &mut Vec<PolluterStatsHandle>) {
-        for stage in &self.stages {
-            crate::polluter::Polluter::collect_stats(&stage.polluter, out);
-        }
-    }
-
-    /// Every stage's checkpoint state, positionally — the *same*
-    /// document a row
-    /// [`PollutionPipeline`](crate::pipeline::PollutionPipeline) of
-    /// this configuration produces, because the stages are the same
-    /// objects. A checkpoint
-    /// taken under one representation restores under the other.
-    pub fn snapshot_states(&self) -> Option<String> {
-        SlotState::doc(
-            self.stages
-                .iter()
-                .map(|s| crate::polluter::Polluter::snapshot_state(&s.polluter))
-                .collect(),
-        )
-    }
-
-    /// Restores per-stage states captured by
-    /// [`ColumnPipeline::snapshot_states`] — or by the row path's
-    /// `PollutionPipeline::snapshot_states`, interchangeably.
-    pub fn restore_states(&mut self, state: &str) -> Result<()> {
-        let slots = SlotState::parse(state, self.stages.len(), "pollution pipeline")?;
-        for (stage, slot) in self.stages.iter_mut().zip(slots) {
-            if let Some(doc) = slot {
-                crate::polluter::Polluter::restore_state(&mut stage.polluter, &doc)?;
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Compiles one sub-stream's polluter configs into a [`ColumnPipeline`],
-/// or `None` when any stage cannot lower (the caller keeps the row
-/// path). `pipeline_idx` must be the sub-stream's index in the plan:
-/// component RNGs derive from `pipeline[<idx>][<stage>].{cond,error,pattern}`
+/// or `None` when any stage cannot lower. `pipeline_idx` must be the
+/// sub-stream's index in the plan: component RNGs derive from
+/// `pipeline[<idx>][<stage>].{cond,error,pattern}`
 /// — the identical paths `build_pipelines` uses — so the lowered
 /// pipeline is the row pipeline, re-expressed.
 pub fn lower_pipeline(
@@ -524,7 +409,6 @@ pub fn lower_pipeline(
     Ok(Some(ColumnPipeline {
         stages,
         scratch: StampedTuple::new(0, Timestamp(0), Tuple::new(vec![Value::Null; schema.len()])),
-        schema: schema.clone(),
         mask: Vec::new(),
         intensities: Vec::new(),
         force_trampoline: false,
@@ -817,53 +701,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_time_vectorizability_agrees_with_built_kernels() {
-        // The config-level predicate and the built polluter's
-        // `has_column_kernels` must never disagree — `--explain`'s
-        // vectorized-stage counts come from the former, dispatch from
-        // the latter.
-        let mut cases = every_kernel_family();
-        cases.extend(noisy_pipeline());
-        cases.push(PolluterConfig::Standard {
-            name: "typo".into(),
-            attributes: vec!["sensor".into()],
-            error: ErrorConfig::Typo {
-                kind: crate::error_fn::TypoKind::Any,
-            },
-            condition: ConditionConfig::Always,
-            pattern: None,
-        });
-        cases.push(PolluterConfig::Standard {
-            name: "pattern-cond".into(),
-            attributes: vec!["BPM".into()],
-            error: ErrorConfig::MissingValue,
-            condition: ConditionConfig::Pattern {
-                pattern: ChangePattern::Abrupt { at: Timestamp(0) },
-                p_min: 0.0,
-                p_max: 1.0,
-            },
-            pattern: None,
-        });
-        for p in &cases {
-            let single = std::slice::from_ref(p);
-            let predicted = vectorized_stage_count(single);
-            let built = lower_pipeline(3, 0, single, &schema())
-                .unwrap()
-                .expect("all cases lower")
-                .vectorized_stages();
-            let PolluterConfig::Standard { name, .. } = p else {
-                unreachable!()
-            };
-            assert_eq!(predicted, built, "`{name}`");
-        }
-        assert_eq!(
-            vectorized_stage_count(&every_kernel_family()),
-            every_kernel_family().len(),
-            "the family matrix is fully vectorized"
-        );
-    }
-
-    #[test]
     fn blockers_name_the_broken_rule() {
         let s = schema();
         let delay = PolluterConfig::Delay {
@@ -910,47 +747,6 @@ mod tests {
                 "ground-truth log (logging={logging})"
             );
         }
-    }
-
-    #[test]
-    fn snapshots_are_interchangeable_across_representations() {
-        let polluters = noisy_pipeline();
-        // Run the column pipeline halfway and snapshot it.
-        let mut cols = lower_pipeline(7, 0, &polluters, &schema())
-            .unwrap()
-            .unwrap();
-        let mut log = PollutionLog::new();
-        let mut batch = ColumnBatch::from_rows(&schema(), rows(100)).unwrap();
-        cols.process_batch(&mut batch, &mut log);
-        let snap = cols.snapshot_states().expect("stateful stages");
-
-        // Restore it onto a fresh ROW pipeline and onto a fresh column
-        // pipeline; both must continue identically.
-        let mut row_pipeline = build_pipelines(7, std::slice::from_ref(&polluters), &schema())
-            .unwrap()
-            .pop()
-            .unwrap();
-        row_pipeline.restore_states(&snap).unwrap();
-        let mut cols2 = lower_pipeline(7, 0, &polluters, &schema())
-            .unwrap()
-            .unwrap();
-        cols2.restore_states(&snap).unwrap();
-
-        let tail: Vec<StampedTuple> = rows(200).split_off(100);
-        let mut row_out = Vec::new();
-        let mut row_log = PollutionLog::new();
-        for t in tail.clone() {
-            let mut em = Emission::new(&mut row_out, &mut row_log);
-            row_pipeline.process(t, &mut em);
-        }
-        let mut col_log = PollutionLog::new();
-        let mut tail_batch = ColumnBatch::from_rows(&schema(), tail).unwrap();
-        cols2.process_batch(&mut tail_batch, &mut col_log);
-        assert_eq!(tail_batch.into_rows(), row_out);
-        assert_eq!(
-            serde_json::to_string(col_log.entries()).unwrap(),
-            serde_json::to_string(row_log.entries()).unwrap()
-        );
     }
 
     #[test]

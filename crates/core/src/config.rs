@@ -127,7 +127,8 @@ pub struct ExecutionSectionConfig {
     /// Execution strategy hint.
     #[serde(default)]
     pub strategy: crate::plan::StrategyHint,
-    /// Batch representation hint (row vs columnar kernels).
+    /// Accepted for compatibility; see
+    /// [`ReprHint`](crate::plan::ReprHint).
     #[serde(default)]
     pub repr: crate::plan::ReprHint,
     /// Source watermark period in tuples (absent = plan default).
@@ -742,8 +743,8 @@ pub fn build_error_fn(
 /// the one construction path shared by [`build_polluter`] and the
 /// columnar lowering in [`crate::columnar`]. Both derive component RNGs
 /// from the same seed paths (`<path>.cond` / `.error` / `.pattern`), so
-/// a polluter built here behaves identically whichever representation
-/// executes it — including its checkpoint state format.
+/// a polluter built here behaves identically whether it is fed rows or
+/// column batches.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn build_standard(
     name: &str,

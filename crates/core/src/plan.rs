@@ -57,15 +57,14 @@
 //! assert_eq!(out.polluted.len(), 32);
 //! ```
 
-use crate::columnar::{lower_pipeline, lowering_blocker, vectorized_stage_count};
 use crate::config::{
     build_pipelines, ChaosSectionConfig, CheckpointSectionConfig, ConditionConfig, ErrorConfig,
     PolluterConfig, SupervisionConfig,
 };
 use crate::pipeline::PollutionPipeline;
 use crate::runner::{
-    execute_attempt, execute_streaming, run_supervised_with, BuiltPipeline, CheckpointSettings,
-    ExecSettings, PollutionOutput, StreamingSession, SubStreamAssigner,
+    execute_attempt, execute_streaming, run_supervised_with, CheckpointSettings, ExecSettings,
+    PollutionOutput, StreamingSession, SubStreamAssigner,
 };
 use icewafl_stream::chaos::ChaosConfig;
 use icewafl_stream::control::ControlChannel;
@@ -118,55 +117,34 @@ impl StrategyHint {
     }
 }
 
-/// Declarative choice of batch representation (part of the logical
-/// plan); resolved to a per-sub-stream [`SubstreamRepr`] at compile
-/// time.
+/// The batch representation a plan asks for. Every sub-stream runs the
+/// row pipeline, so the two values are synonyms: `auto` is what
+/// existing plan JSON says, `row` what the repo benchmark's oracle
+/// pins. The field and both types go with the next change to that
+/// benchmark; anything else (`"columnar"`) fails to parse.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 #[serde(rename_all = "snake_case")]
 pub enum ReprHint {
-    /// Let the compiler decide per sub-stream: columnar kernels where
-    /// the whole pipeline lowers (see [`crate::columnar`]), rows
-    /// otherwise. Output is byte-identical either way, so this is a pure
-    /// performance decision.
+    /// Rows.
     #[default]
     Auto,
-    /// Force row batches everywhere (the pre-columnar behavior).
+    /// Rows.
     Row,
-    /// Require columnar kernels on every sub-stream; compiling fails —
-    /// naming the blocking polluter — if any pipeline cannot lower.
-    Columnar,
 }
 
-/// The batch representation a sub-stream's pollution stage was compiled
-/// to.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The batch representation a sub-stream's pollution stage runs in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubstreamRepr {
-    /// The pipeline lowered to column kernels over
-    /// [`icewafl_types::ColumnBatch`]es.
-    Columnar {
-        /// Stages running genuinely vectorized (both components ship a
-        /// column kernel); the rest trampoline row by row inside the
-        /// column pipeline.
-        vectorized: usize,
-        /// Total kernel stages in the pipeline.
-        stages: usize,
-    },
-    /// The pipeline processes row batches; `reason` names the polluter
-    /// and the eligibility rule it broke (or "repr = row" when forced
-    /// by the plan).
-    Row {
-        /// Why this sub-stream stays on the row path.
-        reason: String,
-    },
+    /// Tuples go through the sub-stream's [`PollutionPipeline`] one at
+    /// a time.
+    Row,
 }
 
 impl SubstreamRepr {
-    /// `"columnar"` or `"row"` — the short form for tables and wire
-    /// reports.
+    /// `"row"` — the short form for tables and reports.
     pub fn as_str(&self) -> &'static str {
         match self {
-            SubstreamRepr::Columnar { .. } => "columnar",
-            SubstreamRepr::Row { .. } => "row",
+            SubstreamRepr::Row => "row",
         }
     }
 }
@@ -280,7 +258,7 @@ pub struct LogicalPlan {
     /// Which execution strategy to compile to.
     #[serde(default)]
     pub strategy: StrategyHint,
-    /// Which batch representation the pollution stages compile to.
+    /// Accepted for compatibility; see [`ReprHint`].
     #[serde(default)]
     pub repr: ReprHint,
     /// Emit a source watermark every this many tuples — also the grain
@@ -348,63 +326,6 @@ impl LogicalPlan {
         build_pipelines(self.seed, &self.pipelines, schema)
     }
 
-    /// Resolves the plan's [`ReprHint`] into one [`SubstreamRepr`] per
-    /// sub-stream pipeline. `Auto` picks columnar kernels exactly where
-    /// the whole pipeline lowers (output is byte-identical either way);
-    /// `Columnar` fails — naming the blocking polluter — when a
-    /// sub-stream cannot lower.
-    pub fn substream_reprs(&self, schema: &Schema) -> Result<Vec<SubstreamRepr>> {
-        self.pipelines
-            .iter()
-            .enumerate()
-            .map(|(i, polluters)| {
-                let columnar = || SubstreamRepr::Columnar {
-                    vectorized: vectorized_stage_count(polluters),
-                    stages: polluters.len(),
-                };
-                match self.repr {
-                    ReprHint::Row => Ok(SubstreamRepr::Row {
-                        reason: "repr = row".into(),
-                    }),
-                    ReprHint::Auto => Ok(match lowering_blocker(polluters, schema) {
-                        None => columnar(),
-                        Some(reason) => SubstreamRepr::Row { reason },
-                    }),
-                    ReprHint::Columnar => match lowering_blocker(polluters, schema) {
-                        None => Ok(columnar()),
-                        Some(reason) => Err(Error::plan(format_args!(
-                            "repr = columnar but sub-stream {i} cannot lower: {reason}"
-                        ))),
-                    },
-                }
-            })
-            .collect()
-    }
-
-    /// Builds the runnable per-sub-stream pipelines in their compiled
-    /// representation: a lowered column-kernel pipeline where
-    /// [`LogicalPlan::substream_reprs`] says columnar, a row pipeline
-    /// otherwise. Deterministic in `seed` exactly like
-    /// [`LogicalPlan::build_pipelines`] — both representations derive
-    /// component RNGs from the same paths, so rebuilding under either
-    /// restores identical state.
-    pub(crate) fn build_exec_pipelines(&self, schema: &Schema) -> Result<Vec<BuiltPipeline>> {
-        let reprs = self.substream_reprs(schema)?;
-        let rows = self.build_pipelines(schema)?;
-        rows.into_iter()
-            .zip(reprs)
-            .enumerate()
-            .map(|(i, (row, repr))| match repr {
-                SubstreamRepr::Columnar { .. } => {
-                    let cols = lower_pipeline(self.seed, i, &self.pipelines[i], schema)?
-                        .expect("substream_reprs said lowerable");
-                    Ok(BuiltPipeline::Columnar(cols))
-                }
-                SubstreamRepr::Row { .. } => Ok(BuiltPipeline::Row(row)),
-            })
-            .collect()
-    }
-
     /// The supervision policy this plan runs under (fail-fast default
     /// when no section is present).
     pub fn supervisor_policy(&self) -> SupervisorPolicy {
@@ -456,8 +377,7 @@ impl LogicalPlan {
         }
         let m = self.substreams();
         let strategy = self.strategy.resolve();
-        let reprs = self.substream_reprs(schema)?;
-        let stages = predict_stages(m, strategy, chaos.is_some(), &reprs);
+        let stages = predict_stages(m, strategy, chaos.is_some());
         let control = ControlChannel::new();
         let settings = ExecSettings {
             schema: schema.clone(),
@@ -478,7 +398,6 @@ impl LogicalPlan {
             logical: self.clone(),
             settings,
             stages,
-            reprs,
             latest: Arc::new(Mutex::new(self.clone())),
         })
     }
@@ -746,12 +665,7 @@ fn channel_metrics(label: &str) -> Vec<String> {
 /// the source the highest index; the fan-out router is labeled before
 /// its sub-pipelines, and within a sub-pipeline the outermost operator
 /// (the pollution pipeline) is labeled before a spliced chaos injector.
-fn predict_stages(
-    m: usize,
-    strategy: ExecutionStrategy,
-    chaos: bool,
-    reprs: &[SubstreamRepr],
-) -> Vec<StageInfo> {
+fn predict_stages(m: usize, strategy: ExecutionStrategy, chaos: bool) -> Vec<StageInfo> {
     let mut seq = 0u32;
     let mut label = |name: &str| {
         let l = format!("stage/{seq:02}_{name}");
@@ -803,17 +717,9 @@ fn predict_stages(
     });
     for i in 0..m {
         let l = label("pollution_pipeline");
-        let repr = match reprs.get(i) {
-            Some(SubstreamRepr::Columnar { vectorized, stages }) => format!(
-                " [columnar kernels; {vectorized}/{stages} stages vectorized; \
-                 rows→columns→rows per transport batch]"
-            ),
-            Some(SubstreamRepr::Row { reason }) => format!(" [row batches; {reason}]"),
-            None => String::new(),
-        };
         stages.push(StageInfo {
             metrics: operator_metrics(&l),
-            role: format!("sub-stream {i} polluters{repr}"),
+            role: format!("sub-stream {i} polluters"),
             label: l,
         });
         if chaos {
@@ -855,7 +761,6 @@ pub struct PhysicalPlan {
     logical: LogicalPlan,
     settings: ExecSettings,
     stages: Vec<StageInfo>,
-    reprs: Vec<SubstreamRepr>,
     /// The most recently *validated* plan (initial or scheduled); the
     /// base against which the next delta is applied.
     latest: Arc<Mutex<LogicalPlan>>,
@@ -882,25 +787,10 @@ impl PhysicalPlan {
         &self.stages
     }
 
-    /// The compiled batch representation of each sub-stream's pollution
-    /// stage.
-    pub fn substream_reprs(&self) -> &[SubstreamRepr] {
-        &self.reprs
-    }
-
-    /// A one-word summary of the compiled representations: `columnar`,
-    /// `row`, or `mixed(k/m columnar)`.
-    pub fn repr_summary(&self) -> String {
-        let cols = self
-            .reprs
-            .iter()
-            .filter(|r| matches!(r, SubstreamRepr::Columnar { .. }))
-            .count();
-        match cols {
-            0 => "row".into(),
-            n if n == self.reprs.len() => "columnar".into(),
-            n => format!("mixed({n}/{} columnar)", self.reprs.len()),
-        }
+    /// The batch representation of each sub-stream's pollution stage:
+    /// one [`SubstreamRepr::Row`] per sub-stream.
+    pub fn substream_reprs(&self) -> Vec<SubstreamRepr> {
+        vec![SubstreamRepr::Row; self.logical.substreams()]
     }
 
     /// Scopes this plan's durable checkpoint state into `sub` below the
@@ -946,7 +836,6 @@ impl PhysicalPlan {
             self.settings.strategy
         );
         let _ = writeln!(s, "sub-streams:      {m}");
-        let _ = writeln!(s, "representation:   {}", self.repr_summary());
         let _ = writeln!(s, "assigner:         {}", self.logical.assigner.describe(m));
         let _ = writeln!(s, "seed:             {}", self.logical.seed);
         let _ = writeln!(
@@ -1031,7 +920,7 @@ impl PhysicalPlan {
     /// calls are reproducible; scheduled reconfigurations re-apply at
     /// the same epochs on every call.
     pub fn execute(&self, tuples: Vec<Tuple>) -> Result<PollutionOutput> {
-        let pipelines = self.logical.build_exec_pipelines(&self.settings.schema)?;
+        let pipelines = self.logical.build_pipelines(&self.settings.schema)?;
         let budget = self.settings.chaos.as_ref().map(ChaosConfig::new_budget);
         execute_attempt(&self.settings, tuples, pipelines, budget, None)
     }
@@ -1041,7 +930,7 @@ impl PhysicalPlan {
     /// per-stage retry budget.
     pub fn execute_supervised(&self, tuples: Vec<Tuple>) -> Result<PollutionOutput> {
         run_supervised_with(&self.settings, tuples, || {
-            self.logical.build_exec_pipelines(&self.settings.schema)
+            self.logical.build_pipelines(&self.settings.schema)
         })
     }
 
@@ -1061,7 +950,7 @@ impl PhysicalPlan {
         &self,
         sink: impl Sink<StampedTuple> + 'static,
     ) -> Result<StreamingSession> {
-        let pipelines = self.logical.build_exec_pipelines(&self.settings.schema)?;
+        let pipelines = self.logical.build_pipelines(&self.settings.schema)?;
         StreamingSession::open(&self.settings, sink, pipelines)
     }
 
@@ -1075,7 +964,7 @@ impl PhysicalPlan {
         source: impl Source<Tuple> + 'static,
         sink: impl Sink<StampedTuple> + 'static,
     ) -> Result<crate::report::RunReport> {
-        let pipelines = self.logical.build_exec_pipelines(&self.settings.schema)?;
+        let pipelines = self.logical.build_pipelines(&self.settings.schema)?;
         execute_streaming(&self.settings, source, sink, pipelines)
     }
 }
@@ -1102,11 +991,19 @@ impl ControlHandle {
     /// `>= at`. Returns the validated successor plan.
     ///
     /// Fails — without scheduling anything — if a delta is invalid, the
-    /// successor plan does not build against the schema, or the delta
+    /// successor plan does not build against the schema, the delta
     /// changes the number of sub-streams (the physical fan-out of a
-    /// running job is fixed).
+    /// running job is fixed), or the plan checkpoints: a snapshot does
+    /// not record which epoch's plan built the state it holds, so a
+    /// restore would rebuild the original one.
     pub fn reconfigure_at(&self, at: Timestamp, deltas: &[PlanDelta]) -> Result<LogicalPlan> {
         let mut latest = self.latest.lock();
+        if latest.checkpoint.is_some() {
+            return Err(Error::plan(
+                "reconfigure_at cannot steer a plan with a checkpoint section: \
+                 a restore would rebuild the original plan, not the epoch's",
+            ));
+        }
         let next = latest.apply(deltas)?;
         if next.pipelines.len() != latest.pipelines.len() {
             return Err(Error::plan(format_args!(
@@ -1117,9 +1014,6 @@ impl ControlHandle {
             )));
         }
         next.build_pipelines(&self.schema)?;
-        // A `repr = columnar` plan must stay lowerable across swaps; an
-        // auto plan re-decides per sub-stream at the epoch boundary.
-        next.substream_reprs(&self.schema)?;
         self.channel.schedule(at, next.clone());
         *latest = next.clone();
         Ok(next)
@@ -1267,29 +1161,6 @@ mod tests {
         assert!(explain.contains("stage/03_source"));
         assert!(explain.contains("stage/02_pollution_pipeline/elements_in"));
         assert!(explain.contains("Fries-style epochs"));
-    }
-
-    #[test]
-    fn explain_reports_vectorization_and_fallback_rules() {
-        // A lowerable pipeline reports its vectorized-stage count…
-        let plan = LogicalPlan::new(1, vec![vec![null_spec(0.5)]]);
-        let explain = plan.compile(&schema()).unwrap().explain();
-        assert!(
-            explain.contains("1/1 stages vectorized"),
-            "missing count in: {explain}"
-        );
-        // …and a blocked one names the eligibility rule that failed.
-        let delay = PolluterConfig::Delay {
-            name: "lag".into(),
-            condition: ConditionConfig::Always,
-            delay_ms: 500,
-        };
-        let plan = LogicalPlan::new(1, vec![vec![delay]]);
-        let explain = plan.compile(&schema()).unwrap().explain();
-        assert!(
-            explain.contains("`lag` breaks rule stateless-1to1"),
-            "missing rule in: {explain}"
-        );
     }
 
     #[test]
@@ -1606,5 +1477,55 @@ mod tests {
         assert_eq!(handle.scheduled(), 1);
         assert_eq!(handle.current_plan(), next);
         assert_eq!(handle.epochs_applied(), 0, "nothing ran yet");
+    }
+
+    #[test]
+    fn control_handle_rejects_checkpointing_plans() {
+        // A restore rebuilds the plan the job was compiled from, so an
+        // epoch applied before the fault would be lost: refused up
+        // front instead of recovering to subtly different bytes.
+        let plan = LogicalPlan {
+            checkpoint: Some(CheckpointSectionConfig::default()),
+            ..LogicalPlan::new(1, vec![vec![null_spec(0.5)]])
+        };
+        let handle = plan.compile(&schema()).unwrap().control_handle();
+        let err = handle
+            .reconfigure_at(
+                Timestamp(1000),
+                &[PlanDelta::SetError {
+                    polluter: "null-x".into(),
+                    error: ErrorConfig::Scale { factor: 2.0 },
+                }],
+            )
+            .unwrap_err();
+        assert!(matches!(err, Error::Plan { .. }), "{err}");
+        let message = err.to_string();
+        assert!(
+            message.contains("reconfigure_at") && message.contains("checkpoint"),
+            "{message}"
+        );
+        assert_eq!(handle.scheduled(), 0);
+    }
+
+    #[test]
+    fn repr_columnar_is_a_parse_error() {
+        // No plan value selects a second execution path: the retired
+        // variant is an unknown one, in a plan and in a job config.
+        let err = LogicalPlan::from_json(r#"{ "pipelines": [[]], "repr": "columnar" }"#)
+            .expect_err("plan parses");
+        assert!(matches!(err, Error::Plan { .. }), "{err}");
+        assert!(err.to_string().contains("columnar"), "{err}");
+        assert!(JobConfig::from_json(
+            r#"{ "pipelines": [[]], "execution": { "repr": "columnar" } }"#
+        )
+        .is_err());
+        for repr in ["auto", "row"] {
+            let json = format!(r#"{{ "pipelines": [[]], "repr": "{repr}" }}"#);
+            let physical = LogicalPlan::from_json(&json)
+                .unwrap()
+                .compile(&schema())
+                .unwrap();
+            assert_eq!(physical.substream_reprs()[0].as_str(), "row");
+        }
     }
 }

@@ -23,8 +23,8 @@ use crate::polluter::{BoxPolluter, Emission, Polluter};
 use crate::snapshot::ValueWire;
 use icewafl_types::{Duration, Error, Result, Schema, StampedTuple, Timestamp, Value};
 use serde::{Deserialize, Serialize};
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Propagates an error: a trigger at `τ_t` causes a consequent error on
 /// later tuples in `[τ_t + delay, τ_t + delay + duration)`.
@@ -235,7 +235,10 @@ pub struct KeyedPolluter {
     name: String,
     key_attr: usize,
     factory: Box<dyn FnMut(&Value) -> BoxPolluter + Send>,
-    per_key: HashMap<String, KeyEntry>,
+    /// Ordered: watermarks and end-of-stream visit the keys in this
+    /// order, and what the inner polluters release then (tuples, log
+    /// entries) must come out the same way on every run.
+    per_key: BTreeMap<String, KeyEntry>,
 }
 
 /// One key's inner polluter plus the original key value — kept so a
@@ -260,7 +263,7 @@ impl KeyedPolluter {
             name: name.into(),
             key_attr: schema.require(key_attribute)?,
             factory: Box::new(factory),
-            per_key: HashMap::new(),
+            per_key: BTreeMap::new(),
         })
     }
 
@@ -319,7 +322,7 @@ impl Polluter for KeyedPolluter {
     }
 
     fn snapshot_state(&self) -> Option<String> {
-        let mut entries: Vec<KeyedEntryWire> = self
+        let entries: Vec<KeyedEntryWire> = self
             .per_key
             .iter()
             .map(|(key, entry)| KeyedEntryWire {
@@ -328,9 +331,6 @@ impl Polluter for KeyedPolluter {
                 state: entry.inner.snapshot_state(),
             })
             .collect();
-        // HashMap iteration order is arbitrary; serialise sorted so
-        // equal states produce equal documents.
-        entries.sort_by(|a, b| a.key.cmp(&b.key));
         Some(serde_json::to_string(&KeyedState { entries }).expect("keyed state serialises"))
     }
 

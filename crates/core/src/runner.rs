@@ -5,7 +5,6 @@
 //! arrival time → output the clean stream `D`, the dirty stream `Dᵖ`,
 //! and the ground-truth log.
 
-use crate::columnar::ColumnPipeline;
 use crate::log::PollutionLog;
 use crate::pipeline::PollutionPipeline;
 use crate::plan::{ExecutionStrategy, LogicalPlan, StrategyHint, DEFAULT_BATCH_SIZE};
@@ -107,67 +106,6 @@ struct SubstreamState {
     log_len: u64,
 }
 
-/// One sub-stream's pipeline in its compiled batch representation: a
-/// classic row pipeline, or the same polluters lowered to column
-/// kernels (see [`crate::columnar`]). Both produce byte-identical
-/// output, logs, and checkpoint state documents — which representation
-/// runs is purely a performance decision made at plan compile time
-/// (and re-made at every epoch swap).
-pub(crate) enum BuiltPipeline {
-    /// Row-batch execution through [`PollutionPipeline`].
-    Row(PollutionPipeline),
-    /// Columnar execution through lowered kernels.
-    Columnar(ColumnPipeline),
-}
-
-impl BuiltPipeline {
-    pub(crate) fn collect_stats(&self, out: &mut Vec<PolluterStatsHandle>) {
-        match self {
-            BuiltPipeline::Row(p) => p.collect_stats(out),
-            BuiltPipeline::Columnar(p) => p.collect_stats(out),
-        }
-    }
-
-    pub(crate) fn restore_states(&mut self, doc: &str) -> Result<()> {
-        match self {
-            BuiltPipeline::Row(p) => p.restore_states(doc),
-            BuiltPipeline::Columnar(p) => p.restore_states(doc),
-        }
-    }
-
-    fn snapshot_states(&self) -> Option<String> {
-        match self {
-            BuiltPipeline::Row(p) => p.snapshot_states(),
-            BuiltPipeline::Columnar(p) => p.snapshot_states(),
-        }
-    }
-
-    fn on_watermark(
-        &mut self,
-        wm: Timestamp,
-        scratch: &mut Vec<StampedTuple>,
-        log: &mut PollutionLog,
-    ) {
-        match self {
-            BuiltPipeline::Row(p) => {
-                let mut em = Emission::new(scratch, log);
-                p.on_watermark(wm, &mut em);
-            }
-            BuiltPipeline::Columnar(p) => p.on_watermark(wm, log),
-        }
-    }
-
-    fn finish(&mut self, scratch: &mut Vec<StampedTuple>, log: &mut PollutionLog) {
-        match self {
-            BuiltPipeline::Row(p) => {
-                let mut em = Emission::new(scratch, log);
-                p.finish(&mut em);
-            }
-            BuiltPipeline::Columnar(p) => p.finish(log),
-        }
-    }
-}
-
 /// A run's ground-truth log as one segment per sub-stream.
 ///
 /// Each [`PipelineOperator`] takes its segment when it is built, owns
@@ -215,10 +153,10 @@ impl LogSegments {
     }
 }
 
-/// A stream [`Operator`] wrapping a built row or columnar pipeline and
+/// A stream [`Operator`] wrapping one sub-stream's pipeline and
 /// recording into its own segment of the run's log.
 pub struct PipelineOperator {
-    pipeline: BuiltPipeline,
+    pipeline: PollutionPipeline,
     sub_stream: u32,
     /// This sub-stream's log segment, returned to `segments` on drop.
     log: PollutionLog,
@@ -242,10 +180,10 @@ impl Drop for PipelineOperator {
 }
 
 impl PipelineOperator {
-    /// Wraps a pipeline in its compiled representation as the operator
-    /// of sub-stream `sub_stream`, taking that sub-stream's segment of
-    /// `segments` for as long as the operator lives.
-    fn from_built(pipeline: BuiltPipeline, sub_stream: u32, segments: &LogSegments) -> Self {
+    /// Wraps a pipeline as the operator of sub-stream `sub_stream`,
+    /// taking that sub-stream's segment of `segments` for as long as
+    /// the operator lives.
+    fn new(pipeline: PollutionPipeline, sub_stream: u32, segments: &LogSegments) -> Self {
         PipelineOperator {
             pipeline,
             sub_stream,
@@ -306,15 +244,12 @@ impl PipelineOperator {
             _ => None,
         };
         let Some((epoch, plan)) = due else { return };
-        self.pipeline.finish(&mut self.scratch, &mut self.log);
+        let mut em = Emission::new(&mut self.scratch, &mut self.log);
+        self.pipeline.finish(&mut em);
         self.drain_scratch(out);
-        // Rebuild in the representation the *new* plan compiles to: an
-        // epoch swap can move this sub-stream between the columnar and
-        // row paths (e.g. a delta adds a temporal polluter) without
-        // changing output bytes.
         let ctrl = self.control.as_ref().expect("checked above");
         let mut pipelines = plan
-            .build_exec_pipelines(&ctrl.schema)
+            .build_pipelines(&ctrl.schema)
             .unwrap_or_else(|e| panic!("epoch {epoch} plan failed to rebuild: {e}"));
         let idx = self.sub_stream as usize;
         assert!(
@@ -333,43 +268,25 @@ impl PipelineOperator {
 }
 
 impl Operator<StampedTuple, StampedTuple> for PipelineOperator {
-    fn on_element(&mut self, mut record: StampedTuple, out: &mut dyn Collector<StampedTuple>) {
-        match &mut self.pipeline {
-            BuiltPipeline::Row(p) => {
-                let mut em = Emission::new(&mut self.scratch, &mut self.log);
-                p.process(record, &mut em);
-            }
-            BuiltPipeline::Columnar(p) => {
-                p.process_row(&mut record, &mut self.log);
-                self.scratch.push(record);
-            }
-        }
+    fn on_element(&mut self, record: StampedTuple, out: &mut dyn Collector<StampedTuple>) {
+        let mut em = Emission::new(&mut self.scratch, &mut self.log);
+        self.pipeline.process(record, &mut em);
         self.drain_scratch(out);
     }
 
     fn on_batch(&mut self, batch: Vec<StampedTuple>, out: &mut dyn Collector<StampedTuple>) {
-        match &mut self.pipeline {
-            // Row path: tuples are still processed one at a time
-            // (batching must not change the ground-truth log order).
-            BuiltPipeline::Row(p) => {
-                for record in batch {
-                    let mut em = Emission::new(&mut self.scratch, &mut self.log);
-                    p.process(record, &mut em);
-                }
-            }
-            // Columnar path: the whole batch pivots to column vectors
-            // and runs through the kernels — identical bytes, one
-            // representation conversion per transport batch.
-            BuiltPipeline::Columnar(p) => {
-                self.scratch.extend(p.process_rows(batch, &mut self.log));
-            }
+        // Tuples are still processed one at a time (batching must not
+        // change the ground-truth log order).
+        for record in batch {
+            let mut em = Emission::new(&mut self.scratch, &mut self.log);
+            self.pipeline.process(record, &mut em);
         }
         self.drain_scratch(out);
     }
 
     fn on_watermark(&mut self, wm: Timestamp, out: &mut dyn Collector<StampedTuple>) {
-        self.pipeline
-            .on_watermark(wm, &mut self.scratch, &mut self.log);
+        let mut em = Emission::new(&mut self.scratch, &mut self.log);
+        self.pipeline.on_watermark(wm, &mut em);
         self.drain_scratch(out);
         self.apply_due_reconfiguration(wm, out);
     }
@@ -386,7 +303,8 @@ impl Operator<StampedTuple, StampedTuple> for PipelineOperator {
     }
 
     fn on_end(&mut self, out: &mut dyn Collector<StampedTuple>) {
-        self.pipeline.finish(&mut self.scratch, &mut self.log);
+        let mut em = Emission::new(&mut self.scratch, &mut self.log);
+        self.pipeline.finish(&mut em);
         self.drain_scratch(out);
     }
 
@@ -585,7 +503,6 @@ impl PollutionJob {
         pipelines: Vec<PollutionPipeline>,
     ) -> Result<PollutionOutput> {
         let budget = self.settings.chaos.as_ref().map(ChaosConfig::new_budget);
-        let pipelines = pipelines.into_iter().map(BuiltPipeline::Row).collect();
         execute_attempt(&self.settings, tuples, pipelines, budget, None)
     }
 
@@ -596,13 +513,11 @@ impl PollutionJob {
     /// shared across attempts, so a bounded fault is transient — it
     /// heals after restart instead of re-arming. On success the report
     /// records how many restarts were consumed.
-    pub fn run_supervised<F>(&self, tuples: Vec<Tuple>, mut pipelines: F) -> Result<PollutionOutput>
+    pub fn run_supervised<F>(&self, tuples: Vec<Tuple>, pipelines: F) -> Result<PollutionOutput>
     where
         F: FnMut() -> Result<Vec<PollutionPipeline>>,
     {
-        run_supervised_with(&self.settings, tuples, move || {
-            Ok(pipelines()?.into_iter().map(BuiltPipeline::Row).collect())
-        })
+        run_supervised_with(&self.settings, tuples, pipelines)
     }
 }
 
@@ -614,7 +529,7 @@ pub(crate) fn run_supervised_with<F>(
     mut pipelines: F,
 ) -> Result<PollutionOutput>
 where
-    F: FnMut() -> Result<Vec<BuiltPipeline>>,
+    F: FnMut() -> Result<Vec<PollutionPipeline>>,
 {
     if settings.checkpoint.is_some() {
         return run_supervised_checkpointed(settings, tuples, pipelines);
@@ -699,15 +614,10 @@ fn run_supervised_checkpointed<F>(
     mut pipelines: F,
 ) -> Result<PollutionOutput>
 where
-    F: FnMut() -> Result<Vec<BuiltPipeline>>,
+    F: FnMut() -> Result<Vec<PollutionPipeline>>,
 {
     let ckpt = settings.checkpoint.as_ref().expect("caller checked");
-    if let Some(chaos) = &settings.chaos {
-        if !chaos.is_valid() {
-            return Err(icewafl_types::Error::config(
-                "chaos rates must be probabilities in [0, 1]",
-            ));
-        }
+    if settings.chaos.is_some() {
         install_quiet_panic_hook();
     }
     let store = match &ckpt.dir {
@@ -753,11 +663,7 @@ where
             }
         }
         let mut built = pipelines()?;
-        if built.is_empty() {
-            return Err(icewafl_types::Error::config(
-                "at least one pipeline is required",
-            ));
-        }
+        validate(settings, &built)?;
         let segments =
             segments.get_or_insert_with(|| LogSegments::new(built.len(), settings.logging));
         for (i, pipeline) in built.iter_mut().enumerate() {
@@ -861,126 +767,6 @@ where
     }
 }
 
-/// Whether a run can take the direct columnar drive instead of the
-/// channel driver. The direct drive processes each sub-stream as one
-/// column batch and reassembles the output by input position, so it is
-/// only byte-identical to the channel driver when
-///
-/// * every sub-stream lowered to column kernels (value-only polluters:
-///   exactly one output row per input row, arrival stamps untouched),
-/// * arrivals are strictly increasing (the sorted output is then the
-///   input order, with no ties for the sorter to break),
-/// * nothing observes the element-by-element schedule: no ground-truth
-///   log, no chaos injection, no epoch control channel, no deadline,
-/// * the strategy is sequential — the pipelined and parallel drivers
-///   exist precisely to put channel boundaries between stages.
-fn columnar_direct_eligible(
-    settings: &ExecSettings,
-    pipelines: &[BuiltPipeline],
-    clean: &[StampedTuple],
-    deadline: Option<Instant>,
-) -> bool {
-    !settings.logging
-        && settings.chaos.is_none()
-        // A control channel with scheduled plans needs the watermark
-        // cadence of the channel driver to find its epoch boundary. An
-        // empty channel is inert: scheduling against an already-running
-        // synchronous `execute` is racy by nature, so emptiness at run
-        // start is the semantics either driver honors.
-        && settings.control.as_ref().is_none_or(ControlChannel::is_empty)
-        && deadline.is_none()
-        && matches!(settings.strategy, ExecutionStrategy::Sequential)
-        && !pipelines.is_empty()
-        && pipelines
-            .iter()
-            .all(|p| matches!(p, BuiltPipeline::Columnar(_)))
-        && clean.windows(2).all(|w| w[0].arrival < w[1].arrival)
-}
-
-/// The direct columnar drive: route every tuple to its sub-stream,
-/// pivot each sub-stream to columns *once*, run the kernels, and
-/// reassemble the merged output by input position.
-///
-/// Value kernels are 1:1 and preserve arrival stamps, so with strictly
-/// increasing arrivals the sorted merge of the sub-streams is exactly
-/// the input interleaving — no heap, no watermark buffer. Per-component
-/// RNG streams depend only on per-sub-stream row order (identical
-/// here), so output bytes and polluter stats match the channel driver
-/// exactly.
-///
-/// Returns `None` when the assigner turns out to produce overlapping
-/// memberships (broadcast, probabilistic overlap): duplicated tuples
-/// share arrival stamps and their union order is the sorter's tie
-/// order, which only the channel driver reproduces. Bailing out is
-/// side-effect free — no kernel has run at that point.
-fn execute_columnar_direct(
-    settings: &ExecSettings,
-    clean: &[StampedTuple],
-    pipelines: &mut [BuiltPipeline],
-    registry: &MetricsRegistry,
-) -> Option<Vec<StampedTuple>> {
-    let m = pipelines.len();
-    let mut selector = settings.assigner.selector(m);
-    let mut assignment: Vec<u32> = Vec::with_capacity(clean.len());
-    let mut buckets: Vec<Vec<StampedTuple>> = (0..m).map(|_| Vec::new()).collect();
-    let mut membership: Vec<usize> = Vec::with_capacity(m);
-    for t in clean {
-        membership.clear();
-        selector(t, &mut membership);
-        let [i] = membership[..] else { return None };
-        let mut routed = t.clone();
-        routed.sub_stream = i as u32;
-        assignment.push(i as u32);
-        buckets[i].push(routed);
-    }
-
-    let mut log = PollutionLog::disabled();
-    let mut outputs: Vec<std::vec::IntoIter<StampedTuple>> = Vec::with_capacity(m);
-    for (i, bucket) in buckets.into_iter().enumerate() {
-        let rows_in = bucket.len();
-        let BuiltPipeline::Columnar(pipeline) = &mut pipelines[i] else {
-            unreachable!("eligibility requires all-columnar pipelines");
-        };
-        let processed = pipeline.process_rows(bucket, &mut log);
-        pipeline.finish(&mut log);
-        assert_eq!(
-            processed.len(),
-            rows_in,
-            "column kernels are value-only and must be 1:1"
-        );
-        // Mirror the stage counters the channel driver would register
-        // under the same predicted label (`--explain` cross-checks
-        // these, and `icewafl top` renders them). Sequential layout:
-        // 00 sorter, 01 router, 02.. one per sub-stream, then source.
-        let label = format!("stage/{:02}_pollution_pipeline", 2 + i);
-        registry
-            .counter(&format!("{label}/elements_in"))
-            .add(rows_in as u64);
-        registry
-            .counter(&format!("{label}/elements_out"))
-            .add(rows_in as u64);
-        outputs.push(processed.into_iter());
-    }
-
-    let n = clean.len() as u64;
-    registry
-        .counter("stage/00_event_time_sorter/elements_in")
-        .add(n);
-    registry
-        .counter("stage/00_event_time_sorter/elements_out")
-        .add(n);
-
-    let mut polluted = Vec::with_capacity(assignment.len());
-    for &s in &assignment {
-        polluted.push(
-            outputs[s as usize]
-                .next()
-                .expect("each routed tuple has exactly one output row"),
-        );
-    }
-    Some(polluted)
-}
-
 /// One execution attempt — the single construction + execution path
 /// behind every entry point. `chaos_budget` carries the panic budget
 /// across supervised retries; `deadline` is enforced mid-run by the
@@ -988,7 +774,7 @@ fn execute_columnar_direct(
 pub(crate) fn execute_attempt(
     settings: &ExecSettings,
     tuples: Vec<Tuple>,
-    pipelines: Vec<BuiltPipeline>,
+    pipelines: Vec<PollutionPipeline>,
     chaos_budget: Option<Arc<AtomicU64>>,
     deadline: Option<Instant>,
 ) -> Result<PollutionOutput> {
@@ -1012,7 +798,7 @@ fn prepare_clean(settings: &ExecSettings, tuples: Vec<Tuple>) -> Result<Arc<Vec<
 
 /// Rejects what no attempt could run: a job without pipelines, chaos
 /// rates that are not probabilities.
-fn validate(settings: &ExecSettings, pipelines: &[BuiltPipeline]) -> Result<()> {
+fn validate(settings: &ExecSettings, pipelines: &[PollutionPipeline]) -> Result<()> {
     if pipelines.is_empty() {
         return Err(icewafl_types::Error::config(
             "at least one pipeline is required",
@@ -1032,7 +818,7 @@ fn validate(settings: &ExecSettings, pipelines: &[BuiltPipeline]) -> Result<()> 
 fn execute_prepared(
     settings: &ExecSettings,
     clean: &Arc<Vec<StampedTuple>>,
-    pipelines: Vec<BuiltPipeline>,
+    pipelines: Vec<PollutionPipeline>,
     chaos_budget: Option<Arc<AtomicU64>>,
     deadline: Option<Instant>,
 ) -> Result<PollutionOutput> {
@@ -1051,35 +837,19 @@ fn execute_prepared(
     let stat_handles = stat_handles_of(&pipelines);
     let registry = MetricsRegistry::new();
 
-    // Fully-columnar sequential plans with strictly monotone arrivals
-    // take the direct drive: one representation pivot per sub-stream
-    // instead of per transport batch, and no channel/sorter machinery
-    // at all. Falls back to the channel driver whenever the output
-    // could depend on merge order (see `columnar_direct_eligible`).
-    let mut pipelines = pipelines;
-    let direct = if columnar_direct_eligible(settings, &pipelines, clean, deadline) {
-        execute_columnar_direct(settings, clean, &mut pipelines, &registry)
-    } else {
-        None
-    };
-    let polluted = match direct {
-        Some(polluted) => polluted,
-        None => {
-            let sink = SharedVecSink::new();
-            drive_pipelines(
-                settings,
-                replay_source(clean, 0),
-                sink.clone(),
-                pipelines,
-                chaos_budget,
-                deadline,
-                &registry,
-                &segments,
-                None,
-            )?;
-            sink.take()
-        }
-    };
+    let sink = SharedVecSink::new();
+    drive_pipelines(
+        settings,
+        replay_source(clean, 0),
+        sink.clone(),
+        pipelines,
+        chaos_budget,
+        deadline,
+        &registry,
+        &segments,
+        None,
+    )?;
+    let polluted = sink.take();
 
     let log = segments.concat();
     let report = run_report(
@@ -1099,7 +869,7 @@ fn execute_prepared(
 }
 
 /// The live stat cells of every polluter in `pipelines`.
-fn stat_handles_of(pipelines: &[BuiltPipeline]) -> Vec<PolluterStatsHandle> {
+fn stat_handles_of(pipelines: &[PollutionPipeline]) -> Vec<PolluterStatsHandle> {
     let mut handles = Vec::new();
     for pipeline in pipelines {
         pipeline.collect_stats(&mut handles);
@@ -1225,7 +995,7 @@ impl StreamingSession {
     pub(crate) fn open(
         settings: &ExecSettings,
         sink: impl Sink<StampedTuple> + 'static,
-        pipelines: Vec<BuiltPipeline>,
+        pipelines: Vec<PollutionPipeline>,
     ) -> Result<Self> {
         validate(settings, &pipelines)?;
         // Streaming sources poison via typed `StageError` panics on
@@ -1334,7 +1104,7 @@ pub(crate) fn execute_streaming(
     settings: &ExecSettings,
     mut source: impl Source<Tuple>,
     sink: impl Sink<StampedTuple> + 'static,
-    pipelines: Vec<BuiltPipeline>,
+    pipelines: Vec<PollutionPipeline>,
 ) -> Result<RunReport> {
     let mut session = StreamingSession::open(settings, sink, pipelines)?;
     loop {
@@ -1375,7 +1145,7 @@ fn drive_pipelines(
     settings: &ExecSettings,
     source: impl Source<StampedTuple> + 'static,
     sink: impl Sink<StampedTuple> + 'static,
-    pipelines: Vec<BuiltPipeline>,
+    pipelines: Vec<PollutionPipeline>,
     chaos_budget: Option<Arc<AtomicU64>>,
     deadline: Option<Instant>,
     registry: &MetricsRegistry,
@@ -1430,7 +1200,7 @@ fn source_watermarks(settings: &ExecSettings) -> WatermarkStrategy<StampedTuple>
 fn pollution_topology(
     settings: &ExecSettings,
     head: DataStream<StampedTuple>,
-    pipelines: Vec<BuiltPipeline>,
+    pipelines: Vec<PollutionPipeline>,
     chaos_budget: Option<Arc<AtomicU64>>,
     registry: &MetricsRegistry,
     segments: &LogSegments,
@@ -1442,7 +1212,7 @@ fn pollution_topology(
         .into_iter()
         .enumerate()
         .map(|(i, pipeline)| -> Result<_> {
-            let op = PipelineOperator::from_built(pipeline, i as u32, segments);
+            let op = PipelineOperator::new(pipeline, i as u32, segments);
             // Reconfigurable jobs get a control subscriber per
             // sub-stream; all subscribers see the same broadcast
             // watermark sequence, which is the epoch barrier.

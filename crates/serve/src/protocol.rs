@@ -178,11 +178,6 @@ pub struct SessionTelemetry {
     /// Wire format on this session's socket: `ndjson` or `binary`.
     #[serde(default)]
     pub format: String,
-    /// Compiled batch representation of the session's plan (`columnar`,
-    /// `row`, or `mixed(k/m columnar)`); `-` for sessions that run no
-    /// plan (telemetry subscribers).
-    #[serde(default)]
-    pub repr: String,
     /// Frames received from the session's client so far.
     #[serde(default)]
     pub frames_in: u64,
@@ -1011,7 +1006,6 @@ mod tests {
                 id: 7,
                 kind: "pollute".into(),
                 format: "binary".into(),
-                repr: "columnar".into(),
                 frames_in: 100,
                 frames_out: 120,
                 bytes_out: 4096,
@@ -1032,6 +1026,10 @@ mod tests {
                 other => panic!("telemetry frame decoded as {other:?}"),
             }
         }
+        // Rows from a server that still reports `repr` keep parsing.
+        let old: SessionTelemetry =
+            serde_json::from_str(r#"{"id":7,"kind":"pollute","repr":"columnar"}"#).unwrap();
+        assert_eq!((old.id, old.kind.as_str()), (7, "pollute"));
     }
 
     #[test]

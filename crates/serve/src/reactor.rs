@@ -160,11 +160,10 @@ impl ConnCounters {
         }
     }
 
-    fn handles(&self, kind: &'static str, format: WireFormat, repr: String) -> SessionHandles {
+    fn handles(&self, kind: &'static str, format: WireFormat) -> SessionHandles {
         SessionHandles {
             kind,
             format: format.as_str(),
-            repr,
             frames_in: Arc::clone(&self.frames_in),
             frames_out: Arc::clone(&self.frames_out),
             bytes_out: Arc::clone(&self.bytes_out),
@@ -796,11 +795,7 @@ fn open_pollute(shared: &Arc<Shared>, conn: &mut Conn, hs: &Handshake) -> Step {
         plan.strategy().to_string(),
         plan.logical().substreams(),
     ));
-    shared.register_session(
-        conn.id,
-        conn.counters
-            .handles("pollute", format, plan.repr_summary()),
-    );
+    shared.register_session(conn.id, conn.counters.handles("pollute", format));
     conn.in_table = true;
     conn.coerce_schema = match format {
         WireFormat::Ndjson => Some(plan.schema().clone()),
@@ -835,10 +830,7 @@ fn open_subscribe(shared: &Arc<Shared>, conn: &mut Conn, hs: &Handshake) -> Step
     conn.stream_name = Some(name.clone());
     conn.format = format;
     conn.queue_line(&HandshakeReply::accepted(conn.id, "subscribe".into(), 0));
-    shared.register_session(
-        conn.id,
-        conn.counters.handles("subscribe", format, "-".into()),
-    );
+    shared.register_session(conn.id, conn.counters.handles("subscribe", format));
     conn.in_table = true;
     conn.phase = Phase::Subscribe;
     Step::Continue

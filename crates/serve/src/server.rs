@@ -112,9 +112,6 @@ pub(crate) struct SessionHandles {
     pub(crate) kind: &'static str,
     /// Wire format on the session's socket (`ndjson` / `binary`).
     pub(crate) format: &'static str,
-    /// Compiled batch representation of the session's plan; `-` when
-    /// the session runs no plan (telemetry and subscribe sessions).
-    pub(crate) repr: String,
     pub(crate) frames_in: Arc<AtomicU64>,
     pub(crate) frames_out: Arc<AtomicU64>,
     pub(crate) bytes_out: Arc<AtomicU64>,
@@ -137,11 +134,10 @@ pub(crate) struct SessionGauges {
 }
 
 impl SessionHandles {
-    fn new(kind: &'static str, format: WireFormat, repr: String) -> Self {
+    fn new(kind: &'static str, format: WireFormat) -> Self {
         SessionHandles {
             kind,
             format: format.as_str(),
-            repr,
             frames_in: Arc::new(AtomicU64::new(0)),
             frames_out: Arc::new(AtomicU64::new(0)),
             bytes_out: Arc::new(AtomicU64::new(0)),
@@ -230,7 +226,6 @@ impl Shared {
                         id: *id,
                         kind: h.kind.to_string(),
                         format: h.format.to_string(),
-                        repr: h.repr.clone(),
                         frames_in: h.frames_in.load(Ordering::Relaxed),
                         frames_out: h.frames_out.load(Ordering::Relaxed),
                         bytes_out: h.bytes_out.load(Ordering::Relaxed),
@@ -671,7 +666,6 @@ fn run_session(stream: TcpStream, shared: &Shared, session_id: u64) {
         SessionHandles {
             kind: "pollute",
             format: format.as_str(),
-            repr: plan.repr_summary(),
             frames_in: Arc::clone(&frames_in),
             frames_out: Arc::clone(&frames_out),
             bytes_out: sink.bytes_out_handle(),
@@ -737,7 +731,7 @@ pub(crate) fn run_telemetry_session(
     session_id: u64,
     format: WireFormat,
 ) {
-    let handles = SessionHandles::new("telemetry", format, "-".into());
+    let handles = SessionHandles::new("telemetry", format);
     let frames_out = Arc::clone(&handles.frames_out);
     let bytes_out = Arc::clone(&handles.bytes_out);
     let _entry = SessionEntry::register(shared, session_id, handles);

@@ -444,7 +444,6 @@ fn telemetry_session_streams_periodic_frames_with_session_table() {
         .expect("telemetry session lists itself");
     assert!(own.frames_out >= 1, "telemetry row: {own:?}");
     assert!(own.bytes_out > 0, "telemetry row: {own:?}");
-    assert_eq!(own.repr, "-", "telemetry sessions run no plan: {own:?}");
     // The held-open pollute session appears with its live counters; the
     // timing-dependent ones are only read, not asserted.
     let pollute_row = last
@@ -453,11 +452,8 @@ fn telemetry_session_streams_periodic_frames_with_session_table() {
         .find(|s| s.kind == "pollute")
         .expect("pollute session in the table");
     assert!(pollute_row.frames_in >= 1, "pollute row: {pollute_row:?}");
-    // The table distinguishes wire format and batch representation per
-    // session: the test plan is all value polluters, so it compiles
-    // columnar.
+    // The table tells the sessions' wire formats apart.
     assert_eq!(pollute_row.format, "ndjson", "pollute row: {pollute_row:?}");
-    assert_eq!(pollute_row.repr, "columnar", "pollute row: {pollute_row:?}");
     let _ = pollute_row.bytes_out + pollute_row.encode_ns + pollute_row.blocked_write_ns;
 
     // With metrics compiled in, the sampler fed at least one registry

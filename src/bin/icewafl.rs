@@ -459,11 +459,10 @@ fn render_top_frame(f: &icewafl::serve::TelemetryFrame) -> String {
     let _ = writeln!(out, "sessions ({}):", f.sessions.len());
     let _ = writeln!(
         out,
-        "  {:>4}  {:<10} {:<7} {:<10} {:>10} {:>11} {:>12} {:>11} {:>17} {:>23}",
+        "  {:>4}  {:<10} {:<7} {:>10} {:>11} {:>12} {:>11} {:>17} {:>23}",
         "id",
         "kind",
         "format",
-        "repr",
         "frames_in",
         "frames_out",
         "bytes_out",
@@ -477,11 +476,10 @@ fn render_top_frame(f: &icewafl::serve::TelemetryFrame) -> String {
         let dash = |v: &str| if v.is_empty() { "-" } else { v }.to_string();
         let _ = writeln!(
             out,
-            "  {:>4}  {:<10} {:<7} {:<10} {:>10} {:>11} {:>12} {:>11.3} {:>17.3} {:>23}",
+            "  {:>4}  {:<10} {:<7} {:>10} {:>11} {:>12} {:>11.3} {:>17.3} {:>23}",
             s.id,
             s.kind,
             dash(&s.format),
-            dash(&s.repr),
             s.frames_in,
             s.frames_out,
             s.bytes_out,

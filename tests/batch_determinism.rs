@@ -277,219 +277,6 @@ fn epoch_boundary_is_batch_size_invariant() {
     }
 }
 
-// ---------------------------------------------------------------------
-// Columnar vs row representation
-// ---------------------------------------------------------------------
-
-/// Batch sizes for the representation sweep. 1 exercises the degenerate
-/// single-row column kernels; 4096 exceeds every internal buffer.
-const REPR_BATCH_SIZES: [usize; 4] = [1, 64, 256, 4096];
-
-/// A value-only plan (noise + scale) that lowers to column kernels,
-/// with the representation pinned so a silent fallback would fail the
-/// compile instead of silently testing row against row.
-fn repr_plan(strategy: StrategyHint, batch_size: usize, repr: ReprHint) -> LogicalPlan {
-    let pipeline = |i: usize| {
-        vec![
-            noise(format!("noise-{i}")),
-            PolluterConfig::Standard {
-                name: format!("scale-{i}"),
-                attributes: vec!["x".into()],
-                error: ErrorConfig::Scale { factor: 1.5 },
-                condition: ConditionConfig::Probability { p: 0.3 },
-                pattern: None,
-            },
-        ]
-    };
-    let mut plan = LogicalPlan::new(42, (0..3).map(pipeline).collect());
-    plan.assigner = AssignerSpec::RoundRobin;
-    plan.strategy = strategy;
-    plan.batch_size = batch_size;
-    plan.repr = repr;
-    plan
-}
-
-#[test]
-fn columnar_output_is_byte_identical_to_row() {
-    // The tentpole invariant: representation is a pure performance
-    // knob. Polluted stream, clean stream, and ground-truth log are
-    // byte-identical between row and columnar execution for every
-    // strategy and batch size.
-    let base = run(&repr_plan(StrategyHint::Sequential, 1, ReprHint::Row), 500);
-    for strategy in STRATEGIES {
-        for batch_size in REPR_BATCH_SIZES {
-            for repr in [ReprHint::Row, ReprHint::Columnar] {
-                let plan = repr_plan(strategy, batch_size, repr);
-                let physical = plan.compile(&schema()).expect("plan compiles");
-                let expected = match repr {
-                    ReprHint::Columnar => "columnar",
-                    _ => "row",
-                };
-                assert_eq!(physical.repr_summary(), expected);
-                let out = physical.execute(tuples(500)).expect("run succeeds");
-                assert_eq!(
-                    out.polluted, base.polluted,
-                    "polluted stream changed ({strategy:?}, batch {batch_size}, {repr:?})"
-                );
-                assert_eq!(out.clean, base.clean);
-                assert_eq!(
-                    out.log.entries(),
-                    base.log.entries(),
-                    "ground truth changed ({strategy:?}, batch {batch_size}, {repr:?})"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn direct_columnar_drive_matches_the_channel_paths() {
-    // With logging off, a sequential all-columnar plan takes the direct
-    // drive (bucket → pivot once → kernels → scatter, no channels or
-    // sorter heap). Its output must match both the row channel path and
-    // the columnar channel path (logging on forces the latter).
-    let run_with = |repr: ReprHint, logging: bool, batch_size: usize| {
-        let mut plan = repr_plan(StrategyHint::Sequential, batch_size, repr);
-        plan.logging = logging;
-        run(&plan, 500)
-    };
-    for batch_size in [64usize, 4096] {
-        let row = run_with(ReprHint::Row, false, batch_size);
-        let direct = run_with(ReprHint::Columnar, false, batch_size);
-        let channel = run_with(ReprHint::Columnar, true, batch_size);
-        assert_eq!(
-            direct.polluted, row.polluted,
-            "direct columnar drive diverged from row (batch {batch_size})"
-        );
-        assert_eq!(direct.clean, row.clean);
-        assert_eq!(
-            direct.polluted, channel.polluted,
-            "direct drive diverged from channel columnar (batch {batch_size})"
-        );
-    }
-}
-
-#[test]
-fn multi_membership_assigners_fall_back_identically() {
-    // Broadcast (every tuple in every sub-stream) and probabilistic
-    // overlap defeat the direct drive's single-membership requirement;
-    // it must bail to the channel driver before any side effect, and
-    // columnar must still match row byte-for-byte.
-    for assigner in [
-        AssignerSpec::Broadcast,
-        AssignerSpec::Probabilistic { p: 0.6 },
-    ] {
-        let run_with = |repr: ReprHint| {
-            let mut plan = repr_plan(StrategyHint::Sequential, 256, repr);
-            plan.assigner = assigner;
-            plan.logging = false;
-            run(&plan, 300)
-        };
-        let row = run_with(ReprHint::Row);
-        let col = run_with(ReprHint::Columnar);
-        assert_eq!(
-            col.polluted, row.polluted,
-            "fallback diverged under {assigner:?}"
-        );
-        assert_eq!(col.clean, row.clean);
-    }
-}
-
-#[test]
-fn reconfiguration_is_repr_invariant() {
-    // A mid-stream epoch flip lands on the same tuple under columnar
-    // execution: Fries-style reconfiguration semantics are preserved
-    // byte-for-byte (the epoch boundary is a watermark property, not a
-    // representation property).
-    let flipped = |repr: ReprHint, batch_size: usize| {
-        let mut plan = LogicalPlan::new(
-            7,
-            vec![vec![PolluterConfig::Standard {
-                name: "scale".into(),
-                attributes: vec!["x".into()],
-                error: ErrorConfig::Scale { factor: 2.0 },
-                condition: ConditionConfig::Always,
-                pattern: None,
-            }]],
-        );
-        plan.batch_size = batch_size;
-        plan.repr = repr;
-        let physical = plan.compile(&schema()).expect("plan compiles");
-        physical
-            .control_handle()
-            .reconfigure_at(
-                Timestamp(256_000),
-                &[PlanDelta::SetError {
-                    polluter: "scale".into(),
-                    error: ErrorConfig::Scale { factor: 0.5 },
-                }],
-            )
-            .expect("delta validates");
-        physical.execute(tuples(400)).expect("run succeeds")
-    };
-    let base = flipped(ReprHint::Row, 1);
-    for batch_size in REPR_BATCH_SIZES {
-        let out = flipped(ReprHint::Columnar, batch_size);
-        assert_eq!(out.report.epochs_applied, 1);
-        assert_eq!(
-            out.polluted, base.polluted,
-            "epoch split moved (columnar, batch {batch_size})"
-        );
-    }
-}
-
-#[test]
-fn checkpoint_recovery_on_a_columnar_plan_is_byte_identical() {
-    // A transient kill healed by checkpoint restore on a columnar plan
-    // produces the same bytes as an undisturbed columnar run — and as
-    // an undisturbed row run.
-    let config = |kill: bool| {
-        let chaos = if kill {
-            r#""chaos": { "kill_at_tuple": 120, "panic_budget": 1 },"#
-        } else {
-            ""
-        };
-        JobConfig::from_json(&format!(
-            r#"{{
-                "seed": 42,
-                "pipelines": [[{{
-                    "type": "standard",
-                    "name": "null-x",
-                    "attributes": ["x"],
-                    "error": {{ "type": "missing_value" }},
-                    "condition": {{ "type": "probability", "p": 0.5 }}
-                }}]],
-                "supervision": {{ "max_retries": 2, "deterministic": true }},
-                {chaos}
-                "checkpoint": {{ "interval_epochs": 1 }},
-                "execution": {{ "watermark_period": 16, "batch_size": 256 }}
-            }}"#
-        ))
-        .expect("config parses")
-    };
-    let run_with = |kill: bool, repr: ReprHint| {
-        let mut plan = config(kill).to_plan();
-        plan.repr = repr;
-        plan.compile(&schema())
-            .expect("plan compiles")
-            .execute_supervised(tuples(200))
-            .expect("run succeeds")
-    };
-    let row_calm = run_with(false, ReprHint::Row);
-    let col_calm = run_with(false, ReprHint::Columnar);
-    let col_hurt = run_with(true, ReprHint::Columnar);
-    assert_eq!(col_calm.polluted, row_calm.polluted, "repr changed bytes");
-    assert_eq!(
-        col_hurt.polluted, col_calm.polluted,
-        "recovery changed bytes on the columnar plan"
-    );
-    assert_eq!(col_hurt.log.entries(), col_calm.log.entries());
-    let r = &col_hurt.report;
-    assert_eq!(r.restarts, 1, "exactly one restart");
-    assert!(r.checkpoints_taken > 0, "checkpoints committed");
-    assert!(r.restored_from_epoch > 0, "restored from a real epoch");
-}
-
 fn chaotic_config(max_retries: u32) -> JobConfig {
     JobConfig::from_json(&format!(
         r#"{{
@@ -565,5 +352,448 @@ fn supervised_recovery_output_is_batch_size_invariant() {
             "recovered output changed (batch {batch_size})"
         );
         assert_eq!(out.log.entries(), base.log.entries());
+    }
+}
+
+// ---------------------------------------------------------------------
+// Generated plans against the oracle configuration
+// ---------------------------------------------------------------------
+
+/// SplitMix64: the whole generator below is a function of one `u64`.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    /// Uniform in `[0, 1)`, rounded to two decimals so plan JSON reads
+    /// (and re-parses) exactly.
+    fn unit(&mut self) -> f64 {
+        self.below(100) as f64 / 100.0
+    }
+
+    fn chance(&mut self, percent: usize) -> bool {
+        self.below(100) < percent
+    }
+
+    fn pick<T: Clone>(&mut self, items: &[T]) -> T {
+        items[self.below(items.len())].clone()
+    }
+}
+
+const GENERATED_PLANS: u64 = 256;
+const GENERATED_TUPLES: i64 = 300;
+
+fn generated_schema() -> Schema {
+    Schema::from_pairs([
+        ("Time", DataType::Timestamp),
+        ("x", DataType::Float),
+        ("y", DataType::Float),
+        ("n", DataType::Int),
+        ("s", DataType::Str),
+    ])
+    .unwrap()
+}
+
+/// `GENERATED_TUPLES` tuples about a second apart, every non-time value
+/// NULL with probability `null_percent`, in one of three arrival
+/// shapes: strictly increasing, runs of equal timestamps, or jittered
+/// backwards by up to `jitter` seconds.
+fn generated_tuples(rng: &mut SplitMix) -> Vec<Tuple> {
+    let null_percent = rng.pick(&[0, 5, 60]);
+    let shape = rng.below(3);
+    let run = 2 + rng.below(4) as i64;
+    let jitter = rng.pick(&[3, 20, 120]);
+    (0..GENERATED_TUPLES)
+        .map(|i| {
+            let tau = match shape {
+                0 => i * 1000,
+                1 => i / run * 1000,
+                _ => (i - rng.below(jitter) as i64).max(0) * 1000,
+            };
+            let mut value = |v: Value| {
+                if rng.chance(null_percent) {
+                    Value::Null
+                } else {
+                    v
+                }
+            };
+            Tuple::new(vec![
+                Value::Timestamp(Timestamp(tau)),
+                value(Value::Float(i as f64 * 0.5)),
+                value(Value::Float(100.0 - i as f64)),
+                value(Value::Int(i % 50)),
+                value(Value::Str(format!("s{}", i % 4))),
+            ])
+        })
+        .collect()
+}
+
+/// Whether some tuple's timestamp is at or below a watermark the source
+/// emitted before it (one every `period` tuples, at the largest
+/// timestamp so far). Where such a tuple surfaces is pinned for the
+/// sequential and pipelined schedules only (`tests/lockstep_merge.rs`).
+fn has_late_tuples(tuples: &[Tuple], period: u64) -> bool {
+    let (mut max_tau, mut watermark) = (i64::MIN, i64::MIN);
+    for (i, t) in tuples.iter().enumerate() {
+        let tau = t.get(0).unwrap().as_timestamp().unwrap().millis();
+        if tau <= watermark {
+            return true;
+        }
+        max_tau = max_tau.max(tau);
+        if (i as u64 + 1).is_multiple_of(period) {
+            watermark = max_tau;
+        }
+    }
+    false
+}
+
+fn clock(rng: &mut SplitMix) -> String {
+    let s = rng.below(GENERATED_TUPLES as usize);
+    format!("1970-01-01 00:{:02}:{:02}", s / 60, s % 60)
+}
+
+fn generated_pattern(rng: &mut SplitMix) -> ChangePattern {
+    let at = |rng: &mut SplitMix| Timestamp(rng.below(GENERATED_TUPLES as usize) as i64 * 1000);
+    match rng.below(5) {
+        0 => ChangePattern::Constant,
+        1 => ChangePattern::Abrupt { at: at(rng) },
+        2 => ChangePattern::Incremental {
+            from: at(rng),
+            to: at(rng),
+        },
+        3 => ChangePattern::Gradual {
+            from: Timestamp(0),
+            to: at(rng),
+        },
+        _ => ChangePattern::Periodic {
+            period: Duration::from_millis(60_000),
+            phase: Duration::from_millis(rng.below(60) as i64 * 1000),
+            amplitude: rng.unit(),
+            offset: rng.unit(),
+        },
+    }
+}
+
+fn generated_condition(rng: &mut SplitMix, depth: usize) -> ConditionConfig {
+    match rng.below(if depth == 0 { 12 } else { 9 }) {
+        0 => ConditionConfig::Always,
+        1 => ConditionConfig::Never,
+        2 | 3 => ConditionConfig::Probability { p: rng.unit() },
+        4 => {
+            let (attribute, value) = rng.pick(&[
+                ("x", Value::Float(60.0)),
+                ("n", Value::Int(25)),
+                ("s", Value::Str("s2".into())),
+            ]);
+            ConditionConfig::Value {
+                attribute: attribute.into(),
+                op: rng.pick(&[
+                    CmpOp::Eq,
+                    CmpOp::Ne,
+                    CmpOp::Lt,
+                    CmpOp::Ge,
+                    CmpOp::IsNull,
+                    CmpOp::NotNull,
+                ]),
+                value,
+            }
+        }
+        5 => ConditionConfig::TimeWindow {
+            from: rng.chance(70).then(|| clock(rng)),
+            to: rng.chance(70).then(|| clock(rng)),
+        },
+        6 => ConditionConfig::Sinusoidal {
+            amplitude: rng.unit() / 2.0,
+            offset: rng.unit(),
+        },
+        7 => ConditionConfig::LinearRamp {
+            from: clock(rng),
+            to: clock(rng),
+            p0: rng.unit(),
+            p1: rng.unit(),
+        },
+        8 => ConditionConfig::Pattern {
+            pattern: generated_pattern(rng),
+            p_min: rng.unit() / 2.0,
+            p_max: 0.5 + rng.unit() / 2.0,
+        },
+        9 => ConditionConfig::And {
+            children: vec![
+                generated_condition(rng, depth + 1),
+                generated_condition(rng, depth + 1),
+            ],
+        },
+        10 => ConditionConfig::Or {
+            children: vec![
+                generated_condition(rng, depth + 1),
+                generated_condition(rng, depth + 1),
+            ],
+        },
+        _ => ConditionConfig::Not {
+            inner: Box::new(generated_condition(rng, depth + 1)),
+        },
+    }
+}
+
+/// An error function with attributes of a type it accepts.
+fn generated_error(rng: &mut SplitMix) -> (ErrorConfig, Vec<String>) {
+    let numeric = |rng: &mut SplitMix| vec![rng.pick(&["x", "y", "n"]).to_string()];
+    match rng.below(13) {
+        0 => (
+            ErrorConfig::GaussianNoise {
+                sigma: 0.5 + rng.unit(),
+                relative: rng.chance(50),
+            },
+            numeric(rng),
+        ),
+        1 => (
+            ErrorConfig::UniformNoise {
+                a: 0.0,
+                b: rng.unit(),
+            },
+            numeric(rng),
+        ),
+        2 => (
+            ErrorConfig::Scale {
+                factor: 0.5 + rng.unit(),
+            },
+            numeric(rng),
+        ),
+        3 => (ErrorConfig::Outlier { magnitude: 3.0 }, numeric(rng)),
+        4 => (ErrorConfig::Round { precision: 0 }, numeric(rng)),
+        5 => (ErrorConfig::UnitConversion { factor: 1000.0 }, numeric(rng)),
+        6 => (
+            ErrorConfig::MissingValue,
+            vec![rng.pick(&["x", "y", "n", "s"]).to_string()],
+        ),
+        7 => (
+            ErrorConfig::Constant {
+                value: Value::Float(-1.0),
+            },
+            vec!["x".into(), "y".into()],
+        ),
+        8 => (
+            ErrorConfig::Constant { value: Value::Null },
+            vec!["n".into(), "s".into()],
+        ),
+        9 => (
+            ErrorConfig::IncorrectCategory {
+                categories: (0..4).map(|k| format!("s{k}")).collect(),
+            },
+            vec!["s".into()],
+        ),
+        10 => (
+            ErrorConfig::Typo {
+                kind: TypoKind::Any,
+            },
+            vec!["s".into()],
+        ),
+        11 => (ErrorConfig::SwapAttributes, vec!["x".into(), "y".into()]),
+        _ => (
+            ErrorConfig::TimestampShift {
+                delta_ms: rng.pick(&[-3_600_000, 1500]),
+            },
+            vec!["Time".into()],
+        ),
+    }
+}
+
+fn generated_standard(rng: &mut SplitMix, name: String) -> PolluterConfig {
+    let (error, attributes) = generated_error(rng);
+    PolluterConfig::Standard {
+        name,
+        attributes,
+        error,
+        condition: generated_condition(rng, 0),
+        pattern: rng.chance(40).then(|| generated_pattern(rng)),
+    }
+}
+
+/// One polluter of any family: value (standard), temporal (delay, drop,
+/// duplicate, freeze, burst, propagation), keyed, or a composite /
+/// one-of over further polluters.
+fn generated_polluter(rng: &mut SplitMix, name: String, depth: usize) -> PolluterConfig {
+    let span_ms = |rng: &mut SplitMix| rng.pick(&[500, 3_000, 20_000, 90_000]);
+    match rng.below(if depth == 0 { 14 } else { 11 }) {
+        0..=4 => generated_standard(rng, name),
+        5 => PolluterConfig::Delay {
+            name,
+            condition: generated_condition(rng, 0),
+            delay_ms: span_ms(rng),
+        },
+        6 => PolluterConfig::Drop {
+            name,
+            condition: ConditionConfig::Probability {
+                p: rng.unit() / 4.0,
+            },
+        },
+        7 => PolluterConfig::Duplicate {
+            name,
+            condition: generated_condition(rng, 0),
+            copies: 1 + rng.below(2) as u32,
+        },
+        8 => PolluterConfig::Freeze {
+            name,
+            condition: ConditionConfig::Probability {
+                p: rng.unit() / 5.0,
+            },
+            attributes: vec![rng.pick(&["x", "n", "s"]).to_string()],
+            duration_ms: span_ms(rng),
+        },
+        9 => {
+            let (error, attributes) = generated_error(rng);
+            PolluterConfig::Burst {
+                name,
+                condition: ConditionConfig::Probability {
+                    p: rng.unit() / 10.0,
+                },
+                attributes,
+                error,
+                duration_ms: span_ms(rng),
+            }
+        }
+        10 => {
+            let (error, attributes) = generated_error(rng);
+            PolluterConfig::Propagation {
+                name,
+                trigger: ConditionConfig::Probability {
+                    p: rng.unit() / 10.0,
+                },
+                consequent_filter: rng.chance(50).then(|| generated_condition(rng, 1)),
+                delay_ms: span_ms(rng),
+                duration_ms: span_ms(rng),
+                error,
+                attributes,
+            }
+        }
+        11 => PolluterConfig::Keyed {
+            key_attribute: rng.pick(&["s", "n"]).to_string(),
+            inner: Box::new(generated_polluter(rng, format!("{name}/inner"), depth + 1)),
+            name,
+        },
+        12 => PolluterConfig::Composite {
+            condition: generated_condition(rng, 0),
+            children: (0..1 + rng.below(3))
+                .map(|k| generated_polluter(rng, format!("{name}/{k}"), depth + 1))
+                .collect(),
+            name,
+        },
+        _ => {
+            let children: Vec<_> = (0..1 + rng.below(3))
+                .map(|k| generated_polluter(rng, format!("{name}/{k}"), depth + 1))
+                .collect();
+            PolluterConfig::OneOf {
+                condition: generated_condition(rng, 0),
+                weights: rng
+                    .chance(50)
+                    .then(|| children.iter().map(|_| 0.25 + rng.unit()).collect()),
+                children,
+                name,
+            }
+        }
+    }
+}
+
+fn generated_plan(rng: &mut SplitMix) -> LogicalPlan {
+    let m = 1 + rng.below(4);
+    let pipelines = (0..m)
+        .map(|i| {
+            (0..rng.below(5))
+                .map(|j| generated_polluter(rng, format!("p{i}.{j}"), 0))
+                .collect()
+        })
+        .collect();
+    let mut plan = LogicalPlan::new(rng.next() >> 12, pipelines);
+    plan.assigner = match rng.below(5) {
+        0 => AssignerSpec::Auto,
+        1 => AssignerSpec::Broadcast,
+        2 => AssignerSpec::RoundRobin,
+        _ => AssignerSpec::Probabilistic {
+            p: 0.2 + rng.unit() * 0.7,
+        },
+    };
+    plan.watermark_period = rng.pick(&[1, 7, 16, 64, 100]);
+    plan.logging = rng.chance(70);
+    plan
+}
+
+/// Panics at the first position at which `got` and `want` differ. Not
+/// `assert_eq!` on the vectors: a failure should print one difference
+/// and the plan, not 300 tuples twice.
+fn assert_same<T: PartialEq + std::fmt::Debug>(what: &str, got: &[T], want: &[T], case: &str) {
+    if let Some(i) = (0..got.len().max(want.len())).find(|&i| got.get(i) != want.get(i)) {
+        panic!(
+            "{what} differs at {i}: {:?} vs {:?} ({case})",
+            got.get(i),
+            want.get(i)
+        );
+    }
+}
+
+#[test]
+fn generated_plans_match_the_oracle_configuration() {
+    // Hand-picked matrices under-sample: every plan here is drawn from
+    // the whole configuration vocabulary, and each strategy, at a drawn
+    // batch size, must reproduce the oracle configuration (sequential,
+    // unbatched) on the polluted stream, the ground-truth log and the
+    // per-polluter fires / RNG draws / log entries of the report.
+    let schema = generated_schema();
+    for case in 0..GENERATED_PLANS {
+        let mut rng = SplitMix(0x1CE_AF1 ^ (case << 32));
+        let plan = generated_plan(&mut rng);
+        let tuples = generated_tuples(&mut rng);
+        let run = |strategy: StrategyHint, batch_size: usize| {
+            let mut plan = plan.clone();
+            plan.strategy = strategy;
+            plan.batch_size = batch_size;
+            plan.compile(&schema)
+                .and_then(|physical| physical.execute(tuples.clone()))
+                .unwrap_or_else(|e| panic!("case {case}: {e}; plan:\n{}", plan.to_json()))
+        };
+        let oracle = run(StrategyHint::Sequential, 1);
+        let threaded_is_pinned = !has_late_tuples(&tuples, plan.watermark_period);
+        for strategy in STRATEGIES {
+            if strategy == StrategyHint::SplitMergeParallel && !threaded_is_pinned {
+                continue;
+            }
+            let batch_size = match strategy {
+                StrategyHint::Sequential => rng.pick(&[64, 256, 4096]),
+                _ => rng.pick(&[1, 64, 256, 4096]),
+            };
+            let out = run(strategy, batch_size);
+            if out.polluted == oracle.polluted
+                && out.log.entries() == oracle.log.entries()
+                && out.report.polluters == oracle.report.polluters
+            {
+                continue;
+            }
+            let case = format!(
+                "case {case}, {strategy:?}, batch {batch_size}; plan:\n{}",
+                plan.to_json()
+            );
+            assert_same("polluted stream", &out.polluted, &oracle.polluted, &case);
+            assert_same(
+                "ground truth",
+                out.log.entries(),
+                oracle.log.entries(),
+                &case,
+            );
+            assert_same(
+                "polluter statistics",
+                &out.report.polluters,
+                &oracle.report.polluters,
+                &case,
+            );
+        }
     }
 }
