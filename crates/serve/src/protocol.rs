@@ -27,16 +27,69 @@
 //!    prefix of what the session would have sent.
 //!
 //! Binary frames are `[tag: u8][len: u32 LE][payload]` (see the `TAG_*`
-//! constants); NDJSON frames are single-key objects (`{"tuple": …}`,
-//! `{"end": true}`, `{"report": …}`, `{"error": …}`). Report and error
-//! payloads are JSON in both formats — they occur once per session, so
-//! compactness is irrelevant.
+//! constants); NDJSON frames are objects with one non-null member
+//! (`{"tuple": …}`, `{"end": true}`, `{"report": …}`, `{"error": …}`).
+//! Report and error payloads are JSON in both formats — they occur once
+//! per session, so compactness is irrelevant.
+//!
+//! # NDJSON tuple lines
+//!
+//! Tuple and end lines are the per-tuple traffic of an NDJSON session,
+//! so they have a codec of their own: a reader over the vendored
+//! `serde_json`'s pull [`Lexer`] that fills [`Value`]s directly, and a
+//! writer that formats straight into the output buffer. Neither builds
+//! a tree. (Handshakes, reports, errors and telemetry go through the
+//! derived `serde` route.)
+//!
+//! **Written**, with no whitespace and nothing optional:
+//!
+//! ```text
+//! client  {"tuple":{"values":[v,…]},"end":null}
+//!         {"tuple":null,"end":true}
+//! server  {"tuple":{"id":N,"tau":N,"arrival":N,"sub_stream":N,"tuple":{"values":[v,…]}},"report":null,"error":null,"telemetry":null}
+//! ```
+//!
+//! where `N` is a decimal integer and a value `v` is `null`, `true` /
+//! `false`, a decimal integer ([`Value::Int`], and [`Value::Timestamp`]
+//! as epoch milliseconds), a float in its shortest form that reads back
+//! to the same bits, always with a `.` or an exponent (`72.0`, `1e300`;
+//! NaN and ±∞ as `null`), or a string with `"` and `\` escaped, control
+//! characters as `\b` `\f` `\n` `\r` `\t` or `\u00XX`, and everything
+//! else as its UTF-8.
+//!
+//! **Read**: any JSON text the vendored parser accepts — whitespace
+//! between tokens, every escape including surrogate pairs, at most 128
+//! nested arrays and objects — that is an object in which
+//!
+//! - keys come in any order, keys other than those above are skipped
+//!   (their values held to the JSON grammar), and of a repeated key the
+//!   first occurrence counts;
+//! - `tuple` is `null` or, on a client line, an object whose `values`
+//!   is an array of scalars; on a server line, an object with all of
+//!   `id` (fits `u64`), `tau`, `arrival` (fit `i64`), `sub_stream`
+//!   (fits `u32`) — integer tokens, no fraction or exponent — and
+//!   `tuple` (such an object, not `null`);
+//! - `end` is `null` or a boolean; `report`, `error`, `telemetry` are
+//!   `null` or fit their payload types.
+//!
+//! A client line with a non-null `tuple` is a record, otherwise one
+//! with `"end":true` ends the stream, and any other is refused. A
+//! server line is its `tuple` if not `null`, else its `report`, `error`
+//! or `telemetry`, in that order. An integer token that fits `i64`
+//! reads as [`Value::Int`]; a larger one, or any number with a fraction
+//! or exponent, as [`Value::Float`] (`1e400` is +∞). The text carries no
+//! column types, so a reader that is given the session schema
+//! ([`decode_client_frame_typed`]) reads an integer in a float or
+//! timestamp column as that type, and one that is not
+//! ([`decode_client_frame`], [`decode_server_frame`]) leaves it to
+//! [`coerce_tuple`].
 
 use icewafl_core::plan::LogicalPlan;
 use icewafl_core::report::RunReport;
 use icewafl_stream::net::{NetError, NetPoll, WireFormat, WireFrame};
 use icewafl_types::{DataType, Schema, StampedTuple, Timestamp, Tuple, Value};
 use serde::{Deserialize, Serialize};
+use serde_json::{write_float, write_i64, write_string, write_u64, Lexer, Token};
 
 /// Binary frame tag: client → server, one [`Tuple`] payload.
 pub const TAG_TUPLE: u8 = 1;
@@ -230,25 +283,24 @@ pub struct TelemetryFrame {
     pub sessions: Vec<SessionTelemetry>,
 }
 
-/// One NDJSON line in the client → server direction.
-#[derive(Serialize, Deserialize, Default)]
+/// One NDJSON line in the client → server direction, as the derived
+/// route wrote it: the reference the line writer is tested against.
+#[cfg(test)]
+#[derive(Serialize)]
 struct ClientLine {
-    #[serde(default)]
     tuple: Option<Tuple>,
-    #[serde(default)]
     end: Option<bool>,
 }
 
-/// One NDJSON line in the server → client direction.
-#[derive(Serialize, Deserialize, Default)]
+/// One NDJSON line in the server → client direction. Production code
+/// writes report, error and telemetry lines through it (once per
+/// session, or per telemetry interval); tuple lines go through the line
+/// codec, whose writer the tests compare with this.
+#[derive(Serialize, Default)]
 struct ServerLine {
-    #[serde(default)]
     tuple: Option<StampedTuple>,
-    #[serde(default)]
     report: Option<RunReport>,
-    #[serde(default)]
     error: Option<SessionErrorFrame>,
-    #[serde(default)]
     telemetry: Option<TelemetryFrame>,
 }
 
@@ -269,34 +321,24 @@ pub enum ServerEvent {
 }
 
 /// Restores schema types the untagged NDJSON value encoding cannot
-/// express: a JSON integer deserializes as [`Value::Int`] even when the
-/// column is a timestamp or float, so both sides of an NDJSON session
-/// coerce decoded tuples against the session schema. Values already of
+/// express: a JSON integer reads as [`Value::Int`] even when the column
+/// is a timestamp or float, so whoever decoded a line without the
+/// session schema ([`decode_client_frame`], [`decode_server_frame`])
+/// types the tuple against it afterwards, in place. Values already of
 /// the right type (and `Null`, a member of every domain) pass through;
 /// columns beyond the schema's arity are left for downstream
 /// validation. The binary codec is typed and never needs this.
-pub fn coerce_tuple(schema: &Schema, tuple: Tuple) -> Tuple {
-    let lossy = tuple.values().iter().zip(schema.fields()).any(|(v, f)| {
-        matches!(
-            (f.dtype, v),
-            (DataType::Float | DataType::Timestamp, Value::Int(_))
-        )
-    });
-    if !lossy {
-        return tuple;
+pub fn coerce_tuple(schema: &Schema, mut tuple: Tuple) -> Tuple {
+    for (value, field) in tuple.values_mut().iter_mut().zip(schema.fields()) {
+        if let Value::Int(n) = *value {
+            match field.dtype {
+                DataType::Float => *value = Value::Float(n as f64),
+                DataType::Timestamp => *value = Value::Timestamp(Timestamp(n)),
+                _ => {}
+            }
+        }
     }
-    Tuple::new(
-        tuple
-            .values()
-            .iter()
-            .enumerate()
-            .map(|(i, v)| match (schema.field(i).map(|f| f.dtype), v) {
-                (Some(DataType::Float), Value::Int(n)) => Value::Float(*n as f64),
-                (Some(DataType::Timestamp), Value::Int(n)) => Value::Timestamp(Timestamp(*n)),
-                _ => v.clone(),
-            })
-            .collect(),
-    )
+    tuple
 }
 
 // ---------------------------------------------------------------------
@@ -618,6 +660,265 @@ pub fn decode_tuple_columns(buf: &[u8]) -> Result<Vec<Tuple>, NetError> {
 }
 
 // ---------------------------------------------------------------------
+// NDJSON tuple-line codec
+// ---------------------------------------------------------------------
+
+/// Why a line was refused: the lexer's error, or a shape the line
+/// grammar does not have.
+struct LineError(String);
+
+impl From<serde_json::Error> for LineError {
+    fn from(e: serde_json::Error) -> Self {
+        LineError(e.to_string())
+    }
+}
+
+fn shape<T>(what: &str) -> Result<T, LineError> {
+    Err(LineError(what.to_string()))
+}
+
+/// Reads the members of a `{"values":[…]}` object whose opener the
+/// caller has read. With a schema, an integer in a float or timestamp
+/// column becomes that type here (what [`coerce_tuple`] does after the
+/// fact).
+fn read_tuple(lx: &mut Lexer<'_>, schema: Option<&Schema>) -> Result<Tuple, LineError> {
+    let mut values = None;
+    while let Some(key) = lx.key()? {
+        if key == "values" && values.is_none() {
+            values = Some(read_values(lx, schema)?);
+        } else {
+            lx.skip_value()?;
+        }
+    }
+    match values {
+        Some(values) => Ok(Tuple::new(values)),
+        None => shape("tuple object has no `values`"),
+    }
+}
+
+fn read_values(lx: &mut Lexer<'_>, schema: Option<&Schema>) -> Result<Vec<Value>, LineError> {
+    if !matches!(lx.value()?, Token::ArrayStart) {
+        return shape("`values` is not an array");
+    }
+    let mut values = Vec::with_capacity(schema.map_or(0, Schema::len));
+    while lx.element()? {
+        let dtype = schema
+            .and_then(|schema| schema.field(values.len()))
+            .map(|field| field.dtype);
+        values.push(match (lx.value()?, dtype) {
+            (Token::Null, _) => Value::Null,
+            (Token::Bool(b), _) => Value::Bool(b),
+            (Token::I64(n), Some(DataType::Float)) => Value::Float(n as f64),
+            (Token::I64(n), Some(DataType::Timestamp)) => Value::Timestamp(Timestamp(n)),
+            (Token::I64(n), _) => Value::Int(n),
+            // Past `i64::MAX` the untagged encoding's next fit is a float.
+            (Token::U64(n), _) => Value::Float(n as f64),
+            (Token::F64(f), _) => Value::Float(f),
+            (Token::Str(s), _) => Value::Str(s.into_owned()),
+            (Token::ArrayStart | Token::ObjectStart, _) => {
+                return shape("a tuple value is an array or object")
+            }
+        });
+    }
+    Ok(values)
+}
+
+fn read_i64(lx: &mut Lexer<'_>) -> Result<i64, LineError> {
+    match lx.value()? {
+        Token::I64(i) => Ok(i),
+        _ => shape("expected an integer that fits i64"),
+    }
+}
+
+/// Reads the members of a stamped-tuple object whose opener the caller
+/// has read; all five fields are required.
+fn read_stamped(lx: &mut Lexer<'_>) -> Result<StampedTuple, LineError> {
+    let (mut id, mut tau, mut arrival, mut sub_stream, mut tuple) = (None, None, None, None, None);
+    while let Some(key) = lx.key()? {
+        match &*key {
+            "id" if id.is_none() => {
+                id = Some(match lx.value()? {
+                    Token::I64(i) if i >= 0 => i as u64,
+                    Token::U64(u) => u,
+                    _ => return shape("`id` is not an unsigned integer"),
+                });
+            }
+            "tau" if tau.is_none() => tau = Some(Timestamp(read_i64(lx)?)),
+            "arrival" if arrival.is_none() => arrival = Some(Timestamp(read_i64(lx)?)),
+            "sub_stream" if sub_stream.is_none() => {
+                let Ok(n) = u32::try_from(read_i64(lx)?) else {
+                    return shape("`sub_stream` is out of range for u32");
+                };
+                sub_stream = Some(n);
+            }
+            "tuple" if tuple.is_none() => {
+                if !matches!(lx.value()?, Token::ObjectStart) {
+                    return shape("a stamped tuple's `tuple` is not an object");
+                }
+                tuple = Some(read_tuple(lx, None)?);
+            }
+            _ => lx.skip_value()?,
+        }
+    }
+    match (id, tau, arrival, sub_stream, tuple) {
+        (Some(id), Some(tau), Some(arrival), Some(sub_stream), Some(tuple)) => Ok(StampedTuple {
+            id,
+            tau,
+            arrival,
+            sub_stream,
+            tuple,
+        }),
+        _ => shape("stamped tuple lacks one of id, tau, arrival, sub_stream, tuple"),
+    }
+}
+
+/// Reads one client → server line (grammar in the module docs).
+fn read_client_line(line: &str, schema: Option<&Schema>) -> Result<NetPoll<Tuple>, LineError> {
+    let mut lx = Lexer::new(line);
+    if !matches!(lx.value()?, Token::ObjectStart) {
+        return shape("a line is one JSON object");
+    }
+    // Outer `Some`: the key has been seen — its first occurrence counts.
+    let (mut tuple, mut end) = (None, None);
+    while let Some(key) = lx.key()? {
+        match &*key {
+            "tuple" if tuple.is_none() => {
+                tuple = Some(match lx.value()? {
+                    Token::Null => None,
+                    Token::ObjectStart => Some(read_tuple(&mut lx, schema)?),
+                    _ => return shape("`tuple` is neither null nor an object"),
+                });
+            }
+            "end" if end.is_none() => {
+                end = Some(match lx.value()? {
+                    Token::Null => None,
+                    Token::Bool(b) => Some(b),
+                    _ => return shape("`end` is neither null nor a boolean"),
+                });
+            }
+            _ => lx.skip_value()?,
+        }
+    }
+    lx.finish()?;
+    match (tuple.flatten(), end.flatten()) {
+        (Some(t), _) => Ok(NetPoll::Record(t)),
+        (None, Some(true)) => Ok(NetPoll::End),
+        _ => shape("client line carries neither a tuple nor an end marker"),
+    }
+}
+
+/// The value of a `report`, `error` or `telemetry` key: `null`, or a
+/// payload read the derived way from its span of the line — these come
+/// once per session (or per telemetry interval), not per tuple.
+fn read_payload<T: Deserialize>(lx: &mut Lexer<'_>, line: &str) -> Result<Option<T>, LineError> {
+    let from = lx.offset();
+    lx.skip_value()?;
+    Ok(serde_json::from_str(&line[from..lx.offset()])?)
+}
+
+/// Reads one server → client line (grammar in the module docs).
+fn read_server_line(line: &str) -> Result<ServerEvent, LineError> {
+    let mut lx = Lexer::new(line);
+    if !matches!(lx.value()?, Token::ObjectStart) {
+        return shape("a line is one JSON object");
+    }
+    // Outer `Some`: the key has been seen — its first occurrence counts.
+    let (mut tuple, mut report, mut error, mut telemetry) = (None, None, None, None);
+    while let Some(key) = lx.key()? {
+        match &*key {
+            "tuple" if tuple.is_none() => {
+                tuple = Some(match lx.value()? {
+                    Token::Null => None,
+                    Token::ObjectStart => Some(read_stamped(&mut lx)?),
+                    _ => return shape("`tuple` is neither null nor an object"),
+                });
+            }
+            "report" if report.is_none() => {
+                report = Some(read_payload::<RunReport>(&mut lx, line)?);
+            }
+            "error" if error.is_none() => {
+                error = Some(read_payload::<SessionErrorFrame>(&mut lx, line)?);
+            }
+            "telemetry" if telemetry.is_none() => {
+                telemetry = Some(read_payload::<TelemetryFrame>(&mut lx, line)?);
+            }
+            _ => lx.skip_value()?,
+        }
+    }
+    lx.finish()?;
+    if let Some(t) = tuple.flatten() {
+        Ok(ServerEvent::Tuple(t))
+    } else if let Some(r) = report.flatten() {
+        Ok(ServerEvent::Report(Box::new(r)))
+    } else if let Some(e) = error.flatten() {
+        Ok(ServerEvent::Error(e))
+    } else if let Some(f) = telemetry.flatten() {
+        Ok(ServerEvent::Telemetry(Box::new(f)))
+    } else {
+        shape("server line carries neither tuple, report, error, nor telemetry")
+    }
+}
+
+fn write_tuple(t: &Tuple, out: &mut String) {
+    out.push_str("{\"values\":[");
+    for (i, v) in t.values().iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        match v {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::Int(n) => write_i64(*n, out),
+            Value::Float(f) => write_float(*f, out),
+            Value::Str(s) => write_string(s, out),
+            Value::Timestamp(t) => write_i64(t.0, out),
+        }
+    }
+    out.push_str("]}");
+}
+
+/// Buffer worth reserving for one tuple line in either direction: the
+/// fixed text and stamps of the longer (server) line, a full-width
+/// number per value, and the strings at their unescaped length.
+pub(crate) fn line_capacity(t: &Tuple) -> usize {
+    let strings: usize = t
+        .values()
+        .iter()
+        .map(|v| match v {
+            Value::Str(s) => s.len(),
+            _ => 0,
+        })
+        .sum();
+    192 + 24 * t.len() + strings
+}
+
+/// Appends the client → server tuple line (no newline).
+fn write_tuple_line(t: &Tuple, out: &mut String) {
+    out.push_str("{\"tuple\":");
+    write_tuple(t, out);
+    out.push_str(",\"end\":null}");
+}
+
+/// The client → server end line.
+const END_LINE: &str = "{\"tuple\":null,\"end\":true}";
+
+/// Appends the server → client tuple line (no newline) — the bytes
+/// [`encode_stamped_frame`] puts on an NDJSON wire.
+pub(crate) fn write_stamped_line(t: &StampedTuple, out: &mut String) {
+    out.push_str("{\"tuple\":{\"id\":");
+    write_u64(t.id, out);
+    out.push_str(",\"tau\":");
+    write_i64(t.tau.0, out);
+    out.push_str(",\"arrival\":");
+    write_i64(t.arrival.0, out);
+    out.push_str(",\"sub_stream\":");
+    write_u64(u64::from(t.sub_stream), out);
+    out.push_str(",\"tuple\":");
+    write_tuple(&t.tuple, out);
+    out.push_str("},\"report\":null,\"error\":null,\"telemetry\":null}");
+}
+
+// ---------------------------------------------------------------------
 // Frame construction / interpretation
 // ---------------------------------------------------------------------
 
@@ -632,10 +933,11 @@ pub fn encode_tuple_frame(t: &Tuple, format: WireFormat) -> WireFrame {
             tag: TAG_TUPLE,
             payload: encode_tuple(t),
         },
-        WireFormat::Ndjson => WireFrame::Line(json_line(&ClientLine {
-            tuple: Some(t.clone()),
-            end: None,
-        })),
+        WireFormat::Ndjson => {
+            let mut line = String::with_capacity(line_capacity(t));
+            write_tuple_line(t, &mut line);
+            WireFrame::Line(line)
+        }
     }
 }
 
@@ -656,10 +958,7 @@ pub fn encode_end_frame(format: WireFormat) -> WireFrame {
             tag: TAG_END,
             payload: Vec::new(),
         },
-        WireFormat::Ndjson => WireFrame::Line(json_line(&ClientLine {
-            tuple: None,
-            end: Some(true),
-        })),
+        WireFormat::Ndjson => WireFrame::Line(END_LINE.to_string()),
     }
 }
 
@@ -670,10 +969,11 @@ pub fn encode_stamped_frame(t: &StampedTuple, format: WireFormat) -> WireFrame {
             tag: TAG_STAMPED,
             payload: encode_stamped(t),
         },
-        WireFormat::Ndjson => WireFrame::Line(json_line(&ServerLine {
-            tuple: Some(t.clone()),
-            ..ServerLine::default()
-        })),
+        WireFormat::Ndjson => {
+            let mut line = String::with_capacity(line_capacity(&t.tuple));
+            write_stamped_line(t, &mut line);
+            WireFrame::Line(line)
+        }
     }
 }
 
@@ -731,8 +1031,20 @@ pub fn encode_telemetry_frame(frame: &TelemetryFrame, format: WireFormat) -> Wir
 
 /// Server side: interprets one client frame as a record or the end
 /// marker. Anything else — unknown tag, undecodable payload, a
-/// server-direction frame — is [`NetError::Malformed`].
+/// server-direction frame — is [`NetError::Malformed`]. NDJSON values
+/// come back untyped (see [`coerce_tuple`]).
 pub fn decode_client_frame(frame: WireFrame) -> Result<NetPoll<Tuple>, NetError> {
+    decode_client_frame_typed(frame, None)
+}
+
+/// [`decode_client_frame`] for a decoder that knows the session schema:
+/// the values of an NDJSON tuple line are typed against `schema` as
+/// they are read, so the tuple needs no [`coerce_tuple`] pass. Binary
+/// frames are typed on the wire and ignore it.
+pub fn decode_client_frame_typed(
+    frame: WireFrame,
+    schema: Option<&Schema>,
+) -> Result<NetPoll<Tuple>, NetError> {
     match frame {
         WireFrame::Binary {
             tag: TAG_TUPLE,
@@ -746,17 +1058,8 @@ pub fn decode_client_frame(frame: WireFrame) -> Result<NetPoll<Tuple>, NetError>
         WireFrame::Binary { tag, .. } => Err(NetError::malformed(format!(
             "unexpected client frame tag {tag}"
         ))),
-        WireFrame::Line(line) => {
-            let parsed: ClientLine = serde_json::from_str(&line)
-                .map_err(|e| NetError::malformed(format!("bad client line: {e}")))?;
-            match (parsed.tuple, parsed.end) {
-                (Some(t), _) => Ok(NetPoll::Record(t)),
-                (None, Some(true)) => Ok(NetPoll::End),
-                _ => Err(NetError::malformed(
-                    "client line carries neither a tuple nor an end marker",
-                )),
-            }
-        }
+        WireFrame::Line(line) => read_client_line(&line, schema)
+            .map_err(|e| NetError::malformed(format!("bad client line: {}", e.0))),
     }
 }
 
@@ -804,23 +1107,8 @@ pub fn decode_server_frame(frame: WireFrame) -> Result<ServerEvent, NetError> {
         WireFrame::Binary { tag, .. } => Err(NetError::malformed(format!(
             "unexpected server frame tag {tag}"
         ))),
-        WireFrame::Line(line) => {
-            let parsed: ServerLine = serde_json::from_str(&line)
-                .map_err(|e| NetError::malformed(format!("bad server line: {e}")))?;
-            if let Some(t) = parsed.tuple {
-                Ok(ServerEvent::Tuple(t))
-            } else if let Some(r) = parsed.report {
-                Ok(ServerEvent::Report(Box::new(r)))
-            } else if let Some(e) = parsed.error {
-                Ok(ServerEvent::Error(e))
-            } else if let Some(f) = parsed.telemetry {
-                Ok(ServerEvent::Telemetry(Box::new(f)))
-            } else {
-                Err(NetError::malformed(
-                    "server line carries neither tuple, report, error, nor telemetry",
-                ))
-            }
-        }
+        WireFrame::Line(line) => read_server_line(&line)
+            .map_err(|e| NetError::malformed(format!("bad server line: {}", e.0))),
     }
 }
 
@@ -879,6 +1167,84 @@ mod tests {
                 NetPoll::End
             ));
         }
+    }
+
+    #[test]
+    fn line_writers_are_byte_equal_to_the_derived_structs() {
+        let values = vec![
+            Value::Null,
+            Value::Bool(false),
+            Value::Int(i64::MIN),
+            Value::Float(3.25),
+            Value::Float(72.0),
+            Value::Float(f64::NAN),
+            Value::Float(f64::NEG_INFINITY),
+            Value::Str("h\"ℓ\\lo\n\u{1}".into()),
+            Value::Timestamp(Timestamp(-1_700_000_000_000)),
+        ];
+        let tuple = Tuple::new(values.clone());
+        let mut line = String::new();
+        write_tuple_line(&tuple, &mut line);
+        assert_eq!(
+            line,
+            json_line(&ClientLine {
+                tuple: Some(tuple.clone()),
+                end: None,
+            })
+        );
+        assert!(line.len() <= line_capacity(&tuple));
+        assert_eq!(
+            END_LINE,
+            json_line(&ClientLine {
+                tuple: None,
+                end: Some(true),
+            })
+        );
+
+        let mut t = stamped(u64::MAX, values);
+        t.sub_stream = u32::MAX;
+        let mut line = String::new();
+        write_stamped_line(&t, &mut line);
+        assert_eq!(
+            line,
+            json_line(&ServerLine {
+                tuple: Some(t.clone()),
+                ..ServerLine::default()
+            })
+        );
+        assert!(line.len() <= line_capacity(&t.tuple));
+    }
+
+    #[test]
+    fn typed_decode_is_decode_then_coerce() {
+        let schema = Schema::from_pairs([
+            ("Time", DataType::Timestamp),
+            ("x", DataType::Float),
+            ("n", DataType::Int),
+        ])
+        .unwrap();
+        // Integers everywhere, one value more than the schema has.
+        let line = r#"{"tuple":{"values":[5,6,7,8]},"end":null}"#;
+        let record = |decoded| match decoded {
+            Ok(NetPoll::Record(t)) => t,
+            _ => panic!("tuple line decoded as something else"),
+        };
+        let untyped = record(decode_client_frame(WireFrame::Line(line.into())));
+        assert_eq!(untyped, Tuple::new((5..9).map(Value::Int).collect()));
+        let typed = record(decode_client_frame_typed(
+            WireFrame::Line(line.into()),
+            Some(&schema),
+        ));
+        assert_eq!(
+            typed,
+            Tuple::new(vec![
+                Value::Timestamp(Timestamp(5)),
+                Value::Float(6.0),
+                Value::Int(7),
+                Value::Int(8),
+            ])
+        );
+        assert_eq!(coerce_tuple(&schema, untyped), typed);
     }
 
     #[test]

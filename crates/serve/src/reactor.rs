@@ -55,8 +55,9 @@
 
 use crate::poll::{Poller, EPOLLIN, EPOLLOUT};
 use crate::protocol::{
-    coerce_tuple, decode_client_frame, encode_columns_frame, encode_error_frame,
-    encode_report_frame, encode_stamped_frame, Handshake, HandshakeReply, SessionErrorFrame,
+    decode_client_frame_typed, encode_columns_frame, encode_error_frame, encode_report_frame,
+    encode_stamped_frame, line_capacity, write_stamped_line, Handshake, HandshakeReply,
+    SessionErrorFrame,
 };
 use crate::server::{
     run_telemetry_session, HubState, Server, SessionGauges, SessionHandles, Shared,
@@ -66,7 +67,7 @@ use icewafl_stream::net::{
     frame_bytes, FrameDecoder, NetError, NetPoll, WireFormat, WireFrame, WriteQueue,
 };
 use icewafl_stream::sink::Sink;
-use icewafl_types::{Error, Result, Schema, StampedTuple, Tuple};
+use icewafl_types::{Error, Result, Schema, StampedTuple};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::io::Read;
@@ -100,9 +101,10 @@ const READ_BUDGET: usize = 1 << 20;
 /// reader holds one window of encoded frames, not its output stream.
 const OUTBOX_HIGH: usize = 256 * 1024;
 
-/// Encoded output worth a `write(2)` of its own: a drive writes each
-/// time this much has been queued, so output flows while the drive is
-/// still working, at a syscall per chunk rather than per frame.
+/// Encoded output worth a `write(2)` of its own: once a session's first
+/// output is out, a drive writes each time this much has been queued, so
+/// output flows while the drive is still working, at a syscall per chunk
+/// rather than per frame.
 const WRITE_CHUNK: usize = 64 * 1024;
 
 /// A lingering close discards at most this much unread input …
@@ -187,8 +189,9 @@ struct Conn {
     outbox: WriteQueue,
     phase: Phase,
     format: WireFormat,
-    /// Session schema for NDJSON value coercion (`None` on binary).
-    coerce_schema: Option<Schema>,
+    /// Session schema NDJSON tuple lines are typed against as they are
+    /// read (`None` on binary, which is typed on the wire).
+    line_schema: Option<Schema>,
     /// The open plan of a `Stream`-phase session.
     session: Option<StreamingSession>,
     /// Where that plan's sink leaves its output (see [`CollectSink`]).
@@ -230,7 +233,7 @@ impl Conn {
             outbox: WriteQueue::new(),
             phase: Phase::Handshake,
             format: WireFormat::Ndjson,
-            coerce_schema: None,
+            line_schema: None,
             session: None,
             units: Units::default(),
             read_end: None,
@@ -797,7 +800,7 @@ fn open_pollute(shared: &Arc<Shared>, conn: &mut Conn, hs: &Handshake) -> Step {
     ));
     shared.register_session(conn.id, conn.counters.handles("pollute", format));
     conn.in_table = true;
-    conn.coerce_schema = match format {
+    conn.line_schema = match format {
         WireFormat::Ndjson => Some(plan.schema().clone()),
         WireFormat::Binary => None,
     };
@@ -922,8 +925,12 @@ impl Sink<StampedTuple> for CollectSink {
 
 fn step_stream(rt: &Arc<Reactor>, conn: &mut Conn) -> Step {
     let mut budget = READ_BUDGET;
+    // A session's first output goes out as soon as the plan releases
+    // it — a client waiting for it waits for nothing else — and chunks
+    // follow.
+    let mut awaiting_first = conn.frames_encoded == 0;
     // The outbox level at which the next write is due.
-    let mut write_at = WRITE_CHUNK;
+    let mut write_at = if awaiting_first { 1 } else { WRITE_CHUNK };
     loop {
         // Run what is decoded through the plan, while its output has
         // somewhere to go.
@@ -937,9 +944,19 @@ fn step_stream(rt: &Arc<Reactor>, conn: &mut Conn) -> Step {
                     conn.stalled = true;
                     return Step::Park;
                 }
+                if awaiting_first && conn.frames_encoded > 0 {
+                    awaiting_first = false;
+                    // A socket write wakes a reader on this machine as
+                    // if its writer were about to sleep: on this CPU,
+                    // without preempting. A worker that goes on
+                    // computing would keep a local client from its
+                    // first output until the drive ends, so step aside
+                    // once.
+                    std::thread::yield_now();
+                }
                 // Whatever the socket would not take waits for another
                 // chunk's worth of company.
-                write_at = conn.outbox.pending() + WRITE_CHUNK;
+                write_at = conn.outbox.pending() + if awaiting_first { 1 } else { WRITE_CHUNK };
             }
             match conn.decoder.next() {
                 Ok(Some(frame)) => match feed(rt, conn, frame) {
@@ -981,16 +998,11 @@ fn feed(
         .session
         .as_mut()
         .expect("a streaming session has an open plan");
-    let schema = conn.coerce_schema.as_ref();
-    let typed = |t: Tuple| match schema {
-        Some(schema) => coerce_tuple(schema, t),
-        None => t,
-    };
-    match decode_client_frame(frame)? {
-        NetPoll::Record(t) => session.push(typed(t)),
+    match decode_client_frame_typed(frame, conn.line_schema.as_ref())? {
+        NetPoll::Record(t) => session.push(t),
         NetPoll::Batch(batch) => {
             for t in batch {
-                session.push(typed(t));
+                session.push(t);
             }
         }
         NetPoll::End => {
@@ -1113,12 +1125,22 @@ fn encode_unit(conn: &mut Conn, unit: &[StampedTuple]) -> Arc<[u8]> {
     let t0 = sample.then(Instant::now);
     let (bytes, frames) = match conn.format {
         WireFormat::Binary if unit.len() >= 2 => (frame_bytes(&encode_columns_frame(unit)), 1u64),
-        format => {
+        WireFormat::Binary => {
             let mut out = Vec::new();
             for t in unit {
-                out.extend_from_slice(&frame_bytes(&encode_stamped_frame(t, format)));
+                out.extend_from_slice(&frame_bytes(&encode_stamped_frame(t, WireFormat::Binary)));
             }
             (out, unit.len() as u64)
+        }
+        // One line per tuple, written straight into the unit's buffer.
+        WireFormat::Ndjson => {
+            let reserve = unit.iter().map(|t| line_capacity(&t.tuple) + 1).sum();
+            let mut out = String::with_capacity(reserve);
+            for t in unit {
+                write_stamped_line(t, &mut out);
+                out.push('\n');
+            }
+            (out.into_bytes(), unit.len() as u64)
         }
     };
     if let Some(t0) = t0 {
@@ -1133,7 +1155,7 @@ fn encode_unit(conn: &mut Conn, unit: &[StampedTuple]) -> Arc<[u8]> {
     conn.counters
         .bytes_out
         .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-    Arc::from(bytes.into_boxed_slice())
+    Arc::from(bytes)
 }
 
 /// Appends an encoded frame to this session's hub (if it publishes) and

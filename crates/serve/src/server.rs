@@ -508,7 +508,7 @@ pub(crate) fn resolve(
 #[cfg(not(target_os = "linux"))]
 fn run_session(stream: TcpStream, shared: &Shared, session_id: u64) {
     use crate::protocol::{
-        coerce_tuple, decode_client_frame, encode_columns_frame, encode_error_frame,
+        decode_client_frame, decode_client_frame_typed, encode_columns_frame, encode_error_frame,
         encode_report_frame, encode_stamped_frame, SessionErrorFrame,
     };
     use icewafl_stream::net::{FrameReader, NetErrorCell, NetSink, NetSource};
@@ -618,25 +618,14 @@ fn run_session(stream: TcpStream, shared: &Shared, session_id: u64) {
     // and pushes straight back out; the error cell carries the typed
     // root cause out of the poison path.
     let error_cell = NetErrorCell::new();
-    // NDJSON is untagged, so decoded tuples are coerced back to the
+    // NDJSON is untagged, so its tuple lines are read against the
     // session schema's column types (Int → Float/Timestamp); the binary
-    // codec is typed and skips the pass.
+    // codec is typed on the wire.
     let schema = plan.schema().clone();
     let decode: icewafl_stream::net::DecodeFn<icewafl_types::Tuple> = match format {
-        WireFormat::Ndjson => Box::new(move |frame| {
-            decode_client_frame(frame).map(|poll| match poll {
-                icewafl_stream::net::NetPoll::Record(t) => {
-                    icewafl_stream::net::NetPoll::Record(coerce_tuple(&schema, t))
-                }
-                icewafl_stream::net::NetPoll::Batch(batch) => icewafl_stream::net::NetPoll::Batch(
-                    batch
-                        .into_iter()
-                        .map(|t| coerce_tuple(&schema, t))
-                        .collect(),
-                ),
-                end => end,
-            })
-        }),
+        WireFormat::Ndjson => {
+            Box::new(move |frame| decode_client_frame_typed(frame, Some(&schema)))
+        }
         WireFormat::Binary => Box::new(decode_client_frame),
     };
     let source = NetSource::new(

@@ -8,25 +8,24 @@
 //! case: the outcome is a decoded value or a typed `NetError` — never a
 //! panic, never a stack overflow — and getting there allocates no more
 //! than a constant multiple of the frame cap, whatever lengths and
-//! counts the bytes announce.
+//! counts the bytes announce. The same allocator counts what the tuple
+//! line codec allocates on a valid line: the values and the strings
+//! among them, nothing else.
 //!
 //! One `#[test]` only: the allocation gauge is process-wide.
 
-use icewafl_core::config::{ConditionConfig, ErrorConfig, PolluterConfig};
-use icewafl_core::plan::LogicalPlan;
+mod corpus;
+
+use corpus::{schema, Rng, CASES, MAX_FRAME};
 use icewafl_serve::protocol::{
-    coerce_tuple, decode_client_frame, encode_end_frame, encode_tuple_columns_frame,
-    encode_tuple_frame,
+    coerce_tuple, decode_client_frame, decode_client_frame_typed, decode_server_frame,
+    encode_stamped_frame, encode_tuple_frame,
 };
-use icewafl_serve::Handshake;
-use icewafl_stream::net::{frame_bytes, FrameDecoder, NetError, NetPoll, WireFormat, WireFrame};
-use icewafl_types::{DataType, Schema, Timestamp, Tuple, Value};
+use icewafl_serve::{Handshake, ServerEvent};
+use icewafl_stream::net::{FrameDecoder, NetError, NetPoll, WireFormat, WireFrame};
+use icewafl_types::{StampedTuple, Timestamp, Tuple, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Frame cap of the fuzzed decoders: small, so that "a constant
-/// multiple of the cap" is a tight bound and a case is cheap.
-const MAX_FRAME: usize = 4096;
 
 /// No case may have more than this many times [`MAX_FRAME`] allocated
 /// at once. The worst legitimate expansion is a columnar frame of
@@ -35,17 +34,95 @@ const MAX_FRAME: usize = 4096;
 /// measured, so this leaves a factor of two.
 const ALLOC_FACTOR: usize = 128;
 
-const CASES: u64 = 24_000;
-
-/// Counts live heap bytes and their high-water mark.
+/// Counts live heap bytes, their high-water mark, and allocations.
 struct Gauged;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+/// Calls that handed out memory: `alloc`s and `realloc`s.
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
 fn grew(by: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
     let live = LIVE.fetch_add(by, Ordering::Relaxed) + by;
     PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+/// What `work` returns and how many allocations it made.
+fn counting<T>(work: impl FnOnce() -> T) -> (T, usize) {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let out = work();
+    (out, ALLOCS.load(Ordering::Relaxed) - before)
+}
+
+/// The tuple-line codec allocates what the decoded tuple owns — its
+/// values and one `String` per string among them — and nothing on the
+/// way there; typing a tuple against its schema allocates nothing.
+fn tuple_lines_allocate_only_what_they_return() {
+    let text = |s: &str| Value::Str(s.into());
+    let tuple = Tuple::new(vec![
+        Value::Timestamp(Timestamp(1_700_000_000_000)),
+        Value::Int(72),
+        text("walk"),
+    ]);
+    // In the untagged text form the integer in the float column and the
+    // timestamp are plain integers; `typed` is what the schema makes of
+    // them.
+    let typed = Tuple::new(vec![
+        Value::Timestamp(Timestamp(1_700_000_000_000)),
+        Value::Float(72.0),
+        text("walk"),
+    ]);
+    let untyped = Tuple::new(vec![
+        Value::Int(1_700_000_000_000),
+        Value::Int(72),
+        text("walk"),
+    ]);
+    let schema = schema();
+
+    let frame = encode_tuple_frame(&tuple, WireFormat::Ndjson);
+    let (decoded, allocations) = counting(|| decode_client_frame_typed(frame, Some(&schema)));
+    assert!(matches!(decoded, Ok(NetPoll::Record(t)) if t == typed));
+    assert_eq!(allocations, 2, "the values and one string");
+
+    let frame = encode_tuple_frame(&tuple, WireFormat::Ndjson);
+    let (decoded, allocations) = counting(|| decode_client_frame(frame));
+    let Ok(NetPoll::Record(decoded)) = decoded else {
+        panic!("a valid tuple line decodes");
+    };
+    assert_eq!(decoded, untyped);
+    assert_eq!(allocations, 2, "the values and one string");
+
+    let (coerced, allocations) = counting(|| coerce_tuple(&schema, decoded));
+    assert_eq!(coerced, typed);
+    assert_eq!(allocations, 0, "typing rewrites the tuple it was given");
+
+    // Escapes and unknown keys change nothing: the decoded string is
+    // sized by its raw form before it is filled.
+    let line = r#" { "note" : [1, {"a": "b"}], "tuple" : { "values" : [ 5, null, "a\"\u00e9\ud83d\ude00\n" ] } } "#;
+    let frame = WireFrame::Line(line.into());
+    let (decoded, allocations) = counting(|| decode_client_frame_typed(frame, Some(&schema)));
+    let expected = Tuple::new(vec![
+        Value::Timestamp(Timestamp(5)),
+        Value::Null,
+        text("a\"é😀\n"),
+    ]);
+    assert!(matches!(decoded, Ok(NetPoll::Record(t)) if t == expected));
+    assert_eq!(allocations, 2, "the values and one string");
+
+    let mut stamped = StampedTuple::new(9, Timestamp(-5), tuple);
+    stamped.sub_stream = 3;
+    let frame = encode_stamped_frame(&stamped, WireFormat::Ndjson);
+    let (decoded, allocations) = counting(|| decode_server_frame(frame));
+    let Ok(ServerEvent::Tuple(decoded)) = decoded else {
+        panic!("a valid stamped line decodes");
+    };
+    assert_eq!(decoded.tuple, untyped);
+    assert_eq!(
+        (decoded.id, decoded.tau, decoded.sub_stream),
+        (9, Timestamp(-5), 3)
+    );
+    assert_eq!(allocations, 2, "the values and one string");
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
@@ -81,162 +158,6 @@ unsafe impl GlobalAlloc for Gauged {
 
 #[global_allocator]
 static GLOBAL: Gauged = Gauged;
-
-/// SplitMix64: the case stream is a function of the case number.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `0..n` (`n ≥ 1`).
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
-
-fn schema() -> Schema {
-    Schema::from_pairs([
-        ("Time", DataType::Timestamp),
-        ("x", DataType::Float),
-        ("tag", DataType::Str),
-    ])
-    .unwrap()
-}
-
-fn tuple(rng: &mut Rng) -> Tuple {
-    let x = match rng.below(4) {
-        0 => Value::Null,
-        1 => Value::Int(rng.next() as i64),
-        _ => Value::Float(rng.below(1_000) as f64 / 8.0),
-    };
-    Tuple::new(vec![
-        Value::Timestamp(Timestamp(rng.below(1 << 40) as i64)),
-        x,
-        Value::Str("s".repeat(rng.below(12))),
-    ])
-}
-
-/// One valid upload: frames of `format`, end frame included, and the
-/// tuples they carry.
-fn valid_upload(rng: &mut Rng, format: WireFormat) -> (Vec<u8>, Vec<Tuple>) {
-    let mut bytes = Vec::new();
-    if format == WireFormat::Binary && rng.below(16) == 0 {
-        // The densest frame the cap admits: one-byte values only, so
-        // the decoded rows are as many times the wire bytes as can be.
-        let arity = 1 + rng.below(4);
-        let rows = (MAX_FRAME - 6) / arity;
-        let tuples = vec![Tuple::new(vec![Value::Null; arity]); rows];
-        bytes.extend(frame_bytes(&encode_tuple_columns_frame(&tuples)));
-        bytes.extend(frame_bytes(&encode_end_frame(format)));
-        return (bytes, tuples);
-    }
-    let tuples: Vec<Tuple> = (0..1 + rng.below(60)).map(|_| tuple(rng)).collect();
-    let mut rest = &tuples[..];
-    while !rest.is_empty() {
-        let take = (1 + rng.below(24)).min(rest.len());
-        let (run, tail) = rest.split_at(take);
-        rest = tail;
-        if format == WireFormat::Binary && run.len() >= 2 {
-            bytes.extend(frame_bytes(&encode_tuple_columns_frame(run)));
-        } else {
-            for t in run {
-                bytes.extend(frame_bytes(&encode_tuple_frame(t, format)));
-            }
-        }
-    }
-    bytes.extend(frame_bytes(&encode_end_frame(format)));
-    (bytes, tuples)
-}
-
-fn handshake_line(rng: &mut Rng) -> Vec<u8> {
-    let plan = LogicalPlan::new(
-        rng.next(),
-        vec![vec![PolluterConfig::Standard {
-            name: "null".into(),
-            attributes: vec!["x".into()],
-            error: ErrorConfig::MissingValue,
-            condition: ConditionConfig::Probability { p: 0.25 },
-            pattern: None,
-        }]],
-    );
-    let hs = Handshake {
-        plan_inline: Some(plan),
-        schema_inline: Some(schema()),
-        format: Some("ndjson".into()),
-        ..Handshake::default()
-    };
-    let mut line = serde_json::to_string(&hs).unwrap().into_bytes();
-    line.push(b'\n');
-    line
-}
-
-/// Damages `bytes` in one of the ways a hostile or broken peer would.
-fn mutate(rng: &mut Rng, bytes: &mut Vec<u8>, format: WireFormat) {
-    if bytes.is_empty() {
-        return;
-    }
-    let at = rng.below(bytes.len());
-    match rng.below(8) {
-        // Truncation.
-        0 => bytes.truncate(at),
-        // Bit flips.
-        1 => {
-            for _ in 0..1 + rng.below(4) {
-                let i = rng.below(bytes.len());
-                bytes[i] ^= 1 << rng.below(8);
-            }
-        }
-        // A wrong tag on the first frame (binary), or a wrong first
-        // byte of the first line.
-        2 => bytes[0] = rng.next() as u8,
-        // An inflated length prefix / `rows × arity` header: the first
-        // frame's header is bytes 1..5 (length) and 5..11 (rows, arity).
-        3 => {
-            let field = [1usize, 5, 9][rng.below(3)];
-            let huge = [u32::MAX, 1 << 31, 1 << 20, 65_535, 4_097][rng.below(5)];
-            for (i, b) in huge.to_le_bytes().iter().enumerate() {
-                if let Some(slot) = bytes.get_mut(field + i) {
-                    *slot = *b;
-                }
-            }
-        }
-        // The same, anywhere.
-        4 => {
-            for (i, b) in u32::MAX.to_le_bytes().iter().enumerate() {
-                if let Some(slot) = bytes.get_mut(at + i) {
-                    *slot = *b;
-                }
-            }
-        }
-        // Deep nesting where a value was.
-        5 => {
-            let open = [b'[', b'{'][rng.below(2)];
-            let depth = 1 + rng.below(2 * MAX_FRAME);
-            bytes.splice(at..at, std::iter::repeat_n(open, depth));
-        }
-        // Random bytes spliced in.
-        6 => {
-            let junk: Vec<u8> = (0..1 + rng.below(64)).map(|_| rng.next() as u8).collect();
-            bytes.splice(at..at, junk);
-        }
-        // A line that never ends / a frame that never completes.
-        _ => {
-            let filler = if format == WireFormat::Ndjson {
-                b'9'
-            } else {
-                0
-            };
-            bytes.truncate(at);
-            bytes.extend(std::iter::repeat_n(filler, 2 * MAX_FRAME));
-        }
-    }
-}
 
 /// What the server does with a connection's bytes, minus the plan:
 /// split at arbitrary read boundaries, parse the handshake line when
@@ -297,26 +218,19 @@ fn serve_bytes(
 
 #[test]
 fn hostile_bytes_decode_to_values_or_typed_errors_within_bounded_memory() {
+    tuple_lines_allocate_only_what_they_return();
+
     let mut worst = 0usize;
     let (mut clean, mut failed) = (0u64, 0u64);
     for case in 0..CASES {
-        let mut rng = Rng(case);
-        let format = [WireFormat::Binary, WireFormat::Ndjson][rng.below(2)];
-        let handshake_first = rng.below(4) == 0;
-        let (mut bytes, expected) = if handshake_first {
-            // The handshake names its own data format; keep to NDJSON
-            // data so an unmutated case is a valid conversation.
-            let mut bytes = handshake_line(&mut rng);
-            bytes.extend(valid_upload(&mut rng, WireFormat::Ndjson).0);
-            (bytes, None)
-        } else {
-            let (bytes, tuples) = valid_upload(&mut rng, format);
-            (bytes, Some(tuples))
-        };
-        let mutations = rng.below(4);
-        for _ in 0..mutations {
-            mutate(&mut rng, &mut bytes, format);
-        }
+        let corpus::Case {
+            mut rng,
+            format,
+            handshake_first,
+            bytes,
+            mutations,
+            expected,
+        } = corpus::case(case);
 
         let baseline = LIVE.load(Ordering::Relaxed);
         PEAK.store(baseline, Ordering::Relaxed);

@@ -53,8 +53,10 @@ type Driver = Box<dyn FnOnce() + Send>;
 const DEADLINE_CHECK_MASK: u64 = 255;
 
 /// Deferred pipeline construction: given the downstream stage and the
-/// execution context, produce the driver.
-type BuildFn<T> = Box<dyn FnOnce(BoxStage<T>, &mut ExecutionContext) -> Driver + Send>;
+/// execution context, produce the driver — or `None` when building left
+/// nothing to drive (every head is parked for someone else to push
+/// into), so that nobody starts a thread to run nothing.
+type BuildFn<T> = Box<dyn FnOnce(BoxStage<T>, &mut ExecutionContext) -> Option<Driver> + Send>;
 
 /// Builder for a sub-pipeline inside [`DataStream::split_merge`].
 pub type SubPipelineBuilder<T, U> = Box<dyn FnOnce(DataStream<T>) -> DataStream<U> + Send>;
@@ -209,7 +211,7 @@ impl<T: Send + 'static> DataStream<T> {
             build: Box::new(move |down, ctx| {
                 let mut source = source;
                 let mut step = SourceStep::new(down, strategy, checkpoint, ctx);
-                Box::new(move || while step.step(|| source.next()) {})
+                Some(Box::new(move || while step.step(|| source.next()) {}))
             }),
         }
     }
@@ -238,7 +240,7 @@ impl<T: Send + 'static> DataStream<T> {
             // nothing is left to drive.
             build: Box::new(move |down, ctx| {
                 *slot.lock() = Some(SourceStep::new(down, strategy, checkpoint, ctx));
-                Box::new(|| {})
+                None
             }),
         };
         (stream, handle)
@@ -251,7 +253,7 @@ impl<T: Send + 'static> DataStream<T> {
         DataStream {
             build: Box::new(move |mut down, ctx| {
                 let failures = ctx.failure_cell();
-                Box::new(move || {
+                Some(Box::new(move || {
                     let mut got_terminal = false;
                     let mut recvs: u64 = 0;
                     loop {
@@ -277,7 +279,7 @@ impl<T: Send + 'static> DataStream<T> {
                         ));
                         down.push(StreamElement::End);
                     }
-                })
+                }))
             }),
         }
     }
@@ -293,7 +295,7 @@ impl<T: Send + 'static> DataStream<T> {
         DataStream {
             build: Box::new(move |mut down, ctx| {
                 let failures = ctx.failure_cell();
-                Box::new(move || {
+                Some(Box::new(move || {
                     let mut got_terminal = false;
                     let mut recvs: u64 = 0;
                     loop {
@@ -315,7 +317,7 @@ impl<T: Send + 'static> DataStream<T> {
                         ));
                         down.push(StreamElement::End);
                     }
-                })
+                }))
             }),
         }
     }
@@ -323,12 +325,12 @@ impl<T: Send + 'static> DataStream<T> {
     /// Internal: the head of a sub-pipeline that a sequential split
     /// router pushes into directly. Building it parks the sub-pipeline's
     /// first stage in `slot` for the router to pick up; nothing is left
-    /// to drive, so the driver is a no-op.
+    /// to drive.
     fn from_router_slot(slot: HeadSlot<T>) -> Self {
         DataStream {
             build: Box::new(move |down, _ctx| {
                 *slot.lock() = Some(down);
-                Box::new(|| {})
+                None
             }),
         }
     }
@@ -558,16 +560,16 @@ impl<T: Send + 'static> DataStream<T> {
                 let n = streams.len();
                 if n == 0 {
                     let mut down = down;
-                    return Box::new(move || {
+                    return Some(Box::new(move || {
                         down.push(StreamElement::Watermark(Timestamp::MAX));
                         down.push(StreamElement::End);
-                    });
+                    }));
                 }
                 let shared = Arc::new(Mutex::new(UnionInner::new(down, n)));
                 let drivers: Vec<Driver> = streams
                     .into_iter()
                     .enumerate()
-                    .map(|(idx, s)| {
+                    .filter_map(|(idx, s)| {
                         let input: BoxStage<T> = Box::new(UnionInput {
                             inner: Arc::clone(&shared),
                             idx,
@@ -580,9 +582,11 @@ impl<T: Send + 'static> DataStream<T> {
                         (s.build)(input, ctx)
                     })
                     .collect();
-                if parallel {
+                if drivers.is_empty() {
+                    None
+                } else if parallel {
                     let failures = ctx.failure_cell();
-                    Box::new(move || {
+                    Some(Box::new(move || {
                         let handles: Vec<_> = drivers
                             .into_iter()
                             .map(|d| {
@@ -600,13 +604,13 @@ impl<T: Send + 'static> DataStream<T> {
                             // here would be fallout already recorded.
                             let _ = h.join();
                         }
-                    })
+                    }))
                 } else {
-                    Box::new(move || {
+                    Some(Box::new(move || {
                         for d in drivers {
                             d();
                         }
-                    })
+                    }))
                 }
             }),
         }
@@ -748,27 +752,36 @@ impl<T: Send + 'static> DataStream<T> {
                     label,
                 };
                 let parent_driver = upstream(Box::new(router), ctx);
-                if parallel {
-                    let failures = ctx.failure_cell();
-                    Box::new(move || {
-                        let parent = std::thread::spawn(move || {
-                            if let Err(payload) = catch_unwind(AssertUnwindSafe(parent_driver)) {
-                                failures.record(StageError::from_panic("split_router", payload));
+                match (parent_driver, union_driver) {
+                    // A pulled source feeds the router on a thread of
+                    // its own while this one runs the consumers.
+                    (Some(parent_driver), union_driver) if parallel => {
+                        let failures = ctx.failure_cell();
+                        Some(Box::new(move || {
+                            let parent = std::thread::spawn(move || {
+                                if let Err(payload) = catch_unwind(AssertUnwindSafe(parent_driver))
+                                {
+                                    failures
+                                        .record(StageError::from_panic("split_router", payload));
+                                }
+                            });
+                            if let Some(union_driver) = union_driver {
+                                union_driver();
                             }
-                        });
-                        union_driver();
-                        let _ = parent.join();
-                    })
-                } else {
-                    Box::new(move || {
-                        // The router feeds every sub-pipeline while the
-                        // source runs. Plain sub-streams leave nothing
-                        // to drive afterwards (their drivers are
-                        // no-ops); one that merged in a source of its
-                        // own drains it now.
+                            let _ = parent.join();
+                        }))
+                    }
+                    // The router feeds every sub-pipeline while the
+                    // source runs; a sub-stream that merged in a source
+                    // of its own drains it afterwards.
+                    (Some(parent_driver), Some(union_driver)) => Some(Box::new(move || {
                         parent_driver();
                         union_driver();
-                    })
+                    })),
+                    // At most one side has anything to drive: a pulled
+                    // source over plain sequential sub-streams, or the
+                    // consumers of a threaded split under a pushed one.
+                    (parent_driver, union_driver) => parent_driver.or(union_driver),
                 }
             }),
         }
@@ -828,7 +841,7 @@ impl<T: Send + 'static> DataStream<T> {
         // Stages and workers catch their own panics; this guard converts
         // anything that still escapes the driver (e.g. a panicking
         // `Source::next` on the calling thread before the first stage).
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(driver)) {
+        if let Some(Err(payload)) = driver.map(|driver| catch_unwind(AssertUnwindSafe(driver))) {
             cell.record(StageError::from_panic("driver", payload));
         }
         ctx.finish()
@@ -844,8 +857,8 @@ impl<T: Send + 'static> DataStream<T> {
     /// [`split_merge_parallel`](DataStream::split_merge_parallel)
     /// topology starts its consumer threads from that driver; left
     /// unstarted, the router's bounded channels would fill under the
-    /// caller's pushes and block it for good. A sequential topology's
-    /// driver returns at once.
+    /// caller's pushes and block it for good. A sequential topology
+    /// leaves nothing to drive, and no thread is started for it.
     ///
     /// # Panics
     ///
@@ -867,11 +880,13 @@ impl<T: Send + 'static> DataStream<T> {
             .lock()
             .take()
             .expect("the push source heads the stream being opened");
-        ctx.handles.push(std::thread::spawn(move || {
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(driver)) {
-                cell.record(StageError::from_panic("driver", payload));
-            }
-        }));
+        if let Some(driver) = driver {
+            ctx.handles.push(std::thread::spawn(move || {
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(driver)) {
+                    cell.record(StageError::from_panic("driver", payload));
+                }
+            }));
+        }
         PushPipeline {
             step,
             open: true,
@@ -1690,6 +1705,8 @@ mod tests {
         let (head, source) = DataStream::push_source(every_eighth(), None);
         let mut pipeline =
             fan_out_and_sort(head, false, false).open_into(source, sink.clone(), &pushed_registry);
+        // Every head is parked: there is no driver, so no thread for it.
+        assert!(pipeline.ctx.handles.is_empty());
         for x in &input {
             pipeline.push(*x);
             // Lockstep: all but the open watermark period is out.
@@ -1742,6 +1759,11 @@ mod tests {
                     sink.clone(),
                     &MetricsRegistry::new(),
                 );
+                // A threaded split leaves its consumers to drive, on
+                // the helper thread; a thread boundary starts its own
+                // worker while building.
+                let workers = usize::from(parallel) + usize::from(pipelined);
+                assert_eq!(pipeline.ctx.handles.len(), workers);
                 for x in 0..20_000 {
                     pipeline.push(x);
                 }
