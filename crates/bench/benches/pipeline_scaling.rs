@@ -101,47 +101,9 @@ fn bench_substream_count(c: &mut Criterion) {
     group.finish();
 }
 
-/// Sequential vs. thread-parallel sub-stream execution (m = 4).
-fn bench_parallelism(c: &mut Criterion) {
-    let schema = schema();
-    let data = stream(20_000);
-    let cfg = JobConfig {
-        seed: 1,
-        pipelines: (0..4)
-            .map(|i| vec![noise_polluter(format!("m{i}"))])
-            .collect(),
-        supervision: None,
-        chaos: None,
-        checkpoint: None,
-        execution: None,
-    };
-    let mut group = c.benchmark_group("substream_parallelism");
-    group.measurement_time(Duration::from_secs(4));
-    group.sample_size(20);
-    for (name, parallel) in [("sequential", false), ("parallel", true)] {
-        group.bench_function(name, |b| {
-            b.iter_batched(
-                || {
-                    let mut job = PollutionJob::new(schema.clone())
-                        .with_assigner(SubStreamAssigner::RoundRobin)
-                        .without_logging();
-                    if parallel {
-                        job = job.parallel();
-                    }
-                    (data.clone(), cfg.build(&schema).unwrap(), job)
-                },
-                |(d, pipelines, job)| black_box(job.run(d, pipelines).unwrap().polluted.len()),
-                BatchSize::LargeInput,
-            )
-        });
-    }
-    group.finish();
-}
-
 /// Transport batch-size sweep on the §2.3 reference workload (ℓ = 4,
-/// m = 4) under the pipelined strategy — the configuration where every
-/// tuple crosses a thread boundary, so per-element channel cost
-/// dominates and batching pays off.
+/// m = 4): how many records the router hands a sub-stream, and the
+/// output carries, per frame.
 fn bench_batch_size(c: &mut Criterion) {
     let schema = schema();
     let data = stream(10_000);
@@ -171,7 +133,6 @@ fn bench_batch_size(c: &mut Criterion) {
                         cfg.build(&schema).unwrap(),
                         PollutionJob::new(schema.clone())
                             .with_assigner(SubStreamAssigner::RoundRobin)
-                            .with_strategy(StrategyHint::Pipelined)
                             .with_batch_size(batch)
                             .without_logging(),
                     )
@@ -188,7 +149,6 @@ criterion_group!(
     benches,
     bench_pipeline_length,
     bench_substream_count,
-    bench_parallelism,
     bench_batch_size
 );
 criterion_main!(benches);

@@ -1,5 +1,5 @@
 //! Raw stream-framework benchmarks: operator-chain throughput,
-//! event-time sorting, union, and the cost of a thread boundary.
+//! event-time sorting, and union.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use icewafl_stream::prelude::*;
@@ -21,22 +21,6 @@ fn bench_operator_chain(c: &mut Criterion) {
                     DataStream::from_vec(d)
                         .map(|x| x * 3)
                         .filter(|x| x % 2 == 0)
-                        .map(|x| x + 1)
-                        .count()
-                        .unwrap(),
-                )
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    group.bench_function("map_with_thread_boundary", |b| {
-        b.iter_batched(
-            || data.clone(),
-            |d| {
-                black_box(
-                    DataStream::from_vec(d)
-                        .map(|x| x * 3)
-                        .pipelined(1024)
                         .map(|x| x + 1)
                         .count()
                         .unwrap(),
@@ -111,24 +95,19 @@ fn bench_union(c: &mut Criterion) {
     let mut group = c.benchmark_group("union");
     group.measurement_time(Duration::from_secs(4));
     group.sample_size(20);
-    for (name, parallel) in [("sequential", false), ("parallel", true)] {
-        group.bench_function(name, |b| {
-            b.iter_batched(
-                || (a.clone(), bvec.clone()),
-                |(a, bv)| {
-                    black_box(
-                        DataStream::union(
-                            vec![DataStream::from_vec(a), DataStream::from_vec(bv)],
-                            parallel,
-                        )
+    group.bench_function("sequential", |b| {
+        b.iter_batched(
+            || (a.clone(), bvec.clone()),
+            |(a, bv)| {
+                black_box(
+                    DataStream::union(vec![DataStream::from_vec(a), DataStream::from_vec(bv)])
                         .count()
                         .unwrap(),
-                    )
-                },
-                BatchSize::LargeInput,
-            )
-        });
-    }
+                )
+            },
+            BatchSize::LargeInput,
+        )
+    });
     group.finish();
 }
 

@@ -32,7 +32,7 @@
 //! (connects are staggered so the listener backlog is never the limit).
 
 use icewafl_core::config::{ConditionConfig, ErrorConfig, PolluterConfig};
-use icewafl_core::plan::{AssignerSpec, LogicalPlan, StrategyHint};
+use icewafl_core::plan::{AssignerSpec, LogicalPlan};
 use icewafl_serve::{client, ClientConfig, Handshake};
 use icewafl_types::{DataType, Schema, StampedTuple, Timestamp, Tuple, Value};
 use std::time::{Duration, Instant};
@@ -69,7 +69,6 @@ fn reference_plan(seed: u64) -> LogicalPlan {
         .collect();
     let mut plan = LogicalPlan::new(seed, vec![pipeline; 4]);
     plan.assigner = AssignerSpec::RoundRobin;
-    plan.strategy = StrategyHint::Pipelined;
     plan.logging = false;
     plan
 }

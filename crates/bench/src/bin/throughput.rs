@@ -2,8 +2,8 @@
 //! --release --bin throughput`).
 //!
 //! Runs the §2.3 reference workload — `n` tuples through `m = 4`
-//! sub-streams of pipeline length `ℓ = 4` — under every execution
-//! strategy and emits a `BENCH_throughput.json` report with
+//! sub-streams of pipeline length `ℓ = 4` — at every transport batch
+//! size and emits a `BENCH_throughput.json` report with
 //! tuples/second per configuration. Unlike the criterion benches this
 //! harness is cheap enough for CI, produces a stable JSON artifact for
 //! regression gating (`--check`), and needs no statistics framework:
@@ -33,7 +33,7 @@
 //! is gated against a floor (see `SERVE_BINARY_RATIO_FLOOR`).
 //!
 //! Every run also measures checkpointed recovery: a chaos kill halfway
-//! through the pipelined workload, restored from the latest
+//! through the reference workload, restored from the latest
 //! epoch-aligned checkpoint and byte-diffed against an undisturbed
 //! run. `recovery_ms` / `replayed_tuples` land under a separate
 //! `recovery` key — wall-clock cost on this machine, also outside the
@@ -54,14 +54,14 @@ use icewafl_core::columnar::lower_pipeline;
 use icewafl_core::condition::CmpOp;
 use icewafl_core::config::{ConditionConfig, ErrorConfig, PolluterConfig};
 use icewafl_core::log::PollutionLog;
-use icewafl_core::plan::{AssignerSpec, LogicalPlan, StrategyHint};
+use icewafl_core::plan::{AssignerSpec, LogicalPlan};
 use icewafl_types::{DataType, Schema, StampedTuple, Timestamp, Tuple, Value};
 
 /// Pipeline length ℓ of the reference workload.
 const PIPELINE_LEN: usize = 4;
 /// Sub-stream count m of the reference workload.
 const SUB_STREAMS: usize = 4;
-/// Batch sizes swept per strategy (1 = unbatched transport).
+/// Batch sizes swept (1 = unbatched transport).
 const BATCH_SIZES: [usize; 3] = [1, 64, 256];
 
 fn schema() -> Schema {
@@ -95,10 +95,9 @@ fn pipeline() -> Vec<PolluterConfig> {
         .collect()
 }
 
-fn plan(strategy: StrategyHint, batch_size: usize) -> LogicalPlan {
+fn plan(batch_size: usize) -> LogicalPlan {
     let mut plan = LogicalPlan::new(42, vec![pipeline(); SUB_STREAMS]);
     plan.assigner = AssignerSpec::RoundRobin;
-    plan.strategy = strategy;
     plan.logging = false;
     plan.batch_size = batch_size;
     plan
@@ -112,9 +111,9 @@ struct Measurement {
     best_ms: f64,
 }
 
-fn measure(strategy: StrategyHint, batch_size: usize, n: i64, reps: u32) -> Measurement {
+fn measure(batch_size: usize, n: i64, reps: u32) -> Measurement {
     let schema = schema();
-    let physical = plan(strategy, batch_size)
+    let physical = plan(batch_size)
         .compile(&schema)
         .expect("reference plan compiles");
     let data = tuples(n);
@@ -130,15 +129,9 @@ fn measure(strategy: StrategyHint, batch_size: usize, n: i64, reps: u32) -> Meas
         assert_eq!(out.polluted.len(), n as usize);
         best = best.min(elapsed);
     }
-    let strategy_name = match strategy {
-        StrategyHint::Sequential => "sequential",
-        StrategyHint::Pipelined => "pipelined",
-        StrategyHint::SplitMergeParallel => "split_merge_parallel",
-        _ => "other",
-    };
     Measurement {
-        name: format!("{strategy_name}/batch_{batch_size}"),
-        strategy: strategy_name.to_string(),
+        name: format!("sequential/batch_{batch_size}"),
+        strategy: "sequential".to_string(),
         batch_size,
         tuples_per_sec: n as f64 / best,
         best_ms: best * 1e3,
@@ -420,7 +413,7 @@ fn measure_serve(n: i64, sessions: usize, format: &str) -> Measurement {
     let accept_loop = std::thread::spawn(move || runner.run());
 
     let handshake = Handshake {
-        plan_inline: Some(plan(StrategyHint::Pipelined, 64)),
+        plan_inline: Some(plan(64)),
         schema_inline: Some(schema()),
         format: Some(format.to_string()),
         ..Handshake::default()
@@ -471,7 +464,7 @@ fn measure_recovery(n: i64) -> icewafl_core::report::RunReport {
 
     let schema = schema();
     let base = {
-        let mut p = plan(StrategyHint::Pipelined, 64);
+        let mut p = plan(64);
         p.logging = true;
         p.supervision = Some(SupervisionConfig {
             max_retries: 2,
@@ -597,8 +590,8 @@ fn render(
 }
 
 /// Name of the configuration used as the normalization reference in
-/// `--relative` mode: no channel edges, no batching, so its throughput
-/// tracks raw machine speed.
+/// `--relative` mode: no batching, so its throughput tracks raw machine
+/// speed.
 const REFERENCE_CONFIG: &str = "sequential/batch_1";
 
 /// Minimum binary-serve over offline-sequential throughput ratio the
@@ -761,21 +754,14 @@ fn main() {
         .unwrap_or(0.30);
     let relative = args.iter().any(|a| a == "--relative");
 
-    let strategies = [
-        StrategyHint::Sequential,
-        StrategyHint::Pipelined,
-        StrategyHint::SplitMergeParallel,
-    ];
     let mut results = Vec::new();
-    for strategy in strategies {
-        for batch_size in BATCH_SIZES {
-            let m = measure(strategy, batch_size, n, reps);
-            eprintln!(
-                "{:<32} {:>12.0} tuples/s  (best {:.2} ms)",
-                m.name, m.tuples_per_sec, m.best_ms
-            );
-            results.push(m);
-        }
+    for batch_size in BATCH_SIZES {
+        let m = measure(batch_size, n, reps);
+        eprintln!(
+            "{:<32} {:>12.0} tuples/s  (best {:.2} ms)",
+            m.name, m.tuples_per_sec, m.best_ms
+        );
+        results.push(m);
     }
     // Kernel microbench: every vectorized kernel family, element/s in
     // row vs trampoline vs vectorized mode on one pipeline object.
@@ -809,7 +795,7 @@ fn main() {
     let recovery = measure_recovery(n);
     eprintln!(
         "{:<32} restored from epoch {} (replayed {} tuples, {} ms restoring)",
-        "recovery/pipelined_batch_64",
+        "recovery/sequential_batch_64",
         recovery.restored_from_epoch,
         recovery.replayed_tuples,
         recovery.recovery_ms

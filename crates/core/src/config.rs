@@ -124,7 +124,8 @@ pub struct ExecutionSectionConfig {
     /// Sub-stream assignment strategy.
     #[serde(default)]
     pub assigner: crate::plan::AssignerSpec,
-    /// Execution strategy hint.
+    /// Accepted for compatibility; see
+    /// [`StrategyHint`](crate::plan::StrategyHint).
     #[serde(default)]
     pub strategy: crate::plan::StrategyHint,
     /// Accepted for compatibility; see
@@ -134,9 +135,9 @@ pub struct ExecutionSectionConfig {
     /// Source watermark period in tuples (absent = plan default).
     #[serde(default)]
     pub watermark_period: Option<u64>,
-    /// Records per transport batch on channel edges (absent = plan
-    /// default; `1` = unbatched). Performance-only: output is
-    /// bit-identical across batch sizes.
+    /// Records per frame on the router → sub-stream edges and on the
+    /// output (absent = plan default; `1` = unbatched).
+    /// Performance-only: output is bit-identical across batch sizes.
     #[serde(default)]
     pub batch_size: Option<usize>,
 }

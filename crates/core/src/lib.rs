@@ -91,8 +91,8 @@ pub use log::{LogEntry, PollutionLog};
 pub use pattern::ChangePattern;
 pub use pipeline::{CompositePolluter, OneOfPolluter, PollutionPipeline};
 pub use plan::{
-    AssignerSpec, ControlHandle, ExecutionStrategy, LogicalPlan, PhysicalPlan, PlanDelta, ReprHint,
-    StageInfo, StrategyHint, SubstreamRepr, DEFAULT_BATCH_SIZE,
+    AssignerSpec, ControlHandle, LogicalPlan, PhysicalPlan, PlanDelta, ReprHint, StageInfo,
+    StrategyHint, SubstreamRepr, DEFAULT_BATCH_SIZE,
 };
 pub use polluter::{BoxPolluter, Emission, Polluter, StandardPolluter};
 pub use report::RunReport;
@@ -122,8 +122,8 @@ pub mod prelude {
     pub use crate::pattern::ChangePattern;
     pub use crate::pipeline::{CompositePolluter, OneOfPolluter, PollutionPipeline};
     pub use crate::plan::{
-        AssignerSpec, ControlHandle, ExecutionStrategy, LogicalPlan, PhysicalPlan, PlanDelta,
-        ReprHint, StrategyHint, SubstreamRepr, DEFAULT_BATCH_SIZE,
+        AssignerSpec, ControlHandle, LogicalPlan, PhysicalPlan, PlanDelta, ReprHint, StrategyHint,
+        SubstreamRepr, DEFAULT_BATCH_SIZE,
     };
     pub use crate::polluter::{BoxPolluter, Emission, Polluter, StandardPolluter};
     pub use crate::propagation::{KeyedPolluter, PropagationPolluter};

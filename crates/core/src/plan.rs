@@ -7,9 +7,8 @@
 //! lowers to the same serializable [`LogicalPlan`]: *what* to pollute
 //! (seed, per-sub-stream polluter specs, assigner) and under which
 //! fault-tolerance/observability settings. [`LogicalPlan::compile`]
-//! turns it into a [`PhysicalPlan`]: the chosen
-//! [`ExecutionStrategy`], the resolved sub-stream assigner, and the
-//! predicted stage layout (labels + metric names, rendered by
+//! turns it into a [`PhysicalPlan`]: the resolved sub-stream assigner
+//! and the predicted stage layout (labels + metric names, rendered by
 //! [`PhysicalPlan::explain`]). Execution happens through one path —
 //! the runner's private `execute_attempt` — regardless of the entry
 //! point.
@@ -46,7 +45,6 @@
 //! }]]);
 //!
 //! let physical = plan.compile(&schema).unwrap();
-//! assert_eq!(physical.strategy().to_string(), "sequential");
 //! assert!(physical.explain().contains("sub-streams"));
 //!
 //! let tuples: Vec<Tuple> = (0..32).map(|i| Tuple::new(vec![
@@ -76,45 +74,25 @@ use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-/// Bounded-channel capacity used by the `pipelined` strategy.
-pub const PIPELINED_CAPACITY: usize = 1024;
-
-/// Default records per transport batch on channel edges. Batches
-/// amortize per-element send/recv and metering cost; they are flushed
-/// at every watermark, so the *effective* batch is additionally capped
-/// by the watermark period. `1` disables batching.
+/// Default records per frame on the router → sub-stream edges and on
+/// the output. Batches amortize per-element stage and metering cost;
+/// they are flushed at every watermark, so the *effective* batch is
+/// additionally capped by the watermark period. `1` disables batching.
 pub const DEFAULT_BATCH_SIZE: usize = 256;
 
-/// Declarative choice of execution strategy (part of the logical plan);
-/// resolved to an [`ExecutionStrategy`] at compile time.
+/// The execution strategy a plan asks for. Every plan runs the one
+/// sequential, watermark-lockstep schedule, so the two values are
+/// synonyms: `auto` is what existing plan JSON says, `sequential` what
+/// the repo benchmark's oracle pins. Anything else fails to parse, with
+/// an error naming the value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 #[serde(rename_all = "snake_case")]
 pub enum StrategyHint {
-    /// Let the compiler pick (currently: sequential, the deterministic
-    /// default).
+    /// Sequential.
     #[default]
     Auto,
-    /// Single-threaded, fully deterministic execution.
+    /// Sequential.
     Sequential,
-    /// Sequential sub-streams, with the merge/sort tail decoupled onto
-    /// its own thread over a bounded channel.
-    Pipelined,
-    /// One worker thread per sub-stream
-    /// ([`DataStream::split_merge_parallel`](icewafl_stream::DataStream::split_merge_parallel)).
-    SplitMergeParallel,
-}
-
-impl StrategyHint {
-    /// Resolves the hint into a concrete strategy.
-    pub fn resolve(self) -> ExecutionStrategy {
-        match self {
-            StrategyHint::Auto | StrategyHint::Sequential => ExecutionStrategy::Sequential,
-            StrategyHint::Pipelined => ExecutionStrategy::Pipelined {
-                capacity: PIPELINED_CAPACITY,
-            },
-            StrategyHint::SplitMergeParallel => ExecutionStrategy::SplitMergeParallel,
-        }
-    }
 }
 
 /// The batch representation a plan asks for. Every sub-stream runs the
@@ -145,33 +123,6 @@ impl SubstreamRepr {
     pub fn as_str(&self) -> &'static str {
         match self {
             SubstreamRepr::Row => "row",
-        }
-    }
-}
-
-/// The concrete execution strategy of a [`PhysicalPlan`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecutionStrategy {
-    /// Everything on the calling thread, deterministic.
-    Sequential,
-    /// A bounded channel decouples the merged stream from the sort/sink
-    /// tail.
-    Pipelined {
-        /// Channel capacity in elements.
-        capacity: usize,
-    },
-    /// Each sub-stream pipeline runs on its own worker thread.
-    SplitMergeParallel,
-}
-
-impl std::fmt::Display for ExecutionStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExecutionStrategy::Sequential => write!(f, "sequential"),
-            ExecutionStrategy::Pipelined { capacity } => {
-                write!(f, "pipelined(capacity={capacity})")
-            }
-            ExecutionStrategy::SplitMergeParallel => write!(f, "split_merge_parallel"),
         }
     }
 }
@@ -255,7 +206,7 @@ pub struct LogicalPlan {
     /// How tuples are assigned to sub-streams.
     #[serde(default)]
     pub assigner: AssignerSpec,
-    /// Which execution strategy to compile to.
+    /// Accepted for compatibility; see [`StrategyHint`].
     #[serde(default)]
     pub strategy: StrategyHint,
     /// Accepted for compatibility; see [`ReprHint`].
@@ -265,7 +216,8 @@ pub struct LogicalPlan {
     /// of reconfiguration epochs.
     #[serde(default = "default_watermark_period")]
     pub watermark_period: u64,
-    /// Records per transport batch on channel edges (`1` = unbatched).
+    /// Records per frame on the router → sub-stream edges and on the
+    /// output (`1` = unbatched).
     /// Purely a performance knob: batches flush before every watermark,
     /// end marker, and failure, so output is bit-identical across batch
     /// sizes.
@@ -360,8 +312,7 @@ impl LogicalPlan {
 
     /// Compiles the plan against a schema: validates it end to end
     /// (every polluter builds, chaos rates are sane), resolves the
-    /// assigner and execution strategy, and predicts the physical stage
-    /// layout.
+    /// assigner, and predicts the physical stage layout.
     pub fn compile(&self, schema: &Schema) -> Result<PhysicalPlan> {
         if self.pipelines.is_empty() {
             return Err(Error::plan("at least one pipeline is required"));
@@ -376,15 +327,13 @@ impl LogicalPlan {
             }
         }
         let m = self.substreams();
-        let strategy = self.strategy.resolve();
-        let stages = predict_stages(m, strategy, chaos.is_some());
+        let stages = predict_stages(m, chaos.is_some());
         let control = ControlChannel::new();
         let settings = ExecSettings {
             schema: schema.clone(),
             assigner: self.assigner.resolve(m, self.seed),
             watermark_period: self.watermark_period.max(1),
             batch_size: self.batch_size.max(1),
-            strategy,
             logging: self.logging,
             supervision: self.supervisor_policy(),
             chaos,
@@ -646,26 +595,12 @@ fn operator_metrics(label: &str) -> Vec<String> {
     .collect()
 }
 
-fn channel_metrics(label: &str) -> Vec<String> {
-    [
-        "sends",
-        "send_blocks",
-        "send_block_ns",
-        "recv_waits",
-        "recv_block_ns",
-        "dropped",
-    ]
-    .iter()
-    .map(|m| format!("{label}/{m}"))
-    .collect()
-}
-
 /// Predicts the stage labels the stream runtime will assign. Pipelines
 /// are built back-to-front (sink first), so the sorter gets index 0 and
 /// the source the highest index; the fan-out router is labeled before
 /// its sub-pipelines, and within a sub-pipeline the outermost operator
 /// (the pollution pipeline) is labeled before a spliced chaos injector.
-fn predict_stages(m: usize, strategy: ExecutionStrategy, chaos: bool) -> Vec<StageInfo> {
+fn predict_stages(m: usize, chaos: bool) -> Vec<StageInfo> {
     let mut seq = 0u32;
     let mut label = |name: &str| {
         let l = format!("stage/{seq:02}_{name}");
@@ -693,25 +628,12 @@ fn predict_stages(m: usize, strategy: ExecutionStrategy, chaos: bool) -> Vec<Sta
         role: "sort by (arrival time, sub-stream) (Algorithm 1, line 11)".into(),
         label: l,
     });
-    if let ExecutionStrategy::Pipelined { capacity } = strategy {
-        let l = label("pipelined");
-        stages.push(StageInfo {
-            metrics: channel_metrics(&l),
-            role: format!("thread boundary (bounded channel, capacity {capacity})"),
-            label: l,
-        });
-    }
     let l = label("split_router");
-    let handoff = match strategy {
-        ExecutionStrategy::SplitMergeParallel => "over bounded channels, one thread each",
-        ExecutionStrategy::Sequential | ExecutionStrategy::Pipelined { .. } => {
-            "pushed directly, in watermark lockstep"
-        }
-    };
     stages.push(StageInfo {
-        metrics: channel_metrics(&l),
+        metrics: vec![format!("{l}/sends")],
         role: format!(
-            "fan out into {m} sub-stream(s), {handoff}; broadcasts watermarks (epoch barrier)"
+            "fan out into {m} sub-stream(s), pushed directly, in watermark lockstep; \
+             broadcasts watermarks (epoch barrier)"
         ),
         label: l,
     });
@@ -752,7 +674,7 @@ fn predict_stages(m: usize, strategy: ExecutionStrategy, chaos: bool) -> Vec<Sta
 }
 
 /// A compiled, runnable pollution job: the logical plan plus the
-/// resolved execution strategy, assigner, and predicted stage layout.
+/// resolved assigner and predicted stage layout.
 ///
 /// Obtain one via [`LogicalPlan::compile`]; run it with
 /// [`PhysicalPlan::execute`] / [`PhysicalPlan::execute_supervised`];
@@ -775,11 +697,6 @@ impl PhysicalPlan {
     /// The schema the plan was compiled against.
     pub fn schema(&self) -> &Schema {
         &self.settings.schema
-    }
-
-    /// The resolved execution strategy.
-    pub fn strategy(&self) -> ExecutionStrategy {
-        self.settings.strategy
     }
 
     /// The predicted stage layout (labels count sink-first).
@@ -830,11 +747,7 @@ impl PhysicalPlan {
     pub fn explain(&self) -> String {
         let m = self.logical.substreams();
         let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "== physical plan ==\nstrategy:         {}",
-            self.settings.strategy
-        );
+        let _ = writeln!(s, "== physical plan ==\nstrategy:         sequential");
         let _ = writeln!(s, "sub-streams:      {m}");
         let _ = writeln!(s, "assigner:         {}", self.logical.assigner.describe(m));
         let _ = writeln!(s, "seed:             {}", self.logical.seed);
@@ -1072,7 +985,7 @@ mod tests {
     #[test]
     fn plan_serde_round_trip() {
         let plan = LogicalPlan {
-            strategy: StrategyHint::Pipelined,
+            strategy: StrategyHint::Sequential,
             assigner: AssignerSpec::Probabilistic { p: 0.4 },
             watermark_period: 32,
             ..LogicalPlan::new(9, vec![vec![null_spec(0.5)]])
@@ -1108,14 +1021,7 @@ mod tests {
     }
 
     #[test]
-    fn strategy_and_assigner_resolution() {
-        assert_eq!(StrategyHint::Auto.resolve(), ExecutionStrategy::Sequential);
-        assert_eq!(
-            StrategyHint::Pipelined.resolve(),
-            ExecutionStrategy::Pipelined {
-                capacity: PIPELINED_CAPACITY
-            }
-        );
+    fn assigner_resolution() {
         assert!(matches!(
             AssignerSpec::Auto.resolve(2, 0),
             SubStreamAssigner::RoundRobin
@@ -1127,26 +1033,32 @@ mod tests {
     }
 
     #[test]
-    fn parallel_strategy_matches_sequential_content() {
-        let mk = |hint| {
+    fn removed_strategies_are_parse_errors() {
+        // The threaded strategies are gone: naming one is an unknown
+        // variant, in a plan and in a job config, and the error names
+        // the value.
+        for removed in ["pipelined", "split_merge_parallel"] {
+            let json = format!(r#"{{ "pipelines": [[]], "strategy": "{removed}" }}"#);
+            let err = LogicalPlan::from_json(&json).expect_err("plan parses");
+            assert!(matches!(err, Error::Plan { .. }), "{err}");
+            assert!(err.to_string().contains(removed), "{err}");
+            let json =
+                format!(r#"{{ "pipelines": [[]], "execution": {{ "strategy": "{removed}" }} }}"#);
+            let err = JobConfig::from_json(&json).expect_err("config parses");
+            assert!(matches!(err, Error::Config(_)), "{err}");
+            assert!(err.to_string().contains(removed), "{err}");
+        }
+        // The two names left run the same schedule.
+        let run = |strategy| {
             let plan = LogicalPlan {
-                strategy: hint,
+                strategy,
                 ..LogicalPlan::new(3, vec![vec![null_spec(0.5)], vec![null_spec(0.5)]])
             };
-            let mut out = plan
-                .compile(&schema())
-                .unwrap()
-                .execute(tuples(300))
-                .unwrap()
-                .polluted;
-            out.sort_by_key(|t| t.id);
-            out
+            let physical = plan.compile(&schema()).unwrap();
+            assert!(physical.explain().contains("strategy:         sequential"));
+            physical.execute(tuples(300)).unwrap().polluted
         };
-        assert_eq!(
-            mk(StrategyHint::Sequential),
-            mk(StrategyHint::SplitMergeParallel)
-        );
-        assert_eq!(mk(StrategyHint::Sequential), mk(StrategyHint::Pipelined));
+        assert_eq!(run(StrategyHint::Auto), run(StrategyHint::Sequential));
     }
 
     #[test]
@@ -1166,16 +1078,10 @@ mod tests {
     #[test]
     fn predicted_stage_labels_match_a_real_run() {
         // The explain output is a *prediction* of runtime labels; verify
-        // it against the metrics an actual run registers, across
-        // strategies and with chaos spliced in.
-        for (hint, chaos) in [
-            (StrategyHint::Sequential, false),
-            (StrategyHint::Pipelined, false),
-            (StrategyHint::SplitMergeParallel, false),
-            (StrategyHint::Sequential, true),
-        ] {
+        // it against the metrics an actual run registers, with and
+        // without chaos spliced in.
+        for chaos in [false, true] {
             let plan = LogicalPlan {
-                strategy: hint,
                 chaos: chaos.then(ChaosSectionConfig::default),
                 ..LogicalPlan::new(5, vec![vec![null_spec(0.3)], vec![null_spec(0.3)]])
             };
@@ -1189,10 +1095,17 @@ mod tests {
                 if stage.metrics.contains(&counter) {
                     assert!(
                         out.report.metrics.counter(&counter) > 0,
-                        "predicted stage {} missing in run metrics ({hint:?}, chaos={chaos})",
+                        "predicted stage {} missing in run metrics (chaos={chaos})",
                         stage.label
                     );
                 }
+            }
+            // Every predicted counter is one the run registered.
+            for name in physical.stages().iter().flat_map(|s| &s.metrics) {
+                let registered = out.report.metrics.counters.contains_key(name)
+                    || out.report.metrics.gauges.contains_key(name)
+                    || out.report.metrics.histograms.contains_key(name);
+                assert!(registered, "predicted metric {name} not registered");
             }
         }
     }
@@ -1240,48 +1153,39 @@ mod tests {
     fn a_streaming_session_is_the_offline_run_fed_by_hand() {
         // Same topology, same stage labels, same bytes — and output
         // while the input is still arriving.
-        for hint in [
-            StrategyHint::Sequential,
-            StrategyHint::Pipelined,
-            StrategyHint::SplitMergeParallel,
-        ] {
-            let plan = LogicalPlan {
-                strategy: hint,
-                checkpoint: Some(CheckpointSectionConfig {
-                    dir: None,
-                    interval_epochs: 2,
-                }),
-                ..LogicalPlan::new(5, vec![vec![null_spec(0.3)], vec![null_spec(0.3)]])
-            };
-            let physical = plan.compile(&schema()).unwrap();
-            let offline = physical.execute(tuples(1_000)).unwrap();
+        let plan = LogicalPlan {
+            checkpoint: Some(CheckpointSectionConfig {
+                dir: None,
+                interval_epochs: 2,
+            }),
+            ..LogicalPlan::new(5, vec![vec![null_spec(0.3)], vec![null_spec(0.3)]])
+        };
+        let physical = plan.compile(&schema()).unwrap();
+        let offline = physical.execute(tuples(1_000)).unwrap();
 
-            let sink = icewafl_stream::SharedVecSink::new();
-            let mut session = physical.open_streaming(sink.clone()).unwrap();
-            for (i, tuple) in tuples(1_000).into_iter().enumerate() {
-                session.push(tuple);
-                if hint == StrategyHint::Sequential {
-                    // Lockstep holds back the open watermark period only.
-                    assert!(sink.len() + 64 > i, "tuple {i}: {} out", sink.len());
-                }
-            }
-            assert!(!session.is_failed());
-            let report = session.finish().unwrap();
-            assert_eq!(sink.take(), offline.polluted, "{hint:?}");
-            assert_eq!((report.tuples_in, report.tuples_out), (1_000, 1_000));
-            assert_eq!(report.log_entries, offline.report.log_entries);
-            assert_eq!(report.polluters, offline.report.polluters);
-            assert!(report.checkpoints_taken > 0, "barriers took the push path");
-            if report.metrics_compiled_in {
-                for stage in physical.stages() {
-                    let counter = format!("{}/elements_in", stage.label);
-                    if stage.metrics.contains(&counter) {
-                        assert!(
-                            report.metrics.counter(&counter) > 0,
-                            "predicted stage {} missing in a streamed run ({hint:?})",
-                            stage.label
-                        );
-                    }
+        let sink = icewafl_stream::SharedVecSink::new();
+        let mut session = physical.open_streaming(sink.clone()).unwrap();
+        for (i, tuple) in tuples(1_000).into_iter().enumerate() {
+            session.push(tuple);
+            // Lockstep holds back the open watermark period only.
+            assert!(sink.len() + 64 > i, "tuple {i}: {} out", sink.len());
+        }
+        assert!(!session.is_failed());
+        let report = session.finish().unwrap();
+        assert_eq!(sink.take(), offline.polluted);
+        assert_eq!((report.tuples_in, report.tuples_out), (1_000, 1_000));
+        assert_eq!(report.log_entries, offline.report.log_entries);
+        assert_eq!(report.polluters, offline.report.polluters);
+        assert!(report.checkpoints_taken > 0, "barriers took the push path");
+        if report.metrics_compiled_in {
+            for stage in physical.stages() {
+                let counter = format!("{}/elements_in", stage.label);
+                if stage.metrics.contains(&counter) {
+                    assert!(
+                        report.metrics.counter(&counter) > 0,
+                        "predicted stage {} missing in a streamed run",
+                        stage.label
+                    );
                 }
             }
         }

@@ -3,7 +3,7 @@
 //! [`RunReport`] bundles everything a run measured: stream-level totals,
 //! the per-polluter statistics collected via
 //! [`Polluter::collect_stats`](crate::polluter::Polluter::collect_stats),
-//! and the raw [`MetricsSnapshot`] of the per-stage/per-channel metrics
+//! and the raw [`MetricsSnapshot`] of the per-stage metrics
 //! registry. It serializes to JSON (the CLI's `--metrics-json` output)
 //! and renders as a human-readable text block.
 
@@ -30,8 +30,8 @@ pub struct RunReport {
     /// unsupervised runs and runs that succeed on the first attempt).
     #[serde(default)]
     pub restarts: u64,
-    /// Execution strategy of the physical plan the run compiled to
-    /// (`None` in reports from before the plan layer existed).
+    /// Execution strategy of the run: always `sequential` (`None` in
+    /// reports from before the plan layer existed).
     #[serde(default)]
     pub strategy: Option<String>,
     /// Reconfiguration epochs applied mid-run (0 when no plan delta was
@@ -59,7 +59,7 @@ pub struct RunReport {
     pub recovery_ms: u64,
     /// Per-polluter statistics, in pipeline order.
     pub polluters: Vec<PolluterStatsSnapshot>,
-    /// Per-stage / per-channel stream metrics.
+    /// Per-stage stream metrics.
     pub metrics: MetricsSnapshot,
 }
 

@@ -7,7 +7,7 @@
 
 use crate::log::PollutionLog;
 use crate::pipeline::PollutionPipeline;
-use crate::plan::{ExecutionStrategy, LogicalPlan, StrategyHint, DEFAULT_BATCH_SIZE};
+use crate::plan::{LogicalPlan, DEFAULT_BATCH_SIZE};
 use crate::polluter::Emission;
 use crate::prepare::PrepareOperator;
 use crate::report::RunReport;
@@ -112,8 +112,7 @@ struct SubstreamState {
 /// it for the attempt (no lock on the record path), and hands it back
 /// when it is dropped — however the attempt ended. The finished log is
 /// the segments concatenated in sub-stream order, which is independent
-/// of how a schedule interleaved the sub-streams: the sequential,
-/// pipelined and threaded strategies all produce the same bytes.
+/// of how a schedule interleaves the sub-streams.
 /// A checkpointed run keeps the segments across attempts and rewinds
 /// each one to the length its own operator recorded at the barrier.
 #[derive(Clone)]
@@ -340,11 +339,10 @@ pub(crate) struct ExecSettings {
     pub(crate) assigner: SubStreamAssigner,
     /// Emit a watermark every this many source tuples.
     pub(crate) watermark_period: u64,
-    /// How the compiled stages are driven.
-    pub(crate) strategy: ExecutionStrategy,
     /// Record ground truth (disable for overhead benchmarks).
     pub(crate) logging: bool,
-    /// Records per transport batch on channel edges (1 = unbatched).
+    /// Records per frame on the router → sub-stream edges and on the
+    /// output (1 = unbatched).
     pub(crate) batch_size: usize,
     /// Restart policy consulted by supervised runs.
     pub(crate) supervision: SupervisorPolicy,
@@ -386,7 +384,6 @@ impl PollutionJob {
                 schema,
                 assigner: SubStreamAssigner::Broadcast,
                 watermark_period: 64,
-                strategy: ExecutionStrategy::Sequential,
                 logging: true,
                 batch_size: DEFAULT_BATCH_SIZE,
                 supervision: SupervisorPolicy::default(),
@@ -410,30 +407,17 @@ impl PollutionJob {
         self
     }
 
-    /// Runs sub-stream pipelines on worker threads (shorthand for the
-    /// `split_merge_parallel` strategy).
-    pub fn parallel(mut self) -> Self {
-        self.settings.strategy = ExecutionStrategy::SplitMergeParallel;
-        self
-    }
-
-    /// Sets the execution strategy via a plan-level hint.
-    pub fn with_strategy(mut self, hint: StrategyHint) -> Self {
-        self.settings.strategy = hint.resolve();
-        self
-    }
-
     /// Disables ground-truth logging.
     pub fn without_logging(mut self) -> Self {
         self.settings.logging = false;
         self
     }
 
-    /// Sets the transport batch size: how many records channel edges
-    /// (split router, sub-streams, pipelined boundaries) carry per
-    /// frame. `1` disables batching; the effective batch is also capped
-    /// by the watermark period, since partial batches flush at every
-    /// watermark. Output is bit-identical across batch sizes.
+    /// Sets the transport batch size: how many records the router hands
+    /// a sub-stream, and the output carries, per frame. `1` disables
+    /// batching; the effective batch is also capped by the watermark
+    /// period, since partial batches flush at every watermark. Output
+    /// is bit-identical across batch sizes.
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         self.settings.batch_size = batch_size.max(1);
         self
@@ -905,7 +889,7 @@ fn run_report(
         logging_enabled: settings.logging,
         metrics_compiled_in: icewafl_obs::metrics_compiled_in(),
         restarts: 0,
-        strategy: Some(settings.strategy.to_string()),
+        strategy: Some("sequential".into()),
         epochs_applied: settings
             .control
             .as_ref()
@@ -1271,24 +1255,13 @@ fn pollution_topology(
         .collect::<Result<_>>()?;
 
     let batch_size = settings.batch_size.max(1);
-    let merged = match settings.strategy {
-        ExecutionStrategy::SplitMergeParallel => {
-            head.split_merge_parallel_batched(selector, builders, batch_size)
-        }
-        ExecutionStrategy::Sequential | ExecutionStrategy::Pipelined { .. } => {
-            head.split_merge_batched(selector, builders, batch_size)
-        }
-    };
-    let merged = match settings.strategy {
-        ExecutionStrategy::Pipelined { capacity } => merged.pipelined_batched(capacity, batch_size),
-        _ => merged,
-    };
+    let merged = head.split_merge_batched(selector, builders, batch_size);
     // Algorithm 1, line 11: sortByTimestamp — by *arrival* time, so
     // delayed tuples surface late (see `StampedTuple::arrival`). Equal
     // arrivals order by sub-stream, then by emission order within the
     // sub-stream: the merged order is a function of the tuples alone,
-    // not of how the strategy interleaved the sub-streams on their way
-    // here. The snapshot codec is inert unless a barrier arrives.
+    // not of how the sub-streams were interleaved on their way here.
+    // The snapshot codec is inert unless a barrier arrives.
     let mut sorter = EventTimeSorter::new(|t: &StampedTuple| (t.arrival, t.sub_stream))
         .with_state_codec("sorter", stamped_codec());
     if let Some(doc) = ckpt_states.and_then(|states| states.get("sorter")) {
@@ -1470,33 +1443,6 @@ mod tests {
         assert!(
             out.polluted.len() > 500,
             "some overlap expected at p=0.3 per stream"
-        );
-    }
-
-    #[test]
-    fn parallel_run_matches_sequential_content() {
-        let seq = PollutionJob::new(schema())
-            .with_assigner(SubStreamAssigner::RoundRobin)
-            .run(
-                raw_stream(300),
-                vec![null_pipeline(0.5, 3), null_pipeline(0.5, 4)],
-            )
-            .unwrap();
-        let par = PollutionJob::new(schema())
-            .with_assigner(SubStreamAssigner::RoundRobin)
-            .parallel()
-            .run(
-                raw_stream(300),
-                vec![null_pipeline(0.5, 3), null_pipeline(0.5, 4)],
-            )
-            .unwrap();
-        let mut a = seq.polluted.clone();
-        let mut b = par.polluted.clone();
-        a.sort_by_key(|t| t.id);
-        b.sort_by_key(|t| t.id);
-        assert_eq!(
-            a, b,
-            "same seeds → identical pollution, independent of threading"
         );
     }
 

@@ -1,5 +1,5 @@
-//! A streaming session starts a thread only where its topology leaves
-//! something to drive.
+//! A streaming session starts no thread: the caller's pushes run every
+//! stage, from open to finish.
 //!
 //! One `#[test]` only: it reads the process-wide thread count, which
 //! tests running beside it would move.
@@ -7,7 +7,7 @@
 #![cfg(target_os = "linux")]
 
 use icewafl_core::config::{ConditionConfig, ErrorConfig, PolluterConfig};
-use icewafl_core::plan::{LogicalPlan, StrategyHint};
+use icewafl_core::plan::LogicalPlan;
 use icewafl_stream::SharedVecSink;
 use icewafl_types::{DataType, Schema, Timestamp, Tuple, Value};
 
@@ -33,7 +33,7 @@ fn tuples(n: i64) -> impl Iterator<Item = Tuple> {
     })
 }
 
-fn plan(strategy: StrategyHint) -> LogicalPlan {
+fn plan() -> LogicalPlan {
     let null = |name: &str| PolluterConfig::Standard {
         name: name.into(),
         attributes: vec!["x".into()],
@@ -41,43 +41,21 @@ fn plan(strategy: StrategyHint) -> LogicalPlan {
         condition: ConditionConfig::Probability { p: 0.3 },
         pattern: None,
     };
-    LogicalPlan {
-        strategy,
-        ..LogicalPlan::new(5, vec![vec![null("a")], vec![null("b")]])
-    }
+    LogicalPlan::new(5, vec![vec![null("a")], vec![null("b")]])
 }
 
 #[test]
-fn a_session_starts_threads_only_for_what_its_topology_must_drive() {
+fn a_session_starts_no_thread() {
     let idle = threads();
-
-    // Sequential: the caller's pushes run every stage, nothing is left
-    // to drive, and so no thread exists between open and finish.
-    let physical = plan(StrategyHint::Sequential).compile(&schema()).unwrap();
+    let physical = plan().compile(&schema()).unwrap();
     let sink = SharedVecSink::new();
     let mut session = physical.open_streaming(sink.clone()).unwrap();
-    assert_eq!(threads(), idle, "opening a sequential session");
-    for tuple in tuples(500) {
-        session.push(tuple);
-    }
-    assert_eq!(threads(), idle, "feeding a sequential session");
-    session.finish().unwrap();
-    assert_eq!(sink.len(), 500);
-    assert_eq!(threads(), idle, "finishing a sequential session");
-
-    // Threaded split/merge: its consumers must run from open on — the
-    // router's bounded channels (1024 frames each) would otherwise fill
-    // under the pushes below and block this thread for good.
-    let physical = plan(StrategyHint::SplitMergeParallel)
-        .compile(&schema())
-        .unwrap();
-    let sink = SharedVecSink::new();
-    let mut session = physical.open_streaming(sink.clone()).unwrap();
+    assert_eq!(threads(), idle, "opening a session");
     for tuple in tuples(10_000) {
         session.push(tuple);
     }
-    assert!(threads() > idle, "a threaded session runs its consumers");
+    assert_eq!(threads(), idle, "feeding a session");
     session.finish().unwrap();
     assert_eq!(sink.len(), 10_000);
-    assert_eq!(threads(), idle, "finish joins every worker");
+    assert_eq!(threads(), idle, "finishing a session");
 }

@@ -171,7 +171,8 @@ pub struct HandshakeReply {
     /// Server-assigned session id (connection counter).
     #[serde(default)]
     pub session: u64,
-    /// The compiled plan's execution strategy (accepted sessions).
+    /// The session's kind of run (accepted sessions): `sequential` for
+    /// a pollute session, `subscribe` or `telemetry` otherwise.
     #[serde(default)]
     pub strategy: Option<String>,
     /// The compiled plan's sub-stream count (accepted sessions).

@@ -795,7 +795,7 @@ fn open_pollute(shared: &Arc<Shared>, conn: &mut Conn, hs: &Handshake) -> Step {
 
     conn.queue_line(&HandshakeReply::accepted(
         conn.id,
-        plan.strategy().to_string(),
+        "sequential".into(),
         plan.logical().substreams(),
     ));
     shared.register_session(conn.id, conn.counters.handles("pollute", format));

@@ -604,11 +604,8 @@ fn run_session(stream: TcpStream, shared: &Shared, session_id: u64) {
     // must not overwrite each other's `checkpoint.wal`.
     plan.scope_checkpoint_dir(&format!("session_{session_id}"));
 
-    let reply = HandshakeReply::accepted(
-        session_id,
-        plan.strategy().to_string(),
-        plan.logical().substreams(),
-    );
+    let reply =
+        HandshakeReply::accepted(session_id, "sequential".into(), plan.logical().substreams());
     if write_json_line(&tail_stream, &reply).is_err() {
         shared.counter("serve/sessions_failed").inc();
         return;

@@ -777,36 +777,6 @@ fn sorter_occupancy_of_a_session_is_independent_of_its_length() {
     });
 }
 
-/// Plans whose stages run on threads of their own are fed the same
-/// way; their consumers must be running before the first push, or the
-/// router's bounded channels fill and the session hangs.
-#[test]
-fn threaded_plans_are_served_incrementally_too() {
-    use icewafl_core::plan::StrategyHint;
-    watchdogged(|| {
-        let input = tuples(20_000);
-        let server = TestServer::start(ServeConfig::default());
-        for strategy in [StrategyHint::SplitMergeParallel, StrategyHint::Pipelined] {
-            let threaded = LogicalPlan {
-                strategy,
-                ..plan(42)
-            };
-            let hs = Handshake {
-                plan_inline: Some(threaded.clone()),
-                ..handshake("binary")
-            };
-            let outcome =
-                client::run_session(&ClientConfig::new(server.addr(), hs), input.clone()).unwrap();
-            assert!(outcome.completed(), "{strategy:?}: {:?}", outcome.error);
-            assert_eq!(
-                outcome.tuples,
-                offline_of(&threaded, &input),
-                "{strategy:?}"
-            );
-        }
-    });
-}
-
 /// A session that fails mid-stream has been sent a prefix of what it
 /// would have been sent, then exactly one typed error frame.
 #[test]

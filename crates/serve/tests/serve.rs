@@ -282,6 +282,40 @@ fn mid_stream_disconnect_poisons_only_that_session() {
 }
 
 #[test]
+fn an_inline_plan_naming_a_removed_strategy_is_rejected_at_handshake() {
+    let server = TestServer::start(ServeConfig::default());
+    let hello = serde_json::to_string(&handshake("ndjson")).unwrap();
+    assert!(hello.contains("\"strategy\":\"auto\""), "{hello}");
+    for removed in ["pipelined", "split_merge_parallel"] {
+        let mut peer = RawClient::connect(&server.addr());
+        // A rejection reply, not a session that never answers.
+        peer.stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        peer.send_line(&hello.replace(
+            "\"strategy\":\"auto\"",
+            &format!("\"strategy\":\"{removed}\""),
+        ));
+        let reply: icewafl_serve::HandshakeReply =
+            serde_json::from_str(&peer.read_line()).expect("a handshake reply");
+        assert!(!reply.ok, "{removed} accepted");
+        let reason = reply.error.unwrap();
+        assert!(
+            reason.contains("StrategyHint") && reason.contains(&format!("`{removed}`")),
+            "{reason}"
+        );
+    }
+    // The server is still healthy.
+    let outcome = client::run_session(
+        &ClientConfig::new(server.addr(), handshake("ndjson")),
+        tuples(20),
+    )
+    .unwrap();
+    assert!(outcome.completed());
+    assert_eq!(outcome.reply.strategy.as_deref(), Some("sequential"));
+}
+
+#[test]
 fn capacity_overflow_is_rejected_at_handshake() {
     let server = TestServer::start(ServeConfig {
         max_sessions: 1,

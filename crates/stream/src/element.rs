@@ -17,9 +17,10 @@ pub enum StreamElement<T> {
     /// A data record.
     Record(T),
     /// A batch of consecutive data records, equivalent to that many
-    /// [`StreamElement::Record`]s in arrival order. Channels carry
-    /// batches to amortize per-element send/recv and metering cost;
-    /// semantically a batch is transparent — every consumer must treat
+    /// [`StreamElement::Record`]s in arrival order. Routers and
+    /// rebatchers hand over batches to amortize per-element stage and
+    /// metering cost; semantically a batch is transparent — every
+    /// consumer must treat
     /// `Batch(vec![a, b])` exactly like `Record(a), Record(b)`.
     /// Transports flush partial batches *before* emitting a watermark,
     /// `End`, or `Failure`, so control elements never overtake records
@@ -49,7 +50,7 @@ impl<T> StreamElement<T> {
     }
 
     /// `true` iff this element terminates the edge — the end marker or a
-    /// poison failure. Channel loops use this to stop draining.
+    /// poison failure.
     pub fn is_terminal(&self) -> bool {
         matches!(self, StreamElement::End | StreamElement::Failure(_))
     }

@@ -1,13 +1,12 @@
 //! Fault types and the poison-propagation protocol.
 //!
 //! Icewafl injects faults into *data*; this module is about faults in
-//! the *runtime itself*. Before it existed, a panicking operator on a
-//! worker thread was silently discarded (its `JoinHandle` dropped),
-//! which could deadlock the merge stage or truncate output with no
-//! error surfaced. The protocol implemented across
+//! the *runtime itself*: a panicking operator must neither unwind the
+//! driver past stages that never see a terminal marker nor truncate
+//! output with no error surfaced. The protocol implemented across
 //! [`stage`](crate::stage) and [`stream`](crate::stream) is:
 //!
-//! 1. every operator callback and every spawned worker runs under
+//! 1. every operator callback, source pull and driver runs under
 //!    [`std::panic::catch_unwind`];
 //! 2. a caught panic becomes a typed [`StageError`] wrapped in the
 //!    poison element [`StreamElement::Failure`](crate::element::StreamElement),
@@ -19,7 +18,7 @@
 //!    [`DataStream::execute_into`](crate::stream::DataStream::execute_into).
 //!
 //! The pipeline therefore always terminates — cleanly on success,
-//! loudly on failure — and never hangs on a dead worker.
+//! loudly on failure.
 
 use parking_lot::Mutex;
 use std::fmt;
@@ -28,14 +27,15 @@ use std::sync::Arc;
 /// Why a stage failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailureKind {
-    /// An operator, source, or worker panicked.
+    /// An operator, source, or driver panicked.
     Panic,
     /// A fault deliberately injected by the [`chaos`](crate::chaos)
     /// harness.
     Injected,
     /// The run exceeded its wall-clock deadline.
     Deadline,
-    /// A channel peer disappeared before the stream ended.
+    /// The stream's feeder (a network peer, the owner of a push
+    /// pipeline) disappeared before the stream ended.
     Disconnect,
     /// A non-retryable error (bad configuration, exhausted retries).
     Fatal,

@@ -14,9 +14,9 @@
 //!   into (overlapping) sub-pipelines
 //!   ([`DataStream::split_merge`]) — the substrate for Icewafl's
 //!   integration scenarios (paper §2.2.2, Algorithm 1);
-//! * a deterministic single-threaded executor plus thread-parallel
-//!   execution via [`DataStream::pipelined`] and
-//!   [`DataStream::split_merge_parallel`], built on crossbeam channels;
+//! * a deterministic executor that runs every stage on the calling
+//!   thread, pulled from a [`Source`] or pushed by the caller
+//!   ([`DataStream::push_source`]);
 //! * **fault tolerance**: operator panics are caught and propagated as
 //!   typed poison elements ([`fault`]), runs can be retried under a
 //!   [`Supervisor`] policy, and the
@@ -62,7 +62,7 @@ pub use checkpoint::{
 pub use control::{ControlChannel, ControlSubscriber};
 pub use element::StreamElement;
 pub use fault::{FailureCell, FailureKind, PipelineError, StageError};
-pub use metrics::{ChannelMetrics, ChaosMetrics, SorterMetrics, StageMetrics};
+pub use metrics::{ChaosMetrics, SorterMetrics, StageMetrics};
 pub use net::{
     FrameReader, FrameWriter, NetError, NetErrorCell, NetPoll, NetSink, NetSource, WireFormat,
     WireFrame,

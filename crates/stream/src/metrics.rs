@@ -58,55 +58,6 @@ impl StageMetrics {
     }
 }
 
-/// Metric handles for one thread-boundary channel (`pipelined`) or
-/// fan-out router (`split_merge*`).
-#[derive(Clone, Default)]
-pub struct ChannelMetrics {
-    /// Elements offered to the channel (records, watermarks, end).
-    pub sends: Counter,
-    /// Sends that found the channel full and had to block —
-    /// backpressure events.
-    pub send_blocks: Counter,
-    /// Time spent blocked per backpressure event, in nanoseconds.
-    pub send_block_ns: Histogram,
-    /// Sampled receive waits on the consumer side (1-in-64, mirroring
-    /// operator latency sampling).
-    pub recv_waits: Counter,
-    /// Sampled time the consumer spent waiting in `recv`, in
-    /// nanoseconds. Near-zero entries mean the producer keeps the
-    /// channel full; large entries mean the consumer is starved —
-    /// together with [`ChannelMetrics::send_block_ns`] this attributes
-    /// blocked time to the send or the recv side of every boundary.
-    pub recv_block_ns: Histogram,
-    /// Elements dropped because the consumer was gone.
-    pub dropped: Counter,
-}
-
-impl ChannelMetrics {
-    /// Registers the channel's metrics under `label`.
-    pub fn register(registry: &MetricsRegistry, label: &str) -> Self {
-        ChannelMetrics {
-            sends: registry.counter(&format!("{label}/sends")),
-            send_blocks: registry.counter(&format!("{label}/send_blocks")),
-            send_block_ns: registry.histogram(
-                &format!("{label}/send_block_ns"),
-                icewafl_obs::LATENCY_BOUNDS_NS,
-            ),
-            recv_waits: registry.counter(&format!("{label}/recv_waits")),
-            recv_block_ns: registry.histogram(
-                &format!("{label}/recv_block_ns"),
-                icewafl_obs::LATENCY_BOUNDS_NS,
-            ),
-            dropped: registry.counter(&format!("{label}/dropped")),
-        }
-    }
-
-    /// Detached handles, invisible to snapshots.
-    pub fn detached() -> Self {
-        Self::default()
-    }
-}
-
 /// Metric handles for an [`EventTimeSorter`](crate::sort::EventTimeSorter).
 #[derive(Clone, Default)]
 pub struct SorterMetrics {
@@ -209,19 +160,13 @@ mod tests {
     }
 
     #[test]
-    fn channel_and_sorter_metrics_register() {
+    fn sorter_metrics_register() {
         let r = MetricsRegistry::new();
-        let c = ChannelMetrics::register(&r, "stage/01_pipelined");
         let s = SorterMetrics::register(&r, "stage/02_event_time_sorter");
-        c.sends.inc();
-        c.send_blocks.inc();
-        c.send_block_ns.record(500);
         s.late.inc();
         s.late_lag_ms.record(3);
         s.buffer_max.set_max(9);
         let snap = r.snapshot();
-        assert_eq!(snap.counter("stage/01_pipelined/sends"), 1);
-        assert_eq!(snap.counter("stage/01_pipelined/send_blocks"), 1);
         assert_eq!(snap.counter("stage/02_event_time_sorter/late"), 1);
         assert_eq!(
             snap.histogram("stage/02_event_time_sorter/late_lag_ms")

@@ -262,7 +262,7 @@ impl FrameDecoder {
     }
 
     /// Switches the wire format for frames not yet decoded. Buffered
-    /// bytes are preserved: data the peer pipelined behind a handshake
+    /// bytes are preserved: data the peer sent right behind a handshake
     /// line is re-interpreted in the new format.
     pub fn set_format(&mut self, format: WireFormat) {
         self.format = format;
@@ -1121,7 +1121,7 @@ mod tests {
 
     #[test]
     fn decoder_switches_format_with_residual_bytes() {
-        // A handshake line with binary data pipelined right behind it —
+        // A handshake line with binary data sent right behind it —
         // the exact shape a non-blocking session read produces.
         let mut dec = FrameDecoder::new(WireFormat::Ndjson, 1024);
         let mut bytes = frame_bytes(&WireFrame::Line("{\"hello\":true}".into()));

@@ -682,7 +682,7 @@ mod tests {
             }
 
             /// Whole sorted runs arriving far behind the tail — what
-            /// `DataStream::union(_, false)` delivers — go through the
+            /// `DataStream::union` of pulled inputs delivers — go through the
             /// overflow heap and still come out as the stable sort.
             #[test]
             fn sorted_runs_behind_the_tail_merge_stably(

@@ -1,4 +1,4 @@
-//! Runtime stages — the glue between operators, channels, and sinks.
+//! Runtime stages — the glue between operators and sinks.
 //!
 //! A *stage* consumes [`StreamElement`]s pushed from upstream. Pipelines
 //! are built back-to-front: the terminal sink stage is wrapped by the
@@ -6,10 +6,9 @@
 
 use crate::element::StreamElement;
 use crate::fault::{FailureCell, StageError};
-use crate::metrics::{ChannelMetrics, StageMetrics, SAMPLE_MASK};
+use crate::metrics::{StageMetrics, SAMPLE_MASK};
 use crate::operator::{Collector, Operator};
 use crate::sink::Sink;
-use crossbeam::channel::{Sender, TrySendError};
 use icewafl_obs::{trace, Stopwatch};
 use icewafl_types::Timestamp;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -17,9 +16,10 @@ use std::time::Instant;
 
 /// Operator stages re-check the wall-clock deadline once per this many
 /// records (power-of-two mask). The source driver has its own check,
-/// but a source can drain into channels far ahead of a slow operator —
-/// enforcing the deadline *here* is what guarantees an attempt cannot
-/// outlive it no matter where the time is spent.
+/// but the time may go anywhere downstream of it (a slow operator, a
+/// sorter releasing a long run) — enforcing the deadline *here* is what
+/// guarantees an attempt cannot outlive it no matter where the time is
+/// spent.
 const DEADLINE_CHECK_MASK: u64 = 255;
 
 /// A push-based consumer of stream elements.
@@ -416,130 +416,13 @@ where
     }
 }
 
-/// Stage that forwards elements into a crossbeam channel (the upstream
-/// half of a thread boundary).
-///
-/// With a `batch_size > 1` the stage stages consecutive records in a
-/// local buffer and ships them as one [`StreamElement::Batch`] frame,
-/// amortizing the per-send channel and metering cost. The buffer is
-/// flushed *before* any watermark, `End`, or `Failure` is forwarded, so
-/// records never trail a control element they preceded — event-time
-/// semantics are identical to the unbatched path.
-pub struct ChannelStage<T> {
-    tx: Option<Sender<StreamElement<T>>>,
-    metrics: ChannelMetrics,
-    buf: Vec<T>,
-    batch_size: usize,
-}
-
-impl<T> ChannelStage<T> {
-    /// Wraps a sender with detached (snapshot-invisible) metrics and no
-    /// batching (every record is its own frame).
-    pub fn new(tx: Sender<StreamElement<T>>) -> Self {
-        Self::with_metrics(tx, ChannelMetrics::detached())
-    }
-
-    /// Wraps a sender, recording into the given metric handles; no
-    /// batching.
-    pub fn with_metrics(tx: Sender<StreamElement<T>>, metrics: ChannelMetrics) -> Self {
-        Self::with_batch_size(tx, metrics, 1)
-    }
-
-    /// Wraps a sender that ships records in batches of `batch_size`.
-    pub fn with_batch_size(
-        tx: Sender<StreamElement<T>>,
-        metrics: ChannelMetrics,
-        batch_size: usize,
-    ) -> Self {
-        ChannelStage {
-            tx: Some(tx),
-            metrics,
-            buf: Vec::new(),
-            batch_size: batch_size.max(1),
-        }
-    }
-}
-
-/// Sends one element, counting the send (in *records* for batch frames,
-/// so counters are batch-size invariant) and timing any backpressure
-/// block. A disconnected consumer counts as a drop; there is nothing
-/// sensible to do but stop sending.
-pub(crate) fn send_metered<T: Send>(
-    tx: &Sender<StreamElement<T>>,
-    element: StreamElement<T>,
-    metrics: &ChannelMetrics,
-) {
-    let units = match &element {
-        StreamElement::Batch(b) => b.len() as u64,
-        _ => 1,
-    };
-    // Batch frames are rare enough (one per `batch_size` records) that a
-    // flush span per frame is affordable whenever a trace session is live.
-    let mut flush_span = match &element {
-        StreamElement::Batch(_) => trace::span("batch_flush", "channel"),
-        _ => None,
-    };
-    if let Some(s) = flush_span.as_mut() {
-        s.arg("records", units);
-    }
-    metrics.sends.add(units);
-    match tx.try_send(element) {
-        Ok(()) => {}
-        Err(TrySendError::Full(element)) => {
-            metrics.send_blocks.inc();
-            let block_span = trace::span("blocked_send", "backpressure");
-            let sw = Stopwatch::start();
-            if tx.send(element).is_err() {
-                metrics.dropped.add(units);
-            }
-            metrics.send_block_ns.record(sw.elapsed_ns());
-            drop(block_span);
-        }
-        Err(TrySendError::Disconnected(_)) => {
-            metrics.dropped.add(units);
-        }
-    }
-}
-
-impl<T: Send> Stage<T> for ChannelStage<T> {
-    fn push(&mut self, element: StreamElement<T>) {
-        let Some(tx) = &self.tx else { return };
-        if let StreamElement::Record(r) = element {
-            if self.batch_size > 1 {
-                if self.buf.capacity() == 0 {
-                    self.buf.reserve_exact(self.batch_size);
-                }
-                self.buf.push(r);
-                if self.buf.len() >= self.batch_size {
-                    let batch =
-                        std::mem::replace(&mut self.buf, Vec::with_capacity(self.batch_size));
-                    send_metered(tx, StreamElement::Batch(batch), &self.metrics);
-                }
-            } else {
-                send_metered(tx, StreamElement::Record(r), &self.metrics);
-            }
-            return;
-        }
-        // Control elements and pre-batched frames: flush staged records
-        // first so nothing overtakes them.
-        if !self.buf.is_empty() {
-            let batch = std::mem::take(&mut self.buf);
-            send_metered(tx, StreamElement::Batch(batch), &self.metrics);
-        }
-        let terminal = element.is_terminal();
-        send_metered(tx, element, &self.metrics);
-        if terminal {
-            self.tx = None;
-        }
-    }
-}
-
 /// Stage adapter that coalesces consecutive records into
 /// [`StreamElement::Batch`] frames before forwarding to the inner
-/// stage. Placed in front of contended merge points (e.g. a union's
-/// shared lock) so per-record synchronization is paid once per batch.
-/// Like every batching transport, staged records flush *before* any
-/// watermark, pre-batched frame, or terminal marker is forwarded.
+/// stage. Placed in front of merge points (e.g. a union's shared lock)
+/// so the per-element cost there is paid once per batch, and in front
+/// of sinks with a whole-batch fast path. Staged records flush *before*
+/// any watermark, barrier, pre-batched frame, or terminal marker is
+/// forwarded, so records never trail a control element they preceded.
 pub struct BatchingStage<T> {
     inner: BoxStage<T>,
     buf: Vec<T>,
@@ -774,18 +657,31 @@ mod tests {
         assert_eq!(sink.take(), vec![1]);
     }
 
+    /// A stage that records every element it is handed.
+    struct Frames(std::sync::Arc<parking_lot::Mutex<Vec<StreamElement<i32>>>>);
+
+    impl Stage<i32> for Frames {
+        fn push(&mut self, e: StreamElement<i32>) {
+            self.0.lock().push(e);
+        }
+    }
+
+    fn batching(batch_size: usize) -> (BatchingStage<i32>, Frames) {
+        let frames = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let stage = BatchingStage::new(Box::new(Frames(frames.clone())), batch_size);
+        (stage, Frames(frames))
+    }
+
     #[test]
-    fn channel_stage_flushes_partial_batch_before_control_elements() {
-        let (tx, rx) = crossbeam::channel::unbounded();
-        let mut stage = ChannelStage::with_batch_size(tx, ChannelMetrics::detached(), 4);
+    fn batching_stage_flushes_partial_batch_before_control_elements() {
+        let (mut stage, frames) = batching(4);
         stage.push(StreamElement::Record(1));
         stage.push(StreamElement::Record(2));
         stage.push(StreamElement::Watermark(Timestamp(10)));
         stage.push(StreamElement::Record(3));
         stage.push(StreamElement::End);
-        let frames: Vec<StreamElement<i32>> = rx.iter().collect();
         assert_eq!(
-            frames,
+            *frames.0.lock(),
             vec![
                 StreamElement::Batch(vec![1, 2]),
                 StreamElement::Watermark(Timestamp(10)),
@@ -796,17 +692,14 @@ mod tests {
     }
 
     #[test]
-    fn channel_stage_ships_full_batches() {
-        let (tx, rx) = crossbeam::channel::unbounded();
-        let metrics = ChannelMetrics::detached();
-        let mut stage = ChannelStage::with_batch_size(tx, metrics, 2);
+    fn batching_stage_hands_over_full_batches() {
+        let (mut stage, frames) = batching(2);
         for i in 0..5 {
             stage.push(StreamElement::Record(i));
         }
         stage.push(StreamElement::End);
-        let frames: Vec<StreamElement<i32>> = rx.iter().collect();
         assert_eq!(
-            frames,
+            *frames.0.lock(),
             vec![
                 StreamElement::Batch(vec![0, 1]),
                 StreamElement::Batch(vec![2, 3]),

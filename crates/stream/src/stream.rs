@@ -6,21 +6,16 @@
 //! [`DataStream::execute_into`] materializes the chain and drives the
 //! source to completion.
 //!
-//! Two execution flavours exist, mirroring the paper's deterministic
-//! single-node mode and Flink's distributed mode:
-//!
-//! * **sequential** — everything runs on the calling thread, in a fully
-//!   deterministic order (what Icewafl needs for reproducible pollution);
-//! * **parallel** — [`DataStream::pipelined`] inserts a thread boundary
-//!   backed by a bounded crossbeam channel, and
-//!   [`DataStream::split_merge_parallel`] runs sub-pipelines on their own
-//!   threads, with watermark-merged union.
+//! Everything runs on the calling thread, in a fully deterministic
+//! order — what Icewafl needs for reproducible pollution. The fan-out
+//! ([`DataStream::split_merge`]) pushes straight into its sub-pipelines
+//! and merges them in watermark lockstep; no stage starts a thread.
 
 use crate::checkpoint::{CheckpointBarrier, CheckpointCoordinator, WatermarkGenState};
 use crate::element::StreamElement;
 use crate::fault::{FailureCell, FailureKind, PipelineError, StageError};
 use crate::keyed::KeyedProcessOperator;
-use crate::metrics::{ChannelMetrics, SorterMetrics, StageMetrics, SAMPLE_MASK};
+use crate::metrics::{SorterMetrics, StageMetrics};
 use crate::operator::{
     Collector, FilterOperator, FlatMapOperator, InspectOperator, MapOperator, Operator,
 };
@@ -28,20 +23,17 @@ use crate::sink::{SharedVecSink, Sink};
 use crate::sort::{EventTimeSorter, SortKey};
 use crate::source::{Source, VecSource};
 use crate::stage::{
-    send_metered, BatchingStage, BoxStage, ChannelStage, DiscardStage, OperatorStage, SinkStage,
-    Stage, WatermarkMerger,
+    BatchingStage, BoxStage, DiscardStage, OperatorStage, SinkStage, Stage, WatermarkMerger,
 };
 use crate::watermark::{WatermarkGenerator, WatermarkStrategy};
 use crate::window::{MicroBatcher, TumblingWindow, WindowPane};
-use crossbeam::channel::{bounded, Receiver, Sender};
-use icewafl_obs::{MetricsRegistry, Stopwatch};
+use icewafl_obs::{Counter, MetricsRegistry};
 use icewafl_types::{Duration, Timestamp};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Runs a fully built pipeline's source to completion.
@@ -55,18 +47,17 @@ const DEADLINE_CHECK_MASK: u64 = 255;
 /// Deferred pipeline construction: given the downstream stage and the
 /// execution context, produce the driver — or `None` when building left
 /// nothing to drive (every head is parked for someone else to push
-/// into), so that nobody starts a thread to run nothing.
+/// into).
 type BuildFn<T> = Box<dyn FnOnce(BoxStage<T>, &mut ExecutionContext) -> Option<Driver> + Send>;
 
 /// Builder for a sub-pipeline inside [`DataStream::split_merge`].
 pub type SubPipelineBuilder<T, U> = Box<dyn FnOnce(DataStream<T>) -> DataStream<U> + Send>;
 
-/// Collects the worker threads spawned while building a pipeline so the
-/// executor can join them, and carries the [`MetricsRegistry`] that
-/// stages register their instrumentation against.
+/// What a pipeline's stages share while it is built and run: the
+/// [`MetricsRegistry`] they register their instrumentation against,
+/// the stage numbering, the failure cell and the deadline.
 #[derive(Default)]
 pub struct ExecutionContext {
-    handles: Vec<JoinHandle<()>>,
     registry: MetricsRegistry,
     stage_seq: u32,
     /// First-failure-wins cell shared with every fault-catching point of
@@ -75,12 +66,6 @@ pub struct ExecutionContext {
     /// Wall-clock instant after which source drivers poison the stream
     /// with a [`FailureKind::Deadline`] failure.
     deadline: Option<Instant>,
-    /// Set while the sub-pipelines of a sequential
-    /// [`DataStream::split_merge`] are being built: they are driven by
-    /// the router's pushes on the calling thread, so a fan-out nested in
-    /// them must not wait on a consumer thread of its own (see
-    /// `split_merge_impl`).
-    push_driven: bool,
 }
 
 impl ExecutionContext {
@@ -115,42 +100,22 @@ impl ExecutionContext {
         label
     }
 
-    fn join_all(&mut self) {
-        for h in self.handles.drain(..) {
-            if let Err(panic) = h.join() {
-                // Workers catch their own panics; a panic escaping the
-                // catch wrapper itself is still converted, never rethrown.
-                self.failures
-                    .record(StageError::from_panic("worker", panic));
-            }
+    /// Runs `driver`, converting a panic that escapes it (e.g. a
+    /// panicking `Source::next` before the first stage) into the run's
+    /// failure instead of unwinding the caller.
+    fn drive(&self, driver: Driver) {
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(driver)) {
+            self.failures
+                .record(StageError::from_panic("driver", payload));
         }
     }
 
-    /// Joins every worker, then reports the first failure any stage
-    /// recorded during the run.
-    fn finish(&mut self) -> Result<(), PipelineError> {
-        self.join_all();
+    /// The first failure any stage recorded during the run.
+    fn finish(&self) -> Result<(), PipelineError> {
         match self.failures.take() {
             Some(error) => Err(PipelineError::from(error)),
             None => Ok(()),
         }
-    }
-}
-
-/// Receives one element, tracing every 64th wait as a `recv_wait`
-/// span — blocked-time attribution for channel edges (split-router
-/// replays) that have no [`ChannelMetrics`] of their own. `None` means
-/// the channel disconnected.
-fn sampled_recv<T>(rx: &Receiver<T>, recvs: &mut u64) -> Option<T> {
-    let sampled = *recvs & SAMPLE_MASK == 0;
-    *recvs += 1;
-    if sampled {
-        let span = icewafl_obs::trace::span("recv_wait", "backpressure");
-        let received = rx.recv().ok();
-        drop(span);
-        received
-    } else {
-        rx.recv().ok()
     }
 }
 
@@ -246,86 +211,9 @@ impl<T: Send + 'static> DataStream<T> {
         (stream, handle)
     }
 
-    /// Internal: a stream that replays raw elements (records *and*
-    /// watermarks) from a channel. Used by split/merge plumbing.
-    #[allow(dead_code)]
-    fn from_element_channel(rx: Receiver<StreamElement<T>>) -> Self {
-        DataStream {
-            build: Box::new(move |mut down, ctx| {
-                let failures = ctx.failure_cell();
-                Some(Box::new(move || {
-                    let mut got_terminal = false;
-                    let mut recvs: u64 = 0;
-                    loop {
-                        let Some(element) = sampled_recv(&rx, &mut recvs) else {
-                            break;
-                        };
-                        let terminal = element.is_terminal();
-                        down.push(element);
-                        if terminal {
-                            got_terminal = true;
-                            break;
-                        }
-                    }
-                    if !got_terminal {
-                        // Upstream hung up without an end marker — a dead
-                        // producer. Record the disconnect (first failure
-                        // wins, so a caught root-cause panic is preserved)
-                        // and still close the pipeline cleanly.
-                        failures.record(StageError::new(
-                            "channel_source",
-                            FailureKind::Disconnect,
-                            "upstream hung up before end of stream",
-                        ));
-                        down.push(StreamElement::End);
-                    }
-                }))
-            }),
-        }
-    }
-
-    /// Internal: like [`DataStream::from_element_channel`] but over
-    /// [`Routed<T>`] envelopes from a split router; each record is
-    /// unwrapped (moved when this sub-stream is the only member, cloned
-    /// from the shared `Arc` otherwise) as it enters the sub-pipeline.
-    fn from_routed_channel(rx: Receiver<StreamElement<Routed<T>>>) -> Self
-    where
-        T: Clone + Sync,
-    {
-        DataStream {
-            build: Box::new(move |mut down, ctx| {
-                let failures = ctx.failure_cell();
-                Some(Box::new(move || {
-                    let mut got_terminal = false;
-                    let mut recvs: u64 = 0;
-                    loop {
-                        let Some(element) = sampled_recv(&rx, &mut recvs) else {
-                            break;
-                        };
-                        let terminal = element.is_terminal();
-                        down.push(element.map(Routed::into_owned));
-                        if terminal {
-                            got_terminal = true;
-                            break;
-                        }
-                    }
-                    if !got_terminal {
-                        failures.record(StageError::new(
-                            "channel_source",
-                            FailureKind::Disconnect,
-                            "upstream hung up before end of stream",
-                        ));
-                        down.push(StreamElement::End);
-                    }
-                }))
-            }),
-        }
-    }
-
-    /// Internal: the head of a sub-pipeline that a sequential split
-    /// router pushes into directly. Building it parks the sub-pipeline's
-    /// first stage in `slot` for the router to pick up; nothing is left
-    /// to drive.
+    /// Internal: the head of a sub-pipeline that a split router pushes
+    /// into directly. Building it parks the sub-pipeline's first stage
+    /// in `slot` for the router to pick up; nothing is left to drive.
     fn from_router_slot(slot: HeadSlot<T>) -> Self {
         DataStream {
             build: Box::new(move |down, _ctx| {
@@ -464,97 +352,18 @@ impl<T: Send + 'static> DataStream<T> {
         self.transform(TumblingWindow::new(size, extract))
     }
 
-    /// Inserts a thread boundary: everything downstream of this point
-    /// runs on its own worker thread, connected through a bounded channel
-    /// of `capacity` elements.
-    pub fn pipelined(self, capacity: usize) -> DataStream<T> {
-        self.pipelined_batched(capacity, 1)
-    }
-
-    /// Like [`DataStream::pipelined`], but ships records across the
-    /// thread boundary in [`StreamElement::Batch`] frames of up to
-    /// `batch_size` records, amortizing per-element channel cost. The
-    /// channel capacity counts *frames*. Partial batches flush before
-    /// every watermark and terminal marker, so semantics are identical
-    /// to the unbatched boundary.
-    pub fn pipelined_batched(self, capacity: usize, batch_size: usize) -> DataStream<T> {
-        let upstream = self.build;
-        DataStream {
-            build: Box::new(move |down, ctx| {
-                let label = ctx.next_stage_label("pipelined");
-                let metrics = ChannelMetrics::register(ctx.registry(), &label);
-                let (tx, rx) = bounded::<StreamElement<T>>(capacity.max(1));
-                let mut down = down;
-                let failures = ctx.failure_cell();
-                let worker_label = label.clone();
-                let worker_metrics = metrics.clone();
-                let handle = std::thread::spawn(move || {
-                    // Stages catch their own panics; this outer guard only
-                    // fires if the protocol itself breaks, and still
-                    // converts the panic instead of killing the thread.
-                    let result = catch_unwind(AssertUnwindSafe(move || {
-                        // Every 64th receive is wall-clock timed (mirroring
-                        // operator latency sampling): near-zero waits mean
-                        // the producer keeps the channel full, large waits
-                        // mean this worker is starved. Together with the
-                        // producer-side `send_block_ns` this attributes
-                        // blocked time to either end of the boundary.
-                        let mut recvs: u64 = 0;
-                        loop {
-                            let sampled = recvs & SAMPLE_MASK == 0;
-                            recvs += 1;
-                            let received = if sampled {
-                                let span = icewafl_obs::trace::span("recv_wait", "backpressure");
-                                let sw = Stopwatch::start();
-                                let received = rx.recv();
-                                worker_metrics.recv_block_ns.record(sw.elapsed_ns());
-                                worker_metrics.recv_waits.inc();
-                                drop(span);
-                                received
-                            } else {
-                                rx.recv()
-                            };
-                            let Ok(element) = received else { break };
-                            let terminal = element.is_terminal();
-                            down.push(element);
-                            if terminal {
-                                break;
-                            }
-                        }
-                    }));
-                    if let Err(payload) = result {
-                        failures.record(StageError::from_panic(&worker_label, payload));
-                    }
-                });
-                ctx.handles.push(handle);
-                upstream(
-                    Box::new(ChannelStage::with_batch_size(tx, metrics, batch_size)),
-                    ctx,
-                )
-            }),
-        }
-    }
-
     /// Merges several streams into one. Watermarks are combined by
-    /// minimum; the merged stream ends when all inputs have ended.
-    ///
-    /// With `parallel = false` the input drivers run sequentially on the
-    /// calling thread (deterministic). With `parallel = true` each input
-    /// gets its own thread and records interleave by scheduling order —
-    /// follow with [`DataStream::sort_by_event_time`] to restore order.
-    pub fn union(streams: Vec<DataStream<T>>, parallel: bool) -> DataStream<T> {
-        Self::union_batched(streams, parallel, 1)
+    /// minimum; the merged stream ends when all inputs have ended. The
+    /// inputs' drivers run one after another on the calling thread.
+    pub fn union(streams: Vec<DataStream<T>>) -> DataStream<T> {
+        Self::union_batched(streams, 1)
     }
 
     /// Like [`DataStream::union`], but each input leg coalesces its
     /// records into [`StreamElement::Batch`] frames of up to
-    /// `batch_size` before taking the shared merge lock, so contention
-    /// is paid per batch instead of per record.
-    pub fn union_batched(
-        streams: Vec<DataStream<T>>,
-        parallel: bool,
-        batch_size: usize,
-    ) -> DataStream<T> {
+    /// `batch_size` before taking the shared merge lock, so the lock is
+    /// taken per batch instead of per record.
+    pub fn union_batched(streams: Vec<DataStream<T>>, batch_size: usize) -> DataStream<T> {
         DataStream {
             build: Box::new(move |down, ctx| {
                 let n = streams.len();
@@ -584,27 +393,6 @@ impl<T: Send + 'static> DataStream<T> {
                     .collect();
                 if drivers.is_empty() {
                     None
-                } else if parallel {
-                    let failures = ctx.failure_cell();
-                    Some(Box::new(move || {
-                        let handles: Vec<_> = drivers
-                            .into_iter()
-                            .map(|d| {
-                                let failures = failures.clone();
-                                std::thread::spawn(move || {
-                                    if let Err(payload) = catch_unwind(AssertUnwindSafe(d)) {
-                                        failures
-                                            .record(StageError::from_panic("union_input", payload));
-                                    }
-                                })
-                            })
-                            .collect();
-                        for h in handles {
-                            // The catch wrapper cannot panic; a join error
-                            // here would be fallout already recorded.
-                            let _ = h.join();
-                        }
-                    }))
                 } else {
                     Some(Box::new(move || {
                         for d in drivers {
@@ -622,32 +410,29 @@ impl<T: Send + 'static> DataStream<T> {
     /// For every record, `selector` fills `memberships` with the indices
     /// of the sub-pipelines that should receive it; indices may overlap,
     /// which is how "overlapping sub-streams" (Algorithm 1, line 4)
-    /// arise. A record with a single membership is *moved* into its
-    /// sub-stream; overlapping memberships share one `Arc` and clone
-    /// lazily on entry (via the internal `Routed` wrapper).
+    /// arise. Every member but the last gets a clone of the record, and
+    /// the last gets the record itself.
     ///
-    /// Runs sequentially and deterministically, in *watermark lockstep*:
-    /// the router hands every flushed batch, watermark, barrier and end
-    /// marker straight to the first stage of the sub-pipeline it is for,
-    /// on the calling thread. All sub-streams therefore cross each
-    /// watermark in the same step, the union's combined watermark
-    /// advances once per source watermark, and at most one watermark
-    /// period of records per sub-stream is in flight between the router
-    /// and whatever follows the union — nothing is queued per
-    /// sub-stream. See [`DataStream::split_merge_parallel`] for the
-    /// threaded variant.
+    /// Runs deterministically, in *watermark lockstep*: the router hands
+    /// every flushed batch, watermark, barrier and end marker straight
+    /// to the first stage of the sub-pipeline it is for, on the calling
+    /// thread. All sub-streams therefore cross each watermark in the
+    /// same step, the union's combined watermark advances once per
+    /// source watermark, and at most one watermark period of records per
+    /// sub-stream is in flight between the router and whatever follows
+    /// the union — nothing is queued per sub-stream.
     pub fn split_merge<U: Send + 'static>(
         self,
         selector: impl FnMut(&T, &mut Vec<usize>) + Send + 'static,
         builders: Vec<SubPipelineBuilder<T, U>>,
     ) -> DataStream<U>
     where
-        T: Clone + Sync,
+        T: Clone,
     {
-        self.split_merge_impl(selector, builders, false, 1)
+        self.split_merge_batched(selector, builders, 1)
     }
 
-    /// Like [`DataStream::split_merge`], but ships records into the
+    /// Like [`DataStream::split_merge`], but hands records to the
     /// sub-streams in [`StreamElement::Batch`] frames of up to
     /// `batch_size` records (flushed at every watermark and terminal
     /// marker, so event-time semantics are unchanged).
@@ -658,119 +443,43 @@ impl<T: Send + 'static> DataStream<T> {
         batch_size: usize,
     ) -> DataStream<U>
     where
-        T: Clone + Sync,
-    {
-        self.split_merge_impl(selector, builders, false, batch_size)
-    }
-
-    /// Like [`DataStream::split_merge`], but each sub-pipeline runs on
-    /// its own thread over bounded channels. Output interleaving is
-    /// nondeterministic; sort downstream if order matters. Nested inside
-    /// a sub-pipeline of the sequential variant it runs sequentially
-    /// too: that sub-pipeline is driven by the outer router's pushes,
-    /// which would fill the bounded channels before any consumer thread
-    /// of the nested fan-out had started.
-    pub fn split_merge_parallel<U: Send + 'static>(
-        self,
-        selector: impl FnMut(&T, &mut Vec<usize>) + Send + 'static,
-        builders: Vec<SubPipelineBuilder<T, U>>,
-    ) -> DataStream<U>
-    where
-        T: Clone + Sync,
-    {
-        self.split_merge_impl(selector, builders, true, 1)
-    }
-
-    /// Like [`DataStream::split_merge_parallel`], with batched
-    /// sub-stream transport (see [`DataStream::split_merge_batched`]).
-    pub fn split_merge_parallel_batched<U: Send + 'static>(
-        self,
-        selector: impl FnMut(&T, &mut Vec<usize>) + Send + 'static,
-        builders: Vec<SubPipelineBuilder<T, U>>,
-        batch_size: usize,
-    ) -> DataStream<U>
-    where
-        T: Clone + Sync,
-    {
-        self.split_merge_impl(selector, builders, true, batch_size)
-    }
-
-    fn split_merge_impl<U: Send + 'static>(
-        self,
-        selector: impl FnMut(&T, &mut Vec<usize>) + Send + 'static,
-        builders: Vec<SubPipelineBuilder<T, U>>,
-        parallel: bool,
-        batch_size: usize,
-    ) -> DataStream<U>
-    where
-        T: Clone + Sync,
+        T: Clone,
     {
         let upstream = self.build;
         let batch_size = batch_size.max(1);
         DataStream {
             build: Box::new(move |down, ctx| {
-                // Inside a sub-pipeline of a sequential split, bounded
-                // channels would fill before their consumers start.
-                let parallel = parallel && !ctx.push_driven;
                 let m = builders.len();
-                let mut edges = Vec::with_capacity(m);
-                let mut slots: Vec<HeadSlot<T>> = Vec::new();
-                let mut subs: Vec<DataStream<U>> = Vec::with_capacity(m);
-                for builder in builders {
-                    if parallel {
-                        let (tx, rx) = bounded::<StreamElement<Routed<T>>>(1024);
-                        edges.push(Edge::Channel(tx));
-                        subs.push(builder(DataStream::from_routed_channel(rx)));
-                    } else {
-                        let slot = HeadSlot::default();
-                        subs.push(builder(DataStream::from_router_slot(Arc::clone(&slot))));
-                        slots.push(slot);
-                    }
-                }
+                let slots: Vec<HeadSlot<T>> = (0..m).map(|_| HeadSlot::default()).collect();
+                let subs: Vec<DataStream<U>> = builders
+                    .into_iter()
+                    .zip(&slots)
+                    .map(|(builder, slot)| builder(DataStream::from_router_slot(Arc::clone(slot))))
+                    .collect();
                 let label = ctx.next_stage_label("split_router");
-                let metrics = ChannelMetrics::register(ctx.registry(), &label);
+                let sends = ctx.registry().counter(&format!("{label}/sends"));
                 // Build the union (and with it the sub-pipelines) before
                 // the upstream so stage numbering stays sink-first: the
                 // source keeps the highest index.
-                let outer = std::mem::replace(&mut ctx.push_driven, !parallel);
-                let union_driver =
-                    (DataStream::union_batched(subs, parallel, batch_size).build)(down, ctx);
-                ctx.push_driven = outer;
+                let union_driver = (DataStream::union_batched(subs, batch_size).build)(down, ctx);
                 // Building a sub-pipeline parked its first stage in its
                 // slot; one whose builder dropped the routed input has
                 // none, and its records go nowhere.
-                edges.extend(slots.into_iter().map(|slot| {
-                    Edge::Direct(slot.lock().take().unwrap_or_else(|| Box::new(DiscardStage)))
-                }));
+                let heads = slots
+                    .into_iter()
+                    .map(|slot| slot.lock().take().unwrap_or_else(|| Box::new(DiscardStage)))
+                    .collect();
                 let router = RouterStage {
-                    edges,
+                    heads,
                     bufs: (0..m).map(|_| Vec::new()).collect(),
                     batch_size,
                     selector,
                     memberships: Vec::with_capacity(m),
-                    metrics,
+                    sends,
                     label,
                 };
                 let parent_driver = upstream(Box::new(router), ctx);
                 match (parent_driver, union_driver) {
-                    // A pulled source feeds the router on a thread of
-                    // its own while this one runs the consumers.
-                    (Some(parent_driver), union_driver) if parallel => {
-                        let failures = ctx.failure_cell();
-                        Some(Box::new(move || {
-                            let parent = std::thread::spawn(move || {
-                                if let Err(payload) = catch_unwind(AssertUnwindSafe(parent_driver))
-                                {
-                                    failures
-                                        .record(StageError::from_panic("split_router", payload));
-                                }
-                            });
-                            if let Some(union_driver) = union_driver {
-                                union_driver();
-                            }
-                            let _ = parent.join();
-                        }))
-                    }
                     // The router feeds every sub-pipeline while the
                     // source runs; a sub-stream that merged in a source
                     // of its own drains it afterwards.
@@ -778,9 +487,6 @@ impl<T: Send + 'static> DataStream<T> {
                         parent_driver();
                         union_driver();
                     })),
-                    // At most one side has anything to drive: a pulled
-                    // source over plain sequential sub-streams, or the
-                    // consumers of a threaded split under a pushed one.
                     (parent_driver, union_driver) => parent_driver.or(union_driver),
                 }
             }),
@@ -835,14 +541,11 @@ impl<T: Send + 'static> DataStream<T> {
         ctx.set_deadline(deadline);
         let cell = ctx.failure_cell();
         let driver = (self.build)(
-            Box::new(SinkStage::resumed(sink, cell.clone(), committed_base)),
+            Box::new(SinkStage::resumed(sink, cell, committed_base)),
             &mut ctx,
         );
-        // Stages and workers catch their own panics; this guard converts
-        // anything that still escapes the driver (e.g. a panicking
-        // `Source::next` on the calling thread before the first stage).
-        if let Some(Err(payload)) = driver.map(|driver| catch_unwind(AssertUnwindSafe(driver))) {
-            cell.record(StageError::from_panic("driver", payload));
+        if let Some(driver) = driver {
+            ctx.drive(driver);
         }
         ctx.finish()
     }
@@ -852,13 +555,11 @@ impl<T: Send + 'static> DataStream<T> {
     /// [`DataStream::execute_into_with_registry`] for a source that is
     /// not pulled.
     ///
-    /// Whatever the topology leaves to drive runs on a helper thread
-    /// from now until [`PushPipeline::finish`] joins it. A
-    /// [`split_merge_parallel`](DataStream::split_merge_parallel)
-    /// topology starts its consumer threads from that driver; left
-    /// unstarted, the router's bounded channels would fill under the
-    /// caller's pushes and block it for good. A sequential topology
-    /// leaves nothing to drive, and no thread is started for it.
+    /// A topology that merges in a source of its own (a sub-pipeline of
+    /// a [`split_merge`](DataStream::split_merge) that ignores its
+    /// routed input) leaves that source to drive; it runs in
+    /// [`PushPipeline::finish`], after the end marker, which is the
+    /// order the pulled form runs it in.
     ///
     /// # Panics
     ///
@@ -871,25 +572,16 @@ impl<T: Send + 'static> DataStream<T> {
     ) -> PushPipeline<In> {
         let mut ctx = ExecutionContext::with_registry(registry.clone());
         let cell = ctx.failure_cell();
-        let driver = (self.build)(
-            Box::new(SinkStage::with_failure_cell(sink, cell.clone())),
-            &mut ctx,
-        );
+        let driver = (self.build)(Box::new(SinkStage::with_failure_cell(sink, cell)), &mut ctx);
         let step = source
             .0
             .lock()
             .take()
             .expect("the push source heads the stream being opened");
-        if let Some(driver) = driver {
-            ctx.handles.push(std::thread::spawn(move || {
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(driver)) {
-                    cell.record(StageError::from_panic("driver", payload));
-                }
-            }));
-        }
         PushPipeline {
             step,
             open: true,
+            driver,
             ctx,
         }
     }
@@ -973,7 +665,7 @@ impl<T> SourceStep<T> {
     ///
     /// `pull` and watermark generation run under `catch_unwind`: a
     /// panicking source poisons the stream instead of unwinding the
-    /// driver (which would drop channel senders without an end marker).
+    /// driver (which would leave every stage without a terminal marker).
     #[inline]
     fn step(&mut self, pull: impl FnOnce() -> Option<T>) -> bool {
         let pulled = {
@@ -1036,16 +728,17 @@ pub struct PushSource<T>(Arc<Mutex<Option<SourceStep<T>>>>);
 
 /// A built pipeline whose source is the caller (see
 /// [`DataStream::push_source`]): [`push`](PushPipeline::push) runs one
-/// record through every stage up to the sink (or up to the first
-/// thread boundary) before it returns, so the caller decides when the
-/// pipeline works and holds nothing of the stream but the record in
-/// hand. [`finish`](PushPipeline::finish) ends the stream; a pipeline
-/// dropped unfinished is poisoned, and its workers are joined either
-/// way.
+/// record through every stage up to the sink before it returns, so the
+/// caller decides when the pipeline works and holds nothing of the
+/// stream but the record in hand. [`finish`](PushPipeline::finish) ends
+/// the stream; a pipeline dropped unfinished is poisoned.
 pub struct PushPipeline<T> {
     step: SourceStep<T>,
     /// Whether the head still takes records (no end, no poison yet).
     open: bool,
+    /// What the topology left to drive besides the pushed head, run by
+    /// [`finish`](PushPipeline::finish).
+    driver: Option<Driver>,
     ctx: ExecutionContext,
 }
 
@@ -1074,12 +767,15 @@ impl<T> PushPipeline<T> {
         self.ctx.failures.is_failed()
     }
 
-    /// Ends the stream (`W(MAX)`, then the end marker), joins every
-    /// worker and reports the first failure, like
-    /// [`DataStream::execute_into`] once its driver has returned.
+    /// Ends the stream (`W(MAX)`, then the end marker), runs whatever
+    /// else the topology left to drive and reports the first failure,
+    /// like [`DataStream::execute_into`] once its driver has returned.
     pub fn finish(mut self) -> Result<(), PipelineError> {
         if std::mem::take(&mut self.open) {
             self.step.step(|| None);
+        }
+        if let Some(driver) = self.driver.take() {
+            self.ctx.drive(driver);
         }
         self.ctx.finish()
     }
@@ -1094,7 +790,6 @@ impl<T> Drop for PushPipeline<T> {
                 "push pipeline dropped before the end of its stream",
             ));
         }
-        self.ctx.join_all();
     }
 }
 
@@ -1234,84 +929,43 @@ impl<T: Send> Stage<T> for UnionInput<T> {
     }
 }
 
-/// A record envelope on a router → sub-stream edge.
-///
-/// The split router used to deep-clone every record into each member
-/// sub-stream, on the router's (serial) hot path. Instead, a record
-/// with exactly one membership is *moved* (zero overhead, the common
-/// disjoint-partition case), and an overlapping record is wrapped in
-/// one shared `Arc` whose clones are cheap reference bumps — the deep
-/// clone happens lazily on entry into each sub-pipeline (in parallel
-/// mode: on the receiving threads, off the serial router).
-enum Routed<T> {
-    /// Sole member: the record moved in directly.
-    Owned(T),
-    /// Overlapping memberships: a shared handle, cloned on unwrap. The
-    /// last sub-stream to unwrap takes the value without cloning.
-    Shared(Arc<T>),
-}
-
-impl<T: Clone> Routed<T> {
-    fn into_owned(self) -> T {
-        match self {
-            Routed::Owned(r) => r,
-            Routed::Shared(a) => Arc::try_unwrap(a).unwrap_or_else(|a| (*a).clone()),
-        }
-    }
-}
-
-/// Where a sequential split router finds the first stage of one
-/// sub-pipeline: parked by [`DataStream::from_router_slot`] when the
-/// sub-pipeline is built, taken by `split_merge_impl` right after.
+/// Where a split router finds the first stage of one sub-pipeline:
+/// parked by [`DataStream::from_router_slot`] when the sub-pipeline is
+/// built, taken by [`DataStream::split_merge_batched`] right after.
 type HeadSlot<T> = Arc<Mutex<Option<BoxStage<T>>>>;
 
-/// A router → sub-stream edge: a bounded channel to the sub-stream's
-/// thread (`split_merge_parallel`), or the sub-stream's first stage
-/// itself, pushed into on the router's own thread (`split_merge`).
-enum Edge<T> {
-    Channel(Sender<StreamElement<Routed<T>>>),
-    Direct(BoxStage<T>),
-}
-
-impl<T: Clone + Send + Sync> Edge<T> {
-    /// Hands one element to the sub-stream, counted in `metrics.sends`
-    /// either way (in records for batch frames). A direct edge has no
-    /// queue to flush into or block on — the call *is* the sub-stream
-    /// processing the element — so it records no flush or backpressure
-    /// spans.
-    fn deliver(&mut self, element: StreamElement<Routed<T>>, metrics: &ChannelMetrics) {
-        match self {
-            Edge::Channel(tx) => send_metered(tx, element, metrics),
-            Edge::Direct(head) => {
-                metrics.sends.add(element.record_count().max(1) as u64);
-                head.push(element.map(Routed::into_owned));
-            }
-        }
-    }
-}
-
 /// Routes records to selected sub-streams, broadcasting watermarks,
-/// barriers and terminal markers (end or poison) to all of them.
-/// Records are staged in per-target buffers and shipped as
+/// barriers and terminal markers (end or poison) to all of them, by
+/// pushing into each sub-stream's first stage on the router's own
+/// thread. Records are staged in per-target buffers and handed over as
 /// [`StreamElement::Batch`] frames of up to `batch_size`; every buffer
 /// is flushed before any watermark or terminal marker is sent, so no
 /// control element overtakes a record (and poison never strands a
 /// partial batch).
 struct RouterStage<T, F> {
-    edges: Vec<Edge<T>>,
-    bufs: Vec<Vec<Routed<T>>>,
+    heads: Vec<BoxStage<T>>,
+    bufs: Vec<Vec<T>>,
     batch_size: usize,
     selector: F,
     memberships: Vec<usize>,
-    metrics: ChannelMetrics,
+    /// Elements handed to a sub-stream (in records for batch frames).
+    sends: Counter,
     label: String,
 }
 
-impl<T: Clone + Send + Sync, F> RouterStage<T, F> {
-    /// Stages one routed record for target `i`, shipping a full batch.
-    fn route(&mut self, i: usize, r: Routed<T>) {
+/// Hands one element to a sub-stream's first stage. The call *is* the
+/// sub-stream processing the element — there is no queue to flush into
+/// or block on — so the only thing to count is the send.
+fn deliver<T>(head: &mut BoxStage<T>, element: StreamElement<T>, sends: &Counter) {
+    sends.add(element.record_count().max(1) as u64);
+    head.push(element);
+}
+
+impl<T: Clone + Send, F> RouterStage<T, F> {
+    /// Stages one record for target `i`, handing over a full batch.
+    fn route(&mut self, i: usize, r: T) {
         if self.batch_size == 1 {
-            self.edges[i].deliver(StreamElement::Record(r), &self.metrics);
+            deliver(&mut self.heads[i], StreamElement::Record(r), &self.sends);
             return;
         }
         let buf = &mut self.bufs[i];
@@ -1321,42 +975,42 @@ impl<T: Clone + Send + Sync, F> RouterStage<T, F> {
         buf.push(r);
         if buf.len() >= self.batch_size {
             let batch = std::mem::replace(buf, Vec::with_capacity(self.batch_size));
-            self.edges[i].deliver(StreamElement::Batch(batch), &self.metrics);
+            deliver(&mut self.heads[i], StreamElement::Batch(batch), &self.sends);
         }
     }
 
     /// Flushes every target's staged records.
     fn flush_all(&mut self) {
-        for (buf, edge) in self.bufs.iter_mut().zip(&mut self.edges) {
+        for (buf, head) in self.bufs.iter_mut().zip(&mut self.heads) {
             if !buf.is_empty() {
                 let batch = std::mem::take(buf);
-                edge.deliver(StreamElement::Batch(batch), &self.metrics);
+                deliver(head, StreamElement::Batch(batch), &self.sends);
             }
         }
     }
 
     /// Flushes, then hands every sub-stream its own copy of a control
     /// element.
-    fn broadcast(&mut self, mut element: impl FnMut() -> StreamElement<Routed<T>>) {
+    fn broadcast(&mut self, mut element: impl FnMut() -> StreamElement<T>) {
         self.flush_all();
-        for edge in &mut self.edges {
-            edge.deliver(element(), &self.metrics);
+        for head in &mut self.heads {
+            deliver(head, element(), &self.sends);
         }
     }
 
-    /// Like [`RouterStage::broadcast`] for a terminal marker: the edges
+    /// Like [`RouterStage::broadcast`] for a terminal marker: the heads
     /// are dropped with it, so routing stops. Staged records are
     /// flushed first — poison terminates the stream but must not
     /// swallow records that preceded it.
-    fn terminate(&mut self, element: impl FnMut() -> StreamElement<Routed<T>>) {
+    fn terminate(&mut self, element: impl FnMut() -> StreamElement<T>) {
         self.broadcast(element);
-        self.edges.clear();
+        self.heads.clear();
     }
 }
 
 impl<T, F> Stage<T> for RouterStage<T, F>
 where
-    T: Clone + Send + Sync,
+    T: Clone + Send,
     F: FnMut(&T, &mut Vec<usize>) + Send,
 {
     fn push(&mut self, element: StreamElement<T>) {
@@ -1364,7 +1018,7 @@ where
             StreamElement::Record(r) => {
                 self.memberships.clear();
                 // A panicking selector poisons every sub-stream (instead
-                // of unwinding the parent driver and dropping the edges
+                // of unwinding the parent driver past the sub-streams
                 // without a terminal marker).
                 let result = {
                     let selector = &mut self.selector;
@@ -1376,21 +1030,16 @@ where
                     self.terminate(|| StreamElement::Failure(error.clone()));
                     return;
                 }
-                self.memberships.retain(|&i| i < self.edges.len());
+                self.memberships.retain(|&i| i < self.heads.len());
                 self.memberships.dedup();
-                match self.memberships.len() {
-                    0 => {}
-                    1 => {
-                        let i = self.memberships[0];
-                        self.route(i, Routed::Owned(r));
+                // Every member but the last gets a clone; the last gets
+                // the record itself.
+                if let Some(&last) = self.memberships.last() {
+                    for k in 0..self.memberships.len() - 1 {
+                        let i = self.memberships[k];
+                        self.route(i, r.clone());
                     }
-                    n => {
-                        let shared = Arc::new(r);
-                        for k in 0..n {
-                            let i = self.memberships[k];
-                            self.route(i, Routed::Shared(Arc::clone(&shared)));
-                        }
-                    }
+                    self.route(last, r);
                 }
             }
             StreamElement::Batch(batch) => {
@@ -1468,39 +1117,16 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_preserves_order_and_content() {
-        let input: Vec<i64> = (0..10_000).collect();
-        let out = DataStream::from_vec(input.clone())
-            .map(|x| x + 1)
-            .pipelined(64)
-            .map(|x| x - 1)
-            .pipelined(64)
-            .collect()
-            .unwrap();
-        assert_eq!(out, input);
-    }
-
-    #[test]
-    fn union_sequential_merges_all_records() {
+    fn union_merges_all_records() {
         let a = DataStream::from_vec(vec![1, 2]);
         let b = DataStream::from_vec(vec![3, 4]);
-        let mut out = DataStream::union(vec![a, b], false).collect().unwrap();
-        out.sort_unstable();
+        let out = DataStream::union(vec![a, b]).collect().unwrap();
         assert_eq!(out, vec![1, 2, 3, 4]);
     }
 
     #[test]
-    fn union_parallel_merges_all_records() {
-        let a = DataStream::from_vec((0..500).collect::<Vec<i64>>());
-        let b = DataStream::from_vec((500..1000).collect::<Vec<i64>>());
-        let mut out = DataStream::union(vec![a, b], true).collect().unwrap();
-        out.sort_unstable();
-        assert_eq!(out, (0..1000).collect::<Vec<i64>>());
-    }
-
-    #[test]
     fn union_of_nothing_is_empty() {
-        let out: Vec<i64> = DataStream::union(vec![], false).collect().unwrap();
+        let out: Vec<i64> = DataStream::union(vec![]).collect().unwrap();
         assert!(out.is_empty());
     }
 
@@ -1515,7 +1141,7 @@ mod tests {
                 WatermarkStrategy::ascending(|x: &i64| Timestamp(*x)),
             )
         };
-        let out = DataStream::union(vec![mk(vec![1, 3, 5]), mk(vec![2, 4, 6])], false)
+        let out = DataStream::union(vec![mk(vec![1, 3, 5]), mk(vec![2, 4, 6])])
             .sort_by_event_time(|x| Timestamp(*x))
             .collect()
             .unwrap();
@@ -1574,32 +1200,37 @@ mod tests {
     }
 
     #[test]
-    fn split_merge_parallel_matches_sequential() {
-        let input: Vec<i64> = (0..5_000).collect();
-        let mk_builders = || -> Vec<SubPipelineBuilder<i64, i64>> {
-            vec![
-                Box::new(|s: DataStream<i64>| s.map(|x| x * 2)),
-                Box::new(|s: DataStream<i64>| s.filter(|x| x % 3 == 0)),
-                Box::new(|s: DataStream<i64>| s.map(|x| -x)),
-            ]
+    fn split_merge_is_batch_size_invariant() {
+        // Overlapping memberships (every tenth record goes to two
+        // sub-streams; all but the last get a clone) through a filter:
+        // the same records come out whatever the frame size.
+        let input: Vec<String> = (0..5_000).map(|x| x.to_string()).collect();
+        let run = |batch_size: usize| {
+            let builders: Vec<SubPipelineBuilder<String, String>> = vec![
+                Box::new(|s| s.map(|x| format!("a{x}"))),
+                Box::new(|s| s.filter(|x| x.len() % 2 == 0)),
+                Box::new(|s| s.map(|x| format!("c{x}"))),
+            ];
+            let selector = |x: &String, m: &mut Vec<usize>| {
+                let n: usize = x.parse().unwrap();
+                m.push(n % 3);
+                if n.is_multiple_of(10) {
+                    m.push((n + 1) % 3);
+                }
+            };
+            let mut out = DataStream::from_vec(input.clone())
+                .split_merge_batched(selector, builders, batch_size)
+                .collect()
+                .unwrap();
+            out.sort_unstable();
+            out
         };
-        let selector = |x: &i64, m: &mut Vec<usize>| {
-            m.push((*x % 3) as usize);
-            if *x % 10 == 0 {
-                m.push(((*x + 1) % 3) as usize);
-            }
-        };
-        let mut seq = DataStream::from_vec(input.clone())
-            .split_merge(selector, mk_builders())
-            .collect()
-            .unwrap();
-        let mut par = DataStream::from_vec(input)
-            .split_merge_parallel(selector, mk_builders())
-            .collect()
-            .unwrap();
-        seq.sort_unstable();
-        par.sort_unstable();
-        assert_eq!(seq, par);
+        let unbatched = run(1);
+        assert!(unbatched.iter().any(|x| x.starts_with('a')));
+        assert!(unbatched.iter().any(|x| x.starts_with('c')));
+        for batch_size in [7, 256] {
+            assert_eq!(run(batch_size), unbatched, "batch {batch_size}");
+        }
     }
 
     #[cfg(feature = "obs")]
@@ -1634,54 +1265,13 @@ mod tests {
         );
     }
 
-    #[test]
-    fn parallel_split_nested_in_a_sequential_one_does_not_deadlock() {
-        // The outer router pushes into the nested router on the calling
-        // thread. Were the nested fan-out to keep its bounded channels,
-        // they would fill (far more than 1024 elements here) before its
-        // consumer threads had started; it runs push-driven instead.
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            let inner = || -> Vec<SubPipelineBuilder<i64, i64>> {
-                vec![
-                    Box::new(|s| s.map(|x| x + 1)),
-                    Box::new(|s| s.map(|x| x + 2)),
-                ]
-            };
-            let outer: Vec<SubPipelineBuilder<i64, i64>> = vec![
-                Box::new(move |s: DataStream<i64>| {
-                    s.split_merge_parallel(|x, m| m.push((x % 2) as usize), inner())
-                }),
-                Box::new(|s| s),
-            ];
-            let out = DataStream::from_vec((0..20_000).collect::<Vec<i64>>())
-                .split_merge(|x, m| m.push((x % 4 == 0) as usize), outer)
-                .count();
-            let _ = tx.send(out);
-        });
-        let out = rx
-            .recv_timeout(std::time::Duration::from_secs(60))
-            .expect("nested fan-out finished");
-        assert_eq!(out.unwrap(), 20_000);
-    }
-
-    /// The topology the push-pipeline tests share: a two-way split
-    /// under `strategy`, an optional thread boundary, a sorter.
-    fn fan_out_and_sort(head: DataStream<i64>, parallel: bool, pipelined: bool) -> DataStream<i64> {
+    /// The topology the push-pipeline tests share: a two-way split, a
+    /// sorter.
+    fn fan_out_and_sort(head: DataStream<i64>) -> DataStream<i64> {
         let builders: Vec<SubPipelineBuilder<i64, i64>> =
             vec![Box::new(|s| s.map(|x| x)), Box::new(|s| s.map(|x| x))];
-        let selector = |x: &i64, m: &mut Vec<usize>| m.push((*x % 2) as usize);
-        let merged = if parallel {
-            head.split_merge_parallel_batched(selector, builders, 16)
-        } else {
-            head.split_merge_batched(selector, builders, 16)
-        };
-        let merged = if pipelined {
-            merged.pipelined_batched(8, 16)
-        } else {
-            merged
-        };
-        merged.sort_by_event_time(|x| Timestamp(*x))
+        head.split_merge_batched(|x, m| m.push((*x % 2) as usize), builders, 16)
+            .sort_by_event_time(|x| Timestamp(*x))
     }
 
     fn every_eighth() -> WatermarkStrategy<i64> {
@@ -1692,21 +1282,19 @@ mod tests {
     fn pushed_pipeline_is_the_pulled_one_element_for_element() {
         let input: Vec<i64> = (0..1_000).collect();
         let pulled_registry = MetricsRegistry::new();
-        let pulled = fan_out_and_sort(
-            DataStream::from_source(VecSource::new(input.clone()), every_eighth()),
-            false,
-            false,
-        )
+        let pulled = fan_out_and_sort(DataStream::from_source(
+            VecSource::new(input.clone()),
+            every_eighth(),
+        ))
         .collect_with_registry(&pulled_registry)
         .unwrap();
 
         let pushed_registry = MetricsRegistry::new();
         let sink = SharedVecSink::new();
         let (head, source) = DataStream::push_source(every_eighth(), None);
-        let mut pipeline =
-            fan_out_and_sort(head, false, false).open_into(source, sink.clone(), &pushed_registry);
-        // Every head is parked: there is no driver, so no thread for it.
-        assert!(pipeline.ctx.handles.is_empty());
+        let mut pipeline = fan_out_and_sort(head).open_into(source, sink.clone(), &pushed_registry);
+        // Every head is parked: nothing is left to drive.
+        assert!(pipeline.driver.is_none());
         for x in &input {
             pipeline.push(*x);
             // Lockstep: all but the open watermark period is out.
@@ -1728,11 +1316,8 @@ mod tests {
         let coordinator = CheckpointCoordinator::new(Arc::clone(&store), 2, 0);
         let sink = SharedVecSink::new();
         let (head, source) = DataStream::push_source(every_eighth(), Some(coordinator));
-        let mut pipeline = fan_out_and_sort(head, false, false).open_into(
-            source,
-            sink.clone(),
-            &MetricsRegistry::new(),
-        );
+        let mut pipeline =
+            fan_out_and_sort(head).open_into(source, sink.clone(), &MetricsRegistry::new());
         for x in 0..64 {
             pipeline.push(x);
         }
@@ -1745,36 +1330,44 @@ mod tests {
     }
 
     #[test]
-    fn threaded_topologies_run_under_a_push_source() {
-        // Far more records than the router's bounded channels hold: the
-        // consumers must be running from `open_into` on, or the pushes
-        // block for good.
-        for (parallel, pipelined) in [(true, false), (false, true), (true, true)] {
-            let (tx, rx) = std::sync::mpsc::channel();
-            std::thread::spawn(move || {
-                let sink = SharedVecSink::new();
-                let (head, source) = DataStream::push_source(every_eighth(), None);
-                let mut pipeline = fan_out_and_sort(head, parallel, pipelined).open_into(
-                    source,
-                    sink.clone(),
-                    &MetricsRegistry::new(),
-                );
-                // A threaded split leaves its consumers to drive, on
-                // the helper thread; a thread boundary starts its own
-                // worker while building.
-                let workers = usize::from(parallel) + usize::from(pipelined);
-                assert_eq!(pipeline.ctx.handles.len(), workers);
-                for x in 0..20_000 {
-                    pipeline.push(x);
-                }
-                let _ = tx.send((pipeline.finish(), sink.take()));
-            });
-            let (outcome, out) = rx
-                .recv_timeout(std::time::Duration::from_secs(60))
-                .unwrap_or_else(|_| panic!("parallel={parallel} pipelined={pipelined} hung"));
-            outcome.unwrap();
-            assert_eq!(out, (0..20_000).collect::<Vec<i64>>());
+    fn a_pushed_sub_pipeline_with_a_source_of_its_own_matches_the_pulled_one() {
+        // The second sub-stream ignores its routed input and merges in
+        // a source of its own. The pulled form drives that source after
+        // the parent's; the pushed form leaves it to `finish`, on the
+        // caller's thread, after the end marker.
+        let merged_own_source = |head: DataStream<i64>| {
+            let builders: Vec<SubPipelineBuilder<i64, i64>> = vec![
+                Box::new(|s| s.map(|x| x * 10)),
+                Box::new(|_routed| DataStream::from_vec(vec![-1, 5])),
+            ];
+            head.split_merge_batched(|x, m| m.push((*x % 2) as usize), builders, 4)
+                .sort_by_event_time(|x| Timestamp(*x))
+        };
+        let input: Vec<i64> = (0..100).collect();
+        let pulled = merged_own_source(DataStream::from_source(
+            VecSource::new(input.clone()),
+            every_eighth(),
+        ))
+        .collect()
+        .unwrap();
+        assert_eq!(pulled.len(), 52);
+
+        let sink = SharedVecSink::new();
+        let (head, source) = DataStream::push_source(every_eighth(), None);
+        let mut pipeline =
+            merged_own_source(head).open_into(source, sink.clone(), &MetricsRegistry::new());
+        assert!(
+            pipeline.driver.is_some(),
+            "the merged-in source is left over"
+        );
+        for x in input {
+            pipeline.push(x);
         }
+        // The merged-in input has not delivered a watermark yet, so the
+        // sorter holds everything back.
+        assert_eq!(sink.len(), 0);
+        pipeline.finish().unwrap();
+        assert_eq!(sink.take(), pulled);
     }
 
     #[test]
@@ -1812,7 +1405,7 @@ mod tests {
     }
 
     #[test]
-    fn dropping_an_unfinished_push_pipeline_stops_its_workers() {
+    fn dropping_an_unfinished_push_pipeline_closes_its_sink() {
         let finished = Arc::new(Mutex::new(false));
         let flag = Arc::clone(&finished);
         struct FlagSink(Arc<Mutex<bool>>);
@@ -1823,15 +1416,12 @@ mod tests {
             }
         }
         let (head, source) = DataStream::push_source(every_eighth(), None);
-        let mut pipeline = fan_out_and_sort(head, true, true).open_into(
-            source,
-            FlagSink(flag),
-            &MetricsRegistry::new(),
-        );
+        let mut pipeline =
+            fan_out_and_sort(head).open_into(source, FlagSink(flag), &MetricsRegistry::new());
         for x in 0..100 {
             pipeline.push(x);
         }
-        // Returns only once every worker has seen the poison and gone.
+        // The poison reaches the sink before `drop` returns.
         drop(pipeline);
         assert!(*finished.lock(), "the sink was closed on the way out");
     }
@@ -1902,24 +1492,6 @@ mod tests {
         assert_eq!(snap.counter("stage/01_map/elements_out"), 4);
         assert_eq!(snap.counter("stage/00_filter/elements_in"), 4);
         assert_eq!(snap.counter("stage/00_filter/elements_out"), 2);
-    }
-
-    #[cfg(feature = "obs")]
-    #[test]
-    fn pipelined_channel_counts_sends() {
-        let registry = MetricsRegistry::new();
-        let out = DataStream::from_vec((0..100i64).collect::<Vec<_>>())
-            .pipelined(4)
-            .collect_with_registry(&registry)
-            .unwrap();
-        assert_eq!(out.len(), 100);
-        // 100 records + the final W(MAX) + End = 102 elements offered.
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("stage/00_pipelined/sends"), 102);
-        // The worker samples its first receive, so any traffic at all
-        // records at least one consumer-side wait.
-        assert!(snap.counter("stage/00_pipelined/recv_waits") >= 1);
-        assert!(snap.histogram("stage/00_pipelined/recv_block_ns").is_some());
     }
 
     #[cfg(feature = "obs")]

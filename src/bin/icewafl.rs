@@ -29,7 +29,7 @@ fn main() -> ExitCode {
         Some("generate") => cmd_generate(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("top") => cmd_top(&args[1..]),
-        Some("example-config") => cmd_example_config(),
+        Some("example-config") => cmd_example_config(&args[1..]),
         Some("help") | Some("--help") | Some("-h") | None => {
             print_usage();
             Ok(())
@@ -53,7 +53,7 @@ fn print_usage() {
 
 USAGE:
   icewafl pollute  --schema S --config CFG.json --input IN.csv --output OUT.csv
-                   [--clean CLEAN.csv] [--log LOG.json] [--seed N] [--parallel]
+                   [--clean CLEAN.csv] [--log LOG.json] [--seed N]
                    [--batch-size N] [--explain] [--report]
                    [--metrics-json METRICS.json] [--max-retries N] [--fail-fast]
                    [--checkpoint-dir DIR] [--checkpoint-interval-epochs N]
@@ -68,8 +68,9 @@ USAGE:
   icewafl example-config
 
   --schema S        a built-in schema name (wearable, airquality) or a schema JSON file
-  --batch-size N    records per transport batch on channel edges
-                    (1 = unbatched; performance-only, output is identical)
+  --batch-size N    records per frame from the router to each sub-stream and
+                    per output frame (1 = unbatched; performance-only, output
+                    is identical)
   --explain         print the compiled physical plan (strategy, stages,
                     metric names) and exit without polluting anything
   --report          print the run report (per-polluter and per-stage metrics)
@@ -84,8 +85,8 @@ USAGE:
                     take a checkpoint every N source epochs (default 1;
                     implies in-memory checkpointing when --checkpoint-dir
                     is absent)
-  --trace-out F     capture a Chrome trace of the run (stage spans, backpressure
-                    blocking, epoch swaps) — open F in Perfetto or chrome://tracing
+  --trace-out F     capture a Chrome trace of the run (stage spans, epoch
+                    swaps) — open F in Perfetto or chrome://tracing
 
   serve             stream pollution over TCP: each connection handshakes with a
                     plan (preloaded by name from --plans-dir, or inlined) and a
@@ -103,8 +104,30 @@ USAGE:
                     one summary row
 
 A stage failure (panic, injected fault, deadline) exits non-zero with a
-one-line diagnostic naming the failing stage."
+one-line diagnostic naming the failing stage; so does a flag the command
+does not know."
     );
+}
+
+/// Rejects every argument of `icewafl {command}` that is neither one of
+/// `values` (a flag taking the argument after it) nor one of `switches`.
+fn check_flags(command: &str, args: &[String], values: &[&str], switches: &[&str]) -> Result<()> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if values.contains(&arg.as_str()) {
+            rest.next();
+        } else if !switches.contains(&arg.as_str()) {
+            let what = if arg.starts_with('-') {
+                "flag"
+            } else {
+                "argument"
+            };
+            return Err(Error::config(format_args!(
+                "unknown {what} `{arg}` for `icewafl {command}` (try `icewafl help`)"
+            )));
+        }
+    }
+    Ok(())
 }
 
 fn flag(args: &[String], name: &str) -> Option<String> {
@@ -141,6 +164,26 @@ fn load_tuples(path: &str, schema: &Schema) -> Result<Vec<Tuple>> {
 }
 
 fn cmd_pollute(args: &[String]) -> Result<()> {
+    check_flags(
+        "pollute",
+        args,
+        &[
+            "--schema",
+            "--config",
+            "--input",
+            "--output",
+            "--clean",
+            "--log",
+            "--seed",
+            "--batch-size",
+            "--metrics-json",
+            "--max-retries",
+            "--checkpoint-dir",
+            "--checkpoint-interval-epochs",
+            "--trace-out",
+        ],
+        &["--explain", "--report", "--fail-fast"],
+    )?;
     let schema = load_schema(&require(args, "--schema")?)?;
     let config_path = require(args, "--config")?;
 
@@ -154,9 +197,6 @@ fn cmd_pollute(args: &[String]) -> Result<()> {
     // Lower the config to a logical plan, then let flags override the
     // execution sections before compiling.
     let mut plan = config.to_plan();
-    if present(args, "--parallel") {
-        plan.strategy = StrategyHint::SplitMergeParallel;
-    }
     if let Some(batch) = flag(args, "--batch-size") {
         let batch: usize = batch
             .parse()
@@ -266,6 +306,7 @@ fn write_csv_file(path: &str, schema: &Schema, tuples: &[Tuple]) -> Result<()> {
 }
 
 fn cmd_validate(args: &[String]) -> Result<()> {
+    check_flags("validate", args, &["--schema", "--input", "--suite"], &[])?;
     let schema = load_schema(&require(args, "--schema")?)?;
     let input = require(args, "--input")?;
     let suite_path = require(args, "--suite")?;
@@ -287,6 +328,7 @@ fn cmd_validate(args: &[String]) -> Result<()> {
 }
 
 fn cmd_profile(args: &[String]) -> Result<()> {
+    check_flags("profile", args, &["--schema", "--input"], &[])?;
     let schema = load_schema(&require(args, "--schema")?)?;
     let input = require(args, "--input")?;
     let tuples = load_tuples(&input, &schema)?;
@@ -316,6 +358,7 @@ fn cmd_profile(args: &[String]) -> Result<()> {
 }
 
 fn cmd_generate(args: &[String]) -> Result<()> {
+    check_flags("generate", args, &["--dataset", "--output", "--seed"], &[])?;
     let dataset = require(args, "--dataset")?;
     let output = require(args, "--output")?;
     let seed: Option<u64> = flag(args, "--seed").and_then(|s| s.parse().ok());
@@ -354,6 +397,20 @@ fn cmd_generate(args: &[String]) -> Result<()> {
 fn cmd_serve(args: &[String]) -> Result<()> {
     use icewafl::serve::{server::ServeConfig, signal, Server};
 
+    check_flags(
+        "serve",
+        args,
+        &[
+            "--addr",
+            "--plans-dir",
+            "--max-sessions",
+            "--max-frame-bytes",
+            "--metrics-json",
+            "--telemetry-interval-ms",
+            "--workers",
+        ],
+        &[],
+    )?;
     let mut config = ServeConfig::default();
     if let Some(addr) = flag(args, "--addr") {
         config.addr = addr;
@@ -417,6 +474,7 @@ fn cmd_top(args: &[String]) -> Result<()> {
                 "usage: icewafl top HOST:PORT [--frames N] [--plain]"
             ))
         })?;
+    check_flags("top", &args[1..], &["--frames"], &["--plain"])?;
     let frames: usize = match flag(args, "--frames") {
         Some(n) => n
             .parse()
@@ -527,7 +585,8 @@ fn render_top_frame(f: &icewafl::serve::TelemetryFrame) -> String {
     out
 }
 
-fn cmd_example_config() -> Result<()> {
+fn cmd_example_config(args: &[String]) -> Result<()> {
+    check_flags("example-config", args, &[], &[])?;
     let config = JobConfig::single(
         42,
         vec![

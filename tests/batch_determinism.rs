@@ -1,17 +1,19 @@
 //! Transport-batching determinism acceptance tests.
 //!
-//! `batch_size` is a pure performance knob: channel edges coalesce
-//! records into `StreamElement::Batch` frames, but every buffer is
-//! flushed *before* a watermark, end marker, or failure travels the
-//! edge, so event-time semantics, epoch boundaries, and the ground
-//! truth log are bit-identical across batch sizes. These tests pin that
-//! contract across strategies, a mid-stream reconfiguration, and
-//! chaos-injected panics (poison must not strand a partial batch).
+//! `batch_size` is a pure performance knob: the router → sub-stream
+//! edges and the output coalesce records into `StreamElement::Batch`
+//! frames, but every buffer is flushed *before* a watermark, end
+//! marker, or failure travels the edge, so event-time semantics, epoch
+//! boundaries, and the ground truth log are bit-identical across batch
+//! sizes. These tests pin that contract across a mid-stream
+//! reconfiguration and chaos-injected panics (poison must not strand a
+//! partial batch).
 //!
-//! The same holds across *schedules*: the merged order is
-//! `(arrival, sub_stream)`, stable within a sub-stream, and the log is
-//! the per-sub-stream segments in sub-stream order, so every strategy —
-//! with or without checkpoint barriers — yields the same bytes.
+//! The same holds with checkpoint barriers holding sub-streams back at
+//! the union: the merged order is `(arrival, sub_stream)`, stable
+//! within a sub-stream, and the log is the per-sub-stream segments in
+//! sub-stream order, so the bytes do not depend on how the sub-streams
+//! were interleaved.
 
 use icewafl::prelude::*;
 use icewafl::types::{DataType, Error, Timestamp, Value};
@@ -20,11 +22,9 @@ use icewafl::types::{DataType, Error, Timestamp, Value};
 /// watermark period, the default, and one far beyond it.
 const BATCH_SIZES: [usize; 4] = [1, 7, 256, 4096];
 
-const STRATEGIES: [StrategyHint; 3] = [
-    StrategyHint::Sequential,
-    StrategyHint::Pipelined,
-    StrategyHint::SplitMergeParallel,
-];
+/// The strategy names the tests run under besides the oracle's
+/// `sequential`: the default, which names the same schedule.
+const STRATEGIES: [StrategyHint; 1] = [StrategyHint::Auto];
 
 fn schema() -> Schema {
     Schema::from_pairs([("Time", DataType::Timestamp), ("x", DataType::Float)]).unwrap()
@@ -89,10 +89,8 @@ fn rich_plan(strategy: StrategyHint, batch_size: usize) -> LogicalPlan {
     plan
 }
 
-/// Disjoint round-robin sub-streams with unique arrival times, where
-/// even the thread-parallel merge order is fully determined by the
-/// final sort — the configuration in which all strategies must agree
-/// byte-for-byte.
+/// Disjoint round-robin sub-streams with unique arrival times: the
+/// merge order is fully determined by the final sort.
 fn disjoint_plan(strategy: StrategyHint, batch_size: usize) -> LogicalPlan {
     let mut plan = LogicalPlan::new(
         42,
@@ -153,9 +151,8 @@ fn arrival_ties_order_identically_under_every_schedule() {
     // `(arrival, sub_stream)`, then by emission order within the
     // sub-stream — a function of the tuples, not of the schedule. So
     // the polluted stream *and* the ground-truth log are byte-identical
-    // across strategies (sequential lockstep, pipelined tail, one
-    // thread per sub-stream), batch sizes, and with barrier alignment
-    // holding sub-streams back at the union (checkpointing on).
+    // across batch sizes, and with barrier alignment holding
+    // sub-streams back at the union (checkpointing on).
     type PlanFn = fn(StrategyHint, usize) -> LogicalPlan;
     let plans: [(&str, PlanFn); 3] = [
         ("overlap + duplicates + delays", rich_plan),
@@ -436,25 +433,6 @@ fn generated_tuples(rng: &mut SplitMix) -> Vec<Tuple> {
             ])
         })
         .collect()
-}
-
-/// Whether some tuple's timestamp is at or below a watermark the source
-/// emitted before it (one every `period` tuples, at the largest
-/// timestamp so far). Where such a tuple surfaces is pinned for the
-/// sequential and pipelined schedules only (`tests/lockstep_merge.rs`).
-fn has_late_tuples(tuples: &[Tuple], period: u64) -> bool {
-    let (mut max_tau, mut watermark) = (i64::MIN, i64::MIN);
-    for (i, t) in tuples.iter().enumerate() {
-        let tau = t.get(0).unwrap().as_timestamp().unwrap().millis();
-        if tau <= watermark {
-            return true;
-        }
-        max_tau = max_tau.max(tau);
-        if (i as u64 + 1).is_multiple_of(period) {
-            watermark = max_tau;
-        }
-    }
-    false
 }
 
 fn clock(rng: &mut SplitMix) -> String {
@@ -743,10 +721,11 @@ fn assert_same<T: PartialEq + std::fmt::Debug>(what: &str, got: &[T], want: &[T]
 #[test]
 fn generated_plans_match_the_oracle_configuration() {
     // Hand-picked matrices under-sample: every plan here is drawn from
-    // the whole configuration vocabulary, and each strategy, at a drawn
-    // batch size, must reproduce the oracle configuration (sequential,
-    // unbatched) on the polluted stream, the ground-truth log and the
-    // per-polluter fires / RNG draws / log entries of the report.
+    // the whole configuration vocabulary, and the default strategy, at
+    // a drawn batch size, must reproduce the oracle configuration
+    // (sequential, unbatched) on the polluted stream, the ground-truth
+    // log and the per-polluter fires / RNG draws / log entries of the
+    // report — late-tuple inputs included.
     let schema = generated_schema();
     for case in 0..GENERATED_PLANS {
         let mut rng = SplitMix(0x1CE_AF1 ^ (case << 32));
@@ -761,15 +740,8 @@ fn generated_plans_match_the_oracle_configuration() {
                 .unwrap_or_else(|e| panic!("case {case}: {e}; plan:\n{}", plan.to_json()))
         };
         let oracle = run(StrategyHint::Sequential, 1);
-        let threaded_is_pinned = !has_late_tuples(&tuples, plan.watermark_period);
         for strategy in STRATEGIES {
-            if strategy == StrategyHint::SplitMergeParallel && !threaded_is_pinned {
-                continue;
-            }
-            let batch_size = match strategy {
-                StrategyHint::Sequential => rng.pick(&[64, 256, 4096]),
-                _ => rng.pick(&[1, 64, 256, 4096]),
-            };
+            let batch_size = rng.pick(&[7, 64, 256, 4096]);
             let out = run(strategy, batch_size);
             if out.polluted == oracle.polluted
                 && out.log.entries() == oracle.log.entries()

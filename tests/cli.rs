@@ -280,21 +280,65 @@ fn explain_prints_the_compiled_plan_without_running() {
         "--explain must not execute the job"
     );
 
-    // --parallel is reflected in the printed strategy.
-    let out = icewafl(
+    // One strategy: the compiled plan always names it.
+    assert!(text.contains("strategy:         sequential"), "{text}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn unknown_flags_are_rejected_with_their_name() {
+    let dir = temp_dir("unknown-flags");
+    let cfg = icewafl(&["example-config"], &dir);
+    std::fs::write(dir.join("scenario.json"), &cfg.stdout).unwrap();
+    // A misspelling, and the flag that selected the removed threaded
+    // strategy: neither may run as if it were absent.
+    for bad in ["--paralel", "--parallel"] {
+        let out = icewafl(
+            &[
+                "pollute",
+                "--schema",
+                "wearable",
+                "--config",
+                "scenario.json",
+                bad,
+                "--explain",
+            ],
+            &dir,
+        );
+        assert!(!out.status.success(), "{bad} was accepted");
+        let err = stderr(&out);
+        assert!(
+            err.contains("invalid configuration") && err.contains(&format!("`{bad}`")),
+            "{err}"
+        );
+        assert!(stdout(&out).is_empty(), "nothing ran: {}", stdout(&out));
+    }
+    // Every subcommand checks its own flags: one command's flag is
+    // another's unknown one.
+    for args in [
+        &["validate", "--schema", "wearable", "--report"][..],
+        &["profile", "--schema", "wearable", "--seed", "1"],
         &[
-            "pollute",
-            "--schema",
+            "generate",
+            "--dataset",
             "wearable",
-            "--config",
-            "scenario.json",
-            "--parallel",
-            "--explain",
+            "--output",
+            "x.csv",
+            "--fast",
         ],
-        &dir,
-    );
-    assert!(out.status.success(), "{}", stderr(&out));
-    assert!(stdout(&out).contains("split_merge_parallel"));
+        &["serve", "--addr", "127.0.0.1:0", "--threads", "2"],
+        &["top", "127.0.0.1:1", "--frames", "1", "--follow"],
+        &["example-config", "--seed", "3"],
+    ] {
+        let out = icewafl(args, &dir);
+        assert!(!out.status.success(), "{args:?} was accepted");
+        assert!(
+            stderr(&out).contains("unknown flag"),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+    }
+    assert!(!dir.join("x.csv").exists(), "generate ran anyway");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -389,14 +433,8 @@ fn pollute_trace_out_emits_perfetto_loadable_chrome_trace() {
         ],
         &dir,
     );
-    // The pipelined strategy puts a channel edge behind the merge; the
-    // default sequential schedule has none to attribute waits to.
-    let cfg = stdout(&icewafl(&["example-config"], &dir)).replace(
-        "\"execution\": null",
-        "\"execution\": {\"strategy\": \"pipelined\"}",
-    );
-    assert!(cfg.contains("pipelined"), "example config changed shape");
-    std::fs::write(dir.join("scenario.json"), cfg).unwrap();
+    let cfg = icewafl(&["example-config"], &dir);
+    std::fs::write(dir.join("scenario.json"), &cfg.stdout).unwrap();
     let out = icewafl(
         &[
             "pollute",
@@ -430,7 +468,9 @@ fn pollute_trace_out_emits_perfetto_loadable_chrome_trace() {
         assert!(ev["ts"].as_f64().is_some());
     }
 
-    // Sampled stage spans from the pipeline's own stages...
+    // Sampled stage spans from the pipeline's own stages. Every stage
+    // runs on the calling thread, so there is no channel to block on
+    // and no backpressure span.
     assert!(
         events.iter().any(|e| {
             e["ph"].as_str() == Some("X")
@@ -439,13 +479,11 @@ fn pollute_trace_out_emits_perfetto_loadable_chrome_trace() {
         }),
         "no stage span in the trace"
     );
-    // ...and blocked-time attribution on the channel edges (the first
-    // receive of every stage worker is always sampled).
     assert!(
-        events
+        !events
             .iter()
             .any(|e| e["cat"].as_str() == Some("backpressure")),
-        "no backpressure attribution in the trace"
+        "a backpressure span from a run with nothing to wait on"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -127,8 +127,7 @@ fn a_late_tuple_surfaces_late_whichever_sub_stream_it_takes() {
     // (τ = 10 000 ms) is 181 s behind it. It is never dropped and never
     // re-sorted into the past: it leaves with the next release, ahead of
     // everything that release holds — the same for every sub-stream it
-    // can be routed to, for one sub-stream, and with the merge tail on
-    // its own thread.
+    // can be routed to, for one sub-stream, and at every frame size.
     let n = 400;
     let noise_only = |m: usize| -> Vec<Vec<PolluterConfig>> {
         delaying_plan()
@@ -139,23 +138,23 @@ fn a_late_tuple_surfaces_late_whichever_sub_stream_it_takes() {
             .take(m)
             .collect()
     };
-    for (m, strategy) in [
-        (SUB_STREAMS, StrategyHint::Sequential),
-        (SUB_STREAMS, StrategyHint::Pipelined),
-        (1, StrategyHint::Sequential),
+    for (m, batch_size) in [
+        (SUB_STREAMS, DEFAULT_BATCH_SIZE),
+        (SUB_STREAMS, 1),
+        (1, DEFAULT_BATCH_SIZE),
     ] {
         for sub_stream in 0..SUB_STREAMS as i64 {
             let at = 200 + sub_stream;
             let mut plan = LogicalPlan::new(7, noise_only(m));
             plan.assigner = AssignerSpec::RoundRobin;
             plan.watermark_period = WATERMARK_PERIOD;
-            plan.strategy = strategy;
+            plan.batch_size = batch_size;
             let out = plan
                 .compile(&schema())
                 .expect("plan compiles")
                 .execute(regressing_stream(n, at))
                 .expect("run succeeds");
-            let case = format!("m = {m}, {strategy:?}, late tuple at {at}");
+            let case = format!("m = {m}, batch {batch_size}, late tuple at {at}");
 
             let ids: Vec<u64> = out.polluted.iter().map(|t| t.id).collect();
             let expected: Vec<u64> = (0..192)
@@ -179,21 +178,38 @@ fn a_late_tuple_surfaces_late_whichever_sub_stream_it_takes() {
 }
 
 #[test]
-fn a_late_tuple_is_never_dropped_by_the_threaded_strategy() {
-    // With one thread per sub-stream, whether the combined watermark
-    // has passed the regressing tuple when it reaches the sorter
-    // depends on how far that sub-stream's thread ran ahead of the
-    // others, so *where* it surfaces is not pinned — only that it does.
+fn a_late_tuple_behind_delaying_sub_streams_surfaces_in_one_pinned_place() {
+    // The late-input rule holds for every plan, delays included: every
+    // sub-stream crosses each watermark in the same step, so whether
+    // the combined watermark has passed the regressing tuple when it
+    // reaches the sorter is a function of the input, not of a schedule.
+    // It is never dropped, it is the one late tuple, and it surfaces in
+    // the same place at every frame size.
     for sub_stream in 0..SUB_STREAMS as i64 {
-        let mut plan = delaying_plan();
-        plan.strategy = StrategyHint::SplitMergeParallel;
-        let out = plan
-            .compile(&schema())
-            .expect("plan compiles")
-            .execute(regressing_stream(400, 200 + sub_stream))
-            .expect("run succeeds");
-        let mut ids: Vec<u64> = out.polluted.iter().map(|t| t.id).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, (0..400).collect::<Vec<u64>>());
+        let at = 200 + sub_stream;
+        let run = |batch_size: usize| {
+            let mut plan = delaying_plan();
+            plan.batch_size = batch_size;
+            plan.compile(&schema())
+                .expect("plan compiles")
+                .execute(regressing_stream(400, at))
+                .expect("run succeeds")
+        };
+        let out = run(1);
+        let ids: Vec<u64> = out.polluted.iter().map(|t| t.id).collect();
+        let mut sorted = ids.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..400).collect::<Vec<u64>>(), "late tuple at {at}");
+        if out.report.metrics_compiled_in {
+            let late = out.report.metrics.counter(&format!("{SORTER}/late"));
+            assert_eq!(late, 1, "late tuple at {at}");
+        }
+        for batch_size in [7, DEFAULT_BATCH_SIZE] {
+            assert_eq!(
+                run(batch_size).polluted,
+                out.polluted,
+                "late tuple at {at}, batch {batch_size}"
+            );
+        }
     }
 }

@@ -107,15 +107,16 @@ fn rate_change_applies_exactly_at_a_watermark_epoch() {
 
 #[test]
 fn every_strategy_switches_at_the_same_epoch_boundary() {
+    // `auto` and `sequential` are the two names left for the one
+    // schedule; both must split at the same tuple.
     let sequential = run_with_flip(StrategyHint::Sequential);
-    for strategy in [StrategyHint::Pipelined, StrategyHint::SplitMergeParallel] {
-        let out = run_with_flip(strategy);
-        assert_eq!(out.report.epochs_applied, 1);
-        assert_eq!(
-            out.polluted, sequential.polluted,
-            "strategy {strategy:?} must produce the identical epoch split"
-        );
-    }
+    let auto = run_with_flip(StrategyHint::Auto);
+    assert_eq!(auto.report.epochs_applied, 1);
+    assert_eq!(auto.report.strategy.as_deref(), Some("sequential"));
+    assert_eq!(
+        auto.polluted, sequential.polluted,
+        "`auto` must produce the identical epoch split"
+    );
 }
 
 #[test]

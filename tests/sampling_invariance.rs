@@ -1,28 +1,32 @@
 //! Pins the claim that 1-in-64 latency sampling is **batch-size
-//! invariant**: shipping records across a thread boundary in larger
-//! [`StreamElement::Batch`] frames changes how many operator callbacks
-//! run, but not how many latency samples land in the histogram — the
-//! runtime records one entry per 1-in-64 *record* sample point, whether
-//! a frame covers zero, one, or several of them.
+//! invariant**: handing records from the split router to a sub-stream
+//! in larger [`StreamElement::Batch`] frames changes how many operator
+//! callbacks run, but not how many latency samples land in the
+//! histogram — the runtime records one entry per 1-in-64 *record*
+//! sample point, whether a frame covers zero, one, or several of them.
+//!
+//! [`StreamElement::Batch`]: icewafl::stream::StreamElement::Batch
 
 use icewafl::obs::MetricsRegistry;
-use icewafl::stream::DataStream;
+use icewafl::stream::{DataStream, SubPipelineBuilder};
 
 const RECORDS: i64 = 4096;
 
-/// Runs the same map pipeline behind a batched thread boundary and
-/// returns how many latency samples the map stage recorded.
+/// Runs a map behind a one-way split whose router hands records over in
+/// frames of `batch_size`, and returns how many latency samples the map
+/// stage recorded.
 fn sampled_count(batch_size: usize) -> u64 {
     let registry = MetricsRegistry::new();
+    let builders: Vec<SubPipelineBuilder<i64, i64>> = vec![Box::new(|s| s.map(|x| x + 1))];
     let out = DataStream::from_vec((0..RECORDS).collect::<Vec<_>>())
-        .pipelined_batched(8, batch_size)
-        .map(|x| x + 1)
+        .split_merge_batched(|_, m| m.push(0), builders, batch_size)
         .collect_with_registry(&registry)
         .unwrap();
     assert_eq!(out.len(), RECORDS as usize, "batch_size {batch_size}");
+    // Built sink-first: the router is stage 00, the map stage 01.
     registry
         .snapshot()
-        .histogram("stage/00_map/latency_ns")
+        .histogram("stage/01_map/latency_ns")
         .map(|h| h.count)
         .unwrap_or(0)
 }
