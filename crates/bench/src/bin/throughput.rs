@@ -598,8 +598,8 @@ const REFERENCE_CONFIG: &str = "sequential/batch_1";
 /// `--relative` gate accepts when this run measured serve (`--serve`).
 /// Both sides run on the same machine in the same process, so the ratio
 /// is hardware-independent; the floor guards the event-driven serving
-/// path against regressing back toward the ~0.3x the thread-per-session
-/// server measured, while staying far enough under the measured ratio
+/// path against regressing back toward the ~0.3x the old blocking
+/// thread-per-connection server measured, while staying far enough under the measured ratio
 /// that scheduler noise cannot flake CI.
 ///
 /// Re-derived with the linear channel driver, which both sides of the
@@ -607,7 +607,7 @@ const REFERENCE_CONFIG: &str = "sequential/batch_1";
 /// the reference rose 1.54 M → 2.57–2.93 M tuples/s, binary serve
 /// 0.84 M → 1.44–1.75 M, and the measured ratio moved from 0.55–0.61x
 /// to 0.60–0.78x (six captures). The floor stays at 0.5: still a sixth
-/// under the lowest capture and well above thread-per-session level.
+/// under the lowest capture and well above that blocking server's level.
 /// Sessions that execute while they upload did not move this figure
 /// (four sessions saturate the two cores it was taken on either way:
 /// 1.31–1.97 M against 1.62–1.88 M the same hour); what they moved is
@@ -709,8 +709,8 @@ fn check(
         // The serve/offline gap is ROADMAP item 1's headline number:
         // gate the best binary serve configuration against the offline
         // sequential reference from the same run, so the event-driven
-        // server cannot silently regress toward thread-per-session
-        // territory. Only active when this run measured serve.
+        // server cannot silently regress toward the old blocking
+        // server's territory. Only active when this run measured serve.
         let serve_binary = serve
             .iter()
             .filter(|m| m.strategy == "serve_binary")

@@ -61,13 +61,13 @@ use crate::config::{
 };
 use crate::pipeline::PollutionPipeline;
 use crate::runner::{
-    execute_attempt, execute_streaming, run_supervised_with, CheckpointSettings, ExecSettings,
-    PollutionOutput, StreamingSession, SubStreamAssigner,
+    execute_attempt, run_supervised_with, CheckpointSettings, ExecSettings, PollutionOutput,
+    StreamingSession, SubStreamAssigner,
 };
 use icewafl_stream::chaos::ChaosConfig;
 use icewafl_stream::control::ControlChannel;
 use icewafl_stream::supervisor::SupervisorPolicy;
-use icewafl_stream::{Sink, Source};
+use icewafl_stream::Sink;
 use icewafl_types::{Error, Result, Schema, StampedTuple, Timestamp, Tuple};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -865,20 +865,6 @@ impl PhysicalPlan {
     ) -> Result<StreamingSession> {
         let pipelines = self.logical.build_pipelines(&self.settings.schema)?;
         StreamingSession::open(&self.settings, sink, pipelines)
-    }
-
-    /// [`PhysicalPlan::open_streaming`] fed from `source` until it runs
-    /// dry: the pull-style entry point for a blocking
-    /// [`Source`]/[`Sink`] pair. Failures (including typed protocol
-    /// errors raised by a network source or sink) surface as
-    /// [`icewafl_types::Error::Pipeline`].
-    pub fn execute_streaming(
-        &self,
-        source: impl Source<Tuple> + 'static,
-        sink: impl Sink<StampedTuple> + 'static,
-    ) -> Result<crate::report::RunReport> {
-        let pipelines = self.logical.build_pipelines(&self.settings.schema)?;
-        execute_streaming(&self.settings, source, sink, pipelines)
     }
 }
 

@@ -29,7 +29,6 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
@@ -604,6 +603,10 @@ where
     if settings.chaos.is_some() {
         install_quiet_panic_hook();
     }
+    // Validate before the store opens: opening it truncates an existing
+    // WAL, which a rejected job must leave alone.
+    let mut first_build = Some(pipelines()?);
+    validate(settings, first_build.as_deref().expect("just built"))?;
     let store = match &ckpt.dir {
         Some(dir) => Arc::new(CheckpointStore::with_wal(dir.join("checkpoint.wal"))?),
         None => Arc::new(CheckpointStore::new()),
@@ -646,8 +649,10 @@ where
                 sink.truncate(0);
             }
         }
-        let mut built = pipelines()?;
-        validate(settings, &built)?;
+        let mut built = match first_build.take() {
+            Some(built) => built,
+            None => pipelines()?,
+        };
         let segments =
             segments.get_or_insert_with(|| LogSegments::new(built.len(), settings.logging));
         for (i, pipeline) in built.iter_mut().enumerate() {
@@ -982,9 +987,8 @@ impl StreamingSession {
         pipelines: Vec<PollutionPipeline>,
     ) -> Result<Self> {
         validate(settings, &pipelines)?;
-        // Streaming sources poison via typed `StageError` panics on
-        // routine peer behavior (disconnects, bad frames); a server must
-        // not spray a backtrace per misbehaving client.
+        // A failing stage poisons the session via a `StageError` panic;
+        // a server must not spray a backtrace per failed session.
         install_quiet_panic_hook();
         let prepare = PrepareOperator::new(&settings.schema)?;
         let tuples_out = Arc::new(AtomicU64::new(0));
@@ -1048,12 +1052,6 @@ impl StreamingSession {
         self.pipeline.push(self.prepare.prepare(tuple));
     }
 
-    /// Fails the session as a source that panicked with `payload`
-    /// would — the way a network source reports its peer's errors.
-    pub fn fail(&mut self, payload: Box<dyn std::any::Any + Send>) {
-        self.pipeline.fail(payload);
-    }
-
     /// Whether a stage of the plan has failed; what is pushed from then
     /// on is dropped, and [`finish`](StreamingSession::finish) reports
     /// the failure.
@@ -1062,9 +1060,8 @@ impl StreamingSession {
     }
 
     /// Ends the stream: everything the plan still holds is flushed
-    /// into the sink, then the run is reported. A failure — of a stage,
-    /// or one the caller [raised](StreamingSession::fail) — surfaces as
-    /// [`icewafl_types::Error::Pipeline`].
+    /// into the sink, then the run is reported. A stage's failure
+    /// surfaces as [`icewafl_types::Error::Pipeline`].
     pub fn finish(self) -> Result<RunReport> {
         self.pipeline.finish()?;
         let log = self.segments.concat();
@@ -1080,29 +1077,6 @@ impl StreamingSession {
             )
         })
     }
-}
-
-/// [`crate::plan::PhysicalPlan::execute_streaming`]: a
-/// [`StreamingSession`] fed from `source` until it runs dry.
-pub(crate) fn execute_streaming(
-    settings: &ExecSettings,
-    mut source: impl Source<Tuple>,
-    sink: impl Sink<StampedTuple> + 'static,
-    pipelines: Vec<PollutionPipeline>,
-) -> Result<RunReport> {
-    let mut session = StreamingSession::open(settings, sink, pipelines)?;
-    loop {
-        // A network source reports its peer's errors as typed panics.
-        match catch_unwind(AssertUnwindSafe(|| source.next())) {
-            Ok(Some(tuple)) => session.push(tuple),
-            Ok(None) => break,
-            Err(payload) => {
-                session.fail(payload);
-                break;
-            }
-        }
-    }
-    session.finish()
 }
 
 /// Checkpoint plumbing for one [`drive_pipelines`] attempt: the barrier

@@ -234,7 +234,7 @@ impl RngCore for CountingRng {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{RngExt, SeedableRng};
+    use rand::SeedableRng;
 
     #[test]
     fn counting_rng_is_transparent() {
@@ -248,6 +248,7 @@ mod tests {
     #[cfg(feature = "obs")]
     #[test]
     fn counting_rng_counts_draws() {
+        use rand::RngExt;
         let c = Counter::default();
         let mut rng = CountingRng::new(StdRng::seed_from_u64(1), c.clone());
         let _ = rng.next_u64();

@@ -7,29 +7,29 @@
 //! A session is one connection: the client opens with a one-line JSON
 //! [handshake](protocol::Handshake) naming a preloaded plan (or
 //! inlining one) and a schema, then streams tuples in either NDJSON or
-//! length-prefixed binary [frames](protocol); the server pulls them
-//! straight into the regular batched pipeline through a network source
-//! and pushes polluted [`StampedTuple`](icewafl_types::StampedTuple)s
-//! back through a network sink, closing with the session's
-//! [`RunReport`](icewafl_core::RunReport). Backpressure is inherited
-//! from the runtime's bounded channels plus TCP flow control, so a slow
-//! reader throttles its own ingest without growing server memory — and
+//! length-prefixed binary [frames](protocol); the server pushes every
+//! decoded frame through the session's plan as it arrives and streams
+//! the polluted [`StampedTuple`](icewafl_types::StampedTuple)s back,
+//! closing with the session's [`RunReport`](icewafl_core::RunReport).
+//! Backpressure is TCP flow control: while a session's output window is
+//! full the server neither reads nor decodes its input, so a slow reader
+//! throttles its own upload without growing server memory — and
 //! without affecting any other session.
 //!
 //! Protocol errors (malformed frames, oversized frames, mid-stream
-//! disconnects) poison only the offending session through the typed
-//! failure path of `icewafl-stream` and are answered with a typed
-//! [error frame](protocol::SessionErrorFrame).
+//! disconnects) fail only the offending session and are answered with a
+//! typed [error frame](protocol::SessionErrorFrame).
 //!
-//! On Linux the server core is event-driven: an epoll readiness loop
+//! The server core is event-driven: an epoll readiness loop
 //! (hand-rolled behind the tiny [`poll`]-module abstraction — no tokio,
 //! mio, or libc crate) multiplexes every session over a worker pool
 //! sized to cores, so concurrency is bounded by file descriptors and
 //! buffered bytes rather than threads. Sessions that publish to a named
 //! `stream` are fanned out to `subscribe` sessions from pre-serialized
 //! frames — each output frame is encoded once and shared as
-//! `Arc<[u8]>`. Other platforms fall back to the original blocking
-//! thread-per-session driver.
+//! `Arc<[u8]>`. epoll makes serving Linux-only; elsewhere the crate
+//! builds, so the client and the offline CLI keep working, but
+//! [`Server::run`] returns a configuration error.
 //!
 //! Entry points: [`Server::bind`] + [`Server::run`] on the server side,
 //! [`client::run_session`] on the client side, `icewafl serve` on the

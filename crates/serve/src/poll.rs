@@ -15,8 +15,8 @@
 //! the same fd twice between re-arms. Re-arming is thread-safe
 //! (`epoll_ctl` is), so workers re-arm from wherever they finish.
 //!
-//! Only compiled on Linux; the server falls back to a thread-per-session
-//! blocking driver elsewhere.
+//! Only compiled on Linux; elsewhere the server does not run (see
+//! [`Server::run`](crate::Server::run)).
 
 #![cfg(target_os = "linux")]
 

@@ -177,8 +177,8 @@ impl ConnCounters {
 }
 
 /// What a session's plan has released and the reactor has not encoded
-/// yet: singletons or whole batches, in emission order (mirrors the
-/// `NetSink` framing rules).
+/// yet: singletons or whole batches, in emission order (see
+/// [`CollectSink`] for how they are framed).
 type Units = Arc<Mutex<VecDeque<Vec<StampedTuple>>>>;
 
 /// One connection's full state. Only ever touched under its slot mutex.
@@ -902,9 +902,11 @@ fn release_active(shared: &Arc<Shared>, conn: &mut Conn) {
 // ---------------------------------------------------------------------
 
 /// The sink of a session's plan: leaves pipeline output in the
-/// connection's [`Units`] queue, preserving transport batch boundaries
-/// so the framing mirrors the `NetSink` rules (singletons → per-record
-/// frames, real batches → columnar frames). The reactor empties the
+/// connection's [`Units`] queue, preserving the plan's batch boundaries,
+/// which fix the framing (see `encode_unit`): on a binary session a
+/// batch of two or more tuples becomes one columnar frame and a
+/// singleton one per-tuple frame; NDJSON is one line per tuple either
+/// way. The reactor empties the
 /// queue after every frame it pushes; behind a lock because a threaded
 /// plan's sink runs on the plan's own thread.
 struct CollectSink {
@@ -1073,9 +1075,11 @@ fn finish_session(rt: &Arc<Reactor>, conn: &mut Conn) {
     }
 }
 
-/// A typed transport failure mid-stream: answer with the same error
-/// frame the poisoned `NetSource` path produces. What the client has
-/// been sent so far is a prefix of the session's output.
+/// A typed transport failure mid-stream: answer with an error frame
+/// naming stage `net_source`, the failure kind of `e` (`fatal` for a
+/// malformed or oversized frame, `disconnect` for a vanished peer or a
+/// socket error) and its transport code. What the client has been sent
+/// so far is a prefix of the session's output.
 fn fail_ingest(rt: &Arc<Reactor>, conn: &mut Conn, e: NetError) -> Step {
     fail_session(
         rt,

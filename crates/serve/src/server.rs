@@ -6,10 +6,9 @@
 //! then drains: no new sessions are accepted, in-flight sessions run to
 //! completion, and `run` returns once the last one finishes.
 //!
-//! On Linux the session core is event-driven (see the private
-//! `reactor` module):
-//! one epoll loop watches every socket and a worker pool sized to cores
-//! drives per-connection state machines, so thousands of concurrent
+//! The session core is event-driven (see the private `reactor`
+//! module): one epoll loop watches every socket and a worker pool sized
+//! to cores drives per-connection state machines, so thousands of concurrent
 //! sessions cost file descriptors and bounded windows, not threads. A
 //! session executes while it uploads: its plan is opened at handshake
 //! and every decoded frame is pushed through it at once, through the
@@ -18,13 +17,12 @@
 //! memory is O(window): a read chunk, an outbox window, and what the
 //! plan itself holds (one watermark period per sub-stream, plus the
 //! tuples a delay polluter keeps back) — whatever the session's length.
-//! Elsewhere the server falls back to the original thread-per-session
-//! blocking driver in this module.
+//! epoll makes the server Linux-only: on other platforms the crate
+//! builds but [`Server::run`] returns a configuration error.
 //!
 //! Backpressure: a client that stops reading is not read from either —
-//! its session parks on write readiness (event-driven) or blocks its
-//! driver thread (fallback), and TCP flow control throttles its
-//! upload; either way only that session slows down. A protocol error
+//! its session parks on write readiness and TCP flow control throttles
+//! its upload, so only that session slows down. A protocol error
 //! (malformed frame, oversized frame, mid-stream disconnect) fails
 //! only the offending session: what it has been sent so far is a
 //! prefix of its output, and an error frame naming the failure kind
@@ -35,8 +33,6 @@
 //! telemetry table is sharded (`SESSION_SHARDS` ways) so session
 //! churn never contends on a single map lock.
 
-#[cfg(not(target_os = "linux"))]
-use crate::protocol::HandshakeReply;
 use crate::protocol::{encode_telemetry_frame, Handshake, SessionTelemetry, TelemetryFrame};
 use icewafl_core::plan::PhysicalPlan;
 use icewafl_core::PlanCatalog;
@@ -50,11 +46,6 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// How long the fallback accept loop sleeps when no connection is
-/// pending.
-#[cfg(not(target_os = "linux"))]
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
 /// How long a telemetry session sleeps per slice while waiting for the
 /// next frame boundary, so shutdown and SIGINT are noticed promptly.
@@ -86,9 +77,8 @@ pub struct ServeConfig {
     /// Interval between registry samples and telemetry frames, in
     /// milliseconds (clamped to at least 1).
     pub telemetry_interval_ms: u64,
-    /// Worker threads driving session state machines on the
-    /// event-driven path; `0` sizes the pool to the machine's cores.
-    /// Ignored by the thread-per-session fallback.
+    /// Worker threads driving session state machines; `0` sizes the
+    /// pool to the machine's cores.
     pub workers: usize,
 }
 
@@ -171,7 +161,6 @@ pub(crate) struct Shared {
     pub(crate) max_sessions: usize,
     pub(crate) max_frame_bytes: usize,
     pub(crate) telemetry_interval_ms: u64,
-    #[cfg_attr(not(target_os = "linux"), allow(dead_code))]
     pub(crate) workers: usize,
     pub(crate) registry: MetricsRegistry,
     pub(crate) active: AtomicUsize,
@@ -184,7 +173,6 @@ pub(crate) struct Shared {
     /// when a handshake is accepted and vanish when the session ends.
     sessions: Vec<Mutex<BTreeMap<u64, SessionHandles>>>,
     /// Shared-stream hubs by stream name (see [`HubState`]).
-    #[cfg_attr(not(target_os = "linux"), allow(dead_code))]
     pub(crate) hubs: Mutex<HashMap<String, Arc<Mutex<HubState>>>>,
     /// The background registry sampler; taken (and thereby joined) at
     /// drain. `None` after drain or when metrics are compiled out of
@@ -260,19 +248,6 @@ impl<'a> SessionEntry<'a> {
 impl Drop for SessionEntry<'_> {
     fn drop(&mut self) {
         self.shared.remove_session(self.id);
-    }
-}
-
-/// Decrements the live-session count (and gauge) when a session thread
-/// exits, however it exits.
-#[cfg(not(target_os = "linux"))]
-struct ActiveGuard<'a>(&'a Shared);
-
-#[cfg(not(target_os = "linux"))]
-impl Drop for ActiveGuard<'_> {
-    fn drop(&mut self) {
-        self.0.active.fetch_sub(1, Ordering::SeqCst);
-        self.0.registry.gauge("serve/sessions_active").sub(1);
     }
 }
 
@@ -383,76 +358,14 @@ impl Server {
         crate::reactor::run(self)
     }
 
-    /// Accepts and serves sessions until the [shutdown
-    /// handle](Server::shutdown_handle) is set or [SIGINT
-    /// arrives](crate::signal::triggered), then drains: in-flight
-    /// sessions run to completion before this returns.
-    ///
-    /// Non-Linux fallback: one blocking driver thread per session.
+    /// The event-driven server needs epoll, so elsewhere `run` refuses
+    /// to start; the rest of the crate (and the offline CLI) still
+    /// builds.
     #[cfg(not(target_os = "linux"))]
     pub fn run(&self) -> Result<()> {
-        let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        loop {
-            if self.stop_requested() {
-                break;
-            }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    self.dispatch(stream, &mut handles);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    handles.retain(|h| !h.is_finished());
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    return Err(Error::config(format_args!("accept failed: {e}")));
-                }
-            }
-        }
-        for handle in handles {
-            let _ = handle.join();
-        }
-        // Join the sampler thread too: after drain the server must leave
-        // no background thread behind (dropping the sampler blocks until
-        // its thread exits).
-        drop(self.shared.sampler.lock().take());
-        Ok(())
-    }
-
-    /// Routes one accepted connection: rejects it at capacity, or
-    /// spawns a session thread.
-    #[cfg(not(target_os = "linux"))]
-    fn dispatch(&self, stream: TcpStream, handles: &mut Vec<std::thread::JoinHandle<()>>) {
-        let shared = Arc::clone(&self.shared);
-        let session_id = self.next_session_id();
-        shared.counter("serve/connections_total").inc();
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_nonblocking(false);
-
-        if shared.active.load(Ordering::SeqCst) >= shared.max_sessions {
-            shared.counter("serve/sessions_rejected").inc();
-            // Best-effort rejection on a throwaway thread so a peer that
-            // never reads cannot stall the accept loop.
-            handles.push(std::thread::spawn(move || {
-                let reply = HandshakeReply::rejected("server at capacity");
-                let _ = write_json_line(&stream, &reply);
-                let _ = stream.shutdown(std::net::Shutdown::Both);
-            }));
-            return;
-        }
-
-        shared.active.fetch_add(1, Ordering::SeqCst);
-        shared.registry.gauge("serve/sessions_active").add(1);
-        handles.push(
-            std::thread::Builder::new()
-                .name(format!("icewafl-session-{session_id}"))
-                .spawn(move || {
-                    let _guard = ActiveGuard(&shared);
-                    run_session(stream, &shared, session_id);
-                })
-                .expect("spawning a session thread"),
-        );
+        Err(Error::config(
+            "icewafl serve needs Linux: its session core is built on epoll",
+        ))
     }
 }
 
@@ -499,212 +412,6 @@ pub(crate) fn resolve(
         .compile(&schema)
         .map_err(|e| format!("plan does not compile against the schema: {e}"))?;
     Ok((physical, format))
-}
-
-/// One session, handshake to tail frame, on its own blocking thread.
-/// Every exit path is local to the session: errors are answered on the
-/// wire (best effort) and recorded in `serve/*` metrics, never
-/// propagated.
-#[cfg(not(target_os = "linux"))]
-fn run_session(stream: TcpStream, shared: &Shared, session_id: u64) {
-    use crate::protocol::{
-        decode_client_frame, decode_client_frame_typed, encode_columns_frame, encode_error_frame,
-        encode_report_frame, encode_stamped_frame, SessionErrorFrame,
-    };
-    use icewafl_stream::net::{FrameReader, NetErrorCell, NetSink, NetSource};
-    use icewafl_types::StampedTuple;
-    use std::io::BufReader;
-
-    let Ok(write_stream) = stream.try_clone() else {
-        shared.counter("serve/sessions_failed").inc();
-        return;
-    };
-    let Ok(tail_stream) = stream.try_clone() else {
-        shared.counter("serve/sessions_failed").inc();
-        return;
-    };
-
-    // Handshake: always one NDJSON line, whatever the data format.
-    let mut hs_reader = FrameReader::new(
-        BufReader::new(stream),
-        WireFormat::Ndjson,
-        shared.max_frame_bytes,
-    );
-    let hs: Handshake = match hs_reader.read() {
-        Ok(Some(icewafl_stream::net::WireFrame::Line(line))) => match serde_json::from_str(&line) {
-            Ok(hs) => hs,
-            Err(e) => {
-                shared.counter("serve/protocol_errors").inc();
-                shared.counter("serve/sessions_rejected").inc();
-                let reply = HandshakeReply::rejected(format!("bad handshake: {e}"));
-                let _ = write_json_line(&tail_stream, &reply);
-                return;
-            }
-        },
-        Ok(_) => {
-            // Disconnected before (or instead of) a handshake line.
-            shared.counter("serve/sessions_rejected").inc();
-            return;
-        }
-        Err(e) => {
-            shared.counter("serve/protocol_errors").inc();
-            shared.counter("serve/sessions_rejected").inc();
-            let reply = HandshakeReply::rejected(format!("bad handshake: {e}"));
-            let _ = write_json_line(&tail_stream, &reply);
-            return;
-        }
-    };
-
-    match hs.session.as_deref() {
-        None | Some("pollute") => {}
-        Some("telemetry") => {
-            let format = match hs.wire_format() {
-                Ok(format) => format,
-                Err(reason) => {
-                    shared.counter("serve/sessions_rejected").inc();
-                    let _ = write_json_line(&tail_stream, &HandshakeReply::rejected(reason));
-                    return;
-                }
-            };
-            let reply = HandshakeReply::accepted(session_id, "telemetry".into(), 0);
-            if write_json_line(&tail_stream, &reply).is_err() {
-                shared.counter("serve/sessions_failed").inc();
-                return;
-            }
-            run_telemetry_session(write_stream, shared, session_id, format);
-            return;
-        }
-        Some("subscribe") => {
-            shared.counter("serve/sessions_rejected").inc();
-            let reply =
-                HandshakeReply::rejected("subscribe sessions require the event-driven server");
-            let _ = write_json_line(&tail_stream, &reply);
-            return;
-        }
-        Some(other) => {
-            shared.counter("serve/sessions_rejected").inc();
-            let reply = HandshakeReply::rejected(format!(
-                "unknown session type `{other}` (expected pollute or telemetry)"
-            ));
-            let _ = write_json_line(&tail_stream, &reply);
-            return;
-        }
-    }
-
-    let (mut plan, format) = match resolve(&hs, &shared.plans) {
-        Ok(resolved) => resolved,
-        Err(reason) => {
-            shared.counter("serve/sessions_rejected").inc();
-            let _ = write_json_line(&tail_stream, &HandshakeReply::rejected(reason));
-            return;
-        }
-    };
-    // Checkpointing plans get a per-session WAL subdirectory: sessions
-    // running the same plan (or any plans sharing a checkpoint dir)
-    // must not overwrite each other's `checkpoint.wal`.
-    plan.scope_checkpoint_dir(&format!("session_{session_id}"));
-
-    let reply =
-        HandshakeReply::accepted(session_id, "sequential".into(), plan.logical().substreams());
-    if write_json_line(&tail_stream, &reply).is_err() {
-        shared.counter("serve/sessions_failed").inc();
-        return;
-    }
-
-    // Data plane: the session's pipeline pulls straight from the socket
-    // and pushes straight back out; the error cell carries the typed
-    // root cause out of the poison path.
-    let error_cell = NetErrorCell::new();
-    // NDJSON is untagged, so its tuple lines are read against the
-    // session schema's column types (Int → Float/Timestamp); the binary
-    // codec is typed on the wire.
-    let schema = plan.schema().clone();
-    let decode: icewafl_stream::net::DecodeFn<icewafl_types::Tuple> = match format {
-        WireFormat::Ndjson => {
-            Box::new(move |frame| decode_client_frame_typed(frame, Some(&schema)))
-        }
-        WireFormat::Binary => Box::new(decode_client_frame),
-    };
-    let source = NetSource::new(
-        FrameReader::new(hs_reader.into_inner(), format, shared.max_frame_bytes),
-        decode,
-        error_cell.clone(),
-    );
-    let sink = NetSink::new(
-        FrameWriter::new(BufWriter::new(write_stream), format),
-        Box::new(move |t: &StampedTuple| encode_stamped_frame(t, format)),
-        error_cell.clone(),
-    );
-    // Binary sessions serialize whole output batches as one columnar
-    // frame — encode once per batch instead of once per tuple. NDJSON
-    // stays line-per-tuple so `nc`/`jq` consumers keep working.
-    let sink = match format {
-        WireFormat::Binary => sink.with_batch_encode(Box::new(|batch: &[StampedTuple]| {
-            encode_columns_frame(batch)
-        })),
-        WireFormat::Ndjson => sink,
-    };
-    let frames_in = source.frames_in_handle();
-    let frames_out = sink.frames_out_handle();
-    let _entry = SessionEntry::register(
-        shared,
-        session_id,
-        SessionHandles {
-            kind: "pollute",
-            format: format.as_str(),
-            frames_in: Arc::clone(&frames_in),
-            frames_out: Arc::clone(&frames_out),
-            bytes_out: sink.bytes_out_handle(),
-            encode_ns: sink.encode_ns_handle(),
-            blocked_write_ns: sink.blocked_write_ns_handle(),
-            gauges: Arc::default(),
-        },
-    );
-
-    let outcome = plan.execute_streaming(source, sink);
-
-    shared
-        .counter("serve/frames_in")
-        .add(frames_in.load(Ordering::Relaxed));
-    shared
-        .counter("serve/frames_out")
-        .add(frames_out.load(Ordering::Relaxed));
-
-    let mut tail = FrameWriter::new(tail_stream, format);
-    match outcome {
-        Ok(report) => {
-            shared.counter("serve/sessions_completed").inc();
-            let _ = tail.write(&encode_report_frame(&report, format));
-            let _ = tail.flush();
-        }
-        Err(error) => {
-            shared.counter("serve/sessions_failed").inc();
-            let protocol = error_cell.get().map(|net| net.code().to_string());
-            if protocol.is_some() {
-                shared.counter("serve/protocol_errors").inc();
-            }
-            let frame = match error {
-                Error::Pipeline {
-                    stage,
-                    kind,
-                    message,
-                } => SessionErrorFrame {
-                    stage,
-                    kind,
-                    message,
-                    protocol,
-                },
-                other => SessionErrorFrame {
-                    stage: "session".into(),
-                    kind: "fatal".into(),
-                    message: other.to_string(),
-                    protocol,
-                },
-            };
-            let _ = tail.write(&encode_error_frame(&frame, format));
-            let _ = tail.flush();
-        }
-    }
 }
 
 /// A `telemetry` session: one [`TelemetryFrame`] per sampling interval
@@ -774,5 +481,19 @@ pub(crate) fn run_telemetry_session(
         }
         frames_out.fetch_add(1, Ordering::Relaxed);
         shared.counter("serve/telemetry_frames").inc();
+    }
+}
+
+#[cfg(all(test, not(target_os = "linux")))]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn run_is_a_typed_config_error_off_linux() {
+        let server = Server::bind(ServeConfig::default()).unwrap();
+        match server.run() {
+            Err(Error::Config(msg)) => assert!(msg.contains("Linux"), "{msg}"),
+            other => panic!("expected a config error, got {other:?}"),
+        }
     }
 }

@@ -306,17 +306,11 @@ fn shared_stream_fans_out_to_subscribers() {
     let publisher =
         client::run_session(&ClientConfig::new(addr.clone(), publisher_hs), input).unwrap();
 
-    if !publisher.reply.ok {
-        // The thread-per-session fallback (non-Linux) has no hubs.
-        if cfg!(target_os = "linux") {
-            panic!("publisher rejected on Linux: {:?}", publisher.reply.error);
-        }
-        for sub in subs {
-            let outcome = sub.join().unwrap().unwrap();
-            assert!(!outcome.reply.ok, "subscriber accepted without hubs");
-        }
-        return;
-    }
+    assert!(
+        publisher.reply.ok,
+        "publisher rejected: {:?}",
+        publisher.reply.error
+    );
     assert!(
         publisher.completed(),
         "publisher failed: {:?}",

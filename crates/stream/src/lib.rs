@@ -63,10 +63,7 @@ pub use control::{ControlChannel, ControlSubscriber};
 pub use element::StreamElement;
 pub use fault::{FailureCell, FailureKind, PipelineError, StageError};
 pub use metrics::{ChaosMetrics, SorterMetrics, StageMetrics};
-pub use net::{
-    FrameReader, FrameWriter, NetError, NetErrorCell, NetPoll, NetSink, NetSource, WireFormat,
-    WireFrame,
-};
+pub use net::{FrameReader, FrameWriter, NetError, NetPoll, WireFormat, WireFrame};
 pub use operator::{Collector, Operator};
 pub use sink::{CountSink, FnSink, NullSink, SharedVecSink, Sink};
 pub use sort::{EventTimeSorter, SortKey, SorterStateCodec};

@@ -1,5 +1,4 @@
-//! Network transport for streams: frame codec, [`NetSource`], and
-//! [`NetSink`].
+//! Network transport for streams: the frame codec.
 //!
 //! Two wire formats are supported, chosen per connection:
 //!
@@ -8,27 +7,24 @@
 //! * **Binary** — length-prefixed frames `[tag: u8][len: u32 LE]
 //!   [payload]`. Compact and copy-friendly for high-rate sessions.
 //!
+//! Frames are read by a blocking [`FrameReader`] or an incremental
+//! [`FrameDecoder`], and written by a [`FrameWriter`] or queued as
+//! bytes in a [`WriteQueue`].
+//!
 //! This module is deliberately *payload-agnostic*: it moves
 //! [`WireFrame`]s, not tuples. The mapping between frames and records
-//! is supplied by the caller as encode/decode closures (the `serve`
-//! crate provides the icewafl session protocol on top). That keeps the
-//! stream crate free of any serialization dependency.
+//! is the caller's (the `serve` crate provides the icewafl session
+//! protocol on top). That keeps the stream crate free of any
+//! serialization dependency.
 //!
-//! Protocol failures are **typed and poisoning, never truncating**: a
-//! malformed frame, an oversized frame, or a peer disconnect makes
-//! [`NetSource`]/[`NetSink`] record a [`NetError`] into a shared
-//! [`NetErrorCell`] and raise a typed [`StageError`] through the
-//! poison-propagation protocol (see [`fault`](crate::fault)) — the
-//! pipeline terminates with `Error::Pipeline` naming the failure kind
-//! instead of silently ending the stream early, exactly like
-//! `CsvTupleSource` does for file I/O.
+//! Protocol failures are **typed, never truncating**: a malformed
+//! frame, an oversized frame, or a peer disconnect is a [`NetError`],
+//! never a silently shortened stream, and
+//! [`NetError::failure_kind`] classifies it for the failure protocol
+//! (see [`fault`](crate::fault)).
 
-use crate::fault::{FailureKind, StageError};
-use crate::sink::Sink;
-use crate::source::Source;
-use parking_lot::Mutex;
+use crate::fault::FailureKind;
 use std::io::{BufRead, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Default cap on a single frame (payload or line), in bytes.
@@ -119,33 +115,6 @@ impl std::fmt::Display for NetError {
 }
 
 impl std::error::Error for NetError {}
-
-/// First-error-wins cell shared between a [`NetSource`]/[`NetSink`] and
-/// the session code that reports the typed error to the peer.
-#[derive(Clone, Default)]
-pub struct NetErrorCell {
-    slot: Arc<Mutex<Option<NetError>>>,
-}
-
-impl NetErrorCell {
-    /// An empty cell.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records `error` unless one was already recorded.
-    pub fn record(&self, error: NetError) {
-        let mut slot = self.slot.lock();
-        if slot.is_none() {
-            *slot = Some(error);
-        }
-    }
-
-    /// A copy of the recorded error, if any.
-    pub fn get(&self) -> Option<NetError> {
-        self.slot.lock().clone()
-    }
-}
 
 /// The wire format negotiated for a connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -593,258 +562,6 @@ pub enum NetPoll<T> {
     End,
 }
 
-/// Decodes one wire frame into a record or the end-of-stream marker.
-pub type DecodeFn<T> = Box<dyn FnMut(WireFrame) -> Result<NetPoll<T>, NetError> + Send>;
-
-/// Encodes one record as a wire frame.
-pub type EncodeFn<T> = Box<dyn FnMut(&T) -> WireFrame + Send>;
-
-/// Encodes a whole batch of records as one wire frame (e.g. a columnar
-/// frame that serializes each column contiguously).
-pub type BatchEncodeFn<T> = Box<dyn FnMut(&[T]) -> WireFrame + Send>;
-
-/// A [`Source`] that pulls records from a network peer, one frame at a
-/// time.
-///
-/// Because the source is pulled by the execution driver, ingest is
-/// naturally throttled by downstream progress: if the pipeline (or a
-/// slow reader behind a [`NetSink`]) stalls, the source stops reading
-/// and TCP flow control pushes back on the peer — bounded memory with
-/// no explicit buffering.
-///
-/// Any protocol failure — including EOF *without* the end-of-stream
-/// frame — records a typed [`NetError`] into the shared
-/// [`NetErrorCell`] and poisons the pipeline via
-/// [`std::panic::panic_any`]`(StageError)`, so the run fails loudly
-/// instead of truncating.
-pub struct NetSource<R, T> {
-    reader: FrameReader<R>,
-    decode: DecodeFn<T>,
-    error: NetErrorCell,
-    frames_in: Arc<AtomicU64>,
-    /// Records still owed from the last batch frame, drained first.
-    pending: std::collections::VecDeque<T>,
-}
-
-impl<R: BufRead + Send, T> NetSource<R, T> {
-    /// A source decoding frames from `reader` with `decode`; protocol
-    /// errors are mirrored into `error`.
-    pub fn new(reader: FrameReader<R>, decode: DecodeFn<T>, error: NetErrorCell) -> Self {
-        NetSource {
-            reader,
-            decode,
-            error,
-            frames_in: Arc::new(AtomicU64::new(0)),
-            pending: std::collections::VecDeque::new(),
-        }
-    }
-
-    /// A live counter of frames read so far (records only, not the end
-    /// marker) — shareable with session metrics.
-    pub fn frames_in_handle(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.frames_in)
-    }
-
-    fn fail(&self, error: NetError) -> ! {
-        let typed = StageError::new("net_source", error.failure_kind(), error.to_string());
-        self.error.record(error);
-        std::panic::panic_any(typed);
-    }
-}
-
-impl<R: BufRead + Send, T: Send> Source<T> for NetSource<R, T> {
-    fn next(&mut self) -> Option<T> {
-        loop {
-            if let Some(t) = self.pending.pop_front() {
-                return Some(t);
-            }
-            let frame = match self.reader.read() {
-                Ok(Some(frame)) => frame,
-                // EOF without the protocol's end marker: the peer
-                // vanished.
-                Ok(None) => self.fail(NetError::Disconnected),
-                Err(e) => self.fail(e),
-            };
-            match (self.decode)(frame) {
-                Ok(NetPoll::Record(t)) => {
-                    self.frames_in.fetch_add(1, Ordering::Relaxed);
-                    return Some(t);
-                }
-                // An empty batch is legal: count the frame, keep
-                // reading.
-                Ok(NetPoll::Batch(batch)) => {
-                    self.frames_in.fetch_add(1, Ordering::Relaxed);
-                    self.pending.extend(batch);
-                }
-                Ok(NetPoll::End) => return None,
-                Err(e) => self.fail(e),
-            }
-        }
-    }
-}
-
-/// A [`Sink`] that streams records back to a network peer, one frame
-/// per record.
-///
-/// A write failure (the peer hung up, the socket broke) poisons the
-/// pipeline with a typed [`FailureKind::Disconnect`] error the same way
-/// [`NetSource`] does, after mirroring it into the shared
-/// [`NetErrorCell`].
-pub struct NetSink<W, T> {
-    writer: FrameWriter<W>,
-    encode: EncodeFn<T>,
-    /// Optional whole-batch encoder: when set, `write_batch` emits one
-    /// frame per batch instead of one per record.
-    encode_batch: Option<BatchEncodeFn<T>>,
-    error: NetErrorCell,
-    frames_out: Arc<AtomicU64>,
-    bytes_out: Arc<AtomicU64>,
-    encode_ns: Arc<AtomicU64>,
-    blocked_write_ns: Arc<AtomicU64>,
-    /// Frames written, kept locally for the 1-in-64 timing decision.
-    seen: u64,
-}
-
-/// Every 64th frame through a [`NetSink`] has its encode and write
-/// wall-clock timed (matching the stage latency sampling policy), so the
-/// `encode_ns` / `blocked_write_ns` counters attribute where a serve
-/// session spends time without paying `Instant::now` per frame.
-const SINK_SAMPLE_MASK: u64 = 63;
-
-impl<W: Write + Send, T> NetSink<W, T> {
-    /// A sink encoding records with `encode` into `writer`; transport
-    /// errors are mirrored into `error`.
-    pub fn new(writer: FrameWriter<W>, encode: EncodeFn<T>, error: NetErrorCell) -> Self {
-        NetSink {
-            writer,
-            encode,
-            encode_batch: None,
-            error,
-            frames_out: Arc::new(AtomicU64::new(0)),
-            bytes_out: Arc::new(AtomicU64::new(0)),
-            encode_ns: Arc::new(AtomicU64::new(0)),
-            blocked_write_ns: Arc::new(AtomicU64::new(0)),
-            seen: 0,
-        }
-    }
-
-    /// Installs a whole-batch encoder: batches delivered via
-    /// `write_batch` are serialized as ONE frame (encode once, one
-    /// syscall-sized write) instead of one frame per record. Singleton
-    /// and empty batches still go through the per-record path, so
-    /// per-tuple consumers see no format change at batch size 1.
-    pub fn with_batch_encode(mut self, encode_batch: BatchEncodeFn<T>) -> Self {
-        self.encode_batch = Some(encode_batch);
-        self
-    }
-
-    /// A live counter of frames written so far — shareable with session
-    /// metrics.
-    pub fn frames_out_handle(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.frames_out)
-    }
-
-    /// A live counter of bytes written so far, including framing
-    /// overhead.
-    pub fn bytes_out_handle(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.bytes_out)
-    }
-
-    /// Sampled (1-in-64) nanoseconds spent in the encode closure.
-    pub fn encode_ns_handle(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.encode_ns)
-    }
-
-    /// Sampled (1-in-64) nanoseconds spent inside `write` on the
-    /// underlying transport — time blocked on the peer (or the kernel
-    /// send buffer) rather than on encoding.
-    pub fn blocked_write_ns_handle(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.blocked_write_ns)
-    }
-
-    fn fail(&self, error: NetError) -> ! {
-        let typed = StageError::new("net_sink", error.failure_kind(), error.to_string());
-        self.error.record(error);
-        std::panic::panic_any(typed);
-    }
-}
-
-impl<W: Write + Send, T: Send> Sink<T> for NetSink<W, T> {
-    fn write(&mut self, record: T) {
-        let sampled = self.seen & SINK_SAMPLE_MASK == 0;
-        self.seen += 1;
-        let frame = if sampled {
-            let start = std::time::Instant::now();
-            let frame = (self.encode)(&record);
-            self.encode_ns
-                .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            frame
-        } else {
-            (self.encode)(&record)
-        };
-        self.bytes_out
-            .fetch_add(frame.wire_len() as u64, Ordering::Relaxed);
-        let result = if sampled {
-            let start = std::time::Instant::now();
-            let result = self.writer.write(&frame);
-            self.blocked_write_ns
-                .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            result
-        } else {
-            self.writer.write(&frame)
-        };
-        if let Err(e) = result {
-            self.fail(e);
-        }
-        self.frames_out.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn write_batch(&mut self, batch: Vec<T>) {
-        // No batch encoder, or a batch too small to amortize the frame
-        // header: the per-record path keeps the wire identical to what
-        // per-tuple consumers already parse.
-        if self.encode_batch.is_none() || batch.len() < 2 {
-            for record in batch {
-                self.write(record);
-            }
-            return;
-        }
-        let sampled = self.seen & SINK_SAMPLE_MASK == 0;
-        self.seen += 1;
-        let encode_batch = self.encode_batch.as_mut().expect("checked above");
-        let frame = if sampled {
-            let start = std::time::Instant::now();
-            let frame = encode_batch(&batch);
-            self.encode_ns
-                .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            frame
-        } else {
-            encode_batch(&batch)
-        };
-        self.bytes_out
-            .fetch_add(frame.wire_len() as u64, Ordering::Relaxed);
-        let result = if sampled {
-            let start = std::time::Instant::now();
-            let result = self.writer.write(&frame);
-            self.blocked_write_ns
-                .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            result
-        } else {
-            self.writer.write(&frame)
-        };
-        if let Err(e) = result {
-            self.fail(e);
-        }
-        self.frames_out.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn finish(&mut self) {
-        if let Err(e) = self.writer.flush() {
-            self.fail(e);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -945,147 +662,6 @@ mod tests {
             1024,
         );
         assert!(matches!(r.read().unwrap_err(), NetError::Malformed { .. }));
-    }
-
-    #[test]
-    fn net_source_poisons_with_typed_error_on_disconnect() {
-        let reader = binary_reader(Vec::new(), 1024); // immediate EOF, no end frame
-        let cell = NetErrorCell::new();
-        let mut source: NetSource<_, u32> =
-            NetSource::new(reader, Box::new(|_| Ok(NetPoll::End)), cell.clone());
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| source.next()))
-            .expect_err("EOF without end frame must poison");
-        let typed = StageError::from_panic("stage/03_source", caught);
-        assert_eq!(typed.kind, FailureKind::Disconnect);
-        assert_eq!(cell.get(), Some(NetError::Disconnected));
-    }
-
-    #[test]
-    fn net_source_decodes_records_until_end() {
-        let mut buf = Vec::new();
-        {
-            let mut w = FrameWriter::new(&mut buf, WireFormat::Binary);
-            for v in [10u8, 20, 30] {
-                w.write(&WireFrame::Binary {
-                    tag: 1,
-                    payload: vec![v],
-                })
-                .unwrap();
-            }
-            w.write(&WireFrame::Binary {
-                tag: 2,
-                payload: Vec::new(),
-            })
-            .unwrap();
-        }
-        let mut source: NetSource<_, u8> = NetSource::new(
-            binary_reader(buf, 1024),
-            Box::new(|frame| match frame {
-                WireFrame::Binary { tag: 1, payload } => Ok(NetPoll::Record(payload[0])),
-                WireFrame::Binary { tag: 2, .. } => Ok(NetPoll::End),
-                _ => Err(NetError::malformed("unexpected frame")),
-            }),
-            NetErrorCell::new(),
-        );
-        let frames = source.frames_in_handle();
-        let mut got = Vec::new();
-        while let Some(v) = source.next() {
-            got.push(v);
-        }
-        assert_eq!(got, vec![10, 20, 30]);
-        assert_eq!(frames.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    fn net_sink_writes_frames_and_flushes() {
-        let buf: Vec<u8> = Vec::new();
-        let cell = NetErrorCell::new();
-        let mut sink: NetSink<_, u8> = NetSink::new(
-            FrameWriter::new(buf, WireFormat::Binary),
-            Box::new(|v: &u8| WireFrame::Binary {
-                tag: 3,
-                payload: vec![*v],
-            }),
-            cell.clone(),
-        );
-        sink.write(9);
-        sink.write(8);
-        sink.finish();
-        assert_eq!(sink.frames_out_handle().load(Ordering::Relaxed), 2);
-        // Two binary frames of 1 payload byte: (1 tag + 4 len + 1) each.
-        assert_eq!(sink.bytes_out_handle().load(Ordering::Relaxed), 12);
-        assert!(cell.get().is_none());
-    }
-
-    #[test]
-    fn net_sink_batch_encoder_emits_one_frame_per_batch() {
-        let buf: Vec<u8> = Vec::new();
-        let mut sink: NetSink<_, u8> = NetSink::new(
-            FrameWriter::new(buf, WireFormat::Binary),
-            Box::new(|v: &u8| WireFrame::Binary {
-                tag: 3,
-                payload: vec![*v],
-            }),
-            NetErrorCell::new(),
-        )
-        .with_batch_encode(Box::new(|batch: &[u8]| WireFrame::Binary {
-            tag: 7,
-            payload: batch.to_vec(),
-        }));
-        let frames_out = sink.frames_out_handle();
-        let bytes_out = sink.bytes_out_handle();
-        sink.write_batch(vec![1, 2, 3]);
-        assert_eq!(frames_out.load(Ordering::Relaxed), 1, "one frame, not 3");
-        // One frame: 1 tag + 4 len + 3 payload bytes.
-        assert_eq!(bytes_out.load(Ordering::Relaxed), 8);
-        // Singletons take the per-record path: same wire as unbatched.
-        sink.write_batch(vec![9]);
-        assert_eq!(frames_out.load(Ordering::Relaxed), 2);
-        assert_eq!(bytes_out.load(Ordering::Relaxed), 14);
-        sink.finish();
-    }
-
-    #[test]
-    fn net_sink_without_batch_encoder_falls_back_per_record() {
-        let buf: Vec<u8> = Vec::new();
-        let mut sink: NetSink<_, u8> = NetSink::new(
-            FrameWriter::new(buf, WireFormat::Binary),
-            Box::new(|v: &u8| WireFrame::Binary {
-                tag: 3,
-                payload: vec![*v],
-            }),
-            NetErrorCell::new(),
-        );
-        sink.write_batch(vec![1, 2, 3]);
-        assert_eq!(sink.frames_out_handle().load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    fn net_sink_poisons_on_broken_pipe() {
-        /// A writer that fails every write like a closed socket.
-        struct Broken;
-        impl Write for Broken {
-            fn write(&mut self, _buf: &[u8]) -> std::io::Result<usize> {
-                Err(std::io::Error::new(std::io::ErrorKind::BrokenPipe, "gone"))
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let cell = NetErrorCell::new();
-        let mut sink: NetSink<_, u8> = NetSink::new(
-            FrameWriter::new(Broken, WireFormat::Binary),
-            Box::new(|v: &u8| WireFrame::Binary {
-                tag: 3,
-                payload: vec![*v],
-            }),
-            cell.clone(),
-        );
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sink.write(1)))
-            .expect_err("write to a dead peer must poison");
-        let typed = StageError::from_panic("stage/00_sink", caught);
-        assert_eq!(typed.kind, FailureKind::Disconnect);
-        assert_eq!(cell.get(), Some(NetError::Disconnected));
     }
 
     #[test]

@@ -751,16 +751,6 @@ impl<T> PushPipeline<T> {
         }
     }
 
-    /// Poisons the stream the way a panicking [`Source::next`] would:
-    /// `payload` becomes the `source` stage's [`StageError`] (a typed
-    /// payload keeps its kind and message).
-    pub fn fail(&mut self, payload: Box<dyn std::any::Any + Send>) {
-        if std::mem::take(&mut self.open) {
-            let error = StageError::from_panic(&self.step.label, payload);
-            self.step.poison(error);
-        }
-    }
-
     /// Whether some stage has failed; a failed pipeline ignores what it
     /// is fed, so the caller may as well [`finish`](PushPipeline::finish).
     pub fn is_failed(&self) -> bool {
@@ -1372,26 +1362,6 @@ mod tests {
 
     #[test]
     fn pushed_pipeline_failures_are_typed_and_final() {
-        // The caller fails it, as a panicking source would have.
-        let sink = SharedVecSink::new();
-        let (head, source) = DataStream::push_source(WatermarkStrategy::none(), None);
-        let mut pipeline =
-            head.map(|x: i64| x)
-                .open_into(source, sink.clone(), &MetricsRegistry::new());
-        pipeline.push(1);
-        pipeline.fail(Box::new(StageError::new(
-            "peer",
-            FailureKind::Disconnect,
-            "went away",
-        )));
-        pipeline.push(2);
-        let err = pipeline.finish().unwrap_err();
-        assert_eq!(err.stage(), "stage/01_source");
-        assert_eq!(err.kind(), FailureKind::Disconnect);
-        assert_eq!(err.message(), "went away");
-        assert_eq!(sink.take(), vec![1], "nothing after the failure");
-
-        // A stage fails it.
         let (head, source) = DataStream::push_source(WatermarkStrategy::none(), None);
         let mut pipeline = head
             .map(|x: i64| if x == 2 { panic!("boom") } else { x })

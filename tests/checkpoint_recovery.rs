@@ -9,7 +9,8 @@
 //! 3. the on-disk WAL holds parseable, monotonically numbered frames;
 //! 4. a retry granted just before the wall-clock deadline must not
 //!    start an attempt that outlives it (`FailureKind::Deadline`
-//!    attribution is pinned).
+//!    attribution is pinned);
+//! 5. a job rejected at validation leaves an existing WAL untouched.
 //!
 //! Everything is seeded; outputs are reproducible bit-for-bit.
 
@@ -263,6 +264,39 @@ fn wal_backed_recovery_leaves_parseable_frames_on_disk() {
     // The last complete frame is exactly what recover_latest sees.
     let latest = CheckpointStore::recover_latest(&wal).unwrap().unwrap();
     assert_eq!(latest.epoch, frames.last().unwrap().epoch);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Opening the checkpoint store truncates `checkpoint.wal`, so a job
+/// rejected at validation must be rejected before it gets that far: an
+/// earlier run's WAL survives a job with out-of-range chaos rates.
+#[test]
+fn rejected_job_leaves_an_existing_wal_untouched() {
+    let dir = temp_dir("rejected");
+    let mut cfg = config("sequential", 1, false);
+    cfg.checkpoint.as_mut().unwrap().dir = Some(dir.to_string_lossy().into_owned());
+    compiled(&cfg).execute_supervised(tuples(200)).unwrap();
+    let wal = dir.join("checkpoint.wal");
+    let before = std::fs::read(&wal).expect("the calm run wrote a WAL");
+    assert!(!before.is_empty());
+
+    let job = PollutionJob::new(schema())
+        .with_chaos(ChaosConfig {
+            panic_rate: 1.5,
+            ..ChaosConfig::default()
+        })
+        .with_checkpointing(Some(dir.clone()), 1);
+    let err = job
+        .run_supervised(tuples(200), || Ok(vec![PollutionPipeline::empty()]))
+        .unwrap_err();
+    assert!(matches!(err, Error::Config(_)), "got: {err}");
+    let after = std::fs::read(&wal).unwrap();
+    assert!(
+        after == before,
+        "the WAL was rewritten ({} -> {} bytes)",
+        before.len(),
+        after.len()
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
