@@ -40,10 +40,10 @@ fn stream(n: usize) -> Vec<Tuple> {
         .collect()
 }
 
-fn pipeline(seed: u64) -> PollutionPipeline {
-    JobConfig::single(
-        seed,
-        vec![
+fn plan(logging: bool) -> LogicalPlan {
+    let plan = LogicalPlan::new(
+        42,
+        vec![vec![
             PolluterConfig::Standard {
                 name: "null-x".into(),
                 attributes: vec!["x".into()],
@@ -58,12 +58,9 @@ fn pipeline(seed: u64) -> PollutionPipeline {
                 condition: ConditionConfig::Probability { p: 0.2 },
                 pattern: None,
             },
-        ],
-    )
-    .build(&schema())
-    .unwrap()
-    .pop()
-    .unwrap()
+        ]],
+    );
+    LogicalPlan { logging, ..plan }
 }
 
 fn bench_obs_overhead(c: &mut Criterion) {
@@ -82,20 +79,21 @@ fn bench_obs_overhead(c: &mut Criterion) {
     let schema = schema();
     let tuples = stream(10_000);
 
-    // Full job, logging off: the hot path the <5% bar applies to.
+    // Full job, logging off: the hot path the <5% bar applies to. Each
+    // iteration builds the pipeline from the plan and runs it.
+    let unlogged = plan(false).compile(&schema).unwrap();
     group.bench_function("pollute_10k", |b| {
         b.iter(|| {
-            let job = PollutionJob::new(schema.clone()).without_logging();
-            let out = job.run(tuples.clone(), vec![pipeline(42)]).unwrap();
+            let out = unlogged.execute(tuples.clone()).unwrap();
             black_box(out.polluted.len())
         })
     });
 
     // Same job with ground-truth logging, for the logging-cost split.
+    let logged = plan(true).compile(&schema).unwrap();
     group.bench_function("pollute_10k_logged", |b| {
         b.iter(|| {
-            let job = PollutionJob::new(schema.clone());
-            let out = job.run(tuples.clone(), vec![pipeline(42)]).unwrap();
+            let out = logged.execute(tuples.clone()).unwrap();
             black_box(out.log.len())
         })
     });

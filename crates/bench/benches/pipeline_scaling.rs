@@ -36,6 +36,24 @@ fn noise_polluter(name: String) -> PolluterConfig {
     }
 }
 
+/// `pipelines` under round-robin assignment with `batch_size`, logging
+/// off, compiled against `schema`. Compiling is setup; each execution
+/// builds its pipelines (microseconds) and runs them.
+fn compiled(
+    schema: &Schema,
+    pipelines: Vec<Vec<PolluterConfig>>,
+    batch_size: usize,
+) -> PhysicalPlan {
+    LogicalPlan {
+        assigner: AssignerSpec::RoundRobin,
+        batch_size,
+        logging: false,
+        ..LogicalPlan::new(1, pipelines)
+    }
+    .compile(schema)
+    .unwrap()
+}
+
 /// Pipeline length sweep: ℓ ∈ {1, 2, 4, 8} polluters, one sub-stream.
 fn bench_pipeline_length(c: &mut Criterion) {
     let schema = schema();
@@ -44,18 +62,12 @@ fn bench_pipeline_length(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(4));
     group.sample_size(20);
     for l in [1usize, 2, 4, 8] {
-        let cfg = JobConfig::single(1, (0..l).map(|i| noise_polluter(format!("p{i}"))).collect());
-        group.bench_with_input(BenchmarkId::from_parameter(l), &cfg, |b, cfg| {
+        let pipeline = (0..l).map(|i| noise_polluter(format!("p{i}"))).collect();
+        let physical = compiled(&schema, vec![pipeline], DEFAULT_BATCH_SIZE);
+        group.bench_with_input(BenchmarkId::from_parameter(l), &physical, |b, physical| {
             b.iter_batched(
-                // Job and pipeline construction are setup, not workload.
-                || {
-                    (
-                        data.clone(),
-                        cfg.build(&schema).unwrap().pop().unwrap(),
-                        PollutionJob::new(schema.clone()).without_logging(),
-                    )
-                },
-                |(d, pipeline, job)| black_box(job.run(d, vec![pipeline]).unwrap().polluted.len()),
+                || data.clone(),
+                |d| black_box(physical.execute(d).unwrap().polluted.len()),
                 BatchSize::LargeInput,
             )
         });
@@ -72,28 +84,14 @@ fn bench_substream_count(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(4));
     group.sample_size(20);
     for m in [1usize, 2, 4] {
-        let cfg = JobConfig {
-            seed: 1,
-            pipelines: (0..m)
-                .map(|i| vec![noise_polluter(format!("m{i}"))])
-                .collect(),
-            supervision: None,
-            chaos: None,
-            checkpoint: None,
-            execution: None,
-        };
-        group.bench_with_input(BenchmarkId::from_parameter(m), &cfg, |b, cfg| {
+        let pipelines = (0..m)
+            .map(|i| vec![noise_polluter(format!("m{i}"))])
+            .collect();
+        let physical = compiled(&schema, pipelines, DEFAULT_BATCH_SIZE);
+        group.bench_with_input(BenchmarkId::from_parameter(m), &physical, |b, physical| {
             b.iter_batched(
-                || {
-                    (
-                        data.clone(),
-                        cfg.build(&schema).unwrap(),
-                        PollutionJob::new(schema.clone())
-                            .with_assigner(SubStreamAssigner::RoundRobin)
-                            .without_logging(),
-                    )
-                },
-                |(d, pipelines, job)| black_box(job.run(d, pipelines).unwrap().polluted.len()),
+                || data.clone(),
+                |d| black_box(physical.execute(d).unwrap().polluted.len()),
                 BatchSize::LargeInput,
             )
         });
@@ -107,40 +105,29 @@ fn bench_substream_count(c: &mut Criterion) {
 fn bench_batch_size(c: &mut Criterion) {
     let schema = schema();
     let data = stream(10_000);
-    let cfg = JobConfig {
-        seed: 1,
-        pipelines: (0..4)
-            .map(|m| {
-                (0..4)
-                    .map(|i| noise_polluter(format!("m{m}p{i}")))
-                    .collect()
-            })
-            .collect(),
-        supervision: None,
-        chaos: None,
-        checkpoint: None,
-        execution: None,
-    };
+    let pipelines: Vec<Vec<PolluterConfig>> = (0..4)
+        .map(|m| {
+            (0..4)
+                .map(|i| noise_polluter(format!("m{m}p{i}")))
+                .collect()
+        })
+        .collect();
     let mut group = c.benchmark_group("batch_size");
     group.measurement_time(Duration::from_secs(4));
     group.sample_size(20);
     for batch in [1usize, 64, 256, 4096] {
-        group.bench_with_input(BenchmarkId::from_parameter(batch), &batch, |b, &batch| {
-            b.iter_batched(
-                || {
-                    (
-                        data.clone(),
-                        cfg.build(&schema).unwrap(),
-                        PollutionJob::new(schema.clone())
-                            .with_assigner(SubStreamAssigner::RoundRobin)
-                            .with_batch_size(batch)
-                            .without_logging(),
-                    )
-                },
-                |(d, pipelines, job)| black_box(job.run(d, pipelines).unwrap().polluted.len()),
-                BatchSize::LargeInput,
-            )
-        });
+        let physical = compiled(&schema, pipelines.clone(), batch);
+        group.bench_with_input(
+            BenchmarkId::from_parameter(batch),
+            &physical,
+            |b, physical| {
+                b.iter_batched(
+                    || data.clone(),
+                    |d| black_box(physical.execute(d).unwrap().polluted.len()),
+                    BatchSize::LargeInput,
+                )
+            },
+        );
     }
     group.finish();
 }

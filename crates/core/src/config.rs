@@ -2,10 +2,12 @@
 //!
 //! Inexperienced users configure Icewafl through a JSON document
 //! describing conditions, error types, and (possibly nested) polluters;
-//! experts drop down to the trait-level API. This module is the bridge:
-//! a serde data model plus a builder that binds a configuration to a
-//! schema, deriving a deterministic RNG per component from the master
-//! seed and the component's path (see [`crate::rng`]).
+//! experts drop down to the trait-level API. The document is a
+//! [`LogicalPlan`](crate::plan::LogicalPlan); this module holds the
+//! serde data model of its parts (polluters, conditions, errors, the
+//! fault-tolerance sections) and the builder that binds polluter specs
+//! to a schema, deriving a deterministic RNG per component from the
+//! master seed and the component's path (see [`crate::rng`]).
 //!
 //! ```json
 //! {
@@ -40,110 +42,8 @@ use icewafl_stream::supervisor::SupervisorPolicy;
 use icewafl_types::{parse_timestamp, Duration, Error, Result, Schema, Value};
 use serde::{Deserialize, Serialize};
 
-/// Root configuration: a master seed and `m` pipelines (one per
-/// sub-stream), plus optional fault-tolerance sections.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
-pub struct JobConfig {
-    /// Master seed; all component RNGs derive from it.
-    #[serde(default)]
-    pub seed: u64,
-    /// One polluter list per sub-stream pipeline.
-    pub pipelines: Vec<Vec<PolluterConfig>>,
-    /// Supervised-retry policy (absent = fail-fast, no retries).
-    #[serde(default)]
-    pub supervision: Option<SupervisionConfig>,
-    /// Runtime fault injection for chaos testing (absent = disabled).
-    #[serde(default)]
-    pub chaos: Option<ChaosSectionConfig>,
-    /// Optional execution overrides (assigner, strategy, watermark
-    /// period); absent = plan-level defaults.
-    #[serde(default)]
-    pub execution: Option<ExecutionSectionConfig>,
-    /// Epoch-aligned checkpointing (absent = disabled; supervised
-    /// retries restart from scratch).
-    #[serde(default)]
-    pub checkpoint: Option<CheckpointSectionConfig>,
-}
-
-impl JobConfig {
-    /// A single-pipeline configuration.
-    pub fn single(seed: u64, polluters: Vec<PolluterConfig>) -> Self {
-        JobConfig {
-            seed,
-            pipelines: vec![polluters],
-            supervision: None,
-            chaos: None,
-            execution: None,
-            checkpoint: None,
-        }
-    }
-
-    /// Parses a JSON document.
-    pub fn from_json(json: &str) -> Result<Self> {
-        serde_json::from_str(json).map_err(|e| Error::config(format_args!("bad JSON config: {e}")))
-    }
-
-    /// Serializes to pretty JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("config is always serializable")
-    }
-
-    /// Binds the configuration to a schema, producing runnable
-    /// pipelines. Building is deterministic in `seed`.
-    pub fn build(&self, schema: &Schema) -> Result<Vec<PollutionPipeline>> {
-        build_pipelines(self.seed, &self.pipelines, schema)
-    }
-
-    /// Lowers the configuration to a
-    /// [`LogicalPlan`](crate::plan::LogicalPlan) — the single job
-    /// representation every entry point (JSON config, builder API, CLI)
-    /// compiles and executes through.
-    pub fn to_plan(&self) -> crate::plan::LogicalPlan {
-        let execution = self.execution.clone().unwrap_or_default();
-        crate::plan::LogicalPlan {
-            seed: self.seed,
-            pipelines: self.pipelines.clone(),
-            assigner: execution.assigner,
-            strategy: execution.strategy,
-            repr: execution.repr,
-            watermark_period: execution.watermark_period.unwrap_or(64),
-            batch_size: execution
-                .batch_size
-                .unwrap_or(crate::plan::DEFAULT_BATCH_SIZE),
-            logging: true,
-            supervision: self.supervision.clone(),
-            chaos: self.chaos.clone(),
-            checkpoint: self.checkpoint.clone(),
-        }
-    }
-}
-
-/// Serializable execution overrides (`JobConfig::execution`).
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq, Default)]
-pub struct ExecutionSectionConfig {
-    /// Sub-stream assignment strategy.
-    #[serde(default)]
-    pub assigner: crate::plan::AssignerSpec,
-    /// Accepted for compatibility; see
-    /// [`StrategyHint`](crate::plan::StrategyHint).
-    #[serde(default)]
-    pub strategy: crate::plan::StrategyHint,
-    /// Accepted for compatibility; see
-    /// [`ReprHint`](crate::plan::ReprHint).
-    #[serde(default)]
-    pub repr: crate::plan::ReprHint,
-    /// Source watermark period in tuples (absent = plan default).
-    #[serde(default)]
-    pub watermark_period: Option<u64>,
-    /// Records per frame on the router → sub-stream edges and on the
-    /// output (absent = plan default; `1` = unbatched).
-    /// Performance-only: output is bit-identical across batch sizes.
-    #[serde(default)]
-    pub batch_size: Option<usize>,
-}
-
-/// Builds runnable pipelines from polluter specs — the one construction
-/// path shared by [`JobConfig::build`] and
+/// Builds runnable pipelines from polluter specs — the construction
+/// behind
 /// [`LogicalPlan::build_pipelines`](crate::plan::LogicalPlan::build_pipelines).
 /// Deterministic in `seed`: component RNGs derive from the master seed
 /// and the component's path.
@@ -168,7 +68,7 @@ pub(crate) fn build_pipelines(
         .collect()
 }
 
-/// Serializable supervised-retry policy (`JobConfig::supervision`).
+/// Serializable supervised-retry policy (`LogicalPlan::supervision`).
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub struct SupervisionConfig {
     /// Retries allowed per stage before the failure becomes final.
@@ -224,7 +124,7 @@ impl SupervisionConfig {
     }
 }
 
-/// Serializable checkpointing policy (`JobConfig::checkpoint`).
+/// Serializable checkpointing policy (`LogicalPlan::checkpoint`).
 ///
 /// Enabling it makes supervised retries *resume* from the latest
 /// complete epoch-aligned snapshot instead of restarting the whole
@@ -251,7 +151,7 @@ impl Default for CheckpointSectionConfig {
     }
 }
 
-/// Serializable chaos-injection rates (`JobConfig::chaos`). All rates
+/// Serializable chaos-injection rates (`LogicalPlan::chaos`). All rates
 /// are per-record probabilities in `[0, 1]`.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub struct ChaosSectionConfig {
@@ -945,6 +845,7 @@ pub fn build_polluter(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::LogicalPlan;
     use crate::runner::pollute_stream;
     use icewafl_types::{DataType, Timestamp, Tuple};
 
@@ -955,6 +856,10 @@ mod tests {
             ("Distance", DataType::Float),
         ])
         .unwrap()
+    }
+
+    fn single(seed: u64, polluters: Vec<PolluterConfig>) -> LogicalPlan {
+        LogicalPlan::new(seed, vec![polluters])
     }
 
     fn stream(n: i64) -> Vec<Tuple> {
@@ -971,7 +876,7 @@ mod tests {
 
     #[test]
     fn json_round_trip() {
-        let cfg = JobConfig::single(
+        let cfg = single(
             42,
             vec![PolluterConfig::Standard {
                 name: "null-distance".into(),
@@ -985,7 +890,7 @@ mod tests {
             }],
         );
         let json = cfg.to_json();
-        let back = JobConfig::from_json(&json).unwrap();
+        let back = LogicalPlan::from_json(&json).unwrap();
         assert_eq!(back, cfg);
     }
 
@@ -1010,15 +915,15 @@ mod tests {
                 }
             ]]
         }"#;
-        let cfg = JobConfig::from_json(json).unwrap();
-        let pipelines = cfg.build(&schema()).unwrap();
+        let cfg = LogicalPlan::from_json(json).unwrap();
+        let pipelines = cfg.build_pipelines(&schema()).unwrap();
         assert_eq!(pipelines.len(), 1);
         assert_eq!(pipelines[0].len(), 1);
     }
 
     #[test]
     fn built_pipeline_executes() {
-        let cfg = JobConfig::single(
+        let cfg = single(
             3,
             vec![PolluterConfig::Standard {
                 name: "null".into(),
@@ -1028,7 +933,7 @@ mod tests {
                 pattern: None,
             }],
         );
-        let mut pipelines = cfg.build(&schema()).unwrap();
+        let mut pipelines = cfg.build_pipelines(&schema()).unwrap();
         let out = pollute_stream(&schema(), stream(1000), pipelines.pop().unwrap()).unwrap();
         let nulls = out
             .polluted
@@ -1040,7 +945,7 @@ mod tests {
 
     #[test]
     fn build_is_deterministic_in_seed() {
-        let cfg = JobConfig::single(
+        let cfg = single(
             99,
             vec![PolluterConfig::Standard {
                 name: "null".into(),
@@ -1050,8 +955,8 @@ mod tests {
                 pattern: None,
             }],
         );
-        let run = |cfg: &JobConfig| {
-            let mut p = cfg.build(&schema()).unwrap();
+        let run = |cfg: &LogicalPlan| {
+            let mut p = cfg.build_pipelines(&schema()).unwrap();
             pollute_stream(&schema(), stream(500), p.pop().unwrap())
                 .unwrap()
                 .log
@@ -1062,8 +967,8 @@ mod tests {
         other.seed = 100;
         // Overwhelmingly likely to differ in which tuples were hit; the
         // count may coincide, so compare polluted ids instead.
-        let ids = |cfg: &JobConfig| {
-            let mut p = cfg.build(&schema()).unwrap();
+        let ids = |cfg: &LogicalPlan| {
+            let mut p = cfg.build_pipelines(&schema()).unwrap();
             let out = pollute_stream(&schema(), stream(500), p.pop().unwrap()).unwrap();
             let mut v: Vec<u64> = out.log.polluted_tuple_ids().into_iter().collect();
             v.sort_unstable();
@@ -1074,7 +979,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_probability() {
-        let cfg = JobConfig::single(
+        let cfg = single(
             1,
             vec![PolluterConfig::Standard {
                 name: "x".into(),
@@ -1084,12 +989,12 @@ mod tests {
                 pattern: None,
             }],
         );
-        assert!(cfg.build(&schema()).is_err());
+        assert!(cfg.build_pipelines(&schema()).is_err());
     }
 
     #[test]
     fn rejects_unknown_attribute() {
-        let cfg = JobConfig::single(
+        let cfg = single(
             1,
             vec![PolluterConfig::Standard {
                 name: "x".into(),
@@ -1099,12 +1004,12 @@ mod tests {
                 pattern: None,
             }],
         );
-        assert!(cfg.build(&schema()).is_err());
+        assert!(cfg.build_pipelines(&schema()).is_err());
     }
 
     #[test]
     fn rejects_bad_timestamp_string() {
-        let cfg = JobConfig::single(
+        let cfg = single(
             1,
             vec![PolluterConfig::Delay {
                 name: "x".into(),
@@ -1115,7 +1020,7 @@ mod tests {
                 delay_ms: 10,
             }],
         );
-        assert!(cfg.build(&schema()).is_err());
+        assert!(cfg.build_pipelines(&schema()).is_err());
     }
 
     #[test]
@@ -1136,7 +1041,7 @@ mod tests {
             ErrorConfig::UnitConversion { factor: 100_000.0 },
         ];
         for (i, e) in errors.into_iter().enumerate() {
-            let cfg = JobConfig::single(
+            let cfg = single(
                 1,
                 vec![PolluterConfig::Standard {
                     name: format!("p{i}"),
@@ -1146,7 +1051,7 @@ mod tests {
                     pattern: None,
                 }],
             );
-            assert!(cfg.build(&schema()).is_ok(), "error config {i}");
+            assert!(cfg.build_pipelines(&schema()).is_ok(), "error config {i}");
         }
     }
 
@@ -1195,7 +1100,7 @@ mod tests {
             },
         ];
         for (i, c) in conds.into_iter().enumerate() {
-            let cfg = JobConfig::single(
+            let cfg = single(
                 1,
                 vec![PolluterConfig::Standard {
                     name: format!("p{i}"),
@@ -1205,7 +1110,10 @@ mod tests {
                     pattern: None,
                 }],
             );
-            assert!(cfg.build(&schema()).is_ok(), "condition config {i}");
+            assert!(
+                cfg.build_pipelines(&schema()).is_ok(),
+                "condition config {i}"
+            );
         }
     }
 
@@ -1217,7 +1125,7 @@ mod tests {
             "supervision": { "max_retries": 3, "deterministic": true, "deadline_ms": 5000 },
             "chaos": { "panic_rate": 0.01, "panic_budget": 1, "drop_rate": 0.5 }
         }"#;
-        let cfg = JobConfig::from_json(json).unwrap();
+        let cfg = LogicalPlan::from_json(json).unwrap();
         let policy = cfg.supervision.as_ref().unwrap().to_policy(cfg.seed);
         assert_eq!(policy.max_retries, 3);
         assert!(policy.deterministic);
@@ -1238,12 +1146,12 @@ mod tests {
 
     #[test]
     fn absent_fault_sections_round_trip_and_old_configs_parse() {
-        let cfg = JobConfig::single(1, vec![]);
-        let back = JobConfig::from_json(&cfg.to_json()).unwrap();
+        let cfg = single(1, vec![]);
+        let back = LogicalPlan::from_json(&cfg.to_json()).unwrap();
         assert_eq!(back, cfg);
         // Configs written before the fault sections existed still parse.
         let old = r#"{ "seed": 2, "pipelines": [[]] }"#;
-        let back = JobConfig::from_json(old).unwrap();
+        let back = LogicalPlan::from_json(old).unwrap();
         assert!(back.supervision.is_none());
         assert!(back.chaos.is_none());
     }
@@ -1252,7 +1160,7 @@ mod tests {
     fn propagation_config_builds_and_cascades() {
         // Trigger: Distance gets nulled at p=0.2; consequent: BPM scaled
         // to 0.5 for the following minute.
-        let cfg = JobConfig::single(
+        let cfg = single(
             4,
             vec![PolluterConfig::Propagation {
                 name: "cascade".into(),
@@ -1264,7 +1172,7 @@ mod tests {
                 attributes: vec!["BPM".into()],
             }],
         );
-        let pipeline = cfg.build(&schema()).unwrap().pop().unwrap();
+        let pipeline = cfg.build_pipelines(&schema()).unwrap().pop().unwrap();
         let out = pollute_stream(&schema(), stream(500), pipeline).unwrap();
         assert!(!out.log.is_empty(), "cascades fired");
         assert!(out.log.entries().iter().all(
@@ -1289,7 +1197,7 @@ mod tests {
                 ])
             })
             .collect();
-        let cfg = JobConfig::single(
+        let cfg = single(
             6,
             vec![PolluterConfig::Keyed {
                 name: "per-sensor".into(),
@@ -1303,7 +1211,7 @@ mod tests {
                 }),
             }],
         );
-        let pipeline = cfg.build(&keyed_schema).unwrap().pop().unwrap();
+        let pipeline = cfg.build_pipelines(&keyed_schema).unwrap().pop().unwrap();
         let out = pollute_stream(&keyed_schema, tuples, pipeline).unwrap();
         let polluted = out.log.polluted_tuple_ids();
         assert!(
@@ -1318,7 +1226,7 @@ mod tests {
 
     #[test]
     fn keyed_config_rejects_bad_template() {
-        let cfg = JobConfig::single(
+        let cfg = single(
             1,
             vec![PolluterConfig::Keyed {
                 name: "x".into(),
@@ -1333,16 +1241,16 @@ mod tests {
             }],
         );
         assert!(
-            cfg.build(&schema()).is_err(),
+            cfg.build_pipelines(&schema()).is_err(),
             "template validated at build time"
         );
     }
 
     #[test]
     fn temporal_polluters_build_and_run() {
-        let cfg = JobConfig {
-            seed: 5,
-            pipelines: vec![vec![
+        let cfg = LogicalPlan::new(
+            5,
+            vec![vec![
                 PolluterConfig::Delay {
                     name: "delay".into(),
                     condition: ConditionConfig::Probability { p: 0.1 },
@@ -1364,12 +1272,8 @@ mod tests {
                     duration_ms: 600_000,
                 },
             ]],
-            supervision: None,
-            chaos: None,
-            execution: None,
-            checkpoint: None,
-        };
-        let mut pipelines = cfg.build(&schema()).unwrap();
+        );
+        let mut pipelines = cfg.build_pipelines(&schema()).unwrap();
         let out = pollute_stream(&schema(), stream(2000), pipelines.pop().unwrap()).unwrap();
         assert!(!out.log.is_empty());
         let counts = out.log.counts_by_polluter();

@@ -20,10 +20,13 @@
 //!
 //! Polluters compose into [pipelines](pipeline::PollutionPipeline),
 //! optionally structured by [composite](pipeline::CompositePolluter) and
-//! [one-of](pipeline::OneOfPolluter) polluters, and run end-to-end via
-//! [`runner::PollutionJob`] (Algorithm 1 of the paper: prepare → split
-//! into `m` overlapping sub-streams → pollute → merge → sort). Every
-//! applied error is recorded in a ground-truth [log](log::PollutionLog).
+//! [one-of](pipeline::OneOfPolluter) polluters. A job is described by a
+//! [`LogicalPlan`] — the same document the CLI and the server read — and
+//! runs end-to-end once compiled (Algorithm 1 of the paper: prepare →
+//! split into `m` overlapping sub-streams → pollute → merge → sort); a
+//! pipeline built by hand from the trait-level API runs through
+//! [`runner::pollute_stream`]. Every applied error is recorded in a
+//! ground-truth [log](log::PollutionLog).
 //!
 //! ## Quick start
 //!
@@ -36,23 +39,22 @@
 //!     ("Temp", DataType::Float),
 //! ]).unwrap();
 //!
-//! // A configuration-driven pipeline: null `Temp` with the paper's
-//! // daily sinusoidal probability.
-//! let config = JobConfig::single(42, vec![PolluterConfig::Standard {
+//! // A one-pipeline plan: null `Temp` with the paper's daily
+//! // sinusoidal probability.
+//! let plan = LogicalPlan::new(42, vec![vec![PolluterConfig::Standard {
 //!     name: "null-temp".into(),
 //!     attributes: vec!["Temp".into()],
 //!     error: ErrorConfig::MissingValue,
 //!     condition: ConditionConfig::Sinusoidal { amplitude: 0.25, offset: 0.25 },
 //!     pattern: None,
-//! }]);
+//! }]]);
 //!
 //! let tuples: Vec<Tuple> = (0..48).map(|h| Tuple::new(vec![
 //!     Value::Timestamp(Timestamp(h * 3_600_000)),
 //!     Value::Float(20.0),
 //! ])).collect();
 //!
-//! let pipeline = config.build(&schema).unwrap().pop().unwrap();
-//! let out = pollute_stream(&schema, tuples, pipeline).unwrap();
+//! let out = plan.compile(&schema).unwrap().execute(tuples).unwrap();
 //! assert_eq!(out.polluted.len(), 48);
 //! assert_eq!(out.log.polluted_tuple_ids().len(),
 //!            out.polluted.iter().filter(|t| t.tuple.get(1).unwrap().is_null()).count());
@@ -83,8 +85,8 @@ pub use catalog::PlanCatalog;
 pub use columnar::{lower_pipeline, lowering_blocker, pipeline_lowerable, ColumnPipeline};
 pub use condition::Condition;
 pub use config::{
-    ChaosSectionConfig, CheckpointSectionConfig, ConditionConfig, ErrorConfig,
-    ExecutionSectionConfig, JobConfig, PolluterConfig, SupervisionConfig,
+    ChaosSectionConfig, CheckpointSectionConfig, ConditionConfig, ErrorConfig, PolluterConfig,
+    SupervisionConfig,
 };
 pub use error_fn::ErrorFunction;
 pub use log::{LogEntry, PollutionLog};
@@ -96,10 +98,7 @@ pub use plan::{
 };
 pub use polluter::{BoxPolluter, Emission, Polluter, StandardPolluter};
 pub use report::RunReport;
-pub use runner::{
-    pollute_stream, PipelineOperator, PollutionJob, PollutionOutput, StreamingSession,
-    SubStreamAssigner,
-};
+pub use runner::{pollute_stream, PipelineOperator, PollutionOutput, StreamingSession};
 pub use stats::{CountingRng, PolluterStats, PolluterStatsHandle, PolluterStatsSnapshot};
 
 /// Everything needed for typical pollution jobs.
@@ -110,8 +109,8 @@ pub mod prelude {
         TimeWindow, ValueCondition,
     };
     pub use crate::config::{
-        ChaosSectionConfig, CheckpointSectionConfig, ConditionConfig, ErrorConfig,
-        ExecutionSectionConfig, JobConfig, PolluterConfig, SupervisionConfig,
+        ChaosSectionConfig, CheckpointSectionConfig, ConditionConfig, ErrorConfig, PolluterConfig,
+        SupervisionConfig,
     };
     pub use crate::error_fn::{
         Constant, ErrorFunction, GaussianNoise, IncorrectCategory, MissingValue, Outlier, Rounding,
@@ -129,7 +128,7 @@ pub mod prelude {
     pub use crate::propagation::{KeyedPolluter, PropagationPolluter};
     pub use crate::report::RunReport;
     pub use crate::rng::{ComponentPath, SeedFactory};
-    pub use crate::runner::{pollute_stream, PollutionJob, PollutionOutput, SubStreamAssigner};
+    pub use crate::runner::{pollute_stream, PollutionOutput};
     pub use crate::stats::{PolluterStats, PolluterStatsHandle, PolluterStatsSnapshot};
     pub use crate::temporal::{
         BurstPolluter, DelayPolluter, DropPolluter, DuplicatePolluter, FreezePolluter,
@@ -164,15 +163,14 @@ mod proptests {
         /// stream.
         #[test]
         fn never_condition_is_identity(n in 0usize..200) {
-            let cfg = JobConfig::single(1, vec![PolluterConfig::Standard {
+            let plan = LogicalPlan::new(1, vec![vec![PolluterConfig::Standard {
                 name: "noop".into(),
                 attributes: vec!["x".into()],
                 error: ErrorConfig::MissingValue,
                 condition: ConditionConfig::Never,
                 pattern: None,
-            }]);
-            let pipeline = cfg.build(&schema()).unwrap().pop().unwrap();
-            let out = pollute_stream(&schema(), stream(n), pipeline).unwrap();
+            }]]);
+            let out = plan.compile(&schema()).unwrap().execute(stream(n)).unwrap();
             prop_assert_eq!(out.clean, out.polluted);
             prop_assert!(out.log.is_empty());
         }
@@ -181,15 +179,14 @@ mod proptests {
         /// order.
         #[test]
         fn value_polluters_preserve_stream_shape(n in 1usize..300, p in 0.0f64..1.0, seed in 0u64..1000) {
-            let cfg = JobConfig::single(seed, vec![PolluterConfig::Standard {
+            let plan = LogicalPlan::new(seed, vec![vec![PolluterConfig::Standard {
                 name: "null".into(),
                 attributes: vec!["x".into()],
                 error: ErrorConfig::MissingValue,
                 condition: ConditionConfig::Probability { p },
                 pattern: None,
-            }]);
-            let pipeline = cfg.build(&schema()).unwrap().pop().unwrap();
-            let out = pollute_stream(&schema(), stream(n), pipeline).unwrap();
+            }]]);
+            let out = plan.compile(&schema()).unwrap().execute(stream(n)).unwrap();
             prop_assert_eq!(out.polluted.len(), n);
             let ids: Vec<u64> = out.polluted.iter().map(|t| t.id).collect();
             prop_assert_eq!(ids, (0..n as u64).collect::<Vec<_>>());
@@ -202,15 +199,14 @@ mod proptests {
         /// value polluters.
         #[test]
         fn log_matches_diff(n in 1usize..300, p in 0.0f64..1.0, seed in 0u64..1000) {
-            let cfg = JobConfig::single(seed, vec![PolluterConfig::Standard {
+            let plan = LogicalPlan::new(seed, vec![vec![PolluterConfig::Standard {
                 name: "scale".into(),
                 attributes: vec!["x".into()],
                 error: ErrorConfig::Scale { factor: 2.0 },
                 condition: ConditionConfig::Probability { p },
                 pattern: None,
-            }]);
-            let pipeline = cfg.build(&schema()).unwrap().pop().unwrap();
-            let out = pollute_stream(&schema(), stream(n), pipeline).unwrap();
+            }]]);
+            let out = plan.compile(&schema()).unwrap().execute(stream(n)).unwrap();
             let diff_ids: std::collections::HashSet<u64> = out
                 .clean
                 .iter()
@@ -225,7 +221,7 @@ mod proptests {
         /// extra_copies.
         #[test]
         fn drop_duplicate_counting(n in 1usize..300, seed in 0u64..500) {
-            let cfg = JobConfig { seed, pipelines: vec![vec![
+            let plan = LogicalPlan::new(seed, vec![vec![
                 PolluterConfig::Drop {
                     name: "drop".into(),
                     condition: ConditionConfig::Probability { p: 0.1 },
@@ -235,9 +231,8 @@ mod proptests {
                     condition: ConditionConfig::Probability { p: 0.1 },
                     copies: 2,
                 },
-            ]], supervision: None, chaos: None, execution: None, checkpoint: None };
-            let pipeline = cfg.build(&schema()).unwrap().pop().unwrap();
-            let out = pollute_stream(&schema(), stream(n), pipeline).unwrap();
+            ]]);
+            let out = plan.compile(&schema()).unwrap().execute(stream(n)).unwrap();
             let dropped = out.log.counts_by_polluter().get("drop").copied().unwrap_or(0);
             let duplicated = out.log.counts_by_polluter().get("dup").copied().unwrap_or(0);
             prop_assert_eq!(out.polluted.len(), n - dropped + 2 * duplicated);
@@ -247,13 +242,12 @@ mod proptests {
         /// arrival.
         #[test]
         fn delay_conserves_and_sorts(n in 1usize..300, p in 0.0f64..1.0, seed in 0u64..500) {
-            let cfg = JobConfig::single(seed, vec![PolluterConfig::Delay {
+            let plan = LogicalPlan::new(seed, vec![vec![PolluterConfig::Delay {
                 name: "delay".into(),
                 condition: ConditionConfig::Probability { p },
                 delay_ms: 10_000,
-            }]);
-            let pipeline = cfg.build(&schema()).unwrap().pop().unwrap();
-            let out = pollute_stream(&schema(), stream(n), pipeline).unwrap();
+            }]]);
+            let out = plan.compile(&schema()).unwrap().execute(stream(n)).unwrap();
             prop_assert_eq!(out.polluted.len(), n);
             prop_assert!(out.polluted.windows(2).all(|w| w[0].arrival <= w[1].arrival));
         }

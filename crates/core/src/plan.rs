@@ -1,17 +1,19 @@
 //! Logical/physical plan split with epoch-based runtime
 //! reconfiguration.
 //!
-//! Every way of describing a pollution job — a JSON document
-//! ([`JobConfig`](crate::config::JobConfig)), the
-//! [`PollutionJob`](crate::runner::PollutionJob) builder, or CLI flags —
-//! lowers to the same serializable [`LogicalPlan`]: *what* to pollute
-//! (seed, per-sub-stream polluter specs, assigner) and under which
-//! fault-tolerance/observability settings. [`LogicalPlan::compile`]
-//! turns it into a [`PhysicalPlan`]: the resolved sub-stream assigner
-//! and the predicted stage layout (labels + metric names, rendered by
-//! [`PhysicalPlan::explain`]). Execution happens through one path —
-//! the runner's private `execute_attempt` — regardless of the entry
-//! point.
+//! A pollution job is described one way: as a serializable
+//! [`LogicalPlan`] — *what* to pollute (seed, per-sub-stream polluter
+//! specs, assigner) and under which execution, fault-tolerance and
+//! observability settings. The CLI's `--config` file, a `serve
+//! --plans-dir` catalog entry, a session handshake and code all write
+//! the same document; CLI flags edit it before it compiles.
+//! [`LogicalPlan::compile`] turns it into a [`PhysicalPlan`]: the
+//! resolved sub-stream assigner and the predicted stage layout (labels +
+//! metric names, rendered by [`PhysicalPlan::explain`]). Execution
+//! happens through one path — the runner's private `execute_attempt` —
+//! which also runs the hand-built pipelines of
+//! [`pollute_stream`](crate::runner::pollute_stream) under the settings
+//! a default plan compiles to.
 //!
 //! On top of the compile→execute split sits **runtime
 //! reconfiguration** in the style of Fries (arXiv:2210.10306): a
@@ -150,7 +152,7 @@ pub enum AssignerSpec {
 impl AssignerSpec {
     /// Resolves the spec for `m` sub-streams; probabilistic assignment
     /// derives its RNG from the plan's master `seed`.
-    pub fn resolve(self, m: usize, seed: u64) -> SubStreamAssigner {
+    pub(crate) fn resolve(self, m: usize, seed: u64) -> SubStreamAssigner {
         match self {
             AssignerSpec::Auto => {
                 if m > 1 {
@@ -256,9 +258,23 @@ impl LogicalPlan {
         }
     }
 
-    /// Parses a JSON document.
+    /// Parses a JSON document. A top-level key that is not a plan field
+    /// is an [`Error::Plan`] naming it, so a misspelt or retired setting
+    /// cannot be ignored without a word.
     pub fn from_json(json: &str) -> Result<Self> {
-        serde_json::from_str(json).map_err(|e| Error::plan(format_args!("bad JSON plan: {e}")))
+        match unknown_top_level_key(json).as_deref() {
+            Some("execution") => Err(Error::plan(
+                "plan key `execution` is not a section any more: put its keys \
+                 (`assigner`, `strategy`, `repr`, `watermark_period`, `batch_size`) \
+                 at the top level of the plan",
+            )),
+            Some(key) => Err(Error::plan(format_args!(
+                "unknown plan key `{key}` (expected one of: {})",
+                PLAN_KEYS.join(", ")
+            ))),
+            None => serde_json::from_str(json)
+                .map_err(|e| Error::plan(format_args!("bad JSON plan: {e}"))),
+        }
     }
 
     /// Serializes to pretty JSON.
@@ -328,7 +344,6 @@ impl LogicalPlan {
         }
         let m = self.substreams();
         let stages = predict_stages(m, chaos.is_some());
-        let control = ControlChannel::new();
         let settings = ExecSettings {
             schema: schema.clone(),
             assigner: self.assigner.resolve(m, self.seed),
@@ -337,7 +352,7 @@ impl LogicalPlan {
             logging: self.logging,
             supervision: self.supervisor_policy(),
             chaos,
-            control: Some(control.clone()),
+            control: ControlChannel::new(),
             checkpoint: self.checkpoint.as_ref().map(|c| CheckpointSettings {
                 dir: c.dir.as_ref().map(std::path::PathBuf::from),
                 interval_epochs: c.interval_epochs.max(1),
@@ -350,6 +365,40 @@ impl LogicalPlan {
             latest: Arc::new(Mutex::new(self.clone())),
         })
     }
+}
+
+/// The top-level keys of a [`LogicalPlan`] document: its field names.
+/// `plan_serde_round_trip` fails when a field is missing here, since
+/// `to_json` writes every field.
+const PLAN_KEYS: [&str; 11] = [
+    "seed",
+    "pipelines",
+    "assigner",
+    "strategy",
+    "repr",
+    "watermark_period",
+    "batch_size",
+    "logging",
+    "supervision",
+    "chaos",
+    "checkpoint",
+];
+
+/// The first top-level key of `json` outside [`PLAN_KEYS`]. `None` as
+/// well when `json` is not an object or does not lex: the full parse
+/// that follows reports that.
+fn unknown_top_level_key(json: &str) -> Option<String> {
+    let mut lexer = serde_json::Lexer::new(json);
+    if lexer.value().ok()? != serde_json::Token::ObjectStart {
+        return None;
+    }
+    while let Some(key) = lexer.key().ok()? {
+        if !PLAN_KEYS.contains(&&*key) {
+            return Some(key.into_owned());
+        }
+        lexer.skip_value().ok()?;
+    }
+    None
 }
 
 /// One edit to a [`LogicalPlan`], applied via [`LogicalPlan::apply`] or
@@ -699,6 +748,11 @@ impl PhysicalPlan {
         &self.settings.schema
     }
 
+    /// The execution settings the plan compiled to.
+    pub(crate) fn settings(&self) -> &ExecSettings {
+        &self.settings
+    }
+
     /// The predicted stage layout (labels count sink-first).
     pub fn stages(&self) -> &[StageInfo] {
         &self.stages
@@ -732,11 +786,7 @@ impl PhysicalPlan {
     pub fn control_handle(&self) -> ControlHandle {
         ControlHandle {
             schema: self.settings.schema.clone(),
-            channel: self
-                .settings
-                .control
-                .clone()
-                .expect("compiled plans always carry a control channel"),
+            channel: self.settings.control.clone(),
             latest: Arc::clone(&self.latest),
         }
     }
@@ -939,7 +989,6 @@ impl ControlHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::JobConfig;
     use crate::runner::pollute_stream;
     use icewafl_types::{DataType, Tuple, Value};
 
@@ -989,21 +1038,41 @@ mod tests {
 
     #[test]
     fn compiled_plan_matches_direct_runner_output() {
-        // The plan path and the historical pollute_stream path must
+        // The plan path and the hand-built pollute_stream path must
         // produce bit-identical pollution for the same seed.
-        let cfg = JobConfig::single(42, vec![null_spec(0.5)]);
+        let plan = LogicalPlan::new(42, vec![vec![null_spec(0.5)]]);
         let direct = pollute_stream(
             &schema(),
             tuples(200),
-            cfg.build(&schema()).unwrap().pop().unwrap(),
+            plan.build_pipelines(&schema()).unwrap().pop().unwrap(),
         )
         .unwrap();
-        let physical = cfg.to_plan().compile(&schema()).unwrap();
+        let physical = plan.compile(&schema()).unwrap();
         let planned = physical.execute(tuples(200)).unwrap();
         assert_eq!(direct.polluted, planned.polluted);
         assert_eq!(direct.log.entries(), planned.log.entries());
         assert_eq!(planned.report.strategy.as_deref(), Some("sequential"));
         assert_eq!(planned.report.epochs_applied, 0);
+    }
+
+    #[test]
+    fn unknown_top_level_keys_are_plan_errors() {
+        // The retired `execution` section says where its keys went.
+        let err =
+            LogicalPlan::from_json(r#"{ "pipelines": [[]], "execution": { "batch_size": 1 } }"#)
+                .expect_err("nested section parses");
+        assert!(matches!(err, Error::Plan { .. }), "{err}");
+        let message = err.to_string();
+        assert!(
+            message.contains("`execution`") && message.contains("top level"),
+            "{message}"
+        );
+        // Any other stray key is named, checked before the fields parse.
+        let err = LogicalPlan::from_json(r#"{ "pipelines": 3, "batchsize": 1 }"#).unwrap_err();
+        assert!(err.to_string().contains("`batchsize`"), "{err}");
+        // Malformed text is still a parse error of the whole document.
+        let err = LogicalPlan::from_json(r#"{ "pipelines": [[]], "#).unwrap_err();
+        assert!(err.to_string().contains("bad JSON plan"), "{err}");
     }
 
     #[test]
@@ -1021,17 +1090,11 @@ mod tests {
     #[test]
     fn removed_strategies_are_parse_errors() {
         // The threaded strategies are gone: naming one is an unknown
-        // variant, in a plan and in a job config, and the error names
-        // the value.
+        // variant, and the error names the value.
         for removed in ["pipelined", "split_merge_parallel"] {
             let json = format!(r#"{{ "pipelines": [[]], "strategy": "{removed}" }}"#);
             let err = LogicalPlan::from_json(&json).expect_err("plan parses");
             assert!(matches!(err, Error::Plan { .. }), "{err}");
-            assert!(err.to_string().contains(removed), "{err}");
-            let json =
-                format!(r#"{{ "pipelines": [[]], "execution": {{ "strategy": "{removed}" }} }}"#);
-            let err = JobConfig::from_json(&json).expect_err("config parses");
-            assert!(matches!(err, Error::Config(_)), "{err}");
             assert!(err.to_string().contains(removed), "{err}");
         }
         // The two names left run the same schedule.
@@ -1400,15 +1463,11 @@ mod tests {
     #[test]
     fn repr_columnar_is_a_parse_error() {
         // No plan value selects a second execution path: the retired
-        // variant is an unknown one, in a plan and in a job config.
+        // variant is an unknown one.
         let err = LogicalPlan::from_json(r#"{ "pipelines": [[]], "repr": "columnar" }"#)
             .expect_err("plan parses");
         assert!(matches!(err, Error::Plan { .. }), "{err}");
         assert!(err.to_string().contains("columnar"), "{err}");
-        assert!(JobConfig::from_json(
-            r#"{ "pipelines": [[]], "execution": { "repr": "columnar" } }"#
-        )
-        .is_err());
         for repr in ["auto", "row"] {
             let json = format!(r#"{{ "pipelines": [[]], "repr": "{repr}" }}"#);
             let physical = LogicalPlan::from_json(&json)

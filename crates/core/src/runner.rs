@@ -7,7 +7,7 @@
 
 use crate::log::PollutionLog;
 use crate::pipeline::PollutionPipeline;
-use crate::plan::{LogicalPlan, DEFAULT_BATCH_SIZE};
+use crate::plan::LogicalPlan;
 use crate::polluter::Emission;
 use crate::prepare::PrepareOperator;
 use crate::report::RunReport;
@@ -39,7 +39,7 @@ use icewafl_types::{Result, Schema, StampedTuple, Timestamp, Tuple};
 /// How tuples are assigned to the `m` sub-streams
 /// (`createOverlappingSubStreams`, Algorithm 1 line 4).
 #[derive(Debug, Clone)]
-pub enum SubStreamAssigner {
+pub(crate) enum SubStreamAssigner {
     /// Every tuple goes to every sub-stream (fully overlapping — models
     /// redundant sensor feeds and produces duplicates after the union).
     Broadcast,
@@ -160,7 +160,7 @@ pub struct PipelineOperator {
     log: PollutionLog,
     segments: LogSegments,
     scratch: Vec<StampedTuple>,
-    control: Option<ControlState>,
+    control: ControlState,
     /// Checkpoint contribution key (`substream_{i}`); `None` outside
     /// checkpointed runs — barriers then pass through without a
     /// snapshot.
@@ -180,15 +180,21 @@ impl Drop for PipelineOperator {
 impl PipelineOperator {
     /// Wraps a pipeline as the operator of sub-stream `sub_stream`,
     /// taking that sub-stream's segment of `segments` for as long as
-    /// the operator lives.
-    fn new(pipeline: PollutionPipeline, sub_stream: u32, segments: &LogSegments) -> Self {
+    /// the operator lives. Plans scheduled on `control` are applied at
+    /// the first watermark at or past their timestamp.
+    fn new(
+        pipeline: PollutionPipeline,
+        sub_stream: u32,
+        segments: &LogSegments,
+        control: ControlState,
+    ) -> Self {
         PipelineOperator {
             pipeline,
             sub_stream,
             log: segments.take(sub_stream as usize),
             segments: segments.clone(),
             scratch: Vec::new(),
-            control: None,
+            control,
             ckpt_key: None,
         }
     }
@@ -198,22 +204,6 @@ impl PipelineOperator {
     /// temporal buffers) under `key`.
     fn with_checkpoint_key(mut self, key: String) -> Self {
         self.ckpt_key = Some(key);
-        self
-    }
-
-    /// Attaches a reconfiguration subscriber: scheduled plans are
-    /// applied at the first watermark at or past their timestamp.
-    fn with_control(
-        mut self,
-        subscriber: ControlSubscriber<LogicalPlan>,
-        schema: Schema,
-        epoch_gauge: icewafl_obs::Gauge,
-    ) -> Self {
-        self.control = Some(ControlState {
-            subscriber,
-            schema,
-            epoch_gauge,
-        });
         self
     }
 
@@ -235,19 +225,19 @@ impl PipelineOperator {
     /// well-behaved control handle; if it does anyway, the panic is
     /// caught by the stage and surfaces as a typed pipeline error.
     fn apply_due_reconfiguration(&mut self, wm: Timestamp, out: &mut dyn Collector<StampedTuple>) {
-        let due = match self.control.as_mut() {
-            // The end-of-stream sentinel is not an epoch: plans
-            // scheduled past the stream simply never apply.
-            Some(ctrl) if wm != Timestamp::MAX => ctrl.subscriber.poll(wm),
-            _ => None,
+        // The end-of-stream sentinel is not an epoch: plans scheduled
+        // past the stream simply never apply.
+        if wm == Timestamp::MAX {
+            return;
+        }
+        let Some((epoch, plan)) = self.control.subscriber.poll(wm) else {
+            return;
         };
-        let Some((epoch, plan)) = due else { return };
         let mut em = Emission::new(&mut self.scratch, &mut self.log);
         self.pipeline.finish(&mut em);
         self.drain_scratch(out);
-        let ctrl = self.control.as_ref().expect("checked above");
         let mut pipelines = plan
-            .build_pipelines(&ctrl.schema)
+            .build_pipelines(&self.control.schema)
             .unwrap_or_else(|e| panic!("epoch {epoch} plan failed to rebuild: {e}"));
         let idx = self.sub_stream as usize;
         assert!(
@@ -256,7 +246,7 @@ impl PipelineOperator {
             pipelines.len()
         );
         self.pipeline = pipelines.swap_remove(idx);
-        ctrl.epoch_gauge.set(epoch);
+        self.control.epoch_gauge.set(epoch);
         icewafl_obs::trace::instant_with(
             "epoch_swap",
             "control",
@@ -328,10 +318,11 @@ pub struct PollutionOutput {
     pub report: RunReport,
 }
 
-/// The physical execution settings shared by every entry point: the
-/// builder API ([`PollutionJob`]) and compiled plans
-/// ([`crate::plan::PhysicalPlan`]) both lower to this struct and run
-/// through [`execute_attempt`] — one construction path, one executor.
+/// The physical execution settings of a job. Only
+/// [`LogicalPlan::compile`] builds them, so every default lives in
+/// [`LogicalPlan`]; compiled plans and [`pollute_stream`] alike run
+/// them through [`execute_attempt`] — one construction path, one
+/// executor.
 #[derive(Clone)]
 pub(crate) struct ExecSettings {
     pub(crate) schema: Schema,
@@ -347,9 +338,9 @@ pub(crate) struct ExecSettings {
     pub(crate) supervision: SupervisorPolicy,
     /// Runtime fault injection (`None` = disabled).
     pub(crate) chaos: Option<ChaosConfig>,
-    /// Epoch-reconfiguration channel (`None` = job is not
-    /// reconfigurable; only compiled plans attach one).
-    pub(crate) control: Option<ControlChannel<LogicalPlan>>,
+    /// Epoch-reconfiguration channel; empty unless a
+    /// [`ControlHandle`](crate::plan::ControlHandle) schedules a plan.
+    pub(crate) control: ControlChannel<LogicalPlan>,
     /// Epoch-aligned checkpointing (`None` = supervised retries restart
     /// from tuple zero).
     pub(crate) checkpoint: Option<CheckpointSettings>,
@@ -364,148 +355,13 @@ pub(crate) struct CheckpointSettings {
     pub(crate) interval_epochs: u64,
 }
 
-/// A configured pollution job: `m` pipelines plus a sub-stream
-/// assignment strategy over a fixed schema.
-///
-/// This is the expert/builder entry point. It shares its execution
-/// engine with the plan layer: both lower to the same internal
-/// `ExecSettings` and the same `execute_attempt` path that
-/// [`crate::plan::PhysicalPlan`] uses.
-pub struct PollutionJob {
-    settings: ExecSettings,
-}
-
-impl PollutionJob {
-    /// A job over `schema` with a single sub-stream.
-    pub fn new(schema: Schema) -> Self {
-        PollutionJob {
-            settings: ExecSettings {
-                schema,
-                assigner: SubStreamAssigner::Broadcast,
-                watermark_period: 64,
-                logging: true,
-                batch_size: DEFAULT_BATCH_SIZE,
-                supervision: SupervisorPolicy::default(),
-                chaos: None,
-                control: None,
-                checkpoint: None,
-            },
-        }
-    }
-
-    /// Sets the sub-stream assignment strategy (only relevant with
-    /// multiple pipelines).
-    pub fn with_assigner(mut self, assigner: SubStreamAssigner) -> Self {
-        self.settings.assigner = assigner;
-        self
-    }
-
-    /// Sets the source watermark period (tuples per watermark).
-    pub fn with_watermark_period(mut self, period: u64) -> Self {
-        self.settings.watermark_period = period.max(1);
-        self
-    }
-
-    /// Disables ground-truth logging.
-    pub fn without_logging(mut self) -> Self {
-        self.settings.logging = false;
-        self
-    }
-
-    /// Sets the transport batch size: how many records the router hands
-    /// a sub-stream, and the output carries, per frame. `1` disables
-    /// batching; the effective batch is also capped by the watermark
-    /// period, since partial batches flush at every watermark. Output
-    /// is bit-identical across batch sizes.
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.settings.batch_size = batch_size.max(1);
-        self
-    }
-
-    /// Sets the restart policy for [`PollutionJob::run_supervised`].
-    pub fn with_supervision(mut self, policy: SupervisorPolicy) -> Self {
-        self.settings.supervision = policy;
-        self
-    }
-
-    /// Overrides only the per-stage retry budget of the restart policy
-    /// (0 = fail-fast) — what the CLI's `--max-retries`/`--fail-fast`
-    /// flags set on top of a configured policy.
-    pub fn with_max_retries(mut self, max_retries: u32) -> Self {
-        self.settings.supervision.max_retries = max_retries;
-        self
-    }
-
-    /// The current restart policy.
-    pub fn supervision(&self) -> &SupervisorPolicy {
-        &self.settings.supervision
-    }
-
-    /// Enables chaos injection: a fault injector is spliced in front of
-    /// every sub-stream pipeline, seeded `chaos.seed + i` for sub-stream
-    /// `i`. Malform faults overwrite every tuple value with NULL.
-    pub fn with_chaos(mut self, chaos: ChaosConfig) -> Self {
-        self.settings.chaos = Some(chaos);
-        self
-    }
-
-    /// Enables epoch-aligned checkpointing for
-    /// [`PollutionJob::run_supervised`]: a barrier is injected every
-    /// `interval_epochs` watermarks, every stateful operator snapshots
-    /// its exact state, and a supervised retry resumes from the latest
-    /// complete checkpoint instead of restarting from tuple zero. When
-    /// `dir` is set, frames are additionally appended to a versioned
-    /// write-ahead log at `dir/checkpoint.wal`.
-    pub fn with_checkpointing(
-        mut self,
-        dir: Option<std::path::PathBuf>,
-        interval_epochs: u64,
-    ) -> Self {
-        self.settings.checkpoint = Some(CheckpointSettings {
-            dir,
-            interval_epochs: interval_epochs.max(1),
-        });
-        self
-    }
-
-    /// Executes Algorithm 1 over an in-memory stream with the given
-    /// pollution pipelines (one per sub-stream; `m = pipelines.len()`).
-    ///
-    /// Pipelines are consumed by the run (they hold RNG state); rebuild
-    /// them — e.g. from a [`JobConfig`](crate::config::JobConfig) — to
-    /// repeat a run, as the experiments do 50 times per scenario.
-    ///
-    /// A worker panic, injected chaos fault, or operator panic surfaces
-    /// as [`icewafl_types::Error::Pipeline`] naming the failing stage;
-    /// the pipeline drains and terminates cleanly rather than deadlock.
-    /// This is a *single attempt* — for restarts, use
-    /// [`PollutionJob::run_supervised`].
-    pub fn run(
-        &self,
-        tuples: Vec<Tuple>,
-        pipelines: Vec<PollutionPipeline>,
-    ) -> Result<PollutionOutput> {
-        let budget = self.settings.chaos.as_ref().map(ChaosConfig::new_budget);
-        execute_attempt(&self.settings, tuples, pipelines, budget, None)
-    }
-
-    /// Runs with supervised restarts: on a retryable failure the job is
-    /// re-attempted with fresh pipelines from `pipelines` (rebuilding
-    /// restores their RNG state), up to the policy's per-stage retry
-    /// budget, with backoff between attempts. The chaos panic budget is
-    /// shared across attempts, so a bounded fault is transient — it
-    /// heals after restart instead of re-arming. On success the report
-    /// records how many restarts were consumed.
-    pub fn run_supervised<F>(&self, tuples: Vec<Tuple>, pipelines: F) -> Result<PollutionOutput>
-    where
-        F: FnMut() -> Result<Vec<PollutionPipeline>>,
-    {
-        run_supervised_with(&self.settings, tuples, pipelines)
-    }
-}
-
-/// The supervised-retry loop shared by [`PollutionJob::run_supervised`]
-/// and [`crate::plan::PhysicalPlan::execute_supervised`].
+/// The supervised-retry loop behind
+/// [`crate::plan::PhysicalPlan::execute_supervised`]: on a retryable
+/// failure the job is re-attempted with fresh pipelines from
+/// `pipelines` (rebuilding restores their RNG state), up to the
+/// policy's per-stage retry budget, with backoff between attempts. The
+/// chaos panic budget is shared across attempts, so a bounded fault is
+/// transient — it heals after restart instead of re-arming.
 pub(crate) fn run_supervised_with<F>(
     settings: &ExecSettings,
     tuples: Vec<Tuple>,
@@ -895,11 +751,7 @@ fn run_report(
         metrics_compiled_in: icewafl_obs::metrics_compiled_in(),
         restarts: 0,
         strategy: Some("sequential".into()),
-        epochs_applied: settings
-            .control
-            .as_ref()
-            .map(ControlChannel::applied)
-            .unwrap_or(0),
+        epochs_applied: settings.control.applied(),
         checkpoints_taken: 0,
         restored_from_epoch: 0,
         replayed_tuples: 0,
@@ -1170,18 +1022,15 @@ fn pollution_topology(
         .into_iter()
         .enumerate()
         .map(|(i, pipeline)| -> Result<_> {
-            let op = PipelineOperator::new(pipeline, i as u32, segments);
-            // Reconfigurable jobs get a control subscriber per
-            // sub-stream; all subscribers see the same broadcast
-            // watermark sequence, which is the epoch barrier.
-            let op = match &settings.control {
-                Some(channel) => op.with_control(
-                    channel.subscriber(),
-                    settings.schema.clone(),
-                    registry.gauge(&format!("plan/substream_{i}/epoch")),
-                ),
-                None => op,
+            // Every sub-stream gets a control subscriber; all
+            // subscribers see the same broadcast watermark sequence,
+            // which is the epoch barrier.
+            let control = ControlState {
+                subscriber: settings.control.subscriber(),
+                schema: settings.schema.clone(),
+                epoch_gauge: registry.gauge(&format!("plan/substream_{i}/epoch")),
             };
+            let op = PipelineOperator::new(pipeline, i as u32, segments, control);
             let op = if ckpt_states.is_some() {
                 op.with_checkpoint_key(format!("substream_{i}"))
             } else {
@@ -1247,22 +1096,36 @@ fn pollution_topology(
     Ok(merged.sort_with(sorter).rebatched(batch_size))
 }
 
-/// Convenience: runs a single pipeline over a stream with default
-/// settings.
+/// Runs one hand-built pipeline over a stream — the entry point for
+/// pipelines assembled from the trait-level API rather than described
+/// by a [`LogicalPlan`]. It is a single attempt under the settings
+/// `LogicalPlan::new(0, vec![vec![]])` compiles to, so its defaults are
+/// the plan's.
+///
+/// A pipeline is consumed by the run (it holds RNG state); rebuild it
+/// to repeat a run, as the experiments do 50 times per scenario. A
+/// failing stage surfaces as [`icewafl_types::Error::Pipeline`] naming
+/// it.
 pub fn pollute_stream(
     schema: &Schema,
     tuples: Vec<Tuple>,
     pipeline: PollutionPipeline,
 ) -> Result<PollutionOutput> {
-    PollutionJob::new(schema.clone()).run(tuples, vec![pipeline])
+    let physical = LogicalPlan::new(0, vec![vec![]]).compile(schema)?;
+    execute_attempt(physical.settings(), tuples, vec![pipeline], None, None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::condition::{HourRange, Probability};
+    use crate::config::{
+        ChaosSectionConfig, CheckpointSectionConfig, ConditionConfig, ErrorConfig, PolluterConfig,
+        SupervisionConfig,
+    };
     use crate::error_fn::MissingValue;
     use crate::pattern::ChangePattern;
+    use crate::plan::AssignerSpec;
     use crate::polluter::StandardPolluter;
     use crate::temporal::DelayPolluter;
     use icewafl_types::{DataType, Duration, Value};
@@ -1364,15 +1227,44 @@ mod tests {
         assert_eq!(out.log.len(), 60);
     }
 
+    fn null_spec(p: f64) -> PolluterConfig {
+        PolluterConfig::Standard {
+            name: "null-x".into(),
+            attributes: vec!["x".into()],
+            error: ErrorConfig::MissingValue,
+            condition: ConditionConfig::Probability { p },
+            pattern: None,
+        }
+    }
+
+    /// A plan of `m` empty pipelines.
+    fn empty_plan(m: usize) -> LogicalPlan {
+        LogicalPlan::new(0, vec![vec![]; m])
+    }
+
+    fn run(plan: &LogicalPlan, n: i64) -> Result<PollutionOutput> {
+        plan.compile(&schema())?.execute(raw_stream(n))
+    }
+
+    fn run_supervised(plan: &LogicalPlan, n: i64) -> Result<PollutionOutput> {
+        plan.compile(&schema())?.execute_supervised(raw_stream(n))
+    }
+
+    fn two_retries() -> Option<SupervisionConfig> {
+        Some(SupervisionConfig {
+            max_retries: 2,
+            deterministic: true,
+            ..SupervisionConfig::default()
+        })
+    }
+
     #[test]
     fn broadcast_substreams_duplicate_tuples() {
-        let job = PollutionJob::new(schema()).with_assigner(SubStreamAssigner::Broadcast);
-        let out = job
-            .run(
-                raw_stream(10),
-                vec![PollutionPipeline::empty(), PollutionPipeline::empty()],
-            )
-            .unwrap();
+        let plan = LogicalPlan {
+            assigner: AssignerSpec::Broadcast,
+            ..empty_plan(2)
+        };
+        let out = run(&plan, 10).unwrap();
         assert_eq!(
             out.polluted.len(),
             20,
@@ -1385,13 +1277,11 @@ mod tests {
 
     #[test]
     fn round_robin_partitions() {
-        let job = PollutionJob::new(schema()).with_assigner(SubStreamAssigner::RoundRobin);
-        let out = job
-            .run(
-                raw_stream(10),
-                vec![PollutionPipeline::empty(), PollutionPipeline::empty()],
-            )
-            .unwrap();
+        let plan = LogicalPlan {
+            assigner: AssignerSpec::RoundRobin,
+            ..empty_plan(2)
+        };
+        let out = run(&plan, 10).unwrap();
         assert_eq!(out.polluted.len(), 10);
         for t in &out.polluted {
             assert_eq!(u64::from(t.sub_stream), t.id % 2);
@@ -1400,14 +1290,12 @@ mod tests {
 
     #[test]
     fn probabilistic_assignment_loses_nothing() {
-        let job = PollutionJob::new(schema())
-            .with_assigner(SubStreamAssigner::Probabilistic { p: 0.3, seed: 5 });
-        let out = job
-            .run(
-                raw_stream(500),
-                vec![PollutionPipeline::empty(), PollutionPipeline::empty()],
-            )
-            .unwrap();
+        let plan = LogicalPlan {
+            seed: 5,
+            assigner: AssignerSpec::Probabilistic { p: 0.3 },
+            ..empty_plan(2)
+        };
+        let out = run(&plan, 500).unwrap();
         let ids: std::collections::HashSet<u64> = out.polluted.iter().map(|t| t.id).collect();
         assert_eq!(
             ids.len(),
@@ -1422,10 +1310,11 @@ mod tests {
 
     #[test]
     fn without_logging_produces_empty_log() {
-        let job = PollutionJob::new(schema()).without_logging();
-        let out = job
-            .run(raw_stream(50), vec![null_pipeline(1.0, 1)])
-            .unwrap();
+        let plan = LogicalPlan {
+            logging: false,
+            ..LogicalPlan::new(1, vec![vec![null_spec(1.0)]])
+        };
+        let out = run(&plan, 50).unwrap();
         assert!(out.log.is_empty());
         assert!(out
             .polluted
@@ -1435,22 +1324,19 @@ mod tests {
 
     #[test]
     fn requires_at_least_one_pipeline() {
-        assert!(PollutionJob::new(schema())
-            .run(raw_stream(1), vec![])
-            .is_err());
+        assert!(run(&empty_plan(0), 1).is_err());
     }
 
     #[test]
     fn chaos_panic_fails_with_stage_attribution() {
-        let chaos = ChaosConfig {
-            panic_rate: 1.0,
-            ..ChaosConfig::default()
+        let plan = LogicalPlan {
+            chaos: Some(ChaosSectionConfig {
+                panic_rate: 1.0,
+                ..ChaosSectionConfig::default()
+            }),
+            ..empty_plan(1)
         };
-        let job = PollutionJob::new(schema()).with_chaos(chaos);
-        let err = job
-            .run(raw_stream(10), vec![PollutionPipeline::empty()])
-            .unwrap_err();
-        match err {
+        match run(&plan, 10).unwrap_err() {
             icewafl_types::Error::Pipeline {
                 stage,
                 kind,
@@ -1469,53 +1355,43 @@ mod tests {
 
     #[test]
     fn invalid_chaos_rates_are_rejected() {
-        let chaos = ChaosConfig {
-            panic_rate: 2.0,
-            ..ChaosConfig::default()
+        let plan = LogicalPlan {
+            chaos: Some(ChaosSectionConfig {
+                panic_rate: 2.0,
+                ..ChaosSectionConfig::default()
+            }),
+            ..empty_plan(1)
         };
-        let job = PollutionJob::new(schema()).with_chaos(chaos);
-        assert!(job
-            .run(raw_stream(1), vec![PollutionPipeline::empty()])
-            .is_err());
+        assert!(run(&plan, 1).is_err());
     }
 
     #[test]
     fn supervised_run_recovers_from_transient_chaos_fault() {
-        let chaos = ChaosConfig {
-            panic_rate: 1.0,
-            panic_budget: Some(1), // transient: heals after one restart
-            ..ChaosConfig::default()
+        let plan = LogicalPlan {
+            chaos: Some(ChaosSectionConfig {
+                panic_rate: 1.0,
+                panic_budget: Some(1), // transient: heals after one restart
+                ..ChaosSectionConfig::default()
+            }),
+            supervision: two_retries(),
+            ..LogicalPlan::new(9, vec![vec![null_spec(0.5)]])
         };
-        let job = PollutionJob::new(schema())
-            .with_chaos(chaos)
-            .with_supervision(SupervisorPolicy {
-                max_retries: 2,
-                deterministic: true,
-                ..SupervisorPolicy::default()
-            });
-        let out = job
-            .run_supervised(raw_stream(50), || Ok(vec![null_pipeline(0.5, 9)]))
-            .unwrap();
+        let out = run_supervised(&plan, 50).unwrap();
         assert_eq!(out.report.restarts, 1, "exactly one restart consumed");
         assert_eq!(out.polluted.len(), 50, "retry reprocesses the full stream");
     }
 
     #[test]
     fn supervised_run_gives_up_after_retry_budget() {
-        let chaos = ChaosConfig {
-            panic_rate: 1.0, // unbounded budget: every attempt panics
-            ..ChaosConfig::default()
+        let plan = LogicalPlan {
+            chaos: Some(ChaosSectionConfig {
+                panic_rate: 1.0, // unbounded budget: every attempt panics
+                ..ChaosSectionConfig::default()
+            }),
+            supervision: two_retries(),
+            ..empty_plan(1)
         };
-        let job = PollutionJob::new(schema())
-            .with_chaos(chaos)
-            .with_supervision(SupervisorPolicy {
-                max_retries: 2,
-                deterministic: true,
-                ..SupervisorPolicy::default()
-            });
-        let err = job
-            .run_supervised(raw_stream(10), || Ok(vec![PollutionPipeline::empty()]))
-            .unwrap_err();
+        let err = run_supervised(&plan, 10).unwrap_err();
         assert!(matches!(
             err,
             icewafl_types::Error::Pipeline { ref kind, .. } if kind == "injected"
@@ -1524,26 +1400,25 @@ mod tests {
 
     #[test]
     fn checkpointed_retry_resumes_and_is_byte_identical() {
-        let reference = PollutionJob::new(schema())
-            .with_watermark_period(16)
-            .run_supervised(raw_stream(200), || Ok(vec![null_pipeline(0.5, 42)]))
-            .unwrap();
-        let chaos = ChaosConfig {
-            kill_at_tuple: Some(120),
-            panic_budget: Some(1),
-            ..ChaosConfig::default()
+        let calm = LogicalPlan {
+            watermark_period: 16,
+            ..LogicalPlan::new(42, vec![vec![null_spec(0.5)]])
         };
-        let recovered = PollutionJob::new(schema())
-            .with_watermark_period(16)
-            .with_chaos(chaos)
-            .with_checkpointing(None, 1)
-            .with_supervision(SupervisorPolicy {
-                max_retries: 2,
-                deterministic: true,
-                ..SupervisorPolicy::default()
-            })
-            .run_supervised(raw_stream(200), || Ok(vec![null_pipeline(0.5, 42)]))
-            .unwrap();
+        let reference = run_supervised(&calm, 200).unwrap();
+        let hurt = LogicalPlan {
+            chaos: Some(ChaosSectionConfig {
+                kill_at_tuple: Some(120),
+                panic_budget: Some(1),
+                ..ChaosSectionConfig::default()
+            }),
+            checkpoint: Some(CheckpointSectionConfig {
+                dir: None,
+                interval_epochs: 1,
+            }),
+            supervision: two_retries(),
+            ..calm
+        };
+        let recovered = run_supervised(&hurt, 200).unwrap();
         assert_eq!(
             recovered.polluted, reference.polluted,
             "byte-identical output"
@@ -1564,15 +1439,19 @@ mod tests {
 
     #[test]
     fn checkpointing_without_faults_leaves_output_unchanged() {
-        let plain = PollutionJob::new(schema())
-            .with_watermark_period(16)
-            .run_supervised(raw_stream(150), || Ok(vec![null_pipeline(0.5, 7)]))
-            .unwrap();
-        let ckpt = PollutionJob::new(schema())
-            .with_watermark_period(16)
-            .with_checkpointing(None, 2)
-            .run_supervised(raw_stream(150), || Ok(vec![null_pipeline(0.5, 7)]))
-            .unwrap();
+        let plain_plan = LogicalPlan {
+            watermark_period: 16,
+            ..LogicalPlan::new(7, vec![vec![null_spec(0.5)]])
+        };
+        let plain = run_supervised(&plain_plan, 150).unwrap();
+        let ckpt_plan = LogicalPlan {
+            checkpoint: Some(CheckpointSectionConfig {
+                dir: None,
+                interval_epochs: 2,
+            }),
+            ..plain_plan
+        };
+        let ckpt = run_supervised(&ckpt_plan, 150).unwrap();
         assert_eq!(ckpt.polluted, plain.polluted, "barriers are pass-through");
         assert_eq!(ckpt.log.entries(), plain.log.entries());
         assert_eq!(ckpt.report.restored_from_epoch, 0);
@@ -1582,34 +1461,36 @@ mod tests {
 
     #[test]
     fn supervised_run_without_faults_reports_zero_restarts() {
-        let job = PollutionJob::new(schema());
-        let out = job
-            .run_supervised(raw_stream(20), || Ok(vec![null_pipeline(0.5, 3)]))
-            .unwrap();
+        let plan = LogicalPlan::new(3, vec![vec![null_spec(0.5)]]);
+        let out = run_supervised(&plan, 20).unwrap();
         assert_eq!(out.report.restarts, 0);
         assert_eq!(out.polluted.len(), 20);
     }
 
     #[test]
     fn chaos_drops_and_malforms_are_observable() {
-        let chaos = ChaosConfig {
-            drop_rate: 1.0,
-            ..ChaosConfig::default()
+        let chaotic = |chaos| LogicalPlan {
+            chaos: Some(chaos),
+            ..empty_plan(1)
         };
-        let job = PollutionJob::new(schema()).with_chaos(chaos);
-        let out = job
-            .run(raw_stream(30), vec![PollutionPipeline::empty()])
-            .unwrap();
+        let out = run(
+            &chaotic(ChaosSectionConfig {
+                drop_rate: 1.0,
+                ..ChaosSectionConfig::default()
+            }),
+            30,
+        )
+        .unwrap();
         assert!(out.polluted.is_empty(), "every record dropped in flight");
 
-        let chaos = ChaosConfig {
-            malform_rate: 1.0,
-            ..ChaosConfig::default()
-        };
-        let job = PollutionJob::new(schema()).with_chaos(chaos);
-        let out = job
-            .run(raw_stream(10), vec![PollutionPipeline::empty()])
-            .unwrap();
+        let out = run(
+            &chaotic(ChaosSectionConfig {
+                malform_rate: 1.0,
+                ..ChaosSectionConfig::default()
+            }),
+            10,
+        )
+        .unwrap();
         assert_eq!(out.polluted.len(), 10);
         assert!(out
             .polluted

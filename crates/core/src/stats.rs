@@ -6,8 +6,8 @@
 //! [`Polluter::collect_stats`](crate::polluter::Polluter::collect_stats)
 //! — stay live
 //! after the run has consumed the polluters, which is how
-//! [`PollutionJob::run`](crate::runner::PollutionJob::run) reads them
-//! into the [`RunReport`](crate::report::RunReport).
+//! [`PhysicalPlan::execute`](crate::plan::PhysicalPlan::execute) reads
+//! them into the [`RunReport`](crate::report::RunReport).
 //!
 //! With the `obs` feature disabled every cell is a zero-sized no-op and
 //! all snapshots read 0.

@@ -1,6 +1,6 @@
 //! Observability integration tests: ground-truth log serde, run-report
-//! consistency with the `PollutionLog`, and the `without_logging`
-//! hot-path regression (identical output, empty log).
+//! consistency with the `PollutionLog`, and the logging-off hot-path
+//! regression (identical output, empty log).
 
 use icewafl_core::log::{LogEntry, PollutionLog};
 use icewafl_core::prelude::*;
@@ -21,11 +21,11 @@ fn stream(n: usize) -> Vec<Tuple> {
         .collect()
 }
 
-/// A seeded two-polluter config: value errors plus a shape change.
-fn config(seed: u64) -> JobConfig {
-    JobConfig::single(
+/// A seeded two-polluter plan: value errors plus a shape change.
+fn plan(seed: u64, logging: bool) -> LogicalPlan {
+    let plan = LogicalPlan::new(
         seed,
-        vec![
+        vec![vec![
             PolluterConfig::Standard {
                 name: "null-x".into(),
                 attributes: vec!["x".into()],
@@ -37,20 +37,17 @@ fn config(seed: u64) -> JobConfig {
                 name: "lossy".into(),
                 condition: ConditionConfig::Probability { p: 0.1 },
             },
-        ],
-    )
+        ]],
+    );
+    LogicalPlan { logging, ..plan }
 }
 
 fn run(seed: u64, logging: bool) -> PollutionOutput {
-    let schema = schema();
-    let cfg = config(seed);
-    let pipelines = cfg.build(&schema).unwrap();
-    let job = if logging {
-        PollutionJob::new(schema.clone())
-    } else {
-        PollutionJob::new(schema.clone()).without_logging()
-    };
-    job.run(stream(500), pipelines).unwrap()
+    plan(seed, logging)
+        .compile(&schema())
+        .unwrap()
+        .execute(stream(500))
+        .unwrap()
 }
 
 #[test]
@@ -148,7 +145,7 @@ fn without_logging_produces_identical_output_and_empty_log() {
     let logged = run(7, true);
     let unlogged = run(7, false);
     assert!(!logged.log.is_empty());
-    assert!(unlogged.log.is_empty(), "without_logging writes no entries");
+    assert!(unlogged.log.is_empty(), "logging off writes no entries");
     assert!(!unlogged.report.logging_enabled);
     assert_eq!(
         logged.polluted, unlogged.polluted,

@@ -27,7 +27,7 @@ fn main() {
         .filter(|t| (13..15).contains(&t.tau.hour_of_day()))
         .count();
     let expected_pipeline = scenarios::bad_network(0)
-        .build(&schema)
+        .build_pipelines(&schema)
         .expect("scenario builds")
         .pop()
         .unwrap();
@@ -41,7 +41,7 @@ fn main() {
     let mut measured = Vec::with_capacity(reps as usize);
     for rep in 0..reps {
         let pipeline = scenarios::bad_network(base_seed + rep)
-            .build(&schema)
+            .build_pipelines(&schema)
             .expect("scenario builds")
             .pop()
             .unwrap();

@@ -26,7 +26,7 @@ fn main() {
     let clean = pollute_stream(&schema, data.clone(), PollutionPipeline::empty())
         .expect("identity pollution");
     let expected_pipeline = scenarios::random_temporal(0)
-        .build(&schema)
+        .build_pipelines(&schema)
         .expect("scenario builds")
         .pop()
         .unwrap();
@@ -41,7 +41,7 @@ fn main() {
     let mut totals = Vec::with_capacity(reps as usize);
     for rep in 0..reps {
         let pipeline = scenarios::random_temporal(base_seed + rep)
-            .build(&schema)
+            .build_pipelines(&schema)
             .expect("scenario builds")
             .pop()
             .unwrap();

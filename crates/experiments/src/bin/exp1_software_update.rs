@@ -69,7 +69,7 @@ fn main() {
     let null_exp = suites::bpm_null_expectation();
     for rep in 0..reps {
         let pipeline = scenarios::software_update(base_seed + rep)
-            .build(&schema)
+            .build_pipelines(&schema)
             .expect("scenario builds")
             .pop()
             .unwrap();

@@ -104,7 +104,7 @@ fn run_scenario(
             }
             "noise" => {
                 let p = fh::noise_config(seed, eval_start, eval_end, pi_max)
-                    .build(schema)
+                    .build_pipelines(schema)
                     .expect("config builds")
                     .pop()
                     .unwrap();
@@ -114,7 +114,7 @@ fn run_scenario(
             }
             "scale" => {
                 let p = fh::scale_config(seed, eval_start, eval_end)
-                    .build(schema)
+                    .build_pipelines(schema)
                     .expect("config builds")
                     .pop()
                     .unwrap();

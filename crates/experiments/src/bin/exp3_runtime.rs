@@ -19,26 +19,19 @@ use icewafl_experiments::{arg_num, scenarios, stats};
 use icewafl_types::Tuple;
 use std::time::Instant;
 
-fn run_once(
-    schema: &icewafl_types::Schema,
-    data: &[Tuple],
-    config: Option<&JobConfig>,
-    seed: u64,
-) -> f64 {
+fn run_once(schema: &icewafl_types::Schema, data: &[Tuple], plan: &LogicalPlan, seed: u64) -> f64 {
     let started = Instant::now();
-    let pipeline = match config {
-        Some(cfg) => {
-            let mut cfg = cfg.clone();
-            cfg.seed = seed;
-            cfg.build(schema).expect("scenario builds").pop().unwrap()
-        }
-        None => PollutionPipeline::empty(),
-    };
     // Ground-truth logging is optional in the paper's pipeline (Fig. 2)
     // and disabled for the overhead measurement.
-    let job = PollutionJob::new(schema.clone()).without_logging();
-    let out = job
-        .run(data.to_vec(), vec![pipeline])
+    let plan = LogicalPlan {
+        seed,
+        logging: false,
+        ..plan.clone()
+    };
+    let out = plan
+        .compile(schema)
+        .expect("scenario builds")
+        .execute(data.to_vec())
         .expect("pollution runs");
     // Write the dirty stream, as the paper's pipeline does.
     let dirty: Vec<Tuple> = out.polluted.into_iter().map(|t| t.tuple).collect();
@@ -54,11 +47,13 @@ fn main() {
     let schema = wearable::schema();
     let data = wearable::generate();
 
-    let scenarios: Vec<(&str, Option<JobConfig>)> = vec![
-        ("no pollution", None),
-        ("software update", Some(scenarios::software_update(0))),
-        ("bad network", Some(scenarios::bad_network(0))),
-        ("random temporal", Some(scenarios::random_temporal(0))),
+    // The baseline loads and writes the stream through one empty
+    // pipeline.
+    let scenarios = [
+        ("no pollution", LogicalPlan::new(0, vec![vec![]])),
+        ("software update", scenarios::software_update(0)),
+        ("bad network", scenarios::bad_network(0)),
+        ("random temporal", scenarios::random_temporal(0)),
     ];
 
     println!(
@@ -67,17 +62,17 @@ fn main() {
     );
     let mut baseline_median = 0.0;
     let mut rows = Vec::new();
-    for (name, config) in &scenarios {
+    for (i, (name, plan)) in scenarios.iter().enumerate() {
         // Warm-up run outside the measurement.
-        let _ = run_once(&schema, &data, config.as_ref(), base_seed);
+        let _ = run_once(&schema, &data, plan, base_seed);
         let samples: Vec<f64> = (0..reps)
-            .map(|rep| run_once(&schema, &data, config.as_ref(), base_seed + rep))
+            .map(|rep| run_once(&schema, &data, plan, base_seed + rep))
             .collect();
         let f = stats::five_number(&samples);
-        if config.is_none() {
+        if i == 0 {
             baseline_median = f.median;
         }
-        let overhead = if config.is_none() {
+        let overhead = if i == 0 {
             "baseline".to_string()
         } else {
             format!("{:+.1} %", 100.0 * (f.median / baseline_median - 1.0))

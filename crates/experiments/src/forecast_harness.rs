@@ -56,26 +56,26 @@ pub fn numeric_attributes() -> Vec<String> {
 /// (equation (3)): `u ~ U(a, b)` with bounds ramping linearly from 0 at
 /// the stream start to `pi_max` at its end, applied as `v·(1 ± u)` on a
 /// fair coin.
-pub fn noise_config(seed: u64, from: Timestamp, to: Timestamp, pi_max: f64) -> JobConfig {
-    JobConfig::single(
+pub fn noise_config(seed: u64, from: Timestamp, to: Timestamp, pi_max: f64) -> LogicalPlan {
+    LogicalPlan::new(
         seed,
-        vec![PolluterConfig::Standard {
+        vec![vec![PolluterConfig::Standard {
             name: "increasing-noise".into(),
             attributes: numeric_attributes(),
             error: ErrorConfig::UniformNoise { a: 0.0, b: pi_max },
             condition: ConditionConfig::Always,
             pattern: Some(ChangePattern::Incremental { from, to }),
-        }],
+        }]],
     )
 }
 
 /// §3.2.1 — temporally increasing scale errors (equation (4)): a burst
 /// polluter scaling all numerical attributes by 0.125 for four-hour
 /// intervals, activated by `P = 0.01 · ramp(τ)`.
-pub fn scale_config(seed: u64, from: Timestamp, to: Timestamp) -> JobConfig {
-    JobConfig::single(
+pub fn scale_config(seed: u64, from: Timestamp, to: Timestamp) -> LogicalPlan {
+    LogicalPlan::new(
         seed,
-        vec![PolluterConfig::Burst {
+        vec![vec![PolluterConfig::Burst {
             name: "scale-burst".into(),
             attributes: numeric_attributes(),
             error: ErrorConfig::Scale { factor: 0.125 },
@@ -91,7 +91,7 @@ pub fn scale_config(seed: u64, from: Timestamp, to: Timestamp) -> JobConfig {
                 ],
             },
             duration_ms: 4 * 3_600_000,
-        }],
+        }]],
     )
 }
 
@@ -234,8 +234,10 @@ mod tests {
         let schema = airquality::schema();
         let t0 = Timestamp::from_ymd(2016, 3, 1).unwrap();
         let t1 = Timestamp::from_ymd(2017, 2, 28).unwrap();
-        assert!(noise_config(1, t0, t1, 0.4).build(&schema).is_ok());
-        assert!(scale_config(1, t0, t1).build(&schema).is_ok());
+        assert!(noise_config(1, t0, t1, 0.4)
+            .build_pipelines(&schema)
+            .is_ok());
+        assert!(scale_config(1, t0, t1).build_pipelines(&schema).is_ok());
     }
 
     #[test]
@@ -270,7 +272,7 @@ mod tests {
         let t0 = eval_rows[0].tau;
         let t1 = eval_rows[eval_rows.len() - 1].tau;
         let pipeline = noise_config(3, t0, t1, 0.8)
-            .build(&schema)
+            .build_pipelines(&schema)
             .unwrap()
             .pop()
             .unwrap();

@@ -1,14 +1,14 @@
-//! The three §3.1 pollution scenarios as declarative [`JobConfig`]s,
-//! exactly as the paper describes them.
+//! The three §3.1 pollution scenarios as one-pipeline
+//! [`LogicalPlan`]s, exactly as the paper describes them.
 
 use icewafl_core::prelude::*;
 
 /// §3.1.1 — random temporal errors: NULL the `Distance` attribute with
 /// the daily sinusoidal probability `p(t) = 0.25·cos(π/12·t) + 0.25`.
-pub fn random_temporal(seed: u64) -> JobConfig {
-    JobConfig::single(
+pub fn random_temporal(seed: u64) -> LogicalPlan {
+    LogicalPlan::new(
         seed,
-        vec![PolluterConfig::Standard {
+        vec![vec![PolluterConfig::Standard {
             name: "null-distance".into(),
             attributes: vec!["Distance".into()],
             error: ErrorConfig::MissingValue,
@@ -17,7 +17,7 @@ pub fn random_temporal(seed: u64) -> JobConfig {
                 offset: 0.25,
             },
             pattern: None,
-        }],
+        }]],
     )
 }
 
@@ -28,10 +28,10 @@ pub fn random_temporal(seed: u64) -> JobConfig {
 /// 2. a round-to-2-decimals error on `CaloriesBurned`, and
 /// 3. a nested composite on `BPM > 100` whose children run in series:
 ///    set `BPM` to 0, then (with probability 0.2) set it to NULL.
-pub fn software_update(seed: u64) -> JobConfig {
-    JobConfig::single(
+pub fn software_update(seed: u64) -> LogicalPlan {
+    LogicalPlan::new(
         seed,
-        vec![PolluterConfig::Composite {
+        vec![vec![PolluterConfig::Composite {
             name: "software-update".into(),
             condition: ConditionConfig::TimeWindow {
                 from: Some("2016-02-27 00:00:00".into()),
@@ -79,17 +79,17 @@ pub fn software_update(seed: u64) -> JobConfig {
                     ],
                 },
             ],
-        }],
+        }]],
     )
 }
 
 /// §3.1.3 — bad network connection: delay tuples by one hour, only
 /// between 13:00 and 14:59 (temporal condition) and then only with
 /// probability 0.2 (nested condition).
-pub fn bad_network(seed: u64) -> JobConfig {
-    JobConfig::single(
+pub fn bad_network(seed: u64) -> LogicalPlan {
+    LogicalPlan::new(
         seed,
-        vec![PolluterConfig::Delay {
+        vec![vec![PolluterConfig::Delay {
             name: "bad-network".into(),
             condition: ConditionConfig::And {
                 children: vec![
@@ -98,7 +98,7 @@ pub fn bad_network(seed: u64) -> JobConfig {
                 ],
             },
             delay_ms: 3_600_000,
-        }],
+        }]],
     )
 }
 
@@ -115,7 +115,7 @@ mod tests {
             ("update", software_update(1)),
             ("network", bad_network(1)),
         ] {
-            let pipelines = cfg.build(&schema).expect(name);
+            let pipelines = cfg.build_pipelines(&schema).expect(name);
             assert_eq!(pipelines.len(), 1, "{name}");
         }
     }
@@ -124,7 +124,7 @@ mod tests {
     fn scenarios_round_trip_through_json() {
         for cfg in [random_temporal(7), software_update(7), bad_network(7)] {
             let json = cfg.to_json();
-            assert_eq!(JobConfig::from_json(&json).unwrap(), cfg);
+            assert_eq!(LogicalPlan::from_json(&json).unwrap(), cfg);
         }
     }
 
@@ -132,7 +132,11 @@ mod tests {
     fn software_update_pollutes_only_after_gate() {
         let schema = wearable::schema();
         let data = wearable::generate();
-        let pipeline = software_update(5).build(&schema).unwrap().pop().unwrap();
+        let pipeline = software_update(5)
+            .build_pipelines(&schema)
+            .unwrap()
+            .pop()
+            .unwrap();
         let out = pollute_stream(&schema, data, pipeline).unwrap();
         let gate = wearable::software_update_time();
         for e in out.log.entries() {
@@ -145,7 +149,11 @@ mod tests {
     fn bad_network_delays_only_in_window() {
         let schema = wearable::schema();
         let data = wearable::generate();
-        let pipeline = bad_network(5).build(&schema).unwrap().pop().unwrap();
+        let pipeline = bad_network(5)
+            .build_pipelines(&schema)
+            .unwrap()
+            .pop()
+            .unwrap();
         let out = pollute_stream(&schema, data, pipeline).unwrap();
         for e in out.log.entries() {
             let h = e.tau().hour_of_day();
@@ -155,5 +163,49 @@ mod tests {
         // binary reports the precise statistics.
         let n = out.log.len();
         assert!((5..=35).contains(&n), "delayed {n}");
+    }
+
+    /// FNV-1a over a run's bytes: one line per polluted tuple (id,
+    /// sub-stream, `τ`, arrival and every value with its type), then the
+    /// ground-truth log as JSON.
+    fn digest(out: &PollutionOutput) -> u64 {
+        let mut text = String::new();
+        for t in &out.polluted {
+            text += &format!(
+                "{} {} {} {} {:?}\n",
+                t.id,
+                t.sub_stream,
+                t.tau.millis(),
+                t.arrival.millis(),
+                t.tuple.values()
+            );
+        }
+        text += &serde_json::to_string(&out.log).expect("log serializes");
+        text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn scenario_bytes_are_pinned() {
+        // Captured before `LogicalPlan` became the only job description:
+        // describing a scenario as a plan moves no byte of a paper run,
+        // whether the pipeline runs hand-built or the plan is compiled.
+        let schema = wearable::schema();
+        for (plan, pinned) in [
+            (random_temporal(1), 0xe8d3_dd64_03b6_9af3),
+            (software_update(1), 0x2932_9653_43a6_6583),
+            (bad_network(1), 0x551b_bcee_71df_fde1),
+        ] {
+            let pipeline = plan.build_pipelines(&schema).unwrap().pop().unwrap();
+            let by_hand = pollute_stream(&schema, wearable::generate(), pipeline).unwrap();
+            assert_eq!(digest(&by_hand), pinned, "{}", plan.to_json());
+            let compiled = plan
+                .compile(&schema)
+                .unwrap()
+                .execute(wearable::generate())
+                .unwrap();
+            assert_eq!(digest(&compiled), pinned, "{}", plan.to_json());
+        }
     }
 }

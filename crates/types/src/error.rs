@@ -39,8 +39,8 @@ pub enum Error {
     /// `Clone`/`PartialEq`.
     Io(String),
     /// A pollution plan could not be compiled or reconfigured (unknown
-    /// polluter name in a delta, sub-stream count mismatch, invalid
-    /// execution section, …).
+    /// polluter name in a delta, sub-stream count mismatch, a JSON key
+    /// that is not a plan field, …).
     Plan {
         /// Human-readable description of the plan problem.
         detail: String,

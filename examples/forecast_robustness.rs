@@ -21,19 +21,21 @@ fn main() {
     // (equation (3) of the paper).
     let t0 = eval_clean[0].tau;
     let t1 = eval_clean[eval_clean.len() - 1].tau;
-    let config = JobConfig::single(
+    let plan = LogicalPlan::new(
         9,
-        vec![PolluterConfig::Standard {
+        vec![vec![PolluterConfig::Standard {
             name: "increasing-noise".into(),
             attributes: vec!["NO2".into(), "TEMP".into(), "WSPM".into()],
             error: ErrorConfig::UniformNoise { a: 0.0, b: 1.0 },
             condition: ConditionConfig::Always,
             pattern: Some(ChangePattern::Incremental { from: t0, to: t1 }),
-        }],
+        }]],
     );
-    let pipeline = config.build(&schema).expect("config builds").pop().unwrap();
     let eval_tuples: Vec<Tuple> = eval_clean.iter().map(|t| t.tuple.clone()).collect();
-    let noisy = pollute_stream(&schema, eval_tuples, pipeline)
+    let noisy = plan
+        .compile(&schema)
+        .expect("plan is valid")
+        .execute(eval_tuples)
         .expect("pollution runs")
         .polluted;
 

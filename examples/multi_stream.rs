@@ -24,40 +24,41 @@ fn main() {
 
     // Sub-stream 0: a noisy feed. Sub-stream 1: a feed with dropouts
     // and an hour of frozen readings.
-    let config = JobConfig {
-        seed: 11,
-        pipelines: vec![
-            vec![PolluterConfig::Standard {
-                name: "feed-a-noise".into(),
-                attributes: vec!["Temp".into()],
-                error: ErrorConfig::GaussianNoise {
-                    sigma: 0.4,
-                    relative: false,
-                },
-                condition: ConditionConfig::Probability { p: 0.5 },
-                pattern: None,
-            }],
+    let plan = LogicalPlan {
+        assigner: AssignerSpec::Broadcast,
+        ..LogicalPlan::new(
+            11,
             vec![
-                PolluterConfig::Drop {
-                    name: "feed-b-dropouts".into(),
-                    condition: ConditionConfig::Probability { p: 0.1 },
-                },
-                PolluterConfig::Freeze {
-                    name: "feed-b-stuck-sensor".into(),
-                    condition: ConditionConfig::Probability { p: 0.02 },
+                vec![PolluterConfig::Standard {
+                    name: "feed-a-noise".into(),
                     attributes: vec!["Temp".into()],
-                    duration_ms: 3_600_000,
-                },
+                    error: ErrorConfig::GaussianNoise {
+                        sigma: 0.4,
+                        relative: false,
+                    },
+                    condition: ConditionConfig::Probability { p: 0.5 },
+                    pattern: None,
+                }],
+                vec![
+                    PolluterConfig::Drop {
+                        name: "feed-b-dropouts".into(),
+                        condition: ConditionConfig::Probability { p: 0.1 },
+                    },
+                    PolluterConfig::Freeze {
+                        name: "feed-b-stuck-sensor".into(),
+                        condition: ConditionConfig::Probability { p: 0.02 },
+                        attributes: vec!["Temp".into()],
+                        duration_ms: 3_600_000,
+                    },
+                ],
             ],
-        ],
-        supervision: None,
-        chaos: None,
-        checkpoint: None,
-        execution: None,
+        )
     };
-    let pipelines = config.build(&schema).expect("config builds");
-    let job = PollutionJob::new(schema.clone()).with_assigner(SubStreamAssigner::Broadcast);
-    let out = job.run(tuples, pipelines).expect("pollution runs");
+    let out = plan
+        .compile(&schema)
+        .expect("plan is valid")
+        .execute(tuples)
+        .expect("pollution runs");
 
     println!("=== multi-stream integration ===");
     println!(

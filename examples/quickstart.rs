@@ -26,13 +26,14 @@ fn main() {
         })
         .collect();
 
-    // 2. Declare a pollution pipeline in the configuration API:
+    // 2. Describe the job as a plan with one pollution pipeline:
     //    missing values whose probability follows the daily sinusoid of
     //    the paper's experiment 3.1.1, plus relative Gaussian noise on
-    //    afternoon readings.
-    let config = JobConfig::single(
+    //    afternoon readings. The JSON form is what `icewafl pollute
+    //    --config` reads.
+    let plan = LogicalPlan::new(
         42,
-        vec![
+        vec![vec![
             PolluterConfig::Standard {
                 name: "nightly-dropouts".into(),
                 attributes: vec!["Temp".into()],
@@ -53,17 +54,16 @@ fn main() {
                 condition: ConditionConfig::HourRange { start: 12, end: 18 },
                 pattern: None,
             },
-        ],
+        ]],
     );
-    println!("pipeline configuration:\n{}\n", config.to_json());
+    println!("plan:\n{}\n", plan.to_json());
 
     // 3. Run the pollution process (Algorithm 1 of the paper).
-    let pipeline = config
-        .build(&schema)
-        .expect("config is valid")
-        .pop()
-        .unwrap();
-    let out = pollute_stream(&schema, tuples, pipeline).expect("pollution runs");
+    let out = plan
+        .compile(&schema)
+        .expect("plan is valid")
+        .execute(tuples)
+        .expect("pollution runs");
     println!(
         "polluted {} of {} tuples ({} log entries)",
         out.log.polluted_tuple_ids().len(),

@@ -12,10 +12,10 @@ fn main() {
     let schema = icewafl::data::wearable::schema();
     let data = icewafl::data::wearable::generate();
 
-    // The §3.1.2 software-update pollution, via the config API.
-    let config = JobConfig::single(
+    // The §3.1.2 software-update pollution, as a plan.
+    let plan = LogicalPlan::new(
         13,
-        vec![PolluterConfig::Composite {
+        vec![vec![PolluterConfig::Composite {
             name: "software-update".into(),
             condition: ConditionConfig::TimeWindow {
                 from: Some("2016-02-27 00:00:00".into()),
@@ -28,14 +28,13 @@ fn main() {
                 condition: ConditionConfig::Always,
                 pattern: None,
             }],
-        }],
+        }]],
     );
-    let out = pollute_stream(
-        &schema,
-        data,
-        config.build(&schema).expect("config builds").pop().unwrap(),
-    )
-    .expect("pollution runs");
+    let out = plan
+        .compile(&schema)
+        .expect("plan is valid")
+        .execute(data)
+        .expect("pollution runs");
 
     // Monitor: 6-hour windows, the unit-error detector from §3.1.2.
     let suite = ExpectationSuite::new("unit-check")

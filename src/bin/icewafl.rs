@@ -187,16 +187,14 @@ fn cmd_pollute(args: &[String]) -> Result<()> {
     let schema = load_schema(&require(args, "--schema")?)?;
     let config_path = require(args, "--config")?;
 
-    let mut config = JobConfig::from_json(&std::fs::read_to_string(&config_path)?)?;
+    // The config file is a logical plan; flags edit it before it
+    // compiles.
+    let mut plan = LogicalPlan::from_json(&std::fs::read_to_string(&config_path)?)?;
     if let Some(seed) = flag(args, "--seed") {
-        config.seed = seed
+        plan.seed = seed
             .parse()
             .map_err(|_| Error::config(format_args!("bad --seed `{seed}`")))?;
     }
-
-    // Lower the config to a logical plan, then let flags override the
-    // execution sections before compiling.
-    let mut plan = config.to_plan();
     if let Some(batch) = flag(args, "--batch-size") {
         let batch: usize = batch
             .parse()
@@ -587,9 +585,9 @@ fn render_top_frame(f: &icewafl::serve::TelemetryFrame) -> String {
 
 fn cmd_example_config(args: &[String]) -> Result<()> {
     check_flags("example-config", args, &[], &[])?;
-    let config = JobConfig::single(
+    let plan = LogicalPlan::new(
         42,
-        vec![
+        vec![vec![
             PolluterConfig::Standard {
                 name: "nightly-dropouts".into(),
                 attributes: vec!["Distance".into()],
@@ -610,8 +608,8 @@ fn cmd_example_config(args: &[String]) -> Result<()> {
                 },
                 delay_ms: 3_600_000,
             },
-        ],
+        ]],
     );
-    println!("{}", config.to_json());
+    println!("{}", plan.to_json());
     Ok(())
 }

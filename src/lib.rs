@@ -13,7 +13,8 @@
 //!   pushed execution on the calling thread;
 //! * [`core`] — the pollution model itself: conditions, error
 //!   functions, native temporal polluters, change patterns, composite
-//!   polluters, pipelines, ground-truth logging, JSON configuration;
+//!   polluters, pipelines, ground-truth logging, and the JSON job
+//!   description (`LogicalPlan`);
 //! * [`dq`] — an expectation-based data-quality engine (the Great
 //!   Expectations substitute), including a from-scratch regex engine;
 //! * [`forecast`] — online ARIMA / ARIMAX / Holt-Winters (the River
@@ -46,18 +47,17 @@
 //!     Value::Float(20.0 + (h % 24) as f64),
 //! ])).collect();
 //!
-//! // Declare a polluter: 20% missing values.
-//! let config = JobConfig::single(42, vec![PolluterConfig::Standard {
+//! // Describe the job: one pipeline, one polluter, 20% missing values.
+//! let plan = LogicalPlan::new(42, vec![vec![PolluterConfig::Standard {
 //!     name: "dropouts".into(),
 //!     attributes: vec!["Temp".into()],
 //!     error: ErrorConfig::MissingValue,
 //!     condition: ConditionConfig::Probability { p: 0.2 },
 //!     pattern: None,
-//! }]);
+//! }]]);
 //!
 //! // Run Algorithm 1 and check the ground truth.
-//! let pipeline = config.build(&schema).unwrap().pop().unwrap();
-//! let out = pollute_stream(&schema, tuples, pipeline).unwrap();
+//! let out = plan.compile(&schema).unwrap().execute(tuples).unwrap();
 //! assert_eq!(out.clean.len(), out.polluted.len());
 //!
 //! // Detect the injected errors with the DQ engine.

@@ -274,8 +274,8 @@ fn epoch_boundary_is_batch_size_invariant() {
     }
 }
 
-fn chaotic_config(max_retries: u32) -> JobConfig {
-    JobConfig::from_json(&format!(
+fn chaotic_config(max_retries: u32) -> LogicalPlan {
+    LogicalPlan::from_json(&format!(
         r#"{{
             "seed": 42,
             "pipelines": [[{{
@@ -299,7 +299,7 @@ fn poisoned_runs_terminate_cleanly_at_every_batch_size() {
     // never a deadlock or a silently truncated success.
     for strategy in STRATEGIES {
         for batch_size in [1usize, 4096] {
-            let mut plan = chaotic_config(0).to_plan();
+            let mut plan = chaotic_config(0);
             plan.strategy = strategy;
             plan.batch_size = batch_size;
             let err = plan
@@ -327,7 +327,7 @@ fn supervised_recovery_output_is_batch_size_invariant() {
     // must match across batch sizes (the retry restarts from pristine
     // pipeline state, so no partial batch can leak into the result).
     let base = {
-        let mut plan = chaotic_config(2).to_plan();
+        let mut plan = chaotic_config(2);
         plan.batch_size = 1;
         plan.compile(&schema())
             .unwrap()
@@ -336,7 +336,7 @@ fn supervised_recovery_output_is_batch_size_invariant() {
     };
     assert!(base.report.restarts >= 1, "the panic actually fired");
     for batch_size in BATCH_SIZES {
-        let mut plan = chaotic_config(2).to_plan();
+        let mut plan = chaotic_config(2);
         plan.batch_size = batch_size;
         let out = plan
             .compile(&schema())

@@ -27,10 +27,10 @@ fn tuples(n: i64) -> Vec<Tuple> {
         .collect()
 }
 
-/// A job config with one real polluter plus a chaos section that panics
-/// once (`panic_budget: 1` = a transient fault).
-fn chaotic_config(max_retries: u32) -> JobConfig {
-    let mut cfg = JobConfig::from_json(&format!(
+/// A plan with one real polluter plus a chaos section that panics once
+/// (`panic_budget: 1` = a transient fault).
+fn chaotic_config(max_retries: u32) -> LogicalPlan {
+    let cfg = LogicalPlan::from_json(&format!(
         r#"{{
             "seed": 42,
             "pipelines": [[{{
@@ -46,14 +46,13 @@ fn chaotic_config(max_retries: u32) -> JobConfig {
     ))
     .expect("config parses");
     assert!(cfg.supervision.is_some() && cfg.chaos.is_some());
-    cfg.seed = 42;
     cfg
 }
 
-/// Every test runs through the plan path: config → logical plan →
-/// compiled physical plan → supervised execution.
-fn compiled(cfg: &JobConfig) -> PhysicalPlan {
-    cfg.to_plan().compile(&schema()).expect("plan compiles")
+/// Every test runs the plan path: JSON → logical plan → compiled
+/// physical plan → supervised execution.
+fn compiled(plan: &LogicalPlan) -> PhysicalPlan {
+    plan.compile(&schema()).expect("plan compiles")
 }
 
 #[test]

@@ -44,13 +44,13 @@ fn tuples(n: i64) -> Vec<Tuple> {
 /// restore path covers both RNG positions *and* pending temporal
 /// buffers), checkpointing every epoch, and — when `kill` is set — a
 /// chaos section that panics exactly once at tuple [`KILL_AT`].
-fn config(strategy: &str, batch_size: usize, kill: bool) -> JobConfig {
+fn config(strategy: &str, batch_size: usize, kill: bool) -> LogicalPlan {
     let chaos = if kill {
         format!(r#""chaos": {{ "kill_at_tuple": {KILL_AT}, "panic_budget": 1 }},"#)
     } else {
         String::new()
     };
-    JobConfig::from_json(&format!(
+    LogicalPlan::from_json(&format!(
         r#"{{
             "seed": 42,
             "pipelines": [[
@@ -71,18 +71,16 @@ fn config(strategy: &str, batch_size: usize, kill: bool) -> JobConfig {
             "supervision": {{ "max_retries": 2, "deterministic": true }},
             {chaos}
             "checkpoint": {{ "interval_epochs": 1 }},
-            "execution": {{
-                "strategy": "{strategy}",
-                "watermark_period": {WM_PERIOD},
-                "batch_size": {batch_size}
-            }}
+            "strategy": "{strategy}",
+            "watermark_period": {WM_PERIOD},
+            "batch_size": {batch_size}
         }}"#
     ))
     .expect("config parses")
 }
 
-fn compiled(cfg: &JobConfig) -> PhysicalPlan {
-    cfg.to_plan().compile(&schema()).expect("plan compiles")
+fn compiled(plan: &LogicalPlan) -> PhysicalPlan {
+    plan.compile(&schema()).expect("plan compiles")
 }
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -140,7 +138,7 @@ fn recovery_is_byte_identical_across_strategies_and_batch_sizes() {
 /// Four round-robin sub-streams, each with a value polluter and a
 /// delay polluter named after the sub-stream, so a log entry says which
 /// segment it belongs to.
-fn fanned_out_config(kill: bool, dir: &std::path::Path) -> JobConfig {
+fn fanned_out_config(kill: bool, dir: &std::path::Path) -> LogicalPlan {
     let mut cfg = config("sequential", 256, kill);
     let template = cfg.pipelines.remove(0);
     cfg.pipelines = (0..4)
@@ -157,7 +155,7 @@ fn fanned_out_config(kill: bool, dir: &std::path::Path) -> JobConfig {
             stages
         })
         .collect();
-    cfg.execution.as_mut().unwrap().assigner = AssignerSpec::RoundRobin;
+    cfg.assigner = AssignerSpec::RoundRobin;
     cfg.checkpoint.as_mut().unwrap().dir = Some(dir.to_string_lossy().into_owned());
     if let Some(chaos) = cfg.chaos.as_mut() {
         // Per injector: sub-stream 0 sees its 30th tuple at source
@@ -268,8 +266,9 @@ fn wal_backed_recovery_leaves_parseable_frames_on_disk() {
 }
 
 /// Opening the checkpoint store truncates `checkpoint.wal`, so a job
-/// rejected at validation must be rejected before it gets that far: an
-/// earlier run's WAL survives a job with out-of-range chaos rates.
+/// that is rejected must be rejected before it gets that far: an
+/// earlier run's WAL survives a plan with out-of-range chaos rates
+/// that checkpoints into the same directory.
 #[test]
 fn rejected_job_leaves_an_existing_wal_untouched() {
     let dir = temp_dir("rejected");
@@ -280,16 +279,18 @@ fn rejected_job_leaves_an_existing_wal_untouched() {
     let before = std::fs::read(&wal).expect("the calm run wrote a WAL");
     assert!(!before.is_empty());
 
-    let job = PollutionJob::new(schema())
-        .with_chaos(ChaosConfig {
+    let rejected = LogicalPlan {
+        chaos: Some(ChaosSectionConfig {
             panic_rate: 1.5,
-            ..ChaosConfig::default()
-        })
-        .with_checkpointing(Some(dir.clone()), 1);
-    let err = job
-        .run_supervised(tuples(200), || Ok(vec![PollutionPipeline::empty()]))
+            ..ChaosSectionConfig::default()
+        }),
+        ..cfg
+    };
+    let err = rejected
+        .compile(&schema())
+        .and_then(|physical| physical.execute_supervised(tuples(200)))
         .unwrap_err();
-    assert!(matches!(err, Error::Config(_)), "got: {err}");
+    assert!(matches!(err, Error::Plan { .. }), "got: {err}");
     let after = std::fs::read(&wal).unwrap();
     assert!(
         after == before,

@@ -286,6 +286,61 @@ fn explain_prints_the_compiled_plan_without_running() {
 }
 
 #[test]
+fn pollute_config_is_a_logical_plan() {
+    let dir = temp_dir("plan-config");
+    // The same flat document `serve --plans-dir` loads: every execution
+    // key sits at the top level and takes effect.
+    std::fs::write(
+        dir.join("flat.json"),
+        r#"{"pipelines":[[]],"batch_size":1,"watermark_period":7,"logging":false}"#,
+    )
+    .unwrap();
+    let out = icewafl(
+        &[
+            "pollute",
+            "--schema",
+            "wearable",
+            "--config",
+            "flat.json",
+            "--explain",
+        ],
+        &dir,
+    );
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = stdout(&out);
+    for line in [
+        "batch size:       1 ",
+        "every 7 tuples",
+        "logging:          off",
+    ] {
+        assert!(text.contains(line), "explain lacks `{line}`:\n{text}");
+    }
+
+    // The old nested section is refused by name, not silently ignored.
+    std::fs::write(
+        dir.join("nested.json"),
+        r#"{"pipelines":[[]],"execution":{"batch_size":1}}"#,
+    )
+    .unwrap();
+    let out = icewafl(
+        &[
+            "pollute",
+            "--schema",
+            "wearable",
+            "--config",
+            "nested.json",
+            "--explain",
+        ],
+        &dir,
+    );
+    assert!(!out.status.success(), "a nested execution section ran");
+    let err = stderr(&out);
+    assert!(err.contains("`execution`"), "{err}");
+    assert!(stdout(&out).is_empty(), "nothing ran: {}", stdout(&out));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn unknown_flags_are_rejected_with_their_name() {
     let dir = temp_dir("unknown-flags");
     let cfg = icewafl(&["example-config"], &dir);

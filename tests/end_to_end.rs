@@ -44,9 +44,12 @@ fn config_json_to_detection_round_trip() {
         ]]
     }"#;
     let schema = sensor_schema();
-    let config = JobConfig::from_json(json).expect("JSON parses");
-    let pipeline = config.build(&schema).expect("config builds").pop().unwrap();
-    let out = pollute_stream(&schema, sensor_stream(500), pipeline).expect("pollution runs");
+    let plan = LogicalPlan::from_json(json).expect("JSON parses");
+    let out = plan
+        .compile(&schema)
+        .expect("plan compiles")
+        .execute(sensor_stream(500))
+        .expect("pollution runs");
 
     // Detection: NULLs via the DQ engine; the ground truth must agree
     // exactly.
@@ -68,9 +71,9 @@ fn config_json_to_detection_round_trip() {
 #[test]
 fn same_seed_reproduces_bitwise() {
     let schema = sensor_schema();
-    let config = JobConfig::single(
+    let plan = LogicalPlan::new(
         7,
-        vec![PolluterConfig::Standard {
+        vec![vec![PolluterConfig::Standard {
             name: "noise".into(),
             attributes: vec!["Temp".into()],
             error: ErrorConfig::GaussianNoise {
@@ -79,11 +82,13 @@ fn same_seed_reproduces_bitwise() {
             },
             condition: ConditionConfig::Probability { p: 0.5 },
             pattern: None,
-        }],
+        }]],
     );
     let run = || {
-        let pipeline = config.build(&schema).unwrap().pop().unwrap();
-        pollute_stream(&schema, sensor_stream(300), pipeline).unwrap()
+        plan.compile(&schema)
+            .expect("plan compiles")
+            .execute(sensor_stream(300))
+            .unwrap()
     };
     let a = run();
     let b = run();
@@ -115,9 +120,9 @@ fn derived_temporal_error_ramps_detection_counts() {
     let hours = 1000;
     let start = Timestamp::from_ymd(2026, 1, 1).unwrap();
     let end = start + Duration::from_hours(hours);
-    let config = JobConfig::single(
+    let plan = LogicalPlan::new(
         3,
-        vec![PolluterConfig::Standard {
+        vec![vec![PolluterConfig::Standard {
             name: "ramping".into(),
             attributes: vec!["Temp".into()],
             error: ErrorConfig::MissingValue,
@@ -128,10 +133,13 @@ fn derived_temporal_error_ramps_detection_counts() {
                 p1: 1.0,
             },
             pattern: None,
-        }],
+        }]],
     );
-    let pipeline = config.build(&schema).unwrap().pop().unwrap();
-    let out = pollute_stream(&schema, sensor_stream(hours), pipeline).unwrap();
+    let out = plan
+        .compile(&schema)
+        .expect("plan compiles")
+        .execute(sensor_stream(hours))
+        .unwrap();
     let mid = start + Duration::from_hours(hours / 2);
     let early = out.log.entries().iter().filter(|e| e.tau() < mid).count();
     let late = out.log.len() - early;
@@ -144,16 +152,19 @@ fn derived_temporal_error_ramps_detection_counts() {
 #[test]
 fn delay_detection_matches_ground_truth() {
     let schema = sensor_schema();
-    let config = JobConfig::single(
+    let plan = LogicalPlan::new(
         5,
-        vec![PolluterConfig::Delay {
+        vec![vec![PolluterConfig::Delay {
             name: "late".into(),
             condition: ConditionConfig::Probability { p: 0.1 },
             delay_ms: 4 * 3_600_000, // 4 h on an hourly stream
-        }],
+        }]],
     );
-    let pipeline = config.build(&schema).unwrap().pop().unwrap();
-    let out = pollute_stream(&schema, sensor_stream(600), pipeline).unwrap();
+    let out = plan
+        .compile(&schema)
+        .expect("plan compiles")
+        .execute(sensor_stream(600))
+        .unwrap();
     let delayed = out.log.len();
     let detected = ExpectColumnValuesToBeIncreasing::new("Time")
         .validate(&schema, &out.polluted)
@@ -179,18 +190,21 @@ fn profiler_suite_learned_on_clean_catches_pollution() {
     let suite = suggest_suite(&schema, &clean.polluted).unwrap();
     assert!(suite.validate(&schema, &clean.polluted).unwrap().success());
 
-    let config = JobConfig::single(
+    let plan = LogicalPlan::new(
         9,
-        vec![PolluterConfig::Standard {
+        vec![vec![PolluterConfig::Standard {
             name: "outliers".into(),
             attributes: vec!["Temp".into()],
             error: ErrorConfig::Outlier { magnitude: 20.0 },
             condition: ConditionConfig::Probability { p: 0.05 },
             pattern: None,
-        }],
+        }]],
     );
-    let pipeline = config.build(&schema).unwrap().pop().unwrap();
-    let dirty = pollute_stream(&schema, sensor_stream(400), pipeline).unwrap();
+    let dirty = plan
+        .compile(&schema)
+        .expect("plan compiles")
+        .execute(sensor_stream(400))
+        .unwrap();
     let report = suite.validate(&schema, &dirty.polluted).unwrap();
     assert!(
         !report.success(),
@@ -202,18 +216,21 @@ fn profiler_suite_learned_on_clean_catches_pollution() {
 fn csv_persistence_of_dirty_stream() {
     // Fig. 2's final step: persist the polluted stream; read it back.
     let schema = sensor_schema();
-    let config = JobConfig::single(
+    let plan = LogicalPlan::new(
         2,
-        vec![PolluterConfig::Standard {
+        vec![vec![PolluterConfig::Standard {
             name: "null".into(),
             attributes: vec!["Temp".into()],
             error: ErrorConfig::MissingValue,
             condition: ConditionConfig::Probability { p: 0.2 },
             pattern: None,
-        }],
+        }]],
     );
-    let pipeline = config.build(&schema).unwrap().pop().unwrap();
-    let out = pollute_stream(&schema, sensor_stream(200), pipeline).unwrap();
+    let out = plan
+        .compile(&schema)
+        .expect("plan compiles")
+        .execute(sensor_stream(200))
+        .unwrap();
     let dirty: Vec<Tuple> = out.polluted.iter().map(|t| t.tuple.clone()).collect();
     let mut buf = Vec::new();
     icewafl::data::write_csv(&mut buf, &schema, &dirty).unwrap();

@@ -14,9 +14,9 @@ mod exp1 {
     fn random_temporal_proportion_and_shape() {
         let schema = wearable::schema();
         let data = wearable::generate();
-        let config = JobConfig::single(
+        let plan = LogicalPlan::new(
             11,
-            vec![PolluterConfig::Standard {
+            vec![vec![PolluterConfig::Standard {
                 name: "null-distance".into(),
                 attributes: vec!["Distance".into()],
                 error: ErrorConfig::MissingValue,
@@ -25,15 +25,18 @@ mod exp1 {
                     offset: 0.25,
                 },
                 pattern: None,
-            }],
+            }]],
         );
         let mut totals = Vec::new();
         let mut by_hour = [0usize; 24];
         for rep in 0..5 {
-            let mut cfg = config.clone();
-            cfg.seed += rep;
-            let pipeline = cfg.build(&schema).unwrap().pop().unwrap();
-            let out = pollute_stream(&schema, data.clone(), pipeline).unwrap();
+            let mut plan = plan.clone();
+            plan.seed += rep;
+            let out = plan
+                .compile(&schema)
+                .unwrap()
+                .execute(data.clone())
+                .unwrap();
             totals.push(out.log.len() as f64);
             for (h, c) in out.log.counts_by_hour_of_day().iter().enumerate() {
                 by_hour[h] += c;
@@ -55,9 +58,9 @@ mod exp1 {
     fn software_update_expected_equals_measured() {
         let schema = wearable::schema();
         let data = wearable::generate();
-        let config = JobConfig::single(
+        let plan = LogicalPlan::new(
             3,
-            vec![PolluterConfig::Composite {
+            vec![vec![PolluterConfig::Composite {
                 name: "software-update".into(),
                 condition: ConditionConfig::TimeWindow {
                     from: Some("2016-02-27 00:00:00".into()),
@@ -89,10 +92,9 @@ mod exp1 {
                         }],
                     },
                 ],
-            }],
+            }]],
         );
-        let pipeline = config.build(&schema).unwrap().pop().unwrap();
-        let out = pollute_stream(&schema, data, pipeline).unwrap();
+        let out = plan.compile(&schema).unwrap().execute(data).unwrap();
 
         // Unit errors: ground truth == DQ measurement, exactly.
         let unit_truth = out.log.counts_by_polluter()["km-to-cm"];
@@ -112,9 +114,9 @@ mod exp1 {
     fn bad_network_expectations() {
         let schema = wearable::schema();
         let data = wearable::generate();
-        let config = JobConfig::single(
+        let plan = LogicalPlan::new(
             21,
-            vec![PolluterConfig::Delay {
+            vec![vec![PolluterConfig::Delay {
                 name: "net".into(),
                 condition: ConditionConfig::And {
                     children: vec![
@@ -123,15 +125,18 @@ mod exp1 {
                     ],
                 },
                 delay_ms: 3_600_000,
-            }],
+            }]],
         );
         let mut injected = 0usize;
         let mut detected = 0usize;
         for rep in 0..5 {
-            let mut cfg = config.clone();
-            cfg.seed += rep;
-            let pipeline = cfg.build(&schema).unwrap().pop().unwrap();
-            let out = pollute_stream(&schema, data.clone(), pipeline).unwrap();
+            let mut plan = plan.clone();
+            plan.seed += rep;
+            let out = plan
+                .compile(&schema)
+                .unwrap()
+                .execute(data.clone())
+                .unwrap();
             injected += out.log.len();
             detected += ExpectColumnValuesToBeIncreasing::new("Time")
                 .validate(&schema, &out.polluted)
@@ -167,19 +172,21 @@ mod exp2 {
 
         let t0 = eval[0].tau;
         let t1 = eval[eval.len() - 1].tau;
-        let config = JobConfig::single(
+        let plan = LogicalPlan::new(
             5,
-            vec![PolluterConfig::Standard {
+            vec![vec![PolluterConfig::Standard {
                 name: "noise".into(),
                 attributes: vec!["NO2".into()],
                 error: ErrorConfig::UniformNoise { a: 0.0, b: 1.0 },
                 condition: ConditionConfig::Always,
                 pattern: Some(ChangePattern::Incremental { from: t0, to: t1 }),
-            }],
+            }]],
         );
-        let pipeline = config.build(&schema).unwrap().pop().unwrap();
         let eval_tuples: Vec<Tuple> = eval.iter().map(|t| t.tuple.clone()).collect();
-        let noisy = pollute_stream(&schema, eval_tuples, pipeline)
+        let noisy = plan
+            .compile(&schema)
+            .unwrap()
+            .execute(eval_tuples)
             .unwrap()
             .polluted;
 
@@ -231,36 +238,35 @@ mod exp3 {
     fn pollution_overhead_is_bounded() {
         let schema = wearable::schema();
         let data = wearable::generate();
-        let time = |config: Option<&JobConfig>| -> f64 {
+        // Logging off, as in the paper's overhead measurement; each
+        // timed run builds its pipeline from the plan and pollutes.
+        let time = |polluters: Vec<PolluterConfig>| -> f64 {
+            let physical = LogicalPlan {
+                logging: false,
+                ..LogicalPlan::new(1, vec![polluters])
+            }
+            .compile(&schema)
+            .unwrap();
             let mut best = f64::INFINITY;
             for _ in 0..5 {
-                let pipeline = match config {
-                    Some(c) => c.build(&schema).unwrap().pop().unwrap(),
-                    None => PollutionPipeline::empty(),
-                };
-                let job = PollutionJob::new(schema.clone()).without_logging();
                 let started = Instant::now();
-                let out = job.run(data.clone(), vec![pipeline]).unwrap();
+                let out = physical.execute(data.clone()).unwrap();
                 std::hint::black_box(out.polluted.len());
                 best = best.min(started.elapsed().as_secs_f64());
             }
             best
         };
-        let config = JobConfig::single(
-            1,
-            vec![PolluterConfig::Standard {
-                name: "null".into(),
-                attributes: vec!["Distance".into()],
-                error: ErrorConfig::MissingValue,
-                condition: ConditionConfig::Sinusoidal {
-                    amplitude: 0.25,
-                    offset: 0.25,
-                },
-                pattern: None,
-            }],
-        );
-        let baseline = time(None);
-        let polluted = time(Some(&config));
+        let baseline = time(vec![]);
+        let polluted = time(vec![PolluterConfig::Standard {
+            name: "null".into(),
+            attributes: vec!["Distance".into()],
+            error: ErrorConfig::MissingValue,
+            condition: ConditionConfig::Sinusoidal {
+                amplitude: 0.25,
+                offset: 0.25,
+            },
+            pattern: None,
+        }]);
         assert!(
             polluted < baseline * 2.0,
             "pollution {polluted:.4}s vs baseline {baseline:.4}s"
