@@ -7,7 +7,7 @@
 //! [`StandardPolluter`] whose error function provably writes values of
 //! the column's own type — the pipeline lowers to a [`ColumnPipeline`]:
 //! a sequence of column kernels that run directly over a batch's typed
-//! attribute vectors instead of per-tuple `ValueVec`s.
+//! attribute vectors instead of per-tuple value slices.
 //!
 //! **A measured leaf, not an execution path.** The runner executes
 //! every sub-stream through its row pipeline: fed rows and asked for

@@ -762,15 +762,18 @@ fn run_report(
 }
 
 /// A source over `clean[from..]` that clones each prepared tuple as it
-/// is pulled, so `clean` stays the only whole-stream copy of the input
-/// (a `VecSource` would need a second one for the length of the run).
+/// is pulled. A clone shares the tuple's values by reference count, so
+/// `clean` stays the only copy of the input: a polluted tuple copies
+/// its values only when a polluter first writes to it.
 fn replay_source(clean: &Arc<Vec<StampedTuple>>, from: usize) -> impl Source<StampedTuple> {
     let clean = Arc::clone(clean);
     IterSource::new((from..clean.len()).map(move |i| clean[i].clone()))
 }
 
 /// The prepared clean stream back out of the handle it shared with the
-/// run's source; the source is gone by now, so this does not copy.
+/// run's source; the source is gone by now, so this takes the vector
+/// back without touching it (its tuples still share values with the
+/// polluted ones that no polluter wrote).
 fn unshare(clean: Arc<Vec<StampedTuple>>) -> Vec<StampedTuple> {
     Arc::try_unwrap(clean).unwrap_or_else(|shared| shared.to_vec())
 }

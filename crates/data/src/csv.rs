@@ -6,6 +6,7 @@
 
 use icewafl_types::{Error, Result, Schema, Tuple, Value};
 use std::io::{BufRead, Write};
+use std::iter;
 
 /// Serializes one field with RFC 4180 quoting when needed.
 pub(crate) fn write_field(out: &mut String, field: &str) {
@@ -24,7 +25,11 @@ pub(crate) fn write_field(out: &mut String, field: &str) {
 }
 
 /// Writes a header plus one line per tuple.
-pub fn write_csv(w: &mut impl Write, schema: &Schema, tuples: &[Tuple]) -> Result<()> {
+pub fn write_csv<'a>(
+    w: &mut impl Write,
+    schema: &Schema,
+    tuples: impl IntoIterator<Item = &'a Tuple>,
+) -> Result<()> {
     let mut line = String::new();
     for (i, f) in schema.fields().iter().enumerate() {
         if i > 0 {
@@ -108,12 +113,16 @@ pub(crate) fn parse_record(line: &str, schema: &Schema) -> Result<Tuple> {
             ),
         });
     }
-    let values: Result<Vec<Value>> = fields
-        .iter()
+    let mut tuple: Tuple = iter::repeat_n(Value::Null, fields.len()).collect();
+    for ((slot, raw), f) in tuple
+        .values_mut()
+        .iter_mut()
+        .zip(&fields)
         .zip(schema.fields())
-        .map(|(raw, f)| Value::parse(raw, f.dtype))
-        .collect();
-    Ok(Tuple::new(values?))
+    {
+        *slot = Value::parse(raw, f.dtype)?;
+    }
+    Ok(tuple)
 }
 
 /// Reads a CSV with a header line, parsing fields per the schema's

@@ -90,6 +90,7 @@ use icewafl_stream::net::{NetError, NetPoll, WireFormat, WireFrame};
 use icewafl_types::{DataType, Schema, StampedTuple, Timestamp, Tuple, Value};
 use serde::{Deserialize, Serialize};
 use serde_json::{write_float, write_i64, write_string, write_u64, Lexer, Token};
+use std::iter;
 
 /// Binary frame tag: client → server, one [`Tuple`] payload.
 pub const TAG_TUPLE: u8 = 1;
@@ -470,11 +471,11 @@ fn get_tuple(d: &mut Dec<'_>) -> Result<Tuple, NetError> {
     if arity > d.remaining() {
         return Err(NetError::malformed("tuple arity exceeds payload"));
     }
-    let mut values = Vec::with_capacity(arity);
-    for _ in 0..arity {
-        values.push(get_value(d)?);
+    let mut tuple: Tuple = iter::repeat_n(Value::Null, arity).collect();
+    for slot in tuple.values_mut() {
+        *slot = get_value(d)?;
     }
-    Ok(Tuple::new(values))
+    Ok(tuple)
 }
 
 /// Encodes a [`Tuple`] as a binary payload (`u16` arity, then tagged
@@ -598,7 +599,7 @@ pub fn decode_columns(buf: &[u8]) -> Result<Vec<StampedTuple>, NetError> {
     let mut batch = Vec::with_capacity(rows);
     for row in (0..rows).rev() {
         let values = columns.iter_mut().map(|col| col.pop().unwrap()).collect();
-        let mut t = StampedTuple::new(ids[row], Timestamp(taus[row]), Tuple::new(values));
+        let mut t = StampedTuple::new(ids[row], Timestamp(taus[row]), values);
         t.arrival = Timestamp(arrivals[row]);
         t.sub_stream = sub_streams[row];
         batch.push(t);
@@ -653,8 +654,7 @@ pub fn decode_tuple_columns(buf: &[u8]) -> Result<Vec<Tuple>, NetError> {
     d.finish()?;
     let mut batch = Vec::with_capacity(rows);
     for _ in 0..rows {
-        let values = columns.iter_mut().map(|col| col.pop().unwrap()).collect();
-        batch.push(Tuple::new(values));
+        batch.push(columns.iter_mut().map(|col| col.pop().unwrap()).collect());
     }
     batch.reverse();
     Ok(batch)
@@ -692,21 +692,29 @@ fn read_tuple(lx: &mut Lexer<'_>, schema: Option<&Schema>) -> Result<Tuple, Line
         }
     }
     match values {
-        Some(values) => Ok(Tuple::new(values)),
+        Some(values) => Ok(values),
         None => shape("tuple object has no `values`"),
     }
 }
 
-fn read_values(lx: &mut Lexer<'_>, schema: Option<&Schema>) -> Result<Vec<Value>, LineError> {
+/// Reads a `values` array into a tuple allocated once, at the line's
+/// arity: the schema's width, or what a look-ahead over the array
+/// counts. A typed line of another arity than its schema's is rebuilt
+/// at its own.
+fn read_values(lx: &mut Lexer<'_>, schema: Option<&Schema>) -> Result<Tuple, LineError> {
     if !matches!(lx.value()?, Token::ArrayStart) {
         return shape("`values` is not an array");
     }
-    let mut values = Vec::with_capacity(schema.map_or(0, Schema::len));
+    let arity = schema.map_or_else(|| count_elements(lx.rest()), Schema::len);
+    let mut tuple: Tuple = iter::repeat_n(Value::Null, arity).collect();
+    let slots = tuple.values_mut();
+    let mut beyond = Vec::new();
+    let mut read = 0;
     while lx.element()? {
         let dtype = schema
-            .and_then(|schema| schema.field(values.len()))
+            .and_then(|schema| schema.field(read))
             .map(|field| field.dtype);
-        values.push(match (lx.value()?, dtype) {
+        let value = match (lx.value()?, dtype) {
             (Token::Null, _) => Value::Null,
             (Token::Bool(b), _) => Value::Bool(b),
             (Token::I64(n), Some(DataType::Float)) => Value::Float(n as f64),
@@ -719,9 +727,56 @@ fn read_values(lx: &mut Lexer<'_>, schema: Option<&Schema>) -> Result<Vec<Value>
             (Token::ArrayStart | Token::ObjectStart, _) => {
                 return shape("a tuple value is an array or object")
             }
-        });
+        };
+        match slots.get_mut(read) {
+            Some(slot) => *slot = value,
+            None => beyond.push(value),
+        }
+        read += 1;
     }
-    Ok(values)
+    if read != arity {
+        let mut values = tuple.into_values();
+        values.truncate(read);
+        values.extend(beyond);
+        tuple = Tuple::new(values);
+    }
+    Ok(tuple)
+}
+
+/// How many elements the array whose `[` was just read holds, by a
+/// scan of its bytes that steps over strings and nested containers:
+/// exact for a well-formed array; for a malformed one only a size hint,
+/// and the read that follows reports the error.
+fn count_elements(rest: &str) -> usize {
+    let mut bytes = rest.bytes();
+    let (mut depth, mut commas, mut any) = (0usize, 0, false);
+    while let Some(b) = bytes.next() {
+        match b {
+            b' ' | b'\t' | b'\n' | b'\r' => continue,
+            b'"' => {
+                while let Some(b) = bytes.next() {
+                    match b {
+                        b'\\' => {
+                            bytes.next();
+                        }
+                        b'"' => break,
+                        _ => {}
+                    }
+                }
+            }
+            b'[' | b'{' => depth += 1,
+            b']' | b'}' if depth == 0 => break,
+            b']' | b'}' => depth -= 1,
+            b',' if depth == 0 => commas += 1,
+            _ => {}
+        }
+        any = true;
+    }
+    if any {
+        commas + 1
+    } else {
+        0
+    }
 }
 
 fn read_i64(lx: &mut Lexer<'_>) -> Result<i64, LineError> {
@@ -1217,6 +1272,20 @@ mod tests {
     }
 
     #[test]
+    fn element_counts_step_over_strings_and_containers() {
+        for (rest, count) in [
+            ("]", 0),
+            (" \n ] , 5", 0),
+            ("1]", 1),
+            (" null , true,-2.5e3 ]", 3),
+            (r#""a,]\"[", "}", 7]"#, 3),
+            (r#"[1, 2], {"a": [3, 4]}, 5]}"#, 3),
+        ] {
+            assert_eq!(count_elements(rest), count, "{rest}");
+        }
+    }
+
+    #[test]
     fn typed_decode_is_decode_then_coerce() {
         let schema = Schema::from_pairs([
             ("Time", DataType::Timestamp),
@@ -1246,6 +1315,15 @@ mod tests {
             ])
         );
         assert_eq!(coerce_tuple(&schema, untyped), typed);
+        // One value fewer than the schema has: the line's arity stands.
+        let short = r#"{"tuple":{"values":[5,6]},"end":null}"#;
+        assert_eq!(
+            record(decode_client_frame_typed(
+                WireFrame::Line(short.into()),
+                Some(&schema),
+            )),
+            Tuple::new(vec![Value::Timestamp(Timestamp(5)), Value::Float(6.0)])
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! vector per schema attribute plus a validity bitmap marking which
 //! slots hold a value (a cleared bit is SQL `NULL`). Column kernels in
 //! `icewafl-core` iterate one attribute vector at a time instead of
-//! hopping across per-tuple `ValueVec`s, and the serve codec can encode
+//! hopping across per-tuple value slices, and the serve codec can encode
 //! a whole batch without per-tuple framing.
 //!
 //! The representation is *lossless but narrower* than rows: a row whose
@@ -525,7 +525,9 @@ impl ColumnBatch {
             batch.taus.push(t.tau.0);
             batch.arrivals.push(t.arrival.0);
             batch.sub_streams.push(t.sub_stream);
-            for (col, value) in batch.columns.iter_mut().zip(t.tuple.into_values()) {
+            let mut columns = batch.columns.iter_mut();
+            t.tuple.for_each_value(|value| {
+                let col = columns.next().expect("arity validated above");
                 match value {
                     Value::Null => {
                         col.data.push_default();
@@ -537,7 +539,7 @@ impl ColumnBatch {
                         col.push_validity(true);
                     }
                 }
-            }
+            });
         }
         Ok(batch)
     }
@@ -548,13 +550,12 @@ impl ColumnBatch {
         let n = self.len();
         let mut rows = Vec::with_capacity(n);
         for row in 0..n {
-            let values: Vec<Value> = self
+            let values: Tuple = self
                 .columns
                 .iter_mut()
                 .map(|c| c.take_value_at(row))
                 .collect();
-            let mut t =
-                StampedTuple::new(self.ids[row], Timestamp(self.taus[row]), Tuple::new(values));
+            let mut t = StampedTuple::new(self.ids[row], Timestamp(self.taus[row]), values);
             t.arrival = Timestamp(self.arrivals[row]);
             t.sub_stream = self.sub_streams[row];
             rows.push(t);

@@ -12,109 +12,21 @@ use crate::time::Timestamp;
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// Arity up to which tuple values are stored inline, without a heap
-/// allocation per tuple; wider tuples spill to a `Vec` transparently.
-///
-/// Kept deliberately small: the stream runtime moves tuples far more
-/// often than it allocates them, and every inline slot inflates each
-/// move by `size_of::<Value>()` (24 bytes). A capacity sweep on the
-/// ℓ = 4, m = 4 reference workload showed capacities ≥ 2 regress
-/// sequential throughput 30–50% from the extra memcpy traffic, while
-/// 1 is neutral-to-faster — so the common 2–4 column schemas spill,
-/// and only genuinely scalar tuples ride inline.
-const INLINE_VALUES: usize = 1;
-
-/// Small-vector storage backing [`Tuple`]: tuples of at most
-/// [`INLINE_VALUES`] values keep them inline, so constructing, cloning,
-/// and dropping the tuples that dominate the stream costs no allocator
-/// round-trips. Serializes as a plain sequence, exactly like
-/// `Vec<Value>`, so the wire format is unchanged.
-#[derive(Clone)]
-enum ValueVec {
-    /// `len` live values in `slots[..len]`; the tail is `Value::Null`.
-    Inline {
-        len: u8,
-        slots: [Value; INLINE_VALUES],
-    },
-    /// Arity above the inline capacity spills to the heap.
-    Spilled(Vec<Value>),
-}
-
-impl ValueVec {
-    #[inline]
-    fn from_vec(values: Vec<Value>) -> Self {
-        if values.len() <= INLINE_VALUES {
-            let len = values.len() as u8;
-            let mut slots: [Value; INLINE_VALUES] = std::array::from_fn(|_| Value::Null);
-            for (slot, v) in slots.iter_mut().zip(values) {
-                *slot = v;
-            }
-            ValueVec::Inline { len, slots }
-        } else {
-            ValueVec::Spilled(values)
-        }
-    }
-
-    #[inline]
-    fn as_slice(&self) -> &[Value] {
-        match self {
-            ValueVec::Inline { len, slots } => &slots[..*len as usize],
-            ValueVec::Spilled(v) => v,
-        }
-    }
-
-    #[inline]
-    fn as_mut_slice(&mut self) -> &mut [Value] {
-        match self {
-            ValueVec::Inline { len, slots } => &mut slots[..*len as usize],
-            ValueVec::Spilled(v) => v,
-        }
-    }
-
-    #[inline]
-    fn into_vec(self) -> Vec<Value> {
-        match self {
-            ValueVec::Inline { len, slots } => slots.into_iter().take(len as usize).collect(),
-            ValueVec::Spilled(v) => v,
-        }
-    }
-}
-
-impl Default for ValueVec {
-    fn default() -> Self {
-        ValueVec::from_vec(Vec::new())
-    }
-}
-
-impl fmt::Debug for ValueVec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.as_slice().fmt(f)
-    }
-}
-
-impl PartialEq for ValueVec {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Serialize for ValueVec {
-    fn to_content(&self) -> serde::Content {
-        self.as_slice().to_content()
-    }
-}
-
-impl Deserialize for ValueVec {
-    fn from_content(content: &serde::Content) -> std::result::Result<Self, serde::Error> {
-        Vec::<Value>::from_content(content).map(ValueVec::from_vec)
-    }
-}
+use std::sync::Arc;
 
 /// A raw data tuple: one value per schema attribute.
+///
+/// The values live in shared copy-on-write storage. Cloning a tuple
+/// bumps a reference count; the first write through a tuple whose
+/// values are shared ([`values_mut`](Tuple::values_mut),
+/// [`get_mut`](Tuple::get_mut), [`replace`](Tuple::replace)) copies
+/// them, so the other holders never see it. A polluter writes only the
+/// attributes its condition selects, so the clean stream and the
+/// polluted one share every tuple no polluter wrote. Serializes as
+/// `{"values": [...]}`.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct Tuple {
-    values: ValueVec,
+    values: Arc<[Value]>,
 }
 
 impl Tuple {
@@ -122,54 +34,60 @@ impl Tuple {
     #[inline]
     pub fn new(values: Vec<Value>) -> Self {
         Tuple {
-            values: ValueVec::from_vec(values),
+            values: values.into(),
         }
     }
 
     /// Number of values (the arity).
     #[inline]
     pub fn len(&self) -> usize {
-        self.values.as_slice().len()
+        self.values.len()
     }
 
     /// `true` iff the tuple has no values.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.values.as_slice().is_empty()
+        self.values.is_empty()
     }
 
     /// Borrow all values.
     #[inline]
     pub fn values(&self) -> &[Value] {
-        self.values.as_slice()
+        &self.values
     }
 
-    /// Mutably borrow all values.
+    /// Mutably borrow all values, first copying them if another tuple
+    /// shares them.
     #[inline]
     pub fn values_mut(&mut self) -> &mut [Value] {
-        self.values.as_mut_slice()
+        Arc::make_mut(&mut self.values)
     }
 
     /// The value at column `idx`, if in range.
     #[inline]
     pub fn get(&self, idx: usize) -> Option<&Value> {
-        self.values.as_slice().get(idx)
+        self.values.get(idx)
     }
 
-    /// Mutable value at column `idx`, if in range.
+    /// Mutable value at column `idx`, if in range; copies shared values
+    /// like [`values_mut`](Tuple::values_mut).
     #[inline]
     pub fn get_mut(&mut self, idx: usize) -> Option<&mut Value> {
-        self.values.as_mut_slice().get_mut(idx)
+        if idx >= self.len() {
+            return None;
+        }
+        self.values_mut().get_mut(idx)
     }
 
-    /// Replaces the value at `idx`, returning the previous value.
+    /// Replaces the value at `idx`, returning the previous value;
+    /// copies shared values like [`values_mut`](Tuple::values_mut).
     ///
     /// Panics if `idx` is out of range — polluters resolve indices against
     /// the schema at build time, so an out-of-range index is a programmer
     /// error, not a data error.
     #[inline]
     pub fn replace(&mut self, idx: usize, value: Value) -> Value {
-        std::mem::replace(&mut self.values.as_mut_slice()[idx], value)
+        std::mem::replace(&mut self.values_mut()[idx], value)
     }
 
     /// Looks a value up by attribute name through a schema.
@@ -177,9 +95,22 @@ impl Tuple {
         self.get(schema.index_of(name)?)
     }
 
-    /// Consumes the tuple, yielding its values.
+    /// Consumes the tuple, yielding its values: moved out when this
+    /// tuple is their only holder, cloned when they are shared.
     pub fn into_values(self) -> Vec<Value> {
-        self.values.into_vec()
+        let mut values = Vec::with_capacity(self.len());
+        self.for_each_value(|v| values.push(v));
+        values
+    }
+
+    /// Consumes the tuple, handing each value to `f` in column order:
+    /// moved out when this tuple is their only holder, cloned when they
+    /// are shared.
+    pub(crate) fn for_each_value(mut self, f: impl FnMut(Value)) {
+        match Arc::get_mut(&mut self.values) {
+            Some(values) => values.iter_mut().map(std::mem::take).for_each(f),
+            None => self.values.iter().cloned().for_each(f),
+        }
     }
 }
 
@@ -199,6 +130,16 @@ impl fmt::Display for Tuple {
 impl From<Vec<Value>> for Tuple {
     fn from(values: Vec<Value>) -> Self {
         Tuple::new(values)
+    }
+}
+
+/// Collects straight into the tuple's storage: an exact-size iterator
+/// (a mapped slice or range, `repeat_n`) allocates it once.
+impl FromIterator<Value> for Tuple {
+    fn from_iter<I: IntoIterator<Item = Value>>(values: I) -> Self {
+        Tuple {
+            values: values.into_iter().collect(),
+        }
     }
 }
 
@@ -349,9 +290,7 @@ mod tests {
     }
 
     #[test]
-    fn wide_tuples_spill_past_the_inline_capacity() {
-        // Up to 4 values live inline; wider tuples behave identically
-        // through the same API.
+    fn tuples_of_every_arity_behave_alike() {
         let values: Vec<Value> = (0..7).map(Value::Int).collect();
         let mut wide = Tuple::new(values.clone());
         assert_eq!(wide.len(), 7);
@@ -362,11 +301,12 @@ mod tests {
         let narrow = Tuple::new(values[..3].to_vec());
         assert_eq!(narrow.clone().into_values(), values[..3].to_vec());
         assert_ne!(narrow, Tuple::new(values[..2].to_vec()));
+        let collected: Tuple = values.iter().cloned().collect();
+        assert_eq!(collected, Tuple::new(values));
     }
 
     #[test]
-    fn inline_and_spilled_tuples_share_one_serde_format() {
-        // The inline storage must serialize exactly like a Vec<Value>.
+    fn tuples_serialize_like_a_vec_of_values() {
         for n in [0usize, 1, 4, 5, 9] {
             let t = Tuple::new((0..n as i64).map(Value::Int).collect());
             let json = serde_json::to_string(&t).unwrap();
@@ -376,6 +316,72 @@ mod tests {
             let back: Tuple = serde_json::from_str(&json).unwrap();
             assert_eq!(back, t);
         }
+    }
+
+    fn shared_pair() -> (Tuple, Tuple) {
+        let t = Tuple::new(vec![Value::Int(1), Value::Str("a".into())]);
+        (t.clone(), t)
+    }
+
+    #[test]
+    fn a_clone_shares_its_values() {
+        let (a, b) = shared_pair();
+        assert_eq!(a.values().as_ptr(), b.values().as_ptr());
+    }
+
+    #[test]
+    fn a_write_to_a_shared_tuple_copies_it_first() {
+        let writes: [fn(&mut Tuple); 3] = [
+            |t| t.values_mut()[0] = Value::Int(2),
+            |t| *t.get_mut(0).unwrap() = Value::Int(2),
+            |t| assert_eq!(t.replace(0, Value::Int(2)), Value::Int(1)),
+        ];
+        for write in writes {
+            let (mut written, other) = shared_pair();
+            write(&mut written);
+            assert_ne!(written.values().as_ptr(), other.values().as_ptr());
+            assert_eq!(written.values(), [Value::Int(2), Value::Str("a".into())]);
+            assert_eq!(other, shared_pair().1, "the other holder is untouched");
+        }
+    }
+
+    #[test]
+    fn a_write_to_an_unshared_tuple_happens_in_place() {
+        let mut t = Tuple::new(vec![Value::Int(1), Value::Null]);
+        let at = t.values().as_ptr();
+        t.values_mut()[0] = Value::Int(2);
+        *t.get_mut(1).unwrap() = Value::Int(3);
+        t.replace(0, Value::Int(4));
+        assert_eq!(t.values().as_ptr(), at);
+        assert_eq!(t.values(), [Value::Int(4), Value::Int(3)]);
+        // Dropping the only other holder makes a tuple unshared again.
+        let copy = t.clone();
+        drop(copy);
+        t.replace(1, Value::Null);
+        assert_eq!(t.values().as_ptr(), at);
+        // An out-of-range `get_mut` copies nothing.
+        let (mut a, b) = shared_pair();
+        assert!(a.get_mut(2).is_none());
+        assert_eq!(a.values().as_ptr(), b.values().as_ptr());
+    }
+
+    #[test]
+    fn into_values_moves_unshared_strings_and_clones_shared_ones() {
+        let text = |t: &Tuple| match &t.values()[1] {
+            Value::Str(s) => s.as_ptr(),
+            v => panic!("not a string: {v:?}"),
+        };
+        let (shared, other) = shared_pair();
+        let at = text(&shared);
+        let Value::Str(s) = &shared.into_values()[1] else {
+            panic!("a string")
+        };
+        assert_ne!(s.as_ptr(), at, "a shared string is cloned");
+        assert_eq!(text(&other), at);
+        let Value::Str(s) = &other.into_values()[1] else {
+            panic!("a string")
+        };
+        assert_eq!(s.as_ptr(), at, "the last holder's string is moved");
     }
 
     #[test]

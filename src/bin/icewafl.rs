@@ -264,17 +264,15 @@ fn cmd_pollute(args: &[String]) -> Result<()> {
         );
     }
 
-    let dirty: Vec<Tuple> = out.polluted.iter().map(|t| t.tuple.clone()).collect();
-    write_csv_file(&output, &schema, &dirty)?;
+    write_csv_file(&output, &schema, out.polluted.iter().map(|t| &t.tuple))?;
     println!(
         "polluted {n} tuples -> {} output tuples, {} ground-truth entries -> {output}",
-        dirty.len(),
+        out.polluted.len(),
         out.log.len()
     );
 
     if let Some(clean_path) = flag(args, "--clean") {
-        let clean: Vec<Tuple> = out.clean.iter().map(|t| t.tuple.clone()).collect();
-        write_csv_file(&clean_path, &schema, &clean)?;
+        write_csv_file(&clean_path, &schema, out.clean.iter().map(|t| &t.tuple))?;
         println!("clean stream -> {clean_path}");
     }
     if let Some(log_path) = flag(args, "--log") {
@@ -295,7 +293,11 @@ fn cmd_pollute(args: &[String]) -> Result<()> {
     Ok(())
 }
 
-fn write_csv_file(path: &str, schema: &Schema, tuples: &[Tuple]) -> Result<()> {
+fn write_csv_file<'a>(
+    path: &str,
+    schema: &Schema,
+    tuples: impl IntoIterator<Item = &'a Tuple>,
+) -> Result<()> {
     let file = File::create(path).map_err(|e| Error::Io(format!("cannot create `{path}`: {e}")))?;
     let mut w = BufWriter::new(file);
     write_csv(&mut w, schema, tuples)?;
