@@ -29,7 +29,7 @@ fn rows(n: usize) -> Vec<StampedTuple> {
                     } else {
                         Value::Float(i as f64 * 0.321)
                     },
-                    Value::Str(format!("{}.{:03}", i, i % 997)),
+                    Value::Str(format!("{}.{:03}", i, i % 997).into()),
                 ]),
             )
         })

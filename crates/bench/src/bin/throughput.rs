@@ -199,7 +199,7 @@ fn kernel_rows(n: i64) -> Vec<StampedTuple> {
                     Value::Timestamp(Timestamp(i * 60_000)),
                     bpm,
                     Value::Float(5.0 + (i % 1000) as f64 * 0.01),
-                    Value::Str(format!("s{}", i % 8)),
+                    Value::Str(format!("s{}", i % 8).into()),
                 ]),
             )
         })

@@ -443,7 +443,7 @@ mod tests {
                         Value::Timestamp(Timestamp(i as i64 * 60_000)),
                         Value::Int(60 + (i as i64 % 80)),
                         Value::Float(i as f64 * 0.25),
-                        Value::Str(format!("s{}", i % 3)),
+                        Value::Str(format!("s{}", i % 3).into()),
                     ]),
                 );
                 t.arrival = Timestamp(i as i64 * 60_000 + 3);

@@ -1,7 +1,7 @@
 //! Categorical error functions.
 
 use super::{validate_typed, ErrorFunction};
-use icewafl_types::{DataType, Error, Result, Schema, Timestamp, Tuple, Value};
+use icewafl_types::{DataType, Error, Result, Schema, Text, Timestamp, Tuple, Value};
 use rand::rngs::StdRng;
 use rand::RngExt;
 
@@ -9,7 +9,7 @@ use rand::RngExt;
 /// domain — "Incorrect Category" in Fig. 3 (e.g. wind direction `N`
 /// recorded as `SW`).
 pub struct IncorrectCategory {
-    categories: Vec<String>,
+    categories: Vec<Text>,
     rng: StdRng,
 }
 
@@ -18,7 +18,10 @@ impl IncorrectCategory {
     /// required so a *different* category always exists; validated at
     /// bind time).
     pub fn new(categories: Vec<String>, rng: StdRng) -> Self {
-        IncorrectCategory { categories, rng }
+        IncorrectCategory {
+            categories: categories.into_iter().map(Text::from).collect(),
+            rng,
+        }
     }
 }
 
@@ -44,7 +47,7 @@ impl ErrorFunction for IncorrectCategory {
             let n = self.categories.len();
             for _ in 0..64 {
                 let candidate = &self.categories[self.rng.random_range(0..n)];
-                if candidate != current {
+                if candidate != &*current {
                     *v = Value::Str(candidate.clone());
                     break;
                 }

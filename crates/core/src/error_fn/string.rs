@@ -102,7 +102,7 @@ impl ErrorFunction for StringTypo {
             };
             let Value::Str(s) = v else { continue };
             let corrupted = self.corrupt(s);
-            *v = Value::Str(corrupted);
+            *v = Value::Str(corrupted.into());
         }
     }
 
@@ -193,7 +193,7 @@ mod tests {
         let mut f = StringTypo::new(TypoKind::Any, rng());
         let t = apply_once(
             &mut f,
-            vec![Value::Str(String::new()), Value::Null],
+            vec![Value::Str(Default::default()), Value::Null],
             &[0, 1],
         );
         assert_eq!(t.get(0).unwrap().as_str().unwrap(), "");

@@ -5,7 +5,7 @@
 //! reproduction and (b) the "expected from pollution process" series the
 //! experiments compare DQ-tool measurements against.
 
-use icewafl_types::{Duration, Timestamp, Value};
+use icewafl_types::{Duration, Text, Timestamp, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashSet};
 
@@ -18,9 +18,9 @@ pub enum LogEntry {
         /// The affected tuple's immutable id.
         tuple_id: u64,
         /// Name of the polluter that fired.
-        polluter: String,
+        polluter: Text,
         /// Name of the changed attribute.
-        attr: String,
+        attr: Text,
         /// Value before pollution.
         before: Value,
         /// Value after pollution.
@@ -33,7 +33,7 @@ pub enum LogEntry {
         /// The affected tuple's id.
         tuple_id: u64,
         /// Name of the polluter.
-        polluter: String,
+        polluter: Text,
         /// Delay amount.
         by: Duration,
         /// Event time of the tuple.
@@ -44,7 +44,7 @@ pub enum LogEntry {
         /// The affected tuple's id.
         tuple_id: u64,
         /// Name of the polluter.
-        polluter: String,
+        polluter: Text,
         /// Event time of the tuple.
         tau: Timestamp,
     },
@@ -53,7 +53,7 @@ pub enum LogEntry {
         /// The affected tuple's id.
         tuple_id: u64,
         /// Name of the polluter.
-        polluter: String,
+        polluter: Text,
         /// Number of extra copies.
         copies: u32,
         /// Event time of the tuple.
@@ -74,6 +74,10 @@ impl LogEntry {
 
     /// The polluter that produced this entry.
     pub fn polluter(&self) -> &str {
+        self.polluter_text()
+    }
+
+    fn polluter_text(&self) -> &Text {
         match self {
             LogEntry::ValueChanged { polluter, .. }
             | LogEntry::TupleDelayed { polluter, .. }
@@ -167,22 +171,15 @@ impl PollutionLog {
 
     /// Entry counts per polluter name.
     pub fn counts_by_polluter(&self) -> BTreeMap<String, usize> {
-        let mut counts = BTreeMap::new();
-        for e in &self.entries {
-            *counts.entry(e.polluter().to_string()).or_insert(0) += 1;
-        }
-        counts
+        count_names(self.entries.iter().map(LogEntry::polluter_text))
     }
 
     /// Entry counts per changed attribute (value errors only).
     pub fn counts_by_attribute(&self) -> BTreeMap<String, usize> {
-        let mut counts = BTreeMap::new();
-        for e in &self.entries {
-            if let LogEntry::ValueChanged { attr, .. } = e {
-                *counts.entry(attr.clone()).or_insert(0) += 1;
-            }
-        }
-        counts
+        count_names(self.entries.iter().filter_map(|e| match e {
+            LogEntry::ValueChanged { attr, .. } => Some(attr),
+            _ => None,
+        }))
     }
 
     /// Entry counts per hour of day of `τ` — the x-axis of Fig. 4.
@@ -201,6 +198,31 @@ impl PollutionLog {
             self.entries.extend(other.entries);
         }
     }
+}
+
+/// How often each name occurs, allocating per distinct name rather than
+/// per occurrence. A polluter logs clones of one [`Text`], so a run of
+/// entries from one polluter is counted by pointer comparison alone.
+fn count_names<'a>(names: impl Iterator<Item = &'a Text>) -> BTreeMap<String, usize> {
+    let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
+    let mut run: Option<(&Text, usize)> = None;
+    for name in names {
+        match &mut run {
+            Some((last, n)) if Text::ptr_eq(last, name) => *n += 1,
+            _ => {
+                if let Some((last, n)) = run.replace((name, 1)) {
+                    *counts.entry(last).or_insert(0) += n;
+                }
+            }
+        }
+    }
+    if let Some((last, n)) = run {
+        *counts.entry(last).or_insert(0) += n;
+    }
+    counts
+        .into_iter()
+        .map(|(name, n)| (name.to_owned(), n))
+        .collect()
 }
 
 #[cfg(test)]

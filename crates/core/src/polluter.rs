@@ -12,7 +12,7 @@ use crate::log::{LogEntry, PollutionLog};
 use crate::pattern::ChangePattern;
 use crate::snapshot::rng_from_words;
 use crate::stats::{CountingRng, PendingStats, PolluterStats, PolluterStatsHandle, StatsTotals};
-use icewafl_types::{ColumnBatch, Error, Result, Schema, StampedTuple, Timestamp, Value};
+use icewafl_types::{ColumnBatch, Error, Result, Schema, StampedTuple, Text, Timestamp, Value};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
@@ -130,11 +130,11 @@ struct StandardState {
 /// `c`, a target attribute set `A_p`, and (for derived temporal error
 /// types) a [`ChangePattern`] modulating the error magnitude over `τ`.
 pub struct StandardPolluter {
-    name: String,
+    name: Text,
     error_fn: Box<dyn ErrorFunction>,
     condition: BoxCondition,
     attrs: Vec<usize>,
-    attr_names: Vec<String>,
+    attr_names: Vec<Text>,
     pattern: ChangePattern,
     pattern_rng: CountingRng,
     /// Scratch buffer for before-values, reused across tuples.
@@ -148,7 +148,7 @@ impl StandardPolluter {
     /// `A_p` to column indices and validates them against the error
     /// function's requirements.
     pub fn bind(
-        name: impl Into<String>,
+        name: impl Into<Text>,
         error_fn: Box<dyn ErrorFunction>,
         condition: BoxCondition,
         attr_names: &[&str],
@@ -166,7 +166,7 @@ impl StandardPolluter {
             name: name.into(),
             error_fn,
             condition,
-            attr_names: attr_names.iter().map(|s| s.to_string()).collect(),
+            attr_names: attr_names.iter().map(|&s| Text::from(s)).collect(),
             attrs,
             pattern,
             pattern_rng: CountingRng::new(pattern_rng, stats.rng_draws.clone()),
@@ -328,7 +328,7 @@ impl Polluter for StandardPolluter {
 
     fn collect_stats(&self, out: &mut Vec<PolluterStatsHandle>) {
         out.push(PolluterStatsHandle {
-            name: self.name.clone(),
+            name: self.name.to_string(),
             stats: self.stats.clone(),
         });
     }

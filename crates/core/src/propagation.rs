@@ -21,7 +21,7 @@ use crate::error_fn::ErrorFunction;
 use crate::log::LogEntry;
 use crate::polluter::{BoxPolluter, Emission, Polluter};
 use crate::snapshot::ValueWire;
-use icewafl_types::{Duration, Error, Result, Schema, StampedTuple, Timestamp, Value};
+use icewafl_types::{Duration, Error, Result, Schema, StampedTuple, Text, Timestamp, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
@@ -33,7 +33,7 @@ use std::collections::{BTreeMap, VecDeque};
 /// schedules its own window); overlapping windows apply the error once
 /// per tuple.
 pub struct PropagationPolluter {
-    name: String,
+    name: Text,
     trigger: BoxCondition,
     /// Optional restriction of the consequent: only tuples matching
     /// this condition are polluted inside an active window (Fig. 1:
@@ -43,7 +43,7 @@ pub struct PropagationPolluter {
     duration: Duration,
     error_fn: Box<dyn ErrorFunction>,
     attrs: Vec<usize>,
-    attr_names: Vec<String>,
+    attr_names: Vec<Text>,
     /// Active/future windows `[start, end)`, ordered by insertion (and
     /// therefore by start, since τ is non-decreasing per sub-stream).
     windows: VecDeque<(Timestamp, Timestamp)>,
@@ -56,7 +56,7 @@ impl PropagationPolluter {
     /// `delay` and `duration` must be non-negative; `duration` must be
     /// positive for the consequent to ever fire.
     pub fn bind(
-        name: impl Into<String>,
+        name: impl Into<Text>,
         trigger: BoxCondition,
         delay: Duration,
         duration: Duration,
@@ -83,7 +83,7 @@ impl PropagationPolluter {
             duration,
             error_fn,
             attrs,
-            attr_names: attr_names.iter().map(|s| s.to_string()).collect(),
+            attr_names: attr_names.iter().map(|&s| Text::from(s)).collect(),
             windows: VecDeque::new(),
             before: Vec::new(),
         })
@@ -232,7 +232,7 @@ struct WindowWire {
 /// Watermarks and end-of-stream are forwarded to every per-key polluter
 /// (Flink's keyed timers behave the same way).
 pub struct KeyedPolluter {
-    name: String,
+    name: Text,
     key_attr: usize,
     factory: Box<dyn FnMut(&Value) -> BoxPolluter + Send>,
     /// Ordered: watermarks and end-of-stream visit the keys in this
@@ -254,7 +254,7 @@ impl KeyedPolluter {
     /// each new key value (receiving the key so per-key seeds can be
     /// derived).
     pub fn bind(
-        name: impl Into<String>,
+        name: impl Into<Text>,
         key_attribute: &str,
         schema: &Schema,
         factory: impl FnMut(&Value) -> BoxPolluter + Send + 'static,

@@ -7,7 +7,7 @@
 //! wire shapes everything shares: an exact RNG stream position and the
 //! positional child-state slots of composite structures.
 
-use icewafl_types::{Error, Result, StampedTuple, Timestamp, Tuple, Value};
+use icewafl_types::{Error, Result, StampedTuple, Text, Timestamp, Tuple, Value};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
@@ -88,7 +88,7 @@ pub(crate) enum ValueWire {
     Int(i64),
     /// `f64::to_bits` of a float value.
     F(u64),
-    Str(String),
+    Str(Text),
     /// Epoch-millisecond timestamp.
     Ts(i64),
 }

@@ -8,7 +8,7 @@ use crate::log::LogEntry;
 use crate::polluter::{Emission, Polluter};
 use crate::snapshot::{StampedWire, ValueWire};
 use crate::stats::{PendingStats, PolluterStats, PolluterStatsHandle, StatsTotals};
-use icewafl_types::{Duration, Error, Result, Schema, StampedTuple, Timestamp, Value};
+use icewafl_types::{Duration, Error, Result, Schema, StampedTuple, Text, Timestamp, Value};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -59,7 +59,7 @@ impl GateState {
 /// so it shows up *late* in the merged, arrival-sorted output and breaks
 /// the stream's increasing timestamp order.
 pub struct DelayPolluter {
-    name: String,
+    name: Text,
     condition: BoxCondition,
     delay: Duration,
     held: BinaryHeap<Reverse<Held>>,
@@ -94,7 +94,7 @@ impl Ord for Held {
 impl DelayPolluter {
     /// A delay of `delay` applied to tuples matching `condition`.
     /// Negative delays are rejected.
-    pub fn new(name: impl Into<String>, condition: BoxCondition, delay: Duration) -> Result<Self> {
+    pub fn new(name: impl Into<Text>, condition: BoxCondition, delay: Duration) -> Result<Self> {
         if delay.millis() < 0 {
             return Err(icewafl_types::Error::config("delay must be non-negative"));
         }
@@ -173,7 +173,7 @@ impl Polluter for DelayPolluter {
 
     fn collect_stats(&self, out: &mut Vec<PolluterStatsHandle>) {
         out.push(PolluterStatsHandle {
-            name: self.name.clone(),
+            name: self.name.to_string(),
             stats: self.stats.clone(),
         });
     }
@@ -248,7 +248,7 @@ struct HeldWire {
 /// Drops matching tuples from the stream entirely (lost sensor
 /// messages).
 pub struct DropPolluter {
-    name: String,
+    name: Text,
     condition: BoxCondition,
     stats: PolluterStats,
     pending: PendingStats,
@@ -256,7 +256,7 @@ pub struct DropPolluter {
 
 impl DropPolluter {
     /// Drops tuples matching `condition`.
-    pub fn new(name: impl Into<String>, condition: BoxCondition) -> Self {
+    pub fn new(name: impl Into<Text>, condition: BoxCondition) -> Self {
         DropPolluter {
             name: name.into(),
             condition,
@@ -304,7 +304,7 @@ impl Polluter for DropPolluter {
 
     fn collect_stats(&self, out: &mut Vec<PolluterStatsHandle>) {
         out.push(PolluterStatsHandle {
-            name: self.name.clone(),
+            name: self.name.to_string(),
             stats: self.stats.clone(),
         });
     }
@@ -327,7 +327,7 @@ impl Polluter for DropPolluter {
 /// reveals them as exact duplicates; merged across sub-streams they
 /// become the "fuzzy duplicates" of §2.2.2.
 pub struct DuplicatePolluter {
-    name: String,
+    name: Text,
     condition: BoxCondition,
     copies: u32,
     stats: PolluterStats,
@@ -336,7 +336,7 @@ pub struct DuplicatePolluter {
 
 impl DuplicatePolluter {
     /// Emits `copies` extra copies (≥ 1) of matching tuples.
-    pub fn new(name: impl Into<String>, condition: BoxCondition, copies: u32) -> Self {
+    pub fn new(name: impl Into<Text>, condition: BoxCondition, copies: u32) -> Self {
         DuplicatePolluter {
             name: name.into(),
             condition,
@@ -390,7 +390,7 @@ impl Polluter for DuplicatePolluter {
 
     fn collect_stats(&self, out: &mut Vec<PolluterStatsHandle>) {
         out.push(PolluterStatsHandle {
-            name: self.name.clone(),
+            name: self.name.to_string(),
             stats: self.stats.clone(),
         });
     }
@@ -416,11 +416,11 @@ impl Polluter for DuplicatePolluter {
 /// attributes in every subsequent tuple while `τ < τ_f + duration`.
 /// Re-triggering during an active freeze extends it from the new tuple.
 pub struct FreezePolluter {
-    name: String,
+    name: Text,
     condition: BoxCondition,
     duration: Duration,
     attrs: Vec<usize>,
-    attr_names: Vec<String>,
+    attr_names: Vec<Text>,
     frozen: Option<FrozenState>,
     stats: PolluterStats,
     pending: PendingStats,
@@ -434,7 +434,7 @@ struct FrozenState {
 impl FreezePolluter {
     /// Binds a freeze polluter to a schema.
     pub fn bind(
-        name: impl Into<String>,
+        name: impl Into<Text>,
         condition: BoxCondition,
         duration: Duration,
         attr_names: &[&str],
@@ -449,7 +449,7 @@ impl FreezePolluter {
             condition,
             duration,
             attrs,
-            attr_names: attr_names.iter().map(|s| s.to_string()).collect(),
+            attr_names: attr_names.iter().map(|&s| Text::from(s)).collect(),
             frozen: None,
             stats: PolluterStats::new(),
             pending: PendingStats::default(),
@@ -547,7 +547,7 @@ impl Polluter for FreezePolluter {
 
     fn collect_stats(&self, out: &mut Vec<PolluterStatsHandle>) {
         out.push(PolluterStatsHandle {
-            name: self.name.clone(),
+            name: self.name.to_string(),
             stats: self.stats.clone(),
         });
     }
@@ -608,12 +608,12 @@ struct FrozenWire {
 /// 0.125 for four-hour intervals", activated by a rare probabilistic
 /// condition. Re-activation during a burst extends it.
 pub struct BurstPolluter {
-    name: String,
+    name: Text,
     condition: BoxCondition,
     duration: Duration,
     error_fn: Box<dyn crate::error_fn::ErrorFunction>,
     attrs: Vec<usize>,
-    attr_names: Vec<String>,
+    attr_names: Vec<Text>,
     active_until: Option<Timestamp>,
     /// Scratch for before-values.
     before: Vec<Value>,
@@ -624,7 +624,7 @@ pub struct BurstPolluter {
 impl BurstPolluter {
     /// Binds a burst polluter to a schema.
     pub fn bind(
-        name: impl Into<String>,
+        name: impl Into<Text>,
         condition: BoxCondition,
         duration: Duration,
         error_fn: Box<dyn crate::error_fn::ErrorFunction>,
@@ -642,7 +642,7 @@ impl BurstPolluter {
             duration,
             error_fn,
             attrs,
-            attr_names: attr_names.iter().map(|s| s.to_string()).collect(),
+            attr_names: attr_names.iter().map(|&s| Text::from(s)).collect(),
             active_until: None,
             before: Vec::new(),
             stats: PolluterStats::new(),
@@ -724,7 +724,7 @@ impl Polluter for BurstPolluter {
 
     fn collect_stats(&self, out: &mut Vec<PolluterStatsHandle>) {
         out.push(PolluterStatsHandle {
-            name: self.name.clone(),
+            name: self.name.to_string(),
             stats: self.stats.clone(),
         });
     }

@@ -3,10 +3,15 @@
 //! costs a reference count, not a copy, and a polluter's first write
 //! copies the tuple it writes, never the one the clean stream holds.
 //!
+//! Strings are shared the same way: a copied tuple holds its clean
+//! twin's strings, and the ground-truth log names a polluter by a clone
+//! of one shared text.
+//!
 //! One `#[test]` only: the allocation counter is process-wide.
 
+use icewafl_core::log::{LogEntry, PollutionLog};
 use icewafl_core::prelude::*;
-use icewafl_types::{DataType, Schema, Timestamp, Tuple, Value};
+use icewafl_types::{DataType, Schema, Text, Timestamp, Tuple, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -56,7 +61,7 @@ fn stream(n: usize) -> Vec<Tuple> {
             Tuple::new(vec![
                 Value::Timestamp(Timestamp(i * 1000)),
                 Value::Float(i as f64),
-                Value::Str(format!("t{}", i % 7)),
+                Value::Str(format!("t{}", i % 7).into()),
             ])
         })
         .collect()
@@ -94,12 +99,98 @@ fn plan(p: f64) -> PhysicalPlan {
 /// Allocations made by executing `plan` over `n` tuples, counting
 /// neither building the input nor dropping the output.
 fn allocations(plan: &PhysicalPlan, n: usize) -> usize {
-    let input = stream(n);
+    allocations_over(plan, stream(n))
+}
+
+fn allocations_over(plan: &PhysicalPlan, input: Vec<Tuple>) -> usize {
+    let n = input.len();
     let before = ALLOCS.load(Ordering::Relaxed);
     let out = plan.execute(input).unwrap();
     let made = ALLOCS.load(Ordering::Relaxed) - before;
     assert_eq!(out.polluted.len(), n);
     made
+}
+
+/// A schema with two categorical string columns, as in the air-quality
+/// data, and a stream whose every tuple holds two strings.
+fn categorical_schema() -> Schema {
+    Schema::from_pairs([
+        ("Time", DataType::Timestamp),
+        ("x", DataType::Float),
+        ("station", DataType::Str),
+        ("wd", DataType::Str),
+    ])
+    .unwrap()
+}
+
+fn categorical_stream(n: usize) -> Vec<Tuple> {
+    (0..n as i64)
+        .map(|i| {
+            Tuple::new(vec![
+                Value::Timestamp(Timestamp(i * 1000)),
+                Value::Float(i as f64),
+                Value::Str(format!("station-{}", i % 12).into()),
+                Value::Str(format!("wd-{}", i % 16).into()),
+            ])
+        })
+        .collect()
+}
+
+/// Writes `x` of every tuple and leaves both strings alone.
+fn write_every_tuple() -> PhysicalPlan {
+    let plan = LogicalPlan::new(
+        5,
+        vec![vec![PolluterConfig::Standard {
+            name: "null-x".into(),
+            attributes: vec!["x".into()],
+            error: ErrorConfig::MissingValue,
+            condition: ConditionConfig::Always,
+            pattern: None,
+        }]],
+    );
+    LogicalPlan {
+        logging: false,
+        watermark_period: 4096,
+        ..plan
+    }
+    .compile(&categorical_schema())
+    .unwrap()
+}
+
+/// A polluter's log entries name it by clones of one text, so counting
+/// them allocates per distinct name, however many entries there are;
+/// so does a log whose names share nothing (one read back from JSON).
+fn log_counts_allocate_per_name_not_per_entry() {
+    let names: Vec<Text> = ["drop", "dup", "null-x"].map(Text::from).to_vec();
+    let log = |n: usize| {
+        let mut log = PollutionLog::new();
+        for i in 0..n {
+            log.record(LogEntry::TupleDropped {
+                tuple_id: i as u64,
+                polluter: names[i % 7 % 3].clone(),
+                tau: Timestamp(i as i64),
+            });
+        }
+        log
+    };
+    let counted = |log: &PollutionLog| {
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let counts = log.counts_by_polluter();
+        (counts, ALLOCS.load(Ordering::Relaxed) - before)
+    };
+    let (small, small_allocs) = counted(&log(1_000));
+    let (large, large_allocs) = counted(&log(16_000));
+    assert_eq!(small.values().sum::<usize>(), 1_000);
+    assert_eq!(large.values().sum::<usize>(), 16_000);
+    assert_eq!(large.keys().collect::<Vec<_>>(), ["drop", "dup", "null-x"]);
+    assert_eq!(small_allocs, large_allocs, "allocations per entry");
+    assert!(large_allocs <= 8, "{large_allocs} allocations for 3 names");
+
+    let unshared: PollutionLog =
+        serde_json::from_str(&serde_json::to_string(&log(16_000)).unwrap()).unwrap();
+    let (counts, allocs) = counted(&unshared);
+    assert_eq!(counts, large);
+    assert_eq!(allocs, large_allocs);
 }
 
 #[test]
@@ -146,4 +237,40 @@ fn unwritten_values_are_shared_and_written_ones_copied() {
         assert_eq!(polluted.tuple.values()[1], Value::Null);
         assert_eq!(polluted.tuple.values()[2], Value::Null);
     }
+
+    // Every tuple written, two strings each: the copy of a written
+    // tuple is one block, its strings shared with the clean twin. A
+    // copy that cloned the strings would cost 3 blocks per tuple.
+    let writer = write_every_tuple();
+    let n = 10_000;
+    let small = allocations_over(&writer, categorical_stream(n));
+    let large = allocations_over(&writer, categorical_stream(2 * n));
+    assert!(
+        large.saturating_sub(small) <= n + n / 10,
+        "{small} allocations for {n} written tuples, {large} for {}",
+        2 * n
+    );
+    let out = writer.execute(categorical_stream(1_000)).unwrap();
+    for polluted in &out.polluted {
+        let clean = &out.clean[polluted.id as usize];
+        assert_eq!(polluted.tuple.values()[1], Value::Null);
+        assert_ne!(
+            polluted.tuple.values().as_ptr(),
+            clean.tuple.values().as_ptr()
+        );
+        for col in [2, 3] {
+            let (Value::Str(dirty), Value::Str(twin)) =
+                (&polluted.tuple.values()[col], &clean.tuple.values()[col])
+            else {
+                panic!("tuple {} lost a string", polluted.id);
+            };
+            assert!(
+                Text::ptr_eq(dirty, twin),
+                "tuple {}: column {col} was copied",
+                polluted.id
+            );
+        }
+    }
+
+    log_counts_allocate_per_name_not_per_entry();
 }

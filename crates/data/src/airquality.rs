@@ -148,7 +148,7 @@ pub fn generate_station_seeded(station: &str, seed: u64, n: usize) -> Vec<Tuple>
         };
         tuples.push(Tuple::new(vec![
             Value::Timestamp(ts),
-            Value::Str(station.to_string()),
+            Value::Str(station.into()),
             no2_value,
             Value::Float(pm25),
             Value::Float(pm10),
@@ -160,7 +160,7 @@ pub fn generate_station_seeded(station: &str, seed: u64, n: usize) -> Vec<Tuple>
             Value::Float(dewp),
             Value::Float(rain),
             Value::Float(wspm),
-            Value::Str(wd.to_string()),
+            Value::Str(wd.into()),
         ]));
     }
     tuples

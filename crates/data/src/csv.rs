@@ -5,12 +5,15 @@
 //! [`Schema`].
 
 use icewafl_types::{Error, Result, Schema, Tuple, Value};
+use std::borrow::Cow;
 use std::io::{BufRead, Write};
 use std::iter;
 
-/// Serializes one field with RFC 4180 quoting when needed.
+/// Serializes one field with RFC 4180 quoting when needed: a field
+/// holding a separator, a quote or a line break (`\n` or `\r`) is
+/// quoted, so it reads back whole, trailing `\r` included.
 pub(crate) fn write_field(out: &mut String, field: &str) {
-    if field.contains(',') || field.contains('"') || field.contains('\n') {
+    if field.contains([',', '"', '\n', '\r']) {
         out.push('"');
         for c in field.chars() {
             if c == '"' {
@@ -53,38 +56,78 @@ pub fn write_csv<'a>(
     Ok(())
 }
 
-/// Splits one CSV record, honoring quotes. Returns an error on an
-/// unterminated quote.
-fn split_record(line: &str) -> Result<Vec<String>> {
+/// Reads one record into `record`, without its line terminator (`\n`
+/// or `\r\n`): one line, or more while a quoted field is open, since
+/// a quoted field may hold line breaks. `Ok(false)` at the end of the
+/// input. A record the input cuts off inside a quote is returned as
+/// it is, and splitting it reports the unterminated quote.
+pub(crate) fn read_record(r: &mut impl BufRead, record: &mut String) -> Result<bool> {
+    record.clear();
+    // A quote opens or closes a quoted field, and an escaped quote
+    // inside one is two: the field is open while the count is odd.
+    let mut quotes = 0;
+    loop {
+        let from = record.len();
+        if r.read_line(record)? == 0 {
+            return Ok(from > 0);
+        }
+        quotes += record[from..].bytes().filter(|&b| b == b'"').count();
+        if quotes % 2 == 0 {
+            break;
+        }
+    }
+    if record.ends_with('\n') {
+        record.pop();
+        if record.ends_with('\r') {
+            record.pop();
+        }
+    }
+    Ok(true)
+}
+
+/// Splits one CSV record, honoring quotes. A field without quotes is
+/// borrowed from the record, one with quotes is owned. Returns an error
+/// on an unterminated quote.
+fn split_record(line: &str) -> Result<Vec<Cow<'_, str>>> {
     let mut fields = Vec::new();
-    let mut field = String::new();
-    let mut chars = line.chars().peekable();
+    // The field being read starts at `start`; once it has a quote, its
+    // text differs from that slice of the line and is built in `quoted`.
+    let mut start = 0;
+    let mut quoted: Option<String> = None;
     let mut in_quotes = false;
-    while let Some(c) = chars.next() {
-        if in_quotes {
-            match c {
-                '"' => {
-                    if chars.peek() == Some(&'"') {
-                        chars.next();
-                        field.push('"');
-                    } else {
-                        in_quotes = false;
-                    }
+    let mut chars = line.char_indices().peekable();
+    while let Some((at, c)) = chars.next() {
+        match c {
+            '"' if in_quotes => {
+                if chars.next_if(|&(_, c)| c == '"').is_some() {
+                    quoted.get_or_insert_with(String::new).push('"');
+                } else {
+                    in_quotes = false;
                 }
-                _ => field.push(c),
             }
-        } else {
-            match c {
-                '"' => in_quotes = true,
-                ',' => fields.push(std::mem::take(&mut field)),
-                _ => field.push(c),
+            '"' => {
+                in_quotes = true;
+                quoted.get_or_insert_with(|| line[start..at].to_owned());
+            }
+            ',' if !in_quotes => {
+                fields.push(
+                    quoted
+                        .take()
+                        .map_or(Cow::Borrowed(&line[start..at]), Cow::Owned),
+                );
+                start = at + 1;
+            }
+            c => {
+                if let Some(field) = &mut quoted {
+                    field.push(c);
+                }
             }
         }
     }
     if in_quotes {
         return Err(Error::parse(line, "CSV record (unterminated quote)"));
     }
-    fields.push(field);
+    fields.push(quoted.map_or(Cow::Borrowed(&line[start..]), Cow::Owned));
     Ok(fields)
 }
 
@@ -101,7 +144,9 @@ pub(crate) fn validate_header(header_line: &str, schema: &Schema) -> Result<()> 
     Ok(())
 }
 
-/// Parses one data record against the schema.
+/// Parses one data record against the schema. Values are parsed from
+/// their trimmed text, but a quoted string keeps the whitespace around
+/// it: a trailing `\r` is one reason [`write_field`] quotes.
 pub(crate) fn parse_record(line: &str, schema: &Schema) -> Result<Tuple> {
     let fields = split_record(line)?;
     if fields.len() != schema.len() {
@@ -120,7 +165,12 @@ pub(crate) fn parse_record(line: &str, schema: &Schema) -> Result<Tuple> {
         .zip(&fields)
         .zip(schema.fields())
     {
-        *slot = Value::parse(raw, f.dtype)?;
+        *slot = match (Value::parse(raw, f.dtype)?, raw) {
+            (Value::Str(trimmed), Cow::Owned(quoted)) if trimmed.len() != quoted.len() => {
+                Value::Str(quoted.as_str().into())
+            }
+            (value, _) => value,
+        };
     }
     Ok(tuple)
 }
@@ -129,24 +179,19 @@ pub(crate) fn parse_record(line: &str, schema: &Schema) -> Result<Tuple> {
 /// types. The header must name exactly the schema's attributes, in
 /// order.
 pub fn read_csv(r: &mut impl BufRead, schema: &Schema) -> Result<Vec<Tuple>> {
-    let mut line = String::new();
-    if r.read_line(&mut line)? == 0 {
+    let mut record = String::new();
+    if !read_record(r, &mut record)? {
         return Err(Error::parse("", "CSV header"));
     }
-    validate_header(line.trim_end_matches(['\n', '\r']), schema)?;
+    validate_header(&record, schema)?;
     let mut tuples = Vec::new();
     let mut row = 0usize;
-    loop {
-        line.clear();
-        if r.read_line(&mut line)? == 0 {
-            break;
-        }
-        let trimmed = line.trim_end_matches(['\n', '\r']);
-        if trimmed.is_empty() {
+    while read_record(r, &mut record)? {
+        if record.is_empty() {
             continue;
         }
         row += 1;
-        tuples.push(parse_record(trimmed, schema).map_err(|e| match e {
+        tuples.push(parse_record(&record, schema).map_err(|e| match e {
             // Shape errors name the offending row; parse errors already
             // echo the offending input verbatim.
             Error::SchemaMismatch { detail } => Error::SchemaMismatch {
@@ -161,6 +206,7 @@ pub fn read_csv(r: &mut impl BufRead, schema: &Schema) -> Result<Vec<Tuple>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use icewafl_stream::Source;
     use icewafl_types::{DataType, Timestamp};
     use std::io::Cursor;
 
@@ -249,6 +295,42 @@ mod tests {
         let back = read_csv(&mut Cursor::new(data.as_bytes()), &schema()).unwrap();
         assert_eq!(back.len(), 1);
         assert_eq!(back[0].get(2).unwrap().as_str().unwrap(), "ok");
+    }
+
+    /// What `write_csv` quotes reads back whole, through both readers:
+    /// separators, quotes, and line breaks inside a field, a trailing
+    /// `\r` included.
+    #[test]
+    fn quoted_fields_round_trip_through_both_readers() {
+        let labels = [
+            "a,b",
+            "say \"hi\"",
+            "line\nbreak",
+            "crlf\r\ninside",
+            "cr\r",
+            "\"\n,\r",
+            "plain",
+        ];
+        let tuples: Vec<Tuple> = labels
+            .iter()
+            .enumerate()
+            .map(|(i, &label)| {
+                Tuple::new(vec![
+                    Value::Timestamp(Timestamp(i as i64 * 1000)),
+                    Value::Float(i as f64),
+                    Value::from(label),
+                ])
+            })
+            .collect();
+        let mut buf = Vec::new();
+        write_csv(&mut buf, &schema(), &tuples).unwrap();
+        let back = read_csv(&mut Cursor::new(buf.clone()), &schema()).unwrap();
+        assert_eq!(back, tuples);
+        let mut source = crate::stream_io::CsvTupleSource::new(Cursor::new(buf), schema()).unwrap();
+        let bad_rows = source.bad_rows_handle();
+        let streamed: Vec<Tuple> = std::iter::from_fn(|| source.next()).collect();
+        assert_eq!(streamed, tuples);
+        assert_eq!(bad_rows.load(std::sync::atomic::Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -59,7 +59,7 @@ mod proptests {
                 .map(|(x, s)| {
                     Tuple::new(vec![
                         x.map_or(Value::Null, Value::Float),
-                        Value::Str(s.trim().to_string()),
+                        Value::Str(s.trim().into()),
                     ])
                 })
                 .collect();

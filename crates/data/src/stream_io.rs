@@ -25,10 +25,10 @@ impl<R: BufRead + Send> CsvTupleSource<R> {
     /// schema.
     pub fn new(mut reader: R, schema: Schema) -> Result<Self> {
         let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
+        if !csv::read_record(&mut reader, &mut header)? {
             return Err(icewafl_types::Error::parse("", "CSV header"));
         }
-        csv::validate_header(header.trim_end_matches(['\n', '\r']), &schema)?;
+        csv::validate_header(&header, &schema)?;
         Ok(CsvTupleSource {
             reader,
             schema,
@@ -47,10 +47,9 @@ impl<R: BufRead + Send> CsvTupleSource<R> {
 impl<R: BufRead + Send> Source<Tuple> for CsvTupleSource<R> {
     fn next(&mut self) -> Option<Tuple> {
         loop {
-            self.line.clear();
-            match self.reader.read_line(&mut self.line) {
-                Ok(0) => return None,
-                Ok(_) => {}
+            match csv::read_record(&mut self.reader, &mut self.line) {
+                Ok(false) => return None,
+                Ok(true) => {}
                 // An I/O error is not a dirty row — ending the stream
                 // here would silently truncate it. Poison the pipeline
                 // instead: the panic is caught by the stage harness and
@@ -58,11 +57,10 @@ impl<R: BufRead + Send> Source<Tuple> for CsvTupleSource<R> {
                 // source.
                 Err(e) => panic!("CSV source I/O error: {e}"),
             }
-            let trimmed = self.line.trim_end_matches(['\n', '\r']);
-            if trimmed.is_empty() {
+            if self.line.is_empty() {
                 continue;
             }
-            match csv::parse_record(trimmed, &self.schema) {
+            match csv::parse_record(&self.line, &self.schema) {
                 Ok(tuple) => return Some(tuple),
                 Err(_) => {
                     self.bad_rows.fetch_add(1, Ordering::Relaxed);

@@ -297,7 +297,7 @@ mod tests {
                         } else {
                             Value::Float(i as f64)
                         },
-                        Value::Str(format!("v{i}")),
+                        Value::Str(format!("v{i}").into()),
                     ]),
                 )
             })
@@ -353,7 +353,9 @@ mod tests {
                 },
                 ExpectationConfig::InSet {
                     column: "s".into(),
-                    values: (0..10).map(|i| Value::Str(format!("v{i}"))).collect(),
+                    values: (0..10)
+                        .map(|i| Value::Str(format!("v{i}").into()))
+                        .collect(),
                 },
                 ExpectationConfig::Null { column: "x".into() },
                 ExpectationConfig::RowCountBetween { min: 1, max: 100 },

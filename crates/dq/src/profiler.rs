@@ -64,7 +64,7 @@ pub fn profile(schema: &Schema, rows: &[StampedTuple]) -> Vec<ColumnProfile> {
                             values.push(x);
                         } else if let Value::Str(s) = v {
                             if categories.len() < 64 {
-                                categories.insert(s.clone());
+                                categories.insert(s.to_string());
                             }
                         }
                     }
@@ -125,7 +125,10 @@ pub fn suggest_suite(schema: &Schema, clean: &[StampedTuple]) -> Result<Expectat
         if p.dtype == DataType::Str && !p.categories.is_empty() && p.categories.len() < 32 {
             suite.push(Box::new(ExpectColumnValuesToBeInSet::new(
                 &p.name,
-                p.categories.iter().map(|c| Value::Str(c.clone())).collect(),
+                p.categories
+                    .iter()
+                    .map(|c| Value::from(c.as_str()))
+                    .collect(),
             )));
         }
     }

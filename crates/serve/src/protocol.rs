@@ -87,10 +87,10 @@
 use icewafl_core::plan::LogicalPlan;
 use icewafl_core::report::RunReport;
 use icewafl_stream::net::{NetError, NetPoll, WireFormat, WireFrame};
-use icewafl_types::{DataType, Schema, StampedTuple, Timestamp, Tuple, Value};
+use icewafl_types::{DataType, Schema, StampedTuple, Text, Timestamp, Tuple, Value};
 use serde::{Deserialize, Serialize};
-use serde_json::{write_float, write_i64, write_string, write_u64, Lexer, Token};
-use std::iter;
+use serde_json::{write_float, write_i64, write_string, write_u64, JsonStr, Lexer, Token};
+use std::{iter, mem};
 
 /// Binary frame tag: client → server, one [`Tuple`] payload.
 pub const TAG_TUPLE: u8 = 1;
@@ -437,7 +437,12 @@ impl<'a> Dec<'a> {
     }
 }
 
-fn get_value(d: &mut Dec<'_>) -> Result<Value, NetError> {
+/// Reads one tagged value; `text` turns a string's bytes into its
+/// [`Text`].
+fn get_value(
+    d: &mut Dec<'_>,
+    text: impl FnOnce(&[u8]) -> Result<Text, NetError>,
+) -> Result<Value, NetError> {
     Ok(match d.u8()? {
         VAL_NULL => Value::Null,
         VAL_BOOL => Value::Bool(d.u8()? != 0),
@@ -445,16 +450,77 @@ fn get_value(d: &mut Dec<'_>) -> Result<Value, NetError> {
         VAL_FLOAT => Value::Float(f64::from_bits(d.u64()?)),
         VAL_STR => {
             let len = d.u32()? as usize;
-            let bytes = d.take(len)?;
-            Value::Str(
-                std::str::from_utf8(bytes)
-                    .map_err(|_| NetError::malformed("string value is not valid UTF-8"))?
-                    .to_string(),
-            )
+            Value::Str(text(d.take(len)?)?)
         }
         VAL_TIMESTAMP => Value::Timestamp(Timestamp(d.i64()?)),
         tag => return Err(NetError::malformed(format!("unknown value tag {tag}"))),
     })
+}
+
+/// A string value's text, built from its wire bytes.
+fn text_of(bytes: &[u8]) -> Result<Text, NetError> {
+    std::str::from_utf8(bytes)
+        .map(Text::from)
+        .map_err(|_| NetError::malformed("string value is not valid UTF-8"))
+}
+
+/// How many distinct strings one column of a columnar frame shares.
+const SHARED_TEXTS: usize = 32;
+
+/// The texts one column of a columnar frame has handed out: the first
+/// [`SHARED_TEXTS`] distinct byte strings it met. A cell that repeats
+/// one gets a clone of its text, so a categorical column costs one
+/// allocation per category per frame, not one per cell.
+struct SharedTexts(Vec<Text>);
+
+impl SharedTexts {
+    fn new() -> Self {
+        SharedTexts(Vec::with_capacity(SHARED_TEXTS))
+    }
+
+    fn text(&mut self, bytes: &[u8]) -> Result<Text, NetError> {
+        if let Some(text) = self.0.iter().find(|t| t.as_bytes() == bytes) {
+            return Ok(text.clone());
+        }
+        let text = text_of(bytes)?;
+        if self.0.len() < SHARED_TEXTS {
+            self.0.push(text.clone());
+        }
+        Ok(text)
+    }
+
+    /// Reads one column's values into `cells`, in order, sharing its
+    /// repeated strings.
+    fn column<'c>(
+        &mut self,
+        d: &mut Dec<'_>,
+        cells: impl Iterator<Item = &'c mut Value>,
+    ) -> Result<(), NetError> {
+        self.0.clear();
+        for cell in cells {
+            *cell = get_value(d, |bytes| self.text(bytes))?;
+        }
+        Ok(())
+    }
+}
+
+/// Reads the `rows` × `arity` values of a column-major payload into
+/// row-major cells.
+fn get_cells(d: &mut Dec<'_>, rows: usize, arity: usize) -> Result<Vec<Value>, NetError> {
+    let mut cells: Vec<Value> = iter::repeat_n(Value::Null, rows * arity).collect();
+    let mut texts = SharedTexts::new();
+    for col in 0..arity {
+        texts.column(d, cells.iter_mut().skip(col).step_by(arity))?;
+    }
+    Ok(cells)
+}
+
+/// Row `row` of row-major `cells`, moved into a tuple.
+fn take_row(cells: &mut [Value], row: usize, arity: usize) -> Tuple {
+    cells[row * arity..(row + 1) * arity]
+        .iter_mut()
+        .map(mem::take)
+        .collect()
 }
 
 fn put_tuple(out: &mut Vec<u8>, t: &Tuple) {
@@ -473,7 +539,7 @@ fn get_tuple(d: &mut Dec<'_>) -> Result<Tuple, NetError> {
     }
     let mut tuple: Tuple = iter::repeat_n(Value::Null, arity).collect();
     for slot in tuple.values_mut() {
-        *slot = get_value(d)?;
+        *slot = get_value(d, text_of)?;
     }
     Ok(tuple)
 }
@@ -587,24 +653,21 @@ pub fn decode_columns(buf: &[u8]) -> Result<Vec<StampedTuple>, NetError> {
         sub_streams.push(d.u32()?);
     }
     let arity = d.u16()? as usize;
-    let mut columns: Vec<Vec<Value>> = Vec::with_capacity(arity);
-    for _ in 0..arity {
-        let mut col = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            col.push(get_value(&mut d)?);
-        }
-        columns.push(col);
+    // Every value is at least its tag byte.
+    if rows.saturating_mul(arity) > d.remaining() {
+        return Err(NetError::malformed("columnar values exceed payload"));
     }
+    let mut cells = get_cells(&mut d, rows, arity)?;
     d.finish()?;
-    let mut batch = Vec::with_capacity(rows);
-    for row in (0..rows).rev() {
-        let values = columns.iter_mut().map(|col| col.pop().unwrap()).collect();
-        let mut t = StampedTuple::new(ids[row], Timestamp(taus[row]), values);
-        t.arrival = Timestamp(arrivals[row]);
-        t.sub_stream = sub_streams[row];
-        batch.push(t);
-    }
-    batch.reverse();
+    let batch = (0..rows)
+        .map(|row| {
+            let values = take_row(&mut cells, row, arity);
+            let mut t = StampedTuple::new(ids[row], Timestamp(taus[row]), values);
+            t.arrival = Timestamp(arrivals[row]);
+            t.sub_stream = sub_streams[row];
+            t
+        })
+        .collect();
     Ok(batch)
 }
 
@@ -643,21 +706,11 @@ pub fn decode_tuple_columns(buf: &[u8]) -> Result<Vec<Tuple>, NetError> {
     if rows.saturating_mul(arity.max(1)) > buf.len() {
         return Err(NetError::malformed("columnar row count exceeds payload"));
     }
-    let mut columns: Vec<Vec<Value>> = Vec::with_capacity(arity);
-    for _ in 0..arity {
-        let mut col = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            col.push(get_value(&mut d)?);
-        }
-        columns.push(col);
-    }
+    let mut cells = get_cells(&mut d, rows, arity)?;
     d.finish()?;
-    let mut batch = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        batch.push(columns.iter_mut().map(|col| col.pop().unwrap()).collect());
-    }
-    batch.reverse();
-    Ok(batch)
+    Ok((0..rows)
+        .map(|row| take_row(&mut cells, row, arity))
+        .collect())
 }
 
 // ---------------------------------------------------------------------
@@ -714,20 +767,7 @@ fn read_values(lx: &mut Lexer<'_>, schema: Option<&Schema>) -> Result<Tuple, Lin
         let dtype = schema
             .and_then(|schema| schema.field(read))
             .map(|field| field.dtype);
-        let value = match (lx.value()?, dtype) {
-            (Token::Null, _) => Value::Null,
-            (Token::Bool(b), _) => Value::Bool(b),
-            (Token::I64(n), Some(DataType::Float)) => Value::Float(n as f64),
-            (Token::I64(n), Some(DataType::Timestamp)) => Value::Timestamp(Timestamp(n)),
-            (Token::I64(n), _) => Value::Int(n),
-            // Past `i64::MAX` the untagged encoding's next fit is a float.
-            (Token::U64(n), _) => Value::Float(n as f64),
-            (Token::F64(f), _) => Value::Float(f),
-            (Token::Str(s), _) => Value::Str(s.into_owned()),
-            (Token::ArrayStart | Token::ObjectStart, _) => {
-                return shape("a tuple value is an array or object")
-            }
-        };
+        let value = read_value(lx, dtype)?;
         match slots.get_mut(read) {
             Some(slot) => *slot = value,
             None => beyond.push(value),
@@ -741,6 +781,38 @@ fn read_values(lx: &mut Lexer<'_>, schema: Option<&Schema>) -> Result<Tuple, Lin
         tuple = Tuple::new(values);
     }
     Ok(tuple)
+}
+
+/// Reads one element of a `values` array. With the column's type, an
+/// integer in a float or timestamp column becomes that type.
+fn read_value(lx: &mut Lexer<'_>, dtype: Option<DataType>) -> Result<Value, LineError> {
+    if let Some(s) = lx.str_value()? {
+        return Ok(Value::Str(json_text(&s)));
+    }
+    Ok(match (lx.value()?, dtype) {
+        (Token::Null, _) => Value::Null,
+        (Token::Bool(b), _) => Value::Bool(b),
+        (Token::I64(n), Some(DataType::Float)) => Value::Float(n as f64),
+        (Token::I64(n), Some(DataType::Timestamp)) => Value::Timestamp(Timestamp(n)),
+        (Token::I64(n), _) => Value::Int(n),
+        // Past `i64::MAX` the untagged encoding's next fit is a float.
+        (Token::U64(n), _) => Value::Float(n as f64),
+        (Token::F64(f), _) => Value::Float(f),
+        (Token::Str(_), _) => unreachable!("`str_value` reads every string"),
+        (Token::ArrayStart | Token::ObjectStart, _) => {
+            return shape("a tuple value is an array or object")
+        }
+    })
+}
+
+/// A string value's text: a copy of its input slice, or, with escapes,
+/// decoded straight into a text of its exact decoded length.
+fn json_text(s: &JsonStr<'_>) -> Text {
+    match s.plain() {
+        Some(plain) => Text::from(plain),
+        None => Text::fill_utf8(s.len(), |bytes| s.decode_into(bytes))
+            .expect("a JSON string decodes to UTF-8"),
+    }
 }
 
 /// How many elements the array whose `[` was just read holds, by a
@@ -1337,7 +1409,7 @@ mod tests {
                     } else {
                         Value::Float(i as f64)
                     },
-                    Value::Str(format!("row{i}")),
+                    Value::Str(format!("row{i}").into()),
                 ])
             })
             .collect();
@@ -1416,7 +1488,7 @@ mod tests {
                         } else {
                             Value::Int(i as i64)
                         },
-                        Value::Str(format!("row{i}")),
+                        Value::Str(format!("row{i}").into()),
                     ],
                 )
             })

@@ -645,7 +645,7 @@ fn value(rng: &mut Rng) -> Value {
         // Any bit pattern: subnormals, NaN payloads, every exponent.
         4 => Value::Float(f64::from_bits(rng.next())),
         5 => Value::Float(rng.below(1_000_000) as f64 / 64.0),
-        6 => Value::Str(TEXTS[rng.below(TEXTS.len())].to_string()),
+        6 => Value::Str(TEXTS[rng.below(TEXTS.len())].into()),
         _ => Value::Timestamp(Timestamp(INTS[rng.below(INTS.len())])),
     }
 }

@@ -57,7 +57,7 @@ pub fn tuple(rng: &mut Rng) -> Tuple {
     Tuple::new(vec![
         Value::Timestamp(Timestamp(rng.below(1 << 40) as i64)),
         x,
-        Value::Str("s".repeat(rng.below(12))),
+        Value::Str("s".repeat(rng.below(12)).into()),
     ])
 }
 

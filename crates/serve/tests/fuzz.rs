@@ -19,7 +19,7 @@ mod corpus;
 use corpus::{schema, Rng, CASES, MAX_FRAME};
 use icewafl_serve::protocol::{
     coerce_tuple, decode_client_frame, decode_client_frame_typed, decode_server_frame,
-    encode_stamped_frame, encode_tuple_frame,
+    encode_stamped_frame, encode_tuple_columns, encode_tuple_frame, TAG_TUPLE_COLUMNS,
 };
 use icewafl_serve::{Handshake, ServerEvent};
 use icewafl_stream::net::{FrameDecoder, NetError, NetPoll, WireFormat, WireFrame};
@@ -125,6 +125,48 @@ fn tuple_lines_allocate_only_what_they_return() {
     assert_eq!(allocations, 2, "the values and one string");
 }
 
+/// A columnar upload frame decodes to one block per tuple plus one text
+/// per distinct string of each column: a repeated category is a clone
+/// of the text its first cell got, not a string of its own.
+fn column_frames_share_their_strings() {
+    const ROWS: usize = 256;
+    let stations: Vec<String> = (0..12).map(|i| format!("station-{i}")).collect();
+    let directions: Vec<String> = (0..16).map(|i| format!("wd-{i}")).collect();
+    let rows: Vec<Tuple> = (0..ROWS)
+        .map(|i| {
+            Tuple::new(vec![
+                Value::Timestamp(Timestamp(i as i64 * 3_600_000)),
+                Value::Float(i as f64 / 4.0),
+                Value::from(stations[i * 7 % 12].as_str()),
+                Value::from(directions[i * 5 % 16].as_str()),
+            ])
+        })
+        .collect();
+    let frame = WireFrame::Binary {
+        tag: TAG_TUPLE_COLUMNS,
+        payload: encode_tuple_columns(&rows),
+    };
+    let (decoded, allocations) = counting(|| decode_client_frame(frame));
+    let Ok(NetPoll::Batch(decoded)) = decoded else {
+        panic!("a valid columnar frame decodes");
+    };
+    assert_eq!(decoded, rows);
+    assert!(
+        allocations <= ROWS + 12 + 16 + 8,
+        "{allocations} allocations for {ROWS} rows of 12 and 16 distinct strings"
+    );
+    for (col, distinct) in [(2, 12), (3, 16)] {
+        let texts: std::collections::HashSet<*const u8> = decoded
+            .iter()
+            .map(|t| match &t.values()[col] {
+                Value::Str(s) => s.as_ptr(),
+                v => panic!("not a string: {v:?}"),
+            })
+            .collect();
+        assert_eq!(texts.len(), distinct, "column {col}: one text per category");
+    }
+}
+
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
 // the `GlobalAlloc` contract; the counters beside it touch no memory
 // the allocator hands out.
@@ -219,6 +261,7 @@ fn serve_bytes(
 #[test]
 fn hostile_bytes_decode_to_values_or_typed_errors_within_bounded_memory() {
     tuple_lines_allocate_only_what_they_return();
+    column_frames_share_their_strings();
 
     let mut worst = 0usize;
     let (mut clean, mut failed) = (0u64, 0u64);

@@ -532,7 +532,7 @@ mod codec_properties {
                         f64::from_bits((state & 0x000F_FFFF_FFFF_FFFF) | 0x3FF0_0000_0000_0000)
                             - 1.5,
                     ),
-                    4 => Value::Str(format!("s{:x}", state & 0xFFFF)),
+                    4 => Value::Str(format!("s{:x}", state & 0xFFFF).into()),
                     _ => Value::Timestamp(Timestamp(state as i64 >> 16)),
                 }
             })

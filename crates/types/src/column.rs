@@ -39,6 +39,7 @@
 //! bitmap word-wise (64 rows per `u64` operation).
 
 use crate::schema::{DataType, Schema};
+use crate::text::Text;
 use crate::time::Timestamp;
 use crate::tuple::{StampedTuple, Tuple};
 use crate::value::{round_to_i64, Value};
@@ -56,7 +57,7 @@ pub enum ColumnData {
     /// 64-bit float attribute values.
     Float(Vec<f64>),
     /// String attribute values.
-    Str(Vec<String>),
+    Str(Vec<Text>),
     /// Millisecond timestamps.
     Timestamp(Vec<i64>),
 }
@@ -99,7 +100,7 @@ impl ColumnData {
             ColumnData::Bool(v) => v.push(false),
             ColumnData::Int(v) => v.push(0),
             ColumnData::Float(v) => v.push(0.0),
-            ColumnData::Str(v) => v.push(String::new()),
+            ColumnData::Str(v) => v.push(Text::default()),
             ColumnData::Timestamp(v) => v.push(0),
         }
     }
@@ -675,7 +676,7 @@ mod tests {
                             Value::Int(70 + i as i64)
                         },
                         Value::Float(i as f64 * 0.5),
-                        Value::Str(format!("s{}", i % 4)),
+                        Value::Str(format!("s{}", i % 4).into()),
                         Value::Bool(i % 2 == 0),
                     ],
                 )
@@ -759,7 +760,7 @@ mod tests {
                             Value::Int(i as i64)
                         },
                         Value::Float(0.0),
-                        Value::Str(String::new()),
+                        Value::Str(Text::default()),
                         Value::Bool(false),
                     ],
                 )

@@ -12,10 +12,13 @@
 //! replicated event time `τ` before pollution starts.
 
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod column;
 pub mod error;
 pub mod schema;
+pub mod text;
 pub mod time;
 pub mod tuple;
 pub mod value;
@@ -23,6 +26,7 @@ pub mod value;
 pub use column::{Column, ColumnBatch, ColumnData};
 pub use error::{Error, Result};
 pub use schema::{DataType, Field, Schema};
+pub use text::Text;
 pub use time::{parse_timestamp, DateTime, Duration, Timestamp};
 pub use tuple::{StampedTuple, Tuple};
 pub use value::Value;

@@ -366,7 +366,7 @@ mod tests {
     }
 
     #[test]
-    fn into_values_moves_unshared_strings_and_clones_shared_ones() {
+    fn into_values_keeps_every_string_at_its_address() {
         let text = |t: &Tuple| match &t.values()[1] {
             Value::Str(s) => s.as_ptr(),
             v => panic!("not a string: {v:?}"),
@@ -376,7 +376,7 @@ mod tests {
         let Value::Str(s) = &shared.into_values()[1] else {
             panic!("a string")
         };
-        assert_ne!(s.as_ptr(), at, "a shared string is cloned");
+        assert_eq!(s.as_ptr(), at, "a shared tuple's string is shared");
         assert_eq!(text(&other), at);
         let Value::Str(s) = &other.into_values()[1] else {
             panic!("a string")

@@ -6,6 +6,7 @@
 //! comparison logic the pollution model and the DQ engine both rely on.
 
 use crate::error::{Error, Result};
+use crate::text::Text;
 use crate::time::Timestamp;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -15,8 +16,14 @@ use std::fmt;
 ///
 /// `Null` is a first-class member because *missing value* is one of the
 /// paper's static error types (Fig. 3).
+///
+/// Two words wide: a word-sized tag and a one-word payload. A narrower
+/// tag would leave seven padding bytes uninitialised, and copies of a
+/// `[Value]` (the copy-on-write of a shared tuple) would then go
+/// variant by variant instead of as plain memory.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 #[serde(untagged)]
+#[repr(C, u64)]
 pub enum Value {
     /// A missing value (SQL NULL). The default value.
     #[default]
@@ -27,8 +34,9 @@ pub enum Value {
     Int(i64),
     /// A 64-bit float.
     Float(f64),
-    /// A UTF-8 string (also used for categorical attributes).
-    Str(String),
+    /// A UTF-8 string (also used for categorical attributes), shared
+    /// by every clone of the value.
+    Str(Text),
     /// An event timestamp (epoch milliseconds).
     Timestamp(Timestamp),
 }
@@ -177,7 +185,7 @@ impl Value {
                 .parse::<f64>()
                 .map(Value::Float)
                 .map_err(|_| Error::parse(s, "Float")),
-            DataType::Str => Ok(Value::Str(s.to_string())),
+            DataType::Str => Ok(Value::Str(s.into())),
             DataType::Timestamp => crate::time::parse_timestamp(s).map(Value::Timestamp),
         }
     }
@@ -233,12 +241,12 @@ impl From<f64> for Value {
 }
 impl From<&str> for Value {
     fn from(s: &str) -> Self {
-        Value::Str(s.to_string())
+        Value::Str(s.into())
     }
 }
 impl From<String> for Value {
     fn from(s: String) -> Self {
-        Value::Str(s)
+        Value::Str(s.into())
     }
 }
 impl From<Timestamp> for Value {

@@ -429,7 +429,7 @@ fn generated_tuples(rng: &mut SplitMix) -> Vec<Tuple> {
                 value(Value::Float(i as f64 * 0.5)),
                 value(Value::Float(100.0 - i as f64)),
                 value(Value::Int(i % 50)),
-                value(Value::Str(format!("s{}", i % 4))),
+                value(Value::Str(format!("s{}", i % 4).into())),
             ])
         })
         .collect()
