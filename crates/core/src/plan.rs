@@ -10,10 +10,15 @@
 //! [`LogicalPlan::compile`] turns it into a [`PhysicalPlan`]: the
 //! resolved sub-stream assigner and the predicted stage layout (labels +
 //! metric names, rendered by [`PhysicalPlan::explain`]). Execution
-//! happens through one path — the runner's private `execute_attempt` —
-//! which also runs the hand-built pipelines of
-//! [`pollute_stream`](crate::runner::pollute_stream) under the settings
-//! a default plan compiles to.
+//! happens through one path: [`PhysicalPlan::execute`],
+//! [`PhysicalPlan::execute_supervised`] and
+//! [`PhysicalPlan::open_streaming`] all open a
+//! [`StreamingSession`] — the first
+//! two feed it the prepared input and collect its output, one attempt
+//! or as many as the supervision policy grants — and so do the
+//! hand-built pipelines of
+//! [`pollute_stream`](crate::runner::pollute_stream), under the
+//! settings a default plan compiles to.
 //!
 //! On top of the compile→execute split sits **runtime
 //! reconfiguration** in the style of Fries (arXiv:2210.10306): a
@@ -63,8 +68,8 @@ use crate::config::{
 };
 use crate::pipeline::PollutionPipeline;
 use crate::runner::{
-    execute_attempt, run_supervised_with, CheckpointSettings, ExecSettings, PollutionOutput,
-    StreamingSession, SubStreamAssigner,
+    run, Attempt, CheckpointSettings, ExecSettings, PollutionOutput, StreamingSession,
+    SubStreamAssigner,
 };
 use icewafl_stream::chaos::ChaosConfig;
 use icewafl_stream::control::ControlChannel;
@@ -877,22 +882,24 @@ impl PhysicalPlan {
         s
     }
 
-    /// Executes one attempt (no restarts) over an in-memory stream.
+    /// Executes one attempt (no restarts, and no checkpoints: a plan's
+    /// checkpoint section applies to supervised runs) over an in-memory
+    /// stream.
     ///
     /// Pipelines are built fresh from the logical plan, so repeated
     /// calls are reproducible; scheduled reconfigurations re-apply at
     /// the same epochs on every call.
     pub fn execute(&self, tuples: Vec<Tuple>) -> Result<PollutionOutput> {
-        let pipelines = self.logical.build_pipelines(&self.settings.schema)?;
-        let budget = self.settings.chaos.as_ref().map(ChaosConfig::new_budget);
-        execute_attempt(&self.settings, tuples, pipelines, budget, None)
+        run(&self.settings, tuples, false, || {
+            self.logical.build_pipelines(&self.settings.schema)
+        })
     }
 
     /// Executes under the plan's supervision policy: retryable failures
     /// rebuild the pipelines from the logical plan and re-run, up to the
     /// per-stage retry budget.
     pub fn execute_supervised(&self, tuples: Vec<Tuple>) -> Result<PollutionOutput> {
-        run_supervised_with(&self.settings, tuples, || {
+        run(&self.settings, tuples, true, || {
             self.logical.build_pipelines(&self.settings.schema)
         })
     }
@@ -914,7 +921,8 @@ impl PhysicalPlan {
         sink: impl Sink<StampedTuple> + 'static,
     ) -> Result<StreamingSession> {
         let pipelines = self.logical.build_pipelines(&self.settings.schema)?;
-        StreamingSession::open(&self.settings, sink, pipelines)
+        let attempt = Attempt::first(&self.settings, &pipelines, true)?;
+        StreamingSession::open(&self.settings, sink, pipelines, &attempt)
     }
 }
 

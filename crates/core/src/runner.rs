@@ -4,6 +4,13 @@
 //! sub-stream with its pipeline → union with sub-stream ids → sort by
 //! arrival time → output the clean stream `D`, the dirty stream `Dᵖ`,
 //! and the ground-truth log.
+//!
+//! The topology is built in one place, [`StreamingSession`]'s opening,
+//! behind a push head. A served session is fed by its caller; an
+//! offline run ([`pollute_stream`] and the plan's `execute` /
+//! `execute_supervised`) is one retry loop that feeds each attempt's
+//! session clones of the prepared input, resuming a retry from the
+//! latest checkpoint when the plan takes them.
 
 use crate::log::PollutionLog;
 use crate::pipeline::PollutionPipeline;
@@ -16,14 +23,14 @@ use crate::stats::PolluterStatsHandle;
 use icewafl_obs::MetricsRegistry;
 use icewafl_stream::chaos::{install_quiet_panic_hook, ChaosConfig, ChaosOperator};
 use icewafl_stream::checkpoint::{
-    CheckpointBarrier, CheckpointCoordinator, CheckpointStore, StateSnapshot, WatermarkGenState,
+    CheckpointBarrier, CheckpointCoordinator, CheckpointFrame, CheckpointStore, StateSnapshot,
 };
 use icewafl_stream::control::{ControlChannel, ControlSubscriber};
 use icewafl_stream::metrics::ChaosMetrics;
 use icewafl_stream::prelude::*;
 use icewafl_stream::sort::{EventTimeSorter, SorterStateCodec};
 use icewafl_stream::supervisor::{Supervisor, SupervisorPolicy};
-use icewafl_stream::{PushPipeline, SubPipelineBuilder};
+use icewafl_stream::{PushPipeline, SourceCheckpoint, SubPipelineBuilder};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -112,8 +119,9 @@ struct SubstreamState {
 /// when it is dropped — however the attempt ended. The finished log is
 /// the segments concatenated in sub-stream order, which is independent
 /// of how a schedule interleaves the sub-streams.
-/// A checkpointed run keeps the segments across attempts and rewinds
-/// each one to the length its own operator recorded at the barrier.
+/// A run keeps the segments across its attempts; a retry rewinds each
+/// one to the length its own operator recorded at the restored barrier,
+/// or empties it when there is none.
 #[derive(Clone)]
 pub(crate) struct LogSegments(Arc<Mutex<Vec<PollutionLog>>>);
 
@@ -321,7 +329,7 @@ pub struct PollutionOutput {
 /// The physical execution settings of a job. Only
 /// [`LogicalPlan::compile`] builds them, so every default lives in
 /// [`LogicalPlan`]; compiled plans and [`pollute_stream`] alike run
-/// them through [`execute_attempt`] — one construction path, one
+/// them through [`StreamingSession::open`] — one construction path, one
 /// executor.
 #[derive(Clone)]
 pub(crate) struct ExecSettings {
@@ -355,65 +363,147 @@ pub(crate) struct CheckpointSettings {
     pub(crate) interval_epochs: u64,
 }
 
-/// The supervised-retry loop behind
-/// [`crate::plan::PhysicalPlan::execute_supervised`]: on a retryable
-/// failure the job is re-attempted with fresh pipelines from
-/// `pipelines` (rebuilding restores their RNG state), up to the
-/// policy's per-stage retry budget, with backoff between attempts. The
-/// chaos panic budget is shared across attempts, so a bounded fault is
-/// transient — it heals after restart instead of re-arming.
-pub(crate) fn run_supervised_with<F>(
+/// What an attempt opens its [`StreamingSession`] with besides the
+/// plan: the log segments and the chaos panic budget, both shared by
+/// every attempt of a run (so a bounded fault is transient — it heals
+/// after a restart instead of re-arming); the checkpoint store (`None`
+/// = take no checkpoints); the supervisor's deadline; and the frame
+/// the attempt resumes from (`None` = start at tuple zero).
+pub(crate) struct Attempt {
+    segments: LogSegments,
+    chaos_budget: Option<Arc<AtomicU64>>,
+    store: Option<Arc<CheckpointStore>>,
+    deadline: Option<Instant>,
+    restore: Option<CheckpointFrame>,
+}
+
+impl Attempt {
+    /// The first attempt of a run of `pipelines`, checkpointing iff
+    /// `checkpoint` is set and the plan has a checkpoint section. The
+    /// job is validated first: opening the store truncates an existing
+    /// WAL, which a rejected job must leave alone.
+    pub(crate) fn first(
+        settings: &ExecSettings,
+        pipelines: &[PollutionPipeline],
+        checkpoint: bool,
+    ) -> Result<Self> {
+        validate(settings, pipelines)?;
+        let store = match settings.checkpoint.as_ref().filter(|_| checkpoint) {
+            Some(CheckpointSettings { dir: Some(dir), .. }) => Some(Arc::new(
+                CheckpointStore::with_wal(dir.join("checkpoint.wal"))?,
+            )),
+            Some(_) => Some(Arc::new(CheckpointStore::new())),
+            None => None,
+        };
+        Ok(Attempt {
+            segments: LogSegments::new(pipelines.len(), settings.logging),
+            chaos_budget: settings.chaos.as_ref().map(ChaosConfig::new_budget),
+            store,
+            deadline: None,
+            restore: None,
+        })
+    }
+}
+
+/// Runs a job over `tuples` to completion — the one loop behind
+/// [`PhysicalPlan::execute`](crate::plan::PhysicalPlan::execute),
+/// [`PhysicalPlan::execute_supervised`](crate::plan::PhysicalPlan::execute_supervised)
+/// and [`pollute_stream`]. Every attempt is a [`StreamingSession`] fed
+/// clones of the prepared clean stream into one shared sink.
+///
+/// An unsupervised run is a single attempt that takes no checkpoints.
+/// A `supervised` one follows the plan's policy: on a retryable failure
+/// the job is re-attempted with fresh `pipelines`, up to the per-stage
+/// retry budget, with backoff between attempts. With a checkpoint
+/// section a retry resumes from the latest *complete* checkpoint: the
+/// sink is truncated to the committed prefix, the session restores
+/// every operator's state (RNG stream positions included) and is fed
+/// the stream from the frame's offset on. The invariant is
+/// byte-identical output. A failure before the first checkpoint, or
+/// any failure of a run without a checkpoint section, restarts from
+/// tuple zero.
+pub(crate) fn run<F>(
     settings: &ExecSettings,
     tuples: Vec<Tuple>,
+    supervised: bool,
     mut pipelines: F,
 ) -> Result<PollutionOutput>
 where
     F: FnMut() -> Result<Vec<PollutionPipeline>>,
 {
-    if settings.checkpoint.is_some() {
-        return run_supervised_checkpointed(settings, tuples, pipelines);
-    }
-    let mut supervisor = Supervisor::new(settings.supervision.clone());
-    let budget = settings.chaos.as_ref().map(ChaosConfig::new_budget);
-    // Prepare once: every attempt replays the same shared clean stream,
-    // so a run that never restarts holds one copy of its input.
+    let mut first_build = Some(pipelines()?);
+    let mut attempt = Attempt::first(
+        settings,
+        first_build.as_deref().expect("just built"),
+        supervised,
+    )?;
+    let mut supervisor = Supervisor::new(if supervised {
+        settings.supervision.clone()
+    } else {
+        SupervisorPolicy::default()
+    });
+    attempt.deadline = supervisor.deadline_instant();
+    // Prepare once: every attempt is fed clones of this one copy, and a
+    // clone shares the tuple's values until a polluter writes to it.
     let clean = prepare_clean(settings, tuples)?;
+    // The sink is shared across attempts: the committed prefix of a
+    // failed attempt is kept, not recomputed.
+    let sink = SharedVecSink::new();
+    let (mut restored_from_epoch, mut replayed_tuples, mut recovery_ms) = (0, 0, 0);
     loop {
-        let attempt = execute_prepared(
-            settings,
-            &clean,
-            pipelines()?,
-            budget.clone(),
-            supervisor.deadline_instant(),
-        );
-        match attempt {
-            Ok(mut out) => {
-                out.clean = unshare(clean);
-                out.report.restarts = supervisor.restarts();
-                return Ok(out);
+        let recover_start = Instant::now();
+        attempt.restore = attempt.store.as_ref().and_then(|store| store.latest());
+        let from = attempt.restore.as_ref().map_or(0, |f| f.source_offset);
+        if supervisor.restarts() > 0 && attempt.store.is_some() {
+            // The failed attempt was fed the whole stream (a failed
+            // stage drops what follows, the feed goes on); what lies
+            // past the restore point is fed again.
+            replayed_tuples += (clean.len() as u64).saturating_sub(from);
+        }
+        sink.truncate(attempt.restore.as_ref().map_or(0, |f| f.sink_committed) as usize);
+        let built = match first_build.take() {
+            Some(built) => built,
+            None => pipelines()?,
+        };
+        let mut session = StreamingSession::open(settings, sink.clone(), built, &attempt)?;
+        if let Some(frame) = &attempt.restore {
+            restored_from_epoch = frame.epoch;
+            recovery_ms += recover_start.elapsed().as_millis() as u64;
+        }
+        session.feed(&clean[from as usize..]);
+        let (stage, kind, message) = match session.finish_with_log() {
+            Ok((report, log)) => {
+                return Ok(PollutionOutput {
+                    clean,
+                    polluted: sink.take(),
+                    log,
+                    report: RunReport {
+                        restarts: supervisor.restarts(),
+                        restored_from_epoch,
+                        replayed_tuples,
+                        recovery_ms,
+                        ..report
+                    },
+                })
             }
             Err(icewafl_types::Error::Pipeline {
                 stage,
                 kind,
                 message,
-            }) => {
-                let parsed = icewafl_stream::fault::FailureKind::parse(&kind);
-                match supervisor.next_retry_for(&stage, parsed) {
-                    Some(backoff) => {
-                        if !backoff.is_zero() {
-                            std::thread::sleep(backoff);
-                        }
-                    }
-                    None => {
-                        return Err(icewafl_types::Error::Pipeline {
-                            stage,
-                            kind,
-                            message,
-                        })
-                    }
-                }
-            }
+            }) => (stage, kind, message),
             Err(other) => return Err(other),
+        };
+        let parsed = icewafl_stream::fault::FailureKind::parse(&kind);
+        match supervisor.next_retry_for(&stage, parsed) {
+            Some(backoff) if !backoff.is_zero() => std::thread::sleep(backoff),
+            Some(_) => {}
+            None => {
+                return Err(icewafl_types::Error::Pipeline {
+                    stage,
+                    kind,
+                    message,
+                })
+            }
         }
     }
 }
@@ -434,215 +524,18 @@ fn stamped_codec() -> SorterStateCodec<StampedTuple> {
     )
 }
 
-/// The checkpointed supervised loop: instead of re-running from tuple
-/// zero, a retry restores the latest *complete* checkpoint — the shared
-/// sink is truncated to the committed prefix and every log segment to
-/// the length its own sub-stream recorded at the barrier, fresh
-/// pipelines are rewound to their snapshotted state (RNG stream
-/// positions included), and the replayable source resumes from the
-/// frame's offset with the recorded watermark-generator position.
-///
-/// The invariant is byte-identical output: a recovered run's polluted
-/// stream and log must equal an undisturbed run's, which is why
-/// snapshots carry exact RNG positions and pending buffers rather than
-/// re-seeding. A failure before the first checkpoint falls back to a
-/// full restart (offset 0), preserving plain supervised semantics.
-fn run_supervised_checkpointed<F>(
-    settings: &ExecSettings,
-    tuples: Vec<Tuple>,
-    mut pipelines: F,
-) -> Result<PollutionOutput>
-where
-    F: FnMut() -> Result<Vec<PollutionPipeline>>,
-{
-    let ckpt = settings.checkpoint.as_ref().expect("caller checked");
-    if settings.chaos.is_some() {
-        install_quiet_panic_hook();
-    }
-    // Validate before the store opens: opening it truncates an existing
-    // WAL, which a rejected job must leave alone.
-    let mut first_build = Some(pipelines()?);
-    validate(settings, first_build.as_deref().expect("just built"))?;
-    let store = match &ckpt.dir {
-        Some(dir) => Arc::new(CheckpointStore::with_wal(dir.join("checkpoint.wal"))?),
-        None => Arc::new(CheckpointStore::new()),
-    };
-    let mut supervisor = Supervisor::new(settings.supervision.clone());
-    let budget = settings.chaos.as_ref().map(ChaosConfig::new_budget);
-
-    // Prepare once: the prepared clean stream doubles as the replayable
-    // source, so a restore can slice off the already-checkpointed
-    // prefix instead of replaying history.
-    let clean = prepare_clean(settings, tuples)?;
-
-    // Sink and log segments are shared across attempts — the committed
-    // prefix of a failed attempt is kept, not recomputed. The segment
-    // count is fixed by the first build below.
-    let mut segments: Option<LogSegments> = None;
-    let sink = SharedVecSink::new();
-
-    let mut restored_from_epoch: u64 = 0;
-    let mut replayed_tuples: u64 = 0;
-    let mut recovery_ms: u64 = 0;
-    // Absolute source offset the most recent failed attempt had reached
-    // (replay accounting for the next restore).
-    let mut processed_abs: u64 = 0;
-
-    loop {
-        let frame = store.latest();
-        let recover_start = Instant::now();
-        let base_offset = frame.as_ref().map(|f| f.source_offset).unwrap_or(0);
-        match &frame {
-            Some(f) => {
-                restored_from_epoch = f.epoch;
-                replayed_tuples += processed_abs.saturating_sub(f.source_offset);
-                sink.truncate(f.sink_committed as usize);
-            }
-            None => {
-                // No checkpoint yet: full restart (a no-op before the
-                // first attempt).
-                replayed_tuples += processed_abs;
-                sink.truncate(0);
-            }
-        }
-        let mut built = match first_build.take() {
-            Some(built) => built,
-            None => pipelines()?,
-        };
-        let segments =
-            segments.get_or_insert_with(|| LogSegments::new(built.len(), settings.logging));
-        for (i, pipeline) in built.iter_mut().enumerate() {
-            // Without a frame — or without this sub-stream in it — the
-            // sub-stream starts over, and so does its log segment.
-            let Some(doc) = frame
-                .as_ref()
-                .and_then(|f| f.states.get(&format!("substream_{i}")))
-            else {
-                segments.truncate(i, 0);
-                continue;
-            };
-            let state: SubstreamState = serde_json::from_str(doc)
-                .map_err(|_| icewafl_types::Error::parse(doc.as_str(), "SubstreamState"))?;
-            if let Some(pipeline_doc) = &state.pipeline {
-                pipeline.restore_states(pipeline_doc)?;
-            }
-            segments.truncate(i, state.log_len as usize);
-        }
-        if frame.is_some() {
-            recovery_ms += recover_start.elapsed().as_millis() as u64;
-        }
-
-        let stat_handles = stat_handles_of(&built);
-        let registry = MetricsRegistry::new();
-        let coordinator = CheckpointCoordinator::new(
-            Arc::clone(&store),
-            ckpt.interval_epochs,
-            frame.as_ref().map(|f| f.epoch).unwrap_or(0),
-        );
-        let emitted = coordinator.emitted_counter();
-        let drive = CheckpointDrive {
-            coordinator,
-            base_offset,
-            resume_wm: frame.as_ref().map(|f| f.wm_state.clone()),
-            states: frame.map(|f| f.states).unwrap_or_default(),
-            sink_base: sink.len() as u64,
-        };
-        let source = replay_source(&clean, base_offset as usize);
-        let attempt = drive_pipelines(
-            settings,
-            source,
-            sink.clone(),
-            built,
-            budget.clone(),
-            supervisor.deadline_instant(),
-            &registry,
-            segments,
-            Some(drive),
-        );
-        match attempt {
-            Ok(()) => {
-                let polluted = sink.take();
-                let log = segments.concat();
-                let report = RunReport {
-                    restarts: supervisor.restarts(),
-                    checkpoints_taken: store.checkpoints_taken(),
-                    restored_from_epoch,
-                    replayed_tuples,
-                    recovery_ms,
-                    ..run_report(
-                        settings,
-                        &stat_handles,
-                        &registry,
-                        &log,
-                        clean.len() as u64,
-                        polluted.len() as u64,
-                    )
-                };
-                return Ok(PollutionOutput {
-                    clean: unshare(clean),
-                    polluted,
-                    log,
-                    report,
-                });
-            }
-            Err(icewafl_types::Error::Pipeline {
-                stage,
-                kind,
-                message,
-            }) => {
-                processed_abs = base_offset + emitted.load(std::sync::atomic::Ordering::Relaxed);
-                let parsed = icewafl_stream::fault::FailureKind::parse(&kind);
-                match supervisor.next_retry_for(&stage, parsed) {
-                    Some(backoff) => {
-                        if !backoff.is_zero() {
-                            std::thread::sleep(backoff);
-                        }
-                    }
-                    None => {
-                        return Err(icewafl_types::Error::Pipeline {
-                            stage,
-                            kind,
-                            message,
-                        })
-                    }
-                }
-            }
-            Err(other) => return Err(other),
-        }
-    }
-}
-
-/// One execution attempt — the single construction + execution path
-/// behind every entry point. `chaos_budget` carries the panic budget
-/// across supervised retries; `deadline` is enforced mid-run by the
-/// source drivers.
-pub(crate) fn execute_attempt(
-    settings: &ExecSettings,
-    tuples: Vec<Tuple>,
-    pipelines: Vec<PollutionPipeline>,
-    chaos_budget: Option<Arc<AtomicU64>>,
-    deadline: Option<Instant>,
-) -> Result<PollutionOutput> {
-    let clean = prepare_clean(settings, tuples)?;
-    let mut out = execute_prepared(settings, &clean, pipelines, chaos_budget, deadline)?;
-    out.clean = unshare(clean);
-    Ok(out)
-}
-
 /// Step 1 (Algorithm 1 lines 1–3): prepare. The prepared tuples are
-/// both the clean output and the source of the streaming job
+/// both the clean output and what the run feeds its sessions
 /// (watermarks are generated from τ, which only exists after
-/// preparation); the handle is shared so that a supervised run's
-/// attempts all replay the one copy.
-fn prepare_clean(settings: &ExecSettings, tuples: Vec<Tuple>) -> Result<Arc<Vec<StampedTuple>>> {
+/// preparation).
+fn prepare_clean(settings: &ExecSettings, tuples: Vec<Tuple>) -> Result<Vec<StampedTuple>> {
     let mut prepare = PrepareOperator::new(&settings.schema)?;
-    Ok(Arc::new(
-        tuples.into_iter().map(|t| prepare.prepare(t)).collect(),
-    ))
+    Ok(tuples.into_iter().map(|t| prepare.prepare(t)).collect())
 }
 
 /// Rejects what no attempt could run: a job without pipelines, chaos
-/// rates that are not probabilities.
+/// rates that are not probabilities, a schema without the event-time
+/// attribute preparing stamps tuples from.
 fn validate(settings: &ExecSettings, pipelines: &[PollutionPipeline]) -> Result<()> {
     if pipelines.is_empty() {
         return Err(icewafl_types::Error::config(
@@ -654,63 +547,7 @@ fn validate(settings: &ExecSettings, pipelines: &[PollutionPipeline]) -> Result<
             "chaos rates must be probabilities in [0, 1]",
         ));
     }
-    Ok(())
-}
-
-/// [`execute_attempt`] over an already prepared stream. The output's
-/// `clean` is left empty: the caller holds the shared clean stream and
-/// moves it in once the run's source has let go of it.
-fn execute_prepared(
-    settings: &ExecSettings,
-    clean: &Arc<Vec<StampedTuple>>,
-    pipelines: Vec<PollutionPipeline>,
-    chaos_budget: Option<Arc<AtomicU64>>,
-    deadline: Option<Instant>,
-) -> Result<PollutionOutput> {
-    validate(settings, &pipelines)?;
-    if settings.chaos.is_some() {
-        // Injected panics are expected and caught; keep them from
-        // spraying backtraces over the output.
-        install_quiet_panic_hook();
-    }
-
-    let segments = LogSegments::new(pipelines.len(), settings.logging);
-
-    // Collect per-polluter stat handles before the builders consume
-    // the pipelines — the cells are Arc-shared, so these handles
-    // read live values during and after the run.
-    let stat_handles = stat_handles_of(&pipelines);
-    let registry = MetricsRegistry::new();
-
-    let sink = SharedVecSink::new();
-    drive_pipelines(
-        settings,
-        replay_source(clean, 0),
-        sink.clone(),
-        pipelines,
-        chaos_budget,
-        deadline,
-        &registry,
-        &segments,
-        None,
-    )?;
-    let polluted = sink.take();
-
-    let log = segments.concat();
-    let report = run_report(
-        settings,
-        &stat_handles,
-        &registry,
-        &log,
-        clean.len() as u64,
-        polluted.len() as u64,
-    );
-    Ok(PollutionOutput {
-        clean: Vec::new(),
-        polluted,
-        log,
-        report,
-    })
+    settings.schema.require_timestamp().map(|_| ())
 }
 
 /// The live stat cells of every polluter in `pipelines`.
@@ -761,23 +598,6 @@ fn run_report(
     }
 }
 
-/// A source over `clean[from..]` that clones each prepared tuple as it
-/// is pulled. A clone shares the tuple's values by reference count, so
-/// `clean` stays the only copy of the input: a polluted tuple copies
-/// its values only when a polluter first writes to it.
-fn replay_source(clean: &Arc<Vec<StampedTuple>>, from: usize) -> impl Source<StampedTuple> {
-    let clean = Arc::clone(clean);
-    IterSource::new((from..clean.len()).map(move |i| clean[i].clone()))
-}
-
-/// The prepared clean stream back out of the handle it shared with the
-/// run's source; the source is gone by now, so this takes the vector
-/// back without touching it (its tuples still share values with the
-/// polluted ones that no polluter wrote).
-fn unshare(clean: Arc<Vec<StampedTuple>>) -> Vec<StampedTuple> {
-    Arc::try_unwrap(clean).unwrap_or_else(|shared| shared.to_vec())
-}
-
 /// A [`Sink`] adapter counting records on their way into the real sink
 /// (streamed runs have no collected vector to measure afterwards).
 struct CountingSink<K> {
@@ -803,26 +623,28 @@ impl<K: Sink<StampedTuple>> Sink<StampedTuple> for CountingSink<K> {
     }
 }
 
-/// One streaming execution attempt, opened and waiting to be fed: the
-/// split → pollute → union → sort topology every offline run builds,
-/// behind a push source instead of a pulled one. Each
-/// [`push`](StreamingSession::push) prepares one raw tuple (ids, `τ`
-/// and arrival stamps are assigned in arrival order, exactly as the
-/// offline path's eager prepare loop does) and runs it through the
-/// plan; what the watermark-driven sorter releases on the way reaches
-/// the sink before `push` returns, so nothing of the stream is held
-/// but what the plan itself holds: one watermark period per sub-stream,
-/// plus the tuples a delay polluter keeps back. Output is bit-identical
-/// to the offline path for the same plan and tuple sequence.
+/// One execution attempt, opened and waiting to be fed: the split →
+/// pollute → union → sort topology of Algorithm 1 behind a push source.
+/// Each [`push`](StreamingSession::push) prepares one raw tuple (ids,
+/// `τ` and arrival stamps are assigned in arrival order) and runs it
+/// through the plan; what the watermark-driven sorter releases on the
+/// way reaches the sink before `push` returns, so nothing of the stream
+/// is held but what the plan itself holds: one watermark period per
+/// sub-stream, plus the tuples a delay polluter keeps back.
 ///
-/// It is a single attempt by construction: a pushed stream cannot be
-/// replayed, so supervised restarts do not apply. Plans with a
-/// checkpoint section still take epoch-aligned snapshots (reported in
-/// `checkpoints_taken`; durable when a WAL dir is set) even though this
-/// path never restores them itself — recovery of a streamed session is
-/// an external concern (`CheckpointStore::recover_latest` over the
-/// WAL). Sessions sharing a WAL directory overwrite each other; give
-/// each session its own.
+/// Offline runs are sessions too: they feed a prepared copy of their
+/// input and collect the sink, so for the same plan and tuple sequence
+/// a session's output is bit-identical to
+/// [`PhysicalPlan::execute`](crate::plan::PhysicalPlan::execute)'s.
+///
+/// A session the caller feeds is a single attempt: a pushed stream
+/// cannot be replayed, so supervised restarts do not apply. Plans with
+/// a checkpoint section still take epoch-aligned snapshots (reported
+/// in `checkpoints_taken`; durable when a WAL dir is set) even though
+/// such a session never restores them itself — recovery of a streamed
+/// session is an external concern (`CheckpointStore::recover_latest`
+/// over the WAL). Sessions sharing a WAL directory overwrite each
+/// other; give each session its own.
 pub struct StreamingSession {
     pipeline: PushPipeline<StampedTuple>,
     prepare: PrepareOperator,
@@ -836,67 +658,89 @@ pub struct StreamingSession {
 }
 
 impl StreamingSession {
+    /// Opens `attempt` of a run of `pipelines` into `sink`. The
+    /// sub-streams' pipelines and log segments are rewound to the
+    /// attempt's restore frame (or start over without one); chaos
+    /// injectors and the sorter pick up their state as the topology is
+    /// built. A resumed session counts the tuples before the frame's
+    /// offset as taken in and the records the sink already holds as put
+    /// out, so its report covers the whole run.
     pub(crate) fn open(
         settings: &ExecSettings,
         sink: impl Sink<StampedTuple> + 'static,
-        pipelines: Vec<PollutionPipeline>,
+        mut pipelines: Vec<PollutionPipeline>,
+        attempt: &Attempt,
     ) -> Result<Self> {
-        validate(settings, &pipelines)?;
-        // A failing stage poisons the session via a `StageError` panic;
-        // a server must not spray a backtrace per failed session.
-        install_quiet_panic_hook();
+        if settings.chaos.is_some() {
+            // Injected panics are expected and caught; keep them from
+            // spraying backtraces over the output (a server's included).
+            install_quiet_panic_hook();
+        }
         let prepare = PrepareOperator::new(&settings.schema)?;
-        let tuples_out = Arc::new(AtomicU64::new(0));
+        let frame = attempt.restore.as_ref();
+        for (i, pipeline) in pipelines.iter_mut().enumerate() {
+            // Without a frame — or without this sub-stream in it — the
+            // sub-stream starts over, and so does its log segment.
+            let Some(doc) = frame.and_then(|f| f.states.get(&format!("substream_{i}"))) else {
+                attempt.segments.truncate(i, 0);
+                continue;
+            };
+            let state: SubstreamState = serde_json::from_str(doc)
+                .map_err(|_| icewafl_types::Error::parse(doc.as_str(), "SubstreamState"))?;
+            if let Some(pipeline_doc) = &state.pipeline {
+                pipeline.restore_states(pipeline_doc)?;
+            }
+            attempt.segments.truncate(i, state.log_len as usize);
+        }
+        let base_offset = frame.map_or(0, |f| f.source_offset);
+        let sink_base = frame.map_or(0, |f| f.sink_committed);
+        let tuples_out = Arc::new(AtomicU64::new(sink_base));
         let sink = CountingSink {
             inner: sink,
             count: Arc::clone(&tuples_out),
         };
-        let segments = LogSegments::new(pipelines.len(), settings.logging);
         let stat_handles = stat_handles_of(&pipelines);
         let registry = MetricsRegistry::new();
-        let budget = settings.chaos.as_ref().map(ChaosConfig::new_budget);
 
-        // Streaming sessions opt into checkpointing through their plan:
-        // the run still cannot auto-retry (the peer's stream is gone
-        // with the connection), but barriers flow and frames commit —
-        // with a WAL dir the session leaves durable, externally
-        // recoverable state for post-mortem resumption.
-        let store = match settings.checkpoint.as_ref() {
-            Some(CheckpointSettings { dir: Some(dir), .. }) => Some(Arc::new(
-                CheckpointStore::with_wal(dir.join("checkpoint.wal"))?,
-            )),
-            Some(_) => Some(Arc::new(CheckpointStore::new())),
-            None => None,
-        };
-        let coordinator = store
+        let checkpoint = attempt
+            .store
             .as_ref()
             .zip(settings.checkpoint.as_ref())
-            .map(|(store, ckpt)| {
-                CheckpointCoordinator::new(Arc::clone(store), ckpt.interval_epochs, 0)
+            .map(|(store, ckpt)| SourceCheckpoint {
+                coordinator: CheckpointCoordinator::new(
+                    Arc::clone(store),
+                    ckpt.interval_epochs,
+                    frame.map_or(0, |f| f.epoch),
+                ),
+                base_offset,
+                resume_wm: frame.map(|f| f.wm_state.clone()),
             });
         let nothing_restored = BTreeMap::new();
+        let ckpt_states = checkpoint
+            .is_some()
+            .then(|| frame.map_or(&nothing_restored, |f| &f.states));
 
-        let (head, source) = DataStream::push_source(source_watermarks(settings), coordinator);
+        let (head, source) = DataStream::push_source(source_watermarks(settings), checkpoint);
         let pipeline = pollution_topology(
             settings,
             head,
             pipelines,
-            budget,
+            attempt.chaos_budget.clone(),
             &registry,
-            &segments,
-            store.as_ref().map(|_| &nothing_restored),
+            &attempt.segments,
+            ckpt_states,
         )?
-        .open_into(source, sink, &registry);
+        .open_into(source, sink, &registry, attempt.deadline, sink_base);
         Ok(StreamingSession {
             pipeline,
             prepare,
-            tuples_in: 0,
+            tuples_in: base_offset,
             tuples_out,
             settings: settings.clone(),
-            segments,
+            segments: attempt.segments.clone(),
             stat_handles,
             registry,
-            store,
+            store: attempt.store.clone(),
         })
     }
 
@@ -905,6 +749,15 @@ impl StreamingSession {
     pub fn push(&mut self, tuple: Tuple) {
         self.tuples_in += 1;
         self.pipeline.push(self.prepare.prepare(tuple));
+    }
+
+    /// Runs clones of already prepared tuples through the plan: how a
+    /// run feeds its attempts the one prepared copy of its input.
+    fn feed(&mut self, prepared: &[StampedTuple]) {
+        self.tuples_in += prepared.len() as u64;
+        for tuple in prepared {
+            self.pipeline.push(tuple.clone());
+        }
     }
 
     /// Whether a stage of the plan has failed; what is pushed from then
@@ -918,9 +771,15 @@ impl StreamingSession {
     /// into the sink, then the run is reported. A stage's failure
     /// surfaces as [`icewafl_types::Error::Pipeline`].
     pub fn finish(self) -> Result<RunReport> {
+        self.finish_with_log().map(|(report, _)| report)
+    }
+
+    /// [`finish`](StreamingSession::finish), handing back the
+    /// ground-truth log as well.
+    fn finish_with_log(self) -> Result<(RunReport, PollutionLog)> {
         self.pipeline.finish()?;
         let log = self.segments.concat();
-        Ok(RunReport {
+        let report = RunReport {
             checkpoints_taken: self.store.map(|s| s.checkpoints_taken()).unwrap_or(0),
             ..run_report(
                 &self.settings,
@@ -930,69 +789,9 @@ impl StreamingSession {
                 self.tuples_in,
                 self.tuples_out.load(std::sync::atomic::Ordering::Relaxed),
             )
-        })
+        };
+        Ok((report, log))
     }
-}
-
-/// Checkpoint plumbing for one [`drive_pipelines`] attempt: the barrier
-/// coordinator, the absolute offset the (possibly sliced) source starts
-/// at, the watermark-generator position to resume from, the restore
-/// frame's per-operator states (chaos injectors and the sorter restore
-/// from these at build time — pipeline state is restored by the caller,
-/// where the rebuild cost is measured as `recovery_ms`), and the number
-/// of records already committed to the shared sink.
-struct CheckpointDrive {
-    coordinator: CheckpointCoordinator,
-    base_offset: u64,
-    resume_wm: Option<WatermarkGenState>,
-    states: BTreeMap<String, String>,
-    sink_base: u64,
-}
-
-/// Builds the fan-out → pollute → merge → sort topology over a pulled,
-/// prepared source and drives it into `sink` to completion — the shared
-/// tail of the offline ([`execute_attempt`]) and checkpointed-supervised
-/// paths.
-#[allow(clippy::too_many_arguments)]
-fn drive_pipelines(
-    settings: &ExecSettings,
-    source: impl Source<StampedTuple> + 'static,
-    sink: impl Sink<StampedTuple> + 'static,
-    pipelines: Vec<PollutionPipeline>,
-    chaos_budget: Option<Arc<AtomicU64>>,
-    deadline: Option<Instant>,
-    registry: &MetricsRegistry,
-    segments: &LogSegments,
-    ckpt: Option<CheckpointDrive>,
-) -> Result<()> {
-    let watermarks = source_watermarks(settings);
-    let (head, ckpt_states, sink_base) = match ckpt {
-        Some(c) => (
-            DataStream::from_source_checkpointed(
-                source,
-                watermarks,
-                c.coordinator,
-                c.base_offset,
-                c.resume_wm,
-            ),
-            Some(c.states),
-            c.sink_base,
-        ),
-        None => (DataStream::from_source(source, watermarks), None, 0),
-    };
-    // A `?` on the run carries a typed stage failure out as
-    // `Error::Pipeline` (via `From<PipelineError>`).
-    pollution_topology(
-        settings,
-        head,
-        pipelines,
-        chaos_budget,
-        registry,
-        segments,
-        ckpt_states.as_ref(),
-    )?
-    .execute_into_resumed(sink, registry, deadline, sink_base)?;
-    Ok(())
 }
 
 /// The source's watermark cadence: one watermark at `τ` every
@@ -1115,7 +914,10 @@ pub fn pollute_stream(
     pipeline: PollutionPipeline,
 ) -> Result<PollutionOutput> {
     let physical = LogicalPlan::new(0, vec![vec![]]).compile(schema)?;
-    execute_attempt(physical.settings(), tuples, vec![pipeline], None, None)
+    let mut pipeline = Some(pipeline);
+    run(physical.settings(), tuples, false, || {
+        Ok(pipeline.take().into_iter().collect())
+    })
 }
 
 #[cfg(test)]

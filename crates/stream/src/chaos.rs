@@ -2,8 +2,7 @@
 //! the fault-tolerance layer works.
 //!
 //! Icewafl pollutes *data*; this module pollutes the *runtime*. A
-//! [`ChaosSource`] or [`ChaosOperator`] wraps a normal source/identity
-//! stage and, at configurable per-record rates drawn from a seeded
+//! [`ChaosOperator`] is an identity stage that, at configurable per-record rates drawn from a seeded
 //! deterministic RNG ([`SplitMix64`]), injects:
 //!
 //! * **panics** — marked with [`CHAOS_PANIC_MARKER`] so the fault layer
@@ -150,7 +149,7 @@ enum Fault {
     Malform,
 }
 
-/// Shared decision engine of the source and operator wrappers.
+/// The fault decisions behind a [`ChaosOperator`].
 struct FaultPlan {
     cfg: ChaosConfig,
     rng: SplitMix64,
@@ -345,60 +344,6 @@ impl<T: Send> crate::operator::Operator<T, T> for ChaosOperator<T> {
     }
 }
 
-/// Source wrapper that injects faults per [`ChaosConfig`] as records are
-/// pulled. A panic here exercises the *source driver's* catch path
-/// (distinct from the operator path).
-pub struct ChaosSource<S> {
-    inner: S,
-    plan: FaultPlan,
-}
-
-impl<S> ChaosSource<S> {
-    /// Wraps `inner` with its own (private) panic budget and detached
-    /// metrics.
-    pub fn new(inner: S, cfg: ChaosConfig) -> Self {
-        let budget = cfg.new_budget();
-        Self::with_shared_budget(inner, cfg, budget)
-    }
-
-    /// Wraps `inner` with a shared panic budget.
-    pub fn with_shared_budget(inner: S, cfg: ChaosConfig, budget: Arc<AtomicU64>) -> Self {
-        ChaosSource {
-            inner,
-            plan: FaultPlan::new(cfg, budget, ChaosMetrics::detached()),
-        }
-    }
-
-    /// Records injection counters into the given metric handles.
-    pub fn with_metrics(mut self, metrics: ChaosMetrics) -> Self {
-        self.plan.metrics = metrics;
-        self
-    }
-}
-
-impl<T, S: crate::source::Source<T>> crate::source::Source<T> for ChaosSource<S> {
-    fn next(&mut self) -> Option<T> {
-        loop {
-            let record = self.inner.next()?;
-            match self.plan.decide() {
-                Fault::Panic => self.plan.panic_now(),
-                Fault::Delay => {
-                    self.plan.delay_now();
-                    return Some(record);
-                }
-                Fault::Drop => continue,
-                // Sources have no mutator; malform degrades to a no-op.
-                Fault::Malform | Fault::None => return Some(record),
-            }
-        }
-    }
-
-    fn size_hint(&self) -> Option<usize> {
-        // Drops make the true count unknowable in advance.
-        None
-    }
-}
-
 /// Installs (once, process-wide) a panic hook that suppresses the
 /// default "thread panicked" report for chaos-injected panics — they are
 /// expected, caught, and converted into typed errors; printing a
@@ -564,27 +509,5 @@ mod tests {
         }
         assert_eq!(ya, yb);
         assert!(ya.len() < 50, "some records must have dropped");
-    }
-
-    #[test]
-    fn chaos_source_drops_and_panics() {
-        install_quiet_panic_hook();
-        let cfg = ChaosConfig {
-            drop_rate: 1.0,
-            ..ChaosConfig::default()
-        };
-        let mut s = ChaosSource::new(crate::source::VecSource::new(vec![1, 2, 3]), cfg);
-        assert_eq!(crate::source::Source::<i32>::next(&mut s), None);
-
-        let cfg = ChaosConfig {
-            panic_rate: 1.0,
-            ..ChaosConfig::default()
-        };
-        let mut s = ChaosSource::new(crate::source::VecSource::new(vec![1]), cfg);
-        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            crate::source::Source::<i32>::next(&mut s)
-        }))
-        .is_err();
-        assert!(panicked);
     }
 }

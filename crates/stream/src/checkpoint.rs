@@ -190,7 +190,6 @@ pub struct CheckpointCoordinator {
     interval: u64,
     next_epoch: u64,
     wms_since: u64,
-    emitted: Arc<AtomicU64>,
 }
 
 impl CheckpointCoordinator {
@@ -202,19 +201,7 @@ impl CheckpointCoordinator {
             interval: interval_epochs.max(1),
             next_epoch: start_epoch + 1,
             wms_since: 0,
-            emitted: Arc::new(AtomicU64::new(0)),
         }
-    }
-
-    /// Shared counter of records the source driver has emitted this
-    /// attempt — the runner reads it to compute `replayed_tuples`.
-    pub fn emitted_counter(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.emitted)
-    }
-
-    /// Called by the source driver per emitted record.
-    pub fn on_record(&mut self) {
-        self.emitted.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Called by the source driver after pushing watermark `wm`;

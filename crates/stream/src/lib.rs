@@ -9,7 +9,8 @@
 //! * typed, stateful [`Operator`]s with event-time
 //!   [watermark](watermark::WatermarkStrategy) callbacks;
 //! * a fluent, lazily composed [`DataStream`] pipeline API with
-//!   `map`/`filter`/`flat_map`/keyed-process/sort/window combinators;
+//!   `map`/`filter`/sort combinators and tumbling
+//!   [windows](window::TumblingWindow);
 //! * stream **union** with per-input watermark merging and **fan-out**
 //!   into (overlapping) sub-pipelines
 //!   ([`DataStream::split_merge`]) — the substrate for Icewafl's
@@ -41,7 +42,6 @@ pub mod checkpoint;
 pub mod control;
 pub mod element;
 pub mod fault;
-pub mod keyed;
 pub mod metrics;
 pub mod net;
 pub mod operator;
@@ -54,7 +54,7 @@ pub mod supervisor;
 pub mod watermark;
 pub mod window;
 
-pub use chaos::{ChaosConfig, ChaosOperator, ChaosSource, CHAOS_PANIC_MARKER};
+pub use chaos::{ChaosConfig, ChaosOperator, CHAOS_PANIC_MARKER};
 pub use checkpoint::{
     CheckpointBarrier, CheckpointCoordinator, CheckpointFrame, CheckpointStore, StateSnapshot,
     WatermarkGenState,
@@ -65,23 +65,23 @@ pub use fault::{FailureCell, FailureKind, PipelineError, StageError};
 pub use metrics::{ChaosMetrics, SorterMetrics, StageMetrics};
 pub use net::{FrameReader, FrameWriter, NetError, NetPoll, WireFormat, WireFrame};
 pub use operator::{Collector, Operator};
-pub use sink::{CountSink, FnSink, NullSink, SharedVecSink, Sink};
+pub use sink::{CountSink, SharedVecSink, Sink};
 pub use sort::{EventTimeSorter, SortKey, SorterStateCodec};
-pub use source::{GenSource, IterSource, Source, VecSource};
-pub use stream::{DataStream, PushPipeline, PushSource, SubPipelineBuilder};
+pub use source::{Source, VecSource};
+pub use stream::{DataStream, PushPipeline, PushSource, SourceCheckpoint, SubPipelineBuilder};
 pub use supervisor::{Supervisor, SupervisorPolicy};
 pub use watermark::WatermarkStrategy;
-pub use window::{MicroBatcher, TumblingWindow, WindowPane};
+pub use window::{TumblingWindow, WindowPane};
 
 /// Everything needed to build and run pipelines.
 pub mod prelude {
-    pub use crate::chaos::{ChaosConfig, ChaosOperator, ChaosSource};
+    pub use crate::chaos::{ChaosConfig, ChaosOperator};
     pub use crate::control::{ControlChannel, ControlSubscriber};
     pub use crate::element::StreamElement;
     pub use crate::fault::{FailureKind, PipelineError, StageError};
     pub use crate::operator::{Collector, Operator};
-    pub use crate::sink::{CountSink, FnSink, NullSink, SharedVecSink, Sink};
-    pub use crate::source::{GenSource, IterSource, Source, VecSource};
+    pub use crate::sink::{CountSink, SharedVecSink, Sink};
+    pub use crate::source::{Source, VecSource};
     pub use crate::stream::{DataStream, SubPipelineBuilder};
     pub use crate::supervisor::{Supervisor, SupervisorPolicy};
     pub use crate::watermark::WatermarkStrategy;

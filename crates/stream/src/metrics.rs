@@ -101,8 +101,7 @@ impl SorterMetrics {
 }
 
 /// Metric handles for one chaos injector
-/// ([`ChaosOperator`](crate::chaos::ChaosOperator) /
-/// [`ChaosSource`](crate::chaos::ChaosSource)).
+/// ([`ChaosOperator`](crate::chaos::ChaosOperator)).
 #[derive(Clone, Default)]
 pub struct ChaosMetrics {
     /// Panics actually injected (after the budget check).

@@ -130,57 +130,6 @@ where
     }
 }
 
-/// 1:n record transformation; the function emits through the collector.
-pub struct FlatMapOperator<F> {
-    f: F,
-}
-
-impl<F> FlatMapOperator<F> {
-    /// Wraps an emitting function.
-    pub fn new(f: F) -> Self {
-        FlatMapOperator { f }
-    }
-}
-
-impl<In, Out, F> Operator<In, Out> for FlatMapOperator<F>
-where
-    F: FnMut(In, &mut dyn Collector<Out>) + Send,
-{
-    fn on_element(&mut self, record: In, out: &mut dyn Collector<Out>) {
-        (self.f)(record, out);
-    }
-
-    fn name(&self) -> &'static str {
-        "flat_map"
-    }
-}
-
-/// Observes records without changing them (for logging / counting).
-pub struct InspectOperator<F> {
-    f: F,
-}
-
-impl<F> InspectOperator<F> {
-    /// Wraps an observer function.
-    pub fn new(f: F) -> Self {
-        InspectOperator { f }
-    }
-}
-
-impl<T, F> Operator<T, T> for InspectOperator<F>
-where
-    F: FnMut(&T) + Send,
-{
-    fn on_element(&mut self, record: T, out: &mut dyn Collector<T>) {
-        (self.f)(&record);
-        out.collect(record);
-    }
-
-    fn name(&self) -> &'static str {
-        "inspect"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,28 +154,6 @@ mod tests {
     fn filter_keeps_matching() {
         let mut op = FilterOperator::new(|x: &i32| x % 2 == 0);
         assert_eq!(drive(&mut op, &[1, 2, 3, 4]), vec![2, 4]);
-    }
-
-    #[test]
-    fn flat_map_can_emit_zero_or_many() {
-        let mut op = FlatMapOperator::new(|x: i32, out: &mut dyn Collector<i32>| {
-            for _ in 0..x {
-                out.collect(x);
-            }
-        });
-        assert_eq!(drive(&mut op, &[0, 1, 3]), vec![1, 3, 3, 3]);
-    }
-
-    #[test]
-    fn inspect_observes_without_change() {
-        let mut seen = Vec::new();
-        let mut out = Vec::new();
-        let mut op = InspectOperator::new(|x: &i32| seen.push(*x));
-        op.on_element(7, &mut out);
-        op.on_element(8, &mut out);
-        let _ = op;
-        assert_eq!(seen, vec![7, 8]);
-        assert_eq!(out, vec![7, 8]);
     }
 
     #[test]

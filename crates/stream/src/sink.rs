@@ -129,38 +129,6 @@ impl<T: Send> Sink<T> for CountSink {
     }
 }
 
-/// Discards every record — the baseline sink for throughput benchmarks.
-pub struct NullSink;
-
-impl<T: Send> Sink<T> for NullSink {
-    fn write(&mut self, record: T) {
-        // The black_box-free equivalent: just drop. Benchmarks wrap the
-        // whole pipeline, so elision here is not a concern.
-        drop(record);
-    }
-}
-
-/// Adapts a closure into a sink.
-pub struct FnSink<F> {
-    f: F,
-}
-
-impl<F> FnSink<F> {
-    /// Wraps a closure.
-    pub fn new(f: F) -> Self {
-        FnSink { f }
-    }
-}
-
-impl<T, F> Sink<T> for FnSink<F>
-where
-    F: FnMut(T) + Send,
-{
-    fn write(&mut self, record: T) {
-        (self.f)(record);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,22 +153,5 @@ mod tests {
             Sink::<i32>::write(&mut writer, i);
         }
         assert_eq!(sink.count(), 5);
-    }
-
-    #[test]
-    fn fn_sink_invokes_closure() {
-        let mut seen = Vec::new();
-        {
-            let mut sink = FnSink::new(|x: i32| seen.push(x));
-            sink.write(7);
-            sink.finish();
-        }
-        assert_eq!(seen, vec![7]);
-    }
-
-    #[test]
-    fn null_sink_accepts_anything() {
-        let mut s = NullSink;
-        Sink::<String>::write(&mut s, "gone".to_string());
     }
 }

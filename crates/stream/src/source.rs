@@ -40,59 +40,6 @@ impl<T: Send> Source<T> for VecSource<T> {
     }
 }
 
-/// A source over any iterator.
-pub struct IterSource<I> {
-    iter: I,
-}
-
-impl<I> IterSource<I> {
-    /// Wraps an iterator.
-    pub fn new(iter: I) -> Self {
-        IterSource { iter }
-    }
-}
-
-impl<T, I> Source<T> for IterSource<I>
-where
-    I: Iterator<Item = T> + Send,
-{
-    fn next(&mut self) -> Option<T> {
-        self.iter.next()
-    }
-
-    fn size_hint(&self) -> Option<usize> {
-        match self.iter.size_hint() {
-            (lo, Some(hi)) if lo == hi => Some(hi),
-            _ => None,
-        }
-    }
-}
-
-/// A generator source: calls a closure with an increasing index until it
-/// returns `None`. Convenient for synthetic workloads.
-pub struct GenSource<F> {
-    f: F,
-    next_idx: u64,
-}
-
-impl<F> GenSource<F> {
-    /// Creates a generator source.
-    pub fn new(f: F) -> Self {
-        GenSource { f, next_idx: 0 }
-    }
-}
-
-impl<T, F> Source<T> for GenSource<F>
-where
-    F: FnMut(u64) -> Option<T> + Send,
-{
-    fn next(&mut self) -> Option<T> {
-        let item = (self.f)(self.next_idx)?;
-        self.next_idx += 1;
-        Some(item)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,21 +60,7 @@ mod tests {
     }
 
     #[test]
-    fn iter_source_wraps_any_iterator() {
-        let s = IterSource::new((0..4).map(|x| x * x));
-        assert_eq!(s.size_hint(), Some(4));
-        assert_eq!(drain(s), vec![0, 1, 4, 9]);
-    }
-
-    #[test]
-    fn gen_source_counts_from_zero_and_stops() {
-        let s = GenSource::new(|i| if i < 3 { Some(i * 10) } else { None });
-        assert_eq!(drain(s), vec![0, 10, 20]);
-    }
-
-    #[test]
     fn empty_sources() {
         assert!(drain(VecSource::<i32>::new(vec![])).is_empty());
-        assert!(drain(GenSource::new(|_| None::<i32>)).is_empty());
     }
 }

@@ -14,11 +14,8 @@
 use crate::checkpoint::{CheckpointBarrier, CheckpointCoordinator, WatermarkGenState};
 use crate::element::StreamElement;
 use crate::fault::{FailureCell, FailureKind, PipelineError, StageError};
-use crate::keyed::KeyedProcessOperator;
 use crate::metrics::{SorterMetrics, StageMetrics};
-use crate::operator::{
-    Collector, FilterOperator, FlatMapOperator, InspectOperator, MapOperator, Operator,
-};
+use crate::operator::{FilterOperator, MapOperator, Operator};
 use crate::sink::{SharedVecSink, Sink};
 use crate::sort::{EventTimeSorter, SortKey};
 use crate::source::{Source, VecSource};
@@ -26,12 +23,10 @@ use crate::stage::{
     BatchingStage, BoxStage, DiscardStage, OperatorStage, SinkStage, Stage, WatermarkMerger,
 };
 use crate::watermark::{WatermarkGenerator, WatermarkStrategy};
-use crate::window::{MicroBatcher, TumblingWindow, WindowPane};
 use icewafl_obs::{Counter, MetricsRegistry};
-use icewafl_types::{Duration, Timestamp};
+use icewafl_types::Timestamp;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
@@ -125,13 +120,21 @@ pub struct DataStream<T: Send + 'static> {
 }
 
 impl<T: Send + 'static> DataStream<T> {
-    /// A stream fed by `source`, with watermarks per `strategy`.
+    /// A stream fed by `source`, with watermarks per `strategy`: the
+    /// driver pulls `source.next()` until the source ends or the stream
+    /// is poisoned.
     ///
     /// The runtime always emits a final `W(MAX)` watermark before the end
     /// marker, so buffering operators flush even under
     /// [`WatermarkStrategy::none`].
     pub fn from_source(source: impl Source<T> + 'static, strategy: WatermarkStrategy<T>) -> Self {
-        Self::pulled(source, strategy, None)
+        DataStream {
+            build: Box::new(move |down, ctx| {
+                let mut source = source;
+                let mut step = SourceStep::new(down, strategy, None, ctx);
+                Some(Box::new(move || while step.step(|| source.next()) {}))
+            }),
+        }
     }
 
     /// A stream over an in-memory vector, without intermediate
@@ -140,66 +143,26 @@ impl<T: Send + 'static> DataStream<T> {
         Self::from_source(VecSource::new(items), WatermarkStrategy::none())
     }
 
-    /// Like [`DataStream::from_source`], but the driver additionally
-    /// injects [`CheckpointBarrier`]s right after epoch-closing
-    /// watermarks, as decided by `coordinator`.
+    /// A stream with no source of its own, fed by the caller one record
+    /// at a time through the [`PushPipeline`] that
+    /// [`DataStream::open_into`] returns for the handle given back here.
+    /// Every pushed record takes the same step through the driver a
+    /// pulled one does — watermarks per `strategy`, barriers per
+    /// `checkpoint` — under the same `source` stage label, so a pushed
+    /// run and a pulled run of one topology are the same sequence of
+    /// elements.
     ///
-    /// `base_offset` is the absolute record offset the source starts at
-    /// (non-zero when resuming a replayable source mid-stream) and
-    /// `resume_wm` the watermark-generator position captured at that
-    /// offset — together they make a restored run's barrier cadence and
-    /// watermark sequence identical to the undisturbed tail.
-    pub fn from_source_checkpointed(
-        source: impl Source<T> + 'static,
-        strategy: WatermarkStrategy<T>,
-        coordinator: CheckpointCoordinator,
-        base_offset: u64,
-        resume_wm: Option<WatermarkGenState>,
-    ) -> Self {
-        let checkpoint = SourceCheckpoint {
-            coordinator,
-            base_offset,
-            resume_wm,
-        };
-        Self::pulled(source, strategy, Some(checkpoint))
-    }
-
-    /// The pull form of the source driver: a loop of [`SourceStep`]s
-    /// over `source.next()` until the source ends or the step poisons
-    /// the stream.
-    fn pulled(
-        source: impl Source<T> + 'static,
-        strategy: WatermarkStrategy<T>,
-        checkpoint: Option<SourceCheckpoint>,
-    ) -> Self {
-        DataStream {
-            build: Box::new(move |down, ctx| {
-                let mut source = source;
-                let mut step = SourceStep::new(down, strategy, checkpoint, ctx);
-                Some(Box::new(move || while step.step(|| source.next()) {}))
-            }),
-        }
-    }
-
-    /// The push form of the source driver: a stream with no source of
-    /// its own, fed by the caller one record at a time through the
-    /// [`PushPipeline`] that [`DataStream::open_into`] returns for the
-    /// handle given back here. Every pushed record takes the same
-    /// step through the driver a pulled one does — watermarks per
-    /// `strategy`, barriers per `coordinator` — under the same `source`
-    /// stage label, so a pushed run and a pulled run of one topology
-    /// are the same sequence of elements.
+    /// A `checkpoint` whose `base_offset` and `resume_wm` come from a
+    /// committed [`CheckpointFrame`](crate::checkpoint::CheckpointFrame)
+    /// resumes a stream mid-way: fed the records from that offset on,
+    /// the head emits exactly the tail of the undisturbed run — the same
+    /// watermarks, and barriers carrying the same absolute offsets.
     pub fn push_source(
         strategy: WatermarkStrategy<T>,
-        coordinator: Option<CheckpointCoordinator>,
+        checkpoint: Option<SourceCheckpoint>,
     ) -> (Self, PushSource<T>) {
         let handle = PushSource(Arc::new(Mutex::new(None)));
         let slot = Arc::clone(&handle.0);
-        let checkpoint = coordinator.map(|coordinator| SourceCheckpoint {
-            coordinator,
-            base_offset: 0,
-            resume_wm: None,
-        });
         let stream = DataStream {
             // Parked the way `from_router_slot` parks a sub-stream head:
             // nothing is left to drive.
@@ -250,34 +213,6 @@ impl<T: Send + 'static> DataStream<T> {
     /// Keeps records matching the predicate.
     pub fn filter(self, predicate: impl FnMut(&T) -> bool + Send + 'static) -> DataStream<T> {
         self.transform(FilterOperator::new(predicate))
-    }
-
-    /// 1:n record transformation; `f` emits through the collector.
-    pub fn flat_map<U: Send + 'static>(
-        self,
-        f: impl FnMut(T, &mut dyn Collector<U>) + Send + 'static,
-    ) -> DataStream<U> {
-        self.transform(FlatMapOperator::new(f))
-    }
-
-    /// Observes records without changing them.
-    pub fn inspect(self, f: impl FnMut(&T) + Send + 'static) -> DataStream<T> {
-        self.transform(InspectOperator::new(f))
-    }
-
-    /// Keyed stateful processing (see
-    /// [`KeyedProcessOperator`]).
-    pub fn keyed_process<K, S, U>(
-        self,
-        key_fn: impl FnMut(&T) -> K + Send + 'static,
-        process_fn: impl FnMut(&mut S, T, &mut dyn Collector<U>) + Send + 'static,
-    ) -> DataStream<U>
-    where
-        K: Eq + Hash + Send + 'static,
-        S: Default + Send + 'static,
-        U: Send + 'static,
-    {
-        self.transform(KeyedProcessOperator::new(key_fn, process_fn))
     }
 
     /// Re-orders records by event time, releasing on watermarks.
@@ -336,20 +271,6 @@ impl<T: Send + 'static> DataStream<T> {
                 upstream(Box::new(BatchingStage::new(down, batch_size)), ctx)
             }),
         }
-    }
-
-    /// Groups records into count-based micro-batches.
-    pub fn micro_batch(self, size: usize) -> DataStream<Vec<T>> {
-        self.transform(MicroBatcher::new(size))
-    }
-
-    /// Groups records into tumbling event-time windows.
-    pub fn tumbling_window(
-        self,
-        size: Duration,
-        extract: impl FnMut(&T) -> Timestamp + Send + 'static,
-    ) -> DataStream<WindowPane<T>> {
-        self.transform(TumblingWindow::new(size, extract))
     }
 
     /// Merges several streams into one. Watermarks are combined by
@@ -511,39 +432,9 @@ impl<T: Send + 'static> DataStream<T> {
         sink: impl Sink<T> + 'static,
         registry: &MetricsRegistry,
     ) -> Result<(), PipelineError> {
-        self.execute_into_with_options(sink, registry, None)
-    }
-
-    /// Full-control executor: instrumentation registry plus an optional
-    /// wall-clock deadline enforced by the source driver.
-    pub fn execute_into_with_options(
-        self,
-        sink: impl Sink<T> + 'static,
-        registry: &MetricsRegistry,
-        deadline: Option<Instant>,
-    ) -> Result<(), PipelineError> {
-        self.execute_into_resumed(sink, registry, deadline, 0)
-    }
-
-    /// Like [`DataStream::execute_into_with_options`], but for a
-    /// checkpoint-restored attempt whose sink already holds
-    /// `committed_base` records from before the restore: barrier commits
-    /// record absolute sink offsets (`committed_base` + this attempt's
-    /// writes), keeping checkpoint frames valid across nested restores.
-    pub fn execute_into_resumed(
-        self,
-        sink: impl Sink<T> + 'static,
-        registry: &MetricsRegistry,
-        deadline: Option<Instant>,
-        committed_base: u64,
-    ) -> Result<(), PipelineError> {
         let mut ctx = ExecutionContext::with_registry(registry.clone());
-        ctx.set_deadline(deadline);
         let cell = ctx.failure_cell();
-        let driver = (self.build)(
-            Box::new(SinkStage::resumed(sink, cell, committed_base)),
-            &mut ctx,
-        );
+        let driver = (self.build)(Box::new(SinkStage::with_failure_cell(sink, cell)), &mut ctx);
         if let Some(driver) = driver {
             ctx.drive(driver);
         }
@@ -561,6 +452,12 @@ impl<T: Send + 'static> DataStream<T> {
     /// [`PushPipeline::finish`], after the end marker, which is the
     /// order the pulled form runs it in.
     ///
+    /// Past `deadline` the stages poison the stream with a
+    /// [`FailureKind::Deadline`] failure. `committed_base` is how many
+    /// records `sink` already holds from before a checkpoint restore:
+    /// barrier commits count from there, so every checkpoint frame
+    /// records the *absolute* sink offset a later restore truncates to.
+    ///
     /// # Panics
     ///
     /// If `source` is not the handle of this stream's own head.
@@ -569,10 +466,14 @@ impl<T: Send + 'static> DataStream<T> {
         source: PushSource<In>,
         sink: impl Sink<T> + 'static,
         registry: &MetricsRegistry,
+        deadline: Option<Instant>,
+        committed_base: u64,
     ) -> PushPipeline<In> {
         let mut ctx = ExecutionContext::with_registry(registry.clone());
+        ctx.set_deadline(deadline);
         let cell = ctx.failure_cell();
-        let driver = (self.build)(Box::new(SinkStage::with_failure_cell(sink, cell)), &mut ctx);
+        let sink = SinkStage::resumed(sink, cell, committed_base);
+        let driver = (self.build)(Box::new(sink), &mut ctx);
         let step = source
             .0
             .lock()
@@ -611,13 +512,17 @@ impl<T: Send + 'static> DataStream<T> {
     }
 }
 
-/// Checkpoint wiring of a source driver: who decides where barriers
-/// go, the absolute record offset the source starts at, and the
-/// watermark-generator position to resume from.
-struct SourceCheckpoint {
-    coordinator: CheckpointCoordinator,
-    base_offset: u64,
-    resume_wm: Option<WatermarkGenState>,
+/// Checkpoint wiring of a [`DataStream::push_source`] head: who decides
+/// where barriers go, the absolute record offset the first pushed
+/// record has, and the watermark-generator position to resume from.
+/// A fresh stream starts at offset 0 with no generator state.
+pub struct SourceCheckpoint {
+    /// Injects a barrier after every epoch-closing watermark.
+    pub coordinator: CheckpointCoordinator,
+    /// Records of the stream before the first pushed one.
+    pub base_offset: u64,
+    /// The generator position captured at `base_offset`.
+    pub resume_wm: Option<WatermarkGenState>,
 }
 
 /// The source driver, one record at a time: record → watermark
@@ -681,9 +586,6 @@ impl<T> SourceStep<T> {
             Ok(Some((record, wm))) => {
                 self.down.push(StreamElement::Record(record));
                 self.emitted += 1;
-                if let Some(checkpoint) = &mut self.checkpoint {
-                    checkpoint.coordinator.on_record();
-                }
                 if let Some(wm) = wm {
                     self.down.push(StreamElement::Watermark(wm));
                     if let Some(checkpoint) = &mut self.checkpoint {
@@ -1053,6 +955,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::operator::Collector;
+    use icewafl_types::Duration;
 
     #[test]
     fn map_filter_collect() {
@@ -1065,24 +969,14 @@ mod tests {
     }
 
     #[test]
-    fn flat_map_expands() {
-        let out = DataStream::from_vec(vec![2, 0, 1])
-            .flat_map(|x, out| {
-                for _ in 0..x {
-                    out.collect(x);
-                }
-            })
-            .collect()
-            .unwrap();
-        assert_eq!(out, vec![2, 2, 1]);
-    }
-
-    #[test]
     fn inspect_and_count() {
         let seen = Arc::new(Mutex::new(0));
         let seen2 = Arc::clone(&seen);
         let n = DataStream::from_vec(vec![1, 2, 3])
-            .inspect(move |_| *seen2.lock() += 1)
+            .map(move |x| {
+                *seen2.lock() += 1;
+                x
+            })
             .count()
             .unwrap();
         assert_eq!(n, 3);
@@ -1282,7 +1176,8 @@ mod tests {
         let pushed_registry = MetricsRegistry::new();
         let sink = SharedVecSink::new();
         let (head, source) = DataStream::push_source(every_eighth(), None);
-        let mut pipeline = fan_out_and_sort(head).open_into(source, sink.clone(), &pushed_registry);
+        let mut pipeline =
+            fan_out_and_sort(head).open_into(source, sink.clone(), &pushed_registry, None, 0);
         // Every head is parked: nothing is left to drive.
         assert!(pipeline.driver.is_none());
         for x in &input {
@@ -1305,9 +1200,19 @@ mod tests {
         let store = Arc::new(crate::checkpoint::CheckpointStore::new());
         let coordinator = CheckpointCoordinator::new(Arc::clone(&store), 2, 0);
         let sink = SharedVecSink::new();
-        let (head, source) = DataStream::push_source(every_eighth(), Some(coordinator));
-        let mut pipeline =
-            fan_out_and_sort(head).open_into(source, sink.clone(), &MetricsRegistry::new());
+        let checkpoint = SourceCheckpoint {
+            coordinator,
+            base_offset: 0,
+            resume_wm: None,
+        };
+        let (head, source) = DataStream::push_source(every_eighth(), Some(checkpoint));
+        let mut pipeline = fan_out_and_sort(head).open_into(
+            source,
+            sink.clone(),
+            &MetricsRegistry::new(),
+            None,
+            0,
+        );
         for x in 0..64 {
             pipeline.push(x);
         }
@@ -1317,6 +1222,101 @@ mod tests {
         let frame = store.latest().unwrap();
         assert_eq!((frame.epoch, frame.source_offset), (4, 64));
         assert_eq!(sink.len(), 64);
+    }
+
+    /// What a [`Tap`] saw pass: records, watermarks, and barriers as
+    /// `(epoch, source_offset)`.
+    #[derive(Debug, PartialEq)]
+    enum Seen {
+        Record(i64),
+        Watermark(Timestamp),
+        Barrier(u64, u64),
+    }
+
+    /// An identity operator recording every element it sees.
+    struct Tap(Arc<Mutex<Vec<Seen>>>);
+
+    impl Operator<i64, i64> for Tap {
+        fn on_element(&mut self, record: i64, out: &mut dyn Collector<i64>) {
+            self.0.lock().push(Seen::Record(record));
+            out.collect(record);
+        }
+
+        fn on_watermark(&mut self, wm: Timestamp, _out: &mut dyn Collector<i64>) {
+            self.0.lock().push(Seen::Watermark(wm));
+        }
+
+        fn on_barrier(&mut self, barrier: &CheckpointBarrier) {
+            let seen = Seen::Barrier(barrier.epoch(), barrier.source_offset());
+            self.0.lock().push(seen);
+        }
+    }
+
+    /// A push head checkpointing into `store` after every watermark,
+    /// resumed from `frame` when one is given, with a tap behind it.
+    fn tapped_head(
+        store: &Arc<crate::checkpoint::CheckpointStore>,
+        frame: Option<&crate::checkpoint::CheckpointFrame>,
+    ) -> (PushPipeline<i64>, Arc<Mutex<Vec<Seen>>>) {
+        let checkpoint = SourceCheckpoint {
+            coordinator: CheckpointCoordinator::new(
+                Arc::clone(store),
+                1,
+                frame.map_or(0, |f| f.epoch),
+            ),
+            base_offset: frame.map_or(0, |f| f.source_offset),
+            resume_wm: frame.map(|f| f.wm_state.clone()),
+        };
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let (head, source) = DataStream::push_source(every_eighth(), Some(checkpoint));
+        let pipeline = head.transform(Tap(Arc::clone(&seen))).open_into(
+            source,
+            SharedVecSink::new(),
+            &MetricsRegistry::new(),
+            None,
+            0,
+        );
+        (pipeline, seen)
+    }
+
+    #[test]
+    fn a_resumed_push_head_emits_the_tail_of_the_undisturbed_run() {
+        // Record 20 runs ahead of the stream, so the watermark stalls at
+        // 40 until the records catch up: only a head that resumes the
+        // generator's position knows not to emit W(31) at offset 32.
+        let input: Vec<i64> = (0..64).map(|x| if x == 20 { 40 } else { x }).collect();
+        let store = Arc::new(crate::checkpoint::CheckpointStore::new());
+        let (mut undisturbed, seen) = tapped_head(&store, None);
+        for x in &input {
+            undisturbed.push(*x);
+        }
+        undisturbed.finish().unwrap();
+        let undisturbed = std::mem::take(&mut *seen.lock());
+
+        // A run killed at record 30 has committed its barrier at 24.
+        let store = Arc::new(crate::checkpoint::CheckpointStore::new());
+        let (mut killed, _) = tapped_head(&store, None);
+        for x in &input[..30] {
+            killed.push(*x);
+        }
+        drop(killed);
+        let frame = store.latest().expect("a barrier committed before the kill");
+        assert_eq!((frame.epoch, frame.source_offset), (3, 24));
+
+        let (mut resumed, seen) = tapped_head(&store, Some(&frame));
+        for x in &input[24..] {
+            resumed.push(*x);
+        }
+        resumed.finish().unwrap();
+        let tail = std::mem::take(&mut *seen.lock());
+
+        let at = undisturbed
+            .iter()
+            .position(|s| *s == Seen::Barrier(3, 24))
+            .expect("the undisturbed run passed the restored barrier");
+        assert_eq!(tail, undisturbed[at + 1..]);
+        assert!(tail.contains(&Seen::Barrier(4, 48)), "tail: {tail:?}");
+        assert_eq!(store.latest().unwrap().source_offset, 64);
     }
 
     #[test]
@@ -1344,8 +1344,13 @@ mod tests {
 
         let sink = SharedVecSink::new();
         let (head, source) = DataStream::push_source(every_eighth(), None);
-        let mut pipeline =
-            merged_own_source(head).open_into(source, sink.clone(), &MetricsRegistry::new());
+        let mut pipeline = merged_own_source(head).open_into(
+            source,
+            sink.clone(),
+            &MetricsRegistry::new(),
+            None,
+            0,
+        );
         assert!(
             pipeline.driver.is_some(),
             "the merged-in source is left over"
@@ -1365,7 +1370,13 @@ mod tests {
         let (head, source) = DataStream::push_source(WatermarkStrategy::none(), None);
         let mut pipeline = head
             .map(|x: i64| if x == 2 { panic!("boom") } else { x })
-            .open_into(source, SharedVecSink::new(), &MetricsRegistry::new());
+            .open_into(
+                source,
+                SharedVecSink::new(),
+                &MetricsRegistry::new(),
+                None,
+                0,
+            );
         for x in 0..4 {
             pipeline.push(x);
         }
@@ -1386,8 +1397,13 @@ mod tests {
             }
         }
         let (head, source) = DataStream::push_source(every_eighth(), None);
-        let mut pipeline =
-            fan_out_and_sort(head).open_into(source, FlagSink(flag), &MetricsRegistry::new());
+        let mut pipeline = fan_out_and_sort(head).open_into(
+            source,
+            FlagSink(flag),
+            &MetricsRegistry::new(),
+            None,
+            0,
+        );
         for x in 0..100 {
             pipeline.push(x);
         }
@@ -1408,42 +1424,6 @@ mod tests {
             .unwrap();
         out.sort_unstable();
         assert_eq!(out, vec![-1, 20, 40]);
-    }
-
-    #[test]
-    fn keyed_process_through_pipeline() {
-        let out = DataStream::from_vec(vec![1, 2, 3, 4, 5, 6])
-            .keyed_process(
-                |x: &i32| x % 2,
-                |sum: &mut i32, x, out: &mut dyn Collector<i32>| {
-                    *sum += x;
-                    out.collect(*sum);
-                },
-            )
-            .collect()
-            .unwrap();
-        // odd: 1, 4, 9 — even: 2, 6, 12 — interleaved by arrival
-        assert_eq!(out, vec![1, 2, 4, 6, 9, 12]);
-    }
-
-    #[test]
-    fn micro_batch_through_pipeline() {
-        let out = DataStream::from_vec(vec![1, 2, 3, 4, 5])
-            .micro_batch(2)
-            .collect()
-            .unwrap();
-        assert_eq!(out, vec![vec![1, 2], vec![3, 4], vec![5]]);
-    }
-
-    #[test]
-    fn tumbling_window_through_pipeline() {
-        let out = DataStream::from_vec(vec![1i64, 5, 12])
-            .tumbling_window(Duration::from_millis(10), |x| Timestamp(*x))
-            .collect()
-            .unwrap();
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].records, vec![1, 5]);
-        assert_eq!(out[1].records, vec![12]);
     }
 
     #[cfg(feature = "obs")]

@@ -100,9 +100,8 @@ impl Supervisor {
     }
 
     /// The absolute instant of the run deadline, if one is configured —
-    /// pass it to
-    /// [`execute_into_with_options`](crate::stream::DataStream::execute_into_with_options)
-    /// so source drivers enforce it mid-run.
+    /// pass it to [`open_into`](crate::stream::DataStream::open_into) so
+    /// the stages enforce it mid-run.
     pub fn deadline_instant(&self) -> Option<Instant> {
         self.policy.deadline.map(|d| self.started + d)
     }

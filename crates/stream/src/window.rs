@@ -1,52 +1,12 @@
-//! Event-time windows and micro-batching.
+//! Event-time windows.
 //!
-//! Icewafl accepts "a real data stream or a data stream split into small
-//! batches (micro-batching)" (§2.1). The [`MicroBatcher`] turns a tuple
-//! stream into batches; [`TumblingWindow`] groups records by event time
-//! and fires complete windows as the watermark passes them — the DQ
-//! experiments validate per-hour windows this way.
+//! [`TumblingWindow`] groups records by event time and fires complete
+//! windows as the watermark passes them — the DQ experiments validate
+//! per-hour windows this way.
 
 use crate::operator::{Collector, Operator};
 use icewafl_types::{Duration, Timestamp};
 use std::collections::BTreeMap;
-
-/// Groups records into fixed-size count batches. The final partial batch
-/// is flushed at end of stream.
-pub struct MicroBatcher<T> {
-    size: usize,
-    buf: Vec<T>,
-}
-
-impl<T> MicroBatcher<T> {
-    /// Creates a batcher emitting `size`-record batches (`size ≥ 1`).
-    pub fn new(size: usize) -> Self {
-        let size = size.max(1);
-        MicroBatcher {
-            size,
-            buf: Vec::with_capacity(size),
-        }
-    }
-}
-
-impl<T: Send> Operator<T, Vec<T>> for MicroBatcher<T> {
-    fn on_element(&mut self, record: T, out: &mut dyn Collector<Vec<T>>) {
-        self.buf.push(record);
-        if self.buf.len() == self.size {
-            let batch = std::mem::replace(&mut self.buf, Vec::with_capacity(self.size));
-            out.collect(batch);
-        }
-    }
-
-    fn on_end(&mut self, out: &mut dyn Collector<Vec<T>>) {
-        if !self.buf.is_empty() {
-            out.collect(std::mem::take(&mut self.buf));
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "micro_batcher"
-    }
-}
 
 /// A fired tumbling window: its start time and contents.
 #[derive(Debug, Clone, PartialEq)]
@@ -146,30 +106,6 @@ mod tests {
     use super::*;
     use crate::element::StreamElement;
     use crate::stage::{run_operator, run_operator_simple};
-
-    #[test]
-    fn micro_batcher_full_batches() {
-        let out: Vec<Vec<i32>> = run_operator_simple(MicroBatcher::new(2), vec![1, 2, 3, 4]);
-        assert_eq!(out, vec![vec![1, 2], vec![3, 4]]);
-    }
-
-    #[test]
-    fn micro_batcher_flushes_partial_on_end() {
-        let out: Vec<Vec<i32>> = run_operator_simple(MicroBatcher::new(3), vec![1, 2, 3, 4]);
-        assert_eq!(out, vec![vec![1, 2, 3], vec![4]]);
-    }
-
-    #[test]
-    fn micro_batcher_empty_input() {
-        let out: Vec<Vec<i32>> = run_operator_simple(MicroBatcher::new(3), vec![]);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn micro_batcher_size_zero_clamped() {
-        let out: Vec<Vec<i32>> = run_operator_simple(MicroBatcher::new(0), vec![7]);
-        assert_eq!(out, vec![vec![7]]);
-    }
 
     #[test]
     fn tumbling_window_groups_by_event_time() {

@@ -10,7 +10,11 @@
 //! 4. a retry granted just before the wall-clock deadline must not
 //!    start an attempt that outlives it (`FailureKind::Deadline`
 //!    attribution is pinned);
-//! 5. a job rejected at validation leaves an existing WAL untouched.
+//! 5. a job rejected at validation leaves an existing WAL untouched;
+//! 6. `execute` is a single attempt that takes no checkpoints, even of
+//!    a plan with a checkpoint section;
+//! 7. a supervised restart of a plan without a checkpoint section
+//!    starts over and reports no restore.
 //!
 //! Everything is seeded; outputs are reproducible bit-for-bit.
 
@@ -299,6 +303,47 @@ fn rejected_job_leaves_an_existing_wal_untouched() {
         after.len()
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn execute_takes_no_checkpoints_and_writes_no_wal() {
+    let dir = temp_dir("execute");
+    let mut cfg = config("sequential", 1, false);
+    cfg.checkpoint.as_mut().unwrap().dir = Some(dir.to_string_lossy().into_owned());
+    let plan = compiled(&cfg);
+    let once = plan.execute(tuples(200)).unwrap();
+    assert_eq!(once.report.checkpoints_taken, 0);
+    let wal = dir.join("checkpoint.wal");
+    assert!(!wal.exists(), "execute wrote {}", wal.display());
+
+    // The supervised run of the same plan checkpoints, and agrees.
+    let supervised = plan.execute_supervised(tuples(200)).unwrap();
+    assert!(supervised.report.checkpoints_taken > 0);
+    assert!(wal.is_file());
+    assert_eq!(once.polluted, supervised.polluted);
+    assert_eq!(once.log.entries(), supervised.log.entries());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn restart_without_a_checkpoint_section_reports_no_restore() {
+    let uncheckpointed = |kill| LogicalPlan {
+        checkpoint: None,
+        ..config("sequential", 1, kill)
+    };
+    let calm = compiled(&uncheckpointed(false))
+        .execute_supervised(tuples(200))
+        .unwrap();
+    let hurt = compiled(&uncheckpointed(true))
+        .execute_supervised(tuples(200))
+        .expect("transient kill heals via a full restart");
+    let r = &hurt.report;
+    assert!(r.restarts >= 1, "the kill cost a restart");
+    assert_eq!(r.restored_from_epoch, 0);
+    assert_eq!(r.replayed_tuples, 0);
+    assert_eq!(r.checkpoints_taken, 0);
+    assert_eq!(hurt.polluted, calm.polluted, "polluted stream diverged");
+    assert_eq!(hurt.log.entries(), calm.log.entries());
 }
 
 #[test]
