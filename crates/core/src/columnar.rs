@@ -9,14 +9,15 @@
 //! a sequence of column kernels that run directly over a batch's typed
 //! attribute vectors instead of per-tuple value slices.
 //!
-//! **A measured leaf, not an execution path.** The runner executes
-//! every sub-stream through its row pipeline: fed rows and asked for
-//! rows, a column pipeline pays two pivots
-//! ([`ColumnBatch::from_rows`] / [`ColumnBatch::into_rows`]) that cost
-//! more than the kernels save (DESIGN.md decision 12). What calls this
-//! module is the repo benchmark's ledger and the kernel microbench; a
-//! caller that already holds columns — binary wire frames decoded
-//! straight into a [`ColumnBatch`] — would start here (ROADMAP item 1).
+//! **Who runs it.** A [`ColumnSession`](crate::ColumnSession): a binary
+//! serve session on a column-exact plan decodes its frames straight
+//! into [`ColumnBatch`]es, runs them through these pipelines in place
+//! and encodes its output from the same buffers, so nothing pivots.
+//! Offline runs stay rows: fed rows and asked for rows, a column
+//! pipeline would pay two pivots ([`ColumnBatch::from_rows`] /
+//! [`ColumnBatch::into_rows`]) that cost more than the kernels save
+//! (DESIGN.md decision 12). The repo benchmark's ledger and the kernel
+//! microbench time the kernels on their own.
 //!
 //! **Exactness by construction.** A kernel does not reimplement the
 //! polluter — it *wraps* the very same [`StandardPolluter`] the row path
@@ -59,8 +60,9 @@
 
 use crate::config::{build_standard, ConditionConfig, ErrorConfig, PolluterConfig};
 use crate::log::PollutionLog;
-use crate::polluter::{Emission, StandardPolluter};
+use crate::polluter::{Emission, Polluter, StandardPolluter};
 use crate::rng::{ComponentPath, SeedFactory};
+use crate::stats::PolluterStatsHandle;
 use icewafl_types::{ColumnBatch, DataType, Result, Schema, StampedTuple, Timestamp, Tuple, Value};
 
 /// Column indices a condition reads, appended to `out`. Probability-,
@@ -325,11 +327,23 @@ impl ColumnPipeline {
     }
 
     /// Runs one loose row through every stage in place — the exact
-    /// per-tuple sequence the row path executes, which is what the
-    /// kernel microbench's `row` mode times.
+    /// per-tuple sequence the row path executes: how a column session
+    /// pollutes a row that did not fit a batch, and what the kernel
+    /// microbench's `row` mode times.
     pub fn process_row(&mut self, tuple: &mut StampedTuple, log: &mut PollutionLog) {
         for stage in &mut self.stages {
             stage.polluter.process_in_place(tuple, log);
+        }
+    }
+
+    /// The live stat cells of every stage's polluter, in stage order,
+    /// appended to `out`: what
+    /// [`PollutionPipeline::collect_stats`](crate::pipeline::PollutionPipeline::collect_stats)
+    /// hands out for the row pipeline this one re-expresses, so a run
+    /// on either reports the same statistics under the same names.
+    pub fn collect_stats(&self, out: &mut Vec<PolluterStatsHandle>) {
+        for stage in &self.stages {
+            Polluter::collect_stats(&stage.polluter, out);
         }
     }
 
@@ -340,7 +354,7 @@ impl ColumnPipeline {
         let mut buf = Vec::new();
         for stage in &mut self.stages {
             let mut em = Emission::new(&mut buf, log);
-            crate::polluter::Polluter::on_watermark(&mut stage.polluter, wm, &mut em);
+            Polluter::on_watermark(&mut stage.polluter, wm, &mut em);
         }
         debug_assert!(buf.is_empty(), "standard polluters release nothing");
     }
@@ -350,7 +364,7 @@ impl ColumnPipeline {
         let mut buf = Vec::new();
         for stage in &mut self.stages {
             let mut em = Emission::new(&mut buf, log);
-            crate::polluter::Polluter::finish(&mut stage.polluter, &mut em);
+            Polluter::finish(&mut stage.polluter, &mut em);
         }
         debug_assert!(buf.is_empty(), "standard polluters release nothing");
     }

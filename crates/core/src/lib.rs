@@ -63,6 +63,7 @@
 #![warn(missing_docs)]
 
 pub mod catalog;
+pub mod column_session;
 pub mod columnar;
 pub mod condition;
 pub mod config;
@@ -82,6 +83,7 @@ pub mod stats;
 pub mod temporal;
 
 pub use catalog::PlanCatalog;
+pub use column_session::{ColumnSession, ReleasedRow};
 pub use columnar::{lower_pipeline, lowering_blocker, pipeline_lowerable, ColumnPipeline};
 pub use condition::Condition;
 pub use config::{

@@ -62,6 +62,7 @@
 //! assert_eq!(out.polluted.len(), 32);
 //! ```
 
+use crate::column_session::ColumnSession;
 use crate::config::{
     build_pipelines, ChaosSectionConfig, CheckpointSectionConfig, ConditionConfig, ErrorConfig,
     PolluterConfig, SupervisionConfig,
@@ -923,6 +924,20 @@ impl PhysicalPlan {
         let pipelines = self.logical.build_pipelines(&self.settings.schema)?;
         let attempt = Attempt::first(&self.settings, &pipelines, true)?;
         StreamingSession::open(&self.settings, sink, pipelines, &attempt)
+    }
+
+    /// Opens one streaming attempt that runs in columns, when the plan
+    /// is column-exact; `None` when it is not, and
+    /// [`open_streaming`](PhysicalPlan::open_streaming) is the way to run
+    /// it. Column-exact means logging off, no `chaos` and no
+    /// `checkpoint` section, nothing scheduled on the
+    /// [`control_handle`](PhysicalPlan::control_handle), and every
+    /// sub-stream lowering to column kernels (see
+    /// [`crate::column_session`]). Fed the same tuples, the session
+    /// releases what `open_streaming`'s sink would be written, in the
+    /// same chunks.
+    pub fn open_column_session(&self) -> Result<Option<ColumnSession>> {
+        ColumnSession::open(&self.logical, &self.settings)
     }
 }
 

@@ -6,7 +6,9 @@
 //! part of the final output.
 
 use icewafl_stream::{Collector, Operator};
-use icewafl_types::{Result, Schema, StampedTuple, Timestamp, Tuple, Value};
+use icewafl_types::{
+    ColumnBatch, ColumnData, Result, Schema, StampedTuple, Timestamp, Tuple, Value,
+};
 
 /// Stream operator performing the preparation step.
 ///
@@ -40,6 +42,26 @@ impl PrepareOperator {
         let id = self.next_id;
         self.next_id += 1;
         StampedTuple::new(id, tau, tuple)
+    }
+
+    /// Stamps every row of a batch whose values are in place, in row
+    /// order and exactly as [`prepare`](PrepareOperator::prepare)
+    /// stamps a tuple of the same values: the next id, `τ` from the
+    /// event-time column (the previous `τ` where it is NULL) and an
+    /// arrival time equal to `τ`. One operator may stamp tuples and
+    /// batches in any interleaving; the ids and `τ`s continue across
+    /// them.
+    pub fn prepare_batch(&mut self, batch: &mut ColumnBatch) {
+        for row in 0..batch.len() {
+            let column = batch.column(self.ts_idx);
+            let tau = match column.data() {
+                ColumnData::Timestamp(ms) if column.is_valid(row) => Timestamp(ms[row]),
+                _ => self.last_tau,
+            };
+            self.last_tau = tau;
+            batch.set_stamp(row, self.next_id, tau, tau);
+            self.next_id += 1;
+        }
     }
 }
 
@@ -106,6 +128,30 @@ mod tests {
     fn requires_timestamp_attribute() {
         let no_ts = Schema::from_pairs([("x", DataType::Int)]).unwrap();
         assert!(PrepareOperator::new(&no_ts).is_err());
+    }
+
+    #[test]
+    fn batches_are_stamped_as_their_tuples_would_be() {
+        let tuples = vec![
+            Tuple::new(vec![Value::Null, Value::Int(0)]),
+            raw(300, 1),
+            Tuple::new(vec![Value::Null, Value::Int(2)]),
+            raw(100, 3),
+            raw(500, 4),
+        ];
+        let expected = prepare_all(&schema(), tuples.clone()).unwrap();
+        // Stamp the first two as tuples and the rest as a batch.
+        let mut op = PrepareOperator::new(&schema()).unwrap();
+        let mut got: Vec<StampedTuple> =
+            tuples[..2].iter().map(|t| op.prepare(t.clone())).collect();
+        let unstamped = tuples[2..]
+            .iter()
+            .map(|t| StampedTuple::new(0, Timestamp(0), t.clone()))
+            .collect();
+        let mut batch = ColumnBatch::from_rows(&schema(), unstamped).unwrap();
+        op.prepare_batch(&mut batch);
+        got.extend(batch.into_rows());
+        assert_eq!(got, expected);
     }
 
     #[test]

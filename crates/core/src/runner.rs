@@ -63,16 +63,18 @@ pub(crate) enum SubStreamAssigner {
     },
 }
 
-/// Per-tuple sub-stream membership selector.
-type Selector = Box<dyn FnMut(&StampedTuple, &mut Vec<usize>) + Send>;
+/// Per-tuple sub-stream membership selector: given a prepared tuple's
+/// id, fills in the sub-streams it joins. Ids are all an assigner
+/// reads, so rows need not be tuples to be routed.
+pub(crate) type Selector = Box<dyn FnMut(u64, &mut Vec<usize>) + Send>;
 
 impl SubStreamAssigner {
     /// Builds the per-tuple membership selector.
-    fn selector(&self, m: usize) -> Selector {
+    pub(crate) fn selector(&self, m: usize) -> Selector {
         match self {
             SubStreamAssigner::Broadcast => Box::new(move |_, out| out.extend(0..m)),
             SubStreamAssigner::RoundRobin => {
-                Box::new(move |t, out| out.push((t.id % m as u64) as usize))
+                Box::new(move |id, out| out.push((id % m as u64) as usize))
             }
             SubStreamAssigner::Probabilistic { p, seed } => {
                 let p = p.clamp(0.0, 1.0);
@@ -561,7 +563,7 @@ fn stat_handles_of(pipelines: &[PollutionPipeline]) -> Vec<PolluterStatsHandle> 
 
 /// The report of a finished single attempt; supervised runs overwrite
 /// the restart and recovery fields.
-fn run_report(
+pub(crate) fn run_report(
     settings: &ExecSettings,
     stat_handles: &[PolluterStatsHandle],
     registry: &MetricsRegistry,
@@ -819,7 +821,7 @@ fn pollution_topology(
     ckpt_states: Option<&BTreeMap<String, String>>,
 ) -> Result<DataStream<StampedTuple>> {
     let m = pipelines.len();
-    let selector = settings.assigner.selector(m);
+    let mut selector = settings.assigner.selector(m);
     let builders: Vec<SubPipelineBuilder<StampedTuple, StampedTuple>> = pipelines
         .into_iter()
         .enumerate()
@@ -880,7 +882,11 @@ fn pollution_topology(
         .collect::<Result<_>>()?;
 
     let batch_size = settings.batch_size.max(1);
-    let merged = head.split_merge_batched(selector, builders, batch_size);
+    let merged = head.split_merge_batched(
+        move |t: &StampedTuple, out: &mut Vec<usize>| selector(t.id, out),
+        builders,
+        batch_size,
+    );
     // Algorithm 1, line 11: sortByTimestamp — by *arrival* time, so
     // delayed tuples surface late (see `StampedTuple::arrival`). Equal
     // arrivals order by sub-stream, then by emission order within the

@@ -10,7 +10,7 @@
 //! stream outgrows the kernel socket buffers.
 
 use crate::protocol::{
-    coerce_tuple, decode_server_frame, encode_end_frame, encode_tuple_columns_frame,
+    arity_runs, coerce_tuple, decode_server_frame, encode_end_frame, encode_tuple_columns_frame,
     encode_tuple_frame, Handshake, HandshakeReply, ServerEvent, SessionErrorFrame, TelemetryFrame,
 };
 use icewafl_core::report::RunReport;
@@ -25,24 +25,6 @@ use std::time::Duration;
 /// to amortize framing and decode dispatch, small enough that a frame
 /// stays far under the server's per-frame cap.
 const UPLOAD_BATCH: usize = 512;
-
-/// Splits `tuples` into chunks of at most `max` where every tuple in a
-/// chunk has the same arity — the invariant columnar frames require.
-fn uniform_arity_chunks(tuples: &[Tuple], max: usize) -> impl Iterator<Item = &[Tuple]> {
-    let mut rest = tuples;
-    std::iter::from_fn(move || {
-        let first = rest.first()?;
-        let arity = first.values().len();
-        let len = rest
-            .iter()
-            .take(max)
-            .take_while(|t| t.values().len() == arity)
-            .count();
-        let (run, tail) = rest.split_at(len);
-        rest = tail;
-        Some(run)
-    })
-}
 
 /// Client-side knobs for [`run_session`].
 #[derive(Debug, Clone)]
@@ -152,7 +134,7 @@ pub fn run_session(config: &ClientConfig, tuples: Vec<Tuple>) -> Result<SessionO
                 // Columnar upload: one frame per run of same-arity
                 // tuples, so the server decodes a batch at a time
                 // instead of 5 header bytes + one payload per tuple.
-                for run in uniform_arity_chunks(&tuples, UPLOAD_BATCH) {
+                for run in arity_runs(&tuples, UPLOAD_BATCH, Tuple::len) {
                     let frame = if run.len() >= 2 {
                         encode_tuple_columns_frame(run)
                     } else {

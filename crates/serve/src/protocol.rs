@@ -86,8 +86,11 @@
 
 use icewafl_core::plan::LogicalPlan;
 use icewafl_core::report::RunReport;
+use icewafl_core::ReleasedRow;
 use icewafl_stream::net::{NetError, NetPoll, WireFormat, WireFrame};
-use icewafl_types::{DataType, Schema, StampedTuple, Text, Timestamp, Tuple, Value};
+use icewafl_types::{
+    Column, ColumnBatch, ColumnData, DataType, Schema, StampedTuple, Text, Timestamp, Tuple, Value,
+};
 use serde::{Deserialize, Serialize};
 use serde_json::{write_float, write_i64, write_string, write_u64, JsonStr, Lexer, Token};
 use std::{iter, mem};
@@ -357,28 +360,26 @@ const VAL_TIMESTAMP: u8 = 5;
 fn put_value(out: &mut Vec<u8>, v: &Value) {
     match v {
         Value::Null => out.push(VAL_NULL),
-        Value::Bool(b) => {
-            out.push(VAL_BOOL);
-            out.push(u8::from(*b));
-        }
-        Value::Int(i) => {
-            out.push(VAL_INT);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::Float(f) => {
-            out.push(VAL_FLOAT);
-            out.extend_from_slice(&f.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(VAL_STR);
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        }
-        Value::Timestamp(t) => {
-            out.push(VAL_TIMESTAMP);
-            out.extend_from_slice(&t.0.to_le_bytes());
-        }
+        Value::Bool(b) => out.extend_from_slice(&[VAL_BOOL, u8::from(*b)]),
+        Value::Int(i) => put_word(out, VAL_INT, i.to_le_bytes()),
+        Value::Float(f) => put_word(out, VAL_FLOAT, f.to_bits().to_le_bytes()),
+        Value::Str(s) => put_str(out, s),
+        Value::Timestamp(t) => put_word(out, VAL_TIMESTAMP, t.0.to_le_bytes()),
     }
+}
+
+/// A tag and its eight-byte value, in one append.
+#[inline]
+fn put_word(out: &mut Vec<u8>, tag: u8, word: [u8; 8]) {
+    let mut cell = [tag; 9];
+    cell[1..].copy_from_slice(&word);
+    out.extend_from_slice(&cell);
+}
+
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    let len = (s.len() as u32).to_le_bytes();
+    out.extend_from_slice(&[VAL_STR, len[0], len[1], len[2], len[3]]);
+    out.extend_from_slice(s.as_bytes());
 }
 
 /// A bounds-checked cursor over a binary payload.
@@ -470,21 +471,49 @@ const SHARED_TEXTS: usize = 32;
 /// The texts one column of a columnar frame has handed out: the first
 /// [`SHARED_TEXTS`] distinct byte strings it met. A cell that repeats
 /// one gets a clone of its text, so a categorical column costs one
-/// allocation per category per frame, not one per cell.
-struct SharedTexts(Vec<Text>);
+/// allocation per category per frame, not one per cell. They are found
+/// by a hash of their bytes, open-addressed in a table twice their
+/// number, so a lookup compares about one string whatever the number
+/// of categories.
+struct SharedTexts {
+    texts: Vec<Text>,
+    /// Index into `texts` plus one, `0` for an empty slot.
+    slots: [u8; 2 * SHARED_TEXTS],
+}
 
 impl SharedTexts {
     fn new() -> Self {
-        SharedTexts(Vec::with_capacity(SHARED_TEXTS))
+        SharedTexts {
+            texts: Vec::with_capacity(SHARED_TEXTS),
+            slots: [0; 2 * SHARED_TEXTS],
+        }
+    }
+
+    /// Forgets every text: the next column shares its own.
+    fn clear(&mut self) {
+        self.texts.clear();
+        self.slots = [0; 2 * SHARED_TEXTS];
     }
 
     fn text(&mut self, bytes: &[u8]) -> Result<Text, NetError> {
-        if let Some(text) = self.0.iter().find(|t| t.as_bytes() == bytes) {
-            return Ok(text.clone());
+        // FNV-1a.
+        let hash = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        let mut slot = hash as usize % self.slots.len();
+        // At most half the slots are taken, so a probe ends at an
+        // empty one.
+        while let Some(k) = self.slots[slot].checked_sub(1) {
+            let text = &self.texts[k as usize];
+            if text.as_bytes() == bytes {
+                return Ok(text.clone());
+            }
+            slot = (slot + 1) % self.slots.len();
         }
         let text = text_of(bytes)?;
-        if self.0.len() < SHARED_TEXTS {
-            self.0.push(text.clone());
+        if self.texts.len() < SHARED_TEXTS {
+            self.texts.push(text.clone());
+            self.slots[slot] = self.texts.len() as u8;
         }
         Ok(text)
     }
@@ -496,7 +525,7 @@ impl SharedTexts {
         d: &mut Dec<'_>,
         cells: impl Iterator<Item = &'c mut Value>,
     ) -> Result<(), NetError> {
-        self.0.clear();
+        self.clear();
         for cell in cells {
             *cell = get_value(d, |bytes| self.text(bytes))?;
         }
@@ -521,6 +550,166 @@ fn take_row(cells: &mut [Value], row: usize, arity: usize) -> Tuple {
         .iter_mut()
         .map(mem::take)
         .collect()
+}
+
+/// A value of a polluted batch, as [`put_value`] writes the value it
+/// reads as.
+fn put_cell(out: &mut Vec<u8>, column: &Column, row: usize) {
+    if !column.is_valid(row) {
+        out.push(VAL_NULL);
+        return;
+    }
+    match column.data() {
+        ColumnData::Bool(v) => out.extend_from_slice(&[VAL_BOOL, u8::from(v[row])]),
+        ColumnData::Int(v) => put_word(out, VAL_INT, v[row].to_le_bytes()),
+        ColumnData::Float(v) => put_word(out, VAL_FLOAT, v[row].to_bits().to_le_bytes()),
+        ColumnData::Str(v) => put_str(out, &v[row]),
+        ColumnData::Timestamp(v) => put_word(out, VAL_TIMESTAMP, v[row].to_le_bytes()),
+    }
+}
+
+/// A polluted row an output frame is encoded from: a tuple the row
+/// session released, or a row a column session released, which may
+/// live in a column buffer. Both encode to the same bytes.
+trait OutputRow {
+    /// `(id, tau, arrival, sub_stream)`.
+    fn stamp(&self) -> (u64, Timestamp, Timestamp, u32);
+    fn arity(&self) -> usize;
+    fn put_value(&self, out: &mut Vec<u8>, col: usize);
+}
+
+impl OutputRow for StampedTuple {
+    fn stamp(&self) -> (u64, Timestamp, Timestamp, u32) {
+        (self.id, self.tau, self.arrival, self.sub_stream)
+    }
+
+    fn arity(&self) -> usize {
+        self.tuple.len()
+    }
+
+    fn put_value(&self, out: &mut Vec<u8>, col: usize) {
+        put_value(out, &self.tuple.values()[col]);
+    }
+}
+
+impl OutputRow for ReleasedRow<'_> {
+    fn stamp(&self) -> (u64, Timestamp, Timestamp, u32) {
+        match self {
+            ReleasedRow::Column(batch, row) => batch.stamp(*row),
+            ReleasedRow::Tuple(t) => t.stamp(),
+        }
+    }
+
+    fn arity(&self) -> usize {
+        ReleasedRow::arity(self)
+    }
+
+    fn put_value(&self, out: &mut Vec<u8>, col: usize) {
+        match self {
+            ReleasedRow::Column(batch, row) => put_cell(out, batch.column(col), *row),
+            ReleasedRow::Tuple(t) => t.put_value(out, col),
+        }
+    }
+}
+
+/// The stamped-tuple payload of one row (see [`encode_stamped`]).
+fn put_stamped<R: OutputRow>(out: &mut Vec<u8>, row: &R) {
+    let (id, tau, arrival, sub_stream) = row.stamp();
+    out.extend_from_slice(&id.to_le_bytes());
+    out.extend_from_slice(&tau.0.to_le_bytes());
+    out.extend_from_slice(&arrival.0.to_le_bytes());
+    out.extend_from_slice(&sub_stream.to_le_bytes());
+    let arity = row.arity();
+    out.extend_from_slice(&(arity as u16).to_le_bytes());
+    for col in 0..arity {
+        row.put_value(out, col);
+    }
+}
+
+/// The columnar payload of rows that share one arity (see
+/// [`encode_columns`]).
+fn put_columns<R: OutputRow>(out: &mut Vec<u8>, rows: &[R]) {
+    let arity = rows.first().map_or(0, R::arity);
+    // Stamps and every value at its widest but strings.
+    out.reserve(6 + rows.len() * (28 + 9 * arity));
+    out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
+    let stamps: Vec<_> = rows.iter().map(R::stamp).collect();
+    for (id, ..) in &stamps {
+        out.extend_from_slice(&id.to_le_bytes());
+    }
+    for (_, tau, ..) in &stamps {
+        out.extend_from_slice(&tau.0.to_le_bytes());
+    }
+    for (_, _, arrival, _) in &stamps {
+        out.extend_from_slice(&arrival.0.to_le_bytes());
+    }
+    for (.., sub_stream) in &stamps {
+        out.extend_from_slice(&sub_stream.to_le_bytes());
+    }
+    out.extend_from_slice(&(arity as u16).to_le_bytes());
+    for col in 0..arity {
+        for r in rows {
+            r.put_value(out, col);
+        }
+    }
+}
+
+/// Splits `items` into runs of at most `max` consecutive items of one
+/// arity — what a columnar frame holds, since it states one arity.
+pub(crate) fn arity_runs<T>(
+    items: &[T],
+    max: usize,
+    arity: impl Fn(&T) -> usize,
+) -> impl Iterator<Item = &[T]> {
+    let mut rest = items;
+    iter::from_fn(move || {
+        let first = arity(rest.first()?);
+        let len = rest
+            .iter()
+            .take(max)
+            .take_while(|item| arity(item) == first)
+            .count();
+        let (run, tail) = rest.split_at(len);
+        rest = tail;
+        Some(run)
+    })
+}
+
+/// What [`encode_unit_frames`] and [`encode_released_frames`] write.
+fn put_output_frames<R: OutputRow>(out: &mut Vec<u8>, unit: &[R]) -> u64 {
+    let mut frames = 0;
+    for run in arity_runs(unit, usize::MAX, R::arity) {
+        let columns = run.len() >= 2;
+        out.push(if columns { TAG_COLUMNS } else { TAG_STAMPED });
+        let len_at = out.len();
+        out.extend_from_slice(&[0; 4]);
+        if columns {
+            put_columns(out, run);
+        } else {
+            put_stamped(out, &run[0]);
+        }
+        let payload = (out.len() - len_at - 4) as u32;
+        out[len_at..len_at + 4].copy_from_slice(&payload.to_le_bytes());
+        frames += 1;
+    }
+    frames
+}
+
+/// Appends the binary frames of one output unit of a row session —
+/// tuples its plan released together — to `out`, framing included: one
+/// frame per run of tuples of equal arity, [`TAG_COLUMNS`] for a run of
+/// two or more and [`TAG_STAMPED`] for a single tuple. Returns how many
+/// frames it wrote. A unit of one arity is one frame, the bytes of
+/// [`encode_columns_frame`] or [`encode_stamped_frame`].
+pub fn encode_unit_frames(out: &mut Vec<u8>, unit: &[StampedTuple]) -> u64 {
+    put_output_frames(out, unit)
+}
+
+/// [`encode_unit_frames`] for a chunk a column session released,
+/// encoded from the buffers its rows live in: the same bytes the
+/// chunk's rows as tuples encode to.
+pub fn encode_released_frames(out: &mut Vec<u8>, chunk: &[ReleasedRow<'_>]) -> u64 {
+    put_output_frames(out, chunk)
 }
 
 fn put_tuple(out: &mut Vec<u8>, t: &Tuple) {
@@ -564,11 +753,7 @@ pub fn decode_tuple(buf: &[u8]) -> Result<Tuple, NetError> {
 /// `arrival`, `sub_stream`, then the tuple).
 pub fn encode_stamped(t: &StampedTuple) -> Vec<u8> {
     let mut out = Vec::with_capacity(30 + t.tuple.values().len() * 9);
-    out.extend_from_slice(&t.id.to_le_bytes());
-    out.extend_from_slice(&t.tau.0.to_le_bytes());
-    out.extend_from_slice(&t.arrival.0.to_le_bytes());
-    out.extend_from_slice(&t.sub_stream.to_le_bytes());
-    put_tuple(&mut out, &t.tuple);
+    put_stamped(&mut out, t);
     out
 }
 
@@ -592,37 +777,23 @@ pub fn decode_stamped(buf: &[u8]) -> Result<StampedTuple, NetError> {
 /// `u32` row count, the four stamp fields as contiguous arrays (`id`,
 /// `tau`, `arrival`, `sub_stream`), a `u16` arity, then tagged values
 /// column-major (`values[col][row]`). The column-major layout lets a
-/// columnar plan serialize each output column in one pass, and packs
-/// same-typed tags together. Rows beyond the stated arity are rejected
-/// at encode time: every row must have the same arity, which holds for
-/// plan output (pollution is value-preserving per column).
+/// column session serialize each output column in one pass, and packs
+/// same-typed tags together.
+///
+/// # Panics
+///
+/// If the tuples do not all have one arity: the payload states one. A
+/// server cuts a unit of mixed arity into one frame per run of equal
+/// arity instead.
 pub fn encode_columns(batch: &[StampedTuple]) -> Vec<u8> {
     let rows = batch.len();
     let arity = batch.first().map_or(0, |t| t.tuple.values().len());
-    debug_assert!(
+    assert!(
         batch.iter().all(|t| t.tuple.values().len() == arity),
         "columnar frames require a uniform arity"
     );
     let mut out = Vec::with_capacity(4 + rows * 28 + 2 + rows * arity * 9);
-    out.extend_from_slice(&(rows as u32).to_le_bytes());
-    for t in batch {
-        out.extend_from_slice(&t.id.to_le_bytes());
-    }
-    for t in batch {
-        out.extend_from_slice(&t.tau.0.to_le_bytes());
-    }
-    for t in batch {
-        out.extend_from_slice(&t.arrival.0.to_le_bytes());
-    }
-    for t in batch {
-        out.extend_from_slice(&t.sub_stream.to_le_bytes());
-    }
-    out.extend_from_slice(&(arity as u16).to_le_bytes());
-    for col in 0..arity {
-        for t in batch {
-            put_value(&mut out, &t.tuple.values()[col]);
-        }
-    }
+    put_columns(&mut out, batch);
     out
 }
 
@@ -711,6 +882,97 @@ pub fn decode_tuple_columns(buf: &[u8]) -> Result<Vec<Tuple>, NetError> {
     Ok((0..rows)
         .map(|row| take_row(&mut cells, row, arity))
         .collect())
+}
+
+/// Decodes a columnar upload payload straight into a [`ColumnBatch`]
+/// typed by `schema`, with every row's stamps zero (for a column
+/// session to assign), and repeated strings shared as
+/// [`decode_tuple_columns`] shares them. Declines — `Ok(None)` — when
+/// the payload's arity is not the schema's or a value is neither NULL
+/// nor of its column's type (binary values are never coerced); the
+/// payload then reads as rows through [`decode_tuple_columns`]. A
+/// payload that one rejects the other rejects with the same error, up
+/// to the value where it declines.
+pub fn decode_column_batch(buf: &[u8], schema: &Schema) -> Result<Option<ColumnBatch>, NetError> {
+    let mut d = Dec::new(buf);
+    let rows = d.u32()? as usize;
+    let arity = d.u16()? as usize;
+    // The bound `decode_tuple_columns` checks.
+    if rows.saturating_mul(arity.max(1)) > buf.len() {
+        return Err(NetError::malformed("columnar row count exceeds payload"));
+    }
+    if arity != schema.len() {
+        return Ok(None);
+    }
+    let mut columns = Vec::with_capacity(arity);
+    let mut texts = SharedTexts::new();
+    for field in schema.fields() {
+        let column = match field.dtype {
+            DataType::Bool => get_column(
+                &mut d,
+                rows,
+                VAL_BOOL,
+                |d| Ok(d.u8()? != 0),
+                ColumnData::Bool,
+            )?,
+            DataType::Int => get_column(&mut d, rows, VAL_INT, Dec::i64, ColumnData::Int)?,
+            DataType::Float => get_column(
+                &mut d,
+                rows,
+                VAL_FLOAT,
+                |d| Ok(f64::from_bits(d.u64()?)),
+                ColumnData::Float,
+            )?,
+            DataType::Str => {
+                texts.clear();
+                get_column(
+                    &mut d,
+                    rows,
+                    VAL_STR,
+                    |d| {
+                        let len = d.u32()? as usize;
+                        texts.text(d.take(len)?)
+                    },
+                    ColumnData::Str,
+                )?
+            }
+            DataType::Timestamp => {
+                get_column(&mut d, rows, VAL_TIMESTAMP, Dec::i64, ColumnData::Timestamp)?
+            }
+        };
+        match column {
+            Some(column) => columns.push(column),
+            None => return Ok(None),
+        }
+    }
+    d.finish()?;
+    Ok(Some(ColumnBatch::from_columns(columns)))
+}
+
+/// Reads one column of `rows` values that are NULL or carry value tag
+/// `tag`, whose payload `read` reads; `Ok(None)` at the first value of
+/// another type. NULL slots hold the type's default value.
+fn get_column<'a, T: Default>(
+    d: &mut Dec<'a>,
+    rows: usize,
+    tag: u8,
+    mut read: impl FnMut(&mut Dec<'a>) -> Result<T, NetError>,
+    data: impl FnOnce(Vec<T>) -> ColumnData,
+) -> Result<Option<Column>, NetError> {
+    let mut values = Vec::with_capacity(rows);
+    let mut validity = vec![0u64; rows.div_ceil(64)];
+    for row in 0..rows {
+        match d.u8()? {
+            VAL_NULL => values.push(T::default()),
+            t if t == tag => {
+                values.push(read(d)?);
+                validity[row / 64] |= 1 << (row % 64);
+            }
+            VAL_BOOL..=VAL_TIMESTAMP => return Ok(None),
+            t => return Err(NetError::malformed(format!("unknown value tag {t}"))),
+        }
+    }
+    Ok(Some(Column::from_parts(data(values), validity)))
 }
 
 // ---------------------------------------------------------------------

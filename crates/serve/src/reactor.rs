@@ -55,14 +55,14 @@
 
 use crate::poll::{Poller, EPOLLIN, EPOLLOUT};
 use crate::protocol::{
-    decode_client_frame_typed, encode_columns_frame, encode_error_frame, encode_report_frame,
-    encode_stamped_frame, line_capacity, write_stamped_line, Handshake, HandshakeReply,
-    SessionErrorFrame,
+    decode_client_frame_typed, decode_column_batch, decode_tuple_columns, encode_error_frame,
+    encode_released_frames, encode_report_frame, encode_unit_frames, line_capacity,
+    write_stamped_line, Handshake, HandshakeReply, SessionErrorFrame, TAG_TUPLE_COLUMNS,
 };
 use crate::server::{
     run_telemetry_session, HubState, Server, SessionGauges, SessionHandles, Shared,
 };
-use icewafl_core::StreamingSession;
+use icewafl_core::{ColumnSession, ReleasedRow, StreamingSession};
 use icewafl_stream::net::{
     frame_bytes, FrameDecoder, NetError, NetPoll, WireFormat, WireFrame, WriteQueue,
 };
@@ -181,6 +181,14 @@ impl ConnCounters {
 /// [`CollectSink`] for how they are framed).
 type Units = Arc<Mutex<VecDeque<Vec<StampedTuple>>>>;
 
+/// The open plan of a `Stream`-phase session: a column session when
+/// the wire is binary and the plan is column-exact, the row session
+/// otherwise.
+enum Session {
+    Rows(Box<StreamingSession>),
+    Columns(Box<ColumnSession>),
+}
+
 /// One connection's full state. Only ever touched under its slot mutex.
 struct Conn {
     id: u64,
@@ -193,8 +201,9 @@ struct Conn {
     /// read (`None` on binary, which is typed on the wire).
     line_schema: Option<Schema>,
     /// The open plan of a `Stream`-phase session.
-    session: Option<StreamingSession>,
-    /// Where that plan's sink leaves its output (see [`CollectSink`]).
+    session: Option<Session>,
+    /// Where a row session's sink leaves its output (see
+    /// [`CollectSink`]).
     units: Units,
     /// How the read side ended, once it has: nothing more will arrive.
     read_end: Option<NetError>,
@@ -222,6 +231,9 @@ struct Conn {
     blocked_since: Option<Instant>,
     result: Option<SessionResult>,
     frames_encoded: u64,
+    /// Where a column session's chunks are encoded before they are
+    /// queued: as long as the longest chunk so far.
+    scratch: Vec<u8>,
 }
 
 impl Conn {
@@ -249,6 +261,7 @@ impl Conn {
             blocked_since: None,
             result: None,
             frames_encoded: 0,
+            scratch: Vec::new(),
         }
     }
 
@@ -764,10 +777,22 @@ fn open_pollute(shared: &Arc<Shared>, conn: &mut Conn, hs: &Handshake) -> Step {
     // Checkpointing plans get a per-session WAL subdirectory: sessions
     // sharing a checkpoint dir must not overwrite each other's WAL.
     plan.scope_checkpoint_dir(&format!("session_{}", conn.id));
-    let sink = CollectSink {
-        units: Arc::clone(&conn.units),
+    // Binary frames carry typed columns: a plan that can stay in
+    // columns from decode to encode does.
+    let columns = match format {
+        WireFormat::Binary => plan.open_column_session(),
+        WireFormat::Ndjson => Ok(None),
     };
-    let session = match plan.open_streaming(sink) {
+    let session = match columns {
+        Ok(Some(session)) => Ok(Session::Columns(Box::new(session))),
+        Ok(None) => plan
+            .open_streaming(CollectSink {
+                units: Arc::clone(&conn.units),
+            })
+            .map(|session| Session::Rows(Box::new(session))),
+        Err(e) => Err(e),
+    };
+    let session = match session {
         Ok(session) => session,
         Err(e) => return conn.reject(shared, format!("plan cannot start: {e}")),
     };
@@ -996,50 +1021,173 @@ fn feed(
     conn: &mut Conn,
     frame: WireFrame,
 ) -> std::result::Result<bool, NetError> {
-    let session = conn
+    let failed = match conn
         .session
         .as_mut()
-        .expect("a streaming session has an open plan");
-    match decode_client_frame_typed(frame, conn.line_schema.as_ref())? {
-        NetPoll::Record(t) => session.push(t),
-        NetPoll::Batch(batch) => {
-            for t in batch {
-                session.push(t);
+        .expect("a streaming session has an open plan")
+    {
+        Session::Rows(session) => {
+            match decode_client_frame_typed(frame, conn.line_schema.as_ref())? {
+                NetPoll::Record(t) => session.push(t),
+                NetPoll::Batch(batch) => {
+                    for t in batch {
+                        session.push(t);
+                    }
+                }
+                NetPoll::End => {
+                    finish_session(rt, conn);
+                    return Ok(false);
+                }
             }
+            session.is_failed()
         }
-        NetPoll::End => {
-            finish_session(rt, conn);
-            return Ok(false);
+        Session::Columns(session) => {
+            match frame {
+                // The payload is dropped before the frame runs, as a row
+                // session's decoder drops it.
+                WireFrame::Binary {
+                    tag: TAG_TUPLE_COLUMNS,
+                    payload,
+                } => match decode_column_batch(&payload, session.schema())? {
+                    Some(batch) => {
+                        drop(payload);
+                        session.push_batch(batch);
+                    }
+                    None => {
+                        let tuples = decode_tuple_columns(&payload)?;
+                        drop(payload);
+                        session.push_tuples(tuples);
+                    }
+                },
+                frame => match decode_client_frame_typed(frame, None)? {
+                    NetPoll::Record(t) => session.push_tuples(vec![t]),
+                    NetPoll::Batch(batch) => session.push_tuples(batch),
+                    NetPoll::End => {
+                        finish_session(rt, conn);
+                        return Ok(false);
+                    }
+                },
+            }
+            session.is_failed()
         }
-    }
+    };
     conn.counters.frames_in.fetch_add(1, Ordering::Relaxed);
-    if session.is_failed() {
+    if failed {
         finish_session(rt, conn);
         return Ok(false);
     }
-    emit_units(rt, conn);
+    emit_released(rt, conn);
     Ok(true)
 }
 
 /// Encodes everything the plan has released into the outbox (and the
 /// hub, for a publisher).
+fn emit_released(rt: &Arc<Reactor>, conn: &mut Conn) {
+    match &mut conn.session {
+        Some(Session::Columns(session)) => {
+            let encoded = encode_released(&mut conn.scratch, conn.frames_encoded, |emit| {
+                session.drain(emit);
+            });
+            queue_output(rt, conn, encoded);
+        }
+        _ => emit_units(rt, conn),
+    }
+}
+
+/// Encoded output frames: one buffer per output unit of a row session
+/// or released chunk of a column session.
+#[derive(Default)]
+struct Encoded {
+    chunks: Vec<Arc<[u8]>>,
+    rows: usize,
+    frames: u64,
+    /// Time spent encoding the buffers whose first frame is a 1-in-64
+    /// sample point of the session's frames.
+    sampled_ns: u64,
+}
+
+impl Encoded {
+    /// Adds one buffer, encoded by `encode` (which returns its bytes
+    /// and frame count), counting from the session's `first` frame.
+    fn push(&mut self, first: u64, rows: usize, encode: impl FnOnce() -> (Arc<[u8]>, u64)) {
+        let sampled = (first + self.frames) & ENCODE_SAMPLE_MASK == 0;
+        let t0 = sampled.then(Instant::now);
+        let (bytes, frames) = encode();
+        if let Some(t0) = t0 {
+            self.sampled_ns += t0.elapsed().as_nanos() as u64;
+        }
+        self.chunks.push(bytes);
+        self.rows += rows;
+        self.frames += frames;
+    }
+}
+
+/// Encodes every chunk a column session hands out through `drain`,
+/// straight from the buffers its rows live in, each chunk into
+/// `scratch` and from there into a buffer of its exact size; `first`
+/// is the session's next frame number.
+fn encode_released(
+    scratch: &mut Vec<u8>,
+    first: u64,
+    drain: impl FnOnce(&mut dyn FnMut(&[ReleasedRow<'_>])),
+) -> Encoded {
+    let mut encoded = Encoded::default();
+    drain(&mut |chunk| {
+        encoded.push(first, chunk.len(), || {
+            scratch.clear();
+            let frames = encode_released_frames(scratch, chunk);
+            (Arc::from(&scratch[..]), frames)
+        });
+    });
+    encoded
+}
+
+/// Queues encoded output frames, counting them.
+fn queue_output(rt: &Arc<Reactor>, conn: &mut Conn, encoded: Encoded) {
+    if encoded.chunks.is_empty() {
+        return;
+    }
+    if encoded.sampled_ns > 0 {
+        conn.counters
+            .encode_ns
+            .fetch_add(encoded.sampled_ns, Ordering::Relaxed);
+    }
+    let gauges = &conn.counters.gauges;
+    gauges
+        .units_hwm
+        .fetch_max(encoded.rows as u64, Ordering::Relaxed);
+    conn.frames_encoded += encoded.frames;
+    conn.counters
+        .frames_out
+        .fetch_add(encoded.frames, Ordering::Relaxed);
+    for bytes in encoded.chunks {
+        conn.counters
+            .bytes_out
+            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+        publish_frame(rt, conn, &bytes, false);
+        conn.outbox.push(bytes);
+    }
+    conn.counters
+        .gauges
+        .outbox_hwm
+        .fetch_max(conn.outbox.pending() as u64, Ordering::Relaxed);
+}
+
+/// Encodes everything a row session's plan has released into the
+/// outbox (and the hub, for a publisher), a buffer per unit.
 fn emit_units(rt: &Arc<Reactor>, conn: &mut Conn) {
     let units = std::mem::take(&mut *conn.units.lock());
     if units.is_empty() {
         return;
     }
-    let rows: usize = units.iter().map(Vec::len).sum();
-    let gauges = &conn.counters.gauges;
-    gauges.units_hwm.fetch_max(rows as u64, Ordering::Relaxed);
-    for unit in units {
-        let bytes = encode_unit(conn, &unit);
-        publish_frame(rt, conn, &bytes, false);
-        conn.outbox.push(bytes);
+    let mut encoded = Encoded::default();
+    for unit in &units {
+        encoded.push(conn.frames_encoded, unit.len(), || {
+            let (bytes, frames) = encode_unit(conn.format, unit);
+            (Arc::from(bytes), frames)
+        });
     }
-    let gauges = &conn.counters.gauges;
-    gauges
-        .outbox_hwm
-        .fetch_max(conn.outbox.pending() as u64, Ordering::Relaxed);
+    queue_output(rt, conn, encoded);
 }
 
 /// The stream is over: flush the plan, send what that released, then
@@ -1049,8 +1197,21 @@ fn finish_session(rt: &Arc<Reactor>, conn: &mut Conn) {
         .session
         .take()
         .expect("a streaming session has an open plan");
-    let outcome = session.finish();
-    emit_units(rt, conn);
+    let outcome = match session {
+        Session::Rows(session) => {
+            let outcome = session.finish();
+            emit_units(rt, conn);
+            outcome
+        }
+        Session::Columns(session) => {
+            let mut outcome = None;
+            let encoded = encode_released(&mut conn.scratch, conn.frames_encoded, |emit| {
+                outcome = Some(session.finish(emit));
+            });
+            queue_output(rt, conn, encoded);
+            outcome.expect("finish ran")
+        }
+    };
     match outcome {
         Ok(report) => {
             let tail: Arc<[u8]> = Arc::from(
@@ -1122,19 +1283,15 @@ fn fail_session(
     conn.linger = true;
 }
 
-/// Encodes one output unit to wire bytes, counting frames/bytes and
-/// (sampled) encode time.
-fn encode_unit(conn: &mut Conn, unit: &[StampedTuple]) -> Arc<[u8]> {
-    let sample = conn.frames_encoded & ENCODE_SAMPLE_MASK == 0;
-    let t0 = sample.then(Instant::now);
-    let (bytes, frames) = match conn.format {
-        WireFormat::Binary if unit.len() >= 2 => (frame_bytes(&encode_columns_frame(unit)), 1u64),
+/// Encodes one output unit of a row session to wire bytes; returns
+/// them and how many frames they are.
+fn encode_unit(format: WireFormat, unit: &[StampedTuple]) -> (Vec<u8>, u64) {
+    match format {
+        // One frame per run of equal arity: a columnar frame states one.
         WireFormat::Binary => {
             let mut out = Vec::new();
-            for t in unit {
-                out.extend_from_slice(&frame_bytes(&encode_stamped_frame(t, WireFormat::Binary)));
-            }
-            (out, unit.len() as u64)
+            let frames = encode_unit_frames(&mut out, unit);
+            (out, frames)
         }
         // One line per tuple, written straight into the unit's buffer.
         WireFormat::Ndjson => {
@@ -1146,20 +1303,7 @@ fn encode_unit(conn: &mut Conn, unit: &[StampedTuple]) -> Arc<[u8]> {
             }
             (out.into_bytes(), unit.len() as u64)
         }
-    };
-    if let Some(t0) = t0 {
-        conn.counters
-            .encode_ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
-    conn.frames_encoded += frames;
-    conn.counters
-        .frames_out
-        .fetch_add(frames, Ordering::Relaxed);
-    conn.counters
-        .bytes_out
-        .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-    Arc::from(bytes)
 }
 
 /// Appends an encoded frame to this session's hub (if it publishes) and

@@ -18,12 +18,13 @@ mod corpus;
 
 use corpus::{schema, Rng, CASES, MAX_FRAME};
 use icewafl_serve::protocol::{
-    coerce_tuple, decode_client_frame, decode_client_frame_typed, decode_server_frame,
-    encode_stamped_frame, encode_tuple_columns, encode_tuple_frame, TAG_TUPLE_COLUMNS,
+    coerce_tuple, decode_client_frame, decode_client_frame_typed, decode_column_batch,
+    decode_server_frame, decode_tuple_columns, encode_stamped_frame, encode_tuple_columns,
+    encode_tuple_frame, TAG_TUPLE_COLUMNS,
 };
 use icewafl_serve::{Handshake, ServerEvent};
 use icewafl_stream::net::{FrameDecoder, NetError, NetPoll, WireFormat, WireFrame};
-use icewafl_types::{StampedTuple, Timestamp, Tuple, Value};
+use icewafl_types::{ColumnBatch, DataType, Schema, StampedTuple, Timestamp, Tuple, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -167,6 +168,108 @@ fn column_frames_share_their_strings() {
     }
 }
 
+/// A columnar frame decodes into a typed batch with a fixed number of
+/// allocations — the columns, per column its values and its validity
+/// bitmap, the stamps, the string table, and one text per distinct
+/// string — whatever its row count: 64 rows or 512 of the air-quality
+/// schema (14 columns, 12 stations and 16 wind directions) cost the
+/// same.
+fn column_batches_allocate_per_column_not_per_row() {
+    let mut fields = vec![
+        ("time", DataType::Timestamp),
+        ("station", DataType::Str),
+        ("wd", DataType::Str),
+    ];
+    let floats: Vec<String> = (0..11).map(|k| format!("m{k}")).collect();
+    fields.extend(floats.iter().map(|f| (f.as_str(), DataType::Float)));
+    let schema = Schema::from_pairs(fields).unwrap();
+    let stations: Vec<String> = (0..12).map(|i| format!("station-{i}")).collect();
+    let directions: Vec<String> = (0..16).map(|i| format!("wd-{i}")).collect();
+    let counts: Vec<usize> = [64, 512]
+        .into_iter()
+        .map(|rows| {
+            let tuples: Vec<Tuple> = (0..rows)
+                .map(|i| {
+                    let mut values = vec![
+                        Value::Timestamp(Timestamp(i as i64 * 3_600_000)),
+                        Value::from(stations[i % 12].as_str()),
+                        Value::from(directions[i * 5 % 16].as_str()),
+                    ];
+                    values.extend((0..11).map(|k| {
+                        if (i + k) % 29 == 0 {
+                            Value::Null
+                        } else {
+                            Value::Float((i * k) as f64 / 8.0)
+                        }
+                    }));
+                    Tuple::new(values)
+                })
+                .collect();
+            let payload = encode_tuple_columns(&tuples);
+            let (batch, allocations) = counting(|| decode_column_batch(&payload, &schema));
+            let batch = batch
+                .unwrap()
+                .expect("a well-typed frame decodes to a batch");
+            let back: Vec<Tuple> = batch.into_rows().into_iter().map(|t| t.tuple).collect();
+            assert_eq!(back, tuples);
+            assert!(
+                allocations <= 1 + 2 * 14 + 4 + 1 + 12 + 16,
+                "{allocations} allocations for {rows} rows"
+            );
+            allocations
+        })
+        .collect();
+    assert_eq!(counts[0], counts[1], "allocations grow with the row count");
+}
+
+/// Whether the tuples fit `schema` as a typed batch: the schema's
+/// arity, and every value NULL or of its column's type.
+fn fits(schema: &Schema, tuples: &[Tuple]) -> bool {
+    let rows = tuples
+        .iter()
+        .map(|t| StampedTuple::new(0, Timestamp(0), t.clone()))
+        .collect();
+    ColumnBatch::from_rows(schema, rows).is_ok()
+}
+
+/// What the column decoder made of the columnar payloads it was given:
+/// batches, declines, errors.
+#[derive(Default)]
+struct ColumnOutcomes {
+    batches: u64,
+    declined: u64,
+    errors: u64,
+}
+
+/// The column decoder against the row decoder on one columnar payload:
+/// a batch holds the rows the row decoder reads; it declines exactly
+/// when those rows do not fit the corpus schema; and it fails exactly
+/// where the row decoder fails, with the same error — unless it
+/// declined first.
+fn column_decoder_agrees(payload: &[u8], outcomes: &mut ColumnOutcomes) {
+    let rows = decode_tuple_columns(payload);
+    match decode_column_batch(payload, &schema()) {
+        Ok(Some(batch)) => {
+            let rows = rows.expect("the row decoder reads what the column decoder reads");
+            let back: Vec<Tuple> = batch.into_rows().into_iter().map(|t| t.tuple).collect();
+            // Compared as bytes: a NaN is not equal to itself.
+            assert!(encode_tuple_columns(&back) == encode_tuple_columns(&rows));
+            outcomes.batches += 1;
+        }
+        Ok(None) => {
+            if let Ok(rows) = rows {
+                assert!(!fits(&schema(), &rows), "declined rows that fit");
+            }
+            outcomes.declined += 1;
+        }
+        Err(e) => {
+            let row_error = rows.expect_err("the row decoder reads what the column decoder cannot");
+            assert_eq!(row_error.to_string(), e.to_string());
+            outcomes.errors += 1;
+        }
+    }
+}
+
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
 // the `GlobalAlloc` contract; the counters beside it touch no memory
 // the allocator hands out.
@@ -210,6 +313,7 @@ fn serve_bytes(
     bytes: &[u8],
     handshake_first: bool,
     format: WireFormat,
+    columns: &mut ColumnOutcomes,
 ) -> (Vec<Tuple>, Option<NetError>, bool) {
     let mut decoder = FrameDecoder::new(WireFormat::Ndjson, MAX_FRAME);
     let mut in_handshake = handshake_first;
@@ -238,12 +342,21 @@ fn serve_bytes(
                         Err(_) => return (tuples, None, false),
                     }
                 }
-                Ok(Some(frame)) => match decode_client_frame(frame) {
-                    Ok(NetPoll::Record(t)) => tuples.push(t),
-                    Ok(NetPoll::Batch(batch)) => tuples.extend(batch),
-                    Ok(NetPoll::End) => return (tuples, None, true),
-                    Err(e) => return (tuples, Some(e), false),
-                },
+                Ok(Some(frame)) => {
+                    if let WireFrame::Binary {
+                        tag: TAG_TUPLE_COLUMNS,
+                        payload,
+                    } = &frame
+                    {
+                        column_decoder_agrees(payload, columns);
+                    }
+                    match decode_client_frame(frame) {
+                        Ok(NetPoll::Record(t)) => tuples.push(t),
+                        Ok(NetPoll::Batch(batch)) => tuples.extend(batch),
+                        Ok(NetPoll::End) => return (tuples, None, true),
+                        Err(e) => return (tuples, Some(e), false),
+                    }
+                }
                 Ok(None) => break,
                 Err(e) => return (tuples, Some(e), false),
             }
@@ -262,8 +375,10 @@ fn serve_bytes(
 fn hostile_bytes_decode_to_values_or_typed_errors_within_bounded_memory() {
     tuple_lines_allocate_only_what_they_return();
     column_frames_share_their_strings();
+    column_batches_allocate_per_column_not_per_row();
 
     let mut worst = 0usize;
+    let mut columns = ColumnOutcomes::default();
     let (mut clean, mut failed) = (0u64, 0u64);
     for case in 0..CASES {
         let corpus::Case {
@@ -278,7 +393,7 @@ fn hostile_bytes_decode_to_values_or_typed_errors_within_bounded_memory() {
         let baseline = LIVE.load(Ordering::Relaxed);
         PEAK.store(baseline, Ordering::Relaxed);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            serve_bytes(&mut rng, &bytes, handshake_first, format)
+            serve_bytes(&mut rng, &bytes, handshake_first, format, &mut columns)
         }));
         let held = PEAK.load(Ordering::Relaxed).saturating_sub(baseline);
         let (tuples, error, ended) = outcome.unwrap_or_else(|_| panic!("case {case} panicked"));
@@ -333,4 +448,8 @@ fn hostile_bytes_decode_to_values_or_typed_errors_within_bounded_memory() {
     assert!(clean > CASES / 8, "{clean} unmutated cases");
     assert!(failed > CASES / 8, "{failed} typed errors");
     assert!(worst > MAX_FRAME, "the gauge measured nothing: {worst}");
+    // And the column decoder met all three outcomes.
+    assert!(columns.batches > 100, "{} batches", columns.batches);
+    assert!(columns.declined > 100, "{} declines", columns.declined);
+    assert!(columns.errors > 100, "{} errors", columns.errors);
 }

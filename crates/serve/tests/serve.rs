@@ -749,3 +749,107 @@ fn concurrent_checkpointing_sessions_get_separate_wals() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// One raw binary session: the handshake, `tuples` as one `TAG_TUPLE`
+/// frame each, the end frame; what comes back until the report.
+fn raw_binary_session(
+    addr: &str,
+    handshake: &Handshake,
+    tuples: &[Tuple],
+) -> Vec<icewafl_types::StampedTuple> {
+    use icewafl_serve::protocol::{
+        decode_server_frame, encode_end_frame, encode_tuple_frame, ServerEvent,
+    };
+    use icewafl_stream::net::{frame_bytes, FrameReader, WireFormat};
+
+    let mut stream = TcpStream::connect(addr).unwrap();
+    // A server whose worker died answers nothing: fail, do not hang.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let mut upload = serde_json::to_string(handshake).unwrap().into_bytes();
+    upload.push(b'\n');
+    for t in tuples {
+        upload.extend(frame_bytes(&encode_tuple_frame(t, WireFormat::Binary)));
+    }
+    upload.extend(frame_bytes(&encode_end_frame(WireFormat::Binary)));
+    stream.write_all(&upload).unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    assert!(reply.contains("\"ok\":true"), "rejected: {reply}");
+    let mut reader = FrameReader::new(reader, WireFormat::Binary, 1 << 20);
+    let mut got = Vec::new();
+    loop {
+        let frame = reader
+            .read()
+            .unwrap()
+            .expect("the server closed before its report");
+        match decode_server_frame(frame).unwrap() {
+            ServerEvent::Tuple(t) => got.push(t),
+            ServerEvent::Batch(batch) => got.extend(batch),
+            ServerEvent::Report(_) => return got,
+            other => panic!("unexpected frame: {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn tuples_whose_arity_changes_come_back_at_their_own_arity() {
+    // Eight tuples on a two-column schema, four of arity 3 then four of
+    // arity 2 and the other way round, one `TAG_TUPLE` frame each. The
+    // plan releases them in one output unit, which used to be encoded
+    // as one columnar frame of the first tuple's arity: that either
+    // indexed out of bounds and killed the worker, or cut the wider
+    // tuples short. Both the row session (logging on) and the column
+    // session (logging off) must answer what offline `execute` gives,
+    // and the server must shut down afterwards.
+    let wide = |i: i64| {
+        Tuple::new(vec![
+            Value::Timestamp(Timestamp(i * 1000)),
+            Value::Float(i as f64 / 7.0),
+            Value::Int(i),
+        ])
+    };
+    let narrow = |i: i64| Tuple::new(wide(i).values()[..2].to_vec());
+    let orders: [Vec<Tuple>; 2] = [
+        (0..8)
+            .map(|i| if i < 4 { wide(i) } else { narrow(i) })
+            .collect(),
+        (0..8)
+            .map(|i| if i < 4 { narrow(i) } else { wide(i) })
+            .collect(),
+    ];
+
+    let server = Arc::new(Server::bind(ServeConfig::default()).unwrap());
+    let shutdown = server.shutdown_handle();
+    let runner = Arc::clone(&server);
+    let (done, ran) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done.send(runner.run()).unwrap());
+    let addr = server.local_addr().to_string();
+    for logging in [true, false] {
+        let plan = LogicalPlan {
+            logging,
+            ..plan(42)
+        };
+        for input in &orders {
+            let offline = plan
+                .compile(&schema())
+                .unwrap()
+                .execute(input.clone())
+                .unwrap();
+            let hs = Handshake {
+                plan_inline: Some(plan.clone()),
+                ..handshake("binary")
+            };
+            let served = raw_binary_session(&addr, &hs, input);
+            assert_eq!(served, offline.polluted, "logging {logging}");
+            let arities: Vec<usize> = served.iter().map(|t| t.tuple.len()).collect();
+            assert!(arities.contains(&2) && arities.contains(&3), "{arities:?}");
+        }
+    }
+    shutdown.store(true, Ordering::SeqCst);
+    ran.recv_timeout(Duration::from_secs(20))
+        .expect("the server shuts down")
+        .unwrap();
+}

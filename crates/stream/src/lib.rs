@@ -70,7 +70,7 @@ pub use sort::{EventTimeSorter, SortKey, SorterStateCodec};
 pub use source::{Source, VecSource};
 pub use stream::{DataStream, PushPipeline, PushSource, SourceCheckpoint, SubPipelineBuilder};
 pub use supervisor::{Supervisor, SupervisorPolicy};
-pub use watermark::WatermarkStrategy;
+pub use watermark::{WatermarkGenerator, WatermarkStrategy};
 pub use window::{TumblingWindow, WindowPane};
 
 /// Everything needed to build and run pipelines.

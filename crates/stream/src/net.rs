@@ -24,7 +24,7 @@
 //! (see [`fault`](crate::fault)).
 
 use crate::fault::FailureKind;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, IoSlice, Write};
 use std::sync::Arc;
 
 /// Default cap on a single frame (payload or line), in bytes.
@@ -338,6 +338,11 @@ impl FrameDecoder {
 /// offset, so a write interrupted anywhere inside a frame resumes at
 /// the exact byte.
 ///
+/// Each step of [`write_to`] hands the transport up to
+/// [`WRITE_IOVECS`] queued buffers in one vectored write (one
+/// `writev(2)` on a socket), so a drive that queued many frames pays
+/// for few syscalls.
+///
 /// [`write_to`]: WriteQueue::write_to
 #[derive(Default)]
 pub struct WriteQueue {
@@ -352,8 +357,11 @@ impl WriteQueue {
     }
 
     /// Queues one encoded buffer (cheap: the bytes are shared, not
-    /// copied).
+    /// copied). An empty buffer is not queued.
     pub fn push(&mut self, bytes: Arc<[u8]>) {
+        if bytes.is_empty() {
+            return;
+        }
         self.pending += bytes.len();
         self.bufs.push_back((bytes, 0));
     }
@@ -373,20 +381,20 @@ impl WriteQueue {
     /// `Ok(false)` when the transport returned `WouldBlock` (call again
     /// on writability); everything else is a typed transport error.
     pub fn write_to<W: Write>(&mut self, writer: &mut W) -> Result<bool, NetError> {
-        while let Some((buf, offset)) = self.bufs.front_mut() {
-            match writer.write(&buf[*offset..]) {
+        while !self.bufs.is_empty() {
+            let mut slices = [IoSlice::new(&[]); WRITE_IOVECS];
+            let mut count = 0;
+            for ((buf, offset), slice) in self.bufs.iter().zip(&mut slices) {
+                *slice = IoSlice::new(&buf[*offset..]);
+                count += 1;
+            }
+            match writer.write_vectored(&slices[..count]) {
                 Ok(0) => {
                     return Err(NetError::Io {
                         detail: "transport accepted zero bytes".into(),
                     })
                 }
-                Ok(n) => {
-                    *offset += n;
-                    self.pending -= n;
-                    if *offset == buf.len() {
-                        self.bufs.pop_front();
-                    }
-                }
+                Ok(n) => self.consume(n),
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(false),
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(NetError::from_io(&e)),
@@ -394,7 +402,31 @@ impl WriteQueue {
         }
         Ok(true)
     }
+
+    /// Forgets the first `n` queued bytes, which the transport took:
+    /// whole buffers are dropped, a partly written one keeps its
+    /// offset.
+    fn consume(&mut self, mut n: usize) {
+        self.pending -= n;
+        while n > 0 {
+            let (buf, offset) = self
+                .bufs
+                .front_mut()
+                .expect("a transport takes no more than it was offered");
+            let left = buf.len() - *offset;
+            if n < left {
+                *offset += n;
+                return;
+            }
+            n -= left;
+            self.bufs.pop_front();
+        }
+    }
 }
+
+/// Most queued buffers one [`WriteQueue::write_to`] step offers the
+/// transport.
+pub const WRITE_IOVECS: usize = 64;
 
 /// Reads [`WireFrame`]s of one format from a buffered byte stream,
 /// enforcing a per-frame size cap *before* buffering payloads.
@@ -926,6 +958,84 @@ mod tests {
                 let mut w = Choppy { out: Vec::new(), state: chunk_seed | 1 };
                 while !q.write_to(&mut w).unwrap() {}
                 prop_assert_eq!(w.out, bytes);
+            }
+
+            /// The same through a transport whose vectored writes take
+            /// an arbitrary prefix of what they are offered — ending
+            /// mid-buffer or exactly at a buffer's end — or push back:
+            /// the bytes it receives are the queued buffers, in order.
+            /// More buffers than one step offers are queued, small ones
+            /// and empty ones among them.
+            #[test]
+            fn write_queue_survives_partial_vectored_writes(
+                sizes_seed in 0u64..u64::MAX,
+                count in 0usize..(3 * WRITE_IOVECS),
+                chunk_seed in 0u64..u64::MAX,
+            ) {
+                struct Gather {
+                    out: Vec<u8>,
+                    state: u64,
+                    most_offered: usize,
+                }
+                impl Gather {
+                    fn next(&mut self) -> u64 {
+                        self.state = self
+                            .state
+                            .wrapping_mul(6_364_136_223_846_793_005)
+                            .wrapping_add(1_442_695_040_888_963_407);
+                        self.state >> 17
+                    }
+                }
+                impl Write for Gather {
+                    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                        self.write_vectored(&[IoSlice::new(buf)])
+                    }
+                    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+                        self.most_offered = self.most_offered.max(bufs.len());
+                        let total: usize = bufs.iter().map(|b| b.len()).sum();
+                        let n = match self.next() % 5 {
+                            0 => return Err(std::io::ErrorKind::WouldBlock.into()),
+                            1 => total,
+                            // Up to the end of one of the offered buffers.
+                            2 => {
+                                let upto = (self.next() as usize) % bufs.len();
+                                bufs[..=upto].iter().map(|b| b.len()).sum()
+                            }
+                            _ => 1 + (self.next() as usize) % total.max(1),
+                        };
+                        let mut left = n.min(total);
+                        let taken = left;
+                        for b in bufs {
+                            let k = left.min(b.len());
+                            self.out.extend_from_slice(&b[..k]);
+                            left -= k;
+                        }
+                        Ok(taken)
+                    }
+                    fn flush(&mut self) -> std::io::Result<()> {
+                        Ok(())
+                    }
+                }
+
+                let mut state = sizes_seed | 1;
+                let buffers: Vec<Vec<u8>> = (0..count)
+                    .map(|i| {
+                        state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                        let len = [0, 1, 3, 64, 700][(state >> 33) as usize % 5];
+                        (0..len).map(|k| (i * 31 + k) as u8).collect()
+                    })
+                    .collect();
+                let mut q = WriteQueue::new();
+                for b in &buffers {
+                    q.push(Arc::from(b.as_slice()));
+                }
+                prop_assert_eq!(q.pending(), buffers.iter().map(Vec::len).sum::<usize>());
+                let mut w = Gather { out: Vec::new(), state: chunk_seed | 1, most_offered: 0 };
+                while !q.write_to(&mut w).unwrap() {}
+                prop_assert_eq!(w.out, buffers.concat());
+                prop_assert!(q.is_empty());
+                prop_assert_eq!(q.pending(), 0);
+                prop_assert!(w.most_offered <= WRITE_IOVECS);
             }
         }
     }

@@ -54,8 +54,11 @@ impl<T> WatermarkStrategy<T> {
         }
     }
 
-    /// Instantiates the per-stream generator state.
-    pub(crate) fn generator(self) -> WatermarkGenerator<T> {
+    /// Instantiates the per-stream generator state: what a source runs
+    /// its records through, and what a caller that sources records
+    /// without a [`DataStream`](crate::DataStream) runs them through to
+    /// get the same watermarks.
+    pub fn generator(self) -> WatermarkGenerator<T> {
         WatermarkGenerator {
             kind: self.kind,
             max_ts: Timestamp::MIN,
@@ -66,7 +69,7 @@ impl<T> WatermarkStrategy<T> {
 }
 
 /// Stateful watermark generator owned by a running source.
-pub(crate) struct WatermarkGenerator<T> {
+pub struct WatermarkGenerator<T> {
     kind: Kind<T>,
     max_ts: Timestamp,
     seen: u64,
@@ -92,7 +95,7 @@ impl<T> WatermarkGenerator<T> {
     }
 
     /// Observes a record; returns a watermark to emit after it, if any.
-    pub(crate) fn on_record(&mut self, record: &T) -> Option<Timestamp> {
+    pub fn on_record(&mut self, record: &T) -> Option<Timestamp> {
         match &mut self.kind {
             Kind::None => None,
             Kind::Bounded {

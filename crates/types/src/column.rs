@@ -6,8 +6,9 @@
 //! vector per schema attribute plus a validity bitmap marking which
 //! slots hold a value (a cleared bit is SQL `NULL`). Column kernels in
 //! `icewafl-core` iterate one attribute vector at a time instead of
-//! hopping across per-tuple value slices, and the serve codec can encode
-//! a whole batch without per-tuple framing.
+//! hopping across per-tuple value slices, and a served column session
+//! decodes wire frames into batches and encodes its output from them
+//! without a tuple in between.
 //!
 //! The representation is *lossless but narrower* than rows: a row whose
 //! value does not match its column's declared [`DataType`] (and is not
@@ -211,6 +212,64 @@ impl Column {
         if valid {
             self.validity[row / 64] |= 1 << (row % 64);
         }
+    }
+
+    /// A column of `data` with validity bitmap `validity` — one bit per
+    /// row, little-endian within each `u64` word, a set bit for a slot
+    /// that holds a value; a NULL slot holds the type's default value.
+    /// What a decoder that reads typed values straight off a wire
+    /// builds a column from.
+    ///
+    /// # Panics
+    ///
+    /// If `validity` does not have one word per 64 rows of `data`.
+    pub fn from_parts(data: ColumnData, validity: Vec<u64>) -> Column {
+        assert_eq!(
+            validity.len(),
+            data.len().div_ceil(64),
+            "a validity bitmap has one word per 64 rows"
+        );
+        Column { data, validity }
+    }
+
+    /// The rows at `rows`, in that order, as a new column; strings are
+    /// shared with this one.
+    fn gather(&self, rows: &[usize]) -> Column {
+        fn pick<T: Clone>(v: &[T], rows: &[usize]) -> Vec<T> {
+            rows.iter().map(|&r| v[r].clone()).collect()
+        }
+        let data = match &self.data {
+            ColumnData::Bool(v) => ColumnData::Bool(pick(v, rows)),
+            ColumnData::Int(v) => ColumnData::Int(pick(v, rows)),
+            ColumnData::Float(v) => ColumnData::Float(pick(v, rows)),
+            ColumnData::Str(v) => ColumnData::Str(pick(v, rows)),
+            ColumnData::Timestamp(v) => ColumnData::Timestamp(pick(v, rows)),
+        };
+        Column {
+            data,
+            validity: self.gather_validity(rows),
+        }
+    }
+
+    /// [`Column::gather`] that moves the strings out, leaving empty ones
+    /// behind.
+    fn gather_taking(&mut self, rows: &[usize]) -> Column {
+        let validity = self.gather_validity(rows);
+        match &mut self.data {
+            ColumnData::Str(v) => Column {
+                data: ColumnData::Str(rows.iter().map(|&r| std::mem::take(&mut v[r])).collect()),
+                validity,
+            },
+            _ => self.gather(rows),
+        }
+    }
+
+    fn gather_validity(&self, rows: &[usize]) -> Vec<u64> {
+        let mut validity = vec![0u64; rows.len().div_ceil(64)];
+        for (to, &from) in rows.iter().enumerate() {
+            validity[to / 64] |= u64::from(self.is_valid(from)) << (to % 64);
+        }
+        validity
     }
 
     /// The value at `row` as a dynamic [`Value`] (NULL slots read as
@@ -599,6 +658,69 @@ impl ColumnBatch {
         &self.sub_streams
     }
 
+    /// A batch of `columns` whose rows are yet to be stamped: every
+    /// stamp field zero, sub-stream 0 (what preparation leaves) — see
+    /// [`ColumnBatch::set_stamp`].
+    ///
+    /// # Panics
+    ///
+    /// If the columns differ in length.
+    pub fn from_columns(columns: Vec<Column>) -> ColumnBatch {
+        let rows = columns.first().map_or(0, |c| c.data.len());
+        assert!(
+            columns.iter().all(|c| c.data.len() == rows),
+            "every column of a batch has one value per row"
+        );
+        ColumnBatch {
+            ids: vec![0; rows],
+            taus: vec![0; rows],
+            arrivals: vec![0; rows],
+            sub_streams: vec![0; rows],
+            columns,
+        }
+    }
+
+    /// Overwrites the id, event time and arrival time of `row` (what
+    /// preparation assigns).
+    pub fn set_stamp(&mut self, row: usize, id: u64, tau: Timestamp, arrival: Timestamp) {
+        self.ids[row] = id;
+        self.taus[row] = tau.0;
+        self.arrivals[row] = arrival.0;
+    }
+
+    /// The rows at `rows`, in that order, as a new batch: stamps and
+    /// values copied, strings shared. A row may be picked more than
+    /// once.
+    pub fn select(&self, rows: &[usize]) -> ColumnBatch {
+        let columns = self.columns.iter().map(|c| c.gather(rows)).collect();
+        self.gather_stamps(rows, columns)
+    }
+
+    /// [`ColumnBatch::select`] that moves the picked rows' strings out
+    /// of this batch instead of sharing them, leaving empty strings
+    /// behind: for splitting a batch whose rows each go one way. A row
+    /// picked twice has its string in the first pick only.
+    pub fn take_rows(&mut self, rows: &[usize]) -> ColumnBatch {
+        let columns = self
+            .columns
+            .iter_mut()
+            .map(|c| c.gather_taking(rows))
+            .collect();
+        self.gather_stamps(rows, columns)
+    }
+
+    /// The stamps of `rows` around `columns` gathered from the same
+    /// rows.
+    fn gather_stamps(&self, rows: &[usize], columns: Vec<Column>) -> ColumnBatch {
+        ColumnBatch {
+            ids: rows.iter().map(|&r| self.ids[r]).collect(),
+            taus: rows.iter().map(|&r| self.taus[r]).collect(),
+            arrivals: rows.iter().map(|&r| self.arrivals[r]).collect(),
+            sub_streams: rows.iter().map(|&r| self.sub_streams[r]).collect(),
+            columns,
+        }
+    }
+
     /// Overwrites every row's sub-stream (what the pollution operator
     /// does on emit).
     pub fn set_sub_stream(&mut self, sub_stream: u32) {
@@ -894,6 +1016,53 @@ mod tests {
         assert_eq!(batch.column(1).value_at(1), Value::Int(100), "rounds");
         batch.column_mut(4).set_numeric_at(1, 0.0);
         assert_eq!(batch.column(4).value_at(1), Value::Bool(false));
+    }
+
+    #[test]
+    fn columns_from_parts_and_set_stamps_build_what_from_rows_builds() {
+        let input = rows();
+        let reference = ColumnBatch::from_rows(&schema(), input.clone()).unwrap();
+        let columns = (0..5)
+            .map(|col| {
+                let c = reference.column(col);
+                Column::from_parts(c.data().clone(), c.validity.clone())
+            })
+            .collect();
+        let mut batch = ColumnBatch::from_columns(columns);
+        assert_eq!(batch.len(), 100);
+        assert_eq!(batch.stamp(42), (0, Timestamp(0), Timestamp(0), 0));
+        for (row, t) in input.iter().enumerate() {
+            batch.set_stamp(row, t.id, t.tau, t.arrival);
+        }
+        let mut expected = reference;
+        expected.set_sub_stream(0);
+        assert_eq!(batch, expected);
+    }
+
+    #[test]
+    #[should_panic(expected = "one word per 64 rows")]
+    fn a_short_validity_bitmap_is_refused() {
+        Column::from_parts(ColumnData::Int(vec![0; 65]), vec![0]);
+    }
+
+    #[test]
+    fn select_and_take_rows_pick_rows_in_the_given_order() {
+        let input = rows();
+        let mut batch = ColumnBatch::from_rows(&schema(), input.clone()).unwrap();
+        let picks = [70, 0, 7, 64, 99, 7];
+        let expected: Vec<StampedTuple> = picks.iter().map(|&r| input[r].clone()).collect();
+        assert_eq!(batch.select(&picks).into_rows(), expected);
+        assert!(batch.select(&[]).is_empty());
+        // Taking moves the strings: a second pick of a row finds its
+        // string gone, and so does the batch taken from.
+        let taken = batch.take_rows(&picks).into_rows();
+        assert_eq!(taken[..5], expected[..5]);
+        assert_eq!(taken[5].tuple.get(3), Some(&Value::Str(Text::default())));
+        assert_eq!(batch.column(3).value_at(70), Value::Str(Text::default()));
+        assert_eq!(
+            batch.column(3).value_at(1),
+            input[1].tuple.get(3).unwrap().clone()
+        );
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //! sub-stream order, so the bytes do not depend on how the sub-streams
 //! were interleaved.
 
+use icewafl::core::ReleasedRow;
 use icewafl::prelude::*;
-use icewafl::types::{DataType, Error, Timestamp, Value};
+use icewafl::types::{ColumnBatch, DataType, Error, Timestamp, Value};
 
 /// Swept batch sizes: unbatched, an odd size that never divides the
 /// watermark period, the default, and one far beyond it.
@@ -767,5 +768,150 @@ fn generated_plans_match_the_oracle_configuration() {
                 &case,
             );
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Column sessions against the row session
+// ---------------------------------------------------------------------
+
+const COLUMN_CASES: u64 = 192;
+
+/// A plan a column session runs: value polluters only, log off.
+fn generated_column_plan(rng: &mut SplitMix) -> LogicalPlan {
+    let m = 1 + rng.below(4);
+    let pipelines = (0..m)
+        .map(|i| {
+            (0..rng.below(5))
+                .map(|j| generated_standard(rng, format!("p{i}.{j}")))
+                .collect()
+        })
+        .collect();
+    let mut plan = generated_plan(rng);
+    plan.pipelines = pipelines;
+    plan.logging = false;
+    plan.batch_size = rng.pick(&[1, 2, 7, 64, 256, 4096]);
+    plan
+}
+
+/// [`generated_tuples`] with some tuples broken the ways a client can
+/// break them: a value of another type than its column's (the event
+/// time included) or one value too few or too many.
+fn generated_column_tuples(rng: &mut SplitMix) -> Vec<Tuple> {
+    let broken = rng.pick(&[0, 2, 10]);
+    let mut tuples = generated_tuples(rng);
+    for t in &mut tuples {
+        if !rng.chance(broken) {
+            continue;
+        }
+        let mut values = t.values().to_vec();
+        match rng.below(5) {
+            0 => values[0] = Value::Int(7_000),
+            1 => values[1] = Value::Int(3),
+            2 => values[3] = Value::Str("three".into()),
+            3 => {
+                values.pop();
+            }
+            _ => values.push(Value::Bool(true)),
+        }
+        *t = Tuple::new(values);
+    }
+    tuples
+}
+
+/// The tuples as one schema-typed batch, or `None` when one does not
+/// fit the schema: what a binary session's decoder makes of a frame.
+fn batch_of(schema: &Schema, tuples: &[Tuple]) -> Option<ColumnBatch> {
+    let unstamped = tuples
+        .iter()
+        .map(|t| StampedTuple::new(0, Timestamp(0), t.clone()))
+        .collect();
+    ColumnBatch::from_rows(schema, unstamped).ok()
+}
+
+/// A sink keeping the row session's output as the units it was written
+/// in: one record, or one batch.
+#[derive(Clone, Default)]
+struct ChunkSink(std::sync::Arc<std::sync::Mutex<Vec<Vec<StampedTuple>>>>);
+
+impl Sink<StampedTuple> for ChunkSink {
+    fn write(&mut self, record: StampedTuple) {
+        self.0.lock().unwrap().push(vec![record]);
+    }
+
+    fn write_batch(&mut self, batch: Vec<StampedTuple>) {
+        self.0.lock().unwrap().push(batch);
+    }
+}
+
+#[test]
+fn column_sessions_match_the_row_session() {
+    // Every plan here is column-exact; its tuples arrive in frames of
+    // drawn sizes, single rows among them, and a frame that does not
+    // fit a typed batch — or, now and then, one that does — goes in as
+    // tuples. The column session must release the row session's
+    // chunks, tuple for tuple, and report its counts and statistics.
+    let schema = generated_schema();
+    for case in 0..COLUMN_CASES {
+        let mut rng = SplitMix(0x0C01_1AF1 ^ (case << 32));
+        let plan = generated_column_plan(&mut rng);
+        let tuples = generated_column_tuples(&mut rng);
+        let describe = || format!("case {case}; plan:\n{}", plan.to_json());
+        let physical = plan
+            .compile(&schema)
+            .unwrap_or_else(|e| panic!("{e}: {}", describe()));
+
+        let sink = ChunkSink::default();
+        let mut rows = physical.open_streaming(sink.clone()).unwrap();
+        for t in &tuples {
+            rows.push(t.clone());
+        }
+        let row_report = rows.finish();
+
+        let mut columns = physical
+            .open_column_session()
+            .unwrap()
+            .unwrap_or_else(|| panic!("not column-exact: {}", describe()));
+        let mut chunks: Vec<Vec<StampedTuple>> = Vec::new();
+        let mut keep = |chunk: &[ReleasedRow<'_>]| {
+            chunks.push(chunk.iter().map(ReleasedRow::to_stamped).collect());
+        };
+        let mut rest = &tuples[..];
+        while !rest.is_empty() {
+            let (frame, tail) = rest.split_at(rng.pick(&[1, 2, 5, 16, 40, 100]).min(rest.len()));
+            rest = tail;
+            match batch_of(&schema, frame).filter(|_| !rng.chance(15)) {
+                Some(batch) => columns.push_batch(batch),
+                None => columns.push_tuples(frame.to_vec()),
+            }
+            columns.drain(&mut keep);
+        }
+        let column_report = columns.finish(&mut keep);
+
+        let (row_report, column_report) = match (row_report, column_report) {
+            (Ok(r), Ok(c)) => (r, c),
+            (r, c) => panic!(
+                "row session: {:?}, column session: {:?} ({})",
+                r.err(),
+                c.err(),
+                describe()
+            ),
+        };
+        let want = sink.0.lock().unwrap();
+        let sizes = |chunks: &[Vec<StampedTuple>]| chunks.iter().map(Vec::len).collect::<Vec<_>>();
+        assert_same("chunk sizes", &sizes(&chunks), &sizes(&want), &describe());
+        assert_same("chunks", &chunks, &want, &describe());
+        assert_eq!(
+            (column_report.tuples_in, column_report.tuples_out),
+            (row_report.tuples_in, row_report.tuples_out),
+            "{}",
+            describe()
+        );
+        assert_same(
+            "polluter statistics",
+            &column_report.polluters,
+            &row_report.polluters,
+            &describe(),
+        );
     }
 }
