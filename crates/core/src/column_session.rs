@@ -78,23 +78,6 @@ impl ReleasedRow<'_> {
             ReleasedRow::Tuple(t) => t.tuple.len(),
         }
     }
-
-    /// The row as a stamped tuple (strings shared).
-    pub fn to_stamped(&self) -> StampedTuple {
-        match *self {
-            ReleasedRow::Column(batch, row) => {
-                let (id, tau, arrival, sub_stream) = batch.stamp(row);
-                let values: Tuple = (0..batch.arity())
-                    .map(|col| batch.column(col).value_at(row))
-                    .collect();
-                let mut t = StampedTuple::new(id, tau, values);
-                t.arrival = arrival;
-                t.sub_stream = sub_stream;
-                t
-            }
-            ReleasedRow::Tuple(t) => t.clone(),
-        }
-    }
 }
 
 /// What the sorter holds for a row: its sort key and where it lives.

@@ -829,6 +829,23 @@ fn batch_of(schema: &Schema, tuples: &[Tuple]) -> Option<ColumnBatch> {
     ColumnBatch::from_rows(schema, unstamped).ok()
 }
 
+/// A row a column session released, as a stamped tuple.
+fn stamped(row: &ReleasedRow<'_>) -> StampedTuple {
+    match *row {
+        ReleasedRow::Column(batch, row) => {
+            let (id, tau, arrival, sub_stream) = batch.stamp(row);
+            let values: Tuple = (0..batch.arity())
+                .map(|col| batch.column(col).value_at(row))
+                .collect();
+            let mut t = StampedTuple::new(id, tau, values);
+            t.arrival = arrival;
+            t.sub_stream = sub_stream;
+            t
+        }
+        ReleasedRow::Tuple(t) => t.clone(),
+    }
+}
+
 /// A sink keeping the row session's output as the units it was written
 /// in: one record, or one batch.
 #[derive(Clone, Default)]
@@ -874,7 +891,7 @@ fn column_sessions_match_the_row_session() {
             .unwrap_or_else(|| panic!("not column-exact: {}", describe()));
         let mut chunks: Vec<Vec<StampedTuple>> = Vec::new();
         let mut keep = |chunk: &[ReleasedRow<'_>]| {
-            chunks.push(chunk.iter().map(ReleasedRow::to_stamped).collect());
+            chunks.push(chunk.iter().map(stamped).collect());
         };
         let mut rest = &tuples[..];
         while !rest.is_empty() {
