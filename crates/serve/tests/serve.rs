@@ -853,3 +853,47 @@ fn tuples_whose_arity_changes_come_back_at_their_own_arity() {
         .expect("the server shuts down")
         .unwrap();
 }
+
+#[test]
+fn only_binary_sessions_on_column_exact_plans_run_in_columns() {
+    // The server picks the path from what it observes — the wire
+    // format and the plan — and the report says which ran: a column
+    // session counts its rows under `column_session/*`, a row session
+    // under its topology's stages. Either way the output is offline's.
+    let input = tuples(300);
+    let server = TestServer::start(ServeConfig::default());
+    for (format, logging, columns) in [
+        ("binary", false, true),
+        ("binary", true, false),
+        ("ndjson", false, false),
+    ] {
+        let plan = LogicalPlan {
+            logging,
+            ..plan(42)
+        };
+        let offline = plan
+            .compile(&schema())
+            .unwrap()
+            .execute(input.clone())
+            .unwrap();
+        let hs = Handshake {
+            plan_inline: Some(plan),
+            ..handshake(format)
+        };
+        let outcome =
+            client::run_session(&ClientConfig::new(server.addr(), hs), input.clone()).unwrap();
+        assert!(outcome.completed(), "session failed: {:?}", outcome.error);
+        assert_eq!(
+            outcome.tuples, offline.polluted,
+            "{format}, logging {logging}"
+        );
+        let metrics = outcome.report.unwrap().metrics;
+        if icewafl_obs::metrics_compiled_in() {
+            assert_eq!(
+                metrics.counter("column_session/kernel_rows"),
+                if columns { 300 } else { 0 },
+                "{format}, logging {logging}"
+            );
+        }
+    }
+}
