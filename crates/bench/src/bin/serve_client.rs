@@ -19,7 +19,7 @@
 //!
 //! `--slow-reader-ms N` throttles session 0's reads by N ms per tuple to
 //! exercise server-side backpressure. Without `--plan`/`--plan-file` the
-//! harness inlines the throughput reference plan (4 sub-streams of 4
+//! harness inlines its reference plan (4 sub-streams of 4
 //! gaussian-noise polluters) and its 2-column schema.
 //!
 //! `--shared STREAM` switches to shared-plan fan-out: session 0
@@ -52,8 +52,9 @@ fn tuples(n: i64) -> Vec<Tuple> {
         .collect()
 }
 
-/// The throughput harness's reference plan: m = 4 sub-streams of ℓ = 4
-/// gaussian-noise polluters, round-robin, logging off.
+/// The client's reference plan, the §2.3 workload shape: m = 4
+/// sub-streams of ℓ = 4 gaussian-noise polluters, round-robin, logging
+/// off.
 fn reference_plan(seed: u64) -> LogicalPlan {
     let pipeline: Vec<PolluterConfig> = (0..4)
         .map(|i| PolluterConfig::Standard {

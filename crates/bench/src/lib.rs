@@ -1,13 +1,11 @@
 //! # icewafl-bench
 //!
-//! Criterion benchmark crate of the Icewafl reproduction. The library
-//! itself is empty; everything lives in `benches/`:
+//! Micro-benchmarks and the serve reference client. The library itself
+//! is empty. End-to-end performance is measured by the repo benchmark,
+//! a package of its own under `src/bin/benchmark/`; what lives here
+//! measures what it does not:
 //!
-//! * `runtime_overhead` — Figure 8 (pollution overhead vs. a
-//!   pass-through pipeline);
-//! * `polluter_micro` — per-error-function / per-condition cost;
-//! * `pipeline_scaling` — the §2.3 complexity ablation (pipeline
-//!   length ℓ, sub-stream count m, sequential vs. parallel);
-//! * `stream_runtime` — raw stream-framework throughput;
-//! * `dq_micro` — expectation validation and the regex engine;
-//! * `forecast_micro` — model learn/forecast cost.
+//! * `benches/obs_overhead` — metrics compiled in vs. out, hot path;
+//! * `benches/dq_micro` — expectation validation and the regex engine;
+//! * `benches/forecast_micro` — model learn/forecast cost;
+//! * `bin/serve_client` — drives sessions against `icewafl serve`.

@@ -16,8 +16,8 @@
 //! Offline runs stay rows: fed rows and asked for rows, a column
 //! pipeline would pay two pivots ([`ColumnBatch::from_rows`] /
 //! [`ColumnBatch::into_rows`]) that cost more than the kernels save
-//! (DESIGN.md decision 12). The repo benchmark's ledger and the kernel
-//! microbench time the kernels on their own.
+//! (DESIGN.md decision 12). The repo benchmark's ledger times the
+//! kernels on their own.
 //!
 //! **Exactness by construction.** A kernel does not reimplement the
 //! polluter — it *wraps* the very same [`StandardPolluter`] the row path
@@ -261,10 +261,6 @@ pub struct ColumnPipeline {
     mask: Vec<u8>,
     /// Pattern-intensity scratch for the vectorized path.
     intensities: Vec<f64>,
-    /// Escape hatch: `true` forces every stage through the row-exact
-    /// trampoline even when its kernels exist. The microbench uses this
-    /// to measure the kernels' win on the same pipeline object.
-    force_trampoline: bool,
 }
 
 impl ColumnPipeline {
@@ -281,16 +277,9 @@ impl ColumnPipeline {
     /// How many stages run vectorized (condition *and* error ship
     /// column kernels); the remaining `len() - vectorized_stages()`
     /// stages trampoline row by row.
-    pub fn vectorized_stages(&self) -> usize {
+    #[cfg(test)]
+    fn vectorized_stages(&self) -> usize {
         self.stages.iter().filter(|s| s.vectorized).count()
-    }
-
-    /// Forces (`on = false`) or re-enables (`on = true`) the vectorized
-    /// kernels. Output is byte-identical either way; the kernel
-    /// microbench flips this to measure the speedup on one pipeline
-    /// object without rebuilding state.
-    pub fn set_vectorized(&mut self, on: bool) {
-        self.force_trampoline = !on;
     }
 
     /// Runs a batch through every stage in place.
@@ -313,7 +302,7 @@ impl ColumnPipeline {
             }
         } else {
             for stage in &mut self.stages {
-                if stage.vectorized && !self.force_trampoline {
+                if stage.vectorized {
                     stage
                         .polluter
                         .process_columns(batch, &mut self.mask, &mut self.intensities);
@@ -328,8 +317,7 @@ impl ColumnPipeline {
 
     /// Runs one loose row through every stage in place — the exact
     /// per-tuple sequence the row path executes: how a column session
-    /// pollutes a row that did not fit a batch, and what the kernel
-    /// microbench's `row` mode times.
+    /// pollutes a row that did not fit a batch.
     pub fn process_row(&mut self, tuple: &mut StampedTuple, log: &mut PollutionLog) {
         for stage in &mut self.stages {
             stage.polluter.process_in_place(tuple, log);
@@ -425,7 +413,6 @@ pub fn lower_pipeline(
         scratch: StampedTuple::new(0, Timestamp(0), Tuple::new(vec![Value::Null; schema.len()])),
         mask: Vec::new(),
         intensities: Vec::new(),
-        force_trampoline: false,
     }))
 }
 
@@ -681,6 +668,14 @@ mod tests {
     #[test]
     fn every_vectorized_family_matches_row_path() {
         let polluters = every_kernel_family();
+        let pipeline = lower_pipeline(23, 0, &polluters, &schema())
+            .unwrap()
+            .expect("lowerable");
+        assert_eq!(
+            pipeline.vectorized_stages(),
+            polluters.len(),
+            "every family lowers onto its column kernels"
+        );
         for logging in [true, false] {
             let (rows_out, rows_log) = run_rows(&polluters, 23, rows(500), logging);
             let (cols_out, cols_log) = run_columns(&polluters, 23, rows(500), logging);
@@ -700,7 +695,11 @@ mod tests {
             let mut pipeline = lower_pipeline(5, 0, &polluters, &schema())
                 .unwrap()
                 .expect("lowerable");
-            pipeline.set_vectorized(vectorized);
+            if !vectorized {
+                for stage in &mut pipeline.stages {
+                    stage.vectorized = false;
+                }
+            }
             let mut log = PollutionLog::disabled();
             let mut out = Vec::new();
             for chunk in rows(500).chunks(96) {
