@@ -9,10 +9,12 @@
 //! a sequence of column kernels that run directly over a batch's typed
 //! attribute vectors instead of per-tuple value slices.
 //!
-//! **Who runs it.** A [`ColumnSession`](crate::ColumnSession): a binary
-//! serve session on a column-exact plan decodes its frames straight
-//! into [`ColumnBatch`]es, runs them through these pipelines in place
-//! and encodes its output from the same buffers, so nothing pivots.
+//! **Who runs it.** A [lowered](crate::PhysicalPlan::open_streaming_lowered)
+//! [`StreamingSession`](crate::StreamingSession), whose sub-streams run
+//! these pipelines: a binary serve session on a column-exact plan
+//! decodes its frames straight into [`ColumnBatch`]es, runs them
+//! through the kernels in place and encodes its output from the same
+//! buffers, so nothing pivots.
 //! Offline runs stay rows: fed rows and asked for rows, a column
 //! pipeline would pay two pivots ([`ColumnBatch::from_rows`] /
 //! [`ColumnBatch::into_rows`]) that cost more than the kernels save
@@ -316,7 +318,7 @@ impl ColumnPipeline {
     }
 
     /// Runs one loose row through every stage in place — the exact
-    /// per-tuple sequence the row path executes: how a column session
+    /// per-tuple sequence the row path executes: how a lowered session
     /// pollutes a row that did not fit a batch.
     pub fn process_row(&mut self, tuple: &mut StampedTuple, log: &mut PollutionLog) {
         for stage in &mut self.stages {

@@ -63,7 +63,6 @@
 #![warn(missing_docs)]
 
 pub mod catalog;
-pub mod column_session;
 pub mod columnar;
 pub mod condition;
 pub mod config;
@@ -78,12 +77,12 @@ pub mod propagation;
 pub mod report;
 pub mod rng;
 pub mod runner;
+pub mod session;
 pub(crate) mod snapshot;
 pub mod stats;
 pub mod temporal;
 
 pub use catalog::PlanCatalog;
-pub use column_session::{ColumnSession, ReleasedRow};
 pub use columnar::{lower_pipeline, lowering_blocker, pipeline_lowerable, ColumnPipeline};
 pub use condition::Condition;
 pub use config::{
@@ -100,7 +99,8 @@ pub use plan::{
 };
 pub use polluter::{BoxPolluter, Emission, Polluter, StandardPolluter};
 pub use report::RunReport;
-pub use runner::{pollute_stream, PipelineOperator, PollutionOutput, StreamingSession};
+pub use runner::{pollute_stream, PollutionOutput};
+pub use session::{ReleasedRow, StreamingSession};
 pub use stats::{CountingRng, PolluterStats, PolluterStatsHandle, PolluterStatsSnapshot};
 
 /// Everything needed for typical pollution jobs.

@@ -5,43 +5,33 @@
 //! arrival time → output the clean stream `D`, the dirty stream `Dᵖ`,
 //! and the ground-truth log.
 //!
-//! The topology is built in one place, [`StreamingSession`]'s opening,
-//! behind a push head. A served session is fed by its caller; an
-//! offline run ([`pollute_stream`] and the plan's `execute` /
-//! `execute_supervised`) is one retry loop that feeds each attempt's
-//! session clones of the prepared input, resuming a retry from the
-//! latest checkpoint when the plan takes them.
+//! The loop that does it is the [`StreamingSession`]. A served session
+//! is fed by its caller; an offline run ([`pollute_stream`] and the
+//! plan's `execute` / `execute_supervised`) is one retry loop, `run`,
+//! that feeds each attempt's session clones of the prepared input,
+//! resuming a retry from the latest checkpoint when the plan takes
+//! them.
 
 use crate::log::PollutionLog;
 use crate::pipeline::PollutionPipeline;
 use crate::plan::LogicalPlan;
-use crate::polluter::Emission;
 use crate::prepare::PrepareOperator;
 use crate::report::RunReport;
-use crate::snapshot::StampedWire;
+use crate::session::{Pipeline, StreamingSession};
 use crate::stats::PolluterStatsHandle;
 use icewafl_obs::MetricsRegistry;
-use icewafl_stream::chaos::{install_quiet_panic_hook, ChaosConfig, ChaosOperator};
-use icewafl_stream::checkpoint::{
-    CheckpointBarrier, CheckpointCoordinator, CheckpointFrame, CheckpointStore, StateSnapshot,
-};
-use icewafl_stream::control::{ControlChannel, ControlSubscriber};
-use icewafl_stream::metrics::ChaosMetrics;
-use icewafl_stream::prelude::*;
-use icewafl_stream::sort::{EventTimeSorter, SorterStateCodec};
+use icewafl_stream::chaos::ChaosConfig;
+use icewafl_stream::checkpoint::{CheckpointFrame, CheckpointStore};
+use icewafl_stream::control::ControlChannel;
 use icewafl_stream::supervisor::{Supervisor, SupervisorPolicy};
-use icewafl_stream::{PushPipeline, SourceCheckpoint, SubPipelineBuilder};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::Instant;
 
-use icewafl_types::{Result, Schema, StampedTuple, Timestamp, Tuple};
+use icewafl_types::{Result, Schema, StampedTuple, Tuple};
 
 /// How tuples are assigned to the `m` sub-streams
 /// (`createOverlappingSubStreams`, Algorithm 1 line 4).
@@ -94,223 +84,6 @@ impl SubStreamAssigner {
     }
 }
 
-/// Per-operator reconfiguration state: a cursor into the job's control
-/// channel plus what is needed to rebuild this sub-stream's pipeline
-/// from a scheduled plan.
-struct ControlState {
-    subscriber: ControlSubscriber<LogicalPlan>,
-    schema: Schema,
-    epoch_gauge: icewafl_obs::Gauge,
-}
-
-/// Wire form of one sub-stream's checkpoint contribution: the full
-/// pipeline state document (see
-/// [`PollutionPipeline::snapshot_states`]) plus the length of this
-/// sub-stream's own ground-truth log segment when the barrier passed
-/// its operator — the exact point a restore truncates that segment to.
-#[derive(Debug, Serialize, Deserialize)]
-struct SubstreamState {
-    pipeline: Option<String>,
-    log_len: u64,
-}
-
-/// A run's ground-truth log as one segment per sub-stream.
-///
-/// Each [`PipelineOperator`] takes its segment when it is built, owns
-/// it for the attempt (no lock on the record path), and hands it back
-/// when it is dropped — however the attempt ended. The finished log is
-/// the segments concatenated in sub-stream order, which is independent
-/// of how a schedule interleaves the sub-streams.
-/// A run keeps the segments across its attempts; a retry rewinds each
-/// one to the length its own operator recorded at the restored barrier,
-/// or empties it when there is none.
-#[derive(Clone)]
-pub(crate) struct LogSegments(Arc<Mutex<Vec<PollutionLog>>>);
-
-impl LogSegments {
-    /// `m` empty segments, recording iff `logging`.
-    fn new(m: usize, logging: bool) -> Self {
-        let segment = if logging {
-            PollutionLog::new()
-        } else {
-            PollutionLog::disabled()
-        };
-        LogSegments(Arc::new(Mutex::new(vec![segment; m])))
-    }
-
-    /// Moves segment `i` out, leaving an empty placeholder.
-    fn take(&self, i: usize) -> PollutionLog {
-        std::mem::take(&mut self.0.lock()[i])
-    }
-
-    /// Truncates segment `i` to its first `len` entries.
-    fn truncate(&self, i: usize, len: usize) {
-        self.0.lock()[i].truncate(len);
-    }
-
-    /// The whole log: every segment, in sub-stream order. Call after
-    /// the run's operators are gone (they hold the segments until
-    /// then).
-    fn concat(&self) -> PollutionLog {
-        let mut segments = std::mem::take(&mut *self.0.lock()).into_iter();
-        let mut log = segments.next().unwrap_or_default();
-        for segment in segments {
-            log.merge(segment);
-        }
-        log
-    }
-}
-
-/// A stream [`Operator`] wrapping one sub-stream's pipeline and
-/// recording into its own segment of the run's log.
-pub struct PipelineOperator {
-    pipeline: PollutionPipeline,
-    sub_stream: u32,
-    /// This sub-stream's log segment, returned to `segments` on drop.
-    log: PollutionLog,
-    segments: LogSegments,
-    scratch: Vec<StampedTuple>,
-    control: ControlState,
-    /// Checkpoint contribution key (`substream_{i}`); `None` outside
-    /// checkpointed runs — barriers then pass through without a
-    /// snapshot.
-    ckpt_key: Option<String>,
-}
-
-impl Drop for PipelineOperator {
-    fn drop(&mut self) {
-        // `get_mut`: a drop must not panic, even after `concat` emptied
-        // the table.
-        if let Some(slot) = self.segments.0.lock().get_mut(self.sub_stream as usize) {
-            *slot = std::mem::take(&mut self.log);
-        }
-    }
-}
-
-impl PipelineOperator {
-    /// Wraps a pipeline as the operator of sub-stream `sub_stream`,
-    /// taking that sub-stream's segment of `segments` for as long as
-    /// the operator lives. Plans scheduled on `control` are applied at
-    /// the first watermark at or past their timestamp.
-    fn new(
-        pipeline: PollutionPipeline,
-        sub_stream: u32,
-        segments: &LogSegments,
-        control: ControlState,
-    ) -> Self {
-        PipelineOperator {
-            pipeline,
-            sub_stream,
-            log: segments.take(sub_stream as usize),
-            segments: segments.clone(),
-            scratch: Vec::new(),
-            control,
-            ckpt_key: None,
-        }
-    }
-
-    /// Enables checkpoint snapshots: every passing barrier receives this
-    /// sub-stream's exact pipeline state (RNG positions, pending stats,
-    /// temporal buffers) under `key`.
-    fn with_checkpoint_key(mut self, key: String) -> Self {
-        self.ckpt_key = Some(key);
-        self
-    }
-
-    fn drain_scratch(&mut self, out: &mut dyn Collector<StampedTuple>) {
-        for mut t in self.scratch.drain(..) {
-            t.sub_stream = self.sub_stream;
-            out.collect(t);
-        }
-    }
-
-    /// Applies any reconfiguration due at watermark `wm`: the old
-    /// pipeline's in-flight state is flushed (as pre-epoch output), then
-    /// this sub-stream's pipeline is rebuilt from the scheduled plan.
-    ///
-    /// Every sub-stream sees the same watermark sequence (the router
-    /// broadcasts them), so all operators swap at the same boundary —
-    /// the Fries consistency property. Plans were validated against the
-    /// schema when they were scheduled, so the rebuild cannot fail for a
-    /// well-behaved control handle; if it does anyway, the panic is
-    /// caught by the stage and surfaces as a typed pipeline error.
-    fn apply_due_reconfiguration(&mut self, wm: Timestamp, out: &mut dyn Collector<StampedTuple>) {
-        // The end-of-stream sentinel is not an epoch: plans scheduled
-        // past the stream simply never apply.
-        if wm == Timestamp::MAX {
-            return;
-        }
-        let Some((epoch, plan)) = self.control.subscriber.poll(wm) else {
-            return;
-        };
-        let mut em = Emission::new(&mut self.scratch, &mut self.log);
-        self.pipeline.finish(&mut em);
-        self.drain_scratch(out);
-        let mut pipelines = plan
-            .build_pipelines(&self.control.schema)
-            .unwrap_or_else(|e| panic!("epoch {epoch} plan failed to rebuild: {e}"));
-        let idx = self.sub_stream as usize;
-        assert!(
-            idx < pipelines.len(),
-            "epoch {epoch} plan has {} pipelines, sub-stream {idx} needs one",
-            pipelines.len()
-        );
-        self.pipeline = pipelines.swap_remove(idx);
-        self.control.epoch_gauge.set(epoch);
-        icewafl_obs::trace::instant_with(
-            "epoch_swap",
-            "control",
-            &[("epoch", epoch), ("sub_stream", self.sub_stream as u64)],
-        );
-    }
-}
-
-impl Operator<StampedTuple, StampedTuple> for PipelineOperator {
-    fn on_element(&mut self, record: StampedTuple, out: &mut dyn Collector<StampedTuple>) {
-        let mut em = Emission::new(&mut self.scratch, &mut self.log);
-        self.pipeline.process(record, &mut em);
-        self.drain_scratch(out);
-    }
-
-    fn on_batch(&mut self, batch: Vec<StampedTuple>, out: &mut dyn Collector<StampedTuple>) {
-        // Tuples are still processed one at a time (batching must not
-        // change the ground-truth log order).
-        for record in batch {
-            let mut em = Emission::new(&mut self.scratch, &mut self.log);
-            self.pipeline.process(record, &mut em);
-        }
-        self.drain_scratch(out);
-    }
-
-    fn on_watermark(&mut self, wm: Timestamp, out: &mut dyn Collector<StampedTuple>) {
-        let mut em = Emission::new(&mut self.scratch, &mut self.log);
-        self.pipeline.on_watermark(wm, &mut em);
-        self.drain_scratch(out);
-        self.apply_due_reconfiguration(wm, out);
-    }
-
-    fn on_barrier(&mut self, barrier: &CheckpointBarrier) {
-        let Some(key) = &self.ckpt_key else { return };
-        let state = SubstreamState {
-            pipeline: self.pipeline.snapshot_states(),
-            log_len: self.log.len() as u64,
-        };
-        if let Ok(doc) = serde_json::to_string(&state) {
-            barrier.contribute(key.clone(), doc);
-        }
-    }
-
-    fn on_end(&mut self, out: &mut dyn Collector<StampedTuple>) {
-        let mut em = Emission::new(&mut self.scratch, &mut self.log);
-        self.pipeline.finish(&mut em);
-        self.drain_scratch(out);
-    }
-
-    fn name(&self) -> &'static str {
-        "pollution_pipeline"
-    }
-}
-
 /// The result of a pollution run: the clean stream, the dirty stream,
 /// and the ground-truth log.
 #[derive(Debug)]
@@ -331,8 +104,7 @@ pub struct PollutionOutput {
 /// The physical execution settings of a job. Only
 /// [`LogicalPlan::compile`] builds them, so every default lives in
 /// [`LogicalPlan`]; compiled plans and [`pollute_stream`] alike run
-/// them through [`StreamingSession::open`] — one construction path, one
-/// executor.
+/// them through one [`StreamingSession`] loop.
 #[derive(Clone)]
 pub(crate) struct ExecSettings {
     pub(crate) schema: Schema,
@@ -341,8 +113,8 @@ pub(crate) struct ExecSettings {
     pub(crate) watermark_period: u64,
     /// Record ground truth (disable for overhead benchmarks).
     pub(crate) logging: bool,
-    /// Records per frame on the router → sub-stream edges and on the
-    /// output (1 = unbatched).
+    /// Records per frame handed to a sub-stream, and per released chunk
+    /// (1 = unbatched).
     pub(crate) batch_size: usize,
     /// Restart policy consulted by supervised runs.
     pub(crate) supervision: SupervisorPolicy,
@@ -366,30 +138,34 @@ pub(crate) struct CheckpointSettings {
 }
 
 /// What an attempt opens its [`StreamingSession`] with besides the
-/// plan: the log segments and the chaos panic budget, both shared by
-/// every attempt of a run (so a bounded fault is transient — it heals
-/// after a restart instead of re-arming); the checkpoint store (`None`
-/// = take no checkpoints); the supervisor's deadline; and the frame
-/// the attempt resumes from (`None` = start at tuple zero).
+/// plan: the ground-truth log as one segment per sub-stream and the
+/// chaos panic budget, both carried across every attempt of a run (so
+/// a bounded fault is transient — it heals after a restart instead of
+/// re-arming); the checkpoint store (`None` = take no checkpoints); the
+/// supervisor's deadline; and the frame the attempt resumes from
+/// (`None` = start at tuple zero).
+///
+/// A session owns its segments while it runs and hands them back when
+/// it finishes. The finished log is the segments concatenated in
+/// sub-stream order, which is independent of how the loop interleaves
+/// the sub-streams; a retry rewinds each segment to the length its
+/// sub-stream recorded in the restored checkpoint, or empties it when
+/// there is none.
 pub(crate) struct Attempt {
-    segments: LogSegments,
-    chaos_budget: Option<Arc<AtomicU64>>,
-    store: Option<Arc<CheckpointStore>>,
-    deadline: Option<Instant>,
-    restore: Option<CheckpointFrame>,
+    pub(crate) segments: Vec<PollutionLog>,
+    pub(crate) chaos_budget: Option<Arc<AtomicU64>>,
+    pub(crate) store: Option<Arc<CheckpointStore>>,
+    pub(crate) deadline: Option<Instant>,
+    pub(crate) restore: Option<CheckpointFrame>,
 }
 
 impl Attempt {
-    /// The first attempt of a run of `pipelines`, checkpointing iff
+    /// The first attempt of a run of `m` sub-streams, checkpointing iff
     /// `checkpoint` is set and the plan has a checkpoint section. The
     /// job is validated first: opening the store truncates an existing
     /// WAL, which a rejected job must leave alone.
-    pub(crate) fn first(
-        settings: &ExecSettings,
-        pipelines: &[PollutionPipeline],
-        checkpoint: bool,
-    ) -> Result<Self> {
-        validate(settings, pipelines)?;
+    pub(crate) fn first(settings: &ExecSettings, m: usize, checkpoint: bool) -> Result<Self> {
+        validate(settings, m)?;
         let store = match settings.checkpoint.as_ref().filter(|_| checkpoint) {
             Some(CheckpointSettings { dir: Some(dir), .. }) => Some(Arc::new(
                 CheckpointStore::with_wal(dir.join("checkpoint.wal"))?,
@@ -397,8 +173,13 @@ impl Attempt {
             Some(_) => Some(Arc::new(CheckpointStore::new())),
             None => None,
         };
+        let segment = if settings.logging {
+            PollutionLog::new()
+        } else {
+            PollutionLog::disabled()
+        };
         Ok(Attempt {
-            segments: LogSegments::new(pipelines.len(), settings.logging),
+            segments: vec![segment; m],
             chaos_budget: settings.chaos.as_ref().map(ChaosConfig::new_budget),
             store,
             deadline: None,
@@ -411,19 +192,18 @@ impl Attempt {
 /// [`PhysicalPlan::execute`](crate::plan::PhysicalPlan::execute),
 /// [`PhysicalPlan::execute_supervised`](crate::plan::PhysicalPlan::execute_supervised)
 /// and [`pollute_stream`]. Every attempt is a [`StreamingSession`] fed
-/// clones of the prepared clean stream into one shared sink.
+/// clones of the prepared clean stream, releasing into one output.
 ///
 /// An unsupervised run is a single attempt that takes no checkpoints.
 /// A `supervised` one follows the plan's policy: on a retryable failure
 /// the job is re-attempted with fresh `pipelines`, up to the per-stage
 /// retry budget, with backoff between attempts. With a checkpoint
-/// section a retry resumes from the latest *complete* checkpoint: the
-/// sink is truncated to the committed prefix, the session restores
-/// every operator's state (RNG stream positions included) and is fed
-/// the stream from the frame's offset on. The invariant is
-/// byte-identical output. A failure before the first checkpoint, or
-/// any failure of a run without a checkpoint section, restarts from
-/// tuple zero.
+/// section a retry resumes from the latest checkpoint: the output is
+/// truncated to the committed prefix, the session restores every
+/// step's state (RNG stream positions included) and is fed the stream
+/// from the frame's offset on. The invariant is byte-identical output.
+/// A failure before the first checkpoint, or any failure of a run
+/// without a checkpoint section, restarts from tuple zero.
 pub(crate) fn run<F>(
     settings: &ExecSettings,
     tuples: Vec<Tuple>,
@@ -434,50 +214,64 @@ where
     F: FnMut() -> Result<Vec<PollutionPipeline>>,
 {
     let mut first_build = Some(pipelines()?);
-    let mut attempt = Attempt::first(
-        settings,
-        first_build.as_deref().expect("just built"),
-        supervised,
-    )?;
+    let m = first_build.as_ref().map_or(0, Vec::len);
+    let Attempt {
+        mut segments,
+        chaos_budget,
+        store,
+        ..
+    } = Attempt::first(settings, m, supervised)?;
     let mut supervisor = Supervisor::new(if supervised {
         settings.supervision.clone()
     } else {
         SupervisorPolicy::default()
     });
-    attempt.deadline = supervisor.deadline_instant();
+    let deadline = supervisor.deadline_instant();
     // Prepare once: every attempt is fed clones of this one copy, and a
     // clone shares the tuple's values until a polluter writes to it.
     let clean = prepare_clean(settings, tuples)?;
-    // The sink is shared across attempts: the committed prefix of a
+    // The output is kept across attempts: the committed prefix of a
     // failed attempt is kept, not recomputed.
-    let sink = SharedVecSink::new();
+    let mut polluted = Vec::new();
     let (mut restored_from_epoch, mut replayed_tuples, mut recovery_ms) = (0, 0, 0);
     loop {
         let recover_start = Instant::now();
-        attempt.restore = attempt.store.as_ref().and_then(|store| store.latest());
-        let from = attempt.restore.as_ref().map_or(0, |f| f.source_offset);
-        if supervisor.restarts() > 0 && attempt.store.is_some() {
+        let restore = store.as_ref().and_then(|store| store.latest());
+        let from = restore.as_ref().map_or(0, |f| f.source_offset);
+        if supervisor.restarts() > 0 && store.is_some() {
             // The failed attempt was fed the whole stream (a failed
             // stage drops what follows, the feed goes on); what lies
             // past the restore point is fed again.
             replayed_tuples += (clean.len() as u64).saturating_sub(from);
         }
-        sink.truncate(attempt.restore.as_ref().map_or(0, |f| f.sink_committed) as usize);
+        polluted.truncate(restore.as_ref().map_or(0, |f| f.sink_committed) as usize);
         let built = match first_build.take() {
             Some(built) => built,
             None => pipelines()?,
         };
-        let mut session = StreamingSession::open(settings, sink.clone(), built, &attempt)?;
-        if let Some(frame) = &attempt.restore {
-            restored_from_epoch = frame.epoch;
+        let restored = restore.as_ref().map(|f| f.epoch);
+        let attempt = Attempt {
+            segments,
+            chaos_budget: chaos_budget.clone(),
+            store: store.clone(),
+            deadline,
+            restore,
+        };
+        let mut session = StreamingSession::open(
+            settings,
+            built.into_iter().map(Pipeline::Rows).collect(),
+            attempt,
+        )?;
+        if let Some(epoch) = restored {
+            restored_from_epoch = epoch;
             recovery_ms += recover_start.elapsed().as_millis() as u64;
         }
-        session.feed(&clean[from as usize..]);
-        let (stage, kind, message) = match session.finish_with_log() {
+        session.feed(&clean[from as usize..], &mut polluted);
+        let (stage, kind, message) = match session.finish_into(&mut polluted) {
             Ok((report, log)) => {
                 return Ok(PollutionOutput {
                     clean,
-                    polluted: sink.take(),
+                    polluted,
                     log,
                     report: RunReport {
                         restarts: supervisor.restarts(),
@@ -488,12 +282,18 @@ where
                     },
                 })
             }
-            Err(icewafl_types::Error::Pipeline {
-                stage,
-                kind,
-                message,
-            }) => (stage, kind, message),
-            Err(other) => return Err(other),
+            Err((
+                icewafl_types::Error::Pipeline {
+                    stage,
+                    kind,
+                    message,
+                },
+                rewound,
+            )) => {
+                segments = rewound;
+                (stage, kind, message)
+            }
+            Err((other, _)) => return Err(other),
         };
         let parsed = icewafl_stream::fault::FailureKind::parse(&kind);
         match supervisor.next_retry_for(&stage, parsed) {
@@ -510,22 +310,6 @@ where
     }
 }
 
-/// The sorter buffers whole [`StampedTuple`]s, so its snapshot codec
-/// must round-trip them *exactly*. The derived serde of
-/// [`icewafl_types::Value`] is untagged and therefore lossy
-/// (`Timestamp(5)` re-parses as `Int(5)`, `Float(5.0)` as `Int(5)`) —
-/// records travel as tagged [`StampedWire`] documents instead.
-fn stamped_codec() -> SorterStateCodec<StampedTuple> {
-    SorterStateCodec::new(
-        |t: &StampedTuple| serde_json::to_string(&StampedWire::from_tuple(t)).ok(),
-        |s: &str| {
-            serde_json::from_str::<StampedWire>(s)
-                .ok()
-                .map(StampedWire::into_tuple)
-        },
-    )
-}
-
 /// Step 1 (Algorithm 1 lines 1–3): prepare. The prepared tuples are
 /// both the clean output and what the run feeds its sessions
 /// (watermarks are generated from τ, which only exists after
@@ -538,8 +322,8 @@ fn prepare_clean(settings: &ExecSettings, tuples: Vec<Tuple>) -> Result<Vec<Stam
 /// Rejects what no attempt could run: a job without pipelines, chaos
 /// rates that are not probabilities, a schema without the event-time
 /// attribute preparing stamps tuples from.
-fn validate(settings: &ExecSettings, pipelines: &[PollutionPipeline]) -> Result<()> {
-    if pipelines.is_empty() {
+fn validate(settings: &ExecSettings, m: usize) -> Result<()> {
+    if m == 0 {
         return Err(icewafl_types::Error::config(
             "at least one pipeline is required",
         ));
@@ -550,15 +334,6 @@ fn validate(settings: &ExecSettings, pipelines: &[PollutionPipeline]) -> Result<
         ));
     }
     settings.schema.require_timestamp().map(|_| ())
-}
-
-/// The live stat cells of every polluter in `pipelines`.
-fn stat_handles_of(pipelines: &[PollutionPipeline]) -> Vec<PolluterStatsHandle> {
-    let mut handles = Vec::new();
-    for pipeline in pipelines {
-        pipeline.collect_stats(&mut handles);
-    }
-    handles
 }
 
 /// The report of a finished single attempt; supervised runs overwrite
@@ -600,310 +375,6 @@ pub(crate) fn run_report(
     }
 }
 
-/// A [`Sink`] adapter counting records on their way into the real sink
-/// (streamed runs have no collected vector to measure afterwards).
-struct CountingSink<K> {
-    inner: K,
-    count: Arc<AtomicU64>,
-}
-
-impl<K: Sink<StampedTuple>> Sink<StampedTuple> for CountingSink<K> {
-    fn write(&mut self, record: StampedTuple) {
-        self.count
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.inner.write(record);
-    }
-
-    fn write_batch(&mut self, batch: Vec<StampedTuple>) {
-        self.count
-            .fetch_add(batch.len() as u64, std::sync::atomic::Ordering::Relaxed);
-        self.inner.write_batch(batch);
-    }
-
-    fn finish(&mut self) {
-        self.inner.finish();
-    }
-}
-
-/// One execution attempt, opened and waiting to be fed: the split →
-/// pollute → union → sort topology of Algorithm 1 behind a push source.
-/// Each [`push`](StreamingSession::push) prepares one raw tuple (ids,
-/// `τ` and arrival stamps are assigned in arrival order) and runs it
-/// through the plan; what the watermark-driven sorter releases on the
-/// way reaches the sink before `push` returns, so nothing of the stream
-/// is held but what the plan itself holds: one watermark period per
-/// sub-stream, plus the tuples a delay polluter keeps back.
-///
-/// Offline runs are sessions too: they feed a prepared copy of their
-/// input and collect the sink, so for the same plan and tuple sequence
-/// a session's output is bit-identical to
-/// [`PhysicalPlan::execute`](crate::plan::PhysicalPlan::execute)'s.
-///
-/// A session the caller feeds is a single attempt: a pushed stream
-/// cannot be replayed, so supervised restarts do not apply. Plans with
-/// a checkpoint section still take epoch-aligned snapshots (reported
-/// in `checkpoints_taken`; durable when a WAL dir is set) even though
-/// such a session never restores them itself — recovery of a streamed
-/// session is an external concern (`CheckpointStore::recover_latest`
-/// over the WAL). Sessions sharing a WAL directory overwrite each
-/// other; give each session its own.
-pub struct StreamingSession {
-    pipeline: PushPipeline<StampedTuple>,
-    prepare: PrepareOperator,
-    tuples_in: u64,
-    tuples_out: Arc<AtomicU64>,
-    settings: ExecSettings,
-    segments: LogSegments,
-    stat_handles: Vec<PolluterStatsHandle>,
-    registry: MetricsRegistry,
-    store: Option<Arc<CheckpointStore>>,
-}
-
-impl StreamingSession {
-    /// Opens `attempt` of a run of `pipelines` into `sink`. The
-    /// sub-streams' pipelines and log segments are rewound to the
-    /// attempt's restore frame (or start over without one); chaos
-    /// injectors and the sorter pick up their state as the topology is
-    /// built. A resumed session counts the tuples before the frame's
-    /// offset as taken in and the records the sink already holds as put
-    /// out, so its report covers the whole run.
-    pub(crate) fn open(
-        settings: &ExecSettings,
-        sink: impl Sink<StampedTuple> + 'static,
-        mut pipelines: Vec<PollutionPipeline>,
-        attempt: &Attempt,
-    ) -> Result<Self> {
-        if settings.chaos.is_some() {
-            // Injected panics are expected and caught; keep them from
-            // spraying backtraces over the output (a server's included).
-            install_quiet_panic_hook();
-        }
-        let prepare = PrepareOperator::new(&settings.schema)?;
-        let frame = attempt.restore.as_ref();
-        for (i, pipeline) in pipelines.iter_mut().enumerate() {
-            // Without a frame — or without this sub-stream in it — the
-            // sub-stream starts over, and so does its log segment.
-            let Some(doc) = frame.and_then(|f| f.states.get(&format!("substream_{i}"))) else {
-                attempt.segments.truncate(i, 0);
-                continue;
-            };
-            let state: SubstreamState = serde_json::from_str(doc)
-                .map_err(|_| icewafl_types::Error::parse(doc.as_str(), "SubstreamState"))?;
-            if let Some(pipeline_doc) = &state.pipeline {
-                pipeline.restore_states(pipeline_doc)?;
-            }
-            attempt.segments.truncate(i, state.log_len as usize);
-        }
-        let base_offset = frame.map_or(0, |f| f.source_offset);
-        let sink_base = frame.map_or(0, |f| f.sink_committed);
-        let tuples_out = Arc::new(AtomicU64::new(sink_base));
-        let sink = CountingSink {
-            inner: sink,
-            count: Arc::clone(&tuples_out),
-        };
-        let stat_handles = stat_handles_of(&pipelines);
-        let registry = MetricsRegistry::new();
-
-        let checkpoint = attempt
-            .store
-            .as_ref()
-            .zip(settings.checkpoint.as_ref())
-            .map(|(store, ckpt)| SourceCheckpoint {
-                coordinator: CheckpointCoordinator::new(
-                    Arc::clone(store),
-                    ckpt.interval_epochs,
-                    frame.map_or(0, |f| f.epoch),
-                ),
-                base_offset,
-                resume_wm: frame.map(|f| f.wm_state.clone()),
-            });
-        let nothing_restored = BTreeMap::new();
-        let ckpt_states = checkpoint
-            .is_some()
-            .then(|| frame.map_or(&nothing_restored, |f| &f.states));
-
-        let (head, source) = DataStream::push_source(source_watermarks(settings), checkpoint);
-        let pipeline = pollution_topology(
-            settings,
-            head,
-            pipelines,
-            attempt.chaos_budget.clone(),
-            &registry,
-            &attempt.segments,
-            ckpt_states,
-        )?
-        .open_into(source, sink, &registry, attempt.deadline, sink_base);
-        Ok(StreamingSession {
-            pipeline,
-            prepare,
-            tuples_in: base_offset,
-            tuples_out,
-            settings: settings.clone(),
-            segments: attempt.segments.clone(),
-            stat_handles,
-            registry,
-            store: attempt.store.clone(),
-        })
-    }
-
-    /// Prepares `tuple` and runs it through the plan.
-    #[inline]
-    pub fn push(&mut self, tuple: Tuple) {
-        self.tuples_in += 1;
-        self.pipeline.push(self.prepare.prepare(tuple));
-    }
-
-    /// Runs clones of already prepared tuples through the plan: how a
-    /// run feeds its attempts the one prepared copy of its input.
-    fn feed(&mut self, prepared: &[StampedTuple]) {
-        self.tuples_in += prepared.len() as u64;
-        for tuple in prepared {
-            self.pipeline.push(tuple.clone());
-        }
-    }
-
-    /// Whether a stage of the plan has failed; what is pushed from then
-    /// on is dropped, and [`finish`](StreamingSession::finish) reports
-    /// the failure.
-    pub fn is_failed(&self) -> bool {
-        self.pipeline.is_failed()
-    }
-
-    /// Ends the stream: everything the plan still holds is flushed
-    /// into the sink, then the run is reported. A stage's failure
-    /// surfaces as [`icewafl_types::Error::Pipeline`].
-    pub fn finish(self) -> Result<RunReport> {
-        self.finish_with_log().map(|(report, _)| report)
-    }
-
-    /// [`finish`](StreamingSession::finish), handing back the
-    /// ground-truth log as well.
-    fn finish_with_log(self) -> Result<(RunReport, PollutionLog)> {
-        self.pipeline.finish()?;
-        let log = self.segments.concat();
-        let report = RunReport {
-            checkpoints_taken: self.store.map(|s| s.checkpoints_taken()).unwrap_or(0),
-            ..run_report(
-                &self.settings,
-                &self.stat_handles,
-                &self.registry,
-                &log,
-                self.tuples_in,
-                self.tuples_out.load(std::sync::atomic::Ordering::Relaxed),
-            )
-        };
-        Ok((report, log))
-    }
-}
-
-/// The source's watermark cadence: one watermark at `τ` every
-/// `watermark_period` tuples.
-fn source_watermarks(settings: &ExecSettings) -> WatermarkStrategy<StampedTuple> {
-    WatermarkStrategy::bounded_out_of_orderness(
-        |t: &StampedTuple| t.tau,
-        icewafl_types::Duration::ZERO,
-        settings.watermark_period,
-    )
-}
-
-/// Algorithm 1 behind `head`, whichever way `head` gets its tuples:
-/// split into the `m` sub-streams, pollute each with its pipeline,
-/// union, sort by arrival, re-batch. A checkpointing run passes the
-/// per-operator states it restores from (empty when it starts fresh);
-/// chaos injectors and the sorter pick theirs up here.
-fn pollution_topology(
-    settings: &ExecSettings,
-    head: DataStream<StampedTuple>,
-    pipelines: Vec<PollutionPipeline>,
-    chaos_budget: Option<Arc<AtomicU64>>,
-    registry: &MetricsRegistry,
-    segments: &LogSegments,
-    ckpt_states: Option<&BTreeMap<String, String>>,
-) -> Result<DataStream<StampedTuple>> {
-    let m = pipelines.len();
-    let mut selector = settings.assigner.selector(m);
-    let builders: Vec<SubPipelineBuilder<StampedTuple, StampedTuple>> = pipelines
-        .into_iter()
-        .enumerate()
-        .map(|(i, pipeline)| -> Result<_> {
-            // Every sub-stream gets a control subscriber; all
-            // subscribers see the same broadcast watermark sequence,
-            // which is the epoch barrier.
-            let control = ControlState {
-                subscriber: settings.control.subscriber(),
-                schema: settings.schema.clone(),
-                epoch_gauge: registry.gauge(&format!("plan/substream_{i}/epoch")),
-            };
-            let op = PipelineOperator::new(pipeline, i as u32, segments, control);
-            let op = if ckpt_states.is_some() {
-                op.with_checkpoint_key(format!("substream_{i}"))
-            } else {
-                op
-            };
-            // When chaos is on, splice an injector in front of the
-            // pollution operator of every sub-stream, each with its
-            // own seed but a budget shared across retries.
-            let chaos_op = match settings.chaos.as_ref() {
-                Some(chaos) => {
-                    let mut cfg = chaos.clone();
-                    cfg.seed = chaos.seed.wrapping_add(i as u64);
-                    let budget = chaos_budget.clone().unwrap_or_else(|| cfg.new_budget());
-                    let mut chaos_op = ChaosOperator::with_shared_budget(cfg, budget)
-                        .with_metrics(ChaosMetrics::register(
-                            registry,
-                            &format!("chaos/substream_{i}"),
-                        ))
-                        .with_malform(|t: &mut StampedTuple| {
-                            for v in t.tuple.values_mut() {
-                                *v = icewafl_types::Value::Null;
-                            }
-                        });
-                    if let Some(states) = ckpt_states {
-                        let key = format!("chaos_{i}");
-                        // Restore the injector's record counter and RNG
-                        // position so a resumed attempt replays the
-                        // *same* fault schedule instead of re-rolling.
-                        if let Some(doc) = states.get(&key) {
-                            chaos_op.restore_state(doc)?;
-                        }
-                        chaos_op = chaos_op.with_checkpoint_key(key);
-                    }
-                    Some(chaos_op)
-                }
-                None => None,
-            };
-            let b: SubPipelineBuilder<StampedTuple, StampedTuple> =
-                Box::new(move |s: DataStream<StampedTuple>| match chaos_op {
-                    Some(chaos_op) => s.transform(chaos_op).transform(op),
-                    None => s.transform(op),
-                });
-            Ok(b)
-        })
-        .collect::<Result<_>>()?;
-
-    let batch_size = settings.batch_size.max(1);
-    let merged = head.split_merge_batched(
-        move |t: &StampedTuple, out: &mut Vec<usize>| selector(t.id, out),
-        builders,
-        batch_size,
-    );
-    // Algorithm 1, line 11: sortByTimestamp — by *arrival* time, so
-    // delayed tuples surface late (see `StampedTuple::arrival`). Equal
-    // arrivals order by sub-stream, then by emission order within the
-    // sub-stream: the merged order is a function of the tuples alone,
-    // not of how the sub-streams were interleaved on their way here.
-    // The snapshot codec is inert unless a barrier arrives.
-    let mut sorter = EventTimeSorter::new(|t: &StampedTuple| (t.arrival, t.sub_stream))
-        .with_state_codec("sorter", stamped_codec());
-    if let Some(doc) = ckpt_states.and_then(|states| states.get("sorter")) {
-        sorter.restore_state(doc)?;
-    }
-    // Re-coalesce the sorter's per-record releases into batch frames so
-    // a sink with a whole-batch fast path (e.g. columnar network
-    // frames) gets batches; order and barrier placement are untouched.
-    Ok(merged.sort_with(sorter).rebatched(batch_size))
-}
-
 /// Runs one hand-built pipeline over a stream — the entry point for
 /// pipelines assembled from the trait-level API rather than described
 /// by a [`LogicalPlan`]. It is a single attempt under the settings
@@ -939,7 +410,7 @@ mod tests {
     use crate::plan::AssignerSpec;
     use crate::polluter::StandardPolluter;
     use crate::temporal::DelayPolluter;
-    use icewafl_types::{DataType, Duration, Value};
+    use icewafl_types::{DataType, Duration, Timestamp, Value};
     use rand::SeedableRng;
 
     fn schema() -> Schema {
@@ -1263,7 +734,10 @@ mod tests {
             ..plain_plan
         };
         let ckpt = run_supervised(&ckpt_plan, 150).unwrap();
-        assert_eq!(ckpt.polluted, plain.polluted, "barriers are pass-through");
+        assert_eq!(
+            ckpt.polluted, plain.polluted,
+            "checkpoints are pass-through"
+        );
         assert_eq!(ckpt.log.entries(), plain.log.entries());
         assert_eq!(ckpt.report.restored_from_epoch, 0);
         assert_eq!(ckpt.report.replayed_tuples, 0);

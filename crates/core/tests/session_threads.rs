@@ -8,7 +8,6 @@
 
 use icewafl_core::config::{ConditionConfig, ErrorConfig, PolluterConfig};
 use icewafl_core::plan::LogicalPlan;
-use icewafl_stream::SharedVecSink;
 use icewafl_types::{DataType, Schema, Timestamp, Tuple, Value};
 
 fn threads() -> usize {
@@ -48,14 +47,15 @@ fn plan() -> LogicalPlan {
 fn a_session_starts_no_thread() {
     let idle = threads();
     let physical = plan().compile(&schema()).unwrap();
-    let sink = SharedVecSink::new();
-    let mut session = physical.open_streaming(sink.clone()).unwrap();
+    let mut released = 0;
+    let mut session = physical.open_streaming().unwrap();
     assert_eq!(threads(), idle, "opening a session");
     for tuple in tuples(10_000) {
         session.push(tuple);
+        session.drain(|chunk| released += chunk.len());
     }
     assert_eq!(threads(), idle, "feeding a session");
-    session.finish().unwrap();
-    assert_eq!(sink.len(), 10_000);
+    session.finish(|chunk| released += chunk.len()).unwrap();
+    assert_eq!(released, 10_000);
     assert_eq!(threads(), idle, "finishing a session");
 }

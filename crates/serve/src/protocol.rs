@@ -568,9 +568,9 @@ fn put_cell(out: &mut Vec<u8>, column: &Column, row: usize) {
     }
 }
 
-/// A polluted row an output frame is encoded from: a tuple the row
-/// session released, or a row a column session released, which may
-/// live in a column buffer. Both encode to the same bytes.
+/// A polluted row an output frame is encoded from: a stamped tuple, or
+/// a row a session released, which may live in a column buffer. Both
+/// encode to the same bytes.
 trait OutputRow {
     /// `(id, tau, arrival, sub_stream)`.
     fn stamp(&self) -> (u64, Timestamp, Timestamp, u32);
@@ -675,10 +675,16 @@ pub(crate) fn arity_runs<T>(
     })
 }
 
-/// What [`encode_unit_frames`] and [`encode_released_frames`] write.
-fn put_output_frames<R: OutputRow>(out: &mut Vec<u8>, unit: &[R]) -> u64 {
+/// Appends the binary frames of one chunk a session released to
+/// `out`, framing included, encoded from where its rows live: one frame
+/// per run of rows of equal arity, [`TAG_COLUMNS`] for a run of two or
+/// more and [`TAG_STAMPED`] for a single row. Returns how many frames
+/// it wrote. A chunk of one arity is one frame, the bytes of
+/// [`encode_columns_frame`] or [`encode_stamped_frame`] for its rows as
+/// tuples.
+pub fn encode_released_frames(out: &mut Vec<u8>, chunk: &[ReleasedRow<'_>]) -> u64 {
     let mut frames = 0;
-    for run in arity_runs(unit, usize::MAX, R::arity) {
+    for run in arity_runs(chunk, usize::MAX, ReleasedRow::arity) {
         let columns = run.len() >= 2;
         out.push(if columns { TAG_COLUMNS } else { TAG_STAMPED });
         let len_at = out.len();
@@ -693,23 +699,6 @@ fn put_output_frames<R: OutputRow>(out: &mut Vec<u8>, unit: &[R]) -> u64 {
         frames += 1;
     }
     frames
-}
-
-/// Appends the binary frames of one output unit of a row session —
-/// tuples its plan released together — to `out`, framing included: one
-/// frame per run of tuples of equal arity, [`TAG_COLUMNS`] for a run of
-/// two or more and [`TAG_STAMPED`] for a single tuple. Returns how many
-/// frames it wrote. A unit of one arity is one frame, the bytes of
-/// [`encode_columns_frame`] or [`encode_stamped_frame`].
-pub fn encode_unit_frames(out: &mut Vec<u8>, unit: &[StampedTuple]) -> u64 {
-    put_output_frames(out, unit)
-}
-
-/// [`encode_unit_frames`] for a chunk a column session released,
-/// encoded from the buffers its rows live in: the same bytes the
-/// chunk's rows as tuples encode to.
-pub fn encode_released_frames(out: &mut Vec<u8>, chunk: &[ReleasedRow<'_>]) -> u64 {
-    put_output_frames(out, chunk)
 }
 
 fn put_tuple(out: &mut Vec<u8>, t: &Tuple) {
@@ -777,7 +766,7 @@ pub fn decode_stamped(buf: &[u8]) -> Result<StampedTuple, NetError> {
 /// `u32` row count, the four stamp fields as contiguous arrays (`id`,
 /// `tau`, `arrival`, `sub_stream`), a `u16` arity, then tagged values
 /// column-major (`values[col][row]`). The column-major layout lets a
-/// column session serialize each output column in one pass, and packs
+/// lowered session serialize each output column in one pass, and packs
 /// same-typed tags together.
 ///
 /// # Panics

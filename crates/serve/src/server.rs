@@ -326,11 +326,6 @@ impl Server {
         &self.shared.registry
     }
 
-    /// Number of sessions currently running.
-    pub fn active_sessions(&self) -> usize {
-        self.shared.active.load(Ordering::SeqCst)
-    }
-
     pub(crate) fn shared_arc(&self) -> Arc<Shared> {
         Arc::clone(&self.shared)
     }

@@ -856,10 +856,11 @@ fn tuples_whose_arity_changes_come_back_at_their_own_arity() {
 
 #[test]
 fn only_binary_sessions_on_column_exact_plans_run_in_columns() {
-    // The server picks the path from what it observes — the wire
-    // format and the plan — and the report says which ran: a column
-    // session counts its rows under `column_session/*`, a row session
-    // under its topology's stages. Either way the output is offline's.
+    // The server picks the pipelines from what it observes — the wire
+    // format and the plan — and the report says which ran: a session
+    // lowered to column pipelines counts its kernel rows under
+    // `column_session/*`. Either way the output is offline's, and the
+    // report carries the one stage layout the plan predicts.
     let input = tuples(300);
     let server = TestServer::start(ServeConfig::default());
     for (format, logging, columns) in [
@@ -871,11 +872,8 @@ fn only_binary_sessions_on_column_exact_plans_run_in_columns() {
             logging,
             ..plan(42)
         };
-        let offline = plan
-            .compile(&schema())
-            .unwrap()
-            .execute(input.clone())
-            .unwrap();
+        let physical = plan.compile(&schema()).unwrap();
+        let offline = physical.execute(input.clone()).unwrap();
         let hs = Handshake {
             plan_inline: Some(plan),
             ..handshake(format)
@@ -894,6 +892,32 @@ fn only_binary_sessions_on_column_exact_plans_run_in_columns() {
                 if columns { 300 } else { 0 },
                 "{format}, logging {logging}"
             );
+            assert!(
+                metrics
+                    .gauges
+                    .contains_key("stage/00_event_time_sorter/buffer_max"),
+                "{format}, logging {logging}"
+            );
+            let pipelines = physical
+                .stages()
+                .iter()
+                .filter(|stage| stage.label.ends_with("_pollution_pipeline"));
+            let mut substreams = 0;
+            for (i, stage) in pipelines.enumerate() {
+                let took = offline
+                    .polluted
+                    .iter()
+                    .filter(|t| t.sub_stream as usize == i)
+                    .count() as u64;
+                assert!(took > 0, "sub-stream {i} took rows");
+                assert_eq!(
+                    metrics.counter(&format!("{}/elements_in", stage.label)),
+                    took,
+                    "{format}, logging {logging}, sub-stream {i}"
+                );
+                substreams += 1;
+            }
+            assert_eq!(substreams, 2);
         }
     }
 }

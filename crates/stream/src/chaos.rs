@@ -20,7 +20,7 @@
 //! transient fault that heals after the first restart — exactly what the
 //! `chaos_recovery` integration suite asserts recovers.
 
-use crate::checkpoint::{CheckpointBarrier, StateSnapshot};
+use crate::checkpoint::StateSnapshot;
 use crate::metrics::ChaosMetrics;
 use icewafl_types::{Error, Result};
 use serde::{Deserialize, Serialize};
@@ -229,8 +229,6 @@ pub type MalformFn<T> = Box<dyn FnMut(&mut T) + Send>;
 pub struct ChaosOperator<T> {
     plan: FaultPlan,
     malform: Option<MalformFn<T>>,
-    /// Checkpoint-frame key; `None` leaves the injector un-snapshotted.
-    ckpt_key: Option<String>,
 }
 
 /// Wire form of a chaos injector snapshot: the record counter and the
@@ -270,7 +268,6 @@ impl<T> ChaosOperator<T> {
         ChaosOperator {
             plan: FaultPlan::new(cfg, budget, ChaosMetrics::detached()),
             malform: None,
-            ckpt_key: None,
         }
     }
 
@@ -285,19 +282,12 @@ impl<T> ChaosOperator<T> {
         self.malform = Some(Box::new(f));
         self
     }
-
-    /// Enables checkpoint snapshots under `key`: the injector's record
-    /// counter and RNG position are captured so a restored attempt
-    /// replays the *same* fault schedule instead of re-rolling it.
-    pub fn with_checkpoint_key(mut self, key: impl Into<String>) -> Self {
-        self.ckpt_key = Some(key.into());
-        self
-    }
 }
 
+/// The injector's record counter and RNG position: a restored attempt
+/// replays the *same* fault schedule instead of re-rolling it.
 impl<T> StateSnapshot for ChaosOperator<T> {
     fn snapshot_state(&self) -> Option<String> {
-        self.ckpt_key.as_ref()?;
         serde_json::to_string(&ChaosState {
             seen: self.plan.seen,
             rng: self.plan.rng.state(),
@@ -330,12 +320,6 @@ impl<T: Send> crate::operator::Operator<T, T> for ChaosOperator<T> {
                 out.collect(record);
             }
             Fault::None => out.collect(record),
-        }
-    }
-
-    fn on_barrier(&mut self, barrier: &CheckpointBarrier) {
-        if let (Some(key), Some(doc)) = (self.ckpt_key.clone(), self.snapshot_state()) {
-            barrier.contribute(key, doc);
         }
     }
 
@@ -492,15 +476,15 @@ mod tests {
             seed: 7,
             ..ChaosConfig::default()
         };
-        let mut a = ChaosOperator::<i64>::new(cfg.clone()).with_checkpoint_key("chaos_0");
+        let mut a = ChaosOperator::<i64>::new(cfg.clone());
         let mut sink = Vec::new();
         for x in 0..50 {
             a.on_element(x, &mut sink);
         }
-        let doc = a.snapshot_state().expect("key installed");
+        let doc = a.snapshot_state().expect("the state serializes");
         // A fresh injector restored from the snapshot continues the
         // exact drop schedule the original would have produced.
-        let mut b = ChaosOperator::<i64>::new(cfg).with_checkpoint_key("chaos_0");
+        let mut b = ChaosOperator::<i64>::new(cfg);
         b.restore_state(&doc).unwrap();
         let (mut ya, mut yb) = (Vec::new(), Vec::new());
         for x in 50..100 {

@@ -1,30 +1,26 @@
 //! Checkpointed recovery: epoch-aligned snapshots and a write-ahead
 //! checkpoint log.
 //!
-//! The subsystem follows the classic asynchronous-barrier-snapshot
-//! design, specialised to this runtime's watermark-aligned epochs
-//! (the same boundaries runtime reconfiguration swaps plans at — see
-//! [`crate::control`]): a [`CheckpointBarrier`] is injected by the
-//! source driver right after every `interval`-th watermark and flows
-//! through every stage as a regular [`StreamElement::Barrier`]
-//! control element. Each stateful operator contributes its exact state
-//! to the barrier's shared `PendingCheckpoint` as the barrier passes
-//! (RNG stream positions, sorter buffers, temporal-polluter heaps, …);
-//! the sink-side committer finalises the frame — recording how many
-//! records it had written — into the run's [`CheckpointStore`] and,
-//! when a directory is configured, appends it to a versioned
-//! write-ahead log (length-prefixed frames + CRC32,
-//! the same codec shape as [`crate::net`]).
+//! Snapshots align with the runtime's watermark epochs (the same
+//! boundaries runtime reconfiguration swaps plans at — see
+//! [`crate::control`]). A single-threaded session loop needs no barrier
+//! to align them: after every `interval`-th watermark has been processed
+//! by every stage, the loop itself is the consistent cut. It collects
+//! each stateful operator's exact state (RNG stream positions, sorter
+//! buffers, temporal-polluter heaps, …) into a [`CheckpointFrame`],
+//! together with the source offset and how many records it had handed
+//! out, and commits the frame to the run's [`CheckpointStore`], which
+//! appends it to a versioned write-ahead log when a directory is
+//! configured (length-prefixed frames + CRC32, the same codec shape as
+//! [`crate::net`]).
 //!
 //! On a supervised retry the runner restores the latest *complete*
-//! frame instead of restarting from tuple zero: the sink is truncated
+//! frame instead of restarting from tuple zero: the output is truncated
 //! to the committed prefix, operator state is restored, and the
 //! (replayable) source resumes from the recorded offset. The
 //! non-negotiable invariant is that recovered output is byte-identical
 //! to an undisturbed run, which is why snapshots capture RNG positions
 //! exactly rather than re-seeding.
-//!
-//! [`StreamElement::Barrier`]: crate::element::StreamElement::Barrier
 
 use icewafl_types::{Error, Result, Timestamp};
 use parking_lot::Mutex;
@@ -34,7 +30,6 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Version stamped into every WAL header and frame.
 ///
@@ -78,7 +73,7 @@ pub trait StateSnapshot {
     }
 }
 
-/// Watermark-generator position at a barrier, captured so a replayed
+/// Watermark-generator position at a checkpoint, captured so a replayed
 /// source resumes the exact emission cadence (`seen` drives the
 /// periodic trigger; `last_emitted` the monotonicity filter).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -96,146 +91,21 @@ pub struct WatermarkGenState {
 pub struct CheckpointFrame {
     /// Format version ([`CHECKPOINT_VERSION`]).
     pub version: u32,
-    /// The epoch this barrier closed (1-based).
+    /// The epoch this checkpoint closed (1-based).
     pub epoch: u64,
-    /// The watermark the barrier was aligned to.
+    /// The watermark the checkpoint was aligned to.
     pub watermark: Timestamp,
-    /// Records the source had emitted when the barrier was injected —
+    /// Records the source had emitted when the checkpoint was taken —
     /// the replay offset.
     pub source_offset: u64,
-    /// Records the sink had committed when the barrier arrived — the
-    /// truncation point for shared sinks on restore.
+    /// Records handed out when the checkpoint was taken — the point a
+    /// restore truncates the output to.
     pub sink_committed: u64,
     /// Source watermark-generator position.
     pub wm_state: WatermarkGenState,
     /// Per-operator state contributions (typed JSON documents), keyed
     /// by stable operator key (`substream_0`, `chaos_0`, `sorter`, …).
     pub states: BTreeMap<String, String>,
-}
-
-/// In-flight snapshot shared by every clone of one barrier.
-#[derive(Debug)]
-struct PendingCheckpoint {
-    epoch: u64,
-    watermark: Timestamp,
-    source_offset: u64,
-    wm_state: WatermarkGenState,
-    states: Mutex<BTreeMap<String, String>>,
-    store: Arc<CheckpointStore>,
-}
-
-/// The control element injected at epoch boundaries.
-///
-/// Clones share one `PendingCheckpoint`, so contributions from
-/// fanned-out sub-streams all land in the same frame.
-#[derive(Debug, Clone)]
-pub struct CheckpointBarrier {
-    pending: Arc<PendingCheckpoint>,
-}
-
-impl PartialEq for CheckpointBarrier {
-    /// Two barriers are equal iff they are clones of the same injection
-    /// (they share one `PendingCheckpoint`).
-    fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.pending, &other.pending)
-    }
-}
-
-impl CheckpointBarrier {
-    /// The epoch this barrier closes (1-based).
-    pub fn epoch(&self) -> u64 {
-        self.pending.epoch
-    }
-
-    /// The watermark this barrier rides behind.
-    pub fn watermark(&self) -> Timestamp {
-        self.pending.watermark
-    }
-
-    /// The source replay offset captured at injection.
-    pub fn source_offset(&self) -> u64 {
-        self.pending.source_offset
-    }
-
-    /// Records an operator's state contribution under `key`. Keys must
-    /// be unique per operator; the last write wins.
-    pub fn contribute(&self, key: impl Into<String>, state: String) {
-        self.pending.states.lock().insert(key.into(), state);
-    }
-
-    /// Sink-side commit: finalises the frame with the number of records
-    /// the sink had written and hands it to the [`CheckpointStore`]
-    /// (which appends it to the WAL when one is open).
-    pub fn commit(&self, sink_committed: u64) {
-        let frame = CheckpointFrame {
-            version: CHECKPOINT_VERSION,
-            epoch: self.pending.epoch,
-            watermark: self.pending.watermark,
-            source_offset: self.pending.source_offset,
-            sink_committed,
-            wm_state: self.pending.wm_state.clone(),
-            states: self.pending.states.lock().clone(),
-        };
-        self.pending.store.commit(frame);
-    }
-}
-
-/// Decides when barriers are injected and builds them.
-///
-/// Lives in the source driver: counts watermarks and, after every
-/// `interval`-th one, emits a barrier capturing the source offset and
-/// watermark-generator position at that instant.
-pub struct CheckpointCoordinator {
-    store: Arc<CheckpointStore>,
-    interval: u64,
-    next_epoch: u64,
-    wms_since: u64,
-}
-
-impl CheckpointCoordinator {
-    /// A coordinator checkpointing every `interval_epochs` watermarks
-    /// (clamped to ≥ 1), numbering epochs from `start_epoch + 1`.
-    pub fn new(store: Arc<CheckpointStore>, interval_epochs: u64, start_epoch: u64) -> Self {
-        CheckpointCoordinator {
-            store,
-            interval: interval_epochs.max(1),
-            next_epoch: start_epoch + 1,
-            wms_since: 0,
-        }
-    }
-
-    /// Called by the source driver after pushing watermark `wm`;
-    /// returns a barrier to inject when this watermark closes an epoch.
-    /// `source_offset` is the *absolute* record offset (including any
-    /// replayed prefix); the terminal `Timestamp::MAX` watermark never
-    /// triggers a barrier.
-    pub fn on_watermark(
-        &mut self,
-        wm: Timestamp,
-        source_offset: u64,
-        wm_state: WatermarkGenState,
-    ) -> Option<CheckpointBarrier> {
-        if wm == Timestamp::MAX {
-            return None;
-        }
-        self.wms_since += 1;
-        if self.wms_since < self.interval {
-            return None;
-        }
-        self.wms_since = 0;
-        let epoch = self.next_epoch;
-        self.next_epoch += 1;
-        Some(CheckpointBarrier {
-            pending: Arc::new(PendingCheckpoint {
-                epoch,
-                watermark: wm,
-                source_offset,
-                wm_state,
-                states: Mutex::new(BTreeMap::new()),
-                store: Arc::clone(&self.store),
-            }),
-        })
-    }
 }
 
 /// Holds the latest complete checkpoint of a run and (optionally) the
@@ -391,72 +261,32 @@ pub fn crc32(data: &[u8]) -> u32 {
 mod tests {
     use super::*;
 
-    fn store() -> Arc<CheckpointStore> {
-        Arc::new(CheckpointStore::new())
-    }
-
-    fn wm_state(seen: u64) -> WatermarkGenState {
-        WatermarkGenState {
-            max_ts: 1_000,
-            seen,
-            last_emitted: Some(900),
+    fn frame(epoch: u64, sink_committed: u64) -> CheckpointFrame {
+        CheckpointFrame {
+            version: CHECKPOINT_VERSION,
+            epoch,
+            watermark: Timestamp(10 * epoch as i64),
+            source_offset: 4 * epoch,
+            sink_committed,
+            wm_state: WatermarkGenState {
+                max_ts: 1_000,
+                seen: 4 * epoch,
+                last_emitted: Some(900),
+            },
+            states: BTreeMap::from([("substream_0".to_string(), format!("{{\"epoch\":{epoch}}}"))]),
         }
-    }
-
-    #[test]
-    fn coordinator_injects_every_interval() {
-        let st = store();
-        let mut c = CheckpointCoordinator::new(Arc::clone(&st), 2, 0);
-        assert!(c.on_watermark(Timestamp(10), 5, wm_state(5)).is_none());
-        let b = c.on_watermark(Timestamp(20), 9, wm_state(9)).unwrap();
-        assert_eq!(b.epoch(), 1);
-        assert_eq!(b.source_offset(), 9);
-        assert!(c.on_watermark(Timestamp(30), 12, wm_state(12)).is_none());
-        let b2 = c.on_watermark(Timestamp(40), 15, wm_state(15)).unwrap();
-        assert_eq!(b2.epoch(), 2);
-        // The terminal watermark never opens a barrier.
-        assert!(c.on_watermark(Timestamp::MAX, 20, wm_state(20)).is_none());
-    }
-
-    #[test]
-    fn barrier_contributions_land_in_committed_frame() {
-        let st = store();
-        let mut c = CheckpointCoordinator::new(Arc::clone(&st), 1, 0);
-        let b = c.on_watermark(Timestamp(10), 4, wm_state(4)).unwrap();
-        let clone = b.clone();
-        b.contribute("substream_0", "{\"rng\":[1,2,3,4]}".to_string());
-        clone.contribute("sorter", "[7]".to_string());
-        b.commit(3);
-        let frame = st.latest().unwrap();
-        assert_eq!(frame.epoch, 1);
-        assert_eq!(frame.source_offset, 4);
-        assert_eq!(frame.sink_committed, 3);
-        assert_eq!(frame.states.len(), 2);
-        assert_eq!(frame.states["sorter"], "[7]");
-        assert_eq!(st.checkpoints_taken(), 1);
-    }
-
-    #[test]
-    fn start_epoch_continues_numbering() {
-        let st = store();
-        let mut c = CheckpointCoordinator::new(st, 1, 7);
-        let b = c.on_watermark(Timestamp(10), 1, wm_state(1)).unwrap();
-        assert_eq!(b.epoch(), 8);
     }
 
     #[test]
     fn wal_round_trips_frames() {
         let dir = std::env::temp_dir().join(format!("icewafl-ckpt-{}", std::process::id()));
         let path = dir.join("round_trip.ckpt");
-        let st = Arc::new(CheckpointStore::with_wal(&path).unwrap());
-        let mut c = CheckpointCoordinator::new(Arc::clone(&st), 1, 0);
+        let st = CheckpointStore::with_wal(&path).unwrap();
         for i in 1..=3u64 {
-            let b = c
-                .on_watermark(Timestamp(10 * i as i64), 4 * i, wm_state(4 * i))
-                .unwrap();
-            b.contribute("substream_0", format!("{{\"epoch\":{i}}}"));
-            b.commit(3 * i);
+            st.commit(frame(i, 3 * i));
         }
+        assert_eq!(st.checkpoints_taken(), 3);
+        assert_eq!(st.latest().unwrap().epoch, 3);
         let frames = CheckpointStore::read_wal(&path).unwrap();
         assert_eq!(frames.len(), 3);
         assert_eq!(frames[2].epoch, 3);
@@ -472,12 +302,9 @@ mod tests {
     fn wal_tolerates_torn_tail_and_rejects_corruption() {
         let dir = std::env::temp_dir().join(format!("icewafl-ckpt-torn-{}", std::process::id()));
         let path = dir.join("torn.ckpt");
-        let st = Arc::new(CheckpointStore::with_wal(&path).unwrap());
-        let mut c = CheckpointCoordinator::new(Arc::clone(&st), 1, 0);
+        let st = CheckpointStore::with_wal(&path).unwrap();
         for i in 1..=2u64 {
-            c.on_watermark(Timestamp(i as i64), i, wm_state(i))
-                .unwrap()
-                .commit(i);
+            st.commit(frame(i, i));
         }
         drop(st);
         // Torn tail: truncate mid-frame — the intact prefix survives.

@@ -1,17 +1,18 @@
-//! Epoch-barrier runtime reconfiguration (the Fries model).
+//! Epoch-aligned runtime reconfiguration (the Fries model).
 //!
 //! A [`ControlChannel`] is a side channel into a *running* pipeline:
 //! commands are scheduled against an event-time timestamp, and every
 //! [`ControlSubscriber`] (typically one per reconfigurable operator)
 //! applies a command at the first **watermark** at or past that
-//! timestamp. Because the runtime broadcasts watermarks to every
-//! sub-stream (see `RouterStage`), all subscribers observe the same
-//! watermark sequence and therefore switch at the same epoch boundary —
-//! no record is ever processed under a half-applied configuration.
+//! timestamp. When every sub-stream sees every watermark (the session
+//! loop steps each one across it in turn), all subscribers observe the
+//! same watermark sequence and therefore switch at the same epoch
+//! boundary — no record is ever processed under a half-applied
+//! configuration.
 //!
 //! The channel is deliberately generic: the stream layer provides the
-//! barrier mechanics, the command payload `C` (e.g. a re-compiled
-//! pollution plan) is the caller's business.
+//! scheduling, the command payload `C` (e.g. a re-compiled pollution
+//! plan) is the caller's business.
 
 use icewafl_types::Timestamp;
 use parking_lot::Mutex;

@@ -1,6 +1,5 @@
 //! The unit of flow inside a stream pipeline.
 
-use crate::checkpoint::CheckpointBarrier;
 use crate::fault::StageError;
 use icewafl_types::Timestamp;
 
@@ -16,24 +15,8 @@ use icewafl_types::Timestamp;
 pub enum StreamElement<T> {
     /// A data record.
     Record(T),
-    /// A batch of consecutive data records, equivalent to that many
-    /// [`StreamElement::Record`]s in arrival order. Routers and
-    /// rebatchers hand over batches to amortize per-element stage and
-    /// metering cost; semantically a batch is transparent — every
-    /// consumer must treat
-    /// `Batch(vec![a, b])` exactly like `Record(a), Record(b)`.
-    /// Transports flush partial batches *before* emitting a watermark,
-    /// `End`, or `Failure`, so control elements never overtake records
-    /// and event-time semantics are unchanged.
-    Batch(Vec<T>),
     /// An event-time watermark.
     Watermark(Timestamp),
-    /// A checkpoint barrier, injected by the source driver right after
-    /// an epoch-closing watermark (see [`checkpoint`](crate::checkpoint)).
-    /// Like a watermark it carries no data and must never overtake
-    /// records: transports flush partial batches before forwarding it.
-    /// It is *not* terminal — the stream continues after a barrier.
-    Barrier(CheckpointBarrier),
     /// End of stream. Always the last element on an edge.
     End,
     /// Poison marker: an upstream stage failed. Terminates the edge like
@@ -71,26 +54,14 @@ impl<T> StreamElement<T> {
         }
     }
 
-    /// Maps the record payload (of a record or every record in a
-    /// batch), leaving watermarks, end markers, and failures alone.
-    pub fn map<U>(self, mut f: impl FnMut(T) -> U) -> StreamElement<U> {
+    /// Maps the record payload, leaving watermarks, end markers, and
+    /// failures alone.
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> StreamElement<U> {
         match self {
             StreamElement::Record(r) => StreamElement::Record(f(r)),
-            StreamElement::Batch(b) => StreamElement::Batch(b.into_iter().map(f).collect()),
             StreamElement::Watermark(w) => StreamElement::Watermark(w),
-            StreamElement::Barrier(b) => StreamElement::Barrier(b),
             StreamElement::End => StreamElement::End,
             StreamElement::Failure(e) => StreamElement::Failure(e),
-        }
-    }
-
-    /// The number of data records this element carries (a batch counts
-    /// each record; control elements carry none).
-    pub fn record_count(&self) -> usize {
-        match self {
-            StreamElement::Record(_) => 1,
-            StreamElement::Batch(b) => b.len(),
-            _ => 0,
         }
     }
 }
@@ -125,17 +96,6 @@ mod tests {
         assert_eq!(f.record(), None);
         assert!(StreamElement::<i32>::End.is_terminal());
         assert!(!StreamElement::Record(1).is_terminal());
-    }
-
-    #[test]
-    fn batch_counts_records_and_maps_each() {
-        let b = StreamElement::Batch(vec![1, 2, 3]);
-        assert_eq!(b.record_count(), 3);
-        assert_eq!(StreamElement::Record(9).record_count(), 1);
-        assert_eq!(StreamElement::<i32>::End.record_count(), 0);
-        assert_eq!(b.map(|x| x * 10), StreamElement::Batch(vec![10, 20, 30]));
-        assert!(!StreamElement::<i32>::Batch(vec![]).is_terminal());
-        assert_eq!(StreamElement::Batch(vec![1]).record(), None);
     }
 
     #[test]

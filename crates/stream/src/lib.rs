@@ -10,14 +10,12 @@
 //!   [watermark](watermark::WatermarkStrategy) callbacks;
 //! * a fluent, lazily composed [`DataStream`] pipeline API with
 //!   `map`/`filter`/sort combinators and tumbling
-//!   [windows](window::TumblingWindow);
-//! * stream **union** with per-input watermark merging and **fan-out**
-//!   into (overlapping) sub-pipelines
-//!   ([`DataStream::split_merge`]) — the substrate for Icewafl's
-//!   integration scenarios (paper §2.2.2, Algorithm 1);
-//! * a deterministic executor that runs every stage on the calling
-//!   thread, pulled from a [`Source`] or pushed by the caller
-//!   ([`DataStream::push_source`]);
+//!   [windows](window::TumblingWindow), run on the calling thread by a
+//!   deterministic executor pulling from a [`Source`];
+//! * the parts Icewafl's session loop (Algorithm 1, in `icewafl-core`)
+//!   is built from: a [watermark generator](WatermarkGenerator), the
+//!   [`EventTimeSorter`], the [`ControlChannel`] reconfigurations ride
+//!   on, and [`checkpoint`] frames with their write-ahead log;
 //! * **fault tolerance**: operator panics are caught and propagated as
 //!   typed poison elements ([`fault`]), runs can be retried under a
 //!   [`Supervisor`] policy, and the
@@ -55,10 +53,7 @@ pub mod watermark;
 pub mod window;
 
 pub use chaos::{ChaosConfig, ChaosOperator, CHAOS_PANIC_MARKER};
-pub use checkpoint::{
-    CheckpointBarrier, CheckpointCoordinator, CheckpointFrame, CheckpointStore, StateSnapshot,
-    WatermarkGenState,
-};
+pub use checkpoint::{CheckpointFrame, CheckpointStore, StateSnapshot, WatermarkGenState};
 pub use control::{ControlChannel, ControlSubscriber};
 pub use element::StreamElement;
 pub use fault::{FailureCell, FailureKind, PipelineError, StageError};
@@ -68,7 +63,7 @@ pub use operator::{Collector, Operator};
 pub use sink::{CountSink, SharedVecSink, Sink};
 pub use sort::{EventTimeSorter, SortKey, SorterStateCodec};
 pub use source::{Source, VecSource};
-pub use stream::{DataStream, PushPipeline, PushSource, SourceCheckpoint, SubPipelineBuilder};
+pub use stream::DataStream;
 pub use supervisor::{Supervisor, SupervisorPolicy};
 pub use watermark::{WatermarkGenerator, WatermarkStrategy};
 pub use window::{TumblingWindow, WindowPane};
@@ -82,7 +77,7 @@ pub mod prelude {
     pub use crate::operator::{Collector, Operator};
     pub use crate::sink::{CountSink, SharedVecSink, Sink};
     pub use crate::source::{Source, VecSource};
-    pub use crate::stream::{DataStream, SubPipelineBuilder};
+    pub use crate::stream::DataStream;
     pub use crate::supervisor::{Supervisor, SupervisorPolicy};
     pub use crate::watermark::WatermarkStrategy;
 }

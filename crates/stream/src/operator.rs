@@ -33,37 +33,11 @@ pub trait Operator<In, Out>: Send {
     /// Processes one input record.
     fn on_element(&mut self, record: In, out: &mut dyn Collector<Out>);
 
-    /// Processes a batch of consecutive records (see
-    /// [`StreamElement::Batch`](crate::StreamElement::Batch)). The
-    /// default delegates to [`on_element`](Operator::on_element) per
-    /// record; stateful operators override it to amortize per-batch
-    /// work (e.g. taking a lock once instead of once per record). The
-    /// override must emit exactly what the element-wise default would.
-    fn on_batch(&mut self, batch: Vec<In>, out: &mut dyn Collector<Out>) {
-        for record in batch {
-            self.on_element(record, out);
-        }
-    }
-
     /// Called when the event-time watermark advances to `wm`. Operators
     /// holding back records release everything with event time `≤ wm`
     /// here.
     fn on_watermark(&mut self, wm: Timestamp, out: &mut dyn Collector<Out>) {
         let _ = (wm, out);
-    }
-
-    /// Called when a [`CheckpointBarrier`] passes through this
-    /// operator: at that instant the operator has processed exactly the
-    /// records preceding the barrier, so stateful operators contribute
-    /// their snapshot via [`CheckpointBarrier::contribute`]. Barriers
-    /// never emit records — that would break the pre/post-barrier
-    /// partitioning the snapshot relies on. The default ignores the
-    /// barrier (stateless operators need nothing).
-    ///
-    /// [`CheckpointBarrier`]: crate::checkpoint::CheckpointBarrier
-    /// [`CheckpointBarrier::contribute`]: crate::checkpoint::CheckpointBarrier::contribute
-    fn on_barrier(&mut self, barrier: &crate::checkpoint::CheckpointBarrier) {
-        let _ = barrier;
     }
 
     /// Called once when the input is exhausted; flush any remaining

@@ -9,7 +9,7 @@
 //! sorter reproduces exactly the "late tuple disturbs the strictly
 //! increasing order" effect that experiment 3.1.3 detects.
 
-use crate::checkpoint::{CheckpointBarrier, StateSnapshot};
+use crate::checkpoint::StateSnapshot;
 use crate::metrics::SorterMetrics;
 use crate::operator::{Collector, Operator};
 use icewafl_obs::trace;
@@ -26,10 +26,9 @@ const INITIAL_BUFFER_CAPACITY: usize = 256;
 
 /// Furthest a record may land from the nearer end of the ring and still
 /// be inserted in place. Beyond this the element shift dominates (a long
-/// sorted run arriving behind the buffer — e.g. a sequential
-/// [`DataStream::union`](crate::DataStream::union) draining its inputs
-/// back to back — would degrade to O(n²)), so the record goes to the
-/// overflow heap instead.
+/// sorted run arriving behind the buffer — e.g. sub-streams handing
+/// over whole frames one after another — would degrade to O(n²)), so
+/// the record goes to the overflow heap instead.
 const MAX_INSERT_SHIFT: usize = 64;
 
 /// What an [`EventTimeSorter`] orders by: an event time, optionally
@@ -71,8 +70,8 @@ impl<S: Copy + Ord> SortKey for (Timestamp, S) {
 /// fine interleaving of sub-streams that cross each watermark in
 /// lockstep) pays a binary search plus a short in-ring insert. Only a
 /// record landing further than `MAX_INSERT_SHIFT` slots from both ends
-/// — whole sorted runs arriving far behind the tail, the pattern a
-/// sequential union of independent sources produces — falls back to a
+/// — whole sorted runs arriving far behind the tail, the pattern
+/// independent sources handed over one after another produce — falls back to a
 /// min-heap, and a release stream-merges the heap with the ring prefix.
 /// Nothing is ever bulk re-sorted.
 pub struct EventTimeSorter<T, F, K = Timestamp> {
@@ -94,10 +93,8 @@ pub struct EventTimeSorter<T, F, K = Timestamp> {
     /// is too expensive for the hot path).
     buffer_peak: u64,
     /// Record codec for checkpoint snapshots; `None` leaves the sorter
-    /// un-snapshotted (barriers pass through without a contribution).
+    /// un-snapshotted.
     codec: Option<SorterStateCodec<T>>,
-    /// Checkpoint-frame key the snapshot is contributed under.
-    ckpt_key: String,
 }
 
 /// Encodes/decodes the sorter's buffered records for checkpointing.
@@ -198,7 +195,6 @@ where
             metrics: SorterMetrics::detached(),
             buffer_peak: 0,
             codec: None,
-            ckpt_key: "sorter".to_string(),
         }
     }
 
@@ -208,12 +204,11 @@ where
         self
     }
 
-    /// Enables checkpoint snapshots: the sorter contributes its exact
-    /// state (every held record, tie-break counter, watermark position)
-    /// under `key` whenever a barrier passes through.
-    pub fn with_state_codec(mut self, key: impl Into<String>, codec: SorterStateCodec<T>) -> Self {
+    /// Enables checkpoint snapshots: with a codec, the sorter's
+    /// [`StateSnapshot`] captures its exact state (every held record,
+    /// tie-break counter, watermark position).
+    pub fn with_state_codec(mut self, codec: SorterStateCodec<T>) -> Self {
         self.codec = Some(codec);
-        self.ckpt_key = key.into();
         self
     }
 
@@ -400,12 +395,6 @@ where
         self.traced_release(wm, out);
     }
 
-    fn on_barrier(&mut self, barrier: &CheckpointBarrier) {
-        if let Some(doc) = self.snapshot_state() {
-            barrier.contribute(self.ckpt_key.clone(), doc);
-        }
-    }
-
     fn on_end(&mut self, out: &mut dyn Collector<T>) {
         self.traced_release(Timestamp::MAX, out);
     }
@@ -489,7 +478,7 @@ mod tests {
             Timestamp(*x)
         }
         EventTimeSorter::new(ts as fn(&i64) -> Timestamp)
-            .with_state_codec("sorter", SorterStateCodec::serde())
+            .with_state_codec(SorterStateCodec::serde())
     }
 
     /// Snapshot → restore → snapshot is the identity, and both sorters
@@ -564,8 +553,8 @@ mod tests {
 
     #[test]
     fn secondary_key_orders_ties_independently_of_arrival() {
-        // (ts, lane, tag): lane 1 delivers before lane 0, as a parallel
-        // union might; the key puts lane 0 first anyway, and records of
+        // (ts, lane, tag): lane 1 delivers before lane 0, as a schedule
+        // might; the key puts lane 0 first anyway, and records of
         // one lane keep their arrival order.
         let mut s = EventTimeSorter::new(|r: &(i64, u32, &'static str)| (Timestamp(r.0), r.1));
         let mut out = Vec::new();
@@ -682,7 +671,7 @@ mod tests {
             }
 
             /// Whole sorted runs arriving far behind the tail — what
-            /// `DataStream::union` of pulled inputs delivers — go through the
+            /// inputs handed over one after another deliver — go through the
             /// overflow heap and still come out as the stable sort.
             #[test]
             fn sorted_runs_behind_the_tail_merge_stably(

@@ -12,15 +12,6 @@ use crate::sink::Sink;
 use icewafl_obs::{trace, Stopwatch};
 use icewafl_types::Timestamp;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Instant;
-
-/// Operator stages re-check the wall-clock deadline once per this many
-/// records (power-of-two mask). The source driver has its own check,
-/// but the time may go anywhere downstream of it (a slow operator, a
-/// sorter releasing a long run) — enforcing the deadline *here* is what
-/// guarantees an attempt cannot outlive it no matter where the time is
-/// spent.
-const DEADLINE_CHECK_MASK: u64 = 255;
 
 /// A push-based consumer of stream elements.
 pub trait Stage<T>: Send {
@@ -42,9 +33,6 @@ pub struct SinkStage<S> {
     sink: S,
     finished: bool,
     failures: FailureCell,
-    /// Records committed to the sink so far — recorded into checkpoint
-    /// frames so restores know where to truncate a shared sink.
-    written: u64,
 }
 
 impl<S> SinkStage<S> {
@@ -56,20 +44,10 @@ impl<S> SinkStage<S> {
 
     /// Wraps a sink, recording the first observed failure into `cell`.
     pub fn with_failure_cell(sink: S, cell: FailureCell) -> Self {
-        Self::resumed(sink, cell, 0)
-    }
-
-    /// Wraps a sink whose backing store already holds `committed_base`
-    /// records from a previous (checkpoint-restored) attempt: barrier
-    /// commits count from that base, so checkpoint frames always record
-    /// *absolute* sink offsets — the truncation point a later restore
-    /// needs — rather than per-attempt ones.
-    pub fn resumed(sink: S, cell: FailureCell, committed_base: u64) -> Self {
         SinkStage {
             sink,
             finished: false,
             failures: cell,
-            written: committed_base,
         }
     }
 }
@@ -91,30 +69,9 @@ where
                     self.finished = true;
                     self.failures
                         .record(StageError::from_panic("sink", payload));
-                } else {
-                    self.written += 1;
-                }
-            }
-            StreamElement::Batch(batch) => {
-                let len = batch.len() as u64;
-                let sink = &mut self.sink;
-                if let Err(payload) =
-                    catch_unwind(AssertUnwindSafe(move || sink.write_batch(batch)))
-                {
-                    self.finished = true;
-                    self.failures
-                        .record(StageError::from_panic("sink", payload));
-                } else {
-                    self.written += len;
                 }
             }
             StreamElement::Watermark(_) => {}
-            StreamElement::Barrier(b) => {
-                // Sink-side committer: the barrier has crossed every
-                // stage, so the snapshot is complete — seal the frame
-                // with the committed-record count.
-                b.commit(self.written);
-            }
             StreamElement::End => {
                 self.finished = true;
                 let sink = &mut self.sink;
@@ -158,10 +115,6 @@ pub struct OperatorStage<Op, Out> {
     /// `Arc<AtomicU64>` increment is too expensive for the hot path.
     in_pending: u64,
     out_pending: u64,
-    /// Wall-clock deadline checked every [`DEADLINE_CHECK_MASK`]+1
-    /// records; on expiry the stage poisons itself with a
-    /// [`FailureKind::Deadline`](crate::fault::FailureKind) failure.
-    deadline: Option<Instant>,
 }
 
 impl<Op, Out> OperatorStage<Op, Out> {
@@ -188,17 +141,7 @@ impl<Op, Out> OperatorStage<Op, Out> {
             seen: 0,
             in_pending: 0,
             out_pending: 0,
-            deadline: None,
         }
-    }
-
-    /// Arms the per-stage wall-clock deadline check (`None` = never
-    /// expires). The executor wires this from the run deadline so slow
-    /// operators are cut off even when the source has long since
-    /// drained.
-    pub fn with_deadline(mut self, deadline: Option<Instant>) -> Self {
-        self.deadline = deadline;
-        self
     }
 
     fn flush_pending(&mut self) {
@@ -223,25 +166,6 @@ impl<Op, Out> OperatorStage<Op, Out> {
         self.flush_pending();
         let error = StageError::from_panic(&self.label, payload);
         self.down.push(StreamElement::Failure(error));
-    }
-
-    /// Periodic deadline enforcement: when the armed deadline has
-    /// passed, poison the stage with a `Deadline` failure (which a
-    /// supervisor never retries) instead of grinding out the rest of
-    /// the stream.
-    fn enforce_deadline(&mut self)
-    where
-        Out: Send,
-    {
-        let Some(dl) = self.deadline else { return };
-        if Instant::now() < dl {
-            return;
-        }
-        self.ended = true;
-        self.metrics.failures.inc();
-        self.flush_pending();
-        self.down
-            .push(StreamElement::Failure(StageError::deadline(&self.label)));
     }
 }
 
@@ -298,56 +222,6 @@ where
                 };
                 if let Err(payload) = result {
                     self.fail(payload);
-                } else if self.seen & DEADLINE_CHECK_MASK == 0 {
-                    self.enforce_deadline();
-                }
-            }
-            StreamElement::Batch(batch) => {
-                if batch.is_empty() {
-                    return;
-                }
-                let len = batch.len() as u64;
-                // Time the whole batch whenever it covers one of the
-                // 1-in-64 sample points the per-record path would hit.
-                let next_sample = (self.seen + SAMPLE_MASK) & !SAMPLE_MASK;
-                let sampled = next_sample < self.seen + len;
-                // Same crossing logic for the (coarser) deadline check.
-                let next_deadline_check = (self.seen + DEADLINE_CHECK_MASK) & !DEADLINE_CHECK_MASK;
-                let check_deadline = next_deadline_check < self.seen + len;
-                self.seen += len;
-                self.in_pending += len;
-                let result = {
-                    let op = &mut self.op;
-                    let mut coll = StageCollector {
-                        down: self.down.as_mut(),
-                        out: &mut self.out_pending,
-                    };
-                    if sampled {
-                        let mut span = trace::span(&self.label, "stage");
-                        if let Some(s) = span.as_mut() {
-                            s.arg("batch", len);
-                        }
-                        let sw = Stopwatch::start();
-                        let res =
-                            catch_unwind(AssertUnwindSafe(move || op.on_batch(batch, &mut coll)));
-                        let elapsed = sw.elapsed_ns();
-                        // One histogram entry per 1-in-64 sample point the
-                        // batch covers (a frame larger than the sampling
-                        // period spans several), keeping the sample *count*
-                        // batch-size invariant.
-                        let points = (self.seen - 1 - next_sample) / (SAMPLE_MASK + 1) + 1;
-                        for _ in 0..points {
-                            self.metrics.latency_ns.record(elapsed);
-                        }
-                        res
-                    } else {
-                        catch_unwind(AssertUnwindSafe(move || op.on_batch(batch, &mut coll)))
-                    }
-                };
-                if let Err(payload) = result {
-                    self.fail(payload);
-                } else if check_deadline {
-                    self.enforce_deadline();
                 }
             }
             StreamElement::Watermark(wm) => {
@@ -368,20 +242,6 @@ where
                     Ok(()) => {
                         self.flush_pending();
                         self.down.push(StreamElement::Watermark(wm));
-                    }
-                    Err(payload) => self.fail(payload),
-                }
-            }
-            StreamElement::Barrier(b) => {
-                // Snapshot point: the operator has seen exactly the
-                // records preceding the barrier. Contribute state, then
-                // forward so downstream stages snapshot too.
-                let op = &mut self.op;
-                let result = catch_unwind(AssertUnwindSafe(|| op.on_barrier(&b)));
-                match result {
-                    Ok(()) => {
-                        self.flush_pending();
-                        self.down.push(StreamElement::Barrier(b));
                     }
                     Err(payload) => self.fail(payload),
                 }
@@ -416,63 +276,6 @@ where
     }
 }
 
-/// Stage adapter that coalesces consecutive records into
-/// [`StreamElement::Batch`] frames before forwarding to the inner
-/// stage. Placed in front of merge points (e.g. a union's shared lock)
-/// so the per-element cost there is paid once per batch, and in front
-/// of sinks with a whole-batch fast path. Staged records flush *before*
-/// any watermark, barrier, pre-batched frame, or terminal marker is
-/// forwarded, so records never trail a control element they preceded.
-pub struct BatchingStage<T> {
-    inner: BoxStage<T>,
-    buf: Vec<T>,
-    batch_size: usize,
-}
-
-impl<T> BatchingStage<T> {
-    /// Wraps `inner`, batching up to `batch_size` records per frame.
-    pub fn new(inner: BoxStage<T>, batch_size: usize) -> Self {
-        BatchingStage {
-            inner,
-            buf: Vec::new(),
-            batch_size: batch_size.max(1),
-        }
-    }
-}
-
-impl<T: Send> Stage<T> for BatchingStage<T> {
-    fn push(&mut self, element: StreamElement<T>) {
-        if let StreamElement::Record(r) = element {
-            if self.batch_size > 1 {
-                if self.buf.capacity() == 0 {
-                    self.buf.reserve_exact(self.batch_size);
-                }
-                self.buf.push(r);
-                if self.buf.len() >= self.batch_size {
-                    let batch =
-                        std::mem::replace(&mut self.buf, Vec::with_capacity(self.batch_size));
-                    self.inner.push(StreamElement::Batch(batch));
-                }
-            } else {
-                self.inner.push(StreamElement::Record(r));
-            }
-            return;
-        }
-        if !self.buf.is_empty() {
-            let batch = std::mem::take(&mut self.buf);
-            self.inner.push(StreamElement::Batch(batch));
-        }
-        self.inner.push(element);
-    }
-}
-
-/// Stage that drops everything (used when a side output is unused).
-pub struct DiscardStage;
-
-impl<T: Send> Stage<T> for DiscardStage {
-    fn push(&mut self, _element: StreamElement<T>) {}
-}
-
 /// Testing/bench helper: drives a single operator with records and a
 /// final end marker, collecting its full output. Watermarks can be
 /// interleaved by the caller via `elements`.
@@ -484,9 +287,7 @@ where
     for e in elements {
         match e {
             StreamElement::Record(r) => op.on_element(r, &mut out),
-            StreamElement::Batch(b) => op.on_batch(b, &mut out),
             StreamElement::Watermark(wm) => op.on_watermark(wm, &mut out),
-            StreamElement::Barrier(b) => op.on_barrier(&b),
             StreamElement::End => op.on_end(&mut out),
             StreamElement::Failure(_) => break,
         }
@@ -503,39 +304,6 @@ where
         records.into_iter().map(StreamElement::Record).collect();
     elements.push(StreamElement::End);
     run_operator(op, elements)
-}
-
-/// Watermark utility shared by merge points: tracks per-input watermarks
-/// and reports the combined (minimum) watermark when it advances.
-#[derive(Debug)]
-pub struct WatermarkMerger {
-    inputs: Vec<Timestamp>,
-    combined: Timestamp,
-}
-
-impl WatermarkMerger {
-    /// A merger over `n` inputs, all starting at `Timestamp::MIN`.
-    pub fn new(n: usize) -> Self {
-        WatermarkMerger {
-            inputs: vec![Timestamp::MIN; n],
-            combined: Timestamp::MIN,
-        }
-    }
-
-    /// Records that input `idx` advanced to `wm`; returns the new
-    /// combined watermark if it advanced.
-    pub fn advance(&mut self, idx: usize, wm: Timestamp) -> Option<Timestamp> {
-        if wm > self.inputs[idx] {
-            self.inputs[idx] = wm;
-        }
-        let min = self.inputs.iter().copied().min().unwrap_or(Timestamp::MAX);
-        if min > self.combined {
-            self.combined = min;
-            Some(min)
-        } else {
-            None
-        }
-    }
 }
 
 #[cfg(test)]
@@ -610,24 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn watermark_merger_takes_minimum() {
-        let mut m = WatermarkMerger::new(2);
-        assert_eq!(m.advance(0, Timestamp(10)), None); // other input still MIN
-        assert_eq!(m.advance(1, Timestamp(5)), Some(Timestamp(5)));
-        assert_eq!(m.advance(1, Timestamp(20)), Some(Timestamp(10)));
-        // Regressions are ignored.
-        assert_eq!(m.advance(0, Timestamp(3)), None);
-        assert_eq!(m.advance(0, Timestamp(30)), Some(Timestamp(20)));
-    }
-
-    #[test]
-    fn discard_stage_accepts_everything() {
-        let mut d = DiscardStage;
-        d.push(StreamElement::Record(1));
-        d.push(StreamElement::<i32>::End);
-    }
-
-    #[test]
     fn operator_panic_becomes_failure_element() {
         crate::chaos::install_quiet_panic_hook();
         struct Bomb;
@@ -655,98 +405,6 @@ mod tests {
         assert_eq!(err.kind, crate::fault::FailureKind::Injected);
         assert!(err.message.contains("bomb at 3"));
         assert_eq!(sink.take(), vec![1]);
-    }
-
-    /// A stage that records every element it is handed.
-    struct Frames(std::sync::Arc<parking_lot::Mutex<Vec<StreamElement<i32>>>>);
-
-    impl Stage<i32> for Frames {
-        fn push(&mut self, e: StreamElement<i32>) {
-            self.0.lock().push(e);
-        }
-    }
-
-    fn batching(batch_size: usize) -> (BatchingStage<i32>, Frames) {
-        let frames = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let stage = BatchingStage::new(Box::new(Frames(frames.clone())), batch_size);
-        (stage, Frames(frames))
-    }
-
-    #[test]
-    fn batching_stage_flushes_partial_batch_before_control_elements() {
-        let (mut stage, frames) = batching(4);
-        stage.push(StreamElement::Record(1));
-        stage.push(StreamElement::Record(2));
-        stage.push(StreamElement::Watermark(Timestamp(10)));
-        stage.push(StreamElement::Record(3));
-        stage.push(StreamElement::End);
-        assert_eq!(
-            *frames.0.lock(),
-            vec![
-                StreamElement::Batch(vec![1, 2]),
-                StreamElement::Watermark(Timestamp(10)),
-                StreamElement::Batch(vec![3]),
-                StreamElement::End,
-            ]
-        );
-    }
-
-    #[test]
-    fn batching_stage_hands_over_full_batches() {
-        let (mut stage, frames) = batching(2);
-        for i in 0..5 {
-            stage.push(StreamElement::Record(i));
-        }
-        stage.push(StreamElement::End);
-        assert_eq!(
-            *frames.0.lock(),
-            vec![
-                StreamElement::Batch(vec![0, 1]),
-                StreamElement::Batch(vec![2, 3]),
-                StreamElement::Batch(vec![4]),
-                StreamElement::End,
-            ]
-        );
-    }
-
-    #[test]
-    fn operator_stage_treats_a_batch_like_its_records() {
-        let sink = SharedVecSink::new();
-        let mut stage = OperatorStage::new(
-            MapOperator::new(|x: i32| x + 1),
-            Box::new(SinkStage::new(sink.clone())),
-        );
-        stage.push(StreamElement::Batch(vec![1, 2, 3]));
-        stage.push(StreamElement::Batch(vec![]));
-        stage.push(StreamElement::Record(9));
-        stage.push(StreamElement::End);
-        assert_eq!(sink.take(), vec![2, 3, 4, 10]);
-    }
-
-    #[test]
-    fn panic_inside_a_batch_poisons_the_stage() {
-        crate::chaos::install_quiet_panic_hook();
-        struct Bomb;
-        impl Operator<i32, i32> for Bomb {
-            fn on_element(&mut self, r: i32, out: &mut dyn Collector<i32>) {
-                if r == 2 {
-                    panic!("{} batch bomb", crate::chaos::CHAOS_PANIC_MARKER);
-                }
-                out.collect(r);
-            }
-        }
-        let cell = FailureCell::new();
-        let sink = SharedVecSink::new();
-        let mut stage = OperatorStage::with_metrics(
-            Bomb,
-            Box::new(SinkStage::with_failure_cell(sink.clone(), cell.clone())),
-            StageMetrics::detached(),
-            "stage/01_bomb",
-        );
-        stage.push(StreamElement::Batch(vec![1, 2, 3]));
-        stage.push(StreamElement::Batch(vec![4]));
-        assert_eq!(cell.get().map(|e| e.stage), Some("stage/01_bomb".into()));
-        assert_eq!(sink.take(), vec![1], "records before the panic landed");
     }
 
     #[test]

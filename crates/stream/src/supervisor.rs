@@ -100,8 +100,7 @@ impl Supervisor {
     }
 
     /// The absolute instant of the run deadline, if one is configured —
-    /// pass it to [`open_into`](crate::stream::DataStream::open_into) so
-    /// the stages enforce it mid-run.
+    /// what a run hands its attempts to enforce mid-run.
     pub fn deadline_instant(&self) -> Option<Instant> {
         self.policy.deadline.map(|d| self.started + d)
     }

@@ -79,7 +79,7 @@ pub struct WatermarkGenerator<T> {
 impl<T> WatermarkGenerator<T> {
     /// The generator's exact position, captured into checkpoint frames
     /// so a replayed source resumes the same emission cadence.
-    pub(crate) fn state(&self) -> crate::checkpoint::WatermarkGenState {
+    pub fn state(&self) -> crate::checkpoint::WatermarkGenState {
         crate::checkpoint::WatermarkGenState {
             max_ts: self.max_ts.millis(),
             seen: self.seen,
@@ -88,7 +88,7 @@ impl<T> WatermarkGenerator<T> {
     }
 
     /// Restores a position captured by [`WatermarkGenerator::state`].
-    pub(crate) fn restore(&mut self, state: &crate::checkpoint::WatermarkGenState) {
+    pub fn restore(&mut self, state: &crate::checkpoint::WatermarkGenState) {
         self.max_ts = Timestamp(state.max_ts);
         self.seen = state.seen;
         self.last_emitted = state.last_emitted.map(Timestamp);

@@ -6,7 +6,7 @@
 //! vector per schema attribute plus a validity bitmap marking which
 //! slots hold a value (a cleared bit is SQL `NULL`). Column kernels in
 //! `icewafl-core` iterate one attribute vector at a time instead of
-//! hopping across per-tuple value slices, and a served column session
+//! hopping across per-tuple value slices, and a lowered serve session
 //! decodes wire frames into batches and encodes its output from them
 //! without a tuple in between.
 //!
