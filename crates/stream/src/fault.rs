@@ -18,7 +18,9 @@
 //!    [`DataStream::execute_into`](crate::stream::DataStream::execute_into).
 //!
 //! The pipeline therefore always terminates — cleanly on success,
-//! loudly on failure.
+//! loudly on failure. (The session loop in `icewafl-core` types its
+//! failures with the same [`StageError`] and reports the first one, with
+//! no element to carry it.)
 
 use parking_lot::Mutex;
 use std::fmt;
@@ -34,8 +36,8 @@ pub enum FailureKind {
     Injected,
     /// The run exceeded its wall-clock deadline.
     Deadline,
-    /// The stream's feeder (a network peer, the owner of a push
-    /// pipeline) disappeared before the stream ended.
+    /// The stream's feeder (a network peer) disappeared before the
+    /// stream ended.
     Disconnect,
     /// A non-retryable error (bad configuration, exhausted retries).
     Fatal,
@@ -222,11 +224,6 @@ impl FailureCell {
         }
     }
 
-    /// `true` iff a failure has been recorded.
-    pub fn is_failed(&self) -> bool {
-        self.slot.lock().is_some()
-    }
-
     /// A copy of the recorded failure, if any.
     pub fn get(&self) -> Option<StageError> {
         self.slot.lock().clone()
@@ -245,13 +242,12 @@ mod tests {
     #[test]
     fn failure_cell_first_wins() {
         let cell = FailureCell::new();
-        assert!(!cell.is_failed());
+        assert!(cell.get().is_none());
         cell.record(StageError::new("a", FailureKind::Panic, "first"));
         cell.record(StageError::new("b", FailureKind::Panic, "second"));
         let e = cell.get().unwrap();
         assert_eq!(e.stage, "a");
         assert_eq!(e.message, "first");
-        assert!(cell.is_failed());
         assert!(cell.take().is_some());
         assert!(cell.take().is_none());
     }
