@@ -9,8 +9,8 @@
 //! paper builds on:
 //!
 //! * [`stream`] — a miniature stream-processing framework (the Apache
-//!   Flink substitute): operators, watermarks, union/fan-out, pulled or
-//!   pushed execution on the calling thread;
+//!   Flink substitute): operators, watermarks, the event-time sorter,
+//!   pulled execution on the calling thread;
 //! * [`core`] — the pollution model itself: conditions, error
 //!   functions, native temporal polluters, change patterns, composite
 //!   polluters, pipelines, ground-truth logging, and the JSON job
