@@ -5,12 +5,11 @@
 //! originals (ground truth); `τ` drives temporal conditions and is not
 //! part of the final output.
 
-use icewafl_stream::{Collector, Operator};
 use icewafl_types::{
     ColumnBatch, ColumnData, Result, Schema, StampedTuple, Timestamp, Tuple, Value,
 };
 
-/// Stream operator performing the preparation step.
+/// The preparation step, run over each tuple or batch in arrival order.
 ///
 /// Tuples whose timestamp attribute is NULL or missing are stamped with
 /// the previous tuple's `τ` (or the epoch for a leading NULL), so a
@@ -62,16 +61,6 @@ impl PrepareOperator {
             batch.set_stamp(row, self.next_id, tau, tau);
             self.next_id += 1;
         }
-    }
-}
-
-impl Operator<Tuple, StampedTuple> for PrepareOperator {
-    fn on_element(&mut self, record: Tuple, out: &mut dyn Collector<StampedTuple>) {
-        out.collect(self.prepare(record));
-    }
-
-    fn name(&self) -> &'static str {
-        "prepare"
     }
 }
 
@@ -152,15 +141,5 @@ mod tests {
         op.prepare_batch(&mut batch);
         got.extend(batch.into_rows());
         assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn works_as_stream_operator() {
-        use icewafl_stream::stage::run_operator_simple;
-        let op = PrepareOperator::new(&schema()).unwrap();
-        let out: Vec<StampedTuple> = run_operator_simple(op, vec![raw(5, 1), raw(6, 2)]);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[1].id, 1);
-        assert_eq!(out[1].tau, Timestamp(6));
     }
 }

@@ -59,9 +59,10 @@ use icewafl_stream::checkpoint::{
     CheckpointFrame, CheckpointStore, StateSnapshot, CHECKPOINT_VERSION,
 };
 use icewafl_stream::control::ControlSubscriber;
+use icewafl_stream::fault::StageError;
 use icewafl_stream::metrics::{ChaosMetrics, SorterMetrics, StageMetrics, SAMPLE_MASK};
 use icewafl_stream::sort::{EventTimeSorter, SorterStateCodec};
-use icewafl_stream::{Operator, PipelineError, StageError, WatermarkGenerator, WatermarkStrategy};
+use icewafl_stream::watermark::{WatermarkGenerator, WatermarkStrategy};
 use icewafl_types::{ColumnBatch, Duration, Result, Schema, StampedTuple, Timestamp, Tuple};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
@@ -853,7 +854,7 @@ impl StreamingSession {
                     segment: segment_of[i as usize],
                     row: position,
                 };
-                self.sorter.on_element(held, &mut self.released);
+                self.sorter.on_element(held);
             }
             start = end;
             self.source_step(arrival);
@@ -939,7 +940,7 @@ impl StreamingSession {
         drain(&mut self);
         let segments: Vec<PollutionLog> = self.subs.into_iter().map(|s| s.log).collect();
         if let Some(failure) = self.failure {
-            return Err((PipelineError::from(failure).into(), segments));
+            return Err((failure.into(), segments));
         }
         let mut segments = segments.into_iter();
         let mut log = segments.next().unwrap_or_default();
@@ -1077,10 +1078,10 @@ impl StreamingSession {
             outbox.clear();
             return;
         }
-        let (sorter, released) = (&mut self.sorter, &mut self.released);
+        let sorter = &mut self.sorter;
         let result = self.sorter_stage.run(ready, || {
             for t in outbox.drain(..ready) {
-                sorter.on_element(Held::Tuple(t), released);
+                sorter.on_element(Held::Tuple(t));
             }
         });
         if let Err(e) = result {

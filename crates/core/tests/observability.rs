@@ -136,6 +136,14 @@ fn fire_counters_match_ground_truth_log() {
         .metrics
         .counter("stage/02_pollution_pipeline/elements_in");
     assert_eq!(tuples_in, 500);
+    // The highest real watermark (one per 64 tuples: the 448th tuple's
+    // τ); the end-of-stream `W(MAX)` sentinel stays out of it.
+    assert_eq!(
+        out.report
+            .metrics
+            .gauge("stage/02_pollution_pipeline/watermark_hwm_ms"),
+        447_000
+    );
     assert!(out.report.total_fires() > 0);
     assert!(icewafl_obs::metrics_compiled_in());
 }

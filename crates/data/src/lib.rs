@@ -13,9 +13,7 @@
 //! * [`airquality`] — the UCI Beijing Multi-Site Air-Quality dataset
 //!   (experiment 2): 12 stations × 35,064 hourly tuples with seasonal /
 //!   daily / weather structure in the NO2 target;
-//! * [`csv`] — RFC 4180 reader/writer (from scratch), with lazy
-//!   streaming [`Source`](icewafl_stream::Source)/[`Sink`](icewafl_stream::Sink)
-//!   adapters in [`stream_io`];
+//! * [`csv`] — RFC 4180 reader/writer (from scratch);
 //! * [`impute`] — pandas-style `ffill`/`bfill`, as used in §3.2.1.
 
 #![warn(missing_docs)]
@@ -23,12 +21,10 @@
 pub mod airquality;
 pub mod csv;
 pub mod impute;
-pub mod stream_io;
 pub mod wearable;
 
 pub use csv::{read_csv, write_csv};
 pub use impute::{bfill, ffill, ffill_bfill};
-pub use stream_io::{CsvTupleSink, CsvTupleSource};
 
 #[cfg(test)]
 mod proptests {

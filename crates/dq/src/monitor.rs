@@ -1,15 +1,14 @@
 //! Continuous data-quality monitoring over a stream.
 //!
 //! The paper's introduction motivates Icewafl with DQ tools that
-//! *monitor* streams; this module closes the loop: a stream operator
-//! that validates an [`ExpectationSuite`] over tumbling event-time
+//! *monitor* streams; this module closes the loop: a monitor fed beside
+//! the stream that validates an [`ExpectationSuite`] over tumbling event-time
 //! windows, emitting one [`ValidationReport`] per window as the
 //! watermark passes it. Combined with a pollution pipeline it answers
 //! "when did the stream go bad, and how badly?" online.
 
 use crate::suite::{ExpectationSuite, ValidationReport};
-use icewafl_stream::window::WindowPane;
-use icewafl_stream::{Collector, Operator, TumblingWindow};
+use icewafl_stream::window::{TumblingWindow, WindowPane};
 use icewafl_types::{Duration, Schema, StampedTuple, Timestamp};
 
 /// A per-window validation outcome.
@@ -23,8 +22,8 @@ pub struct WindowedReport {
     pub report: ValidationReport,
 }
 
-/// Stream operator: groups tuples into tumbling event-time windows (by
-/// `τ`) and validates each completed window against a suite.
+/// Groups tuples into tumbling event-time windows (by `τ`) and
+/// validates each completed window against a suite.
 ///
 /// Windows fire when the watermark passes their end; remaining windows
 /// fire at end of stream. Validation errors (an expectation referencing
@@ -51,6 +50,27 @@ impl DqMonitorOperator {
         }
     }
 
+    /// Takes one tuple into its window; windows fire on watermarks.
+    pub fn on_element(&mut self, record: StampedTuple) {
+        self.window.on_element(record);
+    }
+
+    /// The watermark advances to `wm`: a report for every window it
+    /// completes is appended to `out`, earliest first.
+    pub fn on_watermark(&mut self, wm: Timestamp, out: &mut Vec<WindowedReport>) {
+        let mut panes = Vec::new();
+        self.window.on_watermark(wm, &mut panes);
+        out.extend(panes.into_iter().map(|pane| self.validate_pane(pane)));
+    }
+
+    /// End of stream: a report for every window still open is appended
+    /// to `out`, earliest first.
+    pub fn on_end(&mut self, out: &mut Vec<WindowedReport>) {
+        let mut panes = Vec::new();
+        self.window.on_end(&mut panes);
+        out.extend(panes.into_iter().map(|pane| self.validate_pane(pane)));
+    }
+
     fn validate_pane(&self, pane: WindowPane<StampedTuple>) -> WindowedReport {
         let report = self
             .suite
@@ -64,41 +84,11 @@ impl DqMonitorOperator {
     }
 }
 
-impl Operator<StampedTuple, WindowedReport> for DqMonitorOperator {
-    fn on_element(&mut self, record: StampedTuple, _out: &mut dyn Collector<WindowedReport>) {
-        // Buffered in the inner window operator; panes fire on
-        // watermarks.
-        let mut sink: Vec<WindowPane<StampedTuple>> = Vec::new();
-        self.window.on_element(record, &mut sink);
-        debug_assert!(sink.is_empty(), "tumbling windows only fire on watermarks");
-    }
-
-    fn on_watermark(&mut self, wm: Timestamp, out: &mut dyn Collector<WindowedReport>) {
-        let mut panes: Vec<WindowPane<StampedTuple>> = Vec::new();
-        self.window.on_watermark(wm, &mut panes);
-        for pane in panes {
-            out.collect(self.validate_pane(pane));
-        }
-    }
-
-    fn on_end(&mut self, out: &mut dyn Collector<WindowedReport>) {
-        let mut panes: Vec<WindowPane<StampedTuple>> = Vec::new();
-        self.window.on_end(&mut panes);
-        for pane in panes {
-            out.collect(self.validate_pane(pane));
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "dq_monitor"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expectations::ExpectColumnValuesToNotBeNull;
-    use icewafl_stream::prelude::*;
+    use icewafl_stream::watermark::WatermarkStrategy;
     use icewafl_types::{DataType, Tuple, Value};
 
     fn schema() -> Schema {
@@ -131,15 +121,26 @@ mod tests {
         )
     }
 
+    /// Runs `tuples` through a fresh monitor with an ascending watermark
+    /// after every tuple, then ends the stream.
+    fn monitored(tuples: Vec<StampedTuple>) -> Vec<WindowedReport> {
+        let mut monitor = monitor();
+        let mut watermarks = WatermarkStrategy::ascending(|t: &StampedTuple| t.tau).generator();
+        let mut reports = Vec::new();
+        for t in tuples {
+            let wm = watermarks.on_record(&t);
+            monitor.on_element(t);
+            if let Some(wm) = wm {
+                monitor.on_watermark(wm, &mut reports);
+            }
+        }
+        monitor.on_end(&mut reports);
+        reports
+    }
+
     #[test]
     fn emits_one_report_per_window() {
-        let reports = DataStream::from_source(
-            VecSource::new(rows(100)),
-            WatermarkStrategy::ascending(|t: &StampedTuple| t.tau),
-        )
-        .transform(monitor())
-        .collect()
-        .unwrap();
+        let reports = monitored(rows(100));
         assert_eq!(reports.len(), 10, "100 s of data in 10 s windows");
         for (i, r) in reports.iter().enumerate() {
             assert_eq!(r.start, Timestamp(i as i64 * 10_000));
@@ -149,13 +150,7 @@ mod tests {
 
     #[test]
     fn localizes_the_pollution_onset() {
-        let reports = DataStream::from_source(
-            VecSource::new(rows(100)),
-            WatermarkStrategy::ascending(|t: &StampedTuple| t.tau),
-        )
-        .transform(monitor())
-        .collect()
-        .unwrap();
+        let reports = monitored(rows(100));
         // First half clean, second half has NULLs.
         for r in &reports[..5] {
             assert!(r.report.success(), "clean window {r:?}");
@@ -168,24 +163,21 @@ mod tests {
 
     #[test]
     fn windows_fire_incrementally_with_watermarks() {
-        use icewafl_stream::stage::run_operator;
-        use icewafl_stream::StreamElement;
-        let mut elements: Vec<StreamElement<StampedTuple>> =
-            rows(20).into_iter().map(StreamElement::Record).collect();
+        let mut monitor = monitor();
+        let mut out = Vec::new();
+        let mut rows = rows(20).into_iter();
+        rows.by_ref().take(10).for_each(|t| monitor.on_element(t));
         // Watermark after the first window closes.
-        elements.insert(10, StreamElement::Watermark(Timestamp(9_999)));
-        elements.push(StreamElement::End);
-        let out: Vec<WindowedReport> = run_operator(monitor(), elements);
-        assert_eq!(out.len(), 2);
+        monitor.on_watermark(Timestamp(9_999), &mut out);
+        assert_eq!(out.len(), 1);
         assert_eq!(out[0].start, Timestamp(0));
+        rows.for_each(|t| monitor.on_element(t));
+        monitor.on_end(&mut out);
+        assert_eq!(out.len(), 2);
     }
 
     #[test]
     fn empty_stream_produces_no_reports() {
-        let reports = DataStream::from_vec(Vec::<StampedTuple>::new())
-            .transform(monitor())
-            .collect()
-            .unwrap();
-        assert!(reports.is_empty());
+        assert!(monitored(Vec::new()).is_empty());
     }
 }

@@ -2,10 +2,11 @@
 //! the fault-tolerance layer works.
 //!
 //! Icewafl pollutes *data*; this module pollutes the *runtime*. A
-//! [`ChaosOperator`] is an identity stage that, at configurable per-record rates drawn from a seeded
-//! deterministic RNG ([`SplitMix64`]), injects:
+//! [`ChaosOperator`] is an identity stage that, at configurable
+//! per-record rates drawn from a seeded deterministic RNG (SplitMix64),
+//! injects:
 //!
-//! * **panics** — marked with [`CHAOS_PANIC_MARKER`] so the fault layer
+//! * **panics** — marked with `[chaos-injected]` so the fault layer
 //!   classifies them as [`FailureKind::Injected`](crate::fault::FailureKind)
 //!   rather than real bugs;
 //! * **delays** — a blocking sleep, exercising backpressure and
@@ -31,12 +32,12 @@ use std::sync::Arc;
 /// uses it to classify the failure as
 /// [`FailureKind::Injected`](crate::fault::FailureKind), and the quiet
 /// panic hook uses it to suppress backtrace noise in tests.
-pub const CHAOS_PANIC_MARKER: &str = "[chaos-injected]";
+pub(crate) const CHAOS_PANIC_MARKER: &str = "[chaos-injected]";
 
 /// A tiny, dependency-free, deterministic RNG (SplitMix64). Good enough
 /// for fault scheduling and backoff jitter; not for cryptography.
 #[derive(Debug, Clone)]
-pub struct SplitMix64 {
+pub(crate) struct SplitMix64 {
     state: u64,
 }
 
@@ -221,11 +222,10 @@ impl FaultPlan {
 }
 
 /// Record mutator used for malformed-record faults.
-pub type MalformFn<T> = Box<dyn FnMut(&mut T) + Send>;
+type MalformFn<T> = Box<dyn FnMut(&mut T) + Send>;
 
-/// Identity operator that injects faults per [`ChaosConfig`]. Insert it
-/// anywhere in a pipeline via
-/// [`DataStream::transform`](crate::stream::DataStream::transform).
+/// Identity step that injects faults per [`ChaosConfig`]; the session
+/// loop runs one in front of each sub-stream's pipeline.
 pub struct ChaosOperator<T> {
     plan: FaultPlan,
     malform: Option<MalformFn<T>>,
@@ -241,29 +241,8 @@ struct ChaosState {
 }
 
 impl<T> ChaosOperator<T> {
-    /// An injector with its own (private) panic budget and detached
-    /// metrics.
-    pub fn new(cfg: ChaosConfig) -> Self {
-        let budget = cfg.new_budget();
-        Self::with_shared_budget(cfg, budget)
-    }
-
-    /// An injector that panics exactly when the `n`-th record (1-based)
-    /// passes through, and never again: the kill carries a one-shot
-    /// panic budget, so sharing that budget across supervised retries
-    /// (via [`ChaosOperator::with_shared_budget`] and
-    /// [`ChaosConfig::new_budget`]) models a transient fault at an
-    /// exact, reproducible offset.
-    pub fn kill_at_tuple(n: u64) -> Self {
-        ChaosOperator::new(ChaosConfig {
-            kill_at_tuple: Some(n),
-            panic_budget: Some(1),
-            ..ChaosConfig::default()
-        })
-    }
-
     /// An injector whose panic budget is shared (typically across
-    /// supervised retries of the same job).
+    /// supervised retries of the same job), with detached metrics.
     pub fn with_shared_budget(cfg: ChaosConfig, budget: Arc<AtomicU64>) -> Self {
         ChaosOperator {
             plan: FaultPlan::new(cfg, budget, ChaosMetrics::detached()),
@@ -281,6 +260,26 @@ impl<T> ChaosOperator<T> {
     pub fn with_malform(mut self, f: impl FnMut(&mut T) + Send + 'static) -> Self {
         self.malform = Some(Box::new(f));
         self
+    }
+
+    /// Passes one record through, appending what survives its fault to
+    /// `out`; a panic fault unwinds out of this call.
+    pub fn on_element(&mut self, mut record: T, out: &mut Vec<T>) {
+        match self.plan.decide() {
+            Fault::Panic => self.plan.panic_now(),
+            Fault::Delay => {
+                self.plan.delay_now();
+                out.push(record);
+            }
+            Fault::Drop => {}
+            Fault::Malform => {
+                if let Some(f) = self.malform.as_mut() {
+                    f(&mut record);
+                }
+                out.push(record);
+            }
+            Fault::None => out.push(record),
+        }
     }
 }
 
@@ -304,30 +303,6 @@ impl<T> StateSnapshot for ChaosOperator<T> {
     }
 }
 
-impl<T: Send> crate::operator::Operator<T, T> for ChaosOperator<T> {
-    fn on_element(&mut self, mut record: T, out: &mut dyn crate::operator::Collector<T>) {
-        match self.plan.decide() {
-            Fault::Panic => self.plan.panic_now(),
-            Fault::Delay => {
-                self.plan.delay_now();
-                out.collect(record);
-            }
-            Fault::Drop => {}
-            Fault::Malform => {
-                if let Some(f) = self.malform.as_mut() {
-                    f(&mut record);
-                }
-                out.collect(record);
-            }
-            Fault::None => out.collect(record),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "chaos"
-    }
-}
-
 /// Installs (once, process-wide) a panic hook that suppresses the
 /// default "thread panicked" report for chaos-injected panics — they are
 /// expected, caught, and converted into typed errors; printing a
@@ -339,11 +314,6 @@ pub fn install_quiet_panic_hook() {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
             let payload = info.payload();
-            // Typed stage errors raised via `panic_any(StageError)` are
-            // deliberate, always-caught poison — never backtrace noise.
-            if payload.downcast_ref::<crate::fault::StageError>().is_some() {
-                return;
-            }
             let msg = payload
                 .downcast_ref::<String>()
                 .map(String::as_str)
@@ -359,8 +329,21 @@ pub fn install_quiet_panic_hook() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operator::Operator;
-    use crate::stage::run_operator_simple;
+
+    /// An injector with its own panic budget.
+    fn injector(cfg: ChaosConfig) -> ChaosOperator<i64> {
+        let budget = cfg.new_budget();
+        ChaosOperator::with_shared_budget(cfg, budget)
+    }
+
+    /// Every record through `op`, in order; what survives.
+    fn drive(mut op: ChaosOperator<i64>, records: Vec<i64>) -> Vec<i64> {
+        let mut out = Vec::new();
+        for r in records {
+            op.on_element(r, &mut out);
+        }
+        out
+    }
 
     #[test]
     fn splitmix_is_deterministic_and_uniformish() {
@@ -379,10 +362,7 @@ mod tests {
 
     #[test]
     fn default_config_injects_nothing() {
-        let out: Vec<i64> = run_operator_simple(
-            ChaosOperator::new(ChaosConfig::default()),
-            (0..100).collect(),
-        );
+        let out: Vec<i64> = drive(injector(ChaosConfig::default()), (0..100).collect());
         assert_eq!(out.len(), 100);
     }
 
@@ -407,7 +387,7 @@ mod tests {
             drop_rate: 1.0,
             ..ChaosConfig::default()
         };
-        let out: Vec<i64> = run_operator_simple(ChaosOperator::new(cfg), (0..50).collect());
+        let out: Vec<i64> = drive(injector(cfg), (0..50).collect());
         assert!(out.is_empty());
     }
 
@@ -417,8 +397,8 @@ mod tests {
             malform_rate: 1.0,
             ..ChaosConfig::default()
         };
-        let op = ChaosOperator::new(cfg).with_malform(|x: &mut i64| *x = -1);
-        let out: Vec<i64> = run_operator_simple(op, vec![1, 2, 3]);
+        let op = injector(cfg).with_malform(|x: &mut i64| *x = -1);
+        let out: Vec<i64> = drive(op, vec![1, 2, 3]);
         assert_eq!(out, vec![-1, -1, -1]);
     }
 
@@ -433,14 +413,12 @@ mod tests {
         let budget = cfg.new_budget();
         // First run panics (budget 1 -> 0)…
         let op = ChaosOperator::<i64>::with_shared_budget(cfg.clone(), Arc::clone(&budget));
-        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_operator_simple::<i64, i64, _>(op, vec![1])
-        }))
-        .is_err();
+        let panicked =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drive(op, vec![1]))).is_err();
         assert!(panicked);
         // …the retry with the same shared budget heals.
         let op = ChaosOperator::<i64>::with_shared_budget(cfg, budget);
-        let out: Vec<i64> = run_operator_simple(op, vec![1, 2]);
+        let out: Vec<i64> = drive(op, vec![1, 2]);
         assert_eq!(out, vec![1, 2]);
     }
 
@@ -465,7 +443,7 @@ mod tests {
         assert!(killed);
         // The retry with the shared budget passes record 3 through.
         let op = ChaosOperator::<i64>::with_shared_budget(cfg, budget);
-        let out: Vec<i64> = run_operator_simple(op, vec![1, 2, 3, 4]);
+        let out: Vec<i64> = drive(op, vec![1, 2, 3, 4]);
         assert_eq!(out, vec![1, 2, 3, 4]);
     }
 
@@ -476,7 +454,7 @@ mod tests {
             seed: 7,
             ..ChaosConfig::default()
         };
-        let mut a = ChaosOperator::<i64>::new(cfg.clone());
+        let mut a = injector(cfg.clone());
         let mut sink = Vec::new();
         for x in 0..50 {
             a.on_element(x, &mut sink);
@@ -484,7 +462,7 @@ mod tests {
         let doc = a.snapshot_state().expect("the state serializes");
         // A fresh injector restored from the snapshot continues the
         // exact drop schedule the original would have produced.
-        let mut b = ChaosOperator::<i64>::new(cfg);
+        let mut b = injector(cfg);
         b.restore_state(&doc).unwrap();
         let (mut ya, mut yb) = (Vec::new(), Vec::new());
         for x in 50..100 {

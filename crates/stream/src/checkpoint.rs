@@ -28,7 +28,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read as _, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Version stamped into every WAL header and frame.
@@ -41,11 +41,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// Magic bytes opening a checkpoint log file.
-pub const CHECKPOINT_MAGIC: [u8; 4] = *b"IWCK";
+pub(crate) const CHECKPOINT_MAGIC: [u8; 4] = *b"IWCK";
 
 /// Largest accepted frame payload (a corrupt length prefix must not
 /// trigger a giant allocation).
-pub const MAX_CHECKPOINT_FRAME_BYTES: usize = 64 << 20;
+pub(crate) const MAX_CHECKPOINT_FRAME_BYTES: usize = 64 << 20;
 
 /// Operators that can capture and restore their exact runtime state.
 ///
@@ -79,11 +79,11 @@ pub trait StateSnapshot {
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct WatermarkGenState {
     /// Maximum event timestamp observed (millis).
-    pub max_ts: i64,
+    pub(crate) max_ts: i64,
     /// Records seen by the generator.
-    pub seen: u64,
+    pub(crate) seen: u64,
     /// Last emitted watermark (millis), if any.
-    pub last_emitted: Option<i64>,
+    pub(crate) last_emitted: Option<i64>,
 }
 
 /// One complete, committed checkpoint.
@@ -115,7 +115,6 @@ pub struct CheckpointStore {
     latest: Mutex<Option<CheckpointFrame>>,
     taken: AtomicU64,
     wal: Option<Mutex<BufWriter<File>>>,
-    wal_path: Option<PathBuf>,
 }
 
 impl CheckpointStore {
@@ -150,13 +149,7 @@ impl CheckpointStore {
             latest: Mutex::new(None),
             taken: AtomicU64::new(0),
             wal: Some(Mutex::new(w)),
-            wal_path: Some(path.to_path_buf()),
         })
-    }
-
-    /// Path of the WAL file, when one is open.
-    pub fn wal_path(&self) -> Option<&Path> {
-        self.wal_path.as_deref()
     }
 
     /// Commits a completed frame: appends it to the WAL (when open),
@@ -245,7 +238,7 @@ impl CheckpointStore {
 }
 
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) over `data`.
-pub fn crc32(data: &[u8]) -> u32 {
+pub(crate) fn crc32(data: &[u8]) -> u32 {
     let mut crc = !0u32;
     for &b in data {
         crc ^= b as u32;

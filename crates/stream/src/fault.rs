@@ -1,35 +1,19 @@
-//! Fault types and the poison-propagation protocol.
+//! Failure types: which stage failed, and why.
 //!
-//! Icewafl injects faults into *data*; this module is about faults in
-//! the *runtime itself*: a panicking operator must neither unwind the
-//! driver past stages that never see a terminal marker nor truncate
-//! output with no error surfaced. The protocol implemented across
-//! [`stage`](crate::stage) and [`stream`](crate::stream) is:
-//!
-//! 1. every operator callback, source pull and driver runs under
-//!    [`std::panic::catch_unwind`];
-//! 2. a caught panic becomes a typed [`StageError`] wrapped in the
-//!    poison element [`StreamElement::Failure`](crate::element::StreamElement),
-//!    which travels *downstream* exactly like the end marker: stages
-//!    stop processing, forward it, and drain;
-//! 3. the terminal sink stage records the first failure into the run's
-//!    shared [`FailureCell`]; the executor turns it into a
-//!    [`PipelineError`] returned from
-//!    [`DataStream::execute_into`](crate::stream::DataStream::execute_into).
-//!
-//! The pipeline therefore always terminates — cleanly on success,
-//! loudly on failure. (The session loop in `icewafl-core` types its
-//! failures with the same [`StageError`] and reports the first one, with
-//! no element to carry it.)
+//! Icewafl injects faults into *data*; this module types faults in the
+//! *runtime itself*. The session loop in `icewafl-core` runs every step
+//! under [`std::panic::catch_unwind`] and turns a caught panic into a
+//! [`StageError`] carrying the failing stage's label. The first one
+//! fails the session, which reports it as an
+//! `icewafl_types::Error::Pipeline`, so a run ends loudly on a failure
+//! instead of returning output silently cut short.
 
-use parking_lot::Mutex;
 use std::fmt;
-use std::sync::Arc;
 
 /// Why a stage failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailureKind {
-    /// An operator, source, or driver panicked.
+    /// A step of the session loop panicked.
     Panic,
     /// A fault deliberately injected by the [`chaos`](crate::chaos)
     /// harness.
@@ -79,17 +63,21 @@ impl fmt::Display for FailureKind {
 /// panic payload (or diagnostic message).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageError {
-    /// Label of the failing stage, e.g. `stage/02_map`.
-    pub stage: String,
+    /// Label of the failing stage, e.g. `stage/02_pollution_pipeline`.
+    pub(crate) stage: String,
     /// Failure class.
-    pub kind: FailureKind,
+    pub(crate) kind: FailureKind,
     /// Human-readable detail — the panic message for panics.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl StageError {
     /// A failure of `stage` with an explicit kind and message.
-    pub fn new(stage: impl Into<String>, kind: FailureKind, message: impl Into<String>) -> Self {
+    pub(crate) fn new(
+        stage: impl Into<String>,
+        kind: FailureKind,
+        message: impl Into<String>,
+    ) -> Self {
         StageError {
             stage: stage.into(),
             kind,
@@ -99,16 +87,7 @@ impl StageError {
 
     /// Converts a caught panic payload into a `StageError`, extracting
     /// the `&str` / `String` message when present.
-    ///
-    /// A payload that *is* a `StageError` (thrown via
-    /// [`std::panic::panic_any`]) passes its kind and message through
-    /// verbatim — this is how sources and sinks raise *typed* failures
-    /// (e.g. a network disconnect) instead of a generic panic; only the
-    /// stage label is replaced with the label the runtime assigned.
     pub fn from_panic(stage: &str, payload: Box<dyn std::any::Any + Send>) -> Self {
-        if let Some(typed) = payload.downcast_ref::<StageError>() {
-            return StageError::new(stage, typed.kind, typed.message.clone());
-        }
         let message = panic_message(&payload);
         // Faults injected by the chaos harness mark their payload so
         // the supervisor can distinguish deliberate faults from real
@@ -150,107 +129,19 @@ pub(crate) fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The error returned by pipeline executors: the first [`StageError`]
-/// observed during the run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PipelineError {
-    /// The failure that terminated the pipeline.
-    pub error: StageError,
-}
-
-impl PipelineError {
-    /// Label of the failing stage.
-    pub fn stage(&self) -> &str {
-        &self.error.stage
-    }
-
-    /// Failure class.
-    pub fn kind(&self) -> FailureKind {
-        self.error.kind
-    }
-
-    /// Human-readable detail.
-    pub fn message(&self) -> &str {
-        &self.error.message
-    }
-}
-
-impl From<StageError> for PipelineError {
-    fn from(error: StageError) -> Self {
-        PipelineError { error }
-    }
-}
-
-impl fmt::Display for PipelineError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "pipeline failed: {}", self.error)
-    }
-}
-
-impl std::error::Error for PipelineError {}
-
-impl From<PipelineError> for icewafl_types::Error {
-    fn from(e: PipelineError) -> Self {
+impl From<StageError> for icewafl_types::Error {
+    fn from(e: StageError) -> Self {
         icewafl_types::Error::Pipeline {
-            stage: e.error.stage,
-            kind: e.error.kind.as_str().to_string(),
-            message: e.error.message,
+            stage: e.stage,
+            kind: e.kind.as_str().to_string(),
+            message: e.message,
         }
-    }
-}
-
-/// First-failure-wins cell shared between every fault-catching point of
-/// one pipeline execution and the executor that reports the result.
-///
-/// Cloning shares the cell. Recording is cheap (one short mutex hold)
-/// and only ever happens on the failure path.
-#[derive(Clone, Default)]
-pub struct FailureCell {
-    slot: Arc<Mutex<Option<StageError>>>,
-}
-
-impl FailureCell {
-    /// An empty cell.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records `error` unless a failure was already recorded (the first
-    /// failure is the root cause; later ones are usually fallout).
-    pub fn record(&self, error: StageError) {
-        let mut slot = self.slot.lock();
-        if slot.is_none() {
-            *slot = Some(error);
-        }
-    }
-
-    /// A copy of the recorded failure, if any.
-    pub fn get(&self) -> Option<StageError> {
-        self.slot.lock().clone()
-    }
-
-    /// Removes and returns the recorded failure, if any.
-    pub fn take(&self) -> Option<StageError> {
-        self.slot.lock().take()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn failure_cell_first_wins() {
-        let cell = FailureCell::new();
-        assert!(cell.get().is_none());
-        cell.record(StageError::new("a", FailureKind::Panic, "first"));
-        cell.record(StageError::new("b", FailureKind::Panic, "second"));
-        let e = cell.get().unwrap();
-        assert_eq!(e.stage, "a");
-        assert_eq!(e.message, "first");
-        assert!(cell.take().is_some());
-        assert!(cell.take().is_none());
-    }
 
     #[test]
     fn from_panic_extracts_str_and_string() {
@@ -288,18 +179,16 @@ mod tests {
 
     #[test]
     fn display_formats() {
-        let e = StageError::new("stage/01_map", FailureKind::Panic, "boom");
-        let p: PipelineError = e.into();
-        assert_eq!(p.stage(), "stage/01_map");
-        assert!(p
-            .to_string()
-            .contains("stage `stage/01_map` failed (panic): boom"));
+        let e = StageError::new("stage/02_pollution_pipeline", FailureKind::Panic, "boom");
+        assert_eq!(
+            e.to_string(),
+            "stage `stage/02_pollution_pipeline` failed (panic): boom"
+        );
     }
 
     #[test]
     fn converts_into_types_error() {
-        let p: PipelineError = StageError::new("s", FailureKind::Deadline, "late").into();
-        let e: icewafl_types::Error = p.into();
+        let e: icewafl_types::Error = StageError::new("s", FailureKind::Deadline, "late").into();
         match e {
             icewafl_types::Error::Pipeline {
                 stage,

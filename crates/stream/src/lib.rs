@@ -1,36 +1,55 @@
 //! # icewafl-stream
 //!
-//! A miniature stream-processing framework — the Apache Flink substitute
-//! of the Icewafl reproduction.
+//! The stream-processing parts of the Icewafl reproduction: what the
+//! original, a library of Apache Flink operators, takes from Flink.
 //!
-//! The original Icewafl is a library of Flink operators; everything it
-//! needs from Flink is provided here, from scratch:
+//! Algorithm 1 runs as one session loop in `icewafl-core`, built from
+//! these parts:
 //!
-//! * typed, stateful [`Operator`]s with event-time
-//!   [watermark](watermark::WatermarkStrategy) callbacks;
-//! * a fluent, lazily composed [`DataStream`] pipeline API with
-//!   `map`/`filter`/sort combinators and tumbling
-//!   [windows](window::TumblingWindow), run on the calling thread by a
-//!   deterministic executor pulling from a [`Source`];
-//! * the parts Icewafl's session loop (Algorithm 1, in `icewafl-core`)
-//!   is built from: a [watermark generator](WatermarkGenerator), the
-//!   [`EventTimeSorter`], the [`ControlChannel`] reconfigurations ride
-//!   on, and [`checkpoint`] frames with their write-ahead log;
-//! * **fault tolerance**: operator panics are caught and propagated as
-//!   typed poison elements ([`fault`]), runs can be retried under a
-//!   [`Supervisor`] policy, and the
-//!   [`chaos`] harness injects faults to prove it all works.
+//! * a [watermark generator](watermark::WatermarkGenerator) per
+//!   [`WatermarkStrategy`](watermark::WatermarkStrategy), closing
+//!   event-time periods as records pass;
+//! * the [`EventTimeSorter`](sort::EventTimeSorter), which holds
+//!   records back and releases them in event-time order as watermarks
+//!   advance (line 11's `sortByTimestamp`);
+//! * the [`chaos`] injector, which breaks the runtime on purpose, the
+//!   typed [`fault`]s a failed step reports, and the
+//!   [`Supervisor`](supervisor::Supervisor) policy that retries them;
+//! * [`checkpoint`] frames with their write-ahead log, and the
+//!   [`ControlChannel`](control::ControlChannel) reconfigurations ride
+//!   on.
+//!
+//! Next to them sit tumbling event-time
+//! [windows](window::TumblingWindow), which the DQ monitor validates,
+//! and the [`net`] framing serve sessions speak. Each part is a plain type its caller drives in a loop, writing
+//! what it emits into a `Vec`:
 //!
 //! ```
-//! use icewafl_stream::prelude::*;
-//! use icewafl_types::Timestamp;
+//! use icewafl_stream::sort::EventTimeSorter;
+//! use icewafl_stream::watermark::WatermarkStrategy;
+//! use icewafl_types::{Duration, Timestamp};
 //!
-//! let out = DataStream::from_vec(vec![3i64, 1, 2])
-//!     .map(|x| x * 10)
-//!     .sort_by_event_time(|x| Timestamp(*x))
-//!     .collect()
-//!     .unwrap();
-//! assert_eq!(out, vec![10, 20, 30]);
+//! // Records up to 2 ms out of order, a watermark after every record.
+//! let mut watermarks = WatermarkStrategy::bounded_out_of_orderness(
+//!     |x: &i64| Timestamp(*x),
+//!     Duration::from_millis(2),
+//!     1,
+//! )
+//! .generator();
+//! let mut sorter = EventTimeSorter::new(|x: &i64| Timestamp(*x));
+//! let mut out = Vec::new();
+//! for x in [3i64, 1, 2, 6, 4, 5] {
+//!     let wm = watermarks.on_record(&x);
+//!     sorter.on_element(x);
+//!     if let Some(wm) = wm {
+//!         sorter.on_watermark(wm, &mut out);
+//!     }
+//! }
+//! // W(4), after record 6, released what it closed; the end of the
+//! // stream releases the rest.
+//! assert_eq!(out, vec![1, 2, 3]);
+//! sorter.on_end(&mut out);
+//! assert_eq!(out, vec![1, 2, 3, 4, 5, 6]);
 //! ```
 
 #![warn(missing_docs)]
@@ -38,46 +57,10 @@
 pub mod chaos;
 pub mod checkpoint;
 pub mod control;
-pub mod element;
 pub mod fault;
 pub mod metrics;
 pub mod net;
-pub mod operator;
-pub mod sink;
 pub mod sort;
-pub mod source;
-pub mod stage;
-pub mod stream;
 pub mod supervisor;
 pub mod watermark;
 pub mod window;
-
-pub use chaos::{ChaosConfig, ChaosOperator, CHAOS_PANIC_MARKER};
-pub use checkpoint::{CheckpointFrame, CheckpointStore, StateSnapshot, WatermarkGenState};
-pub use control::{ControlChannel, ControlSubscriber};
-pub use element::StreamElement;
-pub use fault::{FailureCell, FailureKind, PipelineError, StageError};
-pub use metrics::{ChaosMetrics, SorterMetrics, StageMetrics};
-pub use net::{FrameReader, FrameWriter, NetError, NetPoll, WireFormat, WireFrame};
-pub use operator::{Collector, Operator};
-pub use sink::{CountSink, SharedVecSink, Sink};
-pub use sort::{EventTimeSorter, SortKey, SorterStateCodec};
-pub use source::{Source, VecSource};
-pub use stream::DataStream;
-pub use supervisor::{Supervisor, SupervisorPolicy};
-pub use watermark::{WatermarkGenerator, WatermarkStrategy};
-pub use window::{TumblingWindow, WindowPane};
-
-/// Everything needed to build and run pipelines.
-pub mod prelude {
-    pub use crate::chaos::{ChaosConfig, ChaosOperator};
-    pub use crate::control::{ControlChannel, ControlSubscriber};
-    pub use crate::element::StreamElement;
-    pub use crate::fault::{FailureKind, PipelineError, StageError};
-    pub use crate::operator::{Collector, Operator};
-    pub use crate::sink::{CountSink, SharedVecSink, Sink};
-    pub use crate::source::{Source, VecSource};
-    pub use crate::stream::DataStream;
-    pub use crate::supervisor::{Supervisor, SupervisorPolicy};
-    pub use crate::watermark::WatermarkStrategy;
-}

@@ -1,11 +1,11 @@
 //! Per-stage metric handle bundles.
 //!
-//! Every pipeline combinator registers its metrics against the
-//! [`MetricsRegistry`] carried by the
-//! [`ExecutionContext`](crate::stream::ExecutionContext) under a
-//! `stage/{NN}_{name}` prefix. Because pipelines are built back-to-front
-//! (sink first), stage indices count **from the sink upward**: the last
-//! combinator in the fluent chain gets index `00`.
+//! The session loop in `icewafl-core` registers a [`StageMetrics`] for
+//! every stage of the plan against the session's [`MetricsRegistry`],
+//! under the `stage/{NN}_{name}` label `PhysicalPlan::stages` predicts
+//! (the event-time sorter is `00`, then the router, then each
+//! sub-stream's pipeline and chaos injector), next to one
+//! [`SorterMetrics`] for the sorter and a [`ChaosMetrics`] per injector.
 //!
 //! With the `obs` feature disabled, every handle here is a zero-sized
 //! no-op (see `icewafl-obs`), so instrumented code carries no runtime
@@ -13,30 +13,29 @@
 
 use icewafl_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 
-/// Operator wall-time is sampled 1-in-`(SAMPLE_MASK + 1)` records so the
+/// Stage wall time is sampled 1-in-`(SAMPLE_MASK + 1)` records so the
 /// two `Instant::now` calls per sample stay invisible on the hot path.
 pub const SAMPLE_MASK: u64 = 63;
 
-/// Metric handles for one operator stage.
+/// Metric handles for one stage of the session loop.
 #[derive(Clone, Default)]
 pub struct StageMetrics {
-    /// Records entering the operator.
+    /// Records entering the stage.
     pub elements_in: Counter,
-    /// Records the operator emitted downstream.
+    /// Records the stage emitted downstream.
     pub elements_out: Counter,
-    /// Sampled per-record operator wall time, in nanoseconds.
+    /// Sampled per-record stage wall time, in nanoseconds.
     pub latency_ns: Histogram,
     /// Highest watermark (milliseconds, clamped at 0) seen by this
     /// stage; the end-of-stream `Timestamp::MAX` sentinel is excluded.
     pub watermark_hwm_ms: Gauge,
-    /// Operator invocations that panicked and were converted into a
-    /// poison [`StreamElement::Failure`](crate::element::StreamElement).
+    /// Steps of the stage that panicked and failed it.
     pub failures: Counter,
 }
 
 impl StageMetrics {
     /// Registers the stage's metrics under `label` (e.g.
-    /// `stage/03_map`).
+    /// `stage/02_pollution_pipeline`).
     pub fn register(registry: &MetricsRegistry, label: &str) -> Self {
         StageMetrics {
             elements_in: registry.counter(&format!("{label}/elements_in")),
@@ -49,13 +48,6 @@ impl StageMetrics {
             failures: registry.counter(&format!("{label}/failures")),
         }
     }
-
-    /// Detached handles that are not visible in any registry snapshot —
-    /// what [`OperatorStage::new`](crate::stage::OperatorStage::new)
-    /// uses when a stage is built outside a pipeline.
-    pub fn detached() -> Self {
-        Self::default()
-    }
 }
 
 /// Metric handles for an [`EventTimeSorter`](crate::sort::EventTimeSorter).
@@ -64,21 +56,21 @@ pub struct SorterMetrics {
     /// Records that arrived with an event time at or below the current
     /// watermark. They are still emitted (the sorter never drops), but
     /// they surface out of order downstream.
-    pub late: Counter,
+    pub(crate) late: Counter,
     /// Event-time lag of late records behind the watermark, in
     /// milliseconds.
-    pub late_lag_ms: Histogram,
+    pub(crate) late_lag_ms: Histogram,
     /// High-water mark of the sorter's reorder buffer occupancy.
-    pub buffer_max: Gauge,
+    pub(crate) buffer_max: Gauge,
     /// Records that landed too far from both ends of the sorted ring
     /// for an in-place insert and detoured through the overflow heap.
     /// Zero on the runner's lockstep schedule; non-zero means whole
     /// sorted runs arrived behind the tail.
-    pub heaped: Counter,
+    pub(crate) heaped: Counter,
     /// How far the current watermark trails the freshest event time
     /// seen, in milliseconds — sampled by the telemetry layer into a
     /// watermark-lag time series.
-    pub watermark_lag_ms: Gauge,
+    pub(crate) watermark_lag_ms: Gauge,
 }
 
 impl SorterMetrics {
@@ -95,7 +87,7 @@ impl SorterMetrics {
     }
 
     /// Detached handles, invisible to snapshots.
-    pub fn detached() -> Self {
+    pub(crate) fn detached() -> Self {
         Self::default()
     }
 }
@@ -105,13 +97,13 @@ impl SorterMetrics {
 #[derive(Clone, Default)]
 pub struct ChaosMetrics {
     /// Panics actually injected (after the budget check).
-    pub injected_panics: Counter,
+    pub(crate) injected_panics: Counter,
     /// Delay faults injected.
-    pub injected_delays: Counter,
+    pub(crate) injected_delays: Counter,
     /// Records dropped in flight.
-    pub injected_drops: Counter,
+    pub(crate) injected_drops: Counter,
     /// Records malformed in place.
-    pub injected_malforms: Counter,
+    pub(crate) injected_malforms: Counter,
 }
 
 impl ChaosMetrics {
@@ -126,7 +118,7 @@ impl ChaosMetrics {
     }
 
     /// Detached handles, invisible to snapshots.
-    pub fn detached() -> Self {
+    pub(crate) fn detached() -> Self {
         Self::default()
     }
 }
@@ -153,8 +145,8 @@ mod tests {
     #[test]
     fn detached_metrics_stay_out_of_snapshots() {
         let r = MetricsRegistry::new();
-        let m = StageMetrics::detached();
-        m.elements_in.inc();
+        let m = SorterMetrics::detached();
+        m.late.inc();
         assert!(r.snapshot().is_empty());
     }
 

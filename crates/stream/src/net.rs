@@ -339,7 +339,7 @@ impl FrameDecoder {
 /// the exact byte.
 ///
 /// Each step of [`write_to`] hands the transport up to
-/// [`WRITE_IOVECS`] queued buffers in one vectored write (one
+/// `WRITE_IOVECS` (64) queued buffers in one vectored write (one
 /// `writev(2)` on a socket), so a drive that queued many frames pays
 /// for few syscalls.
 ///
@@ -426,7 +426,7 @@ impl WriteQueue {
 
 /// Most queued buffers one [`WriteQueue::write_to`] step offers the
 /// transport.
-pub const WRITE_IOVECS: usize = 64;
+pub(crate) const WRITE_IOVECS: usize = 64;
 
 /// Reads [`WireFrame`]s of one format from a buffered byte stream,
 /// enforcing a per-frame size cap *before* buffering payloads.

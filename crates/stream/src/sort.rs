@@ -11,7 +11,6 @@
 
 use crate::checkpoint::StateSnapshot;
 use crate::metrics::SorterMetrics;
-use crate::operator::{Collector, Operator};
 use icewafl_obs::trace;
 use icewafl_types::{Error, Result, Timestamp};
 use serde::{Deserialize, Serialize};
@@ -126,16 +125,6 @@ impl<T> SorterStateCodec<T> {
     }
 }
 
-impl<T: Serialize + Deserialize> SorterStateCodec<T> {
-    /// The obvious codec for records that are themselves serde types.
-    pub fn serde() -> Self {
-        SorterStateCodec::new(
-            |t: &T| serde_json::to_string(t).ok(),
-            |s: &str| serde_json::from_str(s).ok(),
-        )
-    }
-}
-
 /// Wire form of a sorter snapshot: every held record (ring and heap
 /// alike) in release order with its arrival number, as parallel arrays
 /// (the vendored serde has no tuple impls). Keys are not stored — a
@@ -213,14 +202,14 @@ where
     }
 
     /// Number of records currently held back.
-    pub fn buffered(&self) -> usize {
+    pub(crate) fn buffered(&self) -> usize {
         self.buf.len() + self.overflow.len()
     }
 
     /// Emits every held record with an event time `<= wm` in `(key,
     /// seq)` order: the sorted ring prefix stream-merged with the
     /// overflow heap.
-    fn release_up_to(&mut self, wm: Timestamp, out: &mut dyn Collector<T>) {
+    fn release_up_to(&mut self, wm: Timestamp, out: &mut Vec<T>) {
         let ready = self.buf.partition_point(|e| e.key.event_time() <= wm);
         if self
             .overflow
@@ -228,9 +217,7 @@ where
             .is_none_or(|h| h.0.key.event_time() > wm)
         {
             // Fast path: nothing heaped is due, pop the prefix.
-            for e in self.buf.drain(..ready) {
-                out.collect(e.record);
-            }
+            out.extend(self.buf.drain(..ready).map(|e| e.record));
             return;
         }
         let mut from_buf = self.buf.drain(..ready).peekable();
@@ -242,13 +229,13 @@ where
                 (None, Some(_)) => self.overflow.pop().map(|h| h.0.record),
                 (None, None) => break,
             };
-            out.collect(record.expect("peeked entry is there"));
+            out.push(record.expect("peeked entry is there"));
         }
     }
 
     /// Releases up to `wm` inside a `sorter_release` trace span and
     /// publishes the staged occupancy peak.
-    fn traced_release(&mut self, wm: Timestamp, out: &mut dyn Collector<T>) {
+    fn traced_release(&mut self, wm: Timestamp, out: &mut Vec<T>) {
         let held = self.buffered() as u64;
         let mut span = trace::span("sorter_release", "stage");
         if let Some(s) = span.as_mut() {
@@ -329,13 +316,14 @@ where
     }
 }
 
-impl<T, F, K> Operator<T, T> for EventTimeSorter<T, F, K>
+impl<T, F, K> EventTimeSorter<T, F, K>
 where
-    T: Send,
-    F: FnMut(&T) -> K + Send,
-    K: SortKey + Send,
+    F: FnMut(&T) -> K,
+    K: SortKey,
 {
-    fn on_element(&mut self, record: T, _out: &mut dyn Collector<T>) {
+    /// Takes one record into the buffer, to leave at the watermark
+    /// that closes its event time.
+    pub fn on_element(&mut self, record: T) {
         let key = (self.extract)(&record);
         let ts = key.event_time();
         if ts > self.max_event_ts {
@@ -379,7 +367,9 @@ where
         self.buffer_peak = self.buffer_peak.max(self.buffered() as u64);
     }
 
-    fn on_watermark(&mut self, wm: Timestamp, out: &mut dyn Collector<T>) {
+    /// The watermark advances to `wm`: every held record with an event
+    /// time `<= wm` is appended to `out`, in key order.
+    pub fn on_watermark(&mut self, wm: Timestamp, out: &mut Vec<T>) {
         if wm > self.last_wm {
             self.last_wm = wm;
         }
@@ -395,12 +385,9 @@ where
         self.traced_release(wm, out);
     }
 
-    fn on_end(&mut self, out: &mut dyn Collector<T>) {
+    /// End of stream: everything still held is appended to `out`.
+    pub fn on_end(&mut self, out: &mut Vec<T>) {
         self.traced_release(Timestamp::MAX, out);
-    }
-
-    fn name(&self) -> &'static str {
-        "event_time_sorter"
     }
 }
 
@@ -417,8 +404,8 @@ mod tests {
     fn holds_until_watermark() {
         let mut s = sorter();
         let mut out = Vec::new();
-        s.on_element((5, "a"), &mut out);
-        s.on_element((3, "b"), &mut out);
+        s.on_element((5, "a"));
+        s.on_element((3, "b"));
         assert!(out.is_empty());
         assert_eq!(s.buffered(), 2);
         s.on_watermark(Timestamp(4), &mut out);
@@ -431,7 +418,7 @@ mod tests {
         let mut s = sorter();
         let mut out = Vec::new();
         for r in [(5, "a"), (1, "b"), (3, "c"), (2, "d")] {
-            s.on_element(r, &mut out);
+            s.on_element(r);
         }
         s.on_watermark(Timestamp(10), &mut out);
         assert_eq!(out, vec![(1, "b"), (2, "d"), (3, "c"), (5, "a")]);
@@ -442,7 +429,7 @@ mod tests {
         let mut s = sorter();
         let mut out = Vec::new();
         for r in [(1, "first"), (1, "second"), (1, "third")] {
-            s.on_element(r, &mut out);
+            s.on_element(r);
         }
         s.on_end(&mut out);
         assert_eq!(out, vec![(1, "first"), (1, "second"), (1, "third")]);
@@ -452,8 +439,8 @@ mod tests {
     fn end_flushes_everything() {
         let mut s = sorter();
         let mut out = Vec::new();
-        s.on_element((9, "z"), &mut out);
-        s.on_element((2, "y"), &mut out);
+        s.on_element((9, "z"));
+        s.on_element((2, "y"));
         s.on_end(&mut out);
         assert_eq!(out, vec![(2, "y"), (9, "z")]);
         assert_eq!(s.buffered(), 0);
@@ -463,10 +450,10 @@ mod tests {
     fn records_arriving_between_watermarks_interleave_correctly() {
         let mut s = sorter();
         let mut out = Vec::new();
-        s.on_element((1, "a"), &mut out);
+        s.on_element((1, "a"));
         s.on_watermark(Timestamp(1), &mut out);
-        s.on_element((3, "c"), &mut out);
-        s.on_element((2, "b"), &mut out);
+        s.on_element((3, "c"));
+        s.on_element((2, "b"));
         s.on_watermark(Timestamp(3), &mut out);
         assert_eq!(out, vec![(1, "a"), (2, "b"), (3, "c")]);
     }
@@ -477,8 +464,10 @@ mod tests {
         fn ts(x: &i64) -> Timestamp {
             Timestamp(*x)
         }
-        EventTimeSorter::new(ts as fn(&i64) -> Timestamp)
-            .with_state_codec(SorterStateCodec::serde())
+        EventTimeSorter::new(ts as fn(&i64) -> Timestamp).with_state_codec(SorterStateCodec::new(
+            |x: &i64| Some(x.to_string()),
+            |s: &str| s.parse().ok(),
+        ))
     }
 
     /// Snapshot → restore → snapshot is the identity, and both sorters
@@ -505,13 +494,13 @@ mod tests {
         let mut out = Vec::new();
         // Populate the sorted ring…
         for x in 0..200i64 {
-            s.on_element(x * 10, &mut out);
+            s.on_element(x * 10);
         }
         s.on_watermark(Timestamp(5), &mut out);
         // …and force two entries into the overflow heap (landing more
         // than MAX_INSERT_SHIFT slots from both ends).
-        s.on_element(995, &mut out);
-        s.on_element(995, &mut out);
+        s.on_element(995);
+        s.on_element(995);
         assert!(s.overflow.len() == 2, "test must exercise the heap path");
         assert_round_trip(s, 1_200);
     }
@@ -524,11 +513,11 @@ mod tests {
         // past the physical end: the live entries now straddle the
         // wrap-around point of the ring's storage.
         for x in 0..250i64 {
-            s.on_element(x, &mut out);
+            s.on_element(x);
         }
         s.on_watermark(Timestamp(199), &mut out);
         for x in 250..400i64 {
-            s.on_element(x, &mut out);
+            s.on_element(x);
         }
         let (front, back) = s.buf.as_slices();
         assert!(
@@ -542,9 +531,8 @@ mod tests {
     #[test]
     fn restore_rejects_records_out_of_release_order() {
         let mut s = i64_sorter();
-        let mut out = Vec::new();
-        s.on_element(1, &mut out);
-        s.on_element(2, &mut out);
+        s.on_element(1);
+        s.on_element(2);
         let doc = s.snapshot_state().unwrap();
         let swapped = doc.replacen("[\"1\",\"2\"]", "[\"2\",\"1\"]", 1);
         assert_ne!(swapped, doc, "the fixture must contain the record list");
@@ -565,7 +553,7 @@ mod tests {
             (4, 1, "b0"),
             (5, 0, "a2"),
         ] {
-            s.on_element(r, &mut out);
+            s.on_element(r);
         }
         s.on_end(&mut out);
         let tags: Vec<&str> = out.iter().map(|r| r.2).collect();
@@ -575,8 +563,7 @@ mod tests {
     #[test]
     fn snapshot_is_none_without_codec() {
         let mut s = sorter();
-        let mut out = Vec::new();
-        s.on_element((5, "a"), &mut out);
+        s.on_element((5, "a"));
         assert!(s.snapshot_state().is_none());
         assert!(s.restore_state("{}").is_err());
     }
@@ -589,11 +576,11 @@ mod tests {
         let mut s = EventTimeSorter::new(|r: &(i64, &'static str)| Timestamp(r.0))
             .with_metrics(SorterMetrics::register(&r, "sorter"));
         let mut out = Vec::new();
-        s.on_element((1, "a"), &mut out);
-        s.on_element((2, "b"), &mut out);
+        s.on_element((1, "a"));
+        s.on_element((2, "b"));
         s.on_watermark(Timestamp(5), &mut out);
         // ts 3 <= wm 5: late by 2 ms, but still emitted at the end.
-        s.on_element((3, "late"), &mut out);
+        s.on_element((3, "late"));
         s.on_end(&mut out);
         assert_eq!(out, vec![(1, "a"), (2, "b"), (3, "late")]);
         let snap = r.snapshot();
@@ -610,7 +597,7 @@ mod tests {
         let mut s = EventTimeSorter::new(|r: &(i64, &'static str)| Timestamp(r.0))
             .with_metrics(SorterMetrics::register(&r, "sorter"));
         let mut out = Vec::new();
-        s.on_element((10, "a"), &mut out);
+        s.on_element((10, "a"));
         s.on_watermark(Timestamp(4), &mut out);
         assert_eq!(r.snapshot().gauge("sorter/watermark_lag_ms"), 6);
         s.on_watermark(Timestamp(10), &mut out);
@@ -636,7 +623,7 @@ mod tests {
             let mut out = Vec::new();
             let mut heaped = 0;
             for (i, r) in records.iter().enumerate() {
-                s.on_element(*r, &mut out);
+                s.on_element(*r);
                 heaped = heaped.max(s.overflow.len());
                 if (i + 1) % wm_every == 0 {
                     // A valid watermark promises no future record has

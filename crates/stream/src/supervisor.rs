@@ -6,17 +6,17 @@
 //!
 //! ```
 //! use icewafl_stream::supervisor::{Supervisor, SupervisorPolicy};
-//! use icewafl_stream::fault::{FailureKind, StageError};
+//! use icewafl_stream::fault::FailureKind;
 //!
 //! let mut sup = Supervisor::new(SupervisorPolicy {
 //!     max_retries: 2,
 //!     deterministic: true, // no sleeping, no jitter: tests stay fast
 //!     ..SupervisorPolicy::default()
 //! });
-//! let err = StageError::new("stage/01_map", FailureKind::Panic, "boom");
-//! assert!(sup.next_retry(&err).is_some()); // retry 1
-//! assert!(sup.next_retry(&err).is_some()); // retry 2
-//! assert!(sup.next_retry(&err).is_none()); // budget exhausted
+//! let stage = "stage/02_pollution_pipeline";
+//! assert!(sup.next_retry_for(stage, FailureKind::Panic).is_some()); // retry 1
+//! assert!(sup.next_retry_for(stage, FailureKind::Panic).is_some()); // retry 2
+//! assert!(sup.next_retry_for(stage, FailureKind::Panic).is_none()); // budget exhausted
 //! assert_eq!(sup.restarts(), 2);
 //! ```
 //!
@@ -25,12 +25,12 @@
 //! disconnects) is retried up to [`SupervisorPolicy::max_retries`]
 //! times *per stage*, with backoff `min(base · 2^(n−1), max)` scaled by
 //! a jitter factor in `[0.5, 1.5)` drawn from a seeded
-//! [`SplitMix64`] — deterministic across runs with equal seeds. In
+//! SplitMix64 — deterministic across runs with equal seeds. In
 //! `deterministic` mode the backoff is zero so single-threaded runs
 //! stay reproducible and fast.
 
 use crate::chaos::SplitMix64;
-use crate::fault::{FailureKind, StageError};
+use crate::fault::FailureKind;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -89,11 +89,6 @@ impl Supervisor {
         }
     }
 
-    /// The policy this supervisor enforces.
-    pub fn policy(&self) -> &SupervisorPolicy {
-        &self.policy
-    }
-
     /// Total restarts granted so far (across all stages).
     pub fn restarts(&self) -> u64 {
         self.restarts
@@ -106,20 +101,15 @@ impl Supervisor {
     }
 
     /// `true` iff the run deadline has passed.
-    pub fn deadline_exceeded(&self) -> bool {
+    fn deadline_exceeded(&self) -> bool {
         matches!(self.deadline_instant(), Some(dl) if Instant::now() >= dl)
     }
 
-    /// Consulted after a failed attempt: `Some(backoff)` grants a retry
-    /// after sleeping `backoff` (zero in deterministic mode), `None`
-    /// means the failure is final.
-    pub fn next_retry(&mut self, error: &StageError) -> Option<Duration> {
-        self.next_retry_for(&error.stage, error.kind)
-    }
-
-    /// [`Supervisor::next_retry`] from the stage label and kind alone —
-    /// what callers holding a stringly-typed
-    /// `icewafl_types::Error::Pipeline` use (via [`FailureKind::parse`]).
+    /// Consulted after a failed attempt of `stage` with failure `kind`
+    /// (callers holding an `icewafl_types::Error::Pipeline` get it from
+    /// [`FailureKind::parse`]): `Some(backoff)` grants a retry after
+    /// sleeping `backoff` (zero in deterministic mode), `None` means the
+    /// failure is final.
     pub fn next_retry_for(&mut self, stage: &str, kind: FailureKind) -> Option<Duration> {
         match kind {
             // Retrying past the deadline can only blow it further; a
@@ -174,10 +164,6 @@ impl Supervisor {
 mod tests {
     use super::*;
 
-    fn err(stage: &str) -> StageError {
-        StageError::new(stage, FailureKind::Panic, "boom")
-    }
-
     #[test]
     fn retry_budget_is_per_stage() {
         let mut sup = Supervisor::new(SupervisorPolicy {
@@ -185,17 +171,23 @@ mod tests {
             deterministic: true,
             ..SupervisorPolicy::default()
         });
-        assert_eq!(sup.next_retry(&err("a")), Some(Duration::ZERO));
-        assert_eq!(sup.next_retry(&err("a")), None);
+        assert_eq!(
+            sup.next_retry_for("a", FailureKind::Panic),
+            Some(Duration::ZERO)
+        );
+        assert_eq!(sup.next_retry_for("a", FailureKind::Panic), None);
         // A different stage has its own budget.
-        assert_eq!(sup.next_retry(&err("b")), Some(Duration::ZERO));
+        assert_eq!(
+            sup.next_retry_for("b", FailureKind::Panic),
+            Some(Duration::ZERO)
+        );
         assert_eq!(sup.restarts(), 2);
     }
 
     #[test]
     fn fail_fast_policy_never_retries() {
         let mut sup = Supervisor::new(SupervisorPolicy::default());
-        assert_eq!(sup.next_retry(&err("a")), None);
+        assert_eq!(sup.next_retry_for("a", FailureKind::Panic), None);
         assert_eq!(sup.restarts(), 0);
     }
 
@@ -206,13 +198,10 @@ mod tests {
             deterministic: true,
             ..SupervisorPolicy::default()
         });
-        let deadline = StageError::new("s", FailureKind::Deadline, "late");
-        let fatal = StageError::new("s", FailureKind::Fatal, "bad config");
-        assert_eq!(sup.next_retry(&deadline), None);
-        assert_eq!(sup.next_retry(&fatal), None);
+        assert_eq!(sup.next_retry_for("s", FailureKind::Deadline), None);
+        assert_eq!(sup.next_retry_for("s", FailureKind::Fatal), None);
         // Injected chaos faults and disconnects *are* retryable.
-        let injected = StageError::new("s", FailureKind::Injected, "chaos");
-        assert!(sup.next_retry(&injected).is_some());
+        assert!(sup.next_retry_for("s", FailureKind::Injected).is_some());
     }
 
     #[test]
@@ -224,7 +213,7 @@ mod tests {
             ..SupervisorPolicy::default()
         });
         assert!(sup.deadline_exceeded());
-        assert_eq!(sup.next_retry(&err("a")), None);
+        assert_eq!(sup.next_retry_for("a", FailureKind::Panic), None);
     }
 
     #[test]
@@ -238,7 +227,7 @@ mod tests {
         });
         let expect_ms = [10.0, 20.0, 40.0, 80.0, 80.0];
         for &base_ms in &expect_ms {
-            let d = sup.next_retry(&err("s")).unwrap();
+            let d = sup.next_retry_for("s", FailureKind::Panic).unwrap();
             let ms = d.as_secs_f64() * 1e3;
             assert!(
                 (0.5 * base_ms..1.5 * base_ms).contains(&ms),
@@ -314,7 +303,10 @@ mod tests {
         };
         let (mut a, mut b) = (mk(), mk());
         for _ in 0..5 {
-            assert_eq!(a.next_retry(&err("s")), b.next_retry(&err("s")));
+            assert_eq!(
+                a.next_retry_for("s", FailureKind::Panic),
+                b.next_retry_for("s", FailureKind::Panic)
+            );
         }
     }
 }

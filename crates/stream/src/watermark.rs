@@ -1,37 +1,23 @@
 //! Event-time watermark generation.
 //!
 //! A watermark `W(t)` asserts that no future record has event time `≤ t`.
-//! The source runtime consults a [`WatermarkStrategy`] after each record
-//! and injects the watermarks it produces into the stream.
+//! A [`WatermarkStrategy`] names how a stream's records advance it; its
+//! [`WatermarkGenerator`] sees each record and says when to emit one.
 
 use icewafl_types::{Duration, Timestamp};
 
-/// How a stream assigns event times and emits watermarks.
-pub struct WatermarkStrategy<T> {
-    kind: Kind<T>,
-}
-
 type Extractor<T> = Box<dyn FnMut(&T) -> Timestamp + Send>;
 
-enum Kind<T> {
-    /// No intermediate watermarks; only the final `W(MAX)` before the end
-    /// marker. Stateful operators then behave like batch operators.
-    None,
-    /// Watermark = max event time seen − `delay`, emitted every `period`
-    /// records (Flink's "bounded out-of-orderness" strategy).
-    Bounded {
-        extract: Extractor<T>,
-        delay: Duration,
-        period: u64,
-    },
+/// How a stream assigns event times and emits watermarks: watermark =
+/// max event time seen − `delay`, emitted every `period` records
+/// (Flink's "bounded out-of-orderness" strategy).
+pub struct WatermarkStrategy<T> {
+    extract: Extractor<T>,
+    delay: Duration,
+    period: u64,
 }
 
 impl<T> WatermarkStrategy<T> {
-    /// No watermarks until end of stream (batch-like execution).
-    pub fn none() -> Self {
-        WatermarkStrategy { kind: Kind::None }
-    }
-
     /// Watermarks for perfectly ordered streams: after every record, the
     /// watermark advances to that record's event time.
     pub fn ascending(extract: impl FnMut(&T) -> Timestamp + Send + 'static) -> Self {
@@ -46,21 +32,17 @@ impl<T> WatermarkStrategy<T> {
         period: u64,
     ) -> Self {
         WatermarkStrategy {
-            kind: Kind::Bounded {
-                extract: Box::new(extract),
-                delay,
-                period: period.max(1),
-            },
+            extract: Box::new(extract),
+            delay,
+            period: period.max(1),
         }
     }
 
-    /// Instantiates the per-stream generator state: what a source runs
-    /// its records through, and what a caller that sources records
-    /// without a [`DataStream`](crate::DataStream) runs them through to
-    /// get the same watermarks.
+    /// Instantiates the per-stream generator state, which the caller
+    /// runs every record through.
     pub fn generator(self) -> WatermarkGenerator<T> {
         WatermarkGenerator {
-            kind: self.kind,
+            strategy: self,
             max_ts: Timestamp::MIN,
             seen: 0,
             last_emitted: None,
@@ -68,9 +50,9 @@ impl<T> WatermarkStrategy<T> {
     }
 }
 
-/// Stateful watermark generator owned by a running source.
+/// Stateful watermark generator of one stream.
 pub struct WatermarkGenerator<T> {
-    kind: Kind<T>,
+    strategy: WatermarkStrategy<T>,
     max_ts: Timestamp,
     seen: u64,
     last_emitted: Option<Timestamp>,
@@ -96,44 +78,31 @@ impl<T> WatermarkGenerator<T> {
 
     /// Observes a record; returns a watermark to emit after it, if any.
     pub fn on_record(&mut self, record: &T) -> Option<Timestamp> {
-        match &mut self.kind {
-            Kind::None => None,
-            Kind::Bounded {
-                extract,
-                delay,
-                period,
-            } => {
-                let ts = extract(record);
-                if ts > self.max_ts {
-                    self.max_ts = ts;
-                }
-                self.seen += 1;
-                if self.seen.is_multiple_of(*period) && self.max_ts > Timestamp::MIN {
-                    let wm = Timestamp(self.max_ts.millis().saturating_sub(delay.millis()));
-                    // Watermarks must be monotone; suppress regressions
-                    // and duplicates.
-                    if self.last_emitted.is_none_or(|last| wm > last) {
-                        self.last_emitted = Some(wm);
-                        return Some(wm);
-                    }
-                }
-                None
+        let ts = (self.strategy.extract)(record);
+        if ts > self.max_ts {
+            self.max_ts = ts;
+        }
+        self.seen += 1;
+        if self.seen.is_multiple_of(self.strategy.period) && self.max_ts > Timestamp::MIN {
+            let wm = Timestamp(
+                self.max_ts
+                    .millis()
+                    .saturating_sub(self.strategy.delay.millis()),
+            );
+            // Watermarks must be monotone; suppress regressions and
+            // duplicates.
+            if self.last_emitted.is_none_or(|last| wm > last) {
+                self.last_emitted = Some(wm);
+                return Some(wm);
             }
         }
+        None
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn none_strategy_never_emits() {
-        let mut g = WatermarkStrategy::<i64>::none().generator();
-        for x in 0..10 {
-            assert_eq!(g.on_record(&x), None);
-        }
-    }
 
     #[test]
     fn ascending_tracks_each_record() {

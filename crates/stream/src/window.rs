@@ -4,7 +4,6 @@
 //! windows as the watermark passes them — the DQ experiments validate
 //! per-hour windows this way.
 
-use crate::operator::{Collector, Operator};
 use icewafl_types::{Duration, Timestamp};
 use std::collections::BTreeMap;
 
@@ -46,7 +45,16 @@ where
         }
     }
 
-    fn fire_up_to(&mut self, wm: Timestamp, out: &mut dyn Collector<WindowPane<T>>) {
+    /// Takes one record into the window its event time falls in.
+    pub fn on_element(&mut self, record: T) {
+        let ts = (self.extract)(&record);
+        let key = ts.millis().div_euclid(self.size.millis());
+        self.panes.entry(key).or_default().push(record);
+    }
+
+    /// The watermark advances to `wm`: every window it completes is
+    /// appended to `out`, earliest first.
+    pub fn on_watermark(&mut self, wm: Timestamp, out: &mut Vec<WindowPane<T>>) {
         let size = self.size.millis();
         // A window k fires when wm >= its end (k+1)*size - 1ms is
         // covered, i.e. (k+1)*size <= wm + 1. Popping the first (lowest)
@@ -62,56 +70,66 @@ where
                 break;
             }
             let records = entry.remove();
-            out.collect(WindowPane {
+            out.push(WindowPane {
                 start: Timestamp(k * size),
                 end: Timestamp((k + 1) * size),
                 records,
             });
         }
     }
-}
 
-impl<T, F> Operator<T, WindowPane<T>> for TumblingWindow<T, F>
-where
-    T: Send,
-    F: FnMut(&T) -> Timestamp + Send,
-{
-    fn on_element(&mut self, record: T, _out: &mut dyn Collector<WindowPane<T>>) {
-        let ts = (self.extract)(&record);
-        let key = ts.millis().div_euclid(self.size.millis());
-        self.panes.entry(key).or_default().push(record);
-    }
-
-    fn on_watermark(&mut self, wm: Timestamp, out: &mut dyn Collector<WindowPane<T>>) {
-        self.fire_up_to(wm, out);
-    }
-
-    fn on_end(&mut self, out: &mut dyn Collector<WindowPane<T>>) {
+    /// End of stream: every window still open is appended to `out`,
+    /// earliest first.
+    pub fn on_end(&mut self, out: &mut Vec<WindowPane<T>>) {
         while let Some((k, records)) = self.panes.pop_first() {
-            out.collect(WindowPane {
+            out.push(WindowPane {
                 start: Timestamp(k * self.size.millis()),
                 end: Timestamp((k + 1) * self.size.millis()),
                 records,
             });
         }
     }
-
-    fn name(&self) -> &'static str {
-        "tumbling_window"
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::element::StreamElement;
-    use crate::stage::{run_operator, run_operator_simple};
+
+    type Window<T> = TumblingWindow<T, fn(&T) -> Timestamp>;
+
+    /// Windows of 10 ms over plain `i64` event times.
+    fn window() -> Window<i64> {
+        TumblingWindow::new(Duration::from_millis(10), |r: &i64| Timestamp(*r))
+    }
+
+    /// What `w` fires for `records`, then the `watermarks` in order, then
+    /// the end of stream; and how many of those panes the watermarks fired.
+    fn fire<T>(
+        mut w: Window<T>,
+        records: Vec<T>,
+        watermarks: &[i64],
+    ) -> (Vec<WindowPane<T>>, usize) {
+        let mut out = Vec::new();
+        for r in records {
+            w.on_element(r);
+        }
+        for &wm in watermarks {
+            w.on_watermark(Timestamp(wm), &mut out);
+        }
+        let by_watermarks = out.len();
+        w.on_end(&mut out);
+        (out, by_watermarks)
+    }
 
     #[test]
     fn tumbling_window_groups_by_event_time() {
-        let w = TumblingWindow::new(Duration::from_millis(10), |r: &(i64, char)| Timestamp(r.0));
-        let out: Vec<WindowPane<(i64, char)>> =
-            run_operator_simple(w, vec![(1, 'a'), (5, 'b'), (12, 'c'), (19, 'd'), (25, 'e')]);
+        let w: Window<(i64, char)> =
+            TumblingWindow::new(Duration::from_millis(10), |r: &(i64, char)| Timestamp(r.0));
+        let (out, _) = fire(
+            w,
+            vec![(1, 'a'), (5, 'b'), (12, 'c'), (19, 'd'), (25, 'e')],
+            &[],
+        );
         assert_eq!(out.len(), 3);
         assert_eq!(out[0].start, Timestamp(0));
         assert_eq!(out[0].records, vec![(1, 'a'), (5, 'b')]);
@@ -123,20 +141,11 @@ mod tests {
 
     #[test]
     fn tumbling_window_fires_on_watermark() {
-        let w = TumblingWindow::new(Duration::from_millis(10), |r: &i64| Timestamp(*r));
-        let out: Vec<WindowPane<i64>> = run_operator(
-            w,
-            vec![
-                StreamElement::Record(3),
-                StreamElement::Record(15),
-                // Watermark 8: a record with ts 9 could still arrive, so
-                // window [0,10) must not fire yet.
-                StreamElement::Watermark(Timestamp(8)),
-                StreamElement::Watermark(Timestamp(9)),
-                StreamElement::End,
-            ],
-        );
+        // Watermark 8: a record with ts 9 could still arrive, so window
+        // [0,10) must not fire yet; watermark 9 fires it.
+        let (out, by_watermarks) = fire(window(), vec![3, 15], &[8, 9]);
         // First window fired by the watermark at 9, second at end.
+        assert_eq!(by_watermarks, 1);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].records, vec![3]);
         assert_eq!(out[1].records, vec![15]);
@@ -144,39 +153,24 @@ mod tests {
 
     #[test]
     fn tumbling_window_watermark_9_does_not_fire_window_0_10() {
-        let w = TumblingWindow::new(Duration::from_millis(10), |r: &i64| Timestamp(*r));
-        let out: Vec<WindowPane<i64>> = run_operator(
-            w,
-            vec![
-                StreamElement::Record(3),
-                StreamElement::Watermark(Timestamp(8)),
-                StreamElement::End,
-            ],
-        );
-        assert_eq!(out.len(), 1, "window only fires at end");
+        let (out, by_watermarks) = fire(window(), vec![3], &[8]);
+        assert_eq!(by_watermarks, 0, "window only fires at end");
+        assert_eq!(out.len(), 1);
     }
 
     #[test]
     fn tumbling_window_watermark_at_9ms_fires_via_inclusive_edge() {
         // wm = 9 means no record with ts <= 9 is pending; window [0,10)
         // contains ts 0..=9, so it may fire: end (10) <= wm+1 (10).
-        let w = TumblingWindow::new(Duration::from_millis(10), |r: &i64| Timestamp(*r));
-        let out: Vec<WindowPane<i64>> = run_operator(
-            w,
-            vec![
-                StreamElement::Record(3),
-                StreamElement::Watermark(Timestamp(9)),
-                StreamElement::End,
-            ],
-        );
+        let (out, by_watermarks) = fire(window(), vec![3], &[9]);
+        assert_eq!(by_watermarks, 1);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].records, vec![3]);
     }
 
     #[test]
     fn negative_event_times_window_correctly() {
-        let w = TumblingWindow::new(Duration::from_millis(10), |r: &i64| Timestamp(*r));
-        let out: Vec<WindowPane<i64>> = run_operator_simple(w, vec![-5, -15]);
+        let (out, _) = fire(window(), vec![-5, -15], &[]);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].start, Timestamp(-20));
         assert_eq!(out[0].records, vec![-15]);

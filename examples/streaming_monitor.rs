@@ -1,12 +1,13 @@
-//! Continuous data-quality monitoring of a polluted stream: pollution
-//! pipeline and DQ monitor composed in one dataflow, reporting per-hour
-//! quality online — and localizing the moment the software update broke
-//! the device.
+//! Continuous data-quality monitoring of a polluted stream: a DQ
+//! monitor fed the pollution run's output in event-time order, reporting
+//! quality per window online — and localizing the moment the software
+//! update broke the device.
 //!
 //! Run with `cargo run --example streaming_monitor`.
 
 use icewafl::dq::monitor::DqMonitorOperator;
 use icewafl::prelude::*;
+use icewafl::stream::watermark::WatermarkStrategy;
 
 fn main() {
     let schema = icewafl::data::wearable::schema();
@@ -39,14 +40,17 @@ fn main() {
     // Monitor: 6-hour windows, the unit-error detector from §3.1.2.
     let suite = ExpectationSuite::new("unit-check")
         .with(ExpectColumnPairValuesAToBeGreaterThanB::new("Steps", "Distance").or_equal());
-    let monitor = DqMonitorOperator::new(schema.clone(), suite, Duration::from_hours(6));
-    let reports = DataStream::from_source(
-        VecSource::new(out.polluted),
-        WatermarkStrategy::ascending(|t: &StampedTuple| t.tau),
-    )
-    .transform(monitor)
-    .collect()
-    .expect("monitor pipeline runs");
+    let mut monitor = DqMonitorOperator::new(schema.clone(), suite, Duration::from_hours(6));
+    let mut watermarks = WatermarkStrategy::ascending(|t: &StampedTuple| t.tau).generator();
+    let mut reports = Vec::new();
+    for t in out.polluted {
+        let wm = watermarks.on_record(&t);
+        monitor.on_element(t);
+        if let Some(wm) = wm {
+            monitor.on_watermark(wm, &mut reports);
+        }
+    }
+    monitor.on_end(&mut reports);
 
     println!("=== streaming DQ monitor: 6-hour windows ===\n");
     println!(

@@ -8,9 +8,9 @@
 //! Data Stream Polluter"* (EDBT 2025), including every substrate the
 //! paper builds on:
 //!
-//! * [`stream`] — a miniature stream-processing framework (the Apache
-//!   Flink substitute): operators, watermarks, the event-time sorter,
-//!   pulled execution on the calling thread;
+//! * [`stream`] — the stream-processing parts (the Apache Flink
+//!   substitute): watermarks, the event-time sorter, chaos injection,
+//!   checkpoints and the supervisor the session loop is built from;
 //! * [`core`] — the pollution model itself: conditions, error
 //!   functions, native temporal polluters, change patterns, composite
 //!   polluters, pipelines, ground-truth logging, and the JSON job
@@ -83,7 +83,6 @@ pub mod prelude {
     pub use icewafl_core::prelude::*;
     pub use icewafl_dq::prelude::*;
     pub use icewafl_forecast::prelude::*;
-    pub use icewafl_stream::prelude::*;
     pub use icewafl_types::{
         DataType, Duration, Field, Schema, StampedTuple, Timestamp, Tuple, Value,
     };

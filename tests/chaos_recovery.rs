@@ -7,6 +7,10 @@
 //!    `max_retries ≥ 1` recovers from a transient fault and reports
 //!    `restarts ≥ 1` in the `RunReport`.
 //!
+//! A kill mid-stream is loud as well: fail-fast `execute` and a streaming
+//! session both end in the injector's typed error, after at most a
+//! strict prefix of the output.
+//!
 //! Everything is seeded, so these runs are reproducible bit-for-bit.
 
 use icewafl::prelude::*;
@@ -139,4 +143,45 @@ fn chaos_metrics_surface_in_the_run_report() {
             50
         );
     }
+}
+
+#[test]
+fn mid_stream_kill_truncates_loudly_not_silently() {
+    // A row plan whose injector kills the run at tuple 5 000 of 20 000.
+    // Output may have been released before the kill, but the caller
+    // must get a typed error naming the injector, never `Ok` with
+    // tuples missing.
+    const N: i64 = 20_000;
+    let mut cfg = chaotic_config(0);
+    cfg.supervision = None;
+    cfg.chaos = Some(icewafl::core::config::ChaosSectionConfig {
+        kill_at_tuple: Some(5_000),
+        panic_budget: Some(1),
+        ..Default::default()
+    });
+    let plan = compiled(&cfg);
+    let expect_kill = |result: Result<usize, Error>| match result {
+        Err(Error::Pipeline { stage, kind, .. }) => {
+            assert!(stage.contains("chaos"), "failing stage: `{stage}`");
+            assert_eq!(kind, "injected");
+        }
+        Ok(n) => panic!("a killed run returned Ok with {n} of {N} tuples"),
+        Err(other) => panic!("expected Error::Pipeline, got: {other}"),
+    };
+    // `execute` is fail-fast.
+    expect_kill(plan.execute(tuples(N)).map(|out| out.polluted.len()));
+
+    // A streaming session hands out a strict prefix, then the error.
+    let mut session = plan.open_streaming().unwrap();
+    let mut drained = 0;
+    for t in tuples(N) {
+        session.push(t);
+        session.drain(|chunk| drained += chunk.len());
+    }
+    expect_kill(
+        session
+            .finish(|chunk| drained += chunk.len())
+            .map(|report| report.tuples_out as usize),
+    );
+    assert!(drained < N as usize, "drained {drained} of {N}");
 }
