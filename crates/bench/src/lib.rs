@@ -5,7 +5,6 @@
 //! a package of its own under `src/bin/benchmark/`; what lives here
 //! measures what it does not:
 //!
-//! * `benches/obs_overhead` — metrics compiled in vs. out, hot path;
 //! * `benches/dq_micro` — expectation validation and the regex engine;
 //! * `benches/forecast_micro` — model learn/forecast cost;
 //! * `bin/serve_client` — drives sessions against `icewafl serve`.

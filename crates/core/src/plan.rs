@@ -86,6 +86,11 @@ use std::sync::Arc;
 /// additionally capped by the watermark period. `1` disables batching.
 pub const DEFAULT_BATCH_SIZE: usize = 256;
 
+/// The largest `batch_size` [`LogicalPlan::compile`] accepts. A session
+/// reserves a frame of `batch_size` records per sub-stream up front, so
+/// an unbounded value would let one plan exhaust the allocator.
+const MAX_BATCH_SIZE: usize = 65_536;
+
 /// The execution strategy a plan asks for. Every plan runs the one
 /// sequential, watermark-lockstep schedule, so the two values are
 /// synonyms: `auto` is what existing plan JSON says, `sequential` what
@@ -223,7 +228,7 @@ pub struct LogicalPlan {
     #[serde(default = "default_watermark_period")]
     pub watermark_period: u64,
     /// Records per frame on the router → sub-stream edges and on the
-    /// output (`1` = unbatched).
+    /// output (`1` = unbatched, at most 65 536).
     /// Purely a performance knob: batches flush before every watermark,
     /// end marker, and failure, so output is bit-identical across batch
     /// sizes.
@@ -345,6 +350,12 @@ impl LogicalPlan {
             if !chaos.is_valid() {
                 return Err(Error::plan("chaos rates must be probabilities in [0, 1]"));
             }
+        }
+        if self.batch_size > MAX_BATCH_SIZE {
+            return Err(Error::plan(format_args!(
+                "batch_size {} exceeds the maximum of {MAX_BATCH_SIZE}",
+                self.batch_size
+            )));
         }
         let m = self.substreams();
         let stages = predict_stages(m, chaos.is_some());
@@ -1136,6 +1147,26 @@ mod tests {
     }
 
     #[test]
+    fn oversized_batch_sizes_are_plan_errors() {
+        // A session reserves `batch_size` records per frame: a huge value
+        // must fail to compile, not overflow a capacity at run time.
+        let with = |batch_size| LogicalPlan {
+            batch_size,
+            ..LogicalPlan::new(1, vec![vec![null_spec(0.5)]])
+        };
+        for batch_size in [MAX_BATCH_SIZE + 1, 1 << 62, usize::MAX] {
+            let err = with(batch_size).compile(&schema()).err().expect("rejected");
+            assert!(matches!(err, Error::Plan { .. }), "{err}");
+            assert!(err.to_string().contains("batch_size"), "{err}");
+        }
+        let run = |batch_size| {
+            let physical = with(batch_size).compile(&schema()).unwrap();
+            physical.execute(tuples(100)).unwrap().polluted
+        };
+        assert_eq!(run(MAX_BATCH_SIZE), run(1));
+    }
+
+    #[test]
     fn explain_names_strategy_and_stages() {
         let plan = LogicalPlan::new(1, vec![vec![null_spec(0.5)]]);
         let physical = plan.compile(&schema()).unwrap();
@@ -1161,9 +1192,6 @@ mod tests {
             };
             let physical = plan.compile(&schema()).unwrap();
             let out = physical.execute(tuples(100)).unwrap();
-            if !out.report.metrics_compiled_in {
-                return; // obs feature off: nothing to verify against
-            }
             for stage in physical.stages() {
                 let counter = format!("{}/elements_in", stage.label);
                 if stage.metrics.contains(&counter) {
@@ -1255,16 +1283,14 @@ mod tests {
         assert_eq!(report.log_entries, offline.report.log_entries);
         assert_eq!(report.polluters, offline.report.polluters);
         assert!(report.checkpoints_taken > 0, "a pushed session checkpoints");
-        if report.metrics_compiled_in {
-            for stage in physical.stages() {
-                let counter = format!("{}/elements_in", stage.label);
-                if stage.metrics.contains(&counter) {
-                    assert!(
-                        report.metrics.counter(&counter) > 0,
-                        "predicted stage {} missing in a streamed run",
-                        stage.label
-                    );
-                }
+        for stage in physical.stages() {
+            let counter = format!("{}/elements_in", stage.label);
+            if stage.metrics.contains(&counter) {
+                assert!(
+                    report.metrics.counter(&counter) > 0,
+                    "predicted stage {} missing in a streamed run",
+                    stage.label
+                );
             }
         }
     }

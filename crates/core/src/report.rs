@@ -23,8 +23,8 @@ pub struct RunReport {
     pub log_entries: u64,
     /// Whether ground-truth logging was enabled for the run.
     pub logging_enabled: bool,
-    /// Whether metric collection was compiled in (`obs` feature). When
-    /// `false`, every count below reads 0.
+    /// Always `true`: metrics are always collected. The key stays so
+    /// serialized reports keep their shape.
     pub metrics_compiled_in: bool,
     /// Supervised restarts consumed before the run succeeded (0 for
     /// unsupervised runs and runs that succeed on the first attempt).
@@ -110,9 +110,6 @@ impl RunReport {
                 "recovered from checkpoint epoch {} (replayed {} tuples, {} ms restoring)\n",
                 self.restored_from_epoch, self.replayed_tuples, self.recovery_ms
             ));
-        }
-        if !self.metrics_compiled_in {
-            s.push_str("(metrics compiled out: obs feature disabled)\n");
         }
         if !self.polluters.is_empty() {
             s.push_str("polluters:\n");

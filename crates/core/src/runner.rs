@@ -96,8 +96,7 @@ pub struct PollutionOutput {
     /// Ground truth of every applied error.
     pub log: PollutionLog,
     /// Aggregated observability data: stream totals, per-polluter
-    /// statistics, and the per-stage metrics snapshot. All counts read 0
-    /// when the `obs` feature is compiled out.
+    /// statistics, and the per-stage metrics snapshot.
     pub report: RunReport,
 }
 
@@ -362,7 +361,7 @@ pub(crate) fn run_report(
         tuples_out,
         log_entries: log.len() as u64,
         logging_enabled: settings.logging,
-        metrics_compiled_in: icewafl_obs::metrics_compiled_in(),
+        metrics_compiled_in: true,
         restarts: 0,
         strategy: Some("sequential".into()),
         epochs_applied: settings.control.applied(),

@@ -8,9 +8,6 @@
 //! after the run has consumed the polluters, which is how
 //! [`PhysicalPlan::execute`](crate::plan::PhysicalPlan::execute) reads
 //! them into the [`RunReport`](crate::report::RunReport).
-//!
-//! With the `obs` feature disabled every cell is a zero-sized no-op and
-//! all snapshots read 0.
 
 use icewafl_obs::{Counter, Gauge};
 use rand::rngs::StdRng;
@@ -103,8 +100,7 @@ impl PendingStats {
 /// Wire form of a polluter's cumulative stat-cell values at a
 /// checkpoint barrier: restore pre-adds them into the fresh cells of a
 /// rebuilt polluter, so a recovered run reports the same totals an
-/// undisturbed one would. With the `obs` feature off all reads are 0
-/// and all writes are no-ops — harmlessly empty on the wire.
+/// undisturbed one would.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub(crate) struct StatsTotals {
     pub fires: u64,
@@ -245,7 +241,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn counting_rng_counts_draws() {
         use rand::RngExt;
@@ -258,7 +253,6 @@ mod tests {
         assert!(c.get() >= 2);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn pending_stats_flush_and_reset() {
         let s = PolluterStats::new();
@@ -277,7 +271,6 @@ mod tests {
         assert_eq!(s.buffer_max.get(), 3);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn stats_snapshot_reads_cells() {
         let s = PolluterStats::new();

@@ -13,23 +13,24 @@
 //!   and snapshot time, never while recording.
 //! * **No external metrics crate.** Everything here is `std` atomics
 //!   plus the workspace's vendored `parking_lot`/`serde` stubs.
-//! * **Compile-out escape hatch.** With the `enabled` feature off
-//!   (`default-features = false`), every cell is a zero-sized no-op and
-//!   every `record`/`inc` call compiles to nothing, so instrumented code
-//!   needs no `cfg` at the call sites. Snapshot types are always
-//!   available; a disabled registry snapshots to an empty
-//!   [`MetricsSnapshot`].
+//! * **Always on.** Metrics, spans and the telemetry sampler have one
+//!   implementation each and no build switch, so every count a report
+//!   shows comes from the code that did the work.
 
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 pub mod telemetry;
 pub mod trace;
 
-pub use telemetry::{MetricsDelta, SeriesPoint, TelemetrySampler};
+pub use telemetry::{MetricsDelta, TelemetrySampler};
 pub use trace::{TraceDump, TraceEvent, TraceSession};
 
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::Arc;
+use std::time::Instant;
 
 /// Default latency bucket upper bounds, in nanoseconds (last bucket is
 /// the overflow bucket above the final bound).
@@ -159,401 +160,237 @@ impl MetricsSnapshot {
         self.histograms.get(name)
     }
 
-    /// `true` when nothing was recorded (e.g. metrics compiled out).
+    /// `true` when nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 }
 
-/// `true` when the crate was built with metric recording compiled in.
-pub const fn metrics_compiled_in() -> bool {
-    cfg!(feature = "enabled")
-}
+/// A monotonically increasing counter.
+#[derive(Clone, Debug, Default)]
+pub struct Counter(Arc<AtomicU64>);
 
-#[cfg(feature = "enabled")]
-mod imp {
-    use super::{HistogramSnapshot, MetricsSnapshot};
-    use parking_lot::Mutex;
-    use std::collections::BTreeMap;
-    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    /// A monotonically increasing counter.
-    #[derive(Clone, Debug, Default)]
-    pub struct Counter(Arc<AtomicU64>);
-
-    impl Counter {
-        /// Adds one; returns the previous value (handy for sampling
-        /// decisions).
-        pub fn inc(&self) -> u64 {
-            self.0.fetch_add(1, Relaxed)
-        }
-
-        /// Adds `n`.
-        pub fn add(&self, n: u64) {
-            if n != 0 {
-                self.0.fetch_add(n, Relaxed);
-            }
-        }
-
-        /// Current value.
-        pub fn get(&self) -> u64 {
-            self.0.load(Relaxed)
-        }
+impl Counter {
+    /// Adds one; returns the previous value (handy for sampling
+    /// decisions).
+    pub fn inc(&self) -> u64 {
+        self.0.fetch_add(1, Relaxed)
     }
 
-    /// A last-value / high-water-mark gauge.
-    #[derive(Clone, Debug, Default)]
-    pub struct Gauge(Arc<AtomicU64>);
-
-    impl Gauge {
-        /// Overwrites the value.
-        pub fn set(&self, v: u64) {
-            self.0.store(v, Relaxed);
-        }
-
-        /// Raises the value to `v` if it is higher (high-water mark).
-        pub fn set_max(&self, v: u64) {
-            self.0.fetch_max(v, Relaxed);
-        }
-
-        /// Increments by `n` — for gauges tracking a live population
-        /// (e.g. active sessions).
-        pub fn add(&self, n: u64) {
+    /// Adds `n`.
+    pub fn add(&self, n: u64) {
+        if n != 0 {
             self.0.fetch_add(n, Relaxed);
         }
+    }
 
-        /// Decrements by `n`, saturating at 0.
-        pub fn sub(&self, n: u64) {
-            let _ = self
+    /// Current value.
+    pub fn get(&self) -> u64 {
+        self.0.load(Relaxed)
+    }
+}
+
+/// A last-value / high-water-mark gauge.
+#[derive(Clone, Debug, Default)]
+pub struct Gauge(Arc<AtomicU64>);
+
+impl Gauge {
+    /// Overwrites the value.
+    pub fn set(&self, v: u64) {
+        self.0.store(v, Relaxed);
+    }
+
+    /// Raises the value to `v` if it is higher (high-water mark).
+    pub fn set_max(&self, v: u64) {
+        self.0.fetch_max(v, Relaxed);
+    }
+
+    /// Increments by `n` — for gauges tracking a live population
+    /// (e.g. active sessions).
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Relaxed);
+    }
+
+    /// Decrements by `n`, saturating at 0.
+    pub fn sub(&self, n: u64) {
+        let _ = self
+            .0
+            .fetch_update(Relaxed, Relaxed, |v| Some(v.saturating_sub(n)));
+    }
+
+    /// Current value.
+    pub fn get(&self) -> u64 {
+        self.0.load(Relaxed)
+    }
+}
+
+#[derive(Debug)]
+struct HistogramInner {
+    bounds: Vec<u64>,
+    buckets: Vec<AtomicU64>,
+    count: AtomicU64,
+    sum: AtomicU64,
+}
+
+/// A fixed-bucket histogram (cumulative count + sum, per-bucket
+/// counts).
+#[derive(Clone, Debug)]
+pub struct Histogram(Arc<HistogramInner>);
+
+impl Histogram {
+    /// A histogram over ascending upper `bounds` plus an overflow
+    /// bucket.
+    pub fn with_bounds(bounds: &[u64]) -> Self {
+        debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bounds must ascend");
+        Histogram(Arc::new(HistogramInner {
+            bounds: bounds.to_vec(),
+            buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+        }))
+    }
+
+    /// Records one observation.
+    pub fn record(&self, v: u64) {
+        let idx = self.0.bounds.partition_point(|&b| v > b);
+        self.0.buckets[idx].fetch_add(1, Relaxed);
+        self.0.count.fetch_add(1, Relaxed);
+        self.0.sum.fetch_add(v, Relaxed);
+    }
+
+    /// Total number of observations.
+    pub fn count(&self) -> u64 {
+        self.0.count.load(Relaxed)
+    }
+
+    /// Sum of observed values.
+    pub fn sum(&self) -> u64 {
+        self.0.sum.load(Relaxed)
+    }
+
+    /// The current state.
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        HistogramSnapshot {
+            bounds: self.0.bounds.clone(),
+            counts: self.0.buckets.iter().map(|b| b.load(Relaxed)).collect(),
+            count: self.count(),
+            sum: self.sum(),
+        }
+    }
+}
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Histogram::with_bounds(LATENCY_BOUNDS_NS)
+    }
+}
+
+/// Wall-clock stopwatch.
+#[derive(Debug)]
+pub struct Stopwatch(Instant);
+
+impl Stopwatch {
+    /// Starts timing.
+    pub fn start() -> Self {
+        Stopwatch(Instant::now())
+    }
+
+    /// Nanoseconds since [`Stopwatch::start`].
+    pub fn elapsed_ns(&self) -> u64 {
+        u64::try_from(self.0.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    }
+}
+
+#[derive(Default)]
+struct RegistryInner {
+    counters: Mutex<BTreeMap<String, Counter>>,
+    gauges: Mutex<BTreeMap<String, Gauge>>,
+    histograms: Mutex<BTreeMap<String, Histogram>>,
+}
+
+/// Hands out named metric cells and snapshots them.
+///
+/// Cloning is cheap (`Arc`); the internal mutexes are locked only
+/// during registration and snapshotting, never while recording into
+/// an already-registered cell.
+#[derive(Clone, Default)]
+pub struct MetricsRegistry(Arc<RegistryInner>);
+
+impl MetricsRegistry {
+    /// A fresh, empty registry.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The counter named `name`, registering it on first use.
+    pub fn counter(&self, name: &str) -> Counter {
+        let mut map = self.0.counters.lock();
+        match map.get(name) {
+            Some(c) => c.clone(),
+            None => {
+                let c = Counter::default();
+                map.insert(name.to_string(), c.clone());
+                c
+            }
+        }
+    }
+
+    /// The gauge named `name`, registering it on first use.
+    pub fn gauge(&self, name: &str) -> Gauge {
+        let mut map = self.0.gauges.lock();
+        match map.get(name) {
+            Some(g) => g.clone(),
+            None => {
+                let g = Gauge::default();
+                map.insert(name.to_string(), g.clone());
+                g
+            }
+        }
+    }
+
+    /// The histogram named `name`, registering it with `bounds` on
+    /// first use (existing bounds win on re-registration).
+    pub fn histogram(&self, name: &str, bounds: &[u64]) -> Histogram {
+        let mut map = self.0.histograms.lock();
+        match map.get(name) {
+            Some(h) => h.clone(),
+            None => {
+                let h = Histogram::with_bounds(bounds);
+                map.insert(name.to_string(), h.clone());
+                h
+            }
+        }
+    }
+
+    /// The current state of every registered metric.
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        MetricsSnapshot {
+            counters: self
                 .0
-                .fetch_update(Relaxed, Relaxed, |v| Some(v.saturating_sub(n)));
-        }
-
-        /// Current value.
-        pub fn get(&self) -> u64 {
-            self.0.load(Relaxed)
-        }
-    }
-
-    #[derive(Debug)]
-    struct HistogramInner {
-        bounds: Vec<u64>,
-        buckets: Vec<AtomicU64>,
-        count: AtomicU64,
-        sum: AtomicU64,
-    }
-
-    /// A fixed-bucket histogram (cumulative count + sum, per-bucket
-    /// counts).
-    #[derive(Clone, Debug)]
-    pub struct Histogram(Arc<HistogramInner>);
-
-    impl Histogram {
-        /// A histogram over ascending upper `bounds` plus an overflow
-        /// bucket.
-        pub fn with_bounds(bounds: &[u64]) -> Self {
-            debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bounds must ascend");
-            Histogram(Arc::new(HistogramInner {
-                bounds: bounds.to_vec(),
-                buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-                count: AtomicU64::new(0),
-                sum: AtomicU64::new(0),
-            }))
-        }
-
-        /// Records one observation.
-        pub fn record(&self, v: u64) {
-            let idx = self.0.bounds.partition_point(|&b| v > b);
-            self.0.buckets[idx].fetch_add(1, Relaxed);
-            self.0.count.fetch_add(1, Relaxed);
-            self.0.sum.fetch_add(v, Relaxed);
-        }
-
-        /// Total number of observations.
-        pub fn count(&self) -> u64 {
-            self.0.count.load(Relaxed)
-        }
-
-        /// Sum of observed values.
-        pub fn sum(&self) -> u64 {
-            self.0.sum.load(Relaxed)
-        }
-
-        /// The current state.
-        pub fn snapshot(&self) -> HistogramSnapshot {
-            HistogramSnapshot {
-                bounds: self.0.bounds.clone(),
-                counts: self.0.buckets.iter().map(|b| b.load(Relaxed)).collect(),
-                count: self.count(),
-                sum: self.sum(),
-            }
-        }
-    }
-
-    impl Default for Histogram {
-        fn default() -> Self {
-            Histogram::with_bounds(super::LATENCY_BOUNDS_NS)
-        }
-    }
-
-    /// Wall-clock stopwatch; compiles to a no-op when metrics are
-    /// disabled.
-    #[derive(Debug)]
-    pub struct Stopwatch(Instant);
-
-    impl Stopwatch {
-        /// Starts timing.
-        pub fn start() -> Self {
-            Stopwatch(Instant::now())
-        }
-
-        /// Nanoseconds since [`Stopwatch::start`].
-        pub fn elapsed_ns(&self) -> u64 {
-            u64::try_from(self.0.elapsed().as_nanos()).unwrap_or(u64::MAX)
-        }
-    }
-
-    #[derive(Default)]
-    struct RegistryInner {
-        counters: Mutex<BTreeMap<String, Counter>>,
-        gauges: Mutex<BTreeMap<String, Gauge>>,
-        histograms: Mutex<BTreeMap<String, Histogram>>,
-    }
-
-    /// Hands out named metric cells and snapshots them.
-    ///
-    /// Cloning is cheap (`Arc`); the internal mutexes are locked only
-    /// during registration and snapshotting, never while recording into
-    /// an already-registered cell.
-    #[derive(Clone, Default)]
-    pub struct MetricsRegistry(Arc<RegistryInner>);
-
-    impl MetricsRegistry {
-        /// A fresh, empty registry.
-        pub fn new() -> Self {
-            Self::default()
-        }
-
-        /// The counter named `name`, registering it on first use.
-        pub fn counter(&self, name: &str) -> Counter {
-            let mut map = self.0.counters.lock();
-            match map.get(name) {
-                Some(c) => c.clone(),
-                None => {
-                    let c = Counter::default();
-                    map.insert(name.to_string(), c.clone());
-                    c
-                }
-            }
-        }
-
-        /// The gauge named `name`, registering it on first use.
-        pub fn gauge(&self, name: &str) -> Gauge {
-            let mut map = self.0.gauges.lock();
-            match map.get(name) {
-                Some(g) => g.clone(),
-                None => {
-                    let g = Gauge::default();
-                    map.insert(name.to_string(), g.clone());
-                    g
-                }
-            }
-        }
-
-        /// The histogram named `name`, registering it with `bounds` on
-        /// first use (existing bounds win on re-registration).
-        pub fn histogram(&self, name: &str, bounds: &[u64]) -> Histogram {
-            let mut map = self.0.histograms.lock();
-            match map.get(name) {
-                Some(h) => h.clone(),
-                None => {
-                    let h = Histogram::with_bounds(bounds);
-                    map.insert(name.to_string(), h.clone());
-                    h
-                }
-            }
-        }
-
-        /// The current state of every registered metric.
-        pub fn snapshot(&self) -> MetricsSnapshot {
-            MetricsSnapshot {
-                counters: self
-                    .0
-                    .counters
-                    .lock()
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.get()))
-                    .collect(),
-                gauges: self
-                    .0
-                    .gauges
-                    .lock()
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.get()))
-                    .collect(),
-                histograms: self
-                    .0
-                    .histograms
-                    .lock()
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.snapshot()))
-                    .collect(),
-            }
+                .counters
+                .lock()
+                .iter()
+                .map(|(k, v)| (k.clone(), v.get()))
+                .collect(),
+            gauges: self
+                .0
+                .gauges
+                .lock()
+                .iter()
+                .map(|(k, v)| (k.clone(), v.get()))
+                .collect(),
+            histograms: self
+                .0
+                .histograms
+                .lock()
+                .iter()
+                .map(|(k, v)| (k.clone(), v.snapshot()))
+                .collect(),
         }
     }
 }
 
-#[cfg(not(feature = "enabled"))]
-mod imp {
-    //! Zero-sized no-op twins of every metric type, so instrumented
-    //! code compiles unchanged with metrics stripped.
-
-    use super::MetricsSnapshot;
-
-    /// No-op counter (metrics compiled out).
-    #[derive(Clone, Copy, Debug, Default)]
-    pub struct Counter;
-
-    impl Counter {
-        /// No-op; always returns 0.
-        #[inline(always)]
-        pub fn inc(&self) -> u64 {
-            0
-        }
-
-        /// No-op.
-        #[inline(always)]
-        pub fn add(&self, _n: u64) {}
-
-        /// Always 0.
-        #[inline(always)]
-        pub fn get(&self) -> u64 {
-            0
-        }
-    }
-
-    /// No-op gauge (metrics compiled out).
-    #[derive(Clone, Copy, Debug, Default)]
-    pub struct Gauge;
-
-    impl Gauge {
-        /// No-op.
-        #[inline(always)]
-        pub fn set(&self, _v: u64) {}
-
-        /// No-op.
-        #[inline(always)]
-        pub fn set_max(&self, _v: u64) {}
-
-        /// No-op.
-        #[inline(always)]
-        pub fn add(&self, _n: u64) {}
-
-        /// No-op.
-        #[inline(always)]
-        pub fn sub(&self, _n: u64) {}
-
-        /// Always 0.
-        #[inline(always)]
-        pub fn get(&self) -> u64 {
-            0
-        }
-    }
-
-    /// No-op histogram (metrics compiled out).
-    #[derive(Clone, Copy, Debug, Default)]
-    pub struct Histogram;
-
-    impl Histogram {
-        /// No-op constructor.
-        #[inline(always)]
-        pub fn with_bounds(_bounds: &[u64]) -> Self {
-            Histogram
-        }
-
-        /// No-op.
-        #[inline(always)]
-        pub fn record(&self, _v: u64) {}
-
-        /// Always 0.
-        #[inline(always)]
-        pub fn count(&self) -> u64 {
-            0
-        }
-
-        /// Always 0.
-        #[inline(always)]
-        pub fn sum(&self) -> u64 {
-            0
-        }
-
-        /// Always empty.
-        #[inline(always)]
-        pub fn snapshot(&self) -> super::HistogramSnapshot {
-            super::HistogramSnapshot::default()
-        }
-    }
-
-    /// No-op stopwatch: never reads the clock.
-    #[derive(Clone, Copy, Debug)]
-    pub struct Stopwatch;
-
-    impl Stopwatch {
-        /// No-op; does not call `Instant::now`.
-        #[inline(always)]
-        pub fn start() -> Self {
-            Stopwatch
-        }
-
-        /// Always 0.
-        #[inline(always)]
-        pub fn elapsed_ns(&self) -> u64 {
-            0
-        }
-    }
-
-    /// No-op registry (metrics compiled out).
-    #[derive(Clone, Copy, Debug, Default)]
-    pub struct MetricsRegistry;
-
-    impl MetricsRegistry {
-        /// A no-op registry.
-        #[inline(always)]
-        pub fn new() -> Self {
-            MetricsRegistry
-        }
-
-        /// A no-op counter.
-        #[inline(always)]
-        pub fn counter(&self, _name: &str) -> Counter {
-            Counter
-        }
-
-        /// A no-op gauge.
-        #[inline(always)]
-        pub fn gauge(&self, _name: &str) -> Gauge {
-            Gauge
-        }
-
-        /// A no-op histogram.
-        #[inline(always)]
-        pub fn histogram(&self, _name: &str, _bounds: &[u64]) -> Histogram {
-            Histogram
-        }
-
-        /// Always empty.
-        #[inline(always)]
-        pub fn snapshot(&self) -> MetricsSnapshot {
-            MetricsSnapshot::default()
-        }
-    }
-}
-
-pub use imp::{Counter, Gauge, Histogram, MetricsRegistry, Stopwatch};
-
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -709,10 +546,5 @@ mod tests {
         let a = sw.elapsed_ns();
         let b = sw.elapsed_ns();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn compiled_in_flag() {
-        assert!(metrics_compiled_in());
     }
 }

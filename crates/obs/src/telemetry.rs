@@ -1,23 +1,25 @@
 //! Live telemetry: a background [`TelemetrySampler`] that snapshots a
-//! [`MetricsRegistry`](crate::MetricsRegistry) on a fixed interval into
-//! fixed-capacity ring buffers.
+//! [`MetricsRegistry`] on a fixed interval.
 //!
 //! Each tick produces a [`MetricsDelta`] — absolute counter values, the
-//! change since the previous tick, and current gauge values — and
-//! appends per-metric [`SeriesPoint`]s (counter *rates* in units per
-//! second, gauge values) to bounded ring buffers. Consumers poll
-//! [`TelemetrySampler::frames_since`] to stream deltas (this is what a
-//! serve `telemetry` session forwards on the wire) or
-//! [`TelemetrySampler::series`] to read a time series back.
+//! change since the previous tick, and current gauge values — and keeps
+//! only the newest one. Consumers poll [`TelemetrySampler::latest`]
+//! (this is what a serve `telemetry` session forwards on the wire).
 //!
 //! The sampler owns one background thread. It joins **cleanly and
 //! promptly** both on [`TelemetrySampler::shutdown`] and on drop — the
 //! loop sleeps in short slices so shutdown never waits out a long
-//! interval. With the `enabled` feature off the sampler spawns nothing
-//! and every query returns empty data.
+//! interval.
 
+use crate::MetricsRegistry;
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::io;
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// One telemetry tick: the registry's state at a sample instant plus
 /// its change since the previous tick.
@@ -37,285 +39,139 @@ pub struct MetricsDelta {
     pub gauges: BTreeMap<String, u64>,
 }
 
-/// One point of a sampled time series.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct SeriesPoint {
-    /// Milliseconds since the sampler started.
-    pub at_ms: u64,
-    /// Counter series: rate in units per second over the last
-    /// interval. Gauge series: the sampled value.
-    pub value: f64,
+/// Upper slice of one shutdown-check sleep; bounds how long a drop can
+/// block behind a sleeping sampler thread.
+const SHUTDOWN_POLL: Duration = Duration::from_millis(5);
+
+#[derive(Default)]
+struct SamplerState {
+    prev: Option<BTreeMap<String, u64>>,
+    latest: Option<MetricsDelta>,
+    seq: u64,
 }
 
-#[cfg(feature = "enabled")]
-mod imp {
-    use super::{MetricsDelta, SeriesPoint};
-    use crate::MetricsRegistry;
-    use parking_lot::Mutex;
-    use std::collections::{BTreeMap, VecDeque};
-    use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
-    use std::sync::Arc;
-    use std::thread::JoinHandle;
-    use std::time::{Duration, Instant};
+struct SamplerShared {
+    interval: Duration,
+    state: Mutex<SamplerState>,
+}
 
-    /// Upper slice of one shutdown-check sleep; bounds how long a drop
-    /// can block behind a sleeping sampler thread.
-    const SHUTDOWN_POLL: Duration = Duration::from_millis(5);
-
-    struct SamplerState {
-        prev: Option<BTreeMap<String, u64>>,
-        frames: VecDeque<MetricsDelta>,
-        series: BTreeMap<String, VecDeque<SeriesPoint>>,
-        seq: u64,
-    }
-
-    struct SamplerShared {
-        interval: Duration,
-        capacity: usize,
-        state: Mutex<SamplerState>,
-    }
-
-    impl SamplerShared {
-        fn tick(&self, registry: &MetricsRegistry, at_ms: u64) {
-            let snap = registry.snapshot();
-            let mut st = self.state.lock();
-            st.seq += 1;
-            let seq = st.seq;
-            let interval_ms = self.interval.as_millis() as u64;
-            let mut deltas = BTreeMap::new();
-            for (name, value) in &snap.counters {
-                let prev = st
-                    .prev
-                    .as_ref()
-                    .and_then(|p| p.get(name).copied())
-                    .unwrap_or(0);
-                let delta = value.saturating_sub(prev);
-                if delta != 0 {
-                    deltas.insert(name.clone(), delta);
-                }
-                let rate = delta as f64 * 1000.0 / interval_ms.max(1) as f64;
-                push_point(&mut st.series, name, at_ms, rate, self.capacity);
+impl SamplerShared {
+    fn tick(&self, registry: &MetricsRegistry, at_ms: u64) {
+        let snap = registry.snapshot();
+        let mut st = self.state.lock();
+        st.seq += 1;
+        let mut deltas = BTreeMap::new();
+        for (name, value) in &snap.counters {
+            let prev = st
+                .prev
+                .as_ref()
+                .and_then(|p| p.get(name).copied())
+                .unwrap_or(0);
+            let delta = value.saturating_sub(prev);
+            if delta != 0 {
+                deltas.insert(name.clone(), delta);
             }
-            for (name, value) in &snap.gauges {
-                push_point(&mut st.series, name, at_ms, *value as f64, self.capacity);
-            }
-            st.prev = Some(snap.counters.clone());
-            let frame = MetricsDelta {
-                seq,
-                at_ms,
-                interval_ms,
-                counters: snap.counters,
-                deltas,
-                gauges: snap.gauges,
-            };
-            if st.frames.len() >= self.capacity {
-                st.frames.pop_front();
-            }
-            st.frames.push_back(frame);
         }
+        st.prev = Some(snap.counters.clone());
+        st.latest = Some(MetricsDelta {
+            seq: st.seq,
+            at_ms,
+            interval_ms: self.interval.as_millis() as u64,
+            counters: snap.counters,
+            deltas,
+            gauges: snap.gauges,
+        });
     }
+}
 
-    fn push_point(
-        series: &mut BTreeMap<String, VecDeque<SeriesPoint>>,
-        name: &str,
-        at_ms: u64,
-        value: f64,
-        capacity: usize,
-    ) {
-        let ring = series
-            .entry(name.to_string())
-            .or_insert_with(|| VecDeque::with_capacity(capacity.min(1024)));
-        if ring.len() >= capacity {
-            ring.pop_front();
-        }
-        ring.push_back(SeriesPoint { at_ms, value });
-    }
+/// Samples a [`MetricsRegistry`] on a fixed interval from a background
+/// thread (see the [module docs](crate::telemetry)).
+pub struct TelemetrySampler {
+    shared: Arc<SamplerShared>,
+    stop: Arc<AtomicBool>,
+    handle: Option<JoinHandle<()>>,
+}
 
-    /// Samples a [`MetricsRegistry`] on a fixed interval from a
-    /// background thread (see the [module docs](crate::telemetry)).
-    pub struct TelemetrySampler {
-        shared: Arc<SamplerShared>,
-        stop: Arc<AtomicBool>,
-        handle: Option<JoinHandle<()>>,
-    }
-
-    impl TelemetrySampler {
-        /// Starts sampling `registry` every `interval`, keeping the
-        /// most recent `capacity` delta frames and series points.
-        pub fn start(registry: &MetricsRegistry, interval: Duration, capacity: usize) -> Self {
-            let shared = Arc::new(SamplerShared {
-                interval: interval.max(Duration::from_millis(1)),
-                capacity: capacity.max(2),
-                state: Mutex::new(SamplerState {
-                    prev: None,
-                    frames: VecDeque::new(),
-                    series: BTreeMap::new(),
-                    seq: 0,
-                }),
-            });
-            let stop = Arc::new(AtomicBool::new(false));
-            let handle = {
-                let shared = Arc::clone(&shared);
-                let stop = Arc::clone(&stop);
-                let registry = registry.clone();
-                std::thread::Builder::new()
-                    .name("icewafl-telemetry".into())
-                    .spawn(move || {
-                        let epoch = Instant::now();
-                        let mut next = epoch + shared.interval;
+impl TelemetrySampler {
+    /// Starts sampling `registry` every `interval`. Fails only when the
+    /// sampler thread cannot be spawned.
+    pub fn start(registry: &MetricsRegistry, interval: Duration) -> io::Result<Self> {
+        let shared = Arc::new(SamplerShared {
+            interval: interval.max(Duration::from_millis(1)),
+            state: Mutex::new(SamplerState::default()),
+        });
+        let stop = Arc::new(AtomicBool::new(false));
+        let handle = {
+            let shared = Arc::clone(&shared);
+            let stop = Arc::clone(&stop);
+            let registry = registry.clone();
+            std::thread::Builder::new()
+                .name("icewafl-telemetry".into())
+                .spawn(move || {
+                    let epoch = Instant::now();
+                    let mut next = epoch + shared.interval;
+                    loop {
+                        // Sleep to the next tick in short slices so a
+                        // shutdown request is honoured within
+                        // SHUTDOWN_POLL, not a full interval.
                         loop {
-                            // Sleep to the next tick in short slices so a
-                            // shutdown request is honoured within
-                            // SHUTDOWN_POLL, not a full interval.
-                            loop {
-                                if stop.load(Relaxed) {
-                                    return;
-                                }
-                                let now = Instant::now();
-                                if now >= next {
-                                    break;
-                                }
-                                std::thread::sleep((next - now).min(SHUTDOWN_POLL));
+                            if stop.load(Relaxed) {
+                                return;
                             }
-                            let at_ms = epoch.elapsed().as_millis() as u64;
-                            shared.tick(&registry, at_ms);
-                            next += shared.interval;
-                            // If ticking fell behind, skip to the present
-                            // rather than firing a catch-up burst.
                             let now = Instant::now();
-                            if next < now {
-                                next = now + shared.interval;
+                            if now >= next {
+                                break;
                             }
+                            std::thread::sleep((next - now).min(SHUTDOWN_POLL));
                         }
-                    })
-                    .expect("spawn telemetry sampler thread")
-            };
-            TelemetrySampler {
-                shared,
-                stop,
-                handle: Some(handle),
-            }
-        }
-
-        /// Number of ticks taken so far.
-        pub fn ticks(&self) -> u64 {
-            self.shared.state.lock().seq
-        }
-
-        /// All retained delta frames with `seq > after_seq`, oldest
-        /// first.
-        pub fn frames_since(&self, after_seq: u64) -> Vec<MetricsDelta> {
-            self.shared
-                .state
-                .lock()
-                .frames
-                .iter()
-                .filter(|f| f.seq > after_seq)
-                .cloned()
-                .collect()
-        }
-
-        /// The most recent delta frame, if any tick has fired.
-        pub fn latest(&self) -> Option<MetricsDelta> {
-            self.shared.state.lock().frames.back().cloned()
-        }
-
-        /// The retained time series for one metric (counter → rate per
-        /// second, gauge → value), oldest point first.
-        pub fn series(&self, name: &str) -> Vec<SeriesPoint> {
-            self.shared
-                .state
-                .lock()
-                .series
-                .get(name)
-                .map(|r| r.iter().copied().collect())
-                .unwrap_or_default()
-        }
-
-        /// Names of every metric with at least one series point.
-        pub fn series_names(&self) -> Vec<String> {
-            self.shared.state.lock().series.keys().cloned().collect()
-        }
-
-        /// Stops the sampler thread and joins it. Idempotent; also runs
-        /// on drop.
-        pub fn shutdown(&mut self) {
-            self.stop.store(true, Relaxed);
-            if let Some(handle) = self.handle.take() {
-                let _ = handle.join();
-            }
-        }
+                        let at_ms = epoch.elapsed().as_millis() as u64;
+                        shared.tick(&registry, at_ms);
+                        next += shared.interval;
+                        // If ticking fell behind, skip to the present
+                        // rather than firing a catch-up burst.
+                        let now = Instant::now();
+                        if next < now {
+                            next = now + shared.interval;
+                        }
+                    }
+                })?
+        };
+        Ok(TelemetrySampler {
+            shared,
+            stop,
+            handle: Some(handle),
+        })
     }
 
-    impl Drop for TelemetrySampler {
-        fn drop(&mut self) {
-            self.shutdown();
+    /// Number of ticks taken so far.
+    pub fn ticks(&self) -> u64 {
+        self.shared.state.lock().seq
+    }
+
+    /// The most recent delta frame, if any tick has fired.
+    pub fn latest(&self) -> Option<MetricsDelta> {
+        self.shared.state.lock().latest.clone()
+    }
+
+    /// Stops the sampler thread and joins it. Idempotent; also runs on
+    /// drop.
+    pub fn shutdown(&mut self) {
+        self.stop.store(true, Relaxed);
+        if let Some(handle) = self.handle.take() {
+            let _ = handle.join();
         }
     }
 }
 
-#[cfg(not(feature = "enabled"))]
-mod imp {
-    //! No-op sampler: spawns nothing, returns nothing.
-
-    use super::{MetricsDelta, SeriesPoint};
-    use crate::MetricsRegistry;
-    use std::time::Duration;
-
-    /// No-op telemetry sampler (metrics compiled out).
-    #[derive(Debug, Default)]
-    pub struct TelemetrySampler;
-
-    impl TelemetrySampler {
-        /// No-op; spawns no thread.
-        #[inline(always)]
-        pub fn start(_registry: &MetricsRegistry, _interval: Duration, _capacity: usize) -> Self {
-            TelemetrySampler
-        }
-
-        /// Always 0.
-        #[inline(always)]
-        pub fn ticks(&self) -> u64 {
-            0
-        }
-
-        /// Always empty.
-        #[inline(always)]
-        pub fn frames_since(&self, _after_seq: u64) -> Vec<MetricsDelta> {
-            Vec::new()
-        }
-
-        /// Always `None`.
-        #[inline(always)]
-        pub fn latest(&self) -> Option<MetricsDelta> {
-            None
-        }
-
-        /// Always empty.
-        #[inline(always)]
-        pub fn series(&self, _name: &str) -> Vec<SeriesPoint> {
-            Vec::new()
-        }
-
-        /// Always empty.
-        #[inline(always)]
-        pub fn series_names(&self) -> Vec<String> {
-            Vec::new()
-        }
-
-        /// No-op.
-        #[inline(always)]
-        pub fn shutdown(&mut self) {}
+impl Drop for TelemetrySampler {
+    fn drop(&mut self) {
+        self.shutdown();
     }
 }
 
-pub use imp::TelemetrySampler;
-
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MetricsRegistry;
-    use std::time::{Duration, Instant};
 
     fn wait_for_ticks(sampler: &TelemetrySampler, n: u64) {
         let deadline = Instant::now() + Duration::from_secs(10);
@@ -326,11 +182,11 @@ mod tests {
     }
 
     #[test]
-    fn sampler_produces_deltas_and_series() {
+    fn sampler_keeps_the_newest_frame() {
         let registry = MetricsRegistry::new();
         let counter = registry.counter("work/done");
         let gauge = registry.gauge("work/active");
-        let mut sampler = TelemetrySampler::start(&registry, Duration::from_millis(10), 64);
+        let mut sampler = TelemetrySampler::start(&registry, Duration::from_millis(10)).unwrap();
         counter.add(5);
         gauge.set(3);
         wait_for_ticks(&sampler, 2);
@@ -338,45 +194,40 @@ mod tests {
         wait_for_ticks(&sampler, 4);
         sampler.shutdown();
 
-        let frames = sampler.frames_since(0);
-        assert!(frames.len() >= 4);
-        // Seqs are contiguous and ascending.
-        for pair in frames.windows(2) {
-            assert_eq!(pair[1].seq, pair[0].seq + 1);
-            assert!(pair[1].at_ms >= pair[0].at_ms);
-        }
-        // All 12 increments are accounted for across the deltas.
-        let total: u64 = frames
-            .iter()
-            .filter_map(|f| f.deltas.get("work/done"))
-            .sum();
-        assert_eq!(total, 12);
-        assert_eq!(frames.last().unwrap().counters["work/done"], 12);
-        assert_eq!(frames.last().unwrap().gauges["work/active"], 3);
-        // Both metrics have time series; the counter series carries
-        // rates, the gauge series raw values.
-        assert!(sampler.series_names().contains(&"work/done".to_string()));
-        let gauge_series = sampler.series("work/active");
-        assert!(!gauge_series.is_empty());
-        assert_eq!(gauge_series.last().unwrap().value, 3.0);
-        // frames_since filters by seq.
-        let last_seq = frames.last().unwrap().seq;
-        assert!(sampler.frames_since(last_seq).is_empty());
-        assert_eq!(sampler.frames_since(last_seq - 1).len(), 1);
+        let latest = sampler.latest().expect("ticks fired");
+        assert_eq!(latest.seq, sampler.ticks(), "the newest tick is kept");
+        assert_eq!(latest.interval_ms, 10);
+        assert_eq!(latest.counters["work/done"], 12);
+        assert_eq!(latest.gauges["work/active"], 3);
+        assert!(latest.deltas.get("work/done").copied().unwrap_or(0) <= 7);
     }
 
     #[test]
-    fn ring_buffers_stay_bounded() {
+    fn ticks_report_counter_changes_since_the_previous_tick() {
         let registry = MetricsRegistry::new();
-        registry.counter("c").inc();
-        let mut sampler = TelemetrySampler::start(&registry, Duration::from_millis(1), 4);
-        wait_for_ticks(&sampler, 12);
-        sampler.shutdown();
-        assert!(sampler.frames_since(0).len() <= 4);
-        assert!(sampler.series("c").len() <= 4);
-        // The retained frames are the newest ones.
-        let frames = sampler.frames_since(0);
-        assert_eq!(frames.last().unwrap().seq, sampler.ticks());
+        let counter = registry.counter("c");
+        let shared = SamplerShared {
+            interval: Duration::from_millis(50),
+            state: Mutex::new(SamplerState::default()),
+        };
+        let latest = |shared: &SamplerShared| shared.state.lock().latest.clone().unwrap();
+        counter.add(5);
+        shared.tick(&registry, 50);
+        let first = latest(&shared);
+        assert_eq!((first.seq, first.at_ms, first.interval_ms), (1, 50, 50));
+        assert_eq!(first.deltas["c"], 5);
+        shared.tick(&registry, 100);
+        let second = latest(&shared);
+        assert_eq!(second.seq, 2);
+        assert!(second.deltas.is_empty(), "unchanged counters are absent");
+        assert_eq!(second.counters["c"], 5);
+        counter.add(7);
+        shared.tick(&registry, 150);
+        let third = latest(&shared);
+        assert_eq!(
+            (third.seq, third.deltas["c"], third.counters["c"]),
+            (3, 7, 12)
+        );
     }
 
     #[test]
@@ -384,7 +235,7 @@ mod tests {
         let registry = MetricsRegistry::new();
         // A long interval must not delay shutdown: the loop sleeps in
         // short slices and re-checks the stop flag.
-        let sampler = TelemetrySampler::start(&registry, Duration::from_secs(3600), 1024);
+        let sampler = TelemetrySampler::start(&registry, Duration::from_secs(3600)).unwrap();
         let started = Instant::now();
         drop(sampler);
         assert!(

@@ -8,19 +8,20 @@
 //! recording thread, exportable as Chrome trace-event JSON that loads
 //! directly in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev).
 //!
-//! The layer follows the same compile-out contract as metrics: with the
-//! `enabled` feature off every call here is a zero-sized no-op. With it
-//! on, recording is still **idle by default** — events are captured
-//! only while a [`TraceSession`] is installed, and the inactive check
-//! is a single relaxed atomic load, so instrumented code stays off the
-//! perf radar when nobody is tracing (the `obs_overhead` bench pins
-//! this below 5%).
+//! Recording is **idle by default**: events are captured only while a
+//! [`TraceSession`] is installed, and the inactive check is a single
+//! relaxed atomic load, so instrumented code pays almost nothing when
+//! nobody is tracing.
 //!
 //! At most one session can be active per process (the collector is a
 //! process-wide buffer); [`TraceSession::start`] returns `None` while
 //! another session holds it.
 
+use parking_lot::Mutex;
 use std::io::{self, Write};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::OnceLock;
+use std::time::Instant;
 
 /// One captured trace event, in the vocabulary of the Chrome
 /// trace-event format.
@@ -112,263 +113,186 @@ fn escape_json(s: &str) -> String {
     out
 }
 
-#[cfg(feature = "enabled")]
-mod imp {
-    use super::{TraceDump, TraceEvent};
-    use parking_lot::Mutex;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-    use std::sync::OnceLock;
-    use std::time::Instant;
+/// Fast-path flag: `true` only while a session is installed.
+static ACTIVE: AtomicBool = AtomicBool::new(false);
 
-    /// Fast-path flag: `true` only while a session is installed.
-    static ACTIVE: AtomicBool = AtomicBool::new(false);
+/// Monotonic base for every timestamp of the process.
+static EPOCH: OnceLock<Instant> = OnceLock::new();
 
-    /// Monotonic base for every timestamp of the process.
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
+/// The process-wide event buffer (locked per *captured* event —
+/// captures are sampled and gated on [`ACTIVE`], so this lock is
+/// never on an un-traced hot path).
+static STATE: OnceLock<Mutex<TraceState>> = OnceLock::new();
 
-    /// The process-wide event buffer (locked per *captured* event —
-    /// captures are sampled and gated on [`ACTIVE`], so this lock is
-    /// never on an un-traced hot path).
-    static STATE: OnceLock<Mutex<TraceState>> = OnceLock::new();
+/// Next process-unique thread tag.
+static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
-    /// Next process-unique thread tag.
-    static NEXT_TID: AtomicU64 = AtomicU64::new(1);
+thread_local! {
+    static TID: u64 = NEXT_TID.fetch_add(1, Relaxed);
+}
 
-    thread_local! {
-        static TID: u64 = NEXT_TID.fetch_add(1, Relaxed);
+#[derive(Default)]
+struct TraceState {
+    events: Vec<TraceEvent>,
+    capacity: usize,
+    dropped: u64,
+}
+
+fn state() -> &'static Mutex<TraceState> {
+    STATE.get_or_init(|| Mutex::new(TraceState::default()))
+}
+
+/// Nanoseconds since the process trace epoch.
+fn now_ns() -> u64 {
+    let epoch = EPOCH.get_or_init(Instant::now);
+    u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// The small integer tag of the calling thread.
+pub fn current_tid() -> u64 {
+    TID.with(|t| *t)
+}
+
+/// `true` while a [`TraceSession`] is collecting events.
+#[inline(always)]
+pub fn tracing_active() -> bool {
+    ACTIVE.load(Relaxed)
+}
+
+fn push_event(ev: TraceEvent) {
+    let mut st = state().lock();
+    if st.events.len() < st.capacity {
+        st.events.push(ev);
+    } else {
+        st.dropped += 1;
     }
+}
 
-    #[derive(Default)]
-    struct TraceState {
-        events: Vec<TraceEvent>,
-        capacity: usize,
-        dropped: u64,
-    }
+/// An exclusive, process-wide trace collection window.
+///
+/// Dropping the session without [`TraceSession::finish`] discards
+/// the captured events and deactivates tracing.
+#[derive(Debug)]
+pub struct TraceSession {
+    _priv: (),
+}
 
-    fn state() -> &'static Mutex<TraceState> {
-        STATE.get_or_init(|| Mutex::new(TraceState::default()))
-    }
-
-    /// Nanoseconds since the process trace epoch.
-    fn now_ns() -> u64 {
-        let epoch = EPOCH.get_or_init(Instant::now);
-        u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-
-    /// The small integer tag of the calling thread.
-    pub fn current_tid() -> u64 {
-        TID.with(|t| *t)
-    }
-
-    /// `true` while a [`TraceSession`] is collecting events.
-    #[inline(always)]
-    pub fn tracing_active() -> bool {
-        ACTIVE.load(Relaxed)
-    }
-
-    fn push_event(ev: TraceEvent) {
-        let mut st = state().lock();
-        if st.events.len() < st.capacity {
-            st.events.push(ev);
-        } else {
-            st.dropped += 1;
-        }
-    }
-
-    /// An exclusive, process-wide trace collection window.
-    ///
-    /// Dropping the session without [`TraceSession::finish`] discards
-    /// the captured events and deactivates tracing.
-    #[derive(Debug)]
-    pub struct TraceSession {
-        _priv: (),
-    }
-
-    impl TraceSession {
-        /// Starts collecting up to `capacity` events. Returns `None`
-        /// if another session is already active.
-        pub fn start(capacity: usize) -> Option<TraceSession> {
-            if ACTIVE
-                .compare_exchange(false, true, Relaxed, Relaxed)
-                .is_err()
-            {
-                return None;
-            }
-            let mut st = state().lock();
-            st.events = Vec::with_capacity(capacity.min(1 << 16));
-            st.capacity = capacity.max(1);
-            st.dropped = 0;
-            Some(TraceSession { _priv: () })
-        }
-
-        /// Stops collecting and returns everything captured.
-        pub fn finish(self) -> TraceDump {
-            ACTIVE.store(false, Relaxed);
-            let mut st = state().lock();
-            let dump = TraceDump {
-                events: std::mem::take(&mut st.events),
-                dropped: st.dropped,
-            };
-            st.dropped = 0;
-            std::mem::forget(self);
-            dump
-        }
-    }
-
-    impl Drop for TraceSession {
-        fn drop(&mut self) {
-            ACTIVE.store(false, Relaxed);
-            let mut st = state().lock();
-            st.events = Vec::new();
-            st.dropped = 0;
-        }
-    }
-
-    /// A live span; records one complete (`'X'`) event when dropped.
-    #[derive(Debug)]
-    pub struct Span {
-        name: String,
-        cat: &'static str,
-        start_ns: u64,
-        args: Vec<(&'static str, u64)>,
-    }
-
-    impl Span {
-        /// Attaches a numeric annotation shown in the trace viewer.
-        pub fn arg(&mut self, key: &'static str, value: u64) {
-            self.args.push((key, value));
-        }
-    }
-
-    impl Drop for Span {
-        fn drop(&mut self) {
-            let end = now_ns();
-            push_event(TraceEvent {
-                name: std::mem::take(&mut self.name),
-                cat: self.cat,
-                ph: 'X',
-                ts_ns: self.start_ns,
-                dur_ns: end.saturating_sub(self.start_ns),
-                tid: current_tid(),
-                args: std::mem::take(&mut self.args),
-            });
-        }
-    }
-
-    /// Opens a span if tracing is active; `None` (zero cost beyond one
-    /// relaxed load) otherwise. Bind the result to keep it open:
-    ///
-    /// ```
-    /// let _span = icewafl_obs::trace::span("stage/00_map", "stage");
-    /// ```
-    #[inline]
-    pub fn span(name: &str, cat: &'static str) -> Option<Span> {
-        if !tracing_active() {
+impl TraceSession {
+    /// Starts collecting up to `capacity` events. Returns `None`
+    /// if another session is already active.
+    pub fn start(capacity: usize) -> Option<TraceSession> {
+        if ACTIVE
+            .compare_exchange(false, true, Relaxed, Relaxed)
+            .is_err()
+        {
             return None;
         }
-        Some(Span {
-            name: name.to_string(),
-            cat,
-            start_ns: now_ns(),
-            args: Vec::new(),
-        })
+        let mut st = state().lock();
+        st.events = Vec::with_capacity(capacity.min(1 << 16));
+        st.capacity = capacity.max(1);
+        st.dropped = 0;
+        Some(TraceSession { _priv: () })
     }
 
-    /// Records an instant (`'i'`) event if tracing is active.
-    #[inline]
-    pub fn instant(name: &str, cat: &'static str) {
-        instant_with(name, cat, &[]);
+    /// Stops collecting and returns everything captured.
+    pub fn finish(self) -> TraceDump {
+        ACTIVE.store(false, Relaxed);
+        let mut st = state().lock();
+        let dump = TraceDump {
+            events: std::mem::take(&mut st.events),
+            dropped: st.dropped,
+        };
+        st.dropped = 0;
+        std::mem::forget(self);
+        dump
     }
+}
 
-    /// [`instant`] with numeric annotations.
-    #[inline]
-    pub fn instant_with(name: &str, cat: &'static str, args: &[(&'static str, u64)]) {
-        if !tracing_active() {
-            return;
-        }
+impl Drop for TraceSession {
+    fn drop(&mut self) {
+        ACTIVE.store(false, Relaxed);
+        let mut st = state().lock();
+        st.events = Vec::new();
+        st.dropped = 0;
+    }
+}
+
+/// A live span; records one complete (`'X'`) event when dropped.
+#[derive(Debug)]
+pub struct Span {
+    name: String,
+    cat: &'static str,
+    start_ns: u64,
+    args: Vec<(&'static str, u64)>,
+}
+
+impl Span {
+    /// Attaches a numeric annotation shown in the trace viewer.
+    pub fn arg(&mut self, key: &'static str, value: u64) {
+        self.args.push((key, value));
+    }
+}
+
+impl Drop for Span {
+    fn drop(&mut self) {
+        let end = now_ns();
         push_event(TraceEvent {
-            name: name.to_string(),
-            cat,
-            ph: 'i',
-            ts_ns: now_ns(),
-            dur_ns: 0,
+            name: std::mem::take(&mut self.name),
+            cat: self.cat,
+            ph: 'X',
+            ts_ns: self.start_ns,
+            dur_ns: end.saturating_sub(self.start_ns),
             tid: current_tid(),
-            args: args.to_vec(),
+            args: std::mem::take(&mut self.args),
         });
     }
 }
 
-#[cfg(not(feature = "enabled"))]
-mod imp {
-    //! Zero-sized no-op twins: the span layer compiles to nothing.
-
-    use super::TraceDump;
-
-    /// Always `false` (tracing compiled out).
-    #[inline(always)]
-    pub fn tracing_active() -> bool {
-        false
+/// Opens a span if tracing is active; `None` (zero cost beyond one
+/// relaxed load) otherwise. Bind the result to keep it open:
+///
+/// ```
+/// let _span = icewafl_obs::trace::span("stage/00_map", "stage");
+/// ```
+#[inline]
+pub fn span(name: &str, cat: &'static str) -> Option<Span> {
+    if !tracing_active() {
+        return None;
     }
-
-    /// Always 0 (tracing compiled out).
-    #[inline(always)]
-    pub fn current_tid() -> u64 {
-        0
-    }
-
-    /// No-op trace session (tracing compiled out).
-    #[derive(Debug)]
-    pub struct TraceSession {
-        _priv: (),
-    }
-
-    impl TraceSession {
-        /// Always `None`: nothing can be captured.
-        #[inline(always)]
-        pub fn start(_capacity: usize) -> Option<TraceSession> {
-            None
-        }
-
-        /// Always empty.
-        #[inline(always)]
-        pub fn finish(self) -> TraceDump {
-            TraceDump::default()
-        }
-    }
-
-    /// No-op span (tracing compiled out).
-    #[derive(Debug)]
-    pub struct Span {
-        _priv: (),
-    }
-
-    impl Span {
-        /// No-op.
-        #[inline(always)]
-        pub fn arg(&mut self, _key: &'static str, _value: u64) {}
-    }
-
-    /// Always `None`.
-    #[inline(always)]
-    pub fn span(_name: &str, _cat: &'static str) -> Option<Span> {
-        None
-    }
-
-    /// No-op.
-    #[inline(always)]
-    pub fn instant(_name: &str, _cat: &'static str) {}
-
-    /// No-op.
-    #[inline(always)]
-    pub fn instant_with(_name: &str, _cat: &'static str, _args: &[(&'static str, u64)]) {}
+    Some(Span {
+        name: name.to_string(),
+        cat,
+        start_ns: now_ns(),
+        args: Vec::new(),
+    })
 }
 
-pub use imp::{current_tid, instant, instant_with, span, tracing_active, Span, TraceSession};
+/// Records an instant (`'i'`) event if tracing is active.
+#[inline]
+pub fn instant(name: &str, cat: &'static str) {
+    instant_with(name, cat, &[]);
+}
 
-#[cfg(all(test, feature = "enabled"))]
+/// [`instant`] with numeric annotations.
+#[inline]
+pub fn instant_with(name: &str, cat: &'static str, args: &[(&'static str, u64)]) {
+    if !tracing_active() {
+        return;
+    }
+    push_event(TraceEvent {
+        name: name.to_string(),
+        cat,
+        ph: 'i',
+        ts_ns: now_ns(),
+        dur_ns: 0,
+        tid: current_tid(),
+        args: args.to_vec(),
+    });
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
 
     /// The collector is process-global; tests that install a session
     /// serialize on this lock.

@@ -279,8 +279,7 @@ pub struct TelemetryFrame {
     /// The server's sampling interval, in milliseconds.
     pub interval_ms: u64,
     /// The newest registry delta, if the sampler has ticked since the
-    /// last frame (absent when metrics are compiled out or no tick
-    /// landed in this interval).
+    /// last frame (absent when no tick landed in this interval).
     #[serde(default)]
     pub delta: Option<icewafl_obs::MetricsDelta>,
     /// Currently active sessions, ordered by id.

@@ -70,7 +70,7 @@ use icewafl_types::{Error, Result, Schema};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::io::Read;
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -401,21 +401,31 @@ pub(crate) fn run(server: &Server) -> Result<()> {
         lingering: Mutex::new(VecDeque::new()),
         telemetry_threads: Mutex::new(Vec::new()),
     });
-    let worker_threads: Vec<_> = (0..workers)
-        .map(|i| {
-            let rt = Arc::clone(&rt);
-            std::thread::Builder::new()
-                .name(format!("icewafl-worker-{i}"))
-                .spawn(move || {
-                    while let Some(token) = rt.queue.pop() {
-                        if let Some(slot) = rt.slot(token) {
-                            drive(&rt, &slot, token);
-                        }
+    let mut worker_threads = Vec::with_capacity(workers);
+    for i in 0..workers {
+        let worker = Arc::clone(&rt);
+        let spawned = std::thread::Builder::new()
+            .name(format!("icewafl-worker-{i}"))
+            .spawn(move || {
+                while let Some(token) = worker.queue.pop() {
+                    if let Some(slot) = worker.slot(token) {
+                        drive(&worker, &slot, token);
                     }
-                })
-                .expect("spawning a reactor worker")
-        })
-        .collect();
+                }
+            });
+        match spawned {
+            Ok(handle) => worker_threads.push(handle),
+            Err(e) => {
+                rt.queue.close();
+                for handle in worker_threads {
+                    let _ = handle.join();
+                }
+                return Err(Error::config(format_args!(
+                    "cannot start reactor worker {i}: {e}"
+                )));
+            }
+        }
+    }
 
     let mut events = Vec::with_capacity(256);
     let mut draining = false;
@@ -873,18 +883,30 @@ fn open_telemetry(
     }
     let id = conn.id;
     let counts_active = std::mem::take(&mut conn.counts_active);
-    let shared = Arc::clone(shared);
-    let handle = std::thread::Builder::new()
+    let session_shared = Arc::clone(shared);
+    let spawned = std::thread::Builder::new()
         .name(format!("icewafl-session-{id}"))
         .spawn(move || {
-            run_telemetry_session(sock, &shared, id, format);
+            run_telemetry_session(sock, &session_shared, id, format);
             if counts_active {
-                shared.active.fetch_sub(1, Ordering::SeqCst);
-                shared.registry.gauge("serve/sessions_active").sub(1);
+                session_shared.active.fetch_sub(1, Ordering::SeqCst);
+                session_shared
+                    .registry
+                    .gauge("serve/sessions_active")
+                    .sub(1);
             }
-        })
-        .expect("spawning a telemetry session thread");
-    rt.telemetry_threads.lock().push(handle);
+        });
+    match spawned {
+        Ok(handle) => rt.telemetry_threads.lock().push(handle),
+        Err(_) => {
+            // The session thread never ran: give its slot back and
+            // close the connection here.
+            shared.counter("serve/sessions_failed").inc();
+            conn.counts_active = counts_active;
+            release_active(shared, conn);
+            let _ = conn.sock.shutdown(Shutdown::Both);
+        }
+    }
     Step::Done
 }
 

@@ -51,10 +51,6 @@ use std::time::{Duration, Instant};
 /// next frame boundary, so shutdown and SIGINT are noticed promptly.
 const TELEMETRY_POLL: Duration = Duration::from_millis(5);
 
-/// Ring capacity handed to the server's [`TelemetrySampler`]: how many
-/// delta frames / series points are retained for late subscribers.
-const SAMPLER_CAPACITY: usize = 256;
-
 /// Shards of the live session table. Registration and removal hash by
 /// session id, so 1k sessions arriving at once spread across 16 locks
 /// instead of convoying on one.
@@ -175,8 +171,7 @@ pub(crate) struct Shared {
     /// Shared-stream hubs by stream name (see [`HubState`]).
     pub(crate) hubs: Mutex<HashMap<String, Arc<Mutex<HubState>>>>,
     /// The background registry sampler; taken (and thereby joined) at
-    /// drain. `None` after drain or when metrics are compiled out of
-    /// any use.
+    /// drain. `None` after drain.
     pub(crate) sampler: Mutex<Option<TelemetrySampler>>,
 }
 
@@ -278,11 +273,8 @@ impl Server {
             .gauge("serve/max_sessions")
             .set(config.max_sessions as u64);
         let interval_ms = config.telemetry_interval_ms.max(1);
-        let sampler = TelemetrySampler::start(
-            &registry,
-            Duration::from_millis(interval_ms),
-            SAMPLER_CAPACITY,
-        );
+        let sampler = TelemetrySampler::start(&registry, Duration::from_millis(interval_ms))
+            .map_err(|e| Error::config(format_args!("cannot start the telemetry sampler: {e}")))?;
         let shutdown = Arc::new(AtomicBool::new(false));
         Ok(Server {
             listener,
@@ -453,10 +445,12 @@ pub(crate) fn run_telemetry_session(
             std::thread::sleep((deadline - now).min(TELEMETRY_POLL));
         }
         seq += 1;
-        let delta = shared.sampler.lock().as_ref().and_then(|s| {
-            let frames = s.frames_since(after_seq);
-            frames.into_iter().last()
-        });
+        let delta = shared
+            .sampler
+            .lock()
+            .as_ref()
+            .and_then(TelemetrySampler::latest)
+            .filter(|d| d.seq > after_seq);
         if let Some(d) = &delta {
             after_seq = d.seq;
         }

@@ -27,7 +27,6 @@
 
 use icewafl_core::plan::LogicalPlan;
 use icewafl_core::report::RunReport;
-use icewafl_core::PolluterStatsSnapshot;
 use icewafl_serve::protocol::{
     encode_end_frame, encode_tuple_columns_frame, encode_tuple_frame, TAG_ERROR, TAG_REPORT,
 };
@@ -249,21 +248,10 @@ fn report(payload: &[u8]) -> RunReport {
     serde_json::from_str(std::str::from_utf8(payload).expect("UTF-8")).expect("a report payload")
 }
 
-/// A report with what a run measures left out: its stage metrics and,
-/// when metrics are compiled out, the polluter statistics (the
-/// fixture was captured with them compiled in).
+/// A report with what a run measures left out: its stage metrics.
 fn comparable(payload: &[u8]) -> String {
     let mut report = report(payload);
     report.metrics = Default::default();
-    if !icewafl_obs::metrics_compiled_in() {
-        report.metrics_compiled_in = false;
-        for polluter in &mut report.polluters {
-            *polluter = PolluterStatsSnapshot {
-                name: std::mem::take(&mut polluter.name),
-                ..PolluterStatsSnapshot::default()
-            };
-        }
-    }
     serde_json::to_string(&report).unwrap()
 }
 
@@ -306,16 +294,14 @@ fn binary_sessions_answer_with_the_committed_bytes() {
         // Every session ran in columns, its typed frames through the
         // kernels and the rest one row at a time.
         let metrics = self::report(report).metrics;
-        if icewafl_obs::metrics_compiled_in() {
-            assert!(
-                metrics.counter("column_session/kernel_rows") > 0,
-                "session {n}"
-            );
-            assert!(
-                metrics.counter("column_session/tuple_rows") > 0,
-                "session {n}"
-            );
-        }
+        assert!(
+            metrics.counter("column_session/kernel_rows") > 0,
+            "session {n}"
+        );
+        assert!(
+            metrics.counter("column_session/tuple_rows") > 0,
+            "session {n}"
+        );
     }
     assert!(expected.is_empty(), "the fixture has more sessions");
     shutdown.store(true, Ordering::SeqCst);

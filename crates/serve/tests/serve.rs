@@ -316,6 +316,38 @@ fn an_inline_plan_naming_a_removed_strategy_is_rejected_at_handshake() {
 }
 
 #[test]
+fn an_inline_plan_with_an_oversized_batch_size_is_rejected_at_handshake() {
+    let server = TestServer::start(ServeConfig::default());
+    let oversized = Handshake {
+        plan_inline: Some(LogicalPlan {
+            batch_size: 1 << 62,
+            ..plan(42)
+        }),
+        ..handshake("ndjson")
+    };
+    let mut peer = RawClient::connect(&server.addr());
+    // A rejection reply, not an accepted session whose worker dies on
+    // the first tuple and leaves the connection unanswered.
+    peer.stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    peer.send_line(&serde_json::to_string(&oversized).unwrap());
+    let reply: icewafl_serve::HandshakeReply =
+        serde_json::from_str(&peer.read_line()).expect("a handshake reply");
+    assert!(!reply.ok, "batch_size 2^62 accepted");
+    let reason = reply.error.unwrap();
+    assert!(reason.contains("batch_size"), "{reason}");
+    drop(peer);
+    // The same server still runs a normal session.
+    let outcome = client::run_session(
+        &ClientConfig::new(server.addr(), handshake("ndjson")),
+        tuples(20),
+    )
+    .unwrap();
+    assert!(outcome.completed(), "session failed: {:?}", outcome.error);
+}
+
+#[test]
 fn capacity_overflow_is_rejected_at_handshake() {
     let server = TestServer::start(ServeConfig {
         max_sessions: 1,
@@ -435,11 +467,9 @@ fn concurrent_sessions_with_a_slow_reader_do_not_interfere() {
     }
 
     let snapshot = server.server.registry().snapshot();
-    if !snapshot.is_empty() {
-        assert_eq!(snapshot.counter("serve/sessions_completed"), 8);
-        assert_eq!(snapshot.counter("serve/sessions_failed"), 0);
-        assert_eq!(snapshot.gauge("serve/sessions_active"), 0);
-    }
+    assert_eq!(snapshot.counter("serve/sessions_completed"), 8);
+    assert_eq!(snapshot.counter("serve/sessions_failed"), 0);
+    assert_eq!(snapshot.gauge("serve/sessions_active"), 0);
 }
 
 #[test]
@@ -490,9 +520,8 @@ fn telemetry_session_streams_periodic_frames_with_session_table() {
     assert_eq!(pollute_row.format, "ndjson", "pollute row: {pollute_row:?}");
     let _ = pollute_row.bytes_out + pollute_row.encode_ns + pollute_row.blocked_write_ns;
 
-    // With metrics compiled in, the sampler fed at least one registry
-    // delta across the observed window.
-    #[cfg(feature = "obs")]
+    // The sampler fed at least one registry delta across the observed
+    // window.
     assert!(
         frames.iter().any(|f| f.delta.is_some()),
         "no sampler delta in any frame"
@@ -886,38 +915,36 @@ fn only_binary_sessions_on_column_exact_plans_run_in_columns() {
             "{format}, logging {logging}"
         );
         let metrics = outcome.report.unwrap().metrics;
-        if icewafl_obs::metrics_compiled_in() {
-            assert_eq!(
-                metrics.counter("column_session/kernel_rows"),
-                if columns { 300 } else { 0 },
-                "{format}, logging {logging}"
-            );
-            assert!(
-                metrics
-                    .gauges
-                    .contains_key("stage/00_event_time_sorter/buffer_max"),
-                "{format}, logging {logging}"
-            );
-            let pipelines = physical
-                .stages()
+        assert_eq!(
+            metrics.counter("column_session/kernel_rows"),
+            if columns { 300 } else { 0 },
+            "{format}, logging {logging}"
+        );
+        assert!(
+            metrics
+                .gauges
+                .contains_key("stage/00_event_time_sorter/buffer_max"),
+            "{format}, logging {logging}"
+        );
+        let pipelines = physical
+            .stages()
+            .iter()
+            .filter(|stage| stage.label.ends_with("_pollution_pipeline"));
+        let mut substreams = 0;
+        for (i, stage) in pipelines.enumerate() {
+            let took = offline
+                .polluted
                 .iter()
-                .filter(|stage| stage.label.ends_with("_pollution_pipeline"));
-            let mut substreams = 0;
-            for (i, stage) in pipelines.enumerate() {
-                let took = offline
-                    .polluted
-                    .iter()
-                    .filter(|t| t.sub_stream as usize == i)
-                    .count() as u64;
-                assert!(took > 0, "sub-stream {i} took rows");
-                assert_eq!(
-                    metrics.counter(&format!("{}/elements_in", stage.label)),
-                    took,
-                    "{format}, logging {logging}, sub-stream {i}"
-                );
-                substreams += 1;
-            }
-            assert_eq!(substreams, 2);
+                .filter(|t| t.sub_stream as usize == i)
+                .count() as u64;
+            assert!(took > 0, "sub-stream {i} took rows");
+            assert_eq!(
+                metrics.counter(&format!("{}/elements_in", stage.label)),
+                took,
+                "{format}, logging {logging}, sub-stream {i}"
+            );
+            substreams += 1;
         }
+        assert_eq!(substreams, 2);
     }
 }

@@ -6,10 +6,6 @@
 //! (the event-time sorter is `00`, then the router, then each
 //! sub-stream's pipeline and chaos injector), next to one
 //! [`SorterMetrics`] for the sorter and a [`ChaosMetrics`] per injector.
-//!
-//! With the `obs` feature disabled, every handle here is a zero-sized
-//! no-op (see `icewafl-obs`), so instrumented code carries no runtime
-//! cost and needs no `cfg` at the call sites.
 
 use icewafl_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 
@@ -123,7 +119,7 @@ impl ChaosMetrics {
     }
 }
 
-#[cfg(all(test, feature = "obs"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

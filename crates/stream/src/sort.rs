@@ -568,7 +568,6 @@ mod tests {
         assert!(s.restore_state("{}").is_err());
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn counts_late_records_and_buffer_high_water() {
         use icewafl_obs::MetricsRegistry;
@@ -589,7 +588,6 @@ mod tests {
         assert_eq!(snap.gauge("sorter/buffer_max"), 2);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn tracks_watermark_lag_behind_freshest_event() {
         use icewafl_obs::MetricsRegistry;

@@ -251,9 +251,6 @@ fn flipped_scale_run(strategy: StrategyHint, batch_size: usize) -> PollutionOutp
 
 #[test]
 fn latency_sampling_is_batch_size_invariant() {
-    if !icewafl::obs::metrics_compiled_in() {
-        return;
-    }
     // 4096 records through one sub-stream → one sample point every 64
     // records = 64 histogram entries, however many records a frame
     // hands the pipeline at once: batch 1 times each record, 64 aligns

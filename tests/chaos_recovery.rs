@@ -127,7 +127,7 @@ fn expired_deadline_fails_with_deadline_kind_and_never_retries() {
 #[test]
 fn chaos_metrics_surface_in_the_run_report() {
     // Drops are non-fatal: the run succeeds and the injector's counters
-    // land in the report (when metrics are compiled in).
+    // land in the report.
     let mut cfg = chaotic_config(0);
     cfg.chaos = Some(icewafl::core::config::ChaosSectionConfig {
         drop_rate: 1.0,
@@ -135,14 +135,12 @@ fn chaos_metrics_surface_in_the_run_report() {
     });
     let out = compiled(&cfg).execute_supervised(tuples(50)).unwrap();
     assert!(out.polluted.is_empty(), "every record dropped in flight");
-    if out.report.metrics_compiled_in {
-        assert_eq!(
-            out.report
-                .metrics
-                .counter("chaos/substream_0/injected_drops"),
-            50
-        );
-    }
+    assert_eq!(
+        out.report
+            .metrics
+            .counter("chaos/substream_0/injected_drops"),
+        50
+    );
 }
 
 #[test]

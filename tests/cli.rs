@@ -206,8 +206,8 @@ fn pollute_emits_run_report_and_metrics_json() {
         );
     }
 
-    // Per-polluter log_entries agree with the ground-truth log, and
-    // (with metrics compiled in, the default) so do the fire counters.
+    // Per-polluter log_entries agree with the ground-truth log, and so
+    // do the fire counters.
     let log: serde_json::Value =
         serde_json::from_str(&std::fs::read_to_string(dir.join("gt.json")).unwrap()).unwrap();
     let entries = log["entries"].as_array().unwrap();

@@ -72,9 +72,6 @@ fn sorter_occupancy_is_independent_of_stream_length() {
             .expect("run succeeds")
     };
     let (n, small, large) = (4096, run(4096), run(4 * 4096));
-    if !small.report.metrics_compiled_in {
-        return; // obs feature off: no counts to read
-    }
     assert_eq!(small.polluted.len() as i64, n);
     assert_eq!(large.polluted.len() as i64, 4 * n);
 
@@ -165,14 +162,12 @@ fn a_late_tuple_surfaces_late_whichever_sub_stream_it_takes() {
             if m > 1 {
                 assert_eq!(u64::from(out.polluted[192].sub_stream), at as u64 % 4);
             }
-            if out.report.metrics_compiled_in {
-                let metrics = &out.report.metrics;
-                assert_eq!(metrics.counter(&format!("{SORTER}/late")), 1, "{case}");
-                let lag = metrics
-                    .histogram(&format!("{SORTER}/late_lag_ms"))
-                    .expect("lag histogram registered");
-                assert_eq!((lag.count, lag.sum), (1, 181_000), "{case}");
-            }
+            let metrics = &out.report.metrics;
+            assert_eq!(metrics.counter(&format!("{SORTER}/late")), 1, "{case}");
+            let lag = metrics
+                .histogram(&format!("{SORTER}/late_lag_ms"))
+                .expect("lag histogram registered");
+            assert_eq!((lag.count, lag.sum), (1, 181_000), "{case}");
         }
     }
 }
@@ -200,10 +195,8 @@ fn a_late_tuple_behind_delaying_sub_streams_surfaces_in_one_pinned_place() {
         let mut sorted = ids.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..400).collect::<Vec<u64>>(), "late tuple at {at}");
-        if out.report.metrics_compiled_in {
-            let late = out.report.metrics.counter(&format!("{SORTER}/late"));
-            assert_eq!(late, 1, "late tuple at {at}");
-        }
+        let late = out.report.metrics.counter(&format!("{SORTER}/late"));
+        assert_eq!(late, 1, "late tuple at {at}");
         for batch_size in [7, DEFAULT_BATCH_SIZE] {
             assert_eq!(
                 run(batch_size).polluted,
