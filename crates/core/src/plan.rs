@@ -70,7 +70,7 @@ use crate::pipeline::PollutionPipeline;
 use crate::runner::{
     run, Attempt, CheckpointSettings, ExecSettings, PollutionOutput, SubStreamAssigner,
 };
-use crate::session::{lowered, Pipeline, StreamingSession};
+use crate::session::{lowered, schedule, Pipeline, StreamingSession};
 use icewafl_stream::chaos::ChaosConfig;
 use icewafl_stream::control::ControlChannel;
 use icewafl_stream::supervisor::SupervisorPolicy;
@@ -91,18 +91,21 @@ pub const DEFAULT_BATCH_SIZE: usize = 256;
 /// an unbounded value would let one plan exhaust the allocator.
 const MAX_BATCH_SIZE: usize = 65_536;
 
-/// The execution strategy a plan asks for. Every plan runs the one
-/// sequential, watermark-lockstep schedule, so the two values are
-/// synonyms: `auto` is what existing plan JSON says, `sequential` what
-/// the repo benchmark's oracle pins. Anything else fails to parse, with
-/// an error naming the value.
+/// The execution strategy a plan asks for. Both run the one
+/// watermark-lockstep loop to the same bytes; they differ in how many
+/// threads a whole offline input may use (see
+/// [`StreamingSession`]). Anything else fails
+/// to parse, with an error naming the value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 #[serde(rename_all = "snake_case")]
 pub enum StrategyHint {
-    /// Sequential.
+    /// A run whose whole input is longer than one span of 64 watermark
+    /// periods, on a plan without `chaos`, `checkpoint` or a scheduled
+    /// epoch, on two or more cores, runs pipelined on two threads;
+    /// anything else runs sequential.
     #[default]
     Auto,
-    /// Sequential.
+    /// Always one thread: what the repo benchmark's oracle pins.
     Sequential,
 }
 
@@ -361,6 +364,7 @@ impl LogicalPlan {
         let stages = predict_stages(m, chaos.is_some());
         let settings = ExecSettings {
             schema: schema.clone(),
+            strategy: self.strategy,
             assigner: self.assigner.resolve(m, self.seed),
             watermark_period: self.watermark_period.max(1),
             batch_size: self.batch_size.max(1),
@@ -812,7 +816,11 @@ impl PhysicalPlan {
     pub fn explain(&self) -> String {
         let m = self.logical.substreams();
         let mut s = String::new();
-        let _ = writeln!(s, "== physical plan ==\nstrategy:         sequential");
+        let _ = writeln!(
+            s,
+            "== physical plan ==\nstrategy:         {}",
+            schedule::describe(&self.settings)
+        );
         let _ = writeln!(s, "sub-streams:      {m}");
         let _ = writeln!(s, "assigner:         {}", self.logical.assigner.describe(m));
         let _ = writeln!(s, "seed:             {}", self.logical.seed);

@@ -30,8 +30,9 @@ pub struct RunReport {
     /// unsupervised runs and runs that succeed on the first attempt).
     #[serde(default)]
     pub restarts: u64,
-    /// Execution strategy of the run: always `sequential` (`None` in
-    /// reports from before the plan layer existed).
+    /// The schedule the run took: `pipelined` when its input was fed on
+    /// two threads, `sequential` otherwise (`None` in reports from
+    /// before the plan layer existed).
     #[serde(default)]
     pub strategy: Option<String>,
     /// Reconfiguration epochs applied mid-run (0 when no plan delta was

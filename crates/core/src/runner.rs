@@ -14,7 +14,7 @@
 
 use crate::log::PollutionLog;
 use crate::pipeline::PollutionPipeline;
-use crate::plan::LogicalPlan;
+use crate::plan::{LogicalPlan, StrategyHint};
 use crate::prepare::PrepareOperator;
 use crate::report::RunReport;
 use crate::session::{Pipeline, StreamingSession};
@@ -107,6 +107,9 @@ pub struct PollutionOutput {
 #[derive(Clone)]
 pub(crate) struct ExecSettings {
     pub(crate) schema: Schema,
+    /// `sequential` keeps a whole input on one thread; `auto` lets the
+    /// session pick (see [`crate::session::schedule`]).
+    pub(crate) strategy: StrategyHint,
     pub(crate) assigner: SubStreamAssigner,
     /// Emit a watermark every this many source tuples.
     pub(crate) watermark_period: u64,
@@ -339,6 +342,7 @@ fn validate(settings: &ExecSettings, m: usize) -> Result<()> {
 /// the restart and recovery fields.
 pub(crate) fn run_report(
     settings: &ExecSettings,
+    schedule: &str,
     stat_handles: &[PolluterStatsHandle],
     registry: &MetricsRegistry,
     log: &PollutionLog,
@@ -363,7 +367,7 @@ pub(crate) fn run_report(
         logging_enabled: settings.logging,
         metrics_compiled_in: true,
         restarts: 0,
-        strategy: Some("sequential".into()),
+        strategy: Some(schedule.into()),
         epochs_applied: settings.control.applied(),
         checkpoints_taken: 0,
         restored_from_epoch: 0,

@@ -30,10 +30,13 @@
 //! kernels wrote. Rows pushed as tuples are owned by the sorter until
 //! they are released.
 //!
-//! The loop is single-threaded, so it needs no barrier to take a
-//! consistent checkpoint: after every `interval`-th watermark it
-//! collects the state of every stateful step itself (see
-//! [`icewafl_stream::checkpoint`]).
+//! A session runs the loop on the thread that pushes, so it needs no
+//! barrier to take a consistent checkpoint: after every `interval`-th
+//! watermark it collects the state of every stateful step itself (see
+//! [`icewafl_stream::checkpoint`]). Only a run that hands its session
+//! its whole input at once may split the loop by stage across two
+//! threads, to the same bytes; plans that checkpoint never do (see
+//! `session/schedule.rs`).
 //!
 //! Each step runs under `catch_unwind`. A panic fails the step's stage,
 //! labelled as [`PhysicalPlan::stages`](crate::PhysicalPlan::stages)
@@ -69,6 +72,8 @@ use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
+
+pub(crate) mod schedule;
 
 /// The source checks the wall-clock deadline once per this many tuples
 /// (power-of-two mask), keeping `Instant::now` off the per-tuple path.
@@ -382,26 +387,40 @@ impl SubStream {
             if matches!(self.pipeline, Pipeline::Columns(_)) {
                 tuple_rows.add(batch.len() as u64);
             }
-            let (pipeline, out, log) = (&mut self.pipeline, &mut self.scratch, &mut self.log);
-            let result = self.stage.run(batch.len(), || {
-                for t in batch.drain(..) {
-                    pipeline.process(t, out, log);
-                }
-            });
-            self.emit(i, result)?;
+            let result = self.pollute(batch.drain(..));
+            self.emit(i, result.map_err(|(_, e)| e))?;
         }
         batch.clear();
         self.inbox = batch;
         Ok(())
     }
 
+    /// The pipeline step over `batch`, its output left in `scratch`. A
+    /// panic fails the step with how many records it had taken, the
+    /// one that panicked included.
+    fn pollute(
+        &mut self,
+        batch: impl ExactSizeIterator<Item = StampedTuple>,
+    ) -> std::result::Result<(), (usize, StageError)> {
+        let (pipeline, out, log) = (&mut self.pipeline, &mut self.scratch, &mut self.log);
+        let mut taken = 0;
+        self.stage
+            .run(batch.len(), || {
+                for t in batch {
+                    taken += 1;
+                    pipeline.process(t, out, log);
+                }
+            })
+            .map_err(|e| (taken, e))
+    }
+
     /// Moves what the pipeline step left in `scratch` to the outbox, or
     /// fails the pipeline.
-    fn emit(
+    fn emit<E>(
         &mut self,
         i: u32,
-        result: std::result::Result<(), StageError>,
-    ) -> std::result::Result<(), StageError> {
+        result: std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
         if let Err(e) = result {
             self.pipeline_failed = true;
             self.scratch.clear();
@@ -513,6 +532,144 @@ struct Checkpoints {
     base_offset: u64,
 }
 
+/// The source end of the loop: the watermark generator and the
+/// assigner, with what they have seen.
+struct Source {
+    watermarks: WatermarkGenerator<Timestamp>,
+    selector: Selector,
+    /// The sub-streams the last selected tuple joins.
+    membership: Vec<usize>,
+    substreams: usize,
+    sends: Counter,
+    label: String,
+    router_label: String,
+    /// Tuples this attempt has taken through the source step.
+    emitted: u64,
+    deadline: Option<Instant>,
+    /// The source or the assigner failed: nothing more is routed.
+    stopped: bool,
+}
+
+impl Source {
+    /// Fills `membership` with the sub-streams tuple `id` joins, cleaned
+    /// of out-of-range and repeated ones, or fails the assigner.
+    fn select(&mut self, id: u64) -> std::result::Result<(), StageError> {
+        self.membership.clear();
+        let (selector, membership) = (&mut self.selector, &mut self.membership);
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| selector(id, membership))) {
+            return Err(StageError::from_panic(&self.router_label, payload));
+        }
+        let m = self.substreams;
+        self.membership.retain(|&i| i < m);
+        self.membership.dedup();
+        Ok(())
+    }
+
+    /// Past the deadline, the source poisons the stream: checked once
+    /// every `DEADLINE_CHECK_MASK + 1` tuples.
+    fn check_deadline(&self) -> std::result::Result<(), StageError> {
+        if self.emitted & DEADLINE_CHECK_MASK == 0
+            && self.deadline.is_some_and(|dl| Instant::now() >= dl)
+        {
+            return Err(StageError::deadline(&self.label));
+        }
+        Ok(())
+    }
+}
+
+/// The merging end of the loop: the one event-time sorter, and what it
+/// released that the caller has not drained yet.
+struct Merge {
+    sorter: Sorter,
+    stage: Stage,
+    batch_size: usize,
+    /// Released rows not yet drained, in release order, and where each
+    /// chunk of them ends.
+    released: Vec<Held>,
+    chunk_ends: Vec<usize>,
+    segments: Segments,
+    tuples_out: u64,
+}
+
+impl Merge {
+    /// The sorter takes `records`, tagged with their sub-streams.
+    fn take(
+        &mut self,
+        records: impl ExactSizeIterator<Item = StampedTuple>,
+    ) -> std::result::Result<(), StageError> {
+        let sorter = &mut self.sorter;
+        self.stage.run(records.len(), || {
+            for t in records {
+                sorter.on_element(Held::Tuple(t));
+            }
+        })
+    }
+
+    /// The sorter releases what watermark `wm` closes (everything, at
+    /// the end of the stream: `None`), cut into chunks of at most
+    /// `batch_size`.
+    fn release(&mut self, wm: Option<Timestamp>) -> std::result::Result<(), StageError> {
+        let from = self.released.len();
+        let (sorter, released) = (&mut self.sorter, &mut self.released);
+        self.stage.guard(|| match wm {
+            Some(wm) => sorter.on_watermark(wm, released),
+            None => sorter.on_end(released),
+        })?;
+        let to = self.released.len();
+        self.stage.metrics.elements_out.add((to - from) as u64);
+        self.tuples_out += (to - from) as u64;
+        let mut at = from;
+        while at < to {
+            at = (at + self.batch_size).min(to);
+            self.chunk_ends.push(at);
+        }
+        Ok(())
+    }
+
+    /// Hands every chunk released since the last call to `emit`, in
+    /// release order, then drops what no held row needs any more.
+    fn drain(&mut self, mut emit: impl FnMut(&[ReleasedRow<'_>])) {
+        let mut rows = Vec::with_capacity(self.batch_size.min(self.released.len()));
+        let mut start = 0;
+        for &end in &self.chunk_ends {
+            rows.clear();
+            rows.extend(self.released[start..end].iter().map(|held| match held {
+                Held::Tuple(t) => ReleasedRow::Tuple(t),
+                Held::Row { segment, row, .. } => {
+                    ReleasedRow::Column(self.segments.batch(*segment), *row as usize)
+                }
+            }));
+            emit(&rows);
+            start = end;
+        }
+        drop(rows);
+        for held in self.released.drain(..) {
+            if let Held::Row { segment, .. } = held {
+                self.segments.release(segment);
+            }
+        }
+        self.chunk_ends.clear();
+        self.segments.trim();
+    }
+
+    /// Moves every released row into `out`.
+    fn drain_into(&mut self, out: &mut Vec<StampedTuple>) {
+        for held in self.released.drain(..) {
+            out.push(match held {
+                Held::Tuple(t) => t,
+                Held::Row { segment, row, .. } => {
+                    let t = ReleasedRow::Column(self.segments.batch(segment), row as usize)
+                        .to_stamped();
+                    self.segments.release(segment);
+                    t
+                }
+            });
+        }
+        self.chunk_ends.clear();
+        self.segments.trim();
+    }
+}
+
 /// One execution attempt, opened and waiting to be fed: the loop of
 /// Algorithm 1 (see the module docs). What the sorter releases waits in
 /// the session until the caller [drains](StreamingSession::drain) it,
@@ -534,33 +691,18 @@ struct Checkpoints {
 /// other; give each session its own.
 pub struct StreamingSession {
     prepare: PrepareOperator,
-    watermarks: WatermarkGenerator<Timestamp>,
-    selector: Selector,
-    membership: Vec<usize>,
+    source: Source,
     subs: Vec<SubStream>,
-    sorter: Sorter,
-    sorter_stage: Stage,
-    batch_size: usize,
-    /// Released rows not yet drained, in release order, and where each
-    /// chunk of them ends.
-    released: Vec<Held>,
-    chunk_ends: Vec<usize>,
-    segments: Segments,
-    source_label: String,
-    router_label: String,
-    sends: Counter,
+    merge: Merge,
     kernel_rows: Counter,
     tuple_rows: Counter,
-    /// Tuples this attempt has taken through the source step.
-    emitted: u64,
     tuples_in: u64,
-    tuples_out: u64,
     checkpoints: Option<Checkpoints>,
-    deadline: Option<Instant>,
     /// The first failure; with it the sorter takes nothing more.
     failure: Option<StageError>,
-    /// The source or the assigner failed: nothing more is routed.
-    stopped: bool,
+    /// The schedule the session ran: `pipelined` once a whole input
+    /// was fed on two threads, `sequential` otherwise.
+    schedule: &'static str,
     settings: ExecSettings,
     stat_handles: Vec<PolluterStatsHandle>,
     registry: MetricsRegistry,
@@ -694,24 +836,31 @@ impl StreamingSession {
         let base_offset = frame.map_or(0, |f| f.source_offset);
         Ok(StreamingSession {
             prepare,
-            watermarks,
-            selector: settings.assigner.selector(m),
-            membership: Vec::with_capacity(m),
+            source: Source {
+                watermarks,
+                selector: settings.assigner.selector(m),
+                membership: Vec::with_capacity(m),
+                substreams: m,
+                sends: registry.counter(&format!("{}/sends", label(1))),
+                label: stages[stages.len() - 1].label.clone(),
+                router_label: label(1).to_string(),
+                emitted: 0,
+                deadline,
+                stopped: false,
+            },
             subs,
-            sorter,
-            sorter_stage: Stage::new(&registry, sorter_label),
-            batch_size: settings.batch_size.max(1),
-            released: Vec::new(),
-            chunk_ends: Vec::new(),
-            segments: Segments::default(),
-            source_label: stages[stages.len() - 1].label.clone(),
-            router_label: label(1).to_string(),
-            sends: registry.counter(&format!("{}/sends", label(1))),
+            merge: Merge {
+                sorter,
+                stage: Stage::new(&registry, sorter_label),
+                batch_size: settings.batch_size.max(1),
+                released: Vec::new(),
+                chunk_ends: Vec::new(),
+                segments: Segments::default(),
+                tuples_out: frame.map_or(0, |f| f.sink_committed),
+            },
             kernel_rows,
             tuple_rows,
-            emitted: 0,
             tuples_in: base_offset,
-            tuples_out: frame.map_or(0, |f| f.sink_committed),
             checkpoints: store
                 .zip(settings.checkpoint.as_ref())
                 .map(|(store, ckpt)| Checkpoints {
@@ -721,9 +870,8 @@ impl StreamingSession {
                     epoch: frame.map_or(0, |f| f.epoch),
                     base_offset,
                 }),
-            deadline,
             failure: None,
-            stopped: false,
+            schedule: "sequential",
             settings: settings.clone(),
             stat_handles,
             registry,
@@ -777,7 +925,7 @@ impl StreamingSession {
         }
         let prepare = &mut self.prepare;
         if let Err(payload) = catch_unwind(AssertUnwindSafe(|| prepare.prepare_batch(&mut batch))) {
-            return self.stop(StageError::from_panic(&self.source_label, payload));
+            return self.stop(StageError::from_panic(&self.source.label, payload));
         }
         // Each row's memberships as (sub-stream, position in that
         // sub-stream's rows), and where they end.
@@ -786,16 +934,16 @@ impl StreamingSession {
         let mut members: Vec<(u32, u32)> = Vec::with_capacity(n);
         let mut member_ends: Vec<usize> = Vec::with_capacity(n);
         for (row, &id) in batch.ids().iter().enumerate() {
-            if !self.select(id) {
-                return;
+            if let Err(e) = self.source.select(id) {
+                return self.stop(e);
             }
-            for &i in &self.membership {
+            for &i in &self.source.membership {
                 members.push((i as u32, routes[i].len() as u32));
                 routes[i].push(row);
             }
             member_ends.push(members.len());
         }
-        self.sends.add(members.len() as u64);
+        self.source.sends.add(members.len() as u64);
         let arrivals: Vec<Timestamp> = batch.arrivals().iter().map(|&ms| Timestamp(ms)).collect();
         // The last sub-stream that takes rows takes the batch itself
         // when it takes all of them; every other one gets its rows
@@ -834,13 +982,14 @@ impl StreamingSession {
             sub.stage.metrics.elements_out.add(rows.len() as u64);
             rows.set_sub_stream(i as u32);
             self.kernel_rows.add(rows.len() as u64);
-            segment_of[i] = self.segments.push(rows, route.len());
+            segment_of[i] = self.merge.segments.push(rows, route.len());
         }
         drop(batch);
         // The rows enter the sorter in row order, each row's
         // memberships in the order the assigner named them, with the
         // watermarks the rows close.
-        self.sorter_stage
+        self.merge
+            .stage
             .metrics
             .elements_in
             .add(members.len() as u64);
@@ -854,7 +1003,7 @@ impl StreamingSession {
                     segment: segment_of[i as usize],
                     row: position,
                 };
-                self.sorter.on_element(held);
+                self.merge.sorter.on_element(held);
             }
             start = end;
             self.source_step(arrival);
@@ -873,28 +1022,8 @@ impl StreamingSession {
 
     /// Hands every chunk released since the last call to `emit`, in
     /// release order, then drops what no held row needs any more.
-    pub fn drain(&mut self, mut emit: impl FnMut(&[ReleasedRow<'_>])) {
-        let mut rows = Vec::with_capacity(self.batch_size.min(self.released.len()));
-        let mut start = 0;
-        for &end in &self.chunk_ends {
-            rows.clear();
-            rows.extend(self.released[start..end].iter().map(|held| match held {
-                Held::Tuple(t) => ReleasedRow::Tuple(t),
-                Held::Row { segment, row, .. } => {
-                    ReleasedRow::Column(self.segments.batch(*segment), *row as usize)
-                }
-            }));
-            emit(&rows);
-            start = end;
-        }
-        drop(rows);
-        for held in self.released.drain(..) {
-            if let Held::Row { segment, .. } = held {
-                self.segments.release(segment);
-            }
-        }
-        self.chunk_ends.clear();
-        self.segments.trim();
+    pub fn drain(&mut self, emit: impl FnMut(&[ReleasedRow<'_>])) {
+        self.merge.drain(emit);
     }
 
     /// Ends the stream: everything still held is released and handed to
@@ -909,13 +1038,22 @@ impl StreamingSession {
 
     /// Runs clones of already prepared tuples through the plan, moving
     /// what is released into `out`: how a run feeds each attempt the one
-    /// prepared copy of its input.
+    /// prepared copy of its input. An input that
+    /// [`schedule::inline_reason`] finds nothing against runs on two
+    /// threads (see [`schedule`]); anything else runs inline, tuple by
+    /// tuple.
     pub(crate) fn feed(&mut self, prepared: &[StampedTuple], out: &mut Vec<StampedTuple>) {
+        if self.failure.is_none()
+            && schedule::inline_reason(&self.settings, Some(prepared.len()), schedule::cores)
+                .is_none()
+        {
+            return schedule::feed(self, prepared, out);
+        }
         for tuple in prepared {
             self.tuples_in += 1;
             self.step(tuple.clone());
-            if !self.chunk_ends.is_empty() {
-                self.drain_into(out);
+            if !self.merge.chunk_ends.is_empty() {
+                self.merge.drain_into(out);
             }
         }
     }
@@ -928,7 +1066,7 @@ impl StreamingSession {
         out: &mut Vec<StampedTuple>,
     ) -> std::result::Result<(RunReport, PollutionLog), (icewafl_types::Error, Vec<PollutionLog>)>
     {
-        self.finish_with(|session| session.drain_into(out))
+        self.finish_with(|session| session.merge.drain_into(out))
     }
 
     fn finish_with(
@@ -951,56 +1089,40 @@ impl StreamingSession {
             checkpoints_taken: self.checkpoints.map_or(0, |c| c.store.checkpoints_taken()),
             ..run_report(
                 &self.settings,
+                self.schedule,
                 &self.stat_handles,
                 &self.registry,
                 &log,
                 self.tuples_in,
-                self.tuples_out,
+                self.merge.tuples_out,
             )
         };
         Ok((report, log))
-    }
-
-    /// Moves every released row into `out`.
-    fn drain_into(&mut self, out: &mut Vec<StampedTuple>) {
-        for held in self.released.drain(..) {
-            out.push(match held {
-                Held::Tuple(t) => t,
-                Held::Row { segment, row, .. } => {
-                    let t = ReleasedRow::Column(self.segments.batch(segment), row as usize)
-                        .to_stamped();
-                    self.segments.release(segment);
-                    t
-                }
-            });
-        }
-        self.chunk_ends.clear();
-        self.segments.trim();
     }
 
     /// The source step of one prepared tuple: the watermark it closes
     /// is taken, the assigner routes it, and the watermark crosses the
     /// plan.
     fn step(&mut self, tuple: StampedTuple) {
-        if self.stopped {
+        if self.source.stopped {
             return;
         }
         // The generator sees the tuple before it is routed; the
         // watermark crosses after.
-        let wm = self.watermarks.on_record(&tuple.tau);
-        if !self.select(tuple.id) {
-            return;
+        let wm = self.source.watermarks.on_record(&tuple.tau);
+        if let Err(e) = self.source.select(tuple.id) {
+            return self.stop(e);
         }
         // Every member but the last gets a clone; the last gets the
         // tuple itself.
-        if let Some(last) = self.membership.len().checked_sub(1) {
+        if let Some(last) = self.source.membership.len().checked_sub(1) {
             for k in 0..last {
-                let i = self.membership[k];
+                let i = self.source.membership[k];
                 self.route(i, tuple.clone());
             }
-            self.route(self.membership[last], tuple);
+            self.route(self.source.membership[last], tuple);
         }
-        self.emitted += 1;
+        self.source.emitted += 1;
         if let Some(wm) = wm {
             self.watermark(wm);
         }
@@ -1009,8 +1131,8 @@ impl StreamingSession {
 
     /// The source step of a batch row, which is already in the sorter.
     fn source_step(&mut self, arrival: Timestamp) {
-        self.emitted += 1;
-        if let Some(wm) = self.watermarks.on_record(&arrival) {
+        self.source.emitted += 1;
+        if let Some(wm) = self.source.watermarks.on_record(&arrival) {
             self.watermark(wm);
         }
         self.check_deadline();
@@ -1018,39 +1140,22 @@ impl StreamingSession {
 
     /// Past the deadline, the source poisons the stream.
     fn check_deadline(&mut self) {
-        if self.emitted & DEADLINE_CHECK_MASK == 0
-            && self.deadline.is_some_and(|dl| Instant::now() >= dl)
-        {
-            self.stop(StageError::deadline(&self.source_label));
+        if let Err(e) = self.source.check_deadline() {
+            self.stop(e);
         }
-    }
-
-    /// Fills `membership` with the sub-streams tuple `id` joins, cleaned
-    /// of out-of-range and repeated ones; `false` when the assigner
-    /// failed.
-    fn select(&mut self, id: u64) -> bool {
-        self.membership.clear();
-        let (selector, membership) = (&mut self.selector, &mut self.membership);
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| selector(id, membership))) {
-            self.stop(StageError::from_panic(&self.router_label, payload));
-            return false;
-        }
-        let m = self.subs.len();
-        self.membership.retain(|&i| i < m);
-        self.membership.dedup();
-        true
     }
 
     /// Stages a tuple for sub-stream `i`, which takes a full frame.
     fn route(&mut self, i: usize, tuple: StampedTuple) {
+        let batch_size = self.merge.batch_size;
         let inbox = &mut self.subs[i].inbox;
         if inbox.capacity() == 0 {
-            inbox.reserve_exact(self.batch_size);
+            inbox.reserve_exact(batch_size);
         }
         inbox.push(tuple);
-        if inbox.len() >= self.batch_size {
+        if inbox.len() >= batch_size {
             self.take_inbox(i);
-            self.flush_outbox(i, self.batch_size);
+            self.flush_outbox(i, batch_size);
         }
     }
 
@@ -1060,7 +1165,7 @@ impl StreamingSession {
         if sub.inbox.is_empty() {
             return;
         }
-        self.sends.add(sub.inbox.len() as u64);
+        self.source.sends.add(sub.inbox.len() as u64);
         if let Err(e) = sub.take_inbox(i as u32, &self.tuple_rows) {
             self.fail(e);
         }
@@ -1078,13 +1183,7 @@ impl StreamingSession {
             outbox.clear();
             return;
         }
-        let sorter = &mut self.sorter;
-        let result = self.sorter_stage.run(ready, || {
-            for t in outbox.drain(..ready) {
-                sorter.on_element(Held::Tuple(t));
-            }
-        });
-        if let Err(e) = result {
+        if let Err(e) = self.merge.take(outbox.drain(..ready)) {
             self.fail(e);
         }
     }
@@ -1098,7 +1197,7 @@ impl StreamingSession {
         for i in 0..m {
             self.take_inbox(i);
         }
-        self.sends.add(m as u64);
+        self.source.sends.add(m as u64);
         for i in 0..m {
             if let Err(e) = self.subs[i].cross(i as u32, wm, &self.settings.schema) {
                 self.fail(e);
@@ -1108,7 +1207,7 @@ impl StreamingSession {
         if self.failure.is_some() {
             return;
         }
-        self.sorter_stage.watermark(wm);
+        self.merge.stage.watermark(wm);
         self.release(Some(wm));
         if wm != Timestamp::MAX {
             self.checkpoint(wm);
@@ -1116,28 +1215,10 @@ impl StreamingSession {
     }
 
     /// The sorter releases what watermark `wm` closes (everything, at
-    /// the end of the stream: `None`), cut into chunks of at most
-    /// `batch_size`.
+    /// the end of the stream: `None`).
     fn release(&mut self, wm: Option<Timestamp>) {
-        let from = self.released.len();
-        let (sorter, released) = (&mut self.sorter, &mut self.released);
-        let result = self.sorter_stage.guard(|| match wm {
-            Some(wm) => sorter.on_watermark(wm, released),
-            None => sorter.on_end(released),
-        });
-        if let Err(e) = result {
-            return self.fail(e);
-        }
-        let to = self.released.len();
-        self.sorter_stage
-            .metrics
-            .elements_out
-            .add((to - from) as u64);
-        self.tuples_out += (to - from) as u64;
-        let mut at = from;
-        while at < to {
-            at = (at + self.batch_size).min(to);
-            self.chunk_ends.push(at);
+        if let Err(e) = self.merge.release(wm) {
+            self.fail(e);
         }
     }
 
@@ -1154,7 +1235,7 @@ impl StreamingSession {
         }
         ck.since = 0;
         ck.epoch += 1;
-        self.sends.add(self.subs.len() as u64);
+        self.source.sends.add(self.subs.len() as u64);
         let mut states = BTreeMap::new();
         for (i, sub) in self.subs.iter().enumerate() {
             if let Some(doc) = sub.chaos.as_ref().and_then(|(op, _)| op.snapshot_state()) {
@@ -1170,16 +1251,16 @@ impl StreamingSession {
                 }
             }
         }
-        if let Some(doc) = self.sorter.snapshot_state() {
+        if let Some(doc) = self.merge.sorter.snapshot_state() {
             states.insert("sorter".to_string(), doc);
         }
         ck.store.commit(CheckpointFrame {
             version: CHECKPOINT_VERSION,
             epoch: ck.epoch,
             watermark: wm,
-            source_offset: ck.base_offset + self.emitted,
-            sink_committed: self.tuples_out,
-            wm_state: self.watermarks.state(),
+            source_offset: ck.base_offset + self.source.emitted,
+            sink_committed: self.merge.tuples_out,
+            wm_state: self.source.watermarks.state(),
             states,
         });
     }
@@ -1187,12 +1268,12 @@ impl StreamingSession {
     /// Ends the stream: `W(MAX)` crosses the plan, then every pipeline
     /// finishes and the sorter releases the rest.
     fn end(&mut self) {
-        if self.stopped {
+        if self.source.stopped {
             return;
         }
         self.watermark(Timestamp::MAX);
         let m = self.subs.len();
-        self.sends.add(m as u64);
+        self.source.sends.add(m as u64);
         for i in 0..m {
             if let Err(e) = self.subs[i].finish(i as u32) {
                 self.fail(e);
@@ -1211,7 +1292,7 @@ impl StreamingSession {
 
     /// The source or the assigner failed: nothing more is routed.
     fn stop(&mut self, error: StageError) {
-        self.stopped = true;
+        self.source.stopped = true;
         self.fail(error);
     }
 }

@@ -18,6 +18,43 @@ use icewafl::prelude::*;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write as _};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+/// Set once the reader of the command's stdout has closed the pipe.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Writes to stdout: the one way every command prints. A reader that
+/// closes the pipe early (`icewafl pollute … | head`) is no error: the
+/// rest of the output is dropped, and the command goes on to finish its
+/// files and exit as it would have. Any other write error fails the
+/// command.
+fn write_out(args: std::fmt::Arguments<'_>) -> Result<()> {
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return Ok(());
+    }
+    let mut out = std::io::stdout().lock();
+    match out.write_fmt(args).and_then(|()| out.flush()) {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {
+            STDOUT_CLOSED.store(true, Ordering::Relaxed);
+            Ok(())
+        }
+        result => Ok(result?),
+    }
+}
+
+/// `print!` through [`write_out`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_out(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_out`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_out(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -30,10 +67,7 @@ fn main() -> ExitCode {
         Some("serve") => cmd_serve(&args[1..]),
         Some("top") => cmd_top(&args[1..]),
         Some("example-config") => cmd_example_config(&args[1..]),
-        Some("help") | Some("--help") | Some("-h") | None => {
-            print_usage();
-            Ok(())
-        }
+        Some("help") | Some("--help") | Some("-h") | None => print_usage(),
         Some(other) => Err(icewafl::types::Error::config(format_args!(
             "unknown command `{other}` (try `icewafl help`)"
         ))),
@@ -47,8 +81,8 @@ fn main() -> ExitCode {
     }
 }
 
-fn print_usage() {
-    println!(
+fn print_usage() -> Result<()> {
+    outln!(
         "icewafl — a configurable data stream polluter
 
 USAGE:
@@ -106,7 +140,7 @@ USAGE:
 A stage failure (panic, injected fault, deadline) exits non-zero with a
 one-line diagnostic naming the failing stage; so does a flag the command
 does not know."
-    );
+    )
 }
 
 /// Rejects every argument of `icewafl {command}` that is neither one of
@@ -230,7 +264,7 @@ fn cmd_pollute(args: &[String]) -> Result<()> {
     let physical = plan.compile(&schema)?;
     if present(args, "--explain") {
         // Show the compiled physical plan and stop: no input required.
-        print!("{}", physical.explain());
+        out!("{}", physical.explain())?;
         return Ok(());
     }
 
@@ -257,38 +291,38 @@ fn cmd_pollute(args: &[String]) -> Result<()> {
         let mut w = BufWriter::new(file);
         dump.write_chrome_trace(&mut w)?;
         w.flush()?;
-        println!(
+        outln!(
             "trace: {} event(s), {} dropped -> {path}",
             dump.events.len(),
             dump.dropped
-        );
+        )?;
     }
 
     write_csv_file(&output, &schema, out.polluted.iter().map(|t| &t.tuple))?;
-    println!(
+    outln!(
         "polluted {n} tuples -> {} output tuples, {} ground-truth entries -> {output}",
         out.polluted.len(),
         out.log.len()
-    );
+    )?;
 
     if let Some(clean_path) = flag(args, "--clean") {
         write_csv_file(&clean_path, &schema, out.clean.iter().map(|t| &t.tuple))?;
-        println!("clean stream -> {clean_path}");
+        outln!("clean stream -> {clean_path}")?;
     }
     if let Some(log_path) = flag(args, "--log") {
         let json = serde_json::to_string_pretty(&out.log)
             .map_err(|e| Error::config(format_args!("log serialization: {e}")))?;
         std::fs::write(&log_path, json)?;
-        println!("ground truth -> {log_path}");
+        outln!("ground truth -> {log_path}")?;
     }
     if present(args, "--report") {
-        print!("{}", out.report.render());
+        out!("{}", out.report.render())?;
     }
     if let Some(metrics_path) = flag(args, "--metrics-json") {
         let json = serde_json::to_string_pretty(&out.report)
             .map_err(|e| Error::config(format_args!("report serialization: {e}")))?;
         std::fs::write(&metrics_path, json)?;
-        println!("run report -> {metrics_path}");
+        outln!("run report -> {metrics_path}")?;
     }
     Ok(())
 }
@@ -315,7 +349,7 @@ fn cmd_validate(args: &[String]) -> Result<()> {
     // Validation runs on prepared tuples (ids for reporting).
     let prepared = icewafl::core::prepare::prepare_all(&schema, tuples)?;
     let report = suite.validate(&schema, &prepared)?;
-    print!("{report}");
+    out!("{report}")?;
     if report.success() {
         Ok(())
     } else {
@@ -333,14 +367,20 @@ fn cmd_profile(args: &[String]) -> Result<()> {
     let input = require(args, "--input")?;
     let tuples = load_tuples(&input, &schema)?;
     let prepared = icewafl::core::prepare::prepare_all(&schema, tuples)?;
-    println!("{} rows", prepared.len());
-    println!(
+    outln!("{} rows", prepared.len())?;
+    outln!(
         "{:<16} {:>10} {:>8} {:>12} {:>12} {:>12} {:>12}",
-        "column", "type", "nulls", "min", "max", "mean", "stdev"
-    );
+        "column",
+        "type",
+        "nulls",
+        "min",
+        "max",
+        "mean",
+        "stdev"
+    )?;
     for p in profile(&schema, &prepared) {
         let fmt = |v: Option<f64>| v.map_or("-".to_string(), |x| format!("{x:.3}"));
-        println!(
+        outln!(
             "{:<16} {:>10} {:>8} {:>12} {:>12} {:>12} {:>12}",
             p.name,
             p.dtype.to_string(),
@@ -349,9 +389,9 @@ fn cmd_profile(args: &[String]) -> Result<()> {
             fmt(p.max),
             fmt(p.mean),
             fmt(p.stdev),
-        );
+        )?;
         if !p.categories.is_empty() {
-            println!("{:<16} categories: {}", "", p.categories.join(", "));
+            outln!("{:<16} categories: {}", "", p.categories.join(", "))?;
         }
     }
     Ok(())
@@ -390,7 +430,7 @@ fn cmd_generate(args: &[String]) -> Result<()> {
         }
     };
     write_csv_file(&output, &schema, &tuples)?;
-    println!("generated {} tuples -> {output}", tuples.len());
+    outln!("generated {} tuples -> {output}", tuples.len())?;
     Ok(())
 }
 
@@ -417,11 +457,11 @@ fn cmd_serve(args: &[String]) -> Result<()> {
     }
     if let Some(dir) = flag(args, "--plans-dir") {
         config.plans = icewafl::core::PlanCatalog::load_dir(&dir)?;
-        println!(
+        outln!(
             "loaded {} plan(s) from {dir}: {}",
             config.plans.len(),
             config.plans.names().join(", ")
-        );
+        )?;
     }
     if let Some(n) = flag(args, "--max-sessions") {
         config.max_sessions = n
@@ -448,16 +488,15 @@ fn cmd_serve(args: &[String]) -> Result<()> {
     let server = Server::bind(config)?;
     signal::install();
     // The exact line the client harness and the CI smoke test parse.
-    println!("listening on {}", server.local_addr());
-    std::io::stdout().flush().ok();
+    outln!("listening on {}", server.local_addr())?;
     server.run()?;
-    println!("drained; goodbye");
+    outln!("drained; goodbye")?;
 
     if let Some(metrics_path) = flag(args, "--metrics-json") {
         let json = serde_json::to_string_pretty(&server.registry().snapshot())
             .map_err(|e| Error::config(format_args!("metrics serialization: {e}")))?;
         std::fs::write(&metrics_path, json)?;
-        println!("serve metrics -> {metrics_path}");
+        outln!("serve metrics -> {metrics_path}")?;
     }
     Ok(())
 }
@@ -484,16 +523,20 @@ fn cmd_top(args: &[String]) -> Result<()> {
     };
     let plain = present(args, "--plain");
     let seen = client::watch_telemetry(&addr, None, frames, |frame| {
-        if !plain {
-            // Clear the screen and home the cursor: a refreshing table.
-            print!("\x1b[2J\x1b[H");
+        // Clear the screen and home the cursor: a refreshing table.
+        let clear = if plain { "" } else { "\x1b[2J\x1b[H" };
+        if let Err(e) = out!("{clear}{}", render_top_frame(frame)) {
+            eprintln!("icewafl: {e}");
+            std::process::exit(1);
         }
-        print!("{}", render_top_frame(frame));
-        std::io::stdout().flush().ok();
+        // Nobody reads the table any more: stop watching.
+        if STDOUT_CLOSED.load(Ordering::Relaxed) {
+            std::process::exit(0);
+        }
     })
     .map_err(|e| Error::Io(format!("telemetry stream from {addr}: {e}")))?;
     if seen == 0 {
-        println!("no telemetry frames received before the server drained");
+        outln!("no telemetry frames received before the server drained")?;
     }
     Ok(())
 }
@@ -612,6 +655,6 @@ fn cmd_example_config(args: &[String]) -> Result<()> {
             },
         ]],
     );
-    println!("{}", plan.to_json());
+    outln!("{}", plan.to_json())?;
     Ok(())
 }

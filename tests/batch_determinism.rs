@@ -427,11 +427,16 @@ fn generated_schema() -> Schema {
 /// shapes: strictly increasing, runs of equal timestamps, or jittered
 /// backwards by up to `jitter` seconds.
 fn generated_tuples(rng: &mut SplitMix) -> Vec<Tuple> {
+    generated_stream(rng, GENERATED_TUPLES)
+}
+
+/// [`generated_tuples`], `n` of them.
+fn generated_stream(rng: &mut SplitMix, n: i64) -> Vec<Tuple> {
     let null_percent = rng.pick(&[0, 5, 60]);
     let shape = rng.below(3);
     let run = 2 + rng.below(4) as i64;
     let jitter = rng.pick(&[3, 20, 120]);
-    (0..GENERATED_TUPLES)
+    (0..n)
         .map(|i| {
             let tau = match shape {
                 0 => i * 1000,
@@ -861,6 +866,74 @@ fn generated_plans_match_the_oracle_configuration() {
                 &case,
             );
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The pipelined schedule against the sequential one
+// ---------------------------------------------------------------------
+
+/// Generated plans run under `auto` and under `sequential`.
+const SCHEDULE_CASES: u64 = 40;
+
+/// Tuples per span of the pipelined schedule: 64 watermark periods.
+fn span_tuples(plan: &LogicalPlan) -> i64 {
+    64 * plan.watermark_period as i64
+}
+
+#[test]
+fn the_pipelined_schedule_matches_the_sequential_one() {
+    // A whole input longer than one span runs on two threads under
+    // `auto` (given two cores); `sequential` keeps it on one. Over more
+    // than three spans, with a partial span at the end, every generated
+    // plan must put out the same stream, log and report counts both ways.
+    let two_cores = std::thread::available_parallelism().map_or(1, usize::from) >= 2;
+    let schema = generated_schema();
+    for case in 0..SCHEDULE_CASES {
+        let mut rng = SplitMix(0x5C4E_D01E ^ (case << 32));
+        let mut plan = generated_plan(&mut rng);
+        plan.batch_size = rng.pick(&[1, 7, 64, 256]);
+        let n = 3 * span_tuples(&plan) + 1 + rng.below(200) as i64;
+        let tuples = generated_stream(&mut rng, n);
+        let run = |strategy: StrategyHint| {
+            let mut plan = plan.clone();
+            plan.strategy = strategy;
+            plan.compile(&schema)
+                .and_then(|physical| physical.execute(tuples.clone()))
+                .unwrap_or_else(|e| panic!("case {case}: {e}; plan:\n{}", plan.to_json()))
+        };
+        let sequential = run(StrategyHint::Sequential);
+        let auto = run(StrategyHint::Auto);
+        let describe = format!("case {case}, {n} tuples; plan:\n{}", plan.to_json());
+        assert_eq!(
+            sequential.report.strategy.as_deref(),
+            Some("sequential"),
+            "{describe}"
+        );
+        if two_cores {
+            assert_eq!(
+                auto.report.strategy.as_deref(),
+                Some("pipelined"),
+                "{describe}"
+            );
+        }
+        assert_same(
+            "polluted stream",
+            &auto.polluted,
+            &sequential.polluted,
+            &describe,
+        );
+        assert_same(
+            "ground truth",
+            auto.log.entries(),
+            sequential.log.entries(),
+            &describe,
+        );
+        assert_eq!(
+            counts_text(&auto.report),
+            counts_text(&sequential.report),
+            "report counts ({describe})"
+        );
     }
 }
 

@@ -669,3 +669,162 @@ fn serve_smoke_session_then_sigint_drain() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_reader_closing_stdout_early_ends_the_output_quietly() {
+    use std::io::BufRead as _;
+    let dir = temp_dir("closed-stdout");
+    let gen = icewafl(
+        &["generate", "--dataset", "wearable", "--output", "clean.csv"],
+        &dir,
+    );
+    assert!(gen.status.success(), "{}", stderr(&gen));
+    // 256 sub-streams make a report of over 100 KiB: more than a pipe
+    // holds, so the command is still writing when the reader goes.
+    let pipelines: Vec<String> = (0..256)
+        .map(|i| {
+            format!(
+                r#"[{{"type":"standard","name":"drop-{i}","attributes":["Distance"],"error":{{"type":"missing_value"}},"condition":{{"type":"probability","p":0.5}},"pattern":null}}]"#
+            )
+        })
+        .collect();
+    std::fs::write(
+        dir.join("wide.json"),
+        format!(
+            r#"{{"pipelines":[{}],"assigner":{{"type":"round_robin"}}}}"#,
+            pipelines.join(",")
+        ),
+    )
+    .unwrap();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_icewafl"))
+        .args([
+            "pollute",
+            "--schema",
+            "wearable",
+            "--config",
+            "wide.json",
+            "--input",
+            "clean.csv",
+            "--output",
+            "dirty.csv",
+            "--report",
+            "--metrics-json",
+            "metrics.json",
+        ])
+        .current_dir(&dir)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut first = String::new();
+    std::io::BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .unwrap();
+    // The reader is dropped here: the pipe is closed after one line.
+    assert!(first.starts_with("polluted 1059 tuples"), "{first}");
+    let out = child.wait_with_output().unwrap();
+    assert!(
+        out.status.success(),
+        "exit {:?}: {}",
+        out.status,
+        stderr(&out)
+    );
+    assert!(!stderr(&out).contains("panicked"), "{}", stderr(&out));
+    // The command went on with its files.
+    assert!(dir.join("metrics.json").exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn the_report_names_the_schedule_that_ran() {
+    let dir = temp_dir("schedule");
+    let gen = icewafl(
+        &["generate", "--dataset", "wearable", "--output", "clean.csv"],
+        &dir,
+    );
+    assert!(gen.status.success(), "{}", stderr(&gen));
+    // A watermark every 8 tuples: a span of 64 periods is 512 tuples,
+    // so the 1059 generated ones are more than two spans.
+    let config = |strategy: &str| {
+        format!(
+            r#"{{"seed":7,"pipelines":[[{{"type":"standard","name":"noise","attributes":["Distance"],"error":{{"type":"gaussian_noise","sigma":1.0,"relative":false}},"condition":{{"type":"probability","p":0.5}},"pattern":null}}],[{{"type":"delay","name":"late","condition":{{"type":"probability","p":0.1}},"delay_ms":600000}}]],"assigner":{{"type":"round_robin"}},"strategy":"{strategy}","watermark_period":8,"batch_size":16}}"#
+        )
+    };
+    let pollute = |strategy: &str, taskset: bool| {
+        std::fs::write(dir.join(format!("{strategy}.json")), config(strategy)).unwrap();
+        let config = format!("{strategy}.json");
+        let output = format!("{strategy}-{taskset}.csv");
+        let log = format!("{strategy}-{taskset}.log.json");
+        let args = [
+            "pollute",
+            "--schema",
+            "wearable",
+            "--config",
+            &config,
+            "--input",
+            "clean.csv",
+            "--output",
+            &output,
+            "--log",
+            &log,
+            "--report",
+        ];
+        let out = if taskset {
+            Command::new("taskset")
+                .args(["-c", "0", env!("CARGO_BIN_EXE_icewafl")])
+                .args(args)
+                .current_dir(&dir)
+                .output()
+                .ok()?
+        } else {
+            icewafl(&args, &dir)
+        };
+        assert!(out.status.success(), "{}", stderr(&out));
+        let read = |name: &str| std::fs::read(dir.join(name)).unwrap();
+        Some((stdout(&out), read(&output), read(&log)))
+    };
+    let two_cores = std::thread::available_parallelism().map_or(1, usize::from) >= 2;
+    let (auto_report, auto_csv, auto_log) = pollute("auto", false).unwrap();
+    let (seq_report, seq_csv, seq_log) = pollute("sequential", false).unwrap();
+    assert!(
+        seq_report.contains("strategy: sequential\n"),
+        "{seq_report}"
+    );
+    if two_cores {
+        assert!(
+            auto_report.contains("strategy: pipelined\n"),
+            "{auto_report}"
+        );
+    }
+    assert!(auto_csv == seq_csv, "the polluted streams differ");
+    assert!(auto_log == seq_log, "the ground-truth logs differ");
+    // On one core `auto` runs inline, to the same bytes.
+    if let Some((report, csv, log)) = pollute("auto", true) {
+        assert!(report.contains("strategy: sequential\n"), "{report}");
+        assert!(csv == seq_csv && log == seq_log);
+    }
+
+    let explain = |strategy: &str| {
+        let out = icewafl(
+            &[
+                "pollute",
+                "--schema",
+                "wearable",
+                "--config",
+                &format!("{strategy}.json"),
+                "--explain",
+            ],
+            &dir,
+        );
+        assert!(out.status.success(), "{}", stderr(&out));
+        stdout(&out)
+    };
+    assert!(explain("sequential")
+        .contains("strategy:         sequential (the plan's strategy is `sequential`)"));
+    if two_cores {
+        assert!(explain("auto").contains(
+            "strategy:         sequential up to 512 input tuples (one span), pipelined past them"
+        ));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
