@@ -24,7 +24,7 @@
 //! **Exactness by construction.** A kernel does not reimplement the
 //! polluter — it *wraps* the very same [`StandardPolluter`] the row path
 //! would build (same component seed paths, so identical RNG streams and
-//! stats cells). Output and ground-truth log are therefore
+//! statistics). Output and ground-truth log are therefore
 //! byte-identical to row execution — the property this module's unit
 //! tests pin against the row pipelines `build_pipelines` builds.
 //!
@@ -62,9 +62,9 @@
 
 use crate::config::{build_standard, ConditionConfig, ErrorConfig, PolluterConfig};
 use crate::log::PollutionLog;
-use crate::polluter::{Emission, Polluter, StandardPolluter};
+use crate::polluter::{Polluter, StandardPolluter};
 use crate::rng::{ComponentPath, SeedFactory};
-use crate::stats::PolluterStatsHandle;
+use crate::stats::PolluterStatsSnapshot;
 use icewafl_types::{ColumnBatch, DataType, Result, Schema, StampedTuple, Timestamp, Tuple, Value};
 
 /// Column indices a condition reads, appended to `out`. Probability-,
@@ -326,37 +326,17 @@ impl ColumnPipeline {
         }
     }
 
-    /// The live stat cells of every stage's polluter, in stage order,
+    /// What every stage's polluter has counted so far, in stage order,
     /// appended to `out`: what
-    /// [`PollutionPipeline::collect_stats`](crate::pipeline::PollutionPipeline::collect_stats)
-    /// hands out for the row pipeline this one re-expresses, so a run
-    /// on either reports the same statistics under the same names.
-    pub fn collect_stats(&self, out: &mut Vec<PolluterStatsHandle>) {
+    /// [`PollutionPipeline::append_stats`](crate::pipeline::PollutionPipeline::append_stats)
+    /// appends for the row pipeline this one re-expresses, so a run on
+    /// either reports the same statistics under the same names.
+    /// Standard polluters hold no tuples, so a column pipeline needs no
+    /// watermark or end-of-stream hook.
+    pub fn append_stats(&self, out: &mut Vec<PolluterStatsSnapshot>) {
         for stage in &self.stages {
-            Polluter::collect_stats(&stage.polluter, out);
+            Polluter::append_stats(&stage.polluter, out);
         }
-    }
-
-    /// Advances event time through every stage. Standard polluters hold
-    /// no tuples, so nothing is released — this flushes staged stats and
-    /// RNG draw counts exactly like the row path's watermark hook.
-    pub fn on_watermark(&mut self, wm: Timestamp, log: &mut PollutionLog) {
-        let mut buf = Vec::new();
-        for stage in &mut self.stages {
-            let mut em = Emission::new(&mut buf, log);
-            Polluter::on_watermark(&mut stage.polluter, wm, &mut em);
-        }
-        debug_assert!(buf.is_empty(), "standard polluters release nothing");
-    }
-
-    /// Ends the stream: every stage flushes its staged stats.
-    pub fn finish(&mut self, log: &mut PollutionLog) {
-        let mut buf = Vec::new();
-        for stage in &mut self.stages {
-            let mut em = Emission::new(&mut buf, log);
-            Polluter::finish(&mut stage.polluter, &mut em);
-        }
-        debug_assert!(buf.is_empty(), "standard polluters release nothing");
     }
 }
 
@@ -540,16 +520,11 @@ mod tests {
             PollutionLog::disabled()
         };
         let mut out = Vec::new();
-        for (k, chunk) in input.chunks(64).enumerate() {
-            if k > 0 {
-                let wm = Timestamp((k as i64 * 64 - 1) * 60_000);
-                pipeline.on_watermark(wm, &mut log);
-            }
+        for chunk in input.chunks(64) {
             let mut batch = ColumnBatch::from_rows(&schema(), chunk.to_vec()).unwrap();
             pipeline.process_batch(&mut batch, &mut log);
             out.extend(batch.into_rows());
         }
-        pipeline.finish(&mut log);
         (out, log)
     }
 
@@ -709,7 +684,6 @@ mod tests {
                 pipeline.process_batch(&mut batch, &mut log);
                 out.extend(batch.into_rows());
             }
-            pipeline.finish(&mut log);
             out
         };
         assert_eq!(run(true), run(false));

@@ -101,7 +101,7 @@ pub use polluter::{BoxPolluter, Emission, Polluter, StandardPolluter};
 pub use report::RunReport;
 pub use runner::{pollute_stream, PollutionOutput};
 pub use session::{ReleasedRow, StreamingSession};
-pub use stats::{CountingRng, PolluterStats, PolluterStatsHandle, PolluterStatsSnapshot};
+pub use stats::{CountingRng, PolluterStatsSnapshot};
 
 /// Everything needed for typical pollution jobs.
 pub mod prelude {
@@ -131,7 +131,7 @@ pub mod prelude {
     pub use crate::report::RunReport;
     pub use crate::rng::{ComponentPath, SeedFactory};
     pub use crate::runner::{pollute_stream, PollutionOutput};
-    pub use crate::stats::{PolluterStats, PolluterStatsHandle, PolluterStatsSnapshot};
+    pub use crate::stats::PolluterStatsSnapshot;
     pub use crate::temporal::{
         BurstPolluter, DelayPolluter, DropPolluter, DuplicatePolluter, FreezePolluter,
     };

@@ -14,7 +14,7 @@
 use crate::condition::BoxCondition;
 use crate::polluter::{BoxPolluter, Emission, Polluter};
 use crate::snapshot::{rng_from_words, SlotState};
-use crate::stats::{CountingRng, PendingStats, PolluterStats, PolluterStatsHandle, StatsTotals};
+use crate::stats::{CountingRng, PolluterCounts, PolluterStatsSnapshot};
 use icewafl_types::{Error, Result, StampedTuple, Timestamp};
 use rand::rngs::StdRng;
 use rand::RngExt;
@@ -127,13 +127,11 @@ impl PollutionPipeline {
             .product::<f64>()
     }
 
-    /// Collects live stat handles from every stage, in pipeline order
-    /// (composites recurse into their children). Collect *before*
-    /// handing the pipeline to a run — the cells are shared, so the
-    /// handles keep reading live values while the run owns the stages.
-    pub fn collect_stats(&self, out: &mut Vec<PolluterStatsHandle>) {
+    /// Appends what every stage has counted so far, in pipeline order
+    /// (composites recurse into their children).
+    pub fn append_stats(&self, out: &mut Vec<PolluterStatsSnapshot>) {
         for stage in &self.stages {
-            stage.collect_stats(out);
+            stage.append_stats(out);
         }
     }
 
@@ -167,8 +165,7 @@ pub struct CompositePolluter {
     name: String,
     condition: BoxCondition,
     children: PollutionPipeline,
-    stats: PolluterStats,
-    pending: PendingStats,
+    counts: PolluterCounts,
 }
 
 impl CompositePolluter {
@@ -182,34 +179,31 @@ impl CompositePolluter {
             name: name.into(),
             condition,
             children: PollutionPipeline::new(children),
-            stats: PolluterStats::new(),
-            pending: PendingStats::default(),
+            counts: PolluterCounts::default(),
         }
     }
 }
 
 impl Polluter for CompositePolluter {
     fn process(&mut self, tuple: StampedTuple, out: &mut Emission) {
-        self.pending.condition_evals += 1;
+        self.counts.condition_evals += 1;
         if self.condition.evaluate(&tuple) {
             // The gate opened — whether a child modifies the tuple is
             // counted on the child's own stats.
-            self.pending.fires += 1;
+            self.counts.fires += 1;
             self.children.process(tuple, out);
         } else {
-            self.pending.skips += 1;
+            self.counts.skips += 1;
             out.emit(tuple);
         }
     }
 
     fn on_watermark(&mut self, wm: Timestamp, out: &mut Emission) {
         self.children.on_watermark(wm, out);
-        self.pending.flush(&self.stats);
     }
 
     fn finish(&mut self, out: &mut Emission) {
         self.children.finish(out);
-        self.pending.flush(&self.stats);
     }
 
     fn name(&self) -> &str {
@@ -220,12 +214,9 @@ impl Polluter for CompositePolluter {
         self.condition.expected_probability(tuple) * self.children.expected_probability(tuple)
     }
 
-    fn collect_stats(&self, out: &mut Vec<PolluterStatsHandle>) {
-        out.push(PolluterStatsHandle {
-            name: self.name.clone(),
-            stats: self.stats.clone(),
-        });
-        self.children.collect_stats(out);
+    fn append_stats(&self, out: &mut Vec<PolluterStatsSnapshot>) {
+        out.push(self.counts.snapshot(&self.name));
+        self.children.append_stats(out);
     }
 
     fn snapshot_state(&self) -> Option<String> {
@@ -233,8 +224,7 @@ impl Polluter for CompositePolluter {
             serde_json::to_string(&CompositeState {
                 condition: self.condition.snapshot_state(),
                 children: self.children.snapshot_states(),
-                pending: self.pending,
-                totals: StatsTotals::capture(&self.stats),
+                counts: self.counts,
             })
             .expect("composite state serialises"),
         )
@@ -249,8 +239,7 @@ impl Polluter for CompositePolluter {
         if let Some(doc) = &st.children {
             self.children.restore_states(doc)?;
         }
-        self.pending = st.pending;
-        st.totals.restore_into(&self.stats);
+        self.counts = st.counts;
         Ok(())
     }
 }
@@ -260,8 +249,7 @@ impl Polluter for CompositePolluter {
 struct CompositeState {
     condition: Option<String>,
     children: Option<String>,
-    pending: PendingStats,
-    totals: StatsTotals,
+    counts: PolluterCounts,
 }
 
 /// A composite whose children are *mutually exclusive*: when the shared
@@ -274,8 +262,7 @@ pub struct OneOfPolluter {
     /// Cumulative weights, empty for uniform choice.
     cumulative: Vec<f64>,
     rng: CountingRng,
-    stats: PolluterStats,
-    pending: PendingStats,
+    counts: PolluterCounts,
 }
 
 impl OneOfPolluter {
@@ -286,15 +273,13 @@ impl OneOfPolluter {
         children: Vec<BoxPolluter>,
         rng: StdRng,
     ) -> Self {
-        let stats = PolluterStats::new();
         OneOfPolluter {
             name: name.into(),
             condition,
             children,
             cumulative: Vec::new(),
-            rng: CountingRng::new(rng, stats.rng_draws.clone()),
-            stats,
-            pending: PendingStats::default(),
+            rng: CountingRng::new(rng),
+            counts: PolluterCounts::default(),
         }
     }
 
@@ -325,16 +310,22 @@ impl OneOfPolluter {
             acc += w;
             cumulative.push(acc);
         }
-        let stats = PolluterStats::new();
         Ok(OneOfPolluter {
             name: name.into(),
             condition,
             children,
             cumulative,
-            rng: CountingRng::new(rng, stats.rng_draws.clone()),
-            stats,
-            pending: PendingStats::default(),
+            rng: CountingRng::new(rng),
+            counts: PolluterCounts::default(),
         })
+    }
+
+    /// Everything counted so far, the choice RNG's draws included.
+    fn counts(&self) -> PolluterCounts {
+        PolluterCounts {
+            rng_draws: self.rng.draws(),
+            ..self.counts
+        }
     }
 
     fn pick(&mut self) -> usize {
@@ -366,13 +357,13 @@ impl OneOfPolluter {
 
 impl Polluter for OneOfPolluter {
     fn process(&mut self, tuple: StampedTuple, out: &mut Emission) {
-        self.pending.condition_evals += 1;
+        self.counts.condition_evals += 1;
         if !self.children.is_empty() && self.condition.evaluate(&tuple) {
-            self.pending.fires += 1;
+            self.counts.fires += 1;
             let idx = self.pick();
             self.children[idx].process(tuple, out);
         } else {
-            self.pending.skips += 1;
+            self.counts.skips += 1;
             out.emit(tuple);
         }
     }
@@ -381,16 +372,12 @@ impl Polluter for OneOfPolluter {
         for child in &mut self.children {
             child.on_watermark(wm, out);
         }
-        self.rng.flush();
-        self.pending.flush(&self.stats);
     }
 
     fn finish(&mut self, out: &mut Emission) {
         for child in &mut self.children {
             child.finish(out);
         }
-        self.rng.flush();
-        self.pending.flush(&self.stats);
     }
 
     fn name(&self) -> &str {
@@ -410,28 +397,22 @@ impl Polluter for OneOfPolluter {
         self.condition.expected_probability(tuple) * inner
     }
 
-    fn collect_stats(&self, out: &mut Vec<PolluterStatsHandle>) {
-        out.push(PolluterStatsHandle {
-            name: self.name.clone(),
-            stats: self.stats.clone(),
-        });
+    fn append_stats(&self, out: &mut Vec<PolluterStatsSnapshot>) {
+        out.push(self.counts().snapshot(&self.name));
         for child in &self.children {
-            child.collect_stats(out);
+            child.append_stats(out);
         }
     }
 
     fn snapshot_state(&self) -> Option<String> {
-        let (rng, rng_pending) = self.rng.state();
         Some(
             serde_json::to_string(&OneOfState {
                 condition: self.condition.snapshot_state(),
                 children: SlotState::doc(
                     self.children.iter().map(|c| c.snapshot_state()).collect(),
                 ),
-                rng: rng.to_vec(),
-                rng_pending,
-                pending: self.pending,
-                totals: StatsTotals::capture(&self.stats),
+                rng: self.rng.state().to_vec(),
+                counts: self.counts(),
             })
             .expect("one-of state serialises"),
         )
@@ -451,9 +432,9 @@ impl Polluter for OneOfPolluter {
                 }
             }
         }
-        self.rng.restore(rng_from_words(&st.rng)?, st.rng_pending);
-        self.pending = st.pending;
-        st.totals.restore_into(&self.stats);
+        self.rng
+            .restore(rng_from_words(&st.rng)?, st.counts.rng_draws);
+        self.counts = st.counts;
         Ok(())
     }
 }
@@ -464,9 +445,7 @@ struct OneOfState {
     condition: Option<String>,
     children: Option<String>,
     rng: Vec<u64>,
-    rng_pending: u64,
-    pending: PendingStats,
-    totals: StatsTotals,
+    counts: PolluterCounts,
 }
 
 #[cfg(test)]

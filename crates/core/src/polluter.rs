@@ -11,7 +11,7 @@ use crate::error_fn::ErrorFunction;
 use crate::log::{LogEntry, PollutionLog};
 use crate::pattern::ChangePattern;
 use crate::snapshot::rng_from_words;
-use crate::stats::{CountingRng, PendingStats, PolluterStats, PolluterStatsHandle, StatsTotals};
+use crate::stats::{CountingRng, PolluterCounts, PolluterStatsSnapshot};
 use icewafl_types::{ColumnBatch, Error, Result, Schema, StampedTuple, Text, Timestamp, Value};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -68,8 +68,8 @@ pub trait Polluter: Send {
     /// Processes one tuple, emitting any number of output tuples.
     fn process(&mut self, tuple: StampedTuple, out: &mut Emission);
 
-    /// Event-time progress notification: stateful polluters (delay,
-    /// freeze) release buffered work here.
+    /// Event-time progress notification: polluters that hold tuples
+    /// back (delay) release the ones it closes here.
     fn on_watermark(&mut self, wm: Timestamp, out: &mut Emission) {
         let _ = (wm, out);
     }
@@ -86,17 +86,16 @@ pub trait Polluter: Send {
     /// analytic ground truth for expected-error tables.
     fn expected_probability(&self, tuple: &StampedTuple) -> f64;
 
-    /// Pushes handles to this polluter's live statistic cells, recursing
-    /// into children for composites. The cells are `Arc`-shared, so
-    /// handles collected before a run keep reading live values while the
-    /// run owns the polluter. The default is a no-op for stat-less
-    /// polluters.
-    fn collect_stats(&self, out: &mut Vec<PolluterStatsHandle>) {
+    /// Appends what this polluter has counted so far, then — for
+    /// composites — what its children have, in pipeline order. The
+    /// session calls this on the pipelines it owns when it reports. The
+    /// default appends nothing, for polluters that keep no statistics.
+    fn append_stats(&self, out: &mut Vec<PolluterStatsSnapshot>) {
         let _ = out;
     }
 
     /// This polluter's complete mutable runtime state — RNG stream
-    /// positions, buffered tuples, staged statistics — as a typed JSON
+    /// positions, buffered tuples, statistics — as a typed JSON
     /// document, or `None` when stateless. Everything that influences
     /// future output must be captured: the checkpoint-recovery
     /// invariant is byte-identical output, not approximate resumption.
@@ -121,9 +120,7 @@ struct StandardState {
     condition: Option<String>,
     error_fn: Option<String>,
     pattern_rng: Vec<u64>,
-    pattern_pending: u64,
-    pending: PendingStats,
-    totals: StatsTotals,
+    counts: PolluterCounts,
 }
 
 /// The paper's standard polluter: an error function `e`, a condition
@@ -139,8 +136,7 @@ pub struct StandardPolluter {
     pattern_rng: CountingRng,
     /// Scratch buffer for before-values, reused across tuples.
     before: Vec<Value>,
-    stats: PolluterStats,
-    pending: PendingStats,
+    counts: PolluterCounts,
 }
 
 impl StandardPolluter {
@@ -161,7 +157,6 @@ impl StandardPolluter {
             .map(|n| schema.require(n))
             .collect::<Result<_>>()?;
         error_fn.validate(schema, &attrs)?;
-        let stats = PolluterStats::new();
         Ok(StandardPolluter {
             name: name.into(),
             error_fn,
@@ -169,11 +164,18 @@ impl StandardPolluter {
             attr_names: attr_names.iter().map(|&s| Text::from(s)).collect(),
             attrs,
             pattern,
-            pattern_rng: CountingRng::new(pattern_rng, stats.rng_draws.clone()),
+            pattern_rng: CountingRng::new(pattern_rng),
             before: Vec::new(),
-            stats,
-            pending: PendingStats::default(),
+            counts: PolluterCounts::default(),
         })
+    }
+
+    /// Everything counted so far, the pattern RNG's draws included.
+    fn counts(&self) -> PolluterCounts {
+        PolluterCounts {
+            rng_draws: self.pattern_rng.draws(),
+            ..self.counts
+        }
     }
 
     /// The resolved target column indices.
@@ -188,7 +190,7 @@ impl StandardPolluter {
     /// tuple; `process` is this plus an emit, so the two paths share one
     /// RNG/stats/log sequence by construction.
     pub fn process_in_place(&mut self, tuple: &mut StampedTuple, log: &mut PollutionLog) {
-        self.pending.condition_evals += 1;
+        self.counts.condition_evals += 1;
         let mut fired = false;
         if self.condition.evaluate(tuple) {
             let intensity = self.pattern.intensity(tuple.tau, &mut self.pattern_rng);
@@ -199,7 +201,7 @@ impl StandardPolluter {
                 // attribute, so fires <= log entries only holds for
                 // single-attribute, always-changing error functions).
                 fired = true;
-                self.pending.fires += 1;
+                self.counts.fires += 1;
                 if log.is_enabled() {
                     self.before.clear();
                     self.before.extend(
@@ -231,7 +233,7 @@ impl StandardPolluter {
             }
         }
         if !fired {
-            self.pending.skips += 1;
+            self.counts.skips += 1;
         }
     }
 
@@ -262,7 +264,7 @@ impl StandardPolluter {
         intensities: &mut Vec<f64>,
     ) {
         let n = batch.len();
-        self.pending.condition_evals += n as u64;
+        self.counts.condition_evals += n as u64;
         mask.clear();
         mask.resize(n, 0);
         self.condition.evaluate_columns(batch, mask);
@@ -290,8 +292,8 @@ impl StandardPolluter {
                 }
             }
         }
-        self.pending.fires += fires;
-        self.pending.skips += n as u64 - fires;
+        self.counts.fires += fires;
+        self.counts.skips += n as u64 - fires;
         if fires > 0 {
             self.error_fn
                 .apply_columns(batch, &self.attrs, mask, intensities);
@@ -305,18 +307,6 @@ impl Polluter for StandardPolluter {
         out.emit(tuple);
     }
 
-    fn on_watermark(&mut self, wm: Timestamp, out: &mut Emission) {
-        let _ = (wm, out);
-        self.pattern_rng.flush();
-        self.pending.flush(&self.stats);
-    }
-
-    fn finish(&mut self, out: &mut Emission) {
-        let _ = out;
-        self.pattern_rng.flush();
-        self.pending.flush(&self.stats);
-    }
-
     fn name(&self) -> &str {
         &self.name
     }
@@ -326,23 +316,17 @@ impl Polluter for StandardPolluter {
             * self.pattern.modification_probability(tuple.tau)
     }
 
-    fn collect_stats(&self, out: &mut Vec<PolluterStatsHandle>) {
-        out.push(PolluterStatsHandle {
-            name: self.name.to_string(),
-            stats: self.stats.clone(),
-        });
+    fn append_stats(&self, out: &mut Vec<PolluterStatsSnapshot>) {
+        out.push(self.counts().snapshot(&self.name));
     }
 
     fn snapshot_state(&self) -> Option<String> {
-        let (pattern_rng, pattern_pending) = self.pattern_rng.state();
         Some(
             serde_json::to_string(&StandardState {
                 condition: self.condition.snapshot_state(),
                 error_fn: self.error_fn.snapshot_state(),
-                pattern_rng: pattern_rng.to_vec(),
-                pattern_pending,
-                pending: self.pending,
-                totals: StatsTotals::capture(&self.stats),
+                pattern_rng: self.pattern_rng.state().to_vec(),
+                counts: self.counts(),
             })
             .expect("standard state serialises"),
         )
@@ -358,9 +342,8 @@ impl Polluter for StandardPolluter {
             self.error_fn.restore_state(doc)?;
         }
         self.pattern_rng
-            .restore(rng_from_words(&st.pattern_rng)?, st.pattern_pending);
-        self.pending = st.pending;
-        st.totals.restore_into(&self.stats);
+            .restore(rng_from_words(&st.pattern_rng)?, st.counts.rng_draws);
+        self.counts = st.counts;
         Ok(())
     }
 }

@@ -1,8 +1,9 @@
 //! End-of-run observability report.
 //!
 //! [`RunReport`] bundles everything a run measured: stream-level totals,
-//! the per-polluter statistics collected via
-//! [`Polluter::collect_stats`](crate::polluter::Polluter::collect_stats),
+//! the per-polluter statistics the session reads from the pipelines it
+//! owns when the run ends (see
+//! [`Polluter::append_stats`](crate::polluter::Polluter::append_stats)),
 //! and the raw [`MetricsSnapshot`] of the per-stage metrics
 //! registry. It serializes to JSON (the CLI's `--metrics-json` output)
 //! and renders as a human-readable text block.
@@ -58,7 +59,10 @@ pub struct RunReport {
     /// restore) — excludes supervisor backoff sleeps.
     #[serde(default)]
     pub recovery_ms: u64,
-    /// Per-polluter statistics, in pipeline order.
+    /// Per-polluter statistics, in pipeline order, sub-stream by
+    /// sub-stream. Where a scheduled plan swapped a sub-stream's
+    /// pipeline, each polluter is listed once with its counts over every
+    /// epoch, and a polluter the plan added follows the existing ones.
     pub polluters: Vec<PolluterStatsSnapshot>,
     /// Per-stage stream metrics.
     pub metrics: MetricsSnapshot,

@@ -18,7 +18,7 @@ use crate::plan::{LogicalPlan, StrategyHint};
 use crate::prepare::PrepareOperator;
 use crate::report::RunReport;
 use crate::session::{Pipeline, StreamingSession};
-use crate::stats::PolluterStatsHandle;
+use crate::stats::PolluterStatsSnapshot;
 use icewafl_obs::MetricsRegistry;
 use icewafl_stream::chaos::ChaosConfig;
 use icewafl_stream::checkpoint::{CheckpointFrame, CheckpointStore};
@@ -343,7 +343,7 @@ fn validate(settings: &ExecSettings, m: usize) -> Result<()> {
 pub(crate) fn run_report(
     settings: &ExecSettings,
     schedule: &str,
-    stat_handles: &[PolluterStatsHandle],
+    mut polluters: Vec<PolluterStatsSnapshot>,
     registry: &MetricsRegistry,
     log: &PollutionLog,
     tuples_in: u64,
@@ -352,14 +352,9 @@ pub(crate) fn run_report(
     // Attribute log entries to polluters by name. Polluters sharing
     // a name (across sub-streams) each report the combined count.
     let log_counts = log.counts_by_polluter();
-    let polluters = stat_handles
-        .iter()
-        .map(|h| {
-            let mut snap = h.snapshot();
-            snap.log_entries = log_counts.get(&h.name).copied().unwrap_or(0) as u64;
-            snap
-        })
-        .collect();
+    for snap in &mut polluters {
+        snap.log_entries = log_counts.get(&snap.name).copied().unwrap_or(0) as u64;
+    }
     RunReport {
         tuples_in,
         tuples_out,

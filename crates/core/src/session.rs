@@ -55,7 +55,7 @@ use crate::prepare::PrepareOperator;
 use crate::report::RunReport;
 use crate::runner::{run_report, Attempt, ExecSettings, Selector};
 use crate::snapshot::StampedWire;
-use crate::stats::PolluterStatsHandle;
+use crate::stats::{merge_by_name, PolluterStatsSnapshot};
 use icewafl_obs::{trace, Counter, Gauge, MetricsRegistry, Stopwatch};
 use icewafl_stream::chaos::{install_quiet_panic_hook, ChaosOperator};
 use icewafl_stream::checkpoint::{
@@ -237,18 +237,29 @@ impl Pipeline {
         }
     }
 
+    /// A column pipeline's standard polluters hold nothing back, so
+    /// only a row pipeline takes watermarks and the end of the stream.
     fn on_watermark(&mut self, wm: Timestamp, out: &mut Vec<StampedTuple>, log: &mut PollutionLog) {
-        match self {
-            Pipeline::Rows(p) => p.on_watermark(wm, &mut Emission::new(out, log)),
-            Pipeline::Columns(p) => p.on_watermark(wm, log),
+        if let Pipeline::Rows(p) = self {
+            p.on_watermark(wm, &mut Emission::new(out, log));
         }
     }
 
     fn finish(&mut self, out: &mut Vec<StampedTuple>, log: &mut PollutionLog) {
-        match self {
-            Pipeline::Rows(p) => p.finish(&mut Emission::new(out, log)),
-            Pipeline::Columns(p) => p.finish(log),
+        if let Pipeline::Rows(p) = self {
+            p.finish(&mut Emission::new(out, log));
         }
+    }
+
+    /// Merges what the pipeline's polluters counted into `into`, by
+    /// name (see [`merge_by_name`]).
+    fn merge_stats_into(&self, into: &mut Vec<PolluterStatsSnapshot>) {
+        let mut stats = Vec::new();
+        match self {
+            Pipeline::Rows(p) => p.append_stats(&mut stats),
+            Pipeline::Columns(p) => p.append_stats(&mut stats),
+        }
+        merge_by_name(into, stats);
     }
 }
 
@@ -345,6 +356,8 @@ impl Stage {
 struct SubStream {
     chaos: Option<(ChaosOperator<StampedTuple>, Stage)>,
     pipeline: Pipeline,
+    /// The statistics of the pipelines a scheduled plan swapped out.
+    retired: Vec<PolluterStatsSnapshot>,
     stage: Stage,
     log: PollutionLog,
     control: ControlSubscriber<LogicalPlan>,
@@ -456,10 +469,10 @@ impl SubStream {
         }
         self.stage.watermark(wm);
         let (pipeline, out, log) = (&mut self.pipeline, &mut self.scratch, &mut self.log);
-        let (control, epoch) = (&mut self.control, &self.epoch);
+        let (control, epoch, retired) = (&mut self.control, &self.epoch, &mut self.retired);
         let result = self.stage.guard(|| {
             pipeline.on_watermark(wm, out, log);
-            swap_epoch(pipeline, control, epoch, i, wm, schema, out, log);
+            swap_epoch(pipeline, retired, control, epoch, i, wm, schema, out, log);
         });
         self.emit(i, result)
     }
@@ -473,11 +486,20 @@ impl SubStream {
         let result = self.stage.guard(|| pipeline.finish(out, log));
         self.emit(i, result)
     }
+
+    /// The sub-stream's statistics: what its pipeline counted, merged
+    /// by name into what the pipelines it swapped out had counted.
+    fn stats(&mut self) -> Vec<PolluterStatsSnapshot> {
+        let mut stats = std::mem::take(&mut self.retired);
+        self.pipeline.merge_stats_into(&mut stats);
+        stats
+    }
 }
 
 /// Applies any reconfiguration due at watermark `wm` to sub-stream `i`:
-/// the old pipeline's in-flight state is flushed (as pre-epoch output),
-/// then the pipeline is rebuilt from the scheduled plan. Every
+/// the old pipeline's in-flight state is flushed (as pre-epoch output)
+/// and its statistics merge by name into `retired`, then the pipeline
+/// is rebuilt from the scheduled plan. Every
 /// sub-stream crosses the same watermarks, so all swap at the same
 /// boundary — the Fries consistency property. Plans were validated when
 /// they were scheduled; a rebuild that fails anyway panics, which fails
@@ -485,6 +507,7 @@ impl SubStream {
 #[allow(clippy::too_many_arguments)]
 fn swap_epoch(
     pipeline: &mut Pipeline,
+    retired: &mut Vec<PolluterStatsSnapshot>,
     control: &mut ControlSubscriber<LogicalPlan>,
     epoch_gauge: &Gauge,
     i: u32,
@@ -502,6 +525,7 @@ fn swap_epoch(
         return;
     };
     pipeline.finish(out, log);
+    pipeline.merge_stats_into(retired);
     let mut pipelines = plan
         .build_pipelines(schema)
         .unwrap_or_else(|e| panic!("epoch {epoch} plan failed to rebuild: {e}"));
@@ -704,7 +728,6 @@ pub struct StreamingSession {
     /// was fed on two threads, `sequential` otherwise.
     schedule: &'static str,
     settings: ExecSettings,
-    stat_handles: Vec<PolluterStatsHandle>,
     registry: MetricsRegistry,
 }
 
@@ -758,13 +781,8 @@ impl StreamingSession {
         let stages = predict_stages(m, chaos.is_some());
         let label = |k: usize| stages[k].label.as_str();
         let per_sub = if chaos.is_some() { 2 } else { 1 };
-        let mut stat_handles = Vec::new();
         let mut subs = Vec::with_capacity(m);
         for (i, (pipeline, log)) in pipelines.into_iter().zip(segments).enumerate() {
-            match &pipeline {
-                Pipeline::Rows(p) => p.collect_stats(&mut stat_handles),
-                Pipeline::Columns(p) => p.collect_stats(&mut stat_handles),
-            }
             let chaos = match chaos {
                 Some(chaos) => {
                     // Each injector has its own seed but a budget shared
@@ -794,6 +812,7 @@ impl StreamingSession {
             subs.push(SubStream {
                 chaos,
                 pipeline,
+                retired: Vec::new(),
                 stage: Stage::new(&registry, label(2 + per_sub * i)),
                 log,
                 control: settings.control.subscriber(),
@@ -873,7 +892,6 @@ impl StreamingSession {
             failure: None,
             schedule: "sequential",
             settings: settings.clone(),
-            stat_handles,
             registry,
         })
     }
@@ -1076,7 +1094,15 @@ impl StreamingSession {
     {
         self.end();
         drain(&mut self);
-        let segments: Vec<PollutionLog> = self.subs.into_iter().map(|s| s.log).collect();
+        let mut polluters = Vec::new();
+        let segments: Vec<PollutionLog> = self
+            .subs
+            .into_iter()
+            .map(|mut s| {
+                polluters.extend(s.stats());
+                s.log
+            })
+            .collect();
         if let Some(failure) = self.failure {
             return Err((failure.into(), segments));
         }
@@ -1090,7 +1116,7 @@ impl StreamingSession {
             ..run_report(
                 &self.settings,
                 self.schedule,
-                &self.stat_handles,
+                polluters,
                 &self.registry,
                 &log,
                 self.tuples_in,

@@ -1,154 +1,51 @@
 //! Per-polluter runtime statistics.
 //!
-//! Every polluter owns a [`PolluterStats`] bundle of shared atomic cells
-//! (see `icewafl-obs`). Because the cells are `Arc`-shared, handles
-//! cloned *before* a run — via
-//! [`Polluter::collect_stats`](crate::polluter::Polluter::collect_stats)
-//! — stay live
-//! after the run has consumed the polluters, which is how
-//! [`PhysicalPlan::execute`](crate::plan::PhysicalPlan::execute) reads
-//! them into the [`RunReport`](crate::report::RunReport).
+//! Every polluter keeps its own `PolluterCounts`: plain integers it
+//! bumps where it does the work, and serialises inside its own
+//! checkpoint state, so a restored polluter counts on from where the
+//! checkpoint left it. Nothing is shared and nothing is flushed: the
+//! session reads the counts from the pipelines it owns when it reports
+//! (see [`Polluter::append_stats`](crate::polluter::Polluter::append_stats)).
 
-use icewafl_obs::{Counter, Gauge};
 use rand::rngs::StdRng;
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
-/// Live statistic cells of one polluter.
-#[derive(Clone, Default)]
-pub struct PolluterStats {
+/// What one polluter counted while it ran.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub(crate) struct PolluterCounts {
     /// Times the polluter modified the stream: the error function was
     /// applied, or a tuple was delayed / dropped / duplicated / frozen.
-    pub fires: Counter,
+    pub fires: u64,
     /// Times the polluter saw a tuple and passed it through untouched.
-    pub skips: Counter,
+    pub skips: u64,
     /// Condition evaluations (one per tuple seen).
-    pub condition_evals: Counter,
+    pub condition_evals: u64,
     /// Random draws consumed by the polluter's own RNG (change-pattern
     /// and one-of choice draws; condition RNGs are owned by the
     /// conditions themselves).
-    pub rng_draws: Counter,
+    pub rng_draws: u64,
     /// High-water mark of the polluter's temporal buffer (delayed
     /// tuples held back), 0 for stateless polluters.
-    pub buffer_max: Gauge,
+    pub buffer_max: u64,
 }
 
-impl PolluterStats {
-    /// Fresh, detached cells (always live; no registry involved).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Reads all cells into a serializable snapshot for `name`.
-    pub fn snapshot(&self, name: &str) -> PolluterStatsSnapshot {
+impl PolluterCounts {
+    /// The counts as the report lists them under `name`.
+    pub(crate) fn snapshot(&self, name: &str) -> PolluterStatsSnapshot {
         PolluterStatsSnapshot {
             name: name.to_string(),
-            fires: self.fires.get(),
-            skips: self.skips.get(),
-            condition_evals: self.condition_evals.get(),
-            rng_draws: self.rng_draws.get(),
-            buffer_max: self.buffer_max.get(),
+            fires: self.fires,
+            skips: self.skips,
+            condition_evals: self.condition_evals,
+            rng_draws: self.rng_draws,
+            buffer_max: self.buffer_max,
             log_entries: 0,
         }
     }
 }
 
-/// Plain-`u64` staging area for hot-path stat updates.
-///
-/// An atomic increment costs ~10 ns (pointer chase into the `Arc` cell
-/// plus the RMW), which is real money against a ~250 ns/tuple pollution
-/// hot path. Polluters therefore accumulate into this struct with plain
-/// integer adds and [`flush`](PendingStats::flush) into the shared
-/// cells only at watermark and end-of-stream boundaries (every
-/// `watermark_period` tuples), keeping the steady-state overhead to a
-/// few register operations per tuple.
-#[derive(Clone, Copy, Default, Serialize, Deserialize)]
-pub struct PendingStats {
-    /// Staged condition evaluations.
-    pub condition_evals: u64,
-    /// Staged fires.
-    pub fires: u64,
-    /// Staged skips.
-    pub skips: u64,
-    /// Running temporal-buffer peak (a high-water mark, not a delta —
-    /// it survives flushes).
-    pub buffer_peak: u64,
-}
-
-impl PendingStats {
-    /// Flushes staged deltas into the shared cells and resets them;
-    /// `buffer_peak` is pushed via `set_max` and kept.
-    pub fn flush(&mut self, stats: &PolluterStats) {
-        if self.condition_evals > 0 {
-            stats.condition_evals.add(self.condition_evals);
-            self.condition_evals = 0;
-        }
-        if self.fires > 0 {
-            stats.fires.add(self.fires);
-            self.fires = 0;
-        }
-        if self.skips > 0 {
-            stats.skips.add(self.skips);
-            self.skips = 0;
-        }
-        if self.buffer_peak > 0 {
-            stats.buffer_max.set_max(self.buffer_peak);
-        }
-    }
-}
-
-/// Wire form of a polluter's cumulative stat-cell values at a
-/// checkpoint barrier: restore pre-adds them into the fresh cells of a
-/// rebuilt polluter, so a recovered run reports the same totals an
-/// undisturbed one would.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub(crate) struct StatsTotals {
-    pub fires: u64,
-    pub skips: u64,
-    pub condition_evals: u64,
-    pub rng_draws: u64,
-    pub buffer_max: u64,
-}
-
-impl StatsTotals {
-    /// Reads the current cell values.
-    pub(crate) fn capture(stats: &PolluterStats) -> Self {
-        StatsTotals {
-            fires: stats.fires.get(),
-            skips: stats.skips.get(),
-            condition_evals: stats.condition_evals.get(),
-            rng_draws: stats.rng_draws.get(),
-            buffer_max: stats.buffer_max.get(),
-        }
-    }
-
-    /// Pre-adds the captured totals into (fresh) cells.
-    pub(crate) fn restore_into(&self, stats: &PolluterStats) {
-        stats.fires.add(self.fires);
-        stats.skips.add(self.skips);
-        stats.condition_evals.add(self.condition_evals);
-        stats.rng_draws.add(self.rng_draws);
-        stats.buffer_max.set_max(self.buffer_max);
-    }
-}
-
-/// A named handle to a polluter's live stat cells, collected before the
-/// run consumes the polluter.
-pub struct PolluterStatsHandle {
-    /// The polluter's configured name.
-    pub name: String,
-    /// Shared cells, still written to by the running polluter.
-    pub stats: PolluterStats,
-}
-
-impl PolluterStatsHandle {
-    /// Reads the current cell values.
-    pub fn snapshot(&self) -> PolluterStatsSnapshot {
-        self.stats.snapshot(&self.name)
-    }
-}
-
-/// Point-in-time statistics of one polluter, as reported in a
+/// Statistics of one polluter, as reported in a
 /// [`RunReport`](crate::report::RunReport).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PolluterStatsSnapshot {
@@ -169,60 +66,77 @@ pub struct PolluterStatsSnapshot {
     pub log_entries: u64,
 }
 
-/// An [`StdRng`] wrapper that counts every draw into a
-/// [`Counter`] — the polluter-side half of the "RNG draw counts"
-/// instrumentation. Deterministic: the wrapped stream is bit-identical
-/// to the bare [`StdRng`]'s.
+/// Folds the statistics of a pipeline (`from`, in stage order) into
+/// what a sub-stream reported before (`into`): the k-th entry of a name
+/// in `from` merges into the k-th entry of that name in `into` —
+/// counters summed, `buffer_max` the larger — and an entry with no
+/// match is appended. Into an empty `into` this is a plain copy, so a
+/// sub-stream that never swapped its pipeline reports exactly what the
+/// pipeline counted; one that did reports each polluter once, over
+/// every epoch it ran in.
+pub(crate) fn merge_by_name(
+    into: &mut Vec<PolluterStatsSnapshot>,
+    from: Vec<PolluterStatsSnapshot>,
+) {
+    let mut merged = vec![false; into.len()];
+    for snap in from {
+        let slot = (0..merged.len()).find(|&k| !merged[k] && into[k].name == snap.name);
+        match slot {
+            Some(k) => {
+                merged[k] = true;
+                let acc = &mut into[k];
+                acc.fires += snap.fires;
+                acc.skips += snap.skips;
+                acc.condition_evals += snap.condition_evals;
+                acc.rng_draws += snap.rng_draws;
+                acc.buffer_max = acc.buffer_max.max(snap.buffer_max);
+            }
+            None => into.push(snap),
+        }
+    }
+}
+
+/// An [`StdRng`] wrapper that counts every draw — the polluter-side
+/// half of the "RNG draw counts" instrumentation. Deterministic: the
+/// wrapped stream is bit-identical to the bare [`StdRng`]'s.
 #[derive(Clone, Debug)]
 pub struct CountingRng {
     inner: StdRng,
-    draws: Counter,
-    pending: u64,
+    draws: u64,
 }
 
 impl CountingRng {
-    /// Wraps `inner`, counting draws into `draws`.
-    pub fn new(inner: StdRng, draws: Counter) -> Self {
-        CountingRng {
-            inner,
-            draws,
-            pending: 0,
-        }
+    /// Wraps `inner`, counting from zero.
+    pub fn new(inner: StdRng) -> Self {
+        CountingRng { inner, draws: 0 }
     }
 
-    /// Flushes locally staged draw counts into the shared counter.
-    /// Owners call this at watermark/end boundaries, alongside
-    /// [`PendingStats::flush`].
-    pub fn flush(&mut self) {
-        if self.pending > 0 {
-            self.draws.add(self.pending);
-            self.pending = 0;
-        }
+    /// Draws taken so far.
+    pub fn draws(&self) -> u64 {
+        self.draws
     }
 
-    /// The wrapped generator's exact stream position plus the staged
-    /// (unflushed) draw count — everything a checkpoint must capture.
-    pub fn state(&self) -> ([u64; 4], u64) {
-        (self.inner.state(), self.pending)
+    /// The wrapped generator's exact stream position.
+    pub fn state(&self) -> [u64; 4] {
+        self.inner.state()
     }
 
-    /// Restores a position captured by [`CountingRng::state`]; the
-    /// shared counter cell is left alone (cumulative totals are
-    /// restored separately).
-    pub fn restore(&mut self, inner: StdRng, pending: u64) {
+    /// Restores a position captured by [`CountingRng::state`] and the
+    /// draw count taken up to it.
+    pub fn restore(&mut self, inner: StdRng, draws: u64) {
         self.inner = inner;
-        self.pending = pending;
+        self.draws = draws;
     }
 }
 
 impl RngCore for CountingRng {
     fn next_u32(&mut self) -> u32 {
-        self.pending += 1;
+        self.draws += 1;
         self.inner.next_u32()
     }
 
     fn next_u64(&mut self) -> u64 {
-        self.pending += 1;
+        self.draws += 1;
         self.inner.next_u64()
     }
 }
@@ -235,7 +149,7 @@ mod tests {
     #[test]
     fn counting_rng_is_transparent() {
         let mut bare = StdRng::seed_from_u64(9);
-        let mut counted = CountingRng::new(StdRng::seed_from_u64(9), Counter::default());
+        let mut counted = CountingRng::new(StdRng::seed_from_u64(9));
         for _ in 0..100 {
             assert_eq!(bare.next_u64(), counted.next_u64());
         }
@@ -244,52 +158,45 @@ mod tests {
     #[test]
     fn counting_rng_counts_draws() {
         use rand::RngExt;
-        let c = Counter::default();
-        let mut rng = CountingRng::new(StdRng::seed_from_u64(1), c.clone());
+        let mut rng = CountingRng::new(StdRng::seed_from_u64(1));
         let _ = rng.next_u64();
         let _ = rng.random_bool(0.5);
-        assert_eq!(c.get(), 0, "draws are staged until flush");
-        rng.flush();
-        assert!(c.get() >= 2);
+        assert!(rng.draws() >= 2);
+    }
+
+    fn snap(name: &str, fires: u64, buffer_max: u64) -> PolluterStatsSnapshot {
+        PolluterCounts {
+            fires,
+            skips: 1,
+            condition_evals: fires + 1,
+            rng_draws: 2,
+            buffer_max,
+        }
+        .snapshot(name)
     }
 
     #[test]
-    fn pending_stats_flush_and_reset() {
-        let s = PolluterStats::new();
-        let mut p = PendingStats {
-            condition_evals: 10,
-            fires: 4,
-            skips: 6,
-            buffer_peak: 3,
-        };
-        p.flush(&s);
-        p.condition_evals = 1;
-        p.flush(&s);
-        assert_eq!(s.condition_evals.get(), 11);
-        assert_eq!(s.fires.get(), 4);
-        assert_eq!(s.skips.get(), 6);
-        assert_eq!(s.buffer_max.get(), 3);
+    fn merging_into_nothing_copies_in_order() {
+        let from = vec![snap("b", 1, 0), snap("a", 2, 0), snap("b", 3, 0)];
+        let mut into = Vec::new();
+        merge_by_name(&mut into, from.clone());
+        assert_eq!(into, from);
     }
 
     #[test]
-    fn stats_snapshot_reads_cells() {
-        let s = PolluterStats::new();
-        s.fires.add(3);
-        s.skips.add(2);
-        s.condition_evals.add(5);
-        s.buffer_max.set_max(7);
-        let snap = s.snapshot("p");
-        assert_eq!(snap.name, "p");
-        assert_eq!(snap.fires, 3);
-        assert_eq!(snap.skips, 2);
-        assert_eq!(snap.condition_evals, 5);
-        assert_eq!(snap.buffer_max, 7);
-        // Handles cloned earlier observe later writes.
-        let h = PolluterStatsHandle {
-            name: "p".into(),
-            stats: s.clone(),
-        };
-        s.fires.inc();
-        assert_eq!(h.snapshot().fires, 4);
+    fn merging_sums_counters_by_name_and_appends_newcomers() {
+        let mut into = vec![snap("a", 5, 4), snap("b", 1, 0), snap("a", 7, 0)];
+        merge_by_name(
+            &mut into,
+            vec![snap("a", 1, 2), snap("c", 9, 0), snap("a", 2, 3)],
+        );
+        let names: Vec<&str> = into.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["a", "b", "a", "c"]);
+        assert_eq!((into[0].fires, into[0].buffer_max), (6, 4));
+        assert_eq!((into[2].fires, into[2].buffer_max), (9, 3));
+        assert_eq!(into[0].skips, 2);
+        assert_eq!(into[0].rng_draws, 4);
+        assert_eq!(into[1], snap("b", 1, 0), "untouched");
+        assert_eq!(into[3], snap("c", 9, 0));
     }
 }

@@ -7,7 +7,7 @@ use crate::condition::BoxCondition;
 use crate::log::LogEntry;
 use crate::polluter::{Emission, Polluter};
 use crate::snapshot::{StampedWire, ValueWire};
-use crate::stats::{PendingStats, PolluterStats, PolluterStatsHandle, StatsTotals};
+use crate::stats::{PolluterCounts, PolluterStatsSnapshot};
 use icewafl_types::{Duration, Error, Result, Schema, StampedTuple, Text, Timestamp, Value};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -15,20 +15,18 @@ use std::collections::BinaryHeap;
 
 /// Wire form of the checkpoint state shared by the simple gate-shaped
 /// temporal polluters ([`DropPolluter`], [`DuplicatePolluter`]): the
-/// condition's state plus staged and cumulative statistics.
+/// condition's state plus the statistics.
 #[derive(Serialize, Deserialize)]
 struct GateState {
     condition: Option<String>,
-    pending: PendingStats,
-    totals: StatsTotals,
+    counts: PolluterCounts,
 }
 
 impl GateState {
-    fn capture(condition: &BoxCondition, pending: PendingStats, stats: &PolluterStats) -> String {
+    fn capture(condition: &BoxCondition, counts: PolluterCounts) -> String {
         serde_json::to_string(&GateState {
             condition: condition.snapshot_state(),
-            pending,
-            totals: StatsTotals::capture(stats),
+            counts,
         })
         .expect("gate state serialises")
     }
@@ -36,16 +34,14 @@ impl GateState {
     fn restore(
         state: &str,
         condition: &mut BoxCondition,
-        pending: &mut PendingStats,
-        stats: &PolluterStats,
+        counts: &mut PolluterCounts,
     ) -> Result<()> {
         let st: GateState =
             serde_json::from_str(state).map_err(|_| Error::parse(state, "GateState"))?;
         if let Some(doc) = &st.condition {
             condition.restore_state(doc)?;
         }
-        *pending = st.pending;
-        st.totals.restore_into(stats);
+        *counts = st.counts;
         Ok(())
     }
 }
@@ -64,8 +60,7 @@ pub struct DelayPolluter {
     delay: Duration,
     held: BinaryHeap<Reverse<Held>>,
     seq: u64,
-    stats: PolluterStats,
-    pending: PendingStats,
+    counts: PolluterCounts,
 }
 
 struct Held {
@@ -104,8 +99,7 @@ impl DelayPolluter {
             delay,
             held: BinaryHeap::new(),
             seq: 0,
-            stats: PolluterStats::new(),
-            pending: PendingStats::default(),
+            counts: PolluterCounts::default(),
         })
     }
 
@@ -127,9 +121,9 @@ impl DelayPolluter {
 
 impl Polluter for DelayPolluter {
     fn process(&mut self, mut tuple: StampedTuple, out: &mut Emission) {
-        self.pending.condition_evals += 1;
+        self.counts.condition_evals += 1;
         if self.condition.evaluate(&tuple) {
-            self.pending.fires += 1;
+            self.counts.fires += 1;
             let release = tuple.arrival.saturating_add(self.delay);
             if out.logging() {
                 out.record(LogEntry::TupleDelayed {
@@ -146,21 +140,19 @@ impl Polluter for DelayPolluter {
                 tuple,
             }));
             self.seq += 1;
-            self.pending.buffer_peak = self.pending.buffer_peak.max(self.held.len() as u64);
+            self.counts.buffer_max = self.counts.buffer_max.max(self.held.len() as u64);
         } else {
-            self.pending.skips += 1;
+            self.counts.skips += 1;
             out.emit(tuple);
         }
     }
 
     fn on_watermark(&mut self, wm: Timestamp, out: &mut Emission) {
         self.release_up_to(wm, out);
-        self.pending.flush(&self.stats);
     }
 
     fn finish(&mut self, out: &mut Emission) {
         self.release_up_to(Timestamp::MAX, out);
-        self.pending.flush(&self.stats);
     }
 
     fn name(&self) -> &str {
@@ -171,11 +163,8 @@ impl Polluter for DelayPolluter {
         self.condition.expected_probability(tuple)
     }
 
-    fn collect_stats(&self, out: &mut Vec<PolluterStatsHandle>) {
-        out.push(PolluterStatsHandle {
-            name: self.name.to_string(),
-            stats: self.stats.clone(),
-        });
+    fn append_stats(&self, out: &mut Vec<PolluterStatsSnapshot>) {
+        out.push(self.counts.snapshot(&self.name));
     }
 
     fn snapshot_state(&self) -> Option<String> {
@@ -196,8 +185,7 @@ impl Polluter for DelayPolluter {
                 condition: self.condition.snapshot_state(),
                 held,
                 seq: self.seq,
-                pending: self.pending,
-                totals: StatsTotals::capture(&self.stats),
+                counts: self.counts,
             })
             .expect("delay state serialises"),
         )
@@ -221,8 +209,7 @@ impl Polluter for DelayPolluter {
             })
             .collect();
         self.seq = st.seq;
-        self.pending = st.pending;
-        st.totals.restore_into(&self.stats);
+        self.counts = st.counts;
         Ok(())
     }
 }
@@ -233,8 +220,7 @@ struct DelayState {
     condition: Option<String>,
     held: Vec<HeldWire>,
     seq: u64,
-    pending: PendingStats,
-    totals: StatsTotals,
+    counts: PolluterCounts,
 }
 
 /// One held-back tuple on the wire.
@@ -250,8 +236,7 @@ struct HeldWire {
 pub struct DropPolluter {
     name: Text,
     condition: BoxCondition,
-    stats: PolluterStats,
-    pending: PendingStats,
+    counts: PolluterCounts,
 }
 
 impl DropPolluter {
@@ -260,17 +245,16 @@ impl DropPolluter {
         DropPolluter {
             name: name.into(),
             condition,
-            stats: PolluterStats::new(),
-            pending: PendingStats::default(),
+            counts: PolluterCounts::default(),
         }
     }
 }
 
 impl Polluter for DropPolluter {
     fn process(&mut self, tuple: StampedTuple, out: &mut Emission) {
-        self.pending.condition_evals += 1;
+        self.counts.condition_evals += 1;
         if self.condition.evaluate(&tuple) {
-            self.pending.fires += 1;
+            self.counts.fires += 1;
             if out.logging() {
                 out.record(LogEntry::TupleDropped {
                     tuple_id: tuple.id,
@@ -279,19 +263,9 @@ impl Polluter for DropPolluter {
                 });
             }
         } else {
-            self.pending.skips += 1;
+            self.counts.skips += 1;
             out.emit(tuple);
         }
-    }
-
-    fn on_watermark(&mut self, wm: Timestamp, out: &mut Emission) {
-        let _ = (wm, out);
-        self.pending.flush(&self.stats);
-    }
-
-    fn finish(&mut self, out: &mut Emission) {
-        let _ = out;
-        self.pending.flush(&self.stats);
     }
 
     fn name(&self) -> &str {
@@ -302,23 +276,16 @@ impl Polluter for DropPolluter {
         self.condition.expected_probability(tuple)
     }
 
-    fn collect_stats(&self, out: &mut Vec<PolluterStatsHandle>) {
-        out.push(PolluterStatsHandle {
-            name: self.name.to_string(),
-            stats: self.stats.clone(),
-        });
+    fn append_stats(&self, out: &mut Vec<PolluterStatsSnapshot>) {
+        out.push(self.counts.snapshot(&self.name));
     }
 
     fn snapshot_state(&self) -> Option<String> {
-        Some(GateState::capture(
-            &self.condition,
-            self.pending,
-            &self.stats,
-        ))
+        Some(GateState::capture(&self.condition, self.counts))
     }
 
     fn restore_state(&mut self, state: &str) -> Result<()> {
-        GateState::restore(state, &mut self.condition, &mut self.pending, &self.stats)
+        GateState::restore(state, &mut self.condition, &mut self.counts)
     }
 }
 
@@ -330,8 +297,7 @@ pub struct DuplicatePolluter {
     name: Text,
     condition: BoxCondition,
     copies: u32,
-    stats: PolluterStats,
-    pending: PendingStats,
+    counts: PolluterCounts,
 }
 
 impl DuplicatePolluter {
@@ -341,17 +307,16 @@ impl DuplicatePolluter {
             name: name.into(),
             condition,
             copies: copies.max(1),
-            stats: PolluterStats::new(),
-            pending: PendingStats::default(),
+            counts: PolluterCounts::default(),
         }
     }
 }
 
 impl Polluter for DuplicatePolluter {
     fn process(&mut self, tuple: StampedTuple, out: &mut Emission) {
-        self.pending.condition_evals += 1;
+        self.counts.condition_evals += 1;
         if self.condition.evaluate(&tuple) {
-            self.pending.fires += 1;
+            self.counts.fires += 1;
             if out.logging() {
                 out.record(LogEntry::TupleDuplicated {
                     tuple_id: tuple.id,
@@ -365,19 +330,9 @@ impl Polluter for DuplicatePolluter {
             }
             out.emit(tuple);
         } else {
-            self.pending.skips += 1;
+            self.counts.skips += 1;
             out.emit(tuple);
         }
-    }
-
-    fn on_watermark(&mut self, wm: Timestamp, out: &mut Emission) {
-        let _ = (wm, out);
-        self.pending.flush(&self.stats);
-    }
-
-    fn finish(&mut self, out: &mut Emission) {
-        let _ = out;
-        self.pending.flush(&self.stats);
     }
 
     fn name(&self) -> &str {
@@ -388,23 +343,16 @@ impl Polluter for DuplicatePolluter {
         self.condition.expected_probability(tuple)
     }
 
-    fn collect_stats(&self, out: &mut Vec<PolluterStatsHandle>) {
-        out.push(PolluterStatsHandle {
-            name: self.name.to_string(),
-            stats: self.stats.clone(),
-        });
+    fn append_stats(&self, out: &mut Vec<PolluterStatsSnapshot>) {
+        out.push(self.counts.snapshot(&self.name));
     }
 
     fn snapshot_state(&self) -> Option<String> {
-        Some(GateState::capture(
-            &self.condition,
-            self.pending,
-            &self.stats,
-        ))
+        Some(GateState::capture(&self.condition, self.counts))
     }
 
     fn restore_state(&mut self, state: &str) -> Result<()> {
-        GateState::restore(state, &mut self.condition, &mut self.pending, &self.stats)
+        GateState::restore(state, &mut self.condition, &mut self.counts)
     }
 }
 
@@ -422,8 +370,7 @@ pub struct FreezePolluter {
     attrs: Vec<usize>,
     attr_names: Vec<Text>,
     frozen: Option<FrozenState>,
-    stats: PolluterStats,
-    pending: PendingStats,
+    counts: PolluterCounts,
 }
 
 struct FrozenState {
@@ -451,8 +398,7 @@ impl FreezePolluter {
             attrs,
             attr_names: attr_names.iter().map(|&s| Text::from(s)).collect(),
             frozen: None,
-            stats: PolluterStats::new(),
-            pending: PendingStats::default(),
+            counts: PolluterCounts::default(),
         })
     }
 
@@ -472,7 +418,7 @@ impl Polluter for FreezePolluter {
         // otherwise an equality-triggered freeze would re-trigger on its
         // own overwritten output and never expire.
         let triggered = self.condition.evaluate(&tuple);
-        self.pending.condition_evals += 1;
+        self.counts.condition_evals += 1;
         let mut changed = false;
         match &mut self.frozen {
             Some(state) => {
@@ -519,21 +465,11 @@ impl Polluter for FreezePolluter {
         }
         // A freeze "fires" per tuple whose values it actually overwrote.
         if changed {
-            self.pending.fires += 1;
+            self.counts.fires += 1;
         } else {
-            self.pending.skips += 1;
+            self.counts.skips += 1;
         }
         out.emit(tuple);
-    }
-
-    fn on_watermark(&mut self, wm: Timestamp, out: &mut Emission) {
-        let _ = (wm, out);
-        self.pending.flush(&self.stats);
-    }
-
-    fn finish(&mut self, out: &mut Emission) {
-        let _ = out;
-        self.pending.flush(&self.stats);
     }
 
     fn name(&self) -> &str {
@@ -545,11 +481,8 @@ impl Polluter for FreezePolluter {
         self.condition.expected_probability(tuple)
     }
 
-    fn collect_stats(&self, out: &mut Vec<PolluterStatsHandle>) {
-        out.push(PolluterStatsHandle {
-            name: self.name.to_string(),
-            stats: self.stats.clone(),
-        });
+    fn append_stats(&self, out: &mut Vec<PolluterStatsSnapshot>) {
+        out.push(self.counts.snapshot(&self.name));
     }
 
     fn snapshot_state(&self) -> Option<String> {
@@ -560,8 +493,7 @@ impl Polluter for FreezePolluter {
                     until: f.until.0,
                     values: f.values.iter().map(ValueWire::from_value).collect(),
                 }),
-                pending: self.pending,
-                totals: StatsTotals::capture(&self.stats),
+                counts: self.counts,
             })
             .expect("freeze state serialises"),
         )
@@ -577,8 +509,7 @@ impl Polluter for FreezePolluter {
             until: Timestamp(f.until),
             values: f.values.into_iter().map(ValueWire::into_value).collect(),
         });
-        self.pending = st.pending;
-        st.totals.restore_into(&self.stats);
+        self.counts = st.counts;
         Ok(())
     }
 }
@@ -588,8 +519,7 @@ impl Polluter for FreezePolluter {
 struct FreezeState {
     condition: Option<String>,
     frozen: Option<FrozenWire>,
-    pending: PendingStats,
-    totals: StatsTotals,
+    counts: PolluterCounts,
 }
 
 /// An active freeze on the wire.
@@ -617,8 +547,7 @@ pub struct BurstPolluter {
     active_until: Option<Timestamp>,
     /// Scratch for before-values.
     before: Vec<Value>,
-    stats: PolluterStats,
-    pending: PendingStats,
+    counts: PolluterCounts,
 }
 
 impl BurstPolluter {
@@ -645,8 +574,7 @@ impl BurstPolluter {
             attr_names: attr_names.iter().map(|&s| Text::from(s)).collect(),
             active_until: None,
             before: Vec::new(),
-            stats: PolluterStats::new(),
-            pending: PendingStats::default(),
+            counts: PolluterCounts::default(),
         })
     }
 
@@ -662,14 +590,14 @@ impl Polluter for BurstPolluter {
         if self.active_until.is_some_and(|u| tuple.tau >= u) {
             self.active_until = None;
         }
-        self.pending.condition_evals += 1;
+        self.counts.condition_evals += 1;
         if self.condition.evaluate(&tuple) {
             self.active_until = Some(tuple.tau.saturating_add(self.duration));
         }
         if self.active_until.is_some() {
             // A burst "fires" per tuple the error function is applied
             // to, i.e. every tuple inside the active window.
-            self.pending.fires += 1;
+            self.counts.fires += 1;
             if out.logging() {
                 self.before.clear();
                 self.before.extend(
@@ -697,19 +625,9 @@ impl Polluter for BurstPolluter {
                     .apply(&mut tuple.tuple, &self.attrs, tuple.tau, 1.0);
             }
         } else {
-            self.pending.skips += 1;
+            self.counts.skips += 1;
         }
         out.emit(tuple);
-    }
-
-    fn on_watermark(&mut self, wm: Timestamp, out: &mut Emission) {
-        let _ = (wm, out);
-        self.pending.flush(&self.stats);
-    }
-
-    fn finish(&mut self, out: &mut Emission) {
-        let _ = out;
-        self.pending.flush(&self.stats);
     }
 
     fn name(&self) -> &str {
@@ -722,11 +640,8 @@ impl Polluter for BurstPolluter {
         self.condition.expected_probability(tuple)
     }
 
-    fn collect_stats(&self, out: &mut Vec<PolluterStatsHandle>) {
-        out.push(PolluterStatsHandle {
-            name: self.name.to_string(),
-            stats: self.stats.clone(),
-        });
+    fn append_stats(&self, out: &mut Vec<PolluterStatsSnapshot>) {
+        out.push(self.counts.snapshot(&self.name));
     }
 
     fn snapshot_state(&self) -> Option<String> {
@@ -735,8 +650,7 @@ impl Polluter for BurstPolluter {
                 condition: self.condition.snapshot_state(),
                 error_fn: self.error_fn.snapshot_state(),
                 active_until: self.active_until.map(|t| t.0),
-                pending: self.pending,
-                totals: StatsTotals::capture(&self.stats),
+                counts: self.counts,
             })
             .expect("burst state serialises"),
         )
@@ -752,8 +666,7 @@ impl Polluter for BurstPolluter {
             self.error_fn.restore_state(doc)?;
         }
         self.active_until = st.active_until.map(Timestamp);
-        self.pending = st.pending;
-        st.totals.restore_into(&self.stats);
+        self.counts = st.counts;
         Ok(())
     }
 }
@@ -764,8 +677,7 @@ struct BurstState {
     condition: Option<String>,
     error_fn: Option<String>,
     active_until: Option<i64>,
-    pending: PendingStats,
-    totals: StatsTotals,
+    counts: PolluterCounts,
 }
 
 #[cfg(test)]

@@ -85,28 +85,7 @@ pub fn run_session(config: &ClientConfig, tuples: Vec<Tuple>) -> Result<SessionO
     let stream = TcpStream::connect(&config.addr).map_err(|e| NetError::from_io(&e))?;
     let _ = stream.set_nodelay(true);
     let write_stream = stream.try_clone().map_err(|e| NetError::from_io(&e))?;
-
-    // Handshake line out, reply line in — both NDJSON.
-    {
-        let mut hs_writer = FrameWriter::new(&write_stream, WireFormat::Ndjson);
-        let line = serde_json::to_string(&config.handshake)
-            .expect("protocol frames are always serializable");
-        hs_writer.write(&WireFrame::Line(line))?;
-        hs_writer.flush()?;
-    }
-    let mut reader = FrameReader::new(
-        BufReader::new(stream),
-        WireFormat::Ndjson,
-        config.max_frame_bytes,
-    );
-    let reply: HandshakeReply = match reader.read()? {
-        Some(WireFrame::Line(line)) => serde_json::from_str(&line)
-            .map_err(|e| NetError::malformed(format!("bad handshake reply: {e}")))?,
-        Some(WireFrame::Binary { .. }) => {
-            return Err(NetError::malformed("binary frame before handshake reply"))
-        }
-        None => return Err(NetError::Disconnected),
-    };
+    let (reply, mut reader) = handshake_on(stream, &config.handshake, config.max_frame_bytes)?;
     if !reply.ok {
         return Ok(SessionOutcome {
             reply,
@@ -160,7 +139,6 @@ pub fn run_session(config: &ClientConfig, tuples: Vec<Tuple>) -> Result<SessionO
     // value encoding is untagged, so received payloads are coerced back
     // to the session schema's column types when the client knows it.
     let schema = session_schema(&config.handshake).filter(|_| format == WireFormat::Ndjson);
-    let mut reader = FrameReader::new(reader.into_inner(), format, config.max_frame_bytes);
     let mut outcome = SessionOutcome {
         reply,
         tuples: Vec::new(),
@@ -210,6 +188,34 @@ pub fn run_session(config: &ClientConfig, tuples: Vec<Tuple>) -> Result<SessionO
         let _ = writer_thread.join();
     }
     result.map(|()| outcome)
+}
+
+/// Opens a session on `stream`: the handshake line out and the reply
+/// line in, both NDJSON. When the server accepts, the returned reader
+/// is switched to the handshake's data format for every frame after the
+/// reply, bytes the server sent right behind it included.
+fn handshake_on(
+    stream: TcpStream,
+    handshake: &Handshake,
+    max_frame_bytes: usize,
+) -> Result<(HandshakeReply, FrameReader<BufReader<TcpStream>>), NetError> {
+    let mut writer = FrameWriter::new(&stream, WireFormat::Ndjson);
+    let line = serde_json::to_string(handshake).expect("protocol frames are always serializable");
+    writer.write(&WireFrame::Line(line))?;
+    writer.flush()?;
+    let mut reader = FrameReader::new(BufReader::new(stream), WireFormat::Ndjson, max_frame_bytes);
+    let reply: HandshakeReply = match reader.read()? {
+        Some(WireFrame::Line(line)) => serde_json::from_str(&line)
+            .map_err(|e| NetError::malformed(format!("bad handshake reply: {e}")))?,
+        Some(WireFrame::Binary { .. }) => {
+            return Err(NetError::malformed("binary frame before handshake reply"))
+        }
+        None => return Err(NetError::Disconnected),
+    };
+    if reply.ok {
+        reader.set_format(handshake.wire_format().map_err(NetError::malformed)?);
+    }
+    Ok((reply, reader))
 }
 
 /// Subscribes to a server's telemetry stream and collects up to
@@ -275,43 +281,22 @@ pub fn watch_telemetry(
 ) -> Result<u64, NetError> {
     let stream = connect_with_retry(addr)?;
     let _ = stream.set_nodelay(true);
-    let format = format.unwrap_or_default();
-    {
-        let handshake = Handshake {
-            session: Some("telemetry".into()),
-            format: Some(format.as_str().into()),
-            ..Handshake::default()
-        };
-        let mut hs_writer = FrameWriter::new(&stream, WireFormat::Ndjson);
-        let line =
-            serde_json::to_string(&handshake).expect("protocol frames are always serializable");
-        hs_writer.write(&WireFrame::Line(line))?;
-        hs_writer.flush()?;
-    }
-    let mut reader = FrameReader::new(
-        BufReader::new(stream),
-        WireFormat::Ndjson,
-        icewafl_stream::net::DEFAULT_MAX_FRAME_BYTES,
-    );
-    let reply: HandshakeReply = match reader.read()? {
-        Some(WireFrame::Line(line)) => serde_json::from_str(&line)
-            .map_err(|e| NetError::malformed(format!("bad handshake reply: {e}")))?,
-        Some(WireFrame::Binary { .. }) => {
-            return Err(NetError::malformed("binary frame before handshake reply"))
-        }
-        None => return Err(NetError::Disconnected),
+    let handshake = Handshake {
+        session: Some("telemetry".into()),
+        format: Some(format.unwrap_or_default().as_str().into()),
+        ..Handshake::default()
     };
+    let (reply, mut reader) = handshake_on(
+        stream,
+        &handshake,
+        icewafl_stream::net::DEFAULT_MAX_FRAME_BYTES,
+    )?;
     if !reply.ok {
         return Err(NetError::malformed(format!(
             "telemetry session rejected: {}",
             reply.error.unwrap_or_default()
         )));
     }
-    let mut reader = FrameReader::new(
-        reader.into_inner(),
-        format,
-        icewafl_stream::net::DEFAULT_MAX_FRAME_BYTES,
-    );
     let mut seen: u64 = 0;
     loop {
         match reader.read()? {

@@ -36,9 +36,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// 2: the sorter's state document lists every held record in release
 /// order (keys are re-extracted on restore), and a sub-stream's
 /// `log_len` counts its own log segment rather than a log shared by all
-/// sub-streams. A version-1 log would restore to different bytes, so
-/// [`CheckpointStore::read_wal`] refuses it.
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// sub-streams.
+///
+/// 3: a polluter's state document carries its statistics as one
+/// `counts` object instead of staged and cumulative halves.
+///
+/// A log of an older version would restore to different bytes or
+/// statistics, so [`CheckpointStore::read_wal`] refuses it.
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// Magic bytes opening a checkpoint log file.
 pub(crate) const CHECKPOINT_MAGIC: [u8; 4] = *b"IWCK";
@@ -326,7 +331,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let err = CheckpointStore::read_wal(&path).unwrap_err();
         assert!(
-            matches!(&err, Error::Io(m) if m.contains("version 1")),
+            matches!(&err, Error::Io(m) if m.contains(&format!("version {}", CHECKPOINT_VERSION - 1))),
             "expected a version error, got {err}"
         );
         std::fs::remove_dir_all(&dir).ok();

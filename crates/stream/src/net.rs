@@ -7,9 +7,9 @@
 //! * **Binary** — length-prefixed frames `[tag: u8][len: u32 LE]
 //!   [payload]`. Compact and copy-friendly for high-rate sessions.
 //!
-//! Frames are read by a blocking [`FrameReader`] or an incremental
-//! [`FrameDecoder`], and written by a [`FrameWriter`] or queued as
-//! bytes in a [`WriteQueue`].
+//! Frames are split by one parser, the incremental [`FrameDecoder`];
+//! a [`FrameReader`] is a blocking loop over it. Frames are written by
+//! a [`FrameWriter`] or queued as bytes in a [`WriteQueue`].
 //!
 //! This module is deliberately *payload-agnostic*: it moves
 //! [`WireFrame`]s, not tuples. The mapping between frames and records
@@ -193,8 +193,8 @@ pub fn frame_bytes(frame: &WireFrame) -> Vec<u8> {
     }
 }
 
-/// An incremental, push-based frame decoder: the non-blocking
-/// counterpart of [`FrameReader`].
+/// An incremental, push-based frame decoder: the one frame parser,
+/// which the blocking [`FrameReader`] loops over.
 ///
 /// Bytes arrive in arbitrary slices ([`push`](FrameDecoder::push) —
 /// whatever a non-blocking `read` returned before `WouldBlock`), and
@@ -202,10 +202,10 @@ pub fn frame_bytes(frame: &WireFrame) -> Vec<u8> {
 /// available. Frames are returned in exactly the order their bytes
 /// arrived, whatever the split boundaries; a read that returned zero
 /// new bytes simply leaves the decoder where it was. The per-frame size
-/// cap is enforced *before* a payload is fully buffered, exactly like
-/// [`FrameReader`]: an announced binary length or an accumulated
-/// newline-less line beyond the cap fails with [`NetError::Oversized`]
-/// without waiting for the rest of the frame.
+/// cap is enforced *before* a payload is fully buffered: an announced
+/// binary length or an accumulated newline-less line beyond the cap
+/// fails with [`NetError::Oversized`] without waiting for the rest of
+/// the frame.
 ///
 /// The format can be switched mid-stream
 /// ([`set_format`](FrameDecoder::set_format)) with buffered bytes
@@ -263,10 +263,11 @@ impl FrameDecoder {
     }
 
     /// Pops the next complete frame, `Ok(None)` when more bytes are
-    /// needed. Oversized and malformed frames fail exactly like
-    /// [`FrameReader::read`]; EOF handling stays with the caller (a
-    /// peer that closed while [`buffered`](FrameDecoder::buffered) is
-    /// non-zero, or mid-stream, vanished before a frame boundary).
+    /// needed. Oversized frames fail with [`NetError::Oversized`], a
+    /// line that is not UTF-8 with [`NetError::Malformed`]; EOF handling
+    /// stays with the caller (a peer that closed while
+    /// [`buffered`](FrameDecoder::buffered) is non-zero vanished before
+    /// a frame boundary).
     ///
     /// Not an [`Iterator`]: `Ok(None)` means "feed me more bytes", not
     /// end of stream.
@@ -428,12 +429,12 @@ impl WriteQueue {
 /// transport.
 pub(crate) const WRITE_IOVECS: usize = 64;
 
-/// Reads [`WireFrame`]s of one format from a buffered byte stream,
-/// enforcing a per-frame size cap *before* buffering payloads.
+/// Reads [`WireFrame`]s from a blocking byte stream: a loop that fills
+/// a [`FrameDecoder`] from the reader until it pops a frame, so the
+/// per-frame size cap holds *before* a payload is buffered.
 pub struct FrameReader<R> {
     inner: R,
-    format: WireFormat,
-    max_frame: usize,
+    decoder: FrameDecoder,
 }
 
 impl<R: BufRead> FrameReader<R> {
@@ -442,99 +443,34 @@ impl<R: BufRead> FrameReader<R> {
     pub fn new(inner: R, format: WireFormat, max_frame: usize) -> Self {
         FrameReader {
             inner,
-            format,
-            max_frame: max_frame.max(1),
+            decoder: FrameDecoder::new(format, max_frame),
         }
     }
 
-    /// The underlying reader (e.g. to re-wrap it after a handshake).
-    pub fn into_inner(self) -> R {
-        self.inner
+    /// Switches the wire format for frames not yet read; bytes already
+    /// read stay buffered (see [`FrameDecoder::set_format`]).
+    pub fn set_format(&mut self, format: WireFormat) {
+        self.decoder.set_format(format);
     }
 
     /// Reads the next frame. `Ok(None)` is a *clean* EOF at a frame
     /// boundary; EOF inside a frame is [`NetError::Disconnected`].
     pub fn read(&mut self) -> Result<Option<WireFrame>, NetError> {
-        match self.format {
-            WireFormat::Ndjson => Ok(self.read_line_bounded()?.map(WireFrame::Line)),
-            WireFormat::Binary => self.read_binary(),
-        }
-    }
-
-    /// Bounded line read: scans the buffered window for `\n` and fails
-    /// with [`NetError::Oversized`] as soon as the accumulated line
-    /// crosses the cap — a missing newline can never buffer unbounded
-    /// memory.
-    fn read_line_bounded(&mut self) -> Result<Option<String>, NetError> {
-        let mut line: Vec<u8> = Vec::new();
         loop {
-            let (advance, done) = {
-                let buf = self.inner.fill_buf().map_err(|e| NetError::from_io(&e))?;
-                if buf.is_empty() {
-                    if line.is_empty() {
-                        return Ok(None);
-                    }
-                    return Err(NetError::Disconnected);
-                }
-                match buf.iter().position(|&b| b == b'\n') {
-                    Some(pos) => {
-                        if line.len() + pos > self.max_frame {
-                            return Err(NetError::Oversized {
-                                len: line.len() + pos,
-                                max: self.max_frame,
-                            });
-                        }
-                        line.extend_from_slice(&buf[..pos]);
-                        (pos + 1, true)
-                    }
-                    None => {
-                        if line.len() + buf.len() > self.max_frame {
-                            return Err(NetError::Oversized {
-                                len: line.len() + buf.len(),
-                                max: self.max_frame,
-                            });
-                        }
-                        line.extend_from_slice(buf);
-                        (buf.len(), false)
-                    }
-                }
-            };
-            self.inner.consume(advance);
-            if done {
-                return String::from_utf8(line)
-                    .map(Some)
-                    .map_err(|_| NetError::malformed("line is not valid UTF-8"));
+            if let Some(frame) = self.decoder.next()? {
+                return Ok(Some(frame));
             }
+            let bytes = self.inner.fill_buf().map_err(|e| NetError::from_io(&e))?;
+            if bytes.is_empty() {
+                return match self.decoder.buffered() {
+                    0 => Ok(None),
+                    _ => Err(NetError::Disconnected),
+                };
+            }
+            let n = bytes.len();
+            self.decoder.push(bytes);
+            self.inner.consume(n);
         }
-    }
-
-    fn read_binary(&mut self) -> Result<Option<WireFrame>, NetError> {
-        // A zero-byte read for the tag is the only clean EOF point.
-        let mut tag = [0u8; 1];
-        match self.inner.read(&mut tag) {
-            Ok(0) => return Ok(None),
-            Ok(_) => {}
-            Err(e) => return Err(NetError::from_io(&e)),
-        }
-        let mut len = [0u8; 4];
-        self.inner
-            .read_exact(&mut len)
-            .map_err(|e| NetError::from_io(&e))?;
-        let len = u32::from_le_bytes(len) as usize;
-        if len > self.max_frame {
-            return Err(NetError::Oversized {
-                len,
-                max: self.max_frame,
-            });
-        }
-        let mut payload = vec![0u8; len];
-        self.inner
-            .read_exact(&mut payload)
-            .map_err(|e| NetError::from_io(&e))?;
-        Ok(Some(WireFrame::Binary {
-            tag: tag[0],
-            payload,
-        }))
     }
 }
 

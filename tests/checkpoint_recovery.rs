@@ -44,10 +44,11 @@ fn tuples(n: i64) -> Vec<Tuple> {
         .collect()
 }
 
-/// A checkpointed job: a value polluter plus a delay polluter (so the
-/// restore path covers both RNG positions *and* pending temporal
-/// buffers), checkpointing every epoch, and — when `kill` is set — a
-/// chaos section that panics exactly once at tuple [`KILL_AT`].
+/// A checkpointed job: a value polluter whose gradual change pattern
+/// draws from its own RNG, plus a delay polluter (so the restore path
+/// covers RNG positions, draw counts *and* pending temporal buffers),
+/// checkpointing every epoch, and — when `kill` is set — a chaos
+/// section that panics exactly once at tuple [`KILL_AT`].
 fn config(strategy: &str, batch_size: usize, kill: bool) -> LogicalPlan {
     let chaos = if kill {
         format!(r#""chaos": {{ "kill_at_tuple": {KILL_AT}, "panic_budget": 1 }},"#)
@@ -63,7 +64,8 @@ fn config(strategy: &str, batch_size: usize, kill: bool) -> LogicalPlan {
                     "name": "null-x",
                     "attributes": ["x"],
                     "error": {{ "type": "missing_value" }},
-                    "condition": {{ "type": "probability", "p": 0.5 }}
+                    "condition": {{ "type": "probability", "p": 0.5 }},
+                    "pattern": {{ "kind": "gradual", "from": 0, "to": 12000000 }}
                 }},
                 {{
                     "type": "delay",
@@ -135,6 +137,17 @@ fn recovery_is_byte_identical_across_strategies_and_batch_sizes() {
             );
             assert_eq!(calm.report.restored_from_epoch, 0);
             assert_eq!(calm.report.replayed_tuples, 0);
+
+            // The restored polluters count on from the checkpoint: the
+            // statistics are an undisturbed run's, draws and the delay
+            // buffer's peak included.
+            assert_eq!(
+                hurt.report.polluters, calm.report.polluters,
+                "polluter statistics diverged ({strategy}, batch {batch_size})"
+            );
+            let null_x = calm.report.polluter("null-x").expect("null-x reports");
+            assert!(null_x.rng_draws > 0, "the gradual pattern draws");
+            assert!(calm.report.polluter("lag").expect("lag reports").buffer_max > 0);
         }
     }
 }

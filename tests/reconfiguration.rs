@@ -106,6 +106,56 @@ fn rate_change_applies_exactly_at_a_watermark_epoch() {
 }
 
 #[test]
+fn a_swapped_polluter_reports_every_tuple_it_saw_once() {
+    // 320 tuples ran under the old pipeline and 80 under the new one:
+    // the report lists `scale` once, counting all 400. Tuple 0 has
+    // x = 0, which scaling leaves unchanged, so 399 entries are logged.
+    for strategy in [StrategyHint::Sequential, StrategyHint::Auto] {
+        let report = run_with_flip(strategy).report;
+        assert_eq!(report.polluters.len(), 1, "{:?}", report.polluters);
+        let scale = &report.polluters[0];
+        assert_eq!(scale.name, "scale");
+        assert_eq!(scale.fires, 400);
+        assert_eq!(scale.condition_evals, 400);
+        assert_eq!(scale.skips, 0);
+        assert_eq!(scale.log_entries, 399);
+        assert_eq!(report.log_entries, 399);
+    }
+}
+
+#[test]
+fn a_polluter_added_mid_run_reports_after_the_existing_ones() {
+    let physical = scale_plan(StrategyHint::Sequential)
+        .compile(&schema())
+        .unwrap();
+    physical
+        .control_handle()
+        .reconfigure_at(
+            Timestamp(256_000),
+            &[PlanDelta::AddPolluter {
+                pipeline: 0,
+                config: PolluterConfig::Standard {
+                    name: "late-null".into(),
+                    attributes: vec!["x".into()],
+                    error: ErrorConfig::MissingValue,
+                    condition: ConditionConfig::Always,
+                    pattern: None,
+                },
+            }],
+        )
+        .unwrap();
+    let report = physical.execute(tuples(400)).unwrap().report;
+    assert_eq!(report.epochs_applied, 1);
+    let names: Vec<&str> = report.polluters.iter().map(|p| p.name.as_str()).collect();
+    assert_eq!(names, ["scale", "late-null"]);
+    let (scale, late) = (&report.polluters[0], &report.polluters[1]);
+    assert_eq!((scale.fires, scale.condition_evals), (400, 400));
+    // The new polluter sees the 80 tuples from the epoch on, 320..400.
+    assert_eq!((late.fires, late.condition_evals), (80, 80));
+    assert_eq!(late.log_entries, 80);
+}
+
+#[test]
 fn every_strategy_switches_at_the_same_epoch_boundary() {
     // `auto` and `sequential` are the two names left for the one
     // schedule; both must split at the same tuple.
