@@ -24,10 +24,11 @@
 //! (hand-rolled behind the tiny [`poll`]-module abstraction — no tokio,
 //! mio, or libc crate) multiplexes every session over a worker pool
 //! sized to cores, so concurrency is bounded by file descriptors and
-//! buffered bytes rather than threads. Sessions that publish to a named
-//! `stream` are fanned out to `subscribe` sessions from pre-serialized
-//! frames — each output frame is encoded once and shared as
-//! `Arc<[u8]>`. epoll makes serving Linux-only; elsewhere the crate
+//! buffered bytes rather than threads. `telemetry` sessions run on the
+//! same loop, which also ticks the metrics sampler. Sessions that
+//! publish to a named `stream` are fanned out to `subscribe` sessions
+//! from pre-serialized frames — each output frame is encoded once and
+//! shared as `Arc<[u8]>`. epoll makes serving Linux-only; elsewhere the crate
 //! builds, so the client and the offline CLI keep working, but
 //! [`Server::run`] returns a configuration error.
 //!
@@ -35,7 +36,7 @@
 //! [`client::run_session`] on the client side, `icewafl serve` on the
 //! command line.
 
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 pub mod client;
 pub mod poll;

@@ -6,7 +6,7 @@
 //! ```text
 //! accept → Handshake → Stream ————————————→ Closing → (Linger) → close
 //!                    ↘ Subscribe ————————↗
-//!                    ↘ telemetry hand-off (interval thread)
+//!                    ↘ Telemetry ———————————————————————————————→ close
 //!        ↘ rejections ———————————————————↗
 //! ```
 //!
@@ -50,19 +50,25 @@
 //! encoded; `subscribe` sessions naming the same stream get the same
 //! buffers cloned into their write queues — encode once, fan out to
 //! every session sharing the plan.
+//!
+//! Telemetry: the poll loop also ticks the server's [`TelemetrySampler`]
+//! every `telemetry_interval_ms` — its wait never outlasts the next
+//! tick — and wakes every `telemetry` session the way a publish wakes
+//! subscribers. A woken session whose outbox has room queues one frame
+//! carrying the newest tick; one whose client stops reading skips ticks
+//! instead of buffering them, and drain ends it at once.
 
 #![cfg(target_os = "linux")]
 
 use crate::poll::{Poller, EPOLLIN, EPOLLOUT};
 use crate::protocol::{
     decode_client_frame_typed, decode_column_batch, decode_tuple_columns, encode_error_frame,
-    encode_released_frames, encode_report_frame, write_stamped_line, Handshake, HandshakeReply,
-    SessionErrorFrame, TAG_TUPLE_COLUMNS,
+    encode_released_frames, encode_report_frame, encode_telemetry_frame, write_stamped_line,
+    Handshake, HandshakeReply, SessionErrorFrame, TelemetryFrame, TAG_TUPLE_COLUMNS,
 };
-use crate::server::{
-    run_telemetry_session, HubState, Server, SessionGauges, SessionHandles, Shared,
-};
+use crate::server::{HubState, Server, SessionCounters, SessionRow, Shared};
 use icewafl_core::{ReleasedRow, StreamingSession};
+use icewafl_obs::TelemetrySampler;
 use icewafl_stream::net::{
     frame_bytes, FrameDecoder, NetError, NetPoll, WireFormat, WireFrame, WriteQueue,
 };
@@ -70,9 +76,9 @@ use icewafl_types::{Error, Result, Schema};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::io::Read;
-use std::net::{Shutdown, TcpStream};
+use std::net::TcpStream;
 use std::os::fd::{AsRawFd, RawFd};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -80,7 +86,8 @@ use std::time::{Duration, Instant};
 const LISTENER_TOKEN: u64 = 0;
 
 /// How long one `epoll_wait` may park before shutdown/SIGINT and the
-/// linger deadlines are re-checked.
+/// linger deadlines are re-checked (less when a telemetry tick is due
+/// sooner).
 const POLL_TIMEOUT_MS: i32 = 25;
 
 /// Connection-table shards (token-hashed) so session churn never
@@ -130,49 +137,16 @@ enum Phase {
     Stream,
     /// Pulling pre-serialized frames from a shared-stream hub.
     Subscribe,
+    /// Sending the sampler's newest tick each time the poll loop takes
+    /// one, until the client leaves or the server drains.
+    Telemetry,
     /// Nothing left to produce: flush the outbox, then close.
     Closing,
     /// Reply flushed and write side shut: discarding what the peer
     /// still sends until it closes or the budget is spent.
     Linger,
-    /// Closed (or handed off to a telemetry thread); terminal.
+    /// Socket closed and slot released; terminal.
     Closed,
-}
-
-/// Live counter cells shared with the session-table row.
-struct ConnCounters {
-    frames_in: Arc<AtomicU64>,
-    frames_out: Arc<AtomicU64>,
-    bytes_out: Arc<AtomicU64>,
-    encode_ns: Arc<AtomicU64>,
-    blocked_write_ns: Arc<AtomicU64>,
-    gauges: Arc<SessionGauges>,
-}
-
-impl ConnCounters {
-    fn new() -> Self {
-        ConnCounters {
-            frames_in: Arc::default(),
-            frames_out: Arc::default(),
-            bytes_out: Arc::default(),
-            encode_ns: Arc::default(),
-            blocked_write_ns: Arc::default(),
-            gauges: Arc::default(),
-        }
-    }
-
-    fn handles(&self, kind: &'static str, format: WireFormat) -> SessionHandles {
-        SessionHandles {
-            kind,
-            format: format.as_str(),
-            frames_in: Arc::clone(&self.frames_in),
-            frames_out: Arc::clone(&self.frames_out),
-            bytes_out: Arc::clone(&self.bytes_out),
-            encode_ns: Arc::clone(&self.encode_ns),
-            blocked_write_ns: Arc::clone(&self.blocked_write_ns),
-            gauges: Arc::clone(&self.gauges),
-        }
-    }
 }
 
 /// One connection's full state. Only ever touched under its slot mutex.
@@ -202,13 +176,17 @@ struct Conn {
     counts_active: bool,
     /// Registered in the session table (row removed at close).
     in_table: bool,
-    counters: ConnCounters,
+    /// Shared with the session's table row.
+    counters: Arc<SessionCounters>,
     /// Hub this session publishes to (pollute + `stream`).
     publish: Option<Arc<Mutex<HubState>>>,
     /// Hub this session subscribes to, plus its read cursor.
     subscribe: Option<(Arc<Mutex<HubState>>, usize)>,
     /// Stream name for hub-map cleanup at close.
     stream_name: Option<String>,
+    /// A telemetry session's cursor: the last sampler tick it sent (or
+    /// found at handshake).
+    telemetry: Option<u64>,
     /// Set when parked on a full socket; elapsed time lands in
     /// `blocked_write_ns` on the next drive.
     blocked_since: Option<Instant>,
@@ -236,10 +214,11 @@ impl Conn {
             linger_deadline: None,
             counts_active,
             in_table: false,
-            counters: ConnCounters::new(),
+            counters: Arc::default(),
             publish: None,
             subscribe: None,
             stream_name: None,
+            telemetry: None,
             blocked_since: None,
             result: None,
             frames_encoded: 0,
@@ -252,6 +231,19 @@ impl Conn {
         self.outbox.push(Arc::from(
             frame_bytes(&WireFrame::Line(line)).into_boxed_slice(),
         ));
+    }
+
+    /// Lists the session in the telemetry table as `kind`.
+    fn enter_table(&mut self, shared: &Shared, kind: &'static str) {
+        shared.register_session(
+            self.id,
+            SessionRow {
+                kind,
+                format: self.format,
+                counters: Arc::clone(&self.counters),
+            },
+        );
+        self.in_table = true;
     }
 
     /// Turns the peer away: the reason as a handshake reply, then a
@@ -325,7 +317,14 @@ struct Reactor {
     /// Lingering closes by deadline, oldest first (the timeout is one
     /// constant, so arrival order is deadline order).
     lingering: Mutex<VecDeque<(Instant, u64)>>,
-    telemetry_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// Ticked by the poll loop only; telemetry sessions read its newest
+    /// tick.
+    sampler: Mutex<TelemetrySampler>,
+    /// Tokens of open telemetry sessions, woken at every tick.
+    telemetry: Mutex<Vec<u64>>,
+    /// Set once drain starts: a session that becomes a telemetry
+    /// session after the drain sweep ends at its first step.
+    draining: AtomicBool,
 }
 
 impl Reactor {
@@ -348,7 +347,8 @@ impl Reactor {
         }
     }
 
-    /// Wakes a parked subscriber so it pulls newly published frames.
+    /// Wakes a parked subscriber so it pulls newly published frames, or
+    /// a telemetry session so it sends a new tick.
     /// The target's lock is held across the re-arm so the fd cannot be
     /// closed (and its number reused) mid-kick.
     fn kick(&self, token: u64) {
@@ -371,6 +371,19 @@ impl Reactor {
         {
             let (_, token) = lingering.pop_front().expect("front checked above");
             self.queue.push(token);
+        }
+    }
+
+    /// Takes the sampler's next tick on the server's clock and wakes
+    /// every telemetry session to send it.
+    fn tick_telemetry(&self) {
+        let at_ms = self.shared.started.elapsed().as_millis() as u64;
+        self.sampler.lock().tick(&self.shared.registry, at_ms);
+        // A copy: `kick` takes connection locks, under which `settle`
+        // takes this list's.
+        let tokens = self.telemetry.lock().clone();
+        for token in tokens {
+            self.kick(token);
         }
     }
 }
@@ -399,7 +412,11 @@ pub(crate) fn run(server: &Server) -> Result<()> {
         conn_count: AtomicUsize::new(0),
         queue: WorkQueue::new(),
         lingering: Mutex::new(VecDeque::new()),
-        telemetry_threads: Mutex::new(Vec::new()),
+        sampler: Mutex::new(TelemetrySampler::new(Duration::from_millis(
+            shared.telemetry_interval_ms,
+        ))),
+        telemetry: Mutex::new(Vec::new()),
+        draining: AtomicBool::new(false),
     });
     let mut worker_threads = Vec::with_capacity(workers);
     for i in 0..workers {
@@ -429,18 +446,37 @@ pub(crate) fn run(server: &Server) -> Result<()> {
 
     let mut events = Vec::with_capacity(256);
     let mut draining = false;
+    let interval = Duration::from_millis(shared.telemetry_interval_ms);
+    let mut next_tick = Instant::now() + interval;
     let run_result = loop {
         if !draining && server.stop_requested() {
             draining = true;
+            rt.draining.store(true, Ordering::SeqCst);
             let _ = rt.poller.deregister(listener.as_raw_fd());
             fail_orphan_subscribers(&rt);
+            end_telemetry_sessions(&rt);
         }
         if draining && rt.conn_count.load(Ordering::SeqCst) == 0 {
             break Ok(());
         }
         rt.expire_lingering();
+        let now = Instant::now();
+        if now >= next_tick {
+            rt.tick_telemetry();
+            next_tick += interval;
+            // Behind schedule: skip to the present rather than firing a
+            // catch-up burst.
+            if next_tick < now {
+                next_tick = now + interval;
+            }
+        }
+        let to_tick = next_tick
+            .saturating_duration_since(now)
+            .as_micros()
+            .div_ceil(1000);
+        let timeout = POLL_TIMEOUT_MS.min(to_tick.try_into().unwrap_or(i32::MAX));
         events.clear();
-        if let Err(e) = rt.poller.wait(&mut events, POLL_TIMEOUT_MS) {
+        if let Err(e) = rt.poller.wait(&mut events, timeout) {
             break Err(Error::config(format_args!("event poll failed: {e}")));
         }
         let mut accept_err = None;
@@ -462,12 +498,6 @@ pub(crate) fn run(server: &Server) -> Result<()> {
     for handle in worker_threads {
         let _ = handle.join();
     }
-    for handle in rt.telemetry_threads.lock().drain(..) {
-        let _ = handle.join();
-    }
-    // Join the sampler thread: after drain the server leaves no
-    // background thread behind.
-    drop(shared.sampler.lock().take());
     run_result
 }
 
@@ -557,6 +587,18 @@ fn fail_orphan_subscribers(rt: &Arc<Reactor>) {
     }
 }
 
+/// On drain start, every telemetry session ends at once, completed: it
+/// would otherwise stream until its client left, and what its outbox
+/// still holds is not worth waiting for.
+fn end_telemetry_sessions(rt: &Arc<Reactor>) {
+    let tokens = rt.telemetry.lock().clone();
+    for token in tokens {
+        if let Some(slot) = rt.slot(token) {
+            close_conn(rt, &mut slot.conn.lock());
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // The per-connection drive
 // ---------------------------------------------------------------------
@@ -587,9 +629,10 @@ fn drive(rt: &Arc<Reactor>, slot: &Arc<Slot>, token: u64) {
     debug_assert_eq!(conn.id, token);
     loop {
         let step = match conn.phase {
-            Phase::Handshake => step_handshake(rt, slot, &mut conn),
+            Phase::Handshake => step_handshake(rt, &mut conn),
             Phase::Stream => step_stream(rt, &mut conn),
             Phase::Subscribe => step_subscribe(rt, &mut conn),
+            Phase::Telemetry => step_telemetry(rt, &mut conn),
             Phase::Closing => Step::Park,
             Phase::Linger => step_linger(rt, &mut conn),
             Phase::Closed => Step::Done,
@@ -640,9 +683,10 @@ fn drive_flush_and_rearm(rt: &Arc<Reactor>, slot: &Arc<Slot>, conn: &mut Conn) {
         Phase::Stream if stalled => 0,
         Phase::Handshake | Phase::Stream | Phase::Linger => EPOLLIN,
         Phase::Closing => EPOLLOUT,
-        // Subscribers watch for hangup; EPOLLOUT only while indebted —
-        // otherwise a publisher kick re-arms the write side.
-        Phase::Subscribe => EPOLLIN,
+        // Subscribers and telemetry sessions watch for hangup; EPOLLOUT
+        // only while indebted — otherwise a publisher's or the
+        // sampler's kick re-arms the write side.
+        Phase::Subscribe | Phase::Telemetry => EPOLLIN,
         Phase::Closed => return,
     };
     if !conn.outbox.is_empty() {
@@ -658,7 +702,10 @@ fn drive_flush_and_rearm(rt: &Arc<Reactor>, slot: &Arc<Slot>, conn: &mut Conn) {
 /// the wire (like the sink poison path); one that already failed keeps
 /// its original classification.
 fn peer_gone(rt: &Arc<Reactor>, conn: &mut Conn) {
-    if matches!(conn.result, Some(SessionResult::Completed)) {
+    // A telemetry client leaving is how its session is meant to end.
+    if matches!(conn.result, Some(SessionResult::Completed))
+        && !matches!(conn.phase, Phase::Telemetry)
+    {
         conn.result = Some(SessionResult::Failed { protocol: true });
     }
     close_conn(rt, conn);
@@ -716,11 +763,22 @@ fn read_available(conn: &mut Conn) -> Option<NetError> {
     None
 }
 
+/// Subscribers and telemetry clients send nothing after their
+/// handshake: reads and discards what they send anyway, so a hangup is
+/// seen on the read side. `true` once the read side has ended.
+fn discard_input(conn: &mut Conn) -> bool {
+    let ended = read_available(conn).is_some();
+    if conn.decoder.buffered() > 0 {
+        let _ = conn.decoder.take_residual();
+    }
+    ended
+}
+
 // ---------------------------------------------------------------------
 // Handshake
 // ---------------------------------------------------------------------
 
-fn step_handshake(rt: &Arc<Reactor>, slot: &Arc<Slot>, conn: &mut Conn) -> Step {
+fn step_handshake(rt: &Arc<Reactor>, conn: &mut Conn) -> Step {
     let shared = Arc::clone(&rt.shared);
     conn.read_end = read_available(conn);
     let frame = match conn.decoder.next() {
@@ -752,7 +810,7 @@ fn step_handshake(rt: &Arc<Reactor>, slot: &Arc<Slot>, conn: &mut Conn) -> Step 
 
     match hs.session.as_deref() {
         None | Some("pollute") => open_pollute(&shared, conn, &hs),
-        Some("telemetry") => open_telemetry(rt, &shared, slot, conn, &hs),
+        Some("telemetry") => open_telemetry(rt, &shared, conn, &hs),
         Some("subscribe") => open_subscribe(&shared, conn, &hs),
         Some(other) => conn.reject(
             &shared,
@@ -806,14 +864,13 @@ fn open_pollute(shared: &Arc<Shared>, conn: &mut Conn, hs: &Handshake) -> Step {
         "sequential".into(),
         plan.logical().substreams(),
     ));
-    shared.register_session(conn.id, conn.counters.handles("pollute", format));
-    conn.in_table = true;
+    conn.format = format;
+    conn.enter_table(shared, "pollute");
     conn.line_schema = match format {
         WireFormat::Ndjson => Some(plan.schema().clone()),
         WireFormat::Binary => None,
     };
     conn.session = Some(session);
-    conn.format = format;
     conn.decoder.set_format(format);
     conn.phase = Phase::Stream;
     // Re-enter the loop: frames the client pipelined behind its
@@ -841,19 +898,17 @@ fn open_subscribe(shared: &Arc<Shared>, conn: &mut Conn, hs: &Handshake) -> Step
     conn.stream_name = Some(name.clone());
     conn.format = format;
     conn.queue_line(&HandshakeReply::accepted(conn.id, "subscribe".into(), 0));
-    shared.register_session(conn.id, conn.counters.handles("subscribe", format));
-    conn.in_table = true;
+    conn.enter_table(shared, "subscribe");
     conn.phase = Phase::Subscribe;
     Step::Continue
 }
 
-/// Telemetry sessions are interval-driven and write a frame every few
-/// hundred milliseconds — a thread apiece is the right shape, so the
-/// event loop hands the socket off instead of multiplexing it.
+/// A telemetry session lists itself in the table it reports, so its
+/// client always sees at least its own row, and starts from the
+/// sampler's next tick.
 fn open_telemetry(
     rt: &Arc<Reactor>,
     shared: &Arc<Shared>,
-    slot: &Arc<Slot>,
     conn: &mut Conn,
     hs: &Handshake,
 ) -> Step {
@@ -861,53 +916,15 @@ fn open_telemetry(
         Ok(format) => format,
         Err(reason) => return conn.reject(shared, reason),
     };
-    // Flush anything queued (nothing, normally) plus the acceptance
-    // reply on a blocking socket, then hand the stream to the thread.
-    let _ = rt.poller.deregister(slot.fd);
-    conn.phase = Phase::Closed;
-    rt.remove(conn.id);
-    let sock = match conn.sock.try_clone() {
-        Ok(sock) => sock,
-        Err(_) => {
-            shared.counter("serve/sessions_failed").inc();
-            release_active(shared, conn);
-            return Step::Done;
-        }
-    };
-    let _ = sock.set_nonblocking(false);
-    let reply = HandshakeReply::accepted(conn.id, "telemetry".into(), 0);
-    if crate::server::write_json_line(&sock, &reply).is_err() {
-        shared.counter("serve/sessions_failed").inc();
-        release_active(shared, conn);
-        return Step::Done;
-    }
-    let id = conn.id;
-    let counts_active = std::mem::take(&mut conn.counts_active);
-    let session_shared = Arc::clone(shared);
-    let spawned = std::thread::Builder::new()
-        .name(format!("icewafl-session-{id}"))
-        .spawn(move || {
-            run_telemetry_session(sock, &session_shared, id, format);
-            if counts_active {
-                session_shared.active.fetch_sub(1, Ordering::SeqCst);
-                session_shared
-                    .registry
-                    .gauge("serve/sessions_active")
-                    .sub(1);
-            }
-        });
-    match spawned {
-        Ok(handle) => rt.telemetry_threads.lock().push(handle),
-        Err(_) => {
-            // The session thread never ran: give its slot back and
-            // close the connection here.
-            shared.counter("serve/sessions_failed").inc();
-            conn.counts_active = counts_active;
-            release_active(shared, conn);
-            let _ = conn.sock.shutdown(Shutdown::Both);
-        }
-    }
-    Step::Done
+    conn.format = format;
+    conn.queue_line(&HandshakeReply::accepted(conn.id, "telemetry".into(), 0));
+    conn.enter_table(shared, "telemetry");
+    conn.telemetry = Some(rt.sampler.lock().latest().map_or(0, |d| d.seq));
+    rt.telemetry.lock().push(conn.id);
+    // Nothing it can do fails it: however it ends, it completed.
+    conn.result = Some(SessionResult::Completed);
+    conn.phase = Phase::Telemetry;
+    Step::Continue
 }
 
 fn release_active(shared: &Arc<Shared>, conn: &mut Conn) {
@@ -1265,13 +1282,7 @@ fn publish_frame(rt: &Arc<Reactor>, conn: &mut Conn, bytes: &Arc<[u8]>, done: bo
 // ---------------------------------------------------------------------
 
 fn step_subscribe(rt: &Arc<Reactor>, conn: &mut Conn) -> Step {
-    // A subscriber never sends data frames; consume (and discard) any
-    // bytes so hangup is observable through the read side.
-    let ended = read_available(conn);
-    if conn.decoder.buffered() > 0 {
-        let _ = conn.decoder.take_residual();
-    }
-    if ended.is_some() {
+    if discard_input(conn) {
         conn.result = Some(SessionResult::Failed { protocol: true });
         close_conn(rt, conn);
         return Step::Done;
@@ -1318,6 +1329,56 @@ fn step_subscribe(rt: &Arc<Reactor>, conn: &mut Conn) -> Step {
         conn.result = Some(SessionResult::Completed);
         conn.phase = Phase::Closing;
     }
+    Step::Park
+}
+
+// ---------------------------------------------------------------------
+// Telemetry
+// ---------------------------------------------------------------------
+
+fn step_telemetry(rt: &Arc<Reactor>, conn: &mut Conn) -> Step {
+    if discard_input(conn) || rt.draining.load(Ordering::SeqCst) {
+        close_conn(rt, conn);
+        return Step::Done;
+    }
+    // A client that is not reading skips ticks: it is sent the newest
+    // one once its outbox has room again.
+    if conn.outbox.pending() >= OUTBOX_HIGH {
+        return Step::Park;
+    }
+    let after = conn.telemetry.unwrap_or(0);
+    let Some(delta) = rt
+        .sampler
+        .lock()
+        .latest()
+        .filter(|d| d.seq > after)
+        .cloned()
+    else {
+        return Step::Park;
+    };
+    let shared = &rt.shared;
+    conn.telemetry = Some(delta.seq);
+    conn.frames_encoded += 1;
+    let frame = TelemetryFrame {
+        seq: conn.frames_encoded,
+        at_ms: shared.started.elapsed().as_millis() as u64,
+        interval_ms: shared.telemetry_interval_ms,
+        delta: Some(delta),
+        sessions: shared.session_table(),
+    };
+    let bytes: Arc<[u8]> =
+        Arc::from(frame_bytes(&encode_telemetry_frame(&frame, conn.format)).into_boxed_slice());
+    let counters = &conn.counters;
+    counters.frames_out.fetch_add(1, Ordering::Relaxed);
+    counters
+        .bytes_out
+        .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+    shared.counter("serve/telemetry_frames").inc();
+    conn.outbox.push(bytes);
+    counters
+        .gauges
+        .outbox_hwm
+        .fetch_max(conn.outbox.pending() as u64, Ordering::Relaxed);
     Step::Park
 }
 
@@ -1390,6 +1451,9 @@ fn settle(rt: &Arc<Reactor>, conn: &mut Conn) {
 
     if std::mem::take(&mut conn.in_table) {
         shared.remove_session(conn.id);
+    }
+    if conn.telemetry.take().is_some() {
+        rt.telemetry.lock().retain(|t| *t != conn.id);
     }
     release_active(&shared, conn);
     // A plan abandoned mid-stream (peer gone): poison it, join its

@@ -3,17 +3,20 @@
 //! [`Server::bind`] opens a listener; [`Server::run`] serves sessions
 //! until shutdown is requested (via the
 //! [handle](Server::shutdown_handle) or [SIGINT](crate::signal)) and
-//! then drains: no new sessions are accepted, in-flight sessions run to
-//! completion, and `run` returns once the last one finishes.
+//! then drains: no new sessions are accepted, telemetry sessions end at
+//! once, the other in-flight sessions run to completion, and `run`
+//! returns once the last one finishes.
 //!
 //! The session core is event-driven (see the private `reactor`
 //! module): one epoll loop watches every socket and a worker pool sized
-//! to cores drives per-connection state machines, so thousands of concurrent
-//! sessions cost file descriptors and bounded windows, not threads. A
-//! session executes while it uploads: its plan is opened at handshake
-//! and every decoded frame is pushed through it at once, through the
-//! same topology and the same source step an offline run uses — served
-//! output is byte-identical to offline by construction. Per-session
+//! to cores drives per-connection state machines — pollute, subscribe
+//! and telemetry sessions alike — so thousands of concurrent sessions
+//! cost file descriptors and bounded windows, not threads. The same
+//! loop ticks the telemetry sampler. A session executes while it
+//! uploads: its plan is opened at handshake and every decoded frame is
+//! pushed through it at once, through the same topology and the same
+//! source step an offline run uses — served output is byte-identical
+//! to offline by construction. Per-session
 //! memory is O(window): a read chunk, an outbox window, and what the
 //! plan itself holds (one watermark period per sub-stream, plus the
 //! tuples a delay polluter keeps back) — whatever the session's length.
@@ -22,7 +25,8 @@
 //!
 //! Backpressure: a client that stops reading is not read from either —
 //! its session parks on write readiness and TCP flow control throttles
-//! its upload, so only that session slows down. A protocol error
+//! its upload, so only that session slows down (a telemetry client that
+//! stops reading skips frames until it reads again). A protocol error
 //! (malformed frame, oversized frame, mid-stream disconnect) fails
 //! only the offending session: what it has been sent so far is a
 //! prefix of its output, and an error frame naming the failure kind
@@ -33,23 +37,18 @@
 //! telemetry table is sharded (`SESSION_SHARDS` ways) so session
 //! churn never contends on a single map lock.
 
-use crate::protocol::{encode_telemetry_frame, Handshake, SessionTelemetry, TelemetryFrame};
+use crate::protocol::{Handshake, SessionTelemetry};
 use icewafl_core::plan::PhysicalPlan;
 use icewafl_core::PlanCatalog;
-use icewafl_obs::{MetricsRegistry, TelemetrySampler};
-use icewafl_stream::net::{FrameWriter, WireFormat, DEFAULT_MAX_FRAME_BYTES};
+use icewafl_obs::MetricsRegistry;
+use icewafl_stream::net::{WireFormat, DEFAULT_MAX_FRAME_BYTES};
 use icewafl_types::{Error, Result};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
-use std::io::{BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// How long a telemetry session sleeps per slice while waiting for the
-/// next frame boundary, so shutdown and SIGINT are noticed promptly.
-const TELEMETRY_POLL: Duration = Duration::from_millis(5);
+use std::time::Instant;
 
 /// Shards of the live session table. Registration and removal hash by
 /// session id, so 1k sessions arriving at once spread across 16 locks
@@ -91,24 +90,22 @@ impl Default for ServeConfig {
     }
 }
 
-/// Live transfer counters one session exposes to the telemetry table.
-/// Handles are plain atomics shared with the session's driver, so
-/// reading them never touches the session itself.
-pub(crate) struct SessionHandles {
-    pub(crate) kind: &'static str,
-    /// Wire format on the session's socket (`ndjson` / `binary`).
-    pub(crate) format: &'static str,
-    pub(crate) frames_in: Arc<AtomicU64>,
-    pub(crate) frames_out: Arc<AtomicU64>,
-    pub(crate) bytes_out: Arc<AtomicU64>,
-    pub(crate) encode_ns: Arc<AtomicU64>,
-    pub(crate) blocked_write_ns: Arc<AtomicU64>,
-    pub(crate) gauges: Arc<SessionGauges>,
+/// Live transfer counters of one session, shared by its connection
+/// and its row in the telemetry table, so reading them never touches
+/// the session itself.
+#[derive(Default)]
+pub(crate) struct SessionCounters {
+    pub(crate) frames_in: AtomicU64,
+    pub(crate) frames_out: AtomicU64,
+    pub(crate) bytes_out: AtomicU64,
+    pub(crate) encode_ns: AtomicU64,
+    pub(crate) blocked_write_ns: AtomicU64,
+    pub(crate) gauges: SessionGauges,
 }
 
 /// High-water marks of what the server has held for one session at any
 /// one time — the three places a client's behaviour could make it hold
-/// more. All stay zero on sessions the event-driven core does not run.
+/// more.
 #[derive(Default)]
 pub(crate) struct SessionGauges {
     /// Bytes read from the socket and not yet decoded.
@@ -119,19 +116,13 @@ pub(crate) struct SessionGauges {
     pub(crate) outbox_hwm: AtomicU64,
 }
 
-impl SessionHandles {
-    fn new(kind: &'static str, format: WireFormat) -> Self {
-        SessionHandles {
-            kind,
-            format: format.as_str(),
-            frames_in: Arc::new(AtomicU64::new(0)),
-            frames_out: Arc::new(AtomicU64::new(0)),
-            bytes_out: Arc::new(AtomicU64::new(0)),
-            encode_ns: Arc::new(AtomicU64::new(0)),
-            blocked_write_ns: Arc::new(AtomicU64::new(0)),
-            gauges: Arc::default(),
-        }
-    }
+/// One row of the live session table.
+pub(crate) struct SessionRow {
+    /// Session type: `pollute`, `subscribe` or `telemetry`.
+    pub(crate) kind: &'static str,
+    /// Wire format on the session's socket.
+    pub(crate) format: WireFormat,
+    pub(crate) counters: Arc<SessionCounters>,
 }
 
 /// One shared stream: the frames a publisher session has emitted so
@@ -160,19 +151,14 @@ pub(crate) struct Shared {
     pub(crate) workers: usize,
     pub(crate) registry: MetricsRegistry,
     pub(crate) active: AtomicUsize,
-    /// Mirrors the server's shutdown flag so long-lived telemetry
-    /// sessions stop at drain instead of holding the join forever.
-    pub(crate) shutdown: Arc<AtomicBool>,
-    /// When the server started, the zero point of frame `at_ms` stamps.
+    /// When the server started: the one clock of sampler ticks and
+    /// telemetry frame `at_ms` stamps.
     pub(crate) started: Instant,
     /// Per-session live counters, sharded by session id. Entries appear
     /// when a handshake is accepted and vanish when the session ends.
-    sessions: Vec<Mutex<BTreeMap<u64, SessionHandles>>>,
+    sessions: Vec<Mutex<BTreeMap<u64, SessionRow>>>,
     /// Shared-stream hubs by stream name (see [`HubState`]).
     pub(crate) hubs: Mutex<HashMap<String, Arc<Mutex<HubState>>>>,
-    /// The background registry sampler; taken (and thereby joined) at
-    /// drain. `None` after drain.
-    pub(crate) sampler: Mutex<Option<TelemetrySampler>>,
 }
 
 impl Shared {
@@ -180,14 +166,10 @@ impl Shared {
         self.registry.counter(name)
     }
 
-    pub(crate) fn stopping(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst) || crate::signal::triggered()
-    }
-
-    pub(crate) fn register_session(&self, id: u64, handles: SessionHandles) {
+    pub(crate) fn register_session(&self, id: u64, row: SessionRow) {
         self.sessions[(id as usize) % SESSION_SHARDS]
             .lock()
-            .insert(id, handles);
+            .insert(id, row);
     }
 
     pub(crate) fn remove_session(&self, id: u64) {
@@ -205,44 +187,27 @@ impl Shared {
                 shard
                     .lock()
                     .iter()
-                    .map(|(id, h)| SessionTelemetry {
-                        id: *id,
-                        kind: h.kind.to_string(),
-                        format: h.format.to_string(),
-                        frames_in: h.frames_in.load(Ordering::Relaxed),
-                        frames_out: h.frames_out.load(Ordering::Relaxed),
-                        bytes_out: h.bytes_out.load(Ordering::Relaxed),
-                        encode_ns: h.encode_ns.load(Ordering::Relaxed),
-                        blocked_write_ns: h.blocked_write_ns.load(Ordering::Relaxed),
-                        input_hwm_bytes: h.gauges.input_hwm.load(Ordering::Relaxed),
-                        queued_hwm_rows: h.gauges.units_hwm.load(Ordering::Relaxed),
-                        outbox_hwm_bytes: h.gauges.outbox_hwm.load(Ordering::Relaxed),
+                    .map(|(id, row)| {
+                        let c = &row.counters;
+                        SessionTelemetry {
+                            id: *id,
+                            kind: row.kind.to_string(),
+                            format: row.format.as_str().to_string(),
+                            frames_in: c.frames_in.load(Ordering::Relaxed),
+                            frames_out: c.frames_out.load(Ordering::Relaxed),
+                            bytes_out: c.bytes_out.load(Ordering::Relaxed),
+                            encode_ns: c.encode_ns.load(Ordering::Relaxed),
+                            blocked_write_ns: c.blocked_write_ns.load(Ordering::Relaxed),
+                            input_hwm_bytes: c.gauges.input_hwm.load(Ordering::Relaxed),
+                            queued_hwm_rows: c.gauges.units_hwm.load(Ordering::Relaxed),
+                            outbox_hwm_bytes: c.gauges.outbox_hwm.load(Ordering::Relaxed),
+                        }
                     })
                     .collect::<Vec<_>>()
             })
             .collect();
         rows.sort_by_key(|row| row.id);
         rows
-    }
-}
-
-/// Removes a session's row from the telemetry table when its driver
-/// exits, however it exits.
-struct SessionEntry<'a> {
-    shared: &'a Shared,
-    id: u64,
-}
-
-impl<'a> SessionEntry<'a> {
-    fn register(shared: &'a Shared, id: u64, handles: SessionHandles) -> Self {
-        shared.register_session(id, handles);
-        SessionEntry { shared, id }
-    }
-}
-
-impl Drop for SessionEntry<'_> {
-    fn drop(&mut self) {
-        self.shared.remove_session(self.id);
     }
 }
 
@@ -272,29 +237,23 @@ impl Server {
         registry
             .gauge("serve/max_sessions")
             .set(config.max_sessions as u64);
-        let interval_ms = config.telemetry_interval_ms.max(1);
-        let sampler = TelemetrySampler::start(&registry, Duration::from_millis(interval_ms))
-            .map_err(|e| Error::config(format_args!("cannot start the telemetry sampler: {e}")))?;
-        let shutdown = Arc::new(AtomicBool::new(false));
         Ok(Server {
             listener,
             shared: Arc::new(Shared {
                 plans: config.plans,
                 max_sessions: config.max_sessions,
                 max_frame_bytes: config.max_frame_bytes,
-                telemetry_interval_ms: interval_ms,
+                telemetry_interval_ms: config.telemetry_interval_ms.max(1),
                 workers: config.workers,
                 registry,
                 active: AtomicUsize::new(0),
-                shutdown: Arc::clone(&shutdown),
                 started: Instant::now(),
                 sessions: (0..SESSION_SHARDS)
                     .map(|_| Mutex::new(BTreeMap::new()))
                     .collect(),
                 hubs: Mutex::new(HashMap::new()),
-                sampler: Mutex::new(Some(sampler)),
             }),
-            shutdown,
+            shutdown: Arc::new(AtomicBool::new(false)),
             next_session: AtomicU64::new(0),
         })
     }
@@ -338,8 +297,9 @@ impl Server {
 
     /// Accepts and serves sessions until the [shutdown
     /// handle](Server::shutdown_handle) is set or [SIGINT
-    /// arrives](crate::signal::triggered), then drains: in-flight
-    /// sessions run to completion before this returns.
+    /// arrives](crate::signal::triggered), then drains: telemetry
+    /// sessions end at once, and the other in-flight sessions run to
+    /// completion before this returns.
     #[cfg(target_os = "linux")]
     pub fn run(&self) -> Result<()> {
         crate::reactor::run(self)
@@ -354,19 +314,6 @@ impl Server {
             "icewafl serve needs Linux: its session core is built on epoll",
         ))
     }
-}
-
-/// Writes one JSON value as an NDJSON line straight to the socket
-/// (handshake replies and rejections, which precede format
-/// negotiation).
-pub(crate) fn write_json_line<T: serde::Serialize>(
-    mut stream: &TcpStream,
-    value: &T,
-) -> std::io::Result<()> {
-    let line = serde_json::to_string(value).expect("protocol frames are always serializable");
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.flush()
 }
 
 /// Resolves a handshake to a compiled plan and wire format, or a
@@ -399,78 +346,6 @@ pub(crate) fn resolve(
         .compile(&schema)
         .map_err(|e| format!("plan does not compile against the schema: {e}"))?;
     Ok((physical, format))
-}
-
-/// A `telemetry` session: one [`TelemetryFrame`] per sampling interval
-/// until the client disconnects or the server drains. The session
-/// registers itself in the table it reports, so a subscriber always
-/// sees at least its own row.
-pub(crate) fn run_telemetry_session(
-    stream: TcpStream,
-    shared: &Shared,
-    session_id: u64,
-    format: WireFormat,
-) {
-    let handles = SessionHandles::new("telemetry", format);
-    let frames_out = Arc::clone(&handles.frames_out);
-    let bytes_out = Arc::clone(&handles.bytes_out);
-    let _entry = SessionEntry::register(shared, session_id, handles);
-
-    let mut writer = FrameWriter::new(BufWriter::new(stream), format);
-    let interval = Duration::from_millis(shared.telemetry_interval_ms);
-    let mut seq = 0u64;
-    // Sampler deltas already consumed; new subscribers skip history and
-    // start from the next tick.
-    let mut after_seq = shared
-        .sampler
-        .lock()
-        .as_ref()
-        .and_then(|s| s.latest())
-        .map(|d| d.seq)
-        .unwrap_or(0);
-    loop {
-        // Sleep to the next frame boundary in short slices so drain and
-        // SIGINT are honoured promptly (satellite of the no-leaked-thread
-        // guarantee: a telemetry session must not hold up the join).
-        let deadline = Instant::now() + interval;
-        loop {
-            if shared.stopping() {
-                shared.counter("serve/sessions_completed").inc();
-                return;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            std::thread::sleep((deadline - now).min(TELEMETRY_POLL));
-        }
-        seq += 1;
-        let delta = shared
-            .sampler
-            .lock()
-            .as_ref()
-            .and_then(TelemetrySampler::latest)
-            .filter(|d| d.seq > after_seq);
-        if let Some(d) = &delta {
-            after_seq = d.seq;
-        }
-        let frame = TelemetryFrame {
-            seq,
-            at_ms: shared.started.elapsed().as_millis() as u64,
-            interval_ms: shared.telemetry_interval_ms,
-            delta,
-            sessions: shared.session_table(),
-        };
-        let wire = encode_telemetry_frame(&frame, format);
-        bytes_out.fetch_add(wire.wire_len() as u64, Ordering::Relaxed);
-        if writer.write(&wire).is_err() || writer.flush().is_err() {
-            // The subscriber went away: a normal way to end the session.
-            shared.counter("serve/sessions_completed").inc();
-            return;
-        }
-        frames_out.fetch_add(1, Ordering::Relaxed);
-        shared.counter("serve/telemetry_frames").inc();
-    }
 }
 
 #[cfg(all(test, not(target_os = "linux")))]

@@ -5,14 +5,18 @@
 use icewafl_core::config::{ConditionConfig, ErrorConfig, PolluterConfig};
 use icewafl_core::plan::LogicalPlan;
 use icewafl_core::PlanCatalog;
-use icewafl_serve::{client, ClientConfig, Handshake, ServeConfig, Server};
+use icewafl_serve::protocol::encode_telemetry_frame;
+use icewafl_serve::{
+    client, ClientConfig, Handshake, HandshakeReply, ServeConfig, Server, SessionTelemetry,
+};
+use icewafl_stream::net::WireFormat;
 use icewafl_types::{DataType, Schema, Timestamp, Tuple, Value};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn schema() -> Schema {
     Schema::from_pairs([("Time", DataType::Timestamp), ("x", DataType::Float)]).unwrap()
@@ -536,6 +540,125 @@ fn telemetry_session_streams_periodic_frames_with_session_table() {
             break;
         }
     }
+}
+
+/// Runs `body` on a thread of its own and fails the test if it has not
+/// returned within two minutes.
+fn watchdogged(body: impl FnOnce() + Send + 'static) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        body();
+        let _ = tx.send(());
+    });
+    match rx.recv_timeout(Duration::from_secs(120)) {
+        Ok(()) => worker.join().unwrap(),
+        // The body panicked: surface its message.
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(worker.join().unwrap_err())
+        }
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("hung for two minutes"),
+    }
+}
+
+/// A telemetry client that stops reading is skipped, not buffered: its
+/// session queues a frame only while its outbox is below one window,
+/// and drain ends it at once instead of waiting for it to read.
+#[test]
+fn a_telemetry_client_that_stops_reading_neither_grows_its_outbox_nor_holds_up_drain() {
+    // The reactor's outbox window, as its module docs state it.
+    const OUTBOX_HIGH: u64 = 256 * 1024;
+
+    watchdogged(|| {
+        let server = Arc::new(
+            Server::bind(ServeConfig {
+                max_sessions: 128,
+                telemetry_interval_ms: 1,
+                ..ServeConfig::default()
+            })
+            .unwrap(),
+        );
+        let addr = server.local_addr().to_string();
+        let (ran, run_result) = std::sync::mpsc::channel();
+        let runner = Arc::clone(&server);
+        let running = std::thread::spawn(move || {
+            let _ = ran.send(runner.run());
+        });
+        let open = |handshake: &str| {
+            let mut peer = RawClient::connect(&addr);
+            peer.send_line(handshake);
+            let line = peer.read_line();
+            let reply: HandshakeReply = serde_json::from_str(&line).unwrap();
+            assert!(reply.ok, "handshake failed: {line}");
+            (peer, reply.session)
+        };
+
+        // Idle sessions fill every frame's session table: a frame is
+        // kilobytes long, so a silent client's socket fills fast.
+        let pollute = serde_json::to_string(&handshake("ndjson")).unwrap();
+        let idle: Vec<RawClient> = (0..64).map(|_| open(&pollute).0).collect();
+        let (silent, silent_ids): (Vec<RawClient>, Vec<u64>) =
+            (0..4).map(|_| open(r#"{"session":"telemetry"}"#)).unzip();
+
+        // Watch until no silent session has been sent a frame for two
+        // hundred ticks: their sockets are full and they skip ticks.
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let mut sent_before = None;
+        let (rows, frame_len, stalled) = loop {
+            let frame = client::subscribe_telemetry(&addr, None, 1)
+                .unwrap()
+                .remove(0);
+            let frame_len = encode_telemetry_frame(&frame, WireFormat::Ndjson).wire_len() as u64;
+            let rows: Vec<SessionTelemetry> = frame
+                .sessions
+                .into_iter()
+                .filter(|row| silent_ids.contains(&row.id))
+                .collect();
+            assert_eq!(rows.len(), silent_ids.len(), "silent sessions listed");
+            let sent: Vec<u64> = rows.iter().map(|row| row.frames_out).collect();
+            let stalled = sent_before.as_ref() == Some(&sent);
+            if stalled || Instant::now() > deadline {
+                break (rows, frame_len, stalled);
+            }
+            sent_before = Some(sent);
+            std::thread::sleep(Duration::from_millis(200));
+        };
+
+        // Drain: the idle sessions end first (a pollute session runs to
+        // completion), then the silent clients, still connected, must
+        // not hold `run` up.
+        for mut peer in idle {
+            peer.send_line("{\"end\":true}");
+            loop {
+                let line = peer.read_line();
+                assert!(!line.is_empty(), "idle session closed without a report");
+                if line.contains("\"report\":{") {
+                    break;
+                }
+            }
+        }
+        server.shutdown_handle().store(true, Ordering::SeqCst);
+        let drained = run_result.recv_timeout(Duration::from_secs(2));
+        assert!(
+            matches!(drained, Ok(Ok(()))),
+            "run did not return within 2 s of shutdown: {drained:?}"
+        );
+        running.join().unwrap();
+        drop(silent);
+
+        assert!(
+            stalled,
+            "kept sending to clients that read nothing: {rows:?}"
+        );
+        for row in &rows {
+            assert!(row.frames_out > 0, "was never sent a frame: {row:?}");
+            // One frame over the window, and an eighth of a frame for
+            // how much frames differ in size (their delta maps).
+            assert!(
+                row.outbox_hwm_bytes <= OUTBOX_HIGH + frame_len + frame_len / 8,
+                "frames of {frame_len} bytes: {row:?}"
+            );
+        }
+    });
 }
 
 mod codec_properties {
