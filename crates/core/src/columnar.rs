@@ -12,9 +12,10 @@
 //! **Who runs it.** A [lowered](crate::PhysicalPlan::open_streaming_lowered)
 //! [`StreamingSession`](crate::StreamingSession), whose sub-streams run
 //! these pipelines: a binary serve session on a column-exact plan
-//! decodes its frames straight into [`ColumnBatch`]es, runs them
-//! through the kernels in place and encodes its output from the same
-//! buffers, so nothing pivots.
+//! decodes its frames straight into [`ColumnBatch`]es, runs each
+//! sub-stream's kernels over that sub-stream's rows of them in place
+//! ([`ColumnPipeline::process_rows`]) and encodes its output from the
+//! same buffers, so nothing pivots.
 //! Offline runs stay rows: fed rows and asked for rows, a column
 //! pipeline would pay two pivots ([`ColumnBatch::from_rows`] /
 //! [`ColumnBatch::into_rows`]) that cost more than the kernels save
@@ -32,11 +33,11 @@
 //! stage's components ship a column kernel
 //! ([`StandardPolluter::has_column_kernels`]), the stage runs
 //! *vectorized*: the condition fills a branch-free byte mask over the
-//! whole batch ([bulk RNG draws](crate::rng::fill_uniform) service the
-//! stochastic conditions), pattern intensities are drawn for masked
-//! rows, and the error function's kernel edits the attribute vectors
-//! directly — combining the mask with the column validity bitmap, no
-//! tuple materialisation at all. Otherwise the stage *trampolines*:
+//! whole row selection ([bulk RNG draws](crate::rng::fill_uniform)
+//! service the stochastic conditions), pattern intensities are drawn
+//! for masked rows, and the error function's kernel edits the attribute
+//! vectors directly — combining the mask with the column validity
+//! bitmap, no tuple materialisation at all. Otherwise the stage *trampolines*:
 //! each row is staged into one reusable scratch tuple and fed through
 //! [`StandardPolluter::process_in_place`] — slower, but exact for every
 //! component. The dispatch is per stage, so one typo polluter does not
@@ -259,7 +260,7 @@ pub struct ColumnPipeline {
     /// slots no kernel touches stay NULL forever.
     scratch: StampedTuple,
     /// Condition-mask scratch for the vectorized path, one byte per
-    /// row, reused across batches and stages.
+    /// selected row, reused across batches and stages.
     mask: Vec<u8>,
     /// Pattern-intensity scratch for the vectorized path.
     intensities: Vec<f64>,
@@ -284,7 +285,18 @@ impl ColumnPipeline {
         self.stages.iter().filter(|s| s.vectorized).count()
     }
 
-    /// Runs a batch through every stage in place.
+    /// Runs a whole batch through every stage in place:
+    /// [`ColumnPipeline::process_rows`] over every row, in order.
+    pub fn process_batch(&mut self, batch: &mut ColumnBatch, log: &mut PollutionLog) {
+        let every: Vec<u32> = (0..batch.len() as u32).collect();
+        self.process_rows(batch, &every, log);
+    }
+
+    /// Runs the rows of `batch` that `rows` selects through every stage
+    /// in place, in selection order; no other row is read or written.
+    /// Every component draws its randomness once per selected row in
+    /// selection order, as the row pipeline fed those rows as tuples
+    /// does.
     ///
     /// With logging enabled the loop is row-major (a row crosses all
     /// stages before the next row starts) so ground-truth log entries
@@ -292,25 +304,28 @@ impl ColumnPipeline {
     /// on the trampoline. With logging disabled there is no observable
     /// ordering between rows — each component's RNG sees rows in the
     /// same order either way — so the loop flips to stage-major:
-    /// stages with column kernels run them over the whole batch
+    /// stages with column kernels run them over the whole selection
     /// ([`StandardPolluter::process_columns`]), the rest trampoline one
-    /// attribute vector at a time.
-    pub fn process_batch(&mut self, batch: &mut ColumnBatch, log: &mut PollutionLog) {
+    /// row at a time.
+    pub fn process_rows(&mut self, batch: &mut ColumnBatch, rows: &[u32], log: &mut PollutionLog) {
         if log.is_enabled() {
-            for row in 0..batch.len() {
+            for &row in rows {
                 for stage in &mut self.stages {
-                    stage.apply(batch, row, &mut self.scratch, log);
+                    stage.apply(batch, row as usize, &mut self.scratch, log);
                 }
             }
         } else {
             for stage in &mut self.stages {
                 if stage.vectorized {
-                    stage
-                        .polluter
-                        .process_columns(batch, &mut self.mask, &mut self.intensities);
+                    stage.polluter.process_columns(
+                        batch,
+                        rows,
+                        &mut self.mask,
+                        &mut self.intensities,
+                    );
                 } else {
-                    for row in 0..batch.len() {
-                        stage.apply(batch, row, &mut self.scratch, log);
+                    for &row in rows {
+                        stage.apply(batch, row as usize, &mut self.scratch, log);
                     }
                 }
             }
@@ -687,6 +702,63 @@ mod tests {
             out
         };
         assert_eq!(run(true), run(false));
+    }
+
+    /// The kernel contract over a selection, one family at a time: a
+    /// pipeline run over rows `rows` of a batch writes those rows as the
+    /// same pipeline run over `select(rows)` writes the copy — values,
+    /// validity, counts and the RNG position after — and leaves every
+    /// other row alone; on the vectorized path and on the trampoline.
+    #[test]
+    fn kernels_over_a_selection_equal_kernels_over_its_copy() {
+        // Rows with NULLs in every column, so validity is exercised.
+        let sparse = |from: usize, n: usize| {
+            let mut rows = rows((from + n) as u64).split_off(from);
+            for (k, t) in rows.iter_mut().enumerate() {
+                t.tuple.replace(k % 4, Value::Null);
+            }
+            ColumnBatch::from_rows(&schema(), rows).unwrap()
+        };
+        let input = sparse(0, 300);
+        let (rows, rest): (Vec<u32>, Vec<u32>) = (0..300).partition(|i| i % 3 != 1 && i % 7 != 0);
+        let next = sparse(300, 200);
+        for polluter in every_kernel_family() {
+            for vectorized in [true, false] {
+                let lowered = || {
+                    let mut pipeline =
+                        lower_pipeline(17, 0, std::slice::from_ref(&polluter), &schema())
+                            .unwrap()
+                            .expect("lowerable");
+                    pipeline.stages[0].vectorized &= vectorized;
+                    pipeline
+                };
+                let (mut in_place, mut copied) = (lowered(), lowered());
+                let mut log = PollutionLog::disabled();
+                let mut batch = input.clone();
+                in_place.process_rows(&mut batch, &rows, &mut log);
+                let mut copy = input.select(&rows);
+                copied.process_batch(&mut copy, &mut log);
+                let family = format!("{polluter:?} (vectorized: {vectorized})");
+                assert_eq!(batch.select(&rows), copy, "{family}: selected rows");
+                assert_eq!(
+                    batch.select(&rest),
+                    input.select(&rest),
+                    "{family}: other rows"
+                );
+                let stats = |p: &ColumnPipeline| {
+                    let mut out = Vec::new();
+                    p.append_stats(&mut out);
+                    serde_json::to_string(&out).unwrap()
+                };
+                assert_eq!(stats(&in_place), stats(&copied), "{family}: counts");
+                // The RNGs stand where they stand: the next batch comes
+                // out the same from both.
+                let (mut a, mut b) = (next.clone(), next.clone());
+                in_place.process_batch(&mut a, &mut log);
+                copied.process_batch(&mut b, &mut log);
+                assert_eq!(a, b, "{family}: RNG position");
+            }
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@ impl Condition for Always {
         true
     }
 
-    fn evaluate_columns(&mut self, _batch: &ColumnBatch, mask: &mut [u8]) {
+    fn evaluate_columns(&mut self, _batch: &ColumnBatch, _rows: &[u32], mask: &mut [u8]) {
         mask.fill(1);
     }
 }
@@ -56,7 +56,7 @@ impl Condition for Never {
         true
     }
 
-    fn evaluate_columns(&mut self, _batch: &ColumnBatch, mask: &mut [u8]) {
+    fn evaluate_columns(&mut self, _batch: &ColumnBatch, _rows: &[u32], mask: &mut [u8]) {
         mask.fill(0);
     }
 }
@@ -110,7 +110,7 @@ impl Condition for Probability {
         true
     }
 
-    fn evaluate_columns(&mut self, _batch: &ColumnBatch, mask: &mut [u8]) {
+    fn evaluate_columns(&mut self, _batch: &ColumnBatch, _rows: &[u32], mask: &mut [u8]) {
         // `fill_bernoulli` keeps the exact draw discipline of
         // `random_bool`: boundary probabilities consume no randomness,
         // interior ones consume one uniform per row (docs/kernels.md).
@@ -203,26 +203,28 @@ impl ValueCondition {
     fn fill_cmp_mask(
         &self,
         col: &Column,
+        rows: &[u32],
         mask: &mut [u8],
         accept: impl Fn(Option<Ordering>, bool) -> bool,
     ) {
+        let selected = mask.iter_mut().zip(rows.iter().map(|&r| r as usize));
         match (col.data(), &self.value) {
             (ColumnData::Str(xs), Value::Str(s)) => {
-                for (i, m) in mask.iter_mut().enumerate() {
+                for (m, i) in selected {
                     let valid = col.is_valid(i);
                     let ord = valid.then(|| xs[i].as_str().cmp(s.as_str()));
                     *m = u8::from(accept(ord, valid));
                 }
             }
             (ColumnData::Timestamp(xs), Value::Timestamp(t)) => {
-                for (i, m) in mask.iter_mut().enumerate() {
+                for (m, i) in selected {
                     let valid = col.is_valid(i);
                     let ord = valid.then(|| xs[i].cmp(&t.0));
                     *m = u8::from(accept(ord, valid));
                 }
             }
             (ColumnData::Bool(xs), Value::Bool(b)) => {
-                for (i, m) in mask.iter_mut().enumerate() {
+                for (m, i) in selected {
                     let valid = col.is_valid(i);
                     let ord = valid.then(|| xs[i].cmp(b));
                     *m = u8::from(accept(ord, valid));
@@ -230,7 +232,7 @@ impl ValueCondition {
             }
             _ => {
                 let rhs = self.value.as_f64();
-                for (i, m) in mask.iter_mut().enumerate() {
+                for (m, i) in selected {
                     let ord = match (col.numeric_at(i), rhs) {
                         (Some(a), Some(b)) => a.partial_cmp(&b),
                         _ => None,
@@ -263,7 +265,7 @@ impl Condition for ValueCondition {
         true
     }
 
-    fn evaluate_columns(&mut self, batch: &ColumnBatch, mask: &mut [u8]) {
+    fn evaluate_columns(&mut self, batch: &ColumnBatch, rows: &[u32], mask: &mut [u8]) {
         if self.attr >= batch.arity() {
             // Row path: `tuple.get(attr)` is `None`, never fires.
             mask.fill(0);
@@ -272,22 +274,22 @@ impl Condition for ValueCondition {
         let col = batch.column(self.attr);
         match &self.op {
             CmpOp::IsNull => {
-                col.fill_validity_mask(mask);
+                col.fill_validity_mask(rows, mask);
                 for m in mask.iter_mut() {
                     *m ^= 1;
                 }
             }
-            CmpOp::NotNull => col.fill_validity_mask(mask),
+            CmpOp::NotNull => col.fill_validity_mask(rows, mask),
             CmpOp::InSet(set) => {
-                for (i, m) in mask.iter_mut().enumerate() {
-                    let v = col.value_at(i);
+                for (m, &r) in mask.iter_mut().zip(rows) {
+                    let v = col.value_at(r as usize);
                     *m = u8::from(set.iter().any(|s| v.compare(s) == Some(Ordering::Equal)));
                 }
             }
-            CmpOp::Eq => self.fill_cmp_mask(col, mask, |ord, _| ord == Some(Ordering::Equal)),
+            CmpOp::Eq => self.fill_cmp_mask(col, rows, mask, |ord, _| ord == Some(Ordering::Equal)),
             CmpOp::Ne => {
                 let rhs_null = self.value.is_null();
-                self.fill_cmp_mask(col, mask, |ord, valid| match ord {
+                self.fill_cmp_mask(col, rows, mask, |ord, valid| match ord {
                     Some(ord) => ord != Ordering::Equal,
                     // NULL vs anything: "different" fires only if
                     // exactly one side is NULL (mirrors `matches`) —
@@ -296,12 +298,14 @@ impl Condition for ValueCondition {
                     None => valid == rhs_null,
                 });
             }
-            CmpOp::Lt => self.fill_cmp_mask(col, mask, |ord, _| ord == Some(Ordering::Less)),
-            CmpOp::Le => self.fill_cmp_mask(col, mask, |ord, _| {
+            CmpOp::Lt => self.fill_cmp_mask(col, rows, mask, |ord, _| ord == Some(Ordering::Less)),
+            CmpOp::Le => self.fill_cmp_mask(col, rows, mask, |ord, _| {
                 matches!(ord, Some(Ordering::Less | Ordering::Equal))
             }),
-            CmpOp::Gt => self.fill_cmp_mask(col, mask, |ord, _| ord == Some(Ordering::Greater)),
-            CmpOp::Ge => self.fill_cmp_mask(col, mask, |ord, _| {
+            CmpOp::Gt => {
+                self.fill_cmp_mask(col, rows, mask, |ord, _| ord == Some(Ordering::Greater))
+            }
+            CmpOp::Ge => self.fill_cmp_mask(col, rows, mask, |ord, _| {
                 matches!(ord, Some(Ordering::Greater | Ordering::Equal))
             }),
         }

@@ -65,14 +65,17 @@ pub trait Condition: Send {
         false
     }
 
-    /// Evaluates the condition over a whole batch, writing one byte per
-    /// row into `mask` (`1` = fires, `0` = not). `mask.len()` equals
-    /// `batch.len()`; prior contents are overwritten.
+    /// Evaluates the condition over the rows of `batch` that `rows`
+    /// selects, in selection order, writing one byte per position into
+    /// `mask` (`mask[k]` for row `rows[k]`: `1` = fires, `0` = not).
+    /// `mask.len()` equals `rows.len()`; prior contents are overwritten.
+    /// A stochastic condition draws for the selected rows in selection
+    /// order, as [`Condition::evaluate`] over those rows would.
     ///
     /// Only called when [`Condition::has_column_kernel`] is `true`; the
     /// default is unreachable by construction.
-    fn evaluate_columns(&mut self, batch: &ColumnBatch, mask: &mut [u8]) {
-        let _ = (batch, mask);
+    fn evaluate_columns(&mut self, batch: &ColumnBatch, rows: &[u32], mask: &mut [u8]) {
+        let _ = (batch, rows, mask);
         unreachable!("evaluate_columns called on a condition without a column kernel");
     }
 }

@@ -14,23 +14,36 @@ use rand::RngExt;
 const P_CHUNK: usize = 64;
 
 /// Shared kernel for conditions whose probability varies per row:
-/// stage `probability_at(τ)` for a chunk of rows, then draw via
+/// stage `probability_at(τ)` for a chunk of selected rows, then draw via
 /// [`fill_bernoulli_each`], which reproduces `random_bool`'s boundary
 /// rule (p ≤ 0 / p ≥ 1 consume no randomness) row by row.
 fn bernoulli_each_by_tau(
     rng: &mut StdRng,
     taus: &[i64],
+    rows: &[u32],
     mask: &mut [u8],
     probability_at: impl Fn(Timestamp) -> f64,
 ) {
     let mut ps = [0.0f64; P_CHUNK];
-    for (taus, mask) in taus.chunks(P_CHUNK).zip(mask.chunks_mut(P_CHUNK)) {
-        let ps = &mut ps[..taus.len()];
-        for (p, &tau) in ps.iter_mut().zip(taus) {
-            *p = probability_at(Timestamp(tau));
+    for (rows, mask) in rows.chunks(P_CHUNK).zip(mask.chunks_mut(P_CHUNK)) {
+        let ps = &mut ps[..rows.len()];
+        for (p, &r) in ps.iter_mut().zip(rows) {
+            *p = probability_at(Timestamp(taus[r as usize]));
         }
         fill_bernoulli_each(rng, ps, mask);
     }
+}
+
+/// The event times of the selected rows, in selection order, each
+/// beside its mask byte.
+fn selected_taus<'a>(
+    batch: &'a ColumnBatch,
+    rows: &'a [u32],
+    mask: &'a mut [u8],
+) -> impl Iterator<Item = (&'a mut u8, i64)> {
+    let taus = batch.taus();
+    mask.iter_mut()
+        .zip(rows.iter().map(move |&r| taus[r as usize]))
 }
 
 /// Fires while `τ` lies in `[from, to)`. Either bound may be open.
@@ -91,18 +104,18 @@ impl Condition for TimeWindow {
         true
     }
 
-    fn evaluate_columns(&mut self, batch: &ColumnBatch, mask: &mut [u8]) {
+    fn evaluate_columns(&mut self, batch: &ColumnBatch, rows: &[u32], mask: &mut [u8]) {
         // Branch-free over rows: both bounds collapse to i64 compares.
         let lo = self.from.map_or(i64::MIN, |f| f.millis());
         match self.to {
             None => {
-                for (m, &tau) in mask.iter_mut().zip(batch.taus()) {
+                for (m, tau) in selected_taus(batch, rows, mask) {
                     *m = u8::from(tau >= lo);
                 }
             }
             Some(t) => {
                 let hi = t.millis();
-                for (m, &tau) in mask.iter_mut().zip(batch.taus()) {
+                for (m, tau) in selected_taus(batch, rows, mask) {
                     *m = u8::from(tau >= lo) & u8::from(tau < hi);
                 }
             }
@@ -160,16 +173,16 @@ impl Condition for HourRange {
         true
     }
 
-    fn evaluate_columns(&mut self, batch: &ColumnBatch, mask: &mut [u8]) {
+    fn evaluate_columns(&mut self, batch: &ColumnBatch, rows: &[u32], mask: &mut [u8]) {
         // Hoist the wrap-around branch out of the row loop.
         let (start, end) = (self.start, self.end);
         if start <= end {
-            for (m, &tau) in mask.iter_mut().zip(batch.taus()) {
+            for (m, tau) in selected_taus(batch, rows, mask) {
                 let h = Timestamp(tau).hour_of_day();
                 *m = u8::from(h >= start) & u8::from(h < end);
             }
         } else {
-            for (m, &tau) in mask.iter_mut().zip(batch.taus()) {
+            for (m, tau) in selected_taus(batch, rows, mask) {
                 let h = Timestamp(tau).hour_of_day();
                 *m = u8::from(h >= start) | u8::from(h < end);
             }
@@ -247,9 +260,9 @@ impl Condition for SinusoidalProbability {
         true
     }
 
-    fn evaluate_columns(&mut self, batch: &ColumnBatch, mask: &mut [u8]) {
+    fn evaluate_columns(&mut self, batch: &ColumnBatch, rows: &[u32], mask: &mut [u8]) {
         let (amplitude, offset) = (self.amplitude, self.offset);
-        bernoulli_each_by_tau(&mut self.rng, batch.taus(), mask, |tau| {
+        bernoulli_each_by_tau(&mut self.rng, batch.taus(), rows, mask, |tau| {
             sinusoid_probability(amplitude, offset, tau)
         });
     }
@@ -335,9 +348,9 @@ impl Condition for LinearRampProbability {
         true
     }
 
-    fn evaluate_columns(&mut self, batch: &ColumnBatch, mask: &mut [u8]) {
+    fn evaluate_columns(&mut self, batch: &ColumnBatch, rows: &[u32], mask: &mut [u8]) {
         let (from, to, p0, p1) = (self.from, self.to, self.p0, self.p1);
-        bernoulli_each_by_tau(&mut self.rng, batch.taus(), mask, |tau| {
+        bernoulli_each_by_tau(&mut self.rng, batch.taus(), rows, mask, |tau| {
             ramp_probability(from, to, p0, p1, tau)
         });
     }

@@ -31,14 +31,15 @@ impl ErrorFunction for MissingValue {
     fn apply_columns(
         &mut self,
         batch: &mut ColumnBatch,
+        rows: &[u32],
         attrs: &[usize],
         mask: &[u8],
         _intensities: &[f64],
     ) {
-        // The freeze family's columnar form: clearing validity bits is
-        // the whole kernel, 64 rows per word operation.
+        // The freeze family's columnar form: clearing the selected rows'
+        // validity bits is the whole kernel.
         for &idx in attrs {
-            batch.column_mut(idx).clear_validity_masked(mask);
+            batch.column_mut(idx).clear_validity_masked(rows, mask);
         }
     }
 }
@@ -92,12 +93,15 @@ impl ErrorFunction for Constant {
     fn apply_columns(
         &mut self,
         batch: &mut ColumnBatch,
+        rows: &[u32],
         attrs: &[usize],
         mask: &[u8],
         _intensities: &[f64],
     ) {
         for &idx in attrs {
-            let stored = batch.column_mut(idx).overwrite_masked(mask, &self.value);
+            let stored = batch
+                .column_mut(idx)
+                .overwrite_masked(rows, mask, &self.value);
             // `validate` checked `dtype.admits(value)` at bind time, so
             // the column's type always matches (or the value is NULL).
             debug_assert!(stored, "constant type mismatch escaped validation");
@@ -194,6 +198,7 @@ impl ErrorFunction for TimestampShift {
     fn apply_columns(
         &mut self,
         batch: &mut ColumnBatch,
+        rows: &[u32],
         attrs: &[usize],
         mask: &[u8],
         _intensities: &[f64],
@@ -204,7 +209,7 @@ impl ErrorFunction for TimestampShift {
             // the row path's `if let Some(Value::Timestamp(..))`.
             batch
                 .column_mut(idx)
-                .map_timestamps_masked(mask, |t| Timestamp(t).saturating_add(delta).millis());
+                .map_timestamps_masked(rows, mask, |t| Timestamp(t).saturating_add(delta).millis());
         }
     }
 }

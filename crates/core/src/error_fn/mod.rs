@@ -69,21 +69,24 @@ pub trait ErrorFunction: Send {
         false
     }
 
-    /// Applies the error to every row of `batch` whose `mask` byte is
-    /// nonzero, using `intensities[row]` as that row's pattern
-    /// intensity. `mask` and `intensities` both have `batch.len()`
-    /// entries; masked-off rows' intensities are unspecified.
+    /// Applies the error to every row `rows[k]` of `batch` whose mask
+    /// byte `mask[k]` is nonzero, using `intensities[k]` as that row's
+    /// pattern intensity, in selection order; rows outside the
+    /// selection are not touched. `mask` and `intensities` both have
+    /// `rows.len()` entries; masked-off positions' intensities are
+    /// unspecified.
     ///
     /// Only called when [`ErrorFunction::has_column_kernel`] is `true`;
     /// the default is unreachable by construction.
     fn apply_columns(
         &mut self,
         batch: &mut ColumnBatch,
+        rows: &[u32],
         attrs: &[usize],
         mask: &[u8],
         intensities: &[f64],
     ) {
-        let _ = (batch, attrs, mask, intensities);
+        let _ = (batch, rows, attrs, mask, intensities);
         unreachable!("apply_columns called on an error function without a column kernel");
     }
 }

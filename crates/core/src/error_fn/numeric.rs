@@ -81,6 +81,7 @@ impl ErrorFunction for GaussianNoise {
     fn apply_columns(
         &mut self,
         batch: &mut ColumnBatch,
+        rows: &[u32],
         attrs: &[usize],
         mask: &[u8],
         intensities: &[f64],
@@ -90,11 +91,12 @@ impl ErrorFunction for GaussianNoise {
         // the loop stays scalar — the win over the trampoline is
         // skipping the column↔tuple materialisation round trip.
         let relative = self.relative;
-        for row in 0..batch.len() {
-            if mask[row] == 0 {
+        for (k, &row) in rows.iter().enumerate() {
+            if mask[k] == 0 {
                 continue;
             }
-            let sigma = self.sigma * intensities[row];
+            let row = row as usize;
+            let sigma = self.sigma * intensities[k];
             if sigma <= 0.0 {
                 continue;
             }
@@ -181,6 +183,7 @@ impl ErrorFunction for UniformMultiplicativeNoise {
     fn apply_columns(
         &mut self,
         batch: &mut ColumnBatch,
+        rows: &[u32],
         attrs: &[usize],
         mask: &[u8],
         intensities: &[f64],
@@ -188,12 +191,13 @@ impl ErrorFunction for UniformMultiplicativeNoise {
         // Stochastic: scalar row-outer loop to preserve the exact draw
         // sequence (`u` iff `b > a`, then always one coin, per valid
         // numeric slot in attr order).
-        for row in 0..batch.len() {
-            if mask[row] == 0 {
+        for (k, &row) in rows.iter().enumerate() {
+            if mask[k] == 0 {
                 continue;
             }
-            let a = self.a_max * intensities[row];
-            let b = self.b_max * intensities[row];
+            let row = row as usize;
+            let a = self.a_max * intensities[k];
+            let b = self.b_max * intensities[k];
             for &idx in attrs {
                 let col = batch.column_mut(idx);
                 if let Some(x) = col.numeric_at(row) {
@@ -251,6 +255,7 @@ impl ErrorFunction for ScaleByFactor {
     fn apply_columns(
         &mut self,
         batch: &mut ColumnBatch,
+        rows: &[u32],
         attrs: &[usize],
         mask: &[u8],
         intensities: &[f64],
@@ -259,7 +264,9 @@ impl ErrorFunction for ScaleByFactor {
         for &idx in attrs {
             batch
                 .column_mut(idx)
-                .map_numeric_masked(mask, |row, x| x * (1.0 + (factor - 1.0) * intensities[row]));
+                .map_numeric_masked(rows, mask, |k, x| {
+                    x * (1.0 + (factor - 1.0) * intensities[k])
+                });
         }
     }
 }
@@ -305,6 +312,7 @@ impl ErrorFunction for UnitConversion {
     fn apply_columns(
         &mut self,
         batch: &mut ColumnBatch,
+        rows: &[u32],
         attrs: &[usize],
         mask: &[u8],
         _intensities: &[f64],
@@ -313,7 +321,7 @@ impl ErrorFunction for UnitConversion {
         for &idx in attrs {
             batch
                 .column_mut(idx)
-                .map_numeric_masked(mask, |_, x| x * factor);
+                .map_numeric_masked(rows, mask, |_, x| x * factor);
         }
     }
 }
@@ -370,6 +378,7 @@ impl ErrorFunction for Outlier {
     fn apply_columns(
         &mut self,
         batch: &mut ColumnBatch,
+        rows: &[u32],
         attrs: &[usize],
         mask: &[u8],
         intensities: &[f64],
@@ -377,11 +386,12 @@ impl ErrorFunction for Outlier {
         // Stochastic: one direction coin per valid numeric slot, in row
         // order — magnitude does not gate the draw (the row path tosses
         // even when the shift is zero).
-        for row in 0..batch.len() {
-            if mask[row] == 0 {
+        for (k, &row) in rows.iter().enumerate() {
+            if mask[k] == 0 {
                 continue;
             }
-            let magnitude = self.magnitude * intensities[row];
+            let row = row as usize;
+            let magnitude = self.magnitude * intensities[k];
             for &idx in attrs {
                 let col = batch.column_mut(idx);
                 if let Some(x) = col.numeric_at(row) {
@@ -428,6 +438,7 @@ impl ErrorFunction for Rounding {
     fn apply_columns(
         &mut self,
         batch: &mut ColumnBatch,
+        rows: &[u32],
         attrs: &[usize],
         mask: &[u8],
         _intensities: &[f64],
@@ -436,7 +447,7 @@ impl ErrorFunction for Rounding {
         for &idx in attrs {
             batch
                 .column_mut(idx)
-                .map_numeric_masked(mask, |_, x| (x * scale).round() / scale);
+                .map_numeric_masked(rows, mask, |_, x| (x * scale).round() / scale);
         }
     }
 }

@@ -246,28 +246,31 @@ impl StandardPolluter {
         self.condition.has_column_kernel() && self.error_fn.has_column_kernel()
     }
 
-    /// The whole-batch form of [`StandardPolluter::process_in_place`]
-    /// (logging disabled): evaluate the condition over all rows into a
-    /// byte mask, draw pattern intensities for the masked rows in row
-    /// order, then hand the surviving mask to the error function's
-    /// column kernel. Each component owns a private RNG, so running the
-    /// three phases batch-at-a-time instead of interleaved per row
-    /// leaves every RNG's draw sequence unchanged — the byte-identity
-    /// argument is spelled out in `docs/kernels.md`.
+    /// The column form of [`StandardPolluter::process_in_place`]
+    /// (logging disabled) over the rows of `batch` that `rows` selects:
+    /// evaluate the condition over the selection into a byte mask, draw
+    /// pattern intensities for the masked rows in selection order, then
+    /// hand the surviving mask to the error function's column kernel.
+    /// Each component owns a private RNG and draws once per selected
+    /// row in selection order, so running the three phases
+    /// selection-at-a-time instead of interleaved per row leaves every
+    /// RNG's draw sequence what the row path over the same rows draws —
+    /// the byte-identity argument is spelled out in `docs/kernels.md`.
     ///
     /// `mask` and `intensities` are caller-owned scratch, resized to
-    /// `batch.len()` here.
+    /// `rows.len()` here and indexed by position in the selection.
     pub fn process_columns(
         &mut self,
         batch: &mut ColumnBatch,
+        rows: &[u32],
         mask: &mut Vec<u8>,
         intensities: &mut Vec<f64>,
     ) {
-        let n = batch.len();
+        let n = rows.len();
         self.counts.condition_evals += n as u64;
         mask.clear();
         mask.resize(n, 0);
-        self.condition.evaluate_columns(batch, mask);
+        self.condition.evaluate_columns(batch, rows, mask);
         intensities.clear();
         let mut fires: u64 = 0;
         if matches!(self.pattern, ChangePattern::Constant) {
@@ -277,18 +280,19 @@ impl StandardPolluter {
             fires = mask.iter().filter(|&&m| m != 0).count() as u64;
         } else {
             intensities.resize(n, 0.0);
-            for row in 0..n {
-                if mask[row] == 0 {
+            let taus = batch.taus();
+            for (k, &row) in rows.iter().enumerate() {
+                if mask[k] == 0 {
                     continue;
                 }
                 let i = self
                     .pattern
-                    .intensity(Timestamp(batch.taus()[row]), &mut self.pattern_rng);
+                    .intensity(Timestamp(taus[row as usize]), &mut self.pattern_rng);
                 if i > 0.0 {
-                    intensities[row] = i;
+                    intensities[k] = i;
                     fires += 1;
                 } else {
-                    mask[row] = 0;
+                    mask[k] = 0;
                 }
             }
         }
@@ -296,7 +300,7 @@ impl StandardPolluter {
         self.counts.skips += n as u64 - fires;
         if fires > 0 {
             self.error_fn
-                .apply_columns(batch, &self.attrs, mask, intensities);
+                .apply_columns(batch, rows, &self.attrs, mask, intensities);
         }
     }
 }

@@ -24,11 +24,15 @@
 //! A sub-stream's pipeline is a row [`PollutionPipeline`] or, in a
 //! session opened [lowered](crate::PhysicalPlan::open_streaming_lowered)
 //! on a column-exact plan, a [`ColumnPipeline`]: a schema-typed
-//! [`ColumnBatch`] pushed whole is then stamped in place, routed row by
-//! row and polluted by column kernels in place, and its rows are
-//! released as [`ReleasedRow::Column`]s pointing into the buffers the
-//! kernels wrote. Rows pushed as tuples are owned by the sorter until
-//! they are released.
+//! [`ColumnBatch`] pushed whole is then stamped in place and routed row
+//! by row, and each sub-stream's column kernels pollute its row
+//! selection of that one batch where it was decoded — only a
+//! sub-stream that shares rows with an earlier one (broadcast,
+//! probabilistic) works on a copy of its rows. The rows are released as
+//! [`ReleasedRow::Column`]s pointing into the buffers the kernels
+//! wrote; under round-robin, a chunk released in input order holds one
+//! run of consecutive rows per batch it spans. Rows pushed as tuples
+//! are owned by the sorter until they are released.
 //!
 //! A session runs the loop on the thread that pushes, so it needs no
 //! barrier to take a consistent checkpoint: after every `interval`-th
@@ -117,7 +121,9 @@ impl ReleasedRow<'_> {
 }
 
 /// What the sorter holds for a row: a tuple it owns, or where a row of
-/// a polluted batch lives.
+/// a polluted batch lives — its segment (see [`Segments`]) and its
+/// index there: the original row of a batch polluted in place, the
+/// position in a copy.
 enum Held {
     Tuple(StampedTuple),
     Row {
@@ -177,7 +183,8 @@ struct SubstreamState {
 
 /// Every polluted batch some of whose rows are still held or undrained,
 /// numbered in push order, and how many of its rows are still to be
-/// handed out.
+/// handed out: a pushed batch counts the rows its sub-streams polluted
+/// in place, a copy cut for a sub-stream every row of it.
 #[derive(Default)]
 struct Segments {
     first: u64,
@@ -921,8 +928,11 @@ impl StreamingSession {
     /// session schema (NULL, or of their column's type, in every
     /// column), their stamps yet to be assigned. A
     /// [lowered](StreamingSession::lowered) session stamps the batch in
-    /// place, routes it and pollutes it with the column kernels; any
-    /// other takes its rows one tuple at a time.
+    /// place, routes it, and pollutes it where it is: each sub-stream's
+    /// column kernels run over its row selection of the batch. Only a
+    /// sub-stream that shares a row with an earlier one (a broadcast or
+    /// probabilistic assigner) gets a copy of its rows. Any other
+    /// session takes the rows one tuple at a time.
     pub fn push_batch(&mut self, mut batch: ColumnBatch) {
         if !self.lowered() {
             for row in batch.into_rows() {
@@ -945,10 +955,11 @@ impl StreamingSession {
         if let Err(payload) = catch_unwind(AssertUnwindSafe(|| prepare.prepare_batch(&mut batch))) {
             return self.stop(StageError::from_panic(&self.source.label, payload));
         }
-        // Each row's memberships as (sub-stream, position in that
-        // sub-stream's rows), and where they end.
+        // Each sub-stream's route (its rows, in row order), and each
+        // row's memberships as (sub-stream, position in that route),
+        // with where they end.
         let m = self.subs.len();
-        let mut routes: Vec<Vec<usize>> = vec![Vec::new(); m];
+        let mut routes: Vec<Vec<u32>> = vec![Vec::new(); m];
         let mut members: Vec<(u32, u32)> = Vec::with_capacity(n);
         let mut member_ends: Vec<usize> = Vec::with_capacity(n);
         for (row, &id) in batch.ids().iter().enumerate() {
@@ -957,52 +968,76 @@ impl StreamingSession {
             }
             for &i in &self.source.membership {
                 members.push((i as u32, routes[i].len() as u32));
-                routes[i].push(row);
+                routes[i].push(row as u32);
             }
             member_ends.push(members.len());
         }
         self.source.sends.add(members.len() as u64);
         let arrivals: Vec<Timestamp> = batch.arrivals().iter().map(|&ms| Timestamp(ms)).collect();
-        // The last sub-stream that takes rows takes the batch itself
-        // when it takes all of them; every other one gets its rows
-        // copied out — their strings moved, when each row goes one way.
-        let last = routes.iter().rposition(|route| !route.is_empty());
-        let disjoint = member_ends.iter().enumerate().all(|(k, &end)| end == k + 1);
-        let mut batch = Some(batch);
-        let mut segment_of = vec![0; m];
+        // A sub-stream pollutes its route in place unless one of its
+        // rows is an earlier sub-stream's to write; then it gets a copy
+        // of its rows, cut before any kernel writes the batch.
+        let mut written = vec![false; n];
+        let mut copies: Vec<Option<ColumnBatch>> = routes
+            .iter()
+            .map(|route| {
+                if route.iter().any(|&row| written[row as usize]) {
+                    return Some(batch.select(route));
+                }
+                for &row in route {
+                    written[row as usize] = true;
+                }
+                None
+            })
+            .collect();
         for (i, route) in routes.iter().enumerate() {
             if route.is_empty() {
                 continue;
             }
-            let all = route.len() == n && route.iter().enumerate().all(|(k, &row)| k == row);
-            let mut rows = if all && Some(i) == last {
-                batch.take().expect("the last user takes the batch")
-            } else {
-                let source = batch.as_mut().expect("the last user takes the batch");
-                match (all, disjoint) {
-                    (true, _) => source.clone(),
-                    (false, true) => source.take_rows(route),
-                    (false, false) => source.select(route),
-                }
-            };
             let sub = &mut self.subs[i];
             let Pipeline::Columns(pipeline) = &mut sub.pipeline else {
                 unreachable!("a lowered session's sub-streams run columns");
             };
             let log = &mut sub.log;
-            if let Err(e) = sub
-                .stage
-                .run(rows.len(), || pipeline.process_batch(&mut rows, log))
-            {
+            let result = match &mut copies[i] {
+                Some(copy) => sub
+                    .stage
+                    .run(route.len(), || pipeline.process_batch(copy, log)),
+                None => sub.stage.run(route.len(), || {
+                    pipeline.process_rows(&mut batch, route, log)
+                }),
+            };
+            if let Err(e) = result {
                 sub.pipeline_failed = true;
                 return self.fail(e);
             }
-            sub.stage.metrics.elements_out.add(rows.len() as u64);
-            rows.set_sub_stream(i as u32);
-            self.kernel_rows.add(rows.len() as u64);
-            segment_of[i] = self.merge.segments.push(rows, route.len());
+            sub.stage.metrics.elements_out.add(route.len() as u64);
+            self.kernel_rows.add(route.len() as u64);
         }
-        drop(batch);
+        // The sorter holds a row as (segment, row): the pushed batch and
+        // the row's own index for a row polluted in place, a copy and
+        // the row's position in it otherwise. The pushed batch lives
+        // until the last row polluted in place is drained.
+        let copied: Vec<bool> = copies.iter().map(Option::is_some).collect();
+        let mut in_place = 0;
+        for (i, route) in routes.iter().enumerate() {
+            if !copied[i] {
+                batch.set_sub_stream_of(route, i as u32);
+                in_place += route.len();
+            }
+        }
+        let home = if in_place > 0 {
+            self.merge.segments.push(batch, in_place)
+        } else {
+            0
+        };
+        let mut segment_of = vec![home; m];
+        for (i, copy) in copies.into_iter().enumerate() {
+            if let Some(mut copy) = copy {
+                copy.set_sub_stream(i as u32);
+                segment_of[i] = self.merge.segments.push(copy, routes[i].len());
+            }
+        }
         // The rows enter the sorter in row order, each row's
         // memberships in the order the assigner named them, with the
         // watermarks the rows close.
@@ -1019,7 +1054,11 @@ impl StreamingSession {
                     arrival,
                     sub_stream: i,
                     segment: segment_of[i as usize],
-                    row: position,
+                    row: if copied[i as usize] {
+                        position
+                    } else {
+                        row as u32
+                    },
                 };
                 self.merge.sorter.on_element(held);
             }
@@ -1417,6 +1456,94 @@ mod tests {
             .err()
             .expect("so do columns");
         assert_eq!(columns.to_string(), rows.to_string());
+    }
+
+    /// `n` in-order rows of the test schema as one batch, its stamps
+    /// yet to be assigned.
+    fn in_order_batch(n: i64) -> ColumnBatch {
+        let rows = (0..n)
+            .map(|i| {
+                StampedTuple::new(
+                    0,
+                    Timestamp(0),
+                    Tuple::new(vec![
+                        Value::Timestamp(Timestamp(i * 1000)),
+                        Value::Float(i as f64),
+                    ]),
+                )
+            })
+            .collect();
+        ColumnBatch::from_rows(&schema(), rows).unwrap()
+    }
+
+    /// Pushes `batch` through a lowered session of `plan` and returns,
+    /// per released chunk, where each row lives: the address of its
+    /// batch's id buffer and its row there (`None` for a tuple row).
+    fn released_homes(plan: LogicalPlan, batch: ColumnBatch) -> Vec<Vec<Option<(usize, usize)>>> {
+        let mut session = plan
+            .compile(&schema())
+            .unwrap()
+            .open_streaming_lowered()
+            .unwrap();
+        assert!(session.lowered());
+        let mut chunks = Vec::new();
+        let mut note = |chunk: &[ReleasedRow<'_>]| {
+            chunks.push(
+                chunk
+                    .iter()
+                    .map(|row| match row {
+                        ReleasedRow::Column(batch, row) => {
+                            Some((batch.ids().as_ptr() as usize, *row))
+                        }
+                        ReleasedRow::Tuple(_) => None,
+                    })
+                    .collect(),
+            );
+        };
+        session.push_batch(batch);
+        session.drain(&mut note);
+        session.finish(&mut note).unwrap();
+        chunks
+    }
+
+    fn four_noisy(assigner: crate::plan::AssignerSpec) -> LogicalPlan {
+        LogicalPlan {
+            logging: false,
+            assigner,
+            ..LogicalPlan::new(3, vec![vec![noise()]; 4])
+        }
+    }
+
+    #[test]
+    fn round_robin_rows_are_polluted_and_released_in_the_pushed_batch() {
+        let batch = in_order_batch(1000);
+        let pushed = batch.ids().as_ptr() as usize;
+        let chunks = released_homes(four_noisy(crate::plan::AssignerSpec::RoundRobin), batch);
+        assert_eq!(chunks.iter().map(Vec::len).sum::<usize>(), 1000);
+        for chunk in &chunks {
+            let rows: Vec<(usize, usize)> =
+                chunk.iter().map(|row| row.expect("a batch row")).collect();
+            let (home, first) = rows[0];
+            assert_eq!(home, pushed, "no row lives in a copy");
+            for (k, &row) in rows.iter().enumerate() {
+                assert_eq!(row, (pushed, first + k), "one consecutive run per chunk");
+            }
+        }
+    }
+
+    #[test]
+    fn broadcast_cuts_one_copy_per_sub_stream_after_the_first() {
+        let batch = in_order_batch(300);
+        let pushed = batch.ids().as_ptr() as usize;
+        let chunks = released_homes(four_noisy(crate::plan::AssignerSpec::Broadcast), batch);
+        let homes: std::collections::BTreeSet<usize> = chunks
+            .iter()
+            .flatten()
+            .map(|row| row.expect("a batch row").0)
+            .collect();
+        assert_eq!(chunks.iter().map(Vec::len).sum::<usize>(), 4 * 300);
+        assert_eq!(homes.len(), 4, "the pushed batch and m - 1 copies");
+        assert!(homes.contains(&pushed));
     }
 
     #[test]

@@ -93,7 +93,8 @@ use icewafl_types::{
 };
 use serde::{Deserialize, Serialize};
 use serde_json::{write_float, write_i64, write_string, write_u64, JsonStr, Lexer, Token};
-use std::{iter, mem};
+use std::ops::Range;
+use std::{iter, mem, ptr};
 
 /// Binary frame tag: client → server, one [`Tuple`] payload.
 pub const TAG_TUPLE: u8 = 1;
@@ -551,104 +552,153 @@ fn take_row(cells: &mut [Value], row: usize, arity: usize) -> Tuple {
         .collect()
 }
 
-/// A value of a polluted batch, as [`put_value`] writes the value it
-/// reads as.
-fn put_cell(out: &mut Vec<u8>, column: &Column, row: usize) {
-    if !column.is_valid(row) {
-        out.push(VAL_NULL);
-        return;
+/// The values of rows `rows` of a polluted batch's column, each as
+/// [`put_value`] writes the value it reads as: one typed loop per
+/// column type.
+fn put_column(out: &mut Vec<u8>, column: &Column, rows: Range<usize>) {
+    fn cells(
+        out: &mut Vec<u8>,
+        column: &Column,
+        rows: Range<usize>,
+        mut put: impl FnMut(&mut Vec<u8>, usize),
+    ) {
+        for row in rows {
+            if column.is_valid(row) {
+                put(out, row);
+            } else {
+                out.push(VAL_NULL);
+            }
+        }
     }
     match column.data() {
-        ColumnData::Bool(v) => out.extend_from_slice(&[VAL_BOOL, u8::from(v[row])]),
-        ColumnData::Int(v) => put_word(out, VAL_INT, v[row].to_le_bytes()),
-        ColumnData::Float(v) => put_word(out, VAL_FLOAT, v[row].to_bits().to_le_bytes()),
-        ColumnData::Str(v) => put_str(out, &v[row]),
-        ColumnData::Timestamp(v) => put_word(out, VAL_TIMESTAMP, v[row].to_le_bytes()),
-    }
-}
-
-/// A polluted row an output frame is encoded from: a stamped tuple, or
-/// a row a session released, which may live in a column buffer. Both
-/// encode to the same bytes.
-trait OutputRow {
-    /// `(id, tau, arrival, sub_stream)`.
-    fn stamp(&self) -> (u64, Timestamp, Timestamp, u32);
-    fn arity(&self) -> usize;
-    fn put_value(&self, out: &mut Vec<u8>, col: usize);
-}
-
-impl OutputRow for StampedTuple {
-    fn stamp(&self) -> (u64, Timestamp, Timestamp, u32) {
-        (self.id, self.tau, self.arrival, self.sub_stream)
-    }
-
-    fn arity(&self) -> usize {
-        self.tuple.len()
-    }
-
-    fn put_value(&self, out: &mut Vec<u8>, col: usize) {
-        put_value(out, &self.tuple.values()[col]);
-    }
-}
-
-impl OutputRow for ReleasedRow<'_> {
-    fn stamp(&self) -> (u64, Timestamp, Timestamp, u32) {
-        match self {
-            ReleasedRow::Column(batch, row) => batch.stamp(*row),
-            ReleasedRow::Tuple(t) => t.stamp(),
-        }
-    }
-
-    fn arity(&self) -> usize {
-        ReleasedRow::arity(self)
-    }
-
-    fn put_value(&self, out: &mut Vec<u8>, col: usize) {
-        match self {
-            ReleasedRow::Column(batch, row) => put_cell(out, batch.column(col), *row),
-            ReleasedRow::Tuple(t) => t.put_value(out, col),
-        }
+        ColumnData::Bool(v) => cells(out, column, rows, |out, row| {
+            out.extend_from_slice(&[VAL_BOOL, u8::from(v[row])]);
+        }),
+        ColumnData::Int(v) => cells(out, column, rows, |out, row| {
+            put_word(out, VAL_INT, v[row].to_le_bytes());
+        }),
+        ColumnData::Float(v) => cells(out, column, rows, |out, row| {
+            put_word(out, VAL_FLOAT, v[row].to_bits().to_le_bytes());
+        }),
+        ColumnData::Str(v) => cells(out, column, rows, |out, row| put_str(out, &v[row])),
+        ColumnData::Timestamp(v) => cells(out, column, rows, |out, row| {
+            put_word(out, VAL_TIMESTAMP, v[row].to_le_bytes());
+        }),
     }
 }
 
 /// The stamped-tuple payload of one row (see [`encode_stamped`]).
-fn put_stamped<R: OutputRow>(out: &mut Vec<u8>, row: &R) {
-    let (id, tau, arrival, sub_stream) = row.stamp();
+fn put_stamped(out: &mut Vec<u8>, row: &ReleasedRow<'_>) {
+    let (id, tau, arrival, sub_stream) = match *row {
+        ReleasedRow::Column(batch, row) => batch.stamp(row),
+        ReleasedRow::Tuple(t) => (t.id, t.tau, t.arrival, t.sub_stream),
+    };
     out.extend_from_slice(&id.to_le_bytes());
     out.extend_from_slice(&tau.0.to_le_bytes());
     out.extend_from_slice(&arrival.0.to_le_bytes());
     out.extend_from_slice(&sub_stream.to_le_bytes());
     let arity = row.arity();
     out.extend_from_slice(&(arity as u16).to_le_bytes());
+    let run = Run::of(*row);
     for col in 0..arity {
-        row.put_value(out, col);
+        run.put_column(out, col);
+    }
+}
+
+/// A stretch of polluted rows that the encoder writes column by column
+/// in one go: rows `.1` of one batch, released one after the other, or
+/// a row that lives as a tuple.
+enum Run<'a> {
+    Rows(&'a ColumnBatch, Range<usize>),
+    Tuple(&'a StampedTuple),
+}
+
+impl<'a> Run<'a> {
+    fn of(row: ReleasedRow<'a>) -> Self {
+        match row {
+            ReleasedRow::Column(batch, row) => Run::Rows(batch, row..row + 1),
+            ReleasedRow::Tuple(t) => Run::Tuple(t),
+        }
+    }
+
+    /// The run's values of column `col`, in row order.
+    fn put_column(&self, out: &mut Vec<u8>, col: usize) {
+        match self {
+            Run::Rows(batch, rows) => put_column(out, batch.column(col), rows.clone()),
+            Run::Tuple(t) => put_value(out, &t.tuple.values()[col]),
+        }
+    }
+}
+
+/// Cuts rows into [`Run`]s: consecutive rows that are consecutive rows
+/// of one batch (the same batch, not an equal one) form one.
+fn released_runs<'a>(rows: &[ReleasedRow<'a>]) -> Vec<Run<'a>> {
+    let mut runs: Vec<Run<'a>> = Vec::new();
+    for &row in rows {
+        if let (Some(Run::Rows(last, rows)), ReleasedRow::Column(batch, row)) =
+            (runs.last_mut(), row)
+        {
+            if ptr::eq(*last, batch) && rows.end == row {
+                rows.end += 1;
+                continue;
+            }
+        }
+        runs.push(Run::of(row));
+    }
+    runs
+}
+
+/// One stamp field of every row of `runs`, in order: a slice of the
+/// batch's stamp column per run of batch rows.
+fn put_stamp_field<T: Copy, const W: usize>(
+    out: &mut Vec<u8>,
+    runs: &[Run<'_>],
+    of_batch: impl Fn(&ColumnBatch) -> &[T],
+    of_tuple: impl Fn(&StampedTuple) -> T,
+    bytes: impl Fn(T) -> [u8; W],
+) {
+    for run in runs {
+        match run {
+            Run::Rows(batch, rows) => {
+                for &x in &of_batch(batch)[rows.clone()] {
+                    out.extend_from_slice(&bytes(x));
+                }
+            }
+            Run::Tuple(t) => out.extend_from_slice(&bytes(of_tuple(t))),
+        }
     }
 }
 
 /// The columnar payload of rows that share one arity (see
-/// [`encode_columns`]).
-fn put_columns<R: OutputRow>(out: &mut Vec<u8>, rows: &[R]) {
-    let arity = rows.first().map_or(0, R::arity);
+/// [`encode_columns`]), written run by run (see [`released_runs`]):
+/// each column of a run of batch rows in one typed loop, a tuple row
+/// value by value.
+fn put_columns(out: &mut Vec<u8>, rows: &[ReleasedRow<'_>]) {
+    let arity = rows.first().map_or(0, ReleasedRow::arity);
     // Stamps and every value at its widest but strings.
     out.reserve(6 + rows.len() * (28 + 9 * arity));
     out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
-    let stamps: Vec<_> = rows.iter().map(R::stamp).collect();
-    for (id, ..) in &stamps {
-        out.extend_from_slice(&id.to_le_bytes());
-    }
-    for (_, tau, ..) in &stamps {
-        out.extend_from_slice(&tau.0.to_le_bytes());
-    }
-    for (_, _, arrival, _) in &stamps {
-        out.extend_from_slice(&arrival.0.to_le_bytes());
-    }
-    for (.., sub_stream) in &stamps {
-        out.extend_from_slice(&sub_stream.to_le_bytes());
-    }
+    let runs = released_runs(rows);
+    put_stamp_field(out, &runs, ColumnBatch::ids, |t| t.id, u64::to_le_bytes);
+    put_stamp_field(out, &runs, ColumnBatch::taus, |t| t.tau.0, i64::to_le_bytes);
+    put_stamp_field(
+        out,
+        &runs,
+        ColumnBatch::arrivals,
+        |t| t.arrival.0,
+        i64::to_le_bytes,
+    );
+    put_stamp_field(
+        out,
+        &runs,
+        ColumnBatch::sub_streams,
+        |t| t.sub_stream,
+        u32::to_le_bytes,
+    );
     out.extend_from_slice(&(arity as u16).to_le_bytes());
     for col in 0..arity {
-        for r in rows {
-            r.put_value(out, col);
+        for run in &runs {
+            run.put_column(out, col);
         }
     }
 }
@@ -680,7 +730,8 @@ pub(crate) fn arity_runs<T>(
 /// more and [`TAG_STAMPED`] for a single row. Returns how many frames
 /// it wrote. A chunk of one arity is one frame, the bytes of
 /// [`encode_columns_frame`] or [`encode_stamped_frame`] for its rows as
-/// tuples.
+/// tuples. A columnar frame is written column-major over runs of
+/// consecutive rows of one batch, not cell by cell.
 pub fn encode_released_frames(out: &mut Vec<u8>, chunk: &[ReleasedRow<'_>]) -> u64 {
     let mut frames = 0;
     for run in arity_runs(chunk, usize::MAX, ReleasedRow::arity) {
@@ -741,7 +792,7 @@ pub fn decode_tuple(buf: &[u8]) -> Result<Tuple, NetError> {
 /// `arrival`, `sub_stream`, then the tuple).
 pub fn encode_stamped(t: &StampedTuple) -> Vec<u8> {
     let mut out = Vec::with_capacity(30 + t.tuple.values().len() * 9);
-    put_stamped(&mut out, t);
+    put_stamped(&mut out, &ReleasedRow::Tuple(t));
     out
 }
 
@@ -774,14 +825,14 @@ pub fn decode_stamped(buf: &[u8]) -> Result<StampedTuple, NetError> {
 /// server cuts a unit of mixed arity into one frame per run of equal
 /// arity instead.
 pub fn encode_columns(batch: &[StampedTuple]) -> Vec<u8> {
-    let rows = batch.len();
     let arity = batch.first().map_or(0, |t| t.tuple.values().len());
     assert!(
         batch.iter().all(|t| t.tuple.values().len() == arity),
         "columnar frames require a uniform arity"
     );
-    let mut out = Vec::with_capacity(4 + rows * 28 + 2 + rows * arity * 9);
-    put_columns(&mut out, batch);
+    let rows: Vec<ReleasedRow<'_>> = batch.iter().map(ReleasedRow::Tuple).collect();
+    let mut out = Vec::new();
+    put_columns(&mut out, &rows);
     out
 }
 
@@ -1760,6 +1811,135 @@ mod tests {
             ServerEvent::Batch(back) => assert_eq!(back, batch),
             other => panic!("columnar frame decoded as {other:?}"),
         }
+    }
+
+    /// A polluted batch of `n` rows over (Time, station, PM, count,
+    /// ok), NULLs sprinkled per column, its values and stamps a
+    /// function of `salt` so two batches never agree on a row.
+    fn released_batch(n: u64, salt: u64) -> ColumnBatch {
+        let schema = Schema::from_pairs([
+            ("Time", DataType::Timestamp),
+            ("station", DataType::Str),
+            ("PM", DataType::Float),
+            ("count", DataType::Int),
+            ("ok", DataType::Bool),
+        ])
+        .unwrap();
+        let rows = (0..n)
+            .map(|i| {
+                let k = i + 1000 * salt;
+                let null = |m: u64| (k + m).is_multiple_of(5 + m);
+                let value = |m: u64, v: Value| if null(m) { Value::Null } else { v };
+                stamped(
+                    k,
+                    vec![
+                        value(0, Value::Timestamp(Timestamp(k as i64 * 60_000))),
+                        value(1, Value::Str(format!("st{}", k % 7).into())),
+                        value(2, Value::Float(k as f64 * 0.37 - 4.0)),
+                        value(3, Value::Int(k as i64 * 3 - 50)),
+                        value(4, Value::Bool(k.is_multiple_of(2))),
+                    ],
+                )
+            })
+            .collect();
+        ColumnBatch::from_rows(&schema, rows).unwrap()
+    }
+
+    /// What [`encode_released_frames`] must write for `chunk`: the
+    /// per-row reference, every row as a stamped tuple, one columnar
+    /// frame per run of two or more rows of one arity and a stamped
+    /// frame per lone row.
+    fn per_row_frames(chunk: &[ReleasedRow<'_>]) -> (Vec<u8>, u64) {
+        let mut out = Vec::new();
+        let mut frames = 0;
+        for run in arity_runs(chunk, usize::MAX, ReleasedRow::arity) {
+            let rows: Vec<StampedTuple> = run.iter().map(ReleasedRow::to_stamped).collect();
+            let frame = if rows.len() >= 2 {
+                encode_columns_frame(&rows)
+            } else {
+                encode_stamped_frame(&rows[0], WireFormat::Binary)
+            };
+            out.extend(icewafl_stream::net::frame_bytes(&frame));
+            frames += 1;
+        }
+        (out, frames)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Chunks that mix runs of two batches, gaps, reversed and
+        /// repeated rows, tuple rows and arity changes encode to the
+        /// bytes of the per-row reference.
+        #[test]
+        fn released_frames_equal_the_per_row_reference(seed in 0u64..u64::MAX, pieces in 1usize..12) {
+            let batches = [released_batch(70, 1), released_batch(70, 2)];
+            let wide = stamped(7, vec![Value::Int(1), Value::Null, Value::Str("t".into()),
+                Value::Float(2.5), Value::Bool(true)]);
+            let narrow = stamped(8, vec![Value::Timestamp(Timestamp(9)), Value::Int(4)]);
+            let mut state = seed | 1;
+            let mut next = |bound: usize| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 33) as usize % bound
+            };
+            let mut chunk: Vec<ReleasedRow<'_>> = Vec::new();
+            for _ in 0..pieces {
+                let batch = &batches[next(2)];
+                let start = next(60);
+                let len = 1 + next(10);
+                match next(6) {
+                    // A run, possibly right after the last row of the
+                    // other batch or of this one (continuing it).
+                    0 | 1 => chunk.extend((start..start + len).map(|r| ReleasedRow::Column(batch, r))),
+                    // Rows with gaps between them.
+                    2 => chunk.extend(
+                        (start..start + len).step_by(2).map(|r| ReleasedRow::Column(batch, r)),
+                    ),
+                    // Reversed and repeated rows.
+                    3 => {
+                        chunk.extend((start..start + len).rev().map(|r| ReleasedRow::Column(batch, r)));
+                        chunk.push(ReleasedRow::Column(batch, start));
+                    }
+                    // A tuple of the batch's arity between batch rows.
+                    4 => chunk.push(ReleasedRow::Tuple(&wide)),
+                    // A tuple of another arity.
+                    _ => chunk.push(ReleasedRow::Tuple(&narrow)),
+                }
+            }
+            let mut out = vec![0xAB];
+            let frames = encode_released_frames(&mut out, &chunk);
+            let (expected, expected_frames) = per_row_frames(&chunk);
+            proptest::prop_assert_eq!(out[0], 0xAB, "appends to what the buffer holds");
+            proptest::prop_assert_eq!(&out[1..], &expected[..]);
+            proptest::prop_assert_eq!(frames, expected_frames);
+        }
+    }
+
+    #[test]
+    fn a_run_that_crosses_into_another_batch_is_cut_there() {
+        let (a, b) = (released_batch(8, 1), released_batch(8, 2));
+        // Row 3 of `a` then row 4 of `b`: consecutive indices, not one
+        // run; and `a` again after a gap.
+        let chunk = [
+            ReleasedRow::Column(&a, 2),
+            ReleasedRow::Column(&a, 3),
+            ReleasedRow::Column(&b, 4),
+            ReleasedRow::Column(&b, 5),
+            ReleasedRow::Column(&a, 7),
+        ];
+        let runs: Vec<(usize, Range<usize>)> = released_runs(&chunk)
+            .into_iter()
+            .map(|run| match run {
+                Run::Rows(batch, rows) => (usize::from(ptr::eq(batch, &b)), rows),
+                Run::Tuple(_) => unreachable!("no tuple rows here"),
+            })
+            .collect();
+        assert_eq!(runs, [(0, 2..4), (1, 4..6), (0, 7..8)]);
+        let mut out = Vec::new();
+        assert_eq!(encode_released_frames(&mut out, &chunk), 1);
+        assert_eq!(out, per_row_frames(&chunk).0);
     }
 
     #[test]

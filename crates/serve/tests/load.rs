@@ -4,10 +4,13 @@
 //! arbitrarily fragmented reads. This file doubles as the CI serve load
 //! smoke.
 
+mod settle;
+
 use icewafl_core::config::{ConditionConfig, ErrorConfig, PolluterConfig};
 use icewafl_core::plan::LogicalPlan;
 use icewafl_serve::{client, ClientConfig, Handshake, ServeConfig, Server};
 use icewafl_types::{DataType, Schema, Timestamp, Tuple, Value};
+use settle::settled;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -142,7 +145,7 @@ fn load_smoke_256_sessions_byte_identical_to_offline() {
         assert_eq!(served, offline_bytes, "served bytes diverged from offline");
     }
 
-    let snapshot = server.server.registry().snapshot();
+    let snapshot = settled(server.server.registry());
     assert_eq!(
         snapshot.counter("serve/sessions_completed"),
         SESSIONS as u64
@@ -247,7 +250,7 @@ fn bad_sessions_kill_only_themselves_among_100_siblings() {
         assert!(outcome.completed(), "sibling failed: {:?}", outcome.error);
         assert_eq!(outcome.tuples, offline.polluted);
     }
-    let snapshot = server.server.registry().snapshot();
+    let snapshot = settled(server.server.registry());
     assert_eq!(
         snapshot.counter("serve/sessions_completed"),
         SIBLINGS as u64

@@ -2,6 +2,8 @@
 //! identity, protocol robustness (malformed / oversized / disconnect),
 //! capacity limits, and concurrent sessions with a slow reader.
 
+mod settle;
+
 use icewafl_core::config::{ConditionConfig, ErrorConfig, PolluterConfig};
 use icewafl_core::plan::LogicalPlan;
 use icewafl_core::PlanCatalog;
@@ -11,6 +13,7 @@ use icewafl_serve::{
 };
 use icewafl_stream::net::WireFormat;
 use icewafl_types::{DataType, Schema, Timestamp, Tuple, Value};
+use settle::settled;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -470,7 +473,7 @@ fn concurrent_sessions_with_a_slow_reader_do_not_interfere() {
         assert_eq!(outcome.tuples, offline.polluted);
     }
 
-    let snapshot = server.server.registry().snapshot();
+    let snapshot = settled(server.server.registry());
     assert_eq!(snapshot.counter("serve/sessions_completed"), 8);
     assert_eq!(snapshot.counter("serve/sessions_failed"), 0);
     assert_eq!(snapshot.gauge("serve/sessions_active"), 0);

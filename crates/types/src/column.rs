@@ -20,24 +20,28 @@
 //! byte, which is what lets the columnar execution path share the
 //! engine's pinned byte-identical-output invariants.
 //!
-//! # Masks
+//! # Selections and masks
 //!
-//! Vectorized kernels describe row subsets with two representations
-//! that this module converts between:
+//! Kernels run over a **row selection** of a batch: `rows: &[u32]`,
+//! the row indices a sub-stream owns, in the order it takes them (all
+//! of `0..len` when it owns the whole batch). Within a selection they
+//! describe row subsets with two representations that this module
+//! converts between:
 //!
 //! * the **validity bitmap** every [`Column`] carries (one bit per row,
 //!   little-endian within `u64` words; a set bit means the slot holds a
 //!   value), and
-//! * **byte masks** (`&[u8]`, one byte per row, `0` = excluded,
-//!   non-zero = selected) — the form condition kernels fill and error
-//!   kernels consume, chosen so the select loops below compile to
-//!   branch-free SIMD compares instead of per-row bit extraction.
+//! * **byte masks** (`&[u8]`, one byte per *position in the selection*,
+//!   `0` = excluded, non-zero = selected) — the form condition kernels
+//!   fill and error kernels consume, chosen so the select loops below
+//!   are branch-free instead of per-row bit tests and jumps.
 //!
-//! [`Column::fill_validity_mask`] expands the bitmap into a byte mask,
-//! [`Column::mask_and_validity`] intersects a byte mask with the
-//! bitmap, and [`Column::clear_validity_masked`] /
+//! [`Column::fill_validity_mask`] expands the bitmap of the selected
+//! rows into a byte mask, [`Column::mask_and_validity`] intersects a
+//! byte mask with it, and [`Column::clear_validity_masked`] /
 //! [`Column::set_validity_masked`] fold a byte mask back into the
-//! bitmap word-wise (64 rows per `u64` operation).
+//! bitmap. Every masked operation takes the selection and a mask of
+//! the same length; `mask[k]` speaks for row `rows[k]`.
 
 use crate::schema::{DataType, Schema};
 use crate::text::Text;
@@ -234,9 +238,9 @@ impl Column {
 
     /// The rows at `rows`, in that order, as a new column; strings are
     /// shared with this one.
-    fn gather(&self, rows: &[usize]) -> Column {
-        fn pick<T: Clone>(v: &[T], rows: &[usize]) -> Vec<T> {
-            rows.iter().map(|&r| v[r].clone()).collect()
+    fn gather(&self, rows: &[u32]) -> Column {
+        fn pick<T: Clone>(v: &[T], rows: &[u32]) -> Vec<T> {
+            rows.iter().map(|&r| v[r as usize].clone()).collect()
         }
         let data = match &self.data {
             ColumnData::Bool(v) => ColumnData::Bool(pick(v, rows)),
@@ -251,23 +255,10 @@ impl Column {
         }
     }
 
-    /// [`Column::gather`] that moves the strings out, leaving empty ones
-    /// behind.
-    fn gather_taking(&mut self, rows: &[usize]) -> Column {
-        let validity = self.gather_validity(rows);
-        match &mut self.data {
-            ColumnData::Str(v) => Column {
-                data: ColumnData::Str(rows.iter().map(|&r| std::mem::take(&mut v[r])).collect()),
-                validity,
-            },
-            _ => self.gather(rows),
-        }
-    }
-
-    fn gather_validity(&self, rows: &[usize]) -> Vec<u64> {
+    fn gather_validity(&self, rows: &[u32]) -> Vec<u64> {
         let mut validity = vec![0u64; rows.len().div_ceil(64)];
         for (to, &from) in rows.iter().enumerate() {
-            validity[to / 64] |= u64::from(self.is_valid(from)) << (to % 64);
+            validity[to / 64] |= u64::from(self.is_valid(from as usize)) << (to % 64);
         }
         validity
     }
@@ -312,9 +303,9 @@ impl Column {
         }
     }
 
-    /// Expands the validity bitmap into a byte mask: `out[i]` becomes
-    /// `1` when row `i` holds a value and `0` when it is NULL. `out`
-    /// must not be longer than the column.
+    /// Expands the validity bits of the selected rows into a byte mask:
+    /// `out[k]` becomes `1` when row `rows[k]` holds a value and `0`
+    /// when it is NULL. `out` is as long as `rows`.
     ///
     /// ```
     /// use icewafl_types::{ColumnBatch, DataType, Schema, StampedTuple, Timestamp, Tuple, Value};
@@ -324,72 +315,60 @@ impl Column {
     ///     StampedTuple::new(1, Timestamp(1), Tuple::new(vec![Value::Null])),
     /// ];
     /// let batch = ColumnBatch::from_rows(&schema, rows).unwrap();
-    /// let mut mask = [0u8; 2];
-    /// batch.column(0).fill_validity_mask(&mut mask);
-    /// assert_eq!(mask, [1, 0]);
+    /// let mut mask = [0u8; 3];
+    /// batch.column(0).fill_validity_mask(&[1, 0, 1], &mut mask);
+    /// assert_eq!(mask, [0, 1, 0]);
     /// ```
-    pub fn fill_validity_mask(&self, out: &mut [u8]) {
-        debug_assert!(out.len() <= self.data.len());
-        for (w, chunk) in out.chunks_mut(64).enumerate() {
-            let word = self.validity[w];
-            for (bit, m) in chunk.iter_mut().enumerate() {
-                *m = (word >> bit) as u8 & 1;
-            }
+    pub fn fill_validity_mask(&self, rows: &[u32], out: &mut [u8]) {
+        debug_assert_eq!(out.len(), rows.len());
+        for (m, &r) in out.iter_mut().zip(rows) {
+            *m = u8::from(self.is_valid(r as usize));
         }
     }
 
-    /// Intersects a byte mask with the validity bitmap in place: rows
-    /// whose slot is NULL drop out of the mask, selected rows normalize
-    /// to `1`. `mask` must not be longer than the column.
-    pub fn mask_and_validity(&self, mask: &mut [u8]) {
-        debug_assert!(mask.len() <= self.data.len());
-        for (w, chunk) in mask.chunks_mut(64).enumerate() {
-            let word = self.validity[w];
-            for (bit, m) in chunk.iter_mut().enumerate() {
-                *m = u8::from(*m != 0) & (word >> bit) as u8 & 1;
-            }
+    /// Intersects a byte mask with the validity bits of the selected
+    /// rows in place: positions whose row is NULL drop out of the mask,
+    /// selected ones normalize to `1`.
+    pub fn mask_and_validity(&self, rows: &[u32], mask: &mut [u8]) {
+        debug_assert_eq!(mask.len(), rows.len());
+        for (m, &r) in mask.iter_mut().zip(rows) {
+            *m = u8::from(*m != 0) & u8::from(self.is_valid(r as usize));
         }
     }
 
     /// Clears the validity bit of every selected row — the whole-column
-    /// form of writing NULL (what the missing-value kernel does),
-    /// folding 64 mask bytes into one bitmap word per step. Slot values
-    /// are left in place; a cleared row reads as [`Value::Null`].
-    pub fn clear_validity_masked(&mut self, mask: &[u8]) {
-        debug_assert!(mask.len() <= self.data.len());
-        for (w, chunk) in mask.chunks(64).enumerate() {
-            let mut selected = 0u64;
-            for (bit, &m) in chunk.iter().enumerate() {
-                selected |= u64::from(m != 0) << bit;
-            }
-            self.validity[w] &= !selected;
+    /// form of writing NULL (what the missing-value kernel does). Slot
+    /// values are left in place; a cleared row reads as [`Value::Null`].
+    pub fn clear_validity_masked(&mut self, rows: &[u32], mask: &[u8]) {
+        debug_assert_eq!(mask.len(), rows.len());
+        for (&m, &r) in mask.iter().zip(rows) {
+            let r = r as usize;
+            self.validity[r / 64] &= !(u64::from(m != 0) << (r % 64));
         }
     }
 
     /// Sets the validity bit of every selected row — used after a
     /// kernel stores concrete values through [`Column::data_mut`] into
     /// possibly-NULL slots.
-    pub fn set_validity_masked(&mut self, mask: &[u8]) {
-        debug_assert!(mask.len() <= self.data.len());
-        for (w, chunk) in mask.chunks(64).enumerate() {
-            let mut selected = 0u64;
-            for (bit, &m) in chunk.iter().enumerate() {
-                selected |= u64::from(m != 0) << bit;
-            }
-            self.validity[w] |= selected;
+    pub fn set_validity_masked(&mut self, rows: &[u32], mask: &[u8]) {
+        debug_assert_eq!(mask.len(), rows.len());
+        for (&m, &r) in mask.iter().zip(rows) {
+            let r = r as usize;
+            self.validity[r / 64] |= u64::from(m != 0) << (r % 64);
         }
     }
 
-    /// Applies `f(row, x)` to every *selected, valid* slot of a numeric
-    /// column (`Int`, `Float`, `Bool`), preserving the column's value
-    /// family exactly like [`Value::with_numeric`]: `Int` results round
-    /// to nearest (saturating), `Bool` results become `x ≠ 0`. Non-
-    /// numeric columns are untouched.
+    /// Applies `f(k, x)` to the slot of every *selected, valid* row
+    /// `rows[k]` of a numeric column (`Int`, `Float`, `Bool`),
+    /// preserving the column's value family exactly like
+    /// [`Value::with_numeric`]: `Int` results round to nearest
+    /// (saturating), `Bool` results become `x ≠ 0`. Non-numeric columns
+    /// are untouched.
     ///
     /// The inner loops are branch-free selects: `f` is evaluated for
-    /// every row and the result discarded on unselected or NULL lanes,
-    /// so `f` must be pure (no side effects, no randomness — stochastic
-    /// kernels iterate selected rows explicitly instead).
+    /// every position and the result discarded on unselected or NULL
+    /// lanes, so `f` must be pure (no side effects, no randomness —
+    /// stochastic kernels iterate selected rows explicitly instead).
     ///
     /// ```
     /// use icewafl_types::{ColumnBatch, DataType, Schema, StampedTuple, Timestamp, Tuple, Value};
@@ -398,33 +377,36 @@ impl Column {
     ///     .map(|i| StampedTuple::new(i, Timestamp(0), Tuple::new(vec![Value::Int(i as i64)])))
     ///     .collect();
     /// let mut batch = ColumnBatch::from_rows(&schema, rows).unwrap();
-    /// batch.column_mut(0).map_numeric_masked(&[1, 0, 1], |_, x| x * 10.0);
+    /// batch.column_mut(0).map_numeric_masked(&[2, 0, 1], &[1, 1, 0], |_, x| x * 10.0);
     /// let out = batch.into_rows();
     /// assert_eq!(out[0].tuple.get(0), Some(&Value::Int(0)));
     /// assert_eq!(out[1].tuple.get(0), Some(&Value::Int(1)), "unselected row untouched");
     /// assert_eq!(out[2].tuple.get(0), Some(&Value::Int(20)));
     /// ```
-    pub fn map_numeric_masked(&mut self, mask: &[u8], f: impl Fn(usize, f64) -> f64) {
-        debug_assert!(mask.len() <= self.data.len());
+    pub fn map_numeric_masked(&mut self, rows: &[u32], mask: &[u8], f: impl Fn(usize, f64) -> f64) {
+        debug_assert_eq!(mask.len(), rows.len());
         let validity = &self.validity;
-        let live = |i: usize| mask[i] != 0 && validity[i / 64] >> (i % 64) & 1 == 1;
+        let live = |k: usize, r: usize| mask[k] != 0 && validity[r / 64] >> (r % 64) & 1 == 1;
         match &mut self.data {
             ColumnData::Float(v) => {
-                for (i, x) in v.iter_mut().enumerate().take(mask.len()) {
-                    let y = f(i, *x);
-                    *x = if live(i) { y } else { *x };
+                for (k, &r) in rows.iter().enumerate() {
+                    let (r, x) = (r as usize, v[r as usize]);
+                    let y = f(k, x);
+                    v[r] = if live(k, r) { y } else { x };
                 }
             }
             ColumnData::Int(v) => {
-                for (i, x) in v.iter_mut().enumerate().take(mask.len()) {
-                    let y = round_to_i64(f(i, *x as f64));
-                    *x = if live(i) { y } else { *x };
+                for (k, &r) in rows.iter().enumerate() {
+                    let (r, x) = (r as usize, v[r as usize]);
+                    let y = round_to_i64(f(k, x as f64));
+                    v[r] = if live(k, r) { y } else { x };
                 }
             }
             ColumnData::Bool(v) => {
-                for (i, x) in v.iter_mut().enumerate().take(mask.len()) {
-                    let y = f(i, f64::from(*x)) != 0.0;
-                    *x = if live(i) { y } else { *x };
+                for (k, &r) in rows.iter().enumerate() {
+                    let (r, x) = (r as usize, v[r as usize]);
+                    let y = f(k, f64::from(x)) != 0.0;
+                    v[r] = if live(k, r) { y } else { x };
                 }
             }
             ColumnData::Str(_) | ColumnData::Timestamp(_) => {}
@@ -435,14 +417,15 @@ impl Column {
     /// `Timestamp` column (branch-free select, like
     /// [`Column::map_numeric_masked`]). Other column types are
     /// untouched.
-    pub fn map_timestamps_masked(&mut self, mask: &[u8], f: impl Fn(i64) -> i64) {
-        debug_assert!(mask.len() <= self.data.len());
+    pub fn map_timestamps_masked(&mut self, rows: &[u32], mask: &[u8], f: impl Fn(i64) -> i64) {
+        debug_assert_eq!(mask.len(), rows.len());
         let validity = &self.validity;
         if let ColumnData::Timestamp(v) = &mut self.data {
-            for (i, x) in v.iter_mut().enumerate().take(mask.len()) {
-                let live = mask[i] != 0 && validity[i / 64] >> (i % 64) & 1 == 1;
-                let y = f(*x);
-                *x = if live { y } else { *x };
+            for (&m, &r) in mask.iter().zip(rows) {
+                let (r, x) = (r as usize, v[r as usize]);
+                let live = m != 0 && validity[r / 64] >> (r % 64) & 1 == 1;
+                let y = f(x);
+                v[r] = if live { y } else { x };
             }
         }
     }
@@ -453,51 +436,29 @@ impl Column {
     /// the selected slots (valid or NULL) and sets their bits. Returns
     /// `false` (column untouched) when a non-NULL value's type
     /// disagrees with the column.
-    pub fn overwrite_masked(&mut self, mask: &[u8], value: &Value) -> bool {
-        debug_assert!(mask.len() <= self.data.len());
+    pub fn overwrite_masked(&mut self, rows: &[u32], mask: &[u8], value: &Value) -> bool {
+        debug_assert_eq!(mask.len(), rows.len());
+        fn fill<T: Clone>(v: &mut [T], rows: &[u32], mask: &[u8], c: &T) {
+            for (&m, &r) in mask.iter().zip(rows) {
+                if m != 0 {
+                    v[r as usize].clone_from(c);
+                }
+            }
+        }
         if matches!(value, Value::Null) {
-            self.clear_validity_masked(mask);
+            self.clear_validity_masked(rows, mask);
             return true;
         }
-        let stored = match (&mut self.data, value) {
-            (ColumnData::Bool(v), Value::Bool(c)) => {
-                for (i, x) in v.iter_mut().enumerate().take(mask.len()) {
-                    *x = if mask[i] != 0 { *c } else { *x };
-                }
-                true
-            }
-            (ColumnData::Int(v), Value::Int(c)) => {
-                for (i, x) in v.iter_mut().enumerate().take(mask.len()) {
-                    *x = if mask[i] != 0 { *c } else { *x };
-                }
-                true
-            }
-            (ColumnData::Float(v), Value::Float(c)) => {
-                for (i, x) in v.iter_mut().enumerate().take(mask.len()) {
-                    *x = if mask[i] != 0 { *c } else { *x };
-                }
-                true
-            }
-            (ColumnData::Timestamp(v), Value::Timestamp(c)) => {
-                for (i, x) in v.iter_mut().enumerate().take(mask.len()) {
-                    *x = if mask[i] != 0 { c.0 } else { *x };
-                }
-                true
-            }
-            (ColumnData::Str(v), Value::Str(c)) => {
-                for (i, x) in v.iter_mut().enumerate().take(mask.len()) {
-                    if mask[i] != 0 {
-                        x.clone_from(c);
-                    }
-                }
-                true
-            }
-            _ => false,
-        };
-        if stored {
-            self.set_validity_masked(mask);
+        match (&mut self.data, value) {
+            (ColumnData::Bool(v), Value::Bool(c)) => fill(v, rows, mask, c),
+            (ColumnData::Int(v), Value::Int(c)) => fill(v, rows, mask, c),
+            (ColumnData::Float(v), Value::Float(c)) => fill(v, rows, mask, c),
+            (ColumnData::Timestamp(v), Value::Timestamp(c)) => fill(v, rows, mask, &c.0),
+            (ColumnData::Str(v), Value::Str(c)) => fill(v, rows, mask, c),
+            _ => return false,
         }
-        stored
+        self.set_validity_masked(rows, mask);
+        true
     }
 
     /// The slot's numeric view, mirroring [`Value::as_f64`] over the
@@ -691,33 +652,16 @@ impl ColumnBatch {
     /// The rows at `rows`, in that order, as a new batch: stamps and
     /// values copied, strings shared. A row may be picked more than
     /// once.
-    pub fn select(&self, rows: &[usize]) -> ColumnBatch {
-        let columns = self.columns.iter().map(|c| c.gather(rows)).collect();
-        self.gather_stamps(rows, columns)
-    }
-
-    /// [`ColumnBatch::select`] that moves the picked rows' strings out
-    /// of this batch instead of sharing them, leaving empty strings
-    /// behind: for splitting a batch whose rows each go one way. A row
-    /// picked twice has its string in the first pick only.
-    pub fn take_rows(&mut self, rows: &[usize]) -> ColumnBatch {
-        let columns = self
-            .columns
-            .iter_mut()
-            .map(|c| c.gather_taking(rows))
-            .collect();
-        self.gather_stamps(rows, columns)
-    }
-
-    /// The stamps of `rows` around `columns` gathered from the same
-    /// rows.
-    fn gather_stamps(&self, rows: &[usize], columns: Vec<Column>) -> ColumnBatch {
+    pub fn select(&self, rows: &[u32]) -> ColumnBatch {
+        fn pick<T: Copy>(v: &[T], rows: &[u32]) -> Vec<T> {
+            rows.iter().map(|&r| v[r as usize]).collect()
+        }
         ColumnBatch {
-            ids: rows.iter().map(|&r| self.ids[r]).collect(),
-            taus: rows.iter().map(|&r| self.taus[r]).collect(),
-            arrivals: rows.iter().map(|&r| self.arrivals[r]).collect(),
-            sub_streams: rows.iter().map(|&r| self.sub_streams[r]).collect(),
-            columns,
+            ids: pick(&self.ids, rows),
+            taus: pick(&self.taus, rows),
+            arrivals: pick(&self.arrivals, rows),
+            sub_streams: pick(&self.sub_streams, rows),
+            columns: self.columns.iter().map(|c| c.gather(rows)).collect(),
         }
     }
 
@@ -725,6 +669,14 @@ impl ColumnBatch {
     /// does on emit).
     pub fn set_sub_stream(&mut self, sub_stream: u32) {
         self.sub_streams.iter_mut().for_each(|s| *s = sub_stream);
+    }
+
+    /// Overwrites the sub-stream of the rows at `rows`: what a session
+    /// does on emit for the rows a sub-stream polluted in place.
+    pub fn set_sub_stream_of(&mut self, rows: &[u32], sub_stream: u32) {
+        for &r in rows {
+            self.sub_streams[r as usize] = sub_stream;
+        }
     }
 
     /// The column at `idx`.
@@ -918,35 +870,52 @@ mod tests {
         assert_eq!(batch.into_rows(), Vec::new());
     }
 
+    /// Every row, in order: the selection of a whole batch.
+    fn all(n: u32) -> Vec<u32> {
+        (0..n).collect()
+    }
+
     #[test]
     fn validity_mask_expansion_and_intersection() {
         let batch = ColumnBatch::from_rows(&schema(), rows()).unwrap();
         let col = batch.column(1); // BPM: NULL on multiples of 7
         let mut mask = vec![0u8; 100];
-        col.fill_validity_mask(&mut mask);
+        col.fill_validity_mask(&all(100), &mut mask);
         for (i, &m) in mask.iter().enumerate() {
             assert_eq!(m, u8::from(i % 7 != 0), "row {i}");
         }
         // Intersection drops NULL rows and normalizes set bytes to 1.
-        let mut all = vec![7u8; 100];
-        col.mask_and_validity(&mut all);
-        assert_eq!(all, mask);
+        let mut every = vec![7u8; 100];
+        col.mask_and_validity(&all(100), &mut every);
+        assert_eq!(every, mask);
         let mut none = vec![0u8; 100];
-        col.mask_and_validity(&mut none);
+        col.mask_and_validity(&all(100), &mut none);
         assert!(none.iter().all(|&m| m == 0));
+        // Over a selection, position k speaks for row rows[k].
+        let picks = [14, 15, 70, 1];
+        let mut picked = [9u8; 4];
+        col.fill_validity_mask(&picks, &mut picked);
+        assert_eq!(picked, [0, 1, 0, 1]);
     }
 
     #[test]
-    fn masked_validity_updates_work_word_wise() {
+    fn masked_validity_updates_touch_only_the_selected_rows() {
         let mut batch = ColumnBatch::from_rows(&schema(), rows()).unwrap();
         let mask: Vec<u8> = (0..100).map(|i| u8::from(i % 3 == 0)).collect();
-        batch.column_mut(2).clear_validity_masked(&mask);
+        batch.column_mut(2).clear_validity_masked(&all(100), &mask);
         for i in 0..100 {
             assert_eq!(batch.column(2).is_valid(i), i % 3 != 0, "row {i}");
         }
-        batch.column_mut(2).set_validity_masked(&mask);
+        batch.column_mut(2).set_validity_masked(&all(100), &mask);
         for i in 0..100 {
             assert!(batch.column(2).is_valid(i), "row {i} revived");
+        }
+        // Over a selection, only the selected rows change.
+        batch
+            .column_mut(2)
+            .clear_validity_masked(&[65, 3, 64], &[1, 0, 1]);
+        for i in 0..100 {
+            assert_eq!(batch.column(2).is_valid(i), i != 64 && i != 65, "row {i}");
         }
     }
 
@@ -956,10 +925,10 @@ mod tests {
         let mask = vec![1u8; 100];
         batch
             .column_mut(1)
-            .map_numeric_masked(&mask, |_, x| x * 2.5);
+            .map_numeric_masked(&all(100), &mask, |_, x| x * 2.5);
         batch
             .column_mut(2)
-            .map_numeric_masked(&mask, |_, x| x + 0.5);
+            .map_numeric_masked(&all(100), &mask, |_, x| x + 0.5);
         for i in 0..100 {
             if i % 7 == 0 {
                 assert!(!batch.column(1).is_valid(i), "NULL slots stay NULL");
@@ -973,12 +942,14 @@ mod tests {
                 Value::Float(i as f64 * 0.5 + 0.5)
             );
         }
-        // Row index reaches the closure (per-row factors).
+        // The position in the selection reaches the closure (per-row
+        // factors).
         let mut batch = ColumnBatch::from_rows(&schema(), rows()).unwrap();
         batch
             .column_mut(2)
-            .map_numeric_masked(&mask, |row, x| x + row as f64);
-        assert_eq!(batch.column(2).value_at(4), Value::Float(4.0 * 0.5 + 4.0));
+            .map_numeric_masked(&[9, 4], &[1, 1], |k, x| x + k as f64);
+        assert_eq!(batch.column(2).value_at(9), Value::Float(9.0 * 0.5));
+        assert_eq!(batch.column(2).value_at(4), Value::Float(4.0 * 0.5 + 1.0));
     }
 
     #[test]
@@ -987,7 +958,9 @@ mod tests {
         let mask: Vec<u8> = (0..100).map(|i| u8::from(i < 50)).collect();
         // Constant over a column with NULLs: selected rows (valid or
         // NULL) all end up holding the constant.
-        assert!(batch.column_mut(1).overwrite_masked(&mask, &Value::Int(9)));
+        assert!(batch
+            .column_mut(1)
+            .overwrite_masked(&all(100), &mask, &Value::Int(9)));
         for i in 0..100 {
             let expect = if i < 50 {
                 Value::Int(9)
@@ -999,11 +972,13 @@ mod tests {
             assert_eq!(batch.column(1).value_at(i), expect, "row {i}");
         }
         // NULL constant clears validity; type mismatch is rejected.
-        assert!(batch.column_mut(1).overwrite_masked(&mask, &Value::Null));
+        assert!(batch
+            .column_mut(1)
+            .overwrite_masked(&all(100), &mask, &Value::Null));
         assert!(!batch.column(1).is_valid(0));
         assert!(!batch
             .column_mut(1)
-            .overwrite_masked(&mask, &Value::Str("x".into())));
+            .overwrite_masked(&all(100), &mask, &Value::Str("x".into())));
     }
 
     #[test]
@@ -1046,23 +1021,24 @@ mod tests {
     }
 
     #[test]
-    fn select_and_take_rows_pick_rows_in_the_given_order() {
+    fn select_picks_rows_in_the_given_order() {
         let input = rows();
-        let mut batch = ColumnBatch::from_rows(&schema(), input.clone()).unwrap();
+        let batch = ColumnBatch::from_rows(&schema(), input.clone()).unwrap();
         let picks = [70, 0, 7, 64, 99, 7];
-        let expected: Vec<StampedTuple> = picks.iter().map(|&r| input[r].clone()).collect();
+        let expected: Vec<StampedTuple> =
+            picks.iter().map(|&r| input[r as usize].clone()).collect();
         assert_eq!(batch.select(&picks).into_rows(), expected);
         assert!(batch.select(&[]).is_empty());
-        // Taking moves the strings: a second pick of a row finds its
-        // string gone, and so does the batch taken from.
-        let taken = batch.take_rows(&picks).into_rows();
-        assert_eq!(taken[..5], expected[..5]);
-        assert_eq!(taken[5].tuple.get(3), Some(&Value::Str(Text::default())));
-        assert_eq!(batch.column(3).value_at(70), Value::Str(Text::default()));
-        assert_eq!(
-            batch.column(3).value_at(1),
-            input[1].tuple.get(3).unwrap().clone()
-        );
+    }
+
+    #[test]
+    fn sub_streams_are_set_per_selection() {
+        let mut batch = ColumnBatch::from_rows(&schema(), rows()).unwrap();
+        batch.set_sub_stream(0);
+        batch.set_sub_stream_of(&[3, 97], 5);
+        assert_eq!(batch.stamp(3).3, 5);
+        assert_eq!(batch.stamp(97).3, 5);
+        assert_eq!(batch.sub_streams().iter().filter(|&&s| s == 0).count(), 98);
     }
 
     #[test]
@@ -1071,7 +1047,7 @@ mod tests {
         let mask: Vec<u8> = (0..100).map(|i| u8::from(i % 2 == 0)).collect();
         batch
             .column_mut(0)
-            .map_timestamps_masked(&mask, |t| t + 500);
+            .map_timestamps_masked(&all(100), &mask, |t| t + 500);
         assert_eq!(
             batch.column(0).value_at(2),
             Value::Timestamp(Timestamp(2500))
